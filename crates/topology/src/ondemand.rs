@@ -3,19 +3,36 @@
 //!
 //! [`RouteTable::build`] materializes all `n²` paths up front — `O(n²)`
 //! memory that walls off every graph past a few thousand nodes. The
-//! [`OnDemandRoutes`] engine instead computes one Dijkstra *tree* per
-//! requested source, caches at most `capacity` trees, and reconstructs
-//! paths from parent pointers on demand. Peak path storage is bounded by
-//! the cache capacity, never by `n²`.
+//! [`OnDemandRoutes`] engine instead keeps one resumable Dijkstra `Search`
+//! per requested source, caches at most `capacity` of them, and
+//! reconstructs paths from parent pointers on demand. Peak path storage is
+//! bounded by the cache capacity, never by `n²`.
+//!
+//! **Lazy trees.** A cache miss settles nodes only until the asked
+//! destination is settled; `path`/`latency_ms`/`rtt_ms` read the answer off
+//! the partial tree. A later request beyond the settled frontier resumes
+//! the search — the first one as far as its destination, the second one to
+//! exhaustion (a resume costs an `O(n)` heap rebuild, so unbounded resumes
+//! would be `O(n²)` per source on a graph whose ids are in distance order).
+//! An exhausted search is frozen into an immutable [`SourceTree`] that is
+//! read without the per-slot lock; [`OnDemandRoutes::tree`] and
+//! `all_rtts_ms` force exhaustion. The heap is not kept between requests:
+//! its live content is exactly the discovered, unsettled nodes at their
+//! current `(dist, hops)`, so a resume rebuilds it from the arrays into a
+//! reused buffer, and a resident partial tree costs what a whole one did.
 //!
 //! **Determinism argument** (DESIGN.md §14): the CSR Dijkstra mirrors the
 //! legacy one operation for operation — same heap ordering, same neighbor
 //! visit order (rows are `(node, link)`-sorted in both representations),
 //! same floating-point additions in the same order, same strict-improvement
-//! tie-break. A cached tree is therefore bit-identical to a recomputed one,
-//! so cache hits, misses, and evictions cannot change any produced path or
-//! distance — the cache affects *when* trees are computed, never *what*
-//! they contain. Eviction itself is deterministic under single-threaded use
+//! tie-break. Relaxation only ever writes unsettled nodes, so the `dist`
+//! and `parent` of a settled node — and of every ancestor, settled earlier
+//! — are final, and the pop order depends only on the total order of the
+//! keys: a partial tree answers bit-identically to a whole one. A cached
+//! tree is likewise bit-identical to a recomputed one, so cache hits,
+//! misses, and evictions cannot change any produced path or distance — the
+//! cache affects *when* and *how far* trees are computed, never *what* they
+//! contain. Eviction itself is deterministic under single-threaded use
 //! (least-recently-used by a monotonic tick), but no result depends on it.
 //!
 //! `rtt_ms` deliberately sums the forward and reverse tree distances
@@ -29,9 +46,14 @@ use crate::csr::CsrTopology;
 use crate::graph::{LinkId, NodeId};
 use crate::routing::{Path, Routes};
 use db_telemetry::{Counter, Gauge, MetricsRegistry};
-use std::cmp::Ordering;
+use db_util::sync::lock_recover;
+use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// `parent` entry of the source and of nodes not yet discovered.
+const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// A single-source shortest-path tree: distances plus `(parent node,
 /// parent link)` pointers, both indexed by node id.
@@ -39,17 +61,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct SourceTree {
     /// One-way latency from the source to each node, milliseconds.
     pub dist: Vec<f64>,
-    /// Predecessor on the chosen shortest path; `None` at the source.
-    pub parent: Vec<Option<(u32, u32)>>,
+    /// Predecessor on the chosen shortest path; [`NO_PARENT`] at the source.
+    parent: Vec<(u32, u32)>,
 }
 
 impl SourceTree {
     /// Reconstruct the path from this tree's source to `dst` into caller
     /// buffers (cleared first): `nodes` gets the visited switches source →
     /// `dst`, `links` the traversed link per hop. Returns `false` without
-    /// panicking if `dst` is unreachable or out of range. Registered in the
-    /// lint hot tier: allocation beyond `push` into the reused buffers,
-    /// indexing, and panics are all banned here.
+    /// panicking if `dst` is unreachable or out of range, or if an id on
+    /// the path does not fit the `u16` [`NodeId`]/[`LinkId`] space (trees
+    /// over larger graphs serve distances only). Registered in the lint hot
+    /// tier: allocation beyond `push` into the reused buffers, indexing,
+    /// and panics are all banned here.
     pub fn reconstruct_into(
         &self,
         src: u32,
@@ -59,18 +83,23 @@ impl SourceTree {
     ) -> bool {
         nodes.clear();
         links.clear();
-        nodes.push(NodeId(dst as u16));
+        let Ok(last) = u16::try_from(dst) else {
+            return false;
+        };
+        nodes.push(NodeId(last));
         let mut cur = dst;
         let mut steps = 0usize;
         let limit = self.parent.len();
         while cur != src {
-            let step = match self.parent.get(cur as usize) {
-                Some(&Some(pair)) => pair,
+            let (p, l) = match self.parent.get(cur as usize) {
+                Some(&pair) if pair != NO_PARENT => pair,
                 _ => return false,
             };
-            let (p, l) = step;
-            nodes.push(NodeId(p as u16));
-            links.push(LinkId(l as u16));
+            let (Ok(node), Ok(link)) = (u16::try_from(p), u16::try_from(l)) else {
+                return false;
+            };
+            nodes.push(NodeId(node));
+            links.push(LinkId(link));
             cur = p;
             steps += 1;
             if steps > limit {
@@ -83,100 +112,140 @@ impl SourceTree {
     }
 }
 
-/// Dijkstra heap state over `u32` ids, ordered exactly like the legacy
-/// `HeapEntry` in [`crate::routing`]: reversed (min-heap) on distance, then
-/// hop count, then node id.
-#[derive(PartialEq)]
-struct CsrHeapEntry {
-    dist: f64,
-    hops: u32,
-    node: u32,
+/// Settled flag, folded into the top bit of a node's hop word.
+const DONE: u32 = 1 << 31;
+/// Hop word of a node not yet discovered: unsettled, "infinite" hops.
+const UNSEEN: u32 = DONE - 1;
+
+/// Min-heap entry `(dist.to_bits(), hops, node)`. Latencies are finite and
+/// positive, so distances are non-negative and their IEEE bit patterns
+/// order like the values: the tuple orders exactly like the legacy
+/// `HeapEntry` in [`crate::routing`] (distance, then hop count, then node
+/// id) with integer comparisons only.
+type HeapKey = Reverse<(u64, u32, u32)>;
+
+thread_local! {
+    /// Heap storage between this thread's searches, so a cache miss does
+    /// not grow a new heap.
+    static HEAP_BUF: Cell<Vec<HeapKey>> = const { Cell::new(Vec::new()) };
 }
 
-impl Eq for CsrHeapEntry {}
-
-impl Ord for CsrHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .expect("link latencies are finite")
-            .then(other.hops.cmp(&self.hops))
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for CsrHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Single-source shortest paths over CSR rows, mirroring the legacy
+/// A resumable single-source Dijkstra over CSR rows, mirroring the legacy
 /// `Topology` Dijkstra operation for operation (see the module docs for why
 /// that matters). Deliberately a *separate* implementation rather than a
 /// shared generic: the equivalence proptest in `tests/` is only meaningful
 /// if the two engines cannot share a bug.
-pub fn shortest_tree(csr: &CsrTopology, src: u32) -> SourceTree {
-    let n = csr.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut parent: Vec<Option<(u32, u32)>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src as usize] = 0.0;
-    hops[src as usize] = 0;
-    heap.push(CsrHeapEntry {
-        dist: 0.0,
-        hops: 0,
-        node: src,
-    });
-    while let Some(CsrHeapEntry {
-        dist: d,
-        hops: h,
-        node: u,
-    }) = heap.pop()
-    {
-        if done[u as usize] {
-            continue;
+#[derive(Debug)]
+struct Search {
+    src: u32,
+    /// Final for every settled node; tentative for discovered ones.
+    tree: SourceTree,
+    /// Hop count from the source, [`DONE`] set once the node is settled.
+    hops: Vec<u32>,
+    /// Whether a resume already stopped short of exhaustion.
+    extended: bool,
+}
+
+impl Search {
+    fn new(n: usize, src: u32) -> Self {
+        let mut s = Search {
+            src,
+            tree: SourceTree {
+                dist: vec![f64::INFINITY; n],
+                parent: vec![NO_PARENT; n],
+            },
+            hops: vec![UNSEEN; n],
+            extended: false,
+        };
+        s.tree.dist[src as usize] = 0.0;
+        s.hops[src as usize] = 0;
+        s
+    }
+
+    fn is_settled(&self, v: u32) -> bool {
+        self.hops[v as usize] & DONE != 0
+    }
+
+    /// Settle nodes in key order until `until` is settled (`None`: until
+    /// none is left). Returns whether the search is exhausted.
+    fn advance(&mut self, csr: &CsrTopology, until: Option<u32>) -> bool {
+        let fresh = !self.is_settled(self.src);
+        let SourceTree { dist, parent } = &mut self.tree;
+        let hops = &mut self.hops;
+        // The heap's live content is the discovered, unsettled nodes at
+        // their current (dist, hops); every other entry it ever held is
+        // skipped when popped.
+        let mut buf = HEAP_BUF.take();
+        buf.clear();
+        if fresh {
+            buf.push(Reverse((0, 0, self.src)));
+        } else {
+            #[cfg(test)]
+            tests::REBUILDS.with(|c| c.set(c.get() + 1));
+            for (v, (&d, &h)) in dist.iter().zip(hops.iter()).enumerate() {
+                if h & DONE == 0 && d < f64::INFINITY {
+                    buf.push(Reverse((d.to_bits(), h, v as u32)));
+                }
+            }
         }
-        done[u as usize] = true;
-        let (nbrs, links) = csr.neighbors(u);
-        for (&v, &l) in nbrs.iter().zip(links) {
-            if done[v as usize] {
+        let mut heap = BinaryHeap::from(buf);
+        while let Some(Reverse((bits, h, u))) = heap.pop() {
+            if hops[u as usize] & DONE != 0 {
                 continue;
             }
-            let nd = d + csr.link_latency_ms(l);
-            let nh = h + 1;
-            // Same strict-improvement tie-break as the legacy engine:
-            // distance, then hops, then smaller parent id.
-            let better = nd < dist[v as usize]
-                || (nd == dist[v as usize] && nh < hops[v as usize])
-                || (nd == dist[v as usize]
-                    && nh == hops[v as usize]
-                    && parent[v as usize].is_some_and(|(p, _)| u < p));
-            if better {
-                dist[v as usize] = nd;
-                hops[v as usize] = nh;
-                parent[v as usize] = Some((u, l));
-                heap.push(CsrHeapEntry {
-                    dist: nd,
-                    hops: nh,
-                    node: v,
-                });
+            hops[u as usize] |= DONE;
+            let d = f64::from_bits(bits);
+            let (nbrs, links) = csr.neighbors(u);
+            for (&v, &l) in nbrs.iter().zip(links) {
+                let hv = hops[v as usize];
+                if hv & DONE != 0 {
+                    continue;
+                }
+                let nd = d + csr.link_latency_ms(l);
+                let nh = h + 1;
+                // Same strict-improvement tie-break as the legacy engine:
+                // distance, then hops, then smaller parent id.
+                let dv = dist[v as usize];
+                let better = nd < dv
+                    || (nd == dv && nh < hv)
+                    || (nd == dv && nh == hv && {
+                        let p = parent[v as usize];
+                        p != NO_PARENT && u < p.0
+                    });
+                if better {
+                    dist[v as usize] = nd;
+                    hops[v as usize] = nh;
+                    parent[v as usize] = (u, l);
+                    heap.push(Reverse((nd.to_bits(), nh, v)));
+                }
+            }
+            // `u`'s row is relaxed before stopping, so the arrays alone
+            // carry the frontier to the next resume.
+            if until == Some(u) {
+                break;
             }
         }
+        let exhausted = heap.is_empty();
+        HEAP_BUF.set(heap.into_vec());
+        exhausted
     }
-    SourceTree { dist, parent }
+}
+
+/// Single-source shortest paths over CSR rows: a new search, settled to
+/// exhaustion.
+pub fn shortest_tree(csr: &CsrTopology, src: u32) -> SourceTree {
+    let mut search = Search::new(csr.node_count(), src);
+    search.advance(csr, None);
+    search.tree
 }
 
 /// Route-cache occupancy and traffic counters, readable at any time via
 /// [`OnDemandRoutes::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from a cached tree.
+    /// Lookups served from a resident tree (partial or whole).
     pub hits: u64,
-    /// Lookups that required a Dijkstra computation.
+    /// Lookups that started a new Dijkstra search.
     pub misses: u64,
     /// Trees discarded to stay within capacity.
     pub evictions: u64,
@@ -188,7 +257,16 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// Bounded LRU of per-source trees. Recency is a monotonic tick stamped on
+/// One cached source. `search` is `None` before the first request and
+/// after the freeze; once `frozen` is set the slot is read without taking
+/// the lock.
+#[derive(Debug, Default)]
+struct Slot {
+    search: Mutex<Option<Search>>,
+    frozen: OnceLock<Arc<SourceTree>>,
+}
+
+/// Bounded LRU of per-source slots. Recency is a monotonic tick stamped on
 /// every touch; the eviction victim is the minimum-tick entry. A `BTreeMap`
 /// keeps iteration (and thus victim selection on the impossible case of a
 /// tick tie) deterministic.
@@ -196,7 +274,7 @@ pub struct CacheStats {
 struct TreeCache {
     cap: usize,
     tick: u64,
-    map: BTreeMap<u32, (u64, Arc<SourceTree>)>,
+    map: BTreeMap<u32, (u64, Arc<Slot>)>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -216,10 +294,10 @@ impl TreeCache {
         }
     }
 
-    /// Cache probe: refresh recency and hand back the tree on a hit.
+    /// Cache probe: refresh recency and hand back the slot on a hit.
     /// Registered in the lint hot tier — no allocation (an `Arc` clone is a
     /// reference-count bump), no indexing, no panics.
-    fn lookup(&mut self, src: u32) -> Option<Arc<SourceTree>> {
+    fn lookup(&mut self, src: u32) -> Option<Arc<Slot>> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(&src) {
@@ -235,15 +313,10 @@ impl TreeCache {
         }
     }
 
-    /// Insert a freshly computed tree, evicting the least-recently-used
-    /// entry when at capacity. If another thread inserted `src` while this
-    /// one was computing, the incumbent wins (the two trees are
-    /// bit-identical by the determinism argument). Returns the resident
-    /// tree and whether an eviction happened.
-    fn insert(&mut self, src: u32, tree: Arc<SourceTree>) -> (Arc<SourceTree>, bool) {
-        if let Some(entry) = self.map.get(&src) {
-            return (Arc::clone(&entry.1), false);
-        }
+    /// Insert an empty slot for `src` (which [`Self::lookup`] just missed,
+    /// under the same lock), evicting the least-recently-used entry when at
+    /// capacity. Returns the slot and whether an eviction happened.
+    fn insert(&mut self, src: u32) -> (Arc<Slot>, bool) {
         let mut evicted = false;
         if self.map.len() >= self.cap {
             if let Some(victim) = self
@@ -258,9 +331,10 @@ impl TreeCache {
             }
         }
         self.tick += 1;
-        self.map.insert(src, (self.tick, Arc::clone(&tree)));
+        let slot = Arc::new(Slot::default());
+        self.map.insert(src, (self.tick, Arc::clone(&slot)));
         self.peak_resident = self.peak_resident.max(self.map.len());
-        (tree, evicted)
+        (slot, evicted)
     }
 }
 
@@ -350,7 +424,7 @@ impl OnDemandRoutes {
 
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let c = self.cache.lock().expect("route cache poisoned");
+        let c = lock_recover(&self.cache);
         CacheStats {
             hits: c.hits,
             misses: c.misses,
@@ -361,22 +435,24 @@ impl OnDemandRoutes {
         }
     }
 
-    /// The shortest-path tree rooted at `src`, from cache or computed. The
-    /// Dijkstra runs outside the cache lock so concurrent misses on
-    /// different sources proceed in parallel.
-    pub fn tree(&self, src: u32) -> Arc<SourceTree> {
-        {
-            let mut c = self.cache.lock().expect("route cache poisoned");
-            if let Some(t) = c.lookup(src) {
-                if let Some(m) = self.telemetry.get() {
-                    m.hits.inc();
-                }
-                return t;
+    /// The cache slot of `src`: the resident one (a hit), or a new empty
+    /// one (a miss). Only the map is touched under the cache lock; the
+    /// search runs under the slot's own lock, so concurrent misses on
+    /// different sources proceed in parallel and two threads missing on
+    /// the same source share one search.
+    fn slot(&self, src: u32) -> Arc<Slot> {
+        assert!(
+            (src as usize) < self.csr.node_count(),
+            "source {src} out of range"
+        );
+        let mut c = lock_recover(&self.cache);
+        if let Some(slot) = c.lookup(src) {
+            if let Some(m) = self.telemetry.get() {
+                m.hits.inc();
             }
+            return slot;
         }
-        let tree = Arc::new(shortest_tree(&self.csr, src));
-        let mut c = self.cache.lock().expect("route cache poisoned");
-        let (out, evicted) = c.insert(src, tree);
+        let (slot, evicted) = c.insert(src);
         if let Some(m) = self.telemetry.get() {
             m.misses.inc();
             if evicted {
@@ -384,7 +460,50 @@ impl OnDemandRoutes {
             }
             m.resident.set(c.map.len() as f64);
         }
-        out
+        slot
+    }
+
+    /// Run `read` on `src`'s tree once `until` is settled in it (`None`:
+    /// once the whole tree is). A tree is extended short of exhaustion at
+    /// most once: the second request beyond its settled frontier runs it
+    /// to exhaustion and freezes it.
+    fn settled<R>(
+        &self,
+        slot: &Slot,
+        src: u32,
+        until: Option<u32>,
+        read: impl FnOnce(&SourceTree) -> R,
+    ) -> R {
+        if let Some(tree) = slot.frozen.get() {
+            return read(tree);
+        }
+        let mut guard = lock_recover(&slot.search);
+        if let Some(tree) = slot.frozen.get() {
+            return read(tree); // frozen while this thread waited for the lock
+        }
+        let search = guard.get_or_insert_with(|| Search::new(self.csr.node_count(), src));
+        let exhausted = match until {
+            Some(dst) if search.is_settled(dst) => false,
+            Some(dst) if !search.extended => {
+                // A search that has settled nothing yet is being started,
+                // not extended.
+                search.extended = search.is_settled(src);
+                search.advance(&self.csr, Some(dst))
+            }
+            _ => search.advance(&self.csr, None),
+        };
+        if !exhausted {
+            return read(&search.tree);
+        }
+        let tree = guard.take().expect("just advanced").tree;
+        read(slot.frozen.get_or_init(|| Arc::new(tree)))
+    }
+
+    /// The whole shortest-path tree rooted at `src`, from cache or computed.
+    pub fn tree(&self, src: u32) -> Arc<SourceTree> {
+        let slot = self.slot(src);
+        self.settled(&slot, src, None, |_| ());
+        Arc::clone(slot.frozen.get().expect("an exhausted search is frozen"))
     }
 }
 
@@ -400,21 +519,24 @@ impl Routes for OnDemandRoutes {
                 links: vec![],
             };
         }
-        let tree = self.tree(u32::from(src.0));
+        let (s, d) = (u32::from(src.0), u32::from(dst.0));
         let mut nodes = Vec::new();
         let mut links = Vec::new();
-        let ok = tree.reconstruct_into(u32::from(src.0), u32::from(dst.0), &mut nodes, &mut links);
+        let ok = self.settled(&self.slot(s), s, Some(d), |tree| {
+            tree.reconstruct_into(s, d, &mut nodes, &mut links)
+        });
         assert!(ok, "topology is connected, path {src}->{dst} must exist");
         Path { nodes, links }
     }
 
     fn latency_ms(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.tree(u32::from(src.0)).dist[dst.idx()]
+        let (s, d) = (u32::from(src.0), u32::from(dst.0));
+        self.settled(&self.slot(s), s, Some(d), |tree| tree.dist[dst.idx()])
     }
 
     fn rtt_ms(&self, src: NodeId, dst: NodeId) -> f64 {
         // Both directional trees, not 2×: see the module docs.
-        self.tree(u32::from(src.0)).dist[dst.idx()] + self.tree(u32::from(dst.0)).dist[src.idx()]
+        self.latency_ms(src, dst) + self.latency_ms(dst, src)
     }
 
     fn all_rtts_ms(&self) -> Vec<f64> {
@@ -479,6 +601,32 @@ mod tests {
     use super::*;
     use crate::graph::TopologyBuilder;
     use crate::routing::{ordered_pairs, RouteTable};
+    use std::sync::Barrier;
+
+    thread_local! {
+        /// Heap rebuilds (resumes of a partial search) on this thread.
+        pub(super) static REBUILDS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// A path graph `0 — 1 — … — n-1` of unit-latency links.
+    fn line(n: u32) -> Arc<CsrTopology> {
+        let edges: Vec<(u32, u32, f64)> = (1..n).map(|v| (v - 1, v, 1.0)).collect();
+        Arc::new(CsrTopology::from_edges("line", n as usize, &edges))
+    }
+
+    /// Nodes settled in `src`'s resident slot, and whether it is frozen.
+    fn slot_state(od: &OnDemandRoutes, src: u32) -> (usize, bool) {
+        let slot = Arc::clone(&lock_recover(&od.cache).map[&src].1);
+        if let Some(tree) = slot.frozen.get() {
+            return (tree.dist.len(), true);
+        }
+        let guard = lock_recover(&slot.search);
+        let search = guard.as_ref().expect("a partial slot holds its search");
+        (
+            search.hops.iter().filter(|&&h| h & DONE != 0).count(),
+            false,
+        )
+    }
 
     fn diamond() -> crate::graph::Topology {
         let mut b = TopologyBuilder::new("diamond");
@@ -563,7 +711,7 @@ mod tests {
     fn reconstruct_into_reports_unreachable() {
         let tree = SourceTree {
             dist: vec![0.0, f64::INFINITY],
-            parent: vec![None, None],
+            parent: vec![NO_PARENT, NO_PARENT],
         };
         let mut nodes = Vec::new();
         let mut links = Vec::new();
@@ -571,6 +719,107 @@ mod tests {
         assert!(tree.reconstruct_into(0, 0, &mut nodes, &mut links));
         assert_eq!(nodes, vec![NodeId(0)]);
         assert!(links.is_empty());
+    }
+
+    #[test]
+    fn reconstruct_into_rejects_ids_beyond_u16() {
+        // What `Landmarks::build` computes on a 10⁵-node graph: a tree whose
+        // ids do not fit `NodeId`/`LinkId`.
+        let n = u32::from(u16::MAX) + 4;
+        let csr = line(n);
+        let mut nodes = Vec::new();
+        let mut links = Vec::new();
+        let tree = shortest_tree(&csr, 0);
+        assert_eq!(tree.dist[n as usize - 1], f64::from(n - 1));
+        assert!(tree.reconstruct_into(0, 100, &mut nodes, &mut links));
+        assert_eq!((nodes.len(), links.len()), (101, 100));
+        assert!(!tree.reconstruct_into(0, n - 1, &mut nodes, &mut links));
+        // The endpoints fit, the nodes and links on the way do not.
+        let far = shortest_tree(&csr, n - 1);
+        assert!(!far.reconstruct_into(n - 1, 10, &mut nodes, &mut links));
+    }
+
+    #[test]
+    fn a_miss_settles_only_as_far_as_its_destination() {
+        let csr = line(64);
+        let od = OnDemandRoutes::new(Arc::clone(&csr));
+        assert_eq!(od.path(NodeId(0), NodeId(10)).links.len(), 10);
+        let (settled, frozen) = slot_state(&od, 0);
+        assert!(!frozen && settled == 11, "{settled} settled");
+        // Inside the frontier: answered without advancing.
+        assert_eq!(od.latency_ms(NodeId(0), NodeId(7)), 7.0);
+        assert_eq!(slot_state(&od, 0), (11, false));
+        // The first request beyond the frontier extends to its destination…
+        assert_eq!(od.latency_ms(NodeId(0), NodeId(20)), 20.0);
+        assert_eq!(slot_state(&od, 0), (21, false));
+        // …the second one exhausts and freezes the tree.
+        assert_eq!(od.path(NodeId(0), NodeId(30)).links.len(), 30);
+        assert_eq!(slot_state(&od, 0), (64, true));
+        assert_eq!(*od.tree(0), shortest_tree(&csr, 0));
+        let stats = od.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn tree_after_partial_queries_is_the_whole_tree() {
+        let t = crate::gen::waxman(40, 0.5, 0.4, 7);
+        let csr = Arc::new(CsrTopology::from_topology(&t));
+        let od = OnDemandRoutes::new(Arc::clone(&csr));
+        for s in 0..40u16 {
+            od.path(NodeId(s), NodeId((s + 1) % 40));
+            if s % 2 == 0 {
+                od.rtt_ms(NodeId(s), NodeId((s + 17) % 40));
+            }
+            assert_eq!(*od.tree(u32::from(s)), shortest_tree(&csr, u32::from(s)));
+            assert!(slot_state(&od, u32::from(s)).1);
+        }
+    }
+
+    #[test]
+    fn threads_sharing_one_source_agree_with_the_oracle() {
+        let t = crate::gen::waxman(48, 0.5, 0.4, 11);
+        let rt = RouteTable::build(&t);
+        let od = OnDemandRoutes::new(Arc::new(CsrTopology::from_topology(&t)));
+        let src = NodeId(5);
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u16 {
+                let (od, rt, start) = (&od, &rt, &start);
+                scope.spawn(move || {
+                    // All eight contend for the one slot's search at once.
+                    start.wait();
+                    for d in (t..48).step_by(8).map(NodeId).filter(|&d| d != src) {
+                        assert_eq!(od.path(src, d), *rt.path(src, d), "path {src}->{d}");
+                        assert_eq!(
+                            od.latency_ms(src, d).to_bits(),
+                            RouteTable::latency_ms(rt, src, d).to_bits()
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(od.cache_stats().misses, 1, "one search, shared");
+    }
+
+    #[test]
+    fn ids_in_distance_order_cost_two_heap_rebuilds_per_source() {
+        // The adversarial case for resuming: every next destination lies
+        // just beyond the settled frontier.
+        let n = 1024u16;
+        let od = OnDemandRoutes::new(line(u32::from(n)));
+        for s in 0..n {
+            REBUILDS.set(0);
+            for d in (0..n).filter(|&d| d != s) {
+                let want = f64::from(s.abs_diff(d));
+                assert_eq!(od.latency_ms(NodeId(s), NodeId(d)), want);
+            }
+            assert!(
+                REBUILDS.get() <= 2,
+                "source {s}: {} rebuilds",
+                REBUILDS.get()
+            );
+        }
+        assert_eq!(od.cache_stats().misses, u64::from(n));
     }
 
     #[test]

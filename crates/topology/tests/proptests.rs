@@ -3,9 +3,43 @@
 use db_topology::matrix::{max_coverage, PathStatus, RoutingMatrix};
 use db_topology::{
     gen, ordered_pairs, parse, zoo, CsrTopology, NodeId, OnDemandRoutes, RouteTable, Routes,
+    Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A `w × h` grid (a ring when `h == 1`) whose link latencies are all 1, 2
+/// or 3 ms, drawn from `bits`. Equal-latency routes abound, so the
+/// hop-count tie-break (1 + 1 + 2 ms one way round, 3 + 1 ms the other) and
+/// the smaller-parent-id tie-break (the two ways round a grid cell) both
+/// fire.
+fn tied_grid(w: usize, h: usize, bits: u64) -> Topology {
+    let mut b = TopologyBuilder::new("tied");
+    let nodes = b.nodes(w * h, "s");
+    let mut k = 0;
+    let mut link = |b: &mut TopologyBuilder, u: usize, v: usize| {
+        b.link(
+            nodes[u],
+            nodes[v],
+            [1.0, 2.0, 3.0, 1.0][(bits >> (k % 64) & 3) as usize],
+        );
+        k += 2;
+    };
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                link(&mut b, y * w + x, y * w + x + 1);
+            }
+            if y + 1 < h {
+                link(&mut b, y * w + x, (y + 1) * w + x);
+            }
+        }
+    }
+    if h == 1 {
+        link(&mut b, w - 1, 0);
+    }
+    b.build().expect("grids and rings are valid topologies")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -146,6 +180,50 @@ proptest! {
         }
         let stats = tiny.cache_stats();
         prop_assert!(stats.resident <= 2 && stats.peak_resident <= 2);
+    }
+
+    /// Lazy trees on tied latencies: a random interleaving of the three
+    /// point queries, each settling its source's tree only as far as it
+    /// needs (or resuming, or freezing it), answers bit-identically to the
+    /// all-pairs table — whatever the tree's state when the query arrives,
+    /// with and without evictions in between.
+    #[test]
+    fn lazy_trees_match_route_table_on_tied_latencies(
+        w in 3usize..7,
+        h in 1usize..6,
+        bits in 0u64..u64::MAX,
+        ops in proptest::collection::vec((0u8..3, 0usize..36, 0usize..36), 1..160),
+    ) {
+        let topo = tied_grid(w, h, bits);
+        let n = topo.node_count();
+        let table = RouteTable::build(&topo);
+        let csr = Arc::new(CsrTopology::from_topology(&topo));
+        let full = OnDemandRoutes::new(Arc::clone(&csr));
+        let tiny = OnDemandRoutes::with_capacity(csr, 2);
+        for engine in [&full, &tiny] {
+            for &(op, a, b) in &ops {
+                let (s, d) = (NodeId((a % n) as u16), NodeId((b % n) as u16));
+                match op {
+                    0 if s != d => {
+                        let expect = table.path(s, d);
+                        let got = engine.path(s, d);
+                        prop_assert_eq!(&got.nodes, &expect.nodes, "{}->{} nodes", s, d);
+                        prop_assert_eq!(&got.links, &expect.links, "{}->{} links", s, d);
+                    }
+                    1 => prop_assert_eq!(
+                        engine.latency_ms(s, d).to_bits(),
+                        RouteTable::latency_ms(&table, s, d).to_bits(),
+                        "{}->{} latency", s, d
+                    ),
+                    _ => prop_assert_eq!(
+                        engine.rtt_ms(s, d).to_bits(),
+                        RouteTable::rtt_ms(&table, s, d).to_bits(),
+                        "{}->{} rtt", s, d
+                    ),
+                }
+            }
+        }
+        prop_assert!(tiny.cache_stats().peak_resident <= 2);
     }
 
     /// Concurrent readers racing on a shared (and undersized) cache still

@@ -17,11 +17,15 @@
 //!   `at ≥ t` (the simulator reserves low sequence numbers for ticks, so at
 //!   equal timestamps the tick pops first).
 //! * In-packet inference headers have no packet to ride in, so the engine
-//!   keeps them in a bounded side table keyed by `(flow, seq)` — the
-//!   streaming analogue of the wire annotation, with the same ingress-empty
-//!   / last-switch-strip life cycle. [`Engine::set_retention`] bounds its
-//!   memory for lossy feeds (a record whose carrier was evicted degrades to
-//!   an ingress-like empty header, never an error).
+//!   parks them between hops in a flat hashed table keyed by `(flow, seq)`
+//!   (`CarrierTable`) — the streaming analogue of the wire annotation, with
+//!   the same ingress-empty / last-switch-strip life cycle. Healthy flows
+//!   vote too (−1 on every link of a normal path), so nearly every record
+//!   takes one carrier and puts one: the table is on the per-record path
+//!   in both phases of a trace, not only after a failure.
+//!   [`Engine::set_retention`] bounds its memory for lossy feeds by one
+//!   sweep per tick (a record whose carrier was evicted degrades to an
+//!   ingress-like empty header, never an error).
 //! * [`Engine::snapshot`] / [`Engine::restore`] serialize the complete
 //!   mutable state (via the same `db-util` wire codec the db-runner
 //!   checkpoints use), guarded by a configuration fingerprint, so a daemon
@@ -32,6 +36,7 @@
 //! streaming share one pipeline and the equivalence proptest in
 //! `crates/core/tests/streaming.rs` pins them bit-identical.
 
+use crate::carrier::CarrierTable;
 use crate::system::{DriftBottleSystem, Warning};
 use db_dtree::FlowClassifier;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observation, Observer, SimTime};
@@ -39,7 +44,6 @@ use db_telemetry::flight::FlightRecorder;
 use db_telemetry::scope::ScopeRecorder;
 use db_topology::LinkId;
 use db_util::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -100,6 +104,9 @@ impl From<WireError> for RestoreError {
 /// Snapshot format version, bumped on any layout change.
 const SNAPSHOT_VERSION: u8 = 1;
 
+/// Where the tick clock saturates; a tick due "then" never fires.
+const END_OF_TIME: SimTime = SimTime::from_ns(u64::MAX);
+
 /// The incremental engine: a deployed system plus the clock, tick source,
 /// and header carrier table the simulator provides in batch mode.
 pub struct Engine<C: FlowClassifier> {
@@ -113,12 +120,8 @@ pub struct Engine<C: FlowClassifier> {
     /// Ticks fired so far.
     ticks_fired: u32,
     /// In-flight inference carriers: `(flow, seq)` → (annotation, last
-    /// touch). BTreeMap so snapshots are byte-stable without sorting.
-    carriers: BTreeMap<(u32, u64), (Annotation, SimTime)>,
-    /// Carrier touch times in arrival order, for retention eviction.
-    /// Entries go stale when a carrier is re-touched; eviction re-checks
-    /// the live table before dropping anything.
-    age: VecDeque<(SimTime, (u32, u64))>,
+    /// touch). Snapshots encode it in key order.
+    carriers: CarrierTable<(Annotation, SimTime)>,
     /// Carrier retention in sampling windows; `None` keeps carriers until
     /// their last switch strips them (batch semantics, unbounded on lossy
     /// feeds).
@@ -144,8 +147,7 @@ impl<C: FlowClassifier> Engine<C> {
             now: SimTime::ZERO,
             next_tick: interval,
             ticks_fired: 0,
-            carriers: BTreeMap::new(),
-            age: VecDeque::new(),
+            carriers: CarrierTable::new(),
             retention: None,
             fingerprint,
             flight: None,
@@ -261,23 +263,21 @@ impl<C: FlowClassifier> Engine<C> {
         self.system.on_tick(t);
         self.ticks_fired += 1;
         self.now = t;
-        self.next_tick = t + self.interval;
+        self.next_tick = t.saturating_add(self.interval);
         if let Some(windows) = self.retention {
-            let horizon = SimTime::from_ns(self.interval.as_ns().saturating_mul(windows as u64));
-            let cutoff = SimTime::from_ns(t.as_ns().saturating_sub(horizon.as_ns()));
-            while let Some(&(touched, key)) = self.age.front() {
-                if touched >= cutoff {
-                    break;
-                }
-                self.age.pop_front();
-                // Stale queue entries (carrier re-touched since) keep the
-                // carrier alive; only drop if the live entry is old too.
-                if let Some(&(_, last)) = self.carriers.get(&key) {
-                    if last < cutoff {
-                        self.carriers.remove(&key);
-                    }
-                }
-            }
+            let horizon = self.interval.as_ns().saturating_mul(u64::from(windows));
+            let cutoff = t.saturating_sub(SimTime::from_ns(horizon));
+            self.carriers.sweep(|&(_, last)| last >= cutoff);
+        }
+    }
+
+    /// Fire every sampling tick due at or before `t`. The tick clock
+    /// saturates at the end of time and a saturated tick never fires, so
+    /// the loop ends for every `t`; how *many* windows one call may close
+    /// is the caller's policy (the daemon bounds it per frame).
+    fn fire_due(&mut self, t: SimTime) {
+        while self.next_tick <= t && self.next_tick < END_OF_TIME {
+            self.fire_tick();
         }
     }
 
@@ -290,34 +290,24 @@ impl<C: FlowClassifier> Engine<C> {
     /// processed (its measures land in the current window, exactly as a
     /// late packet would in a real switch).
     pub fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
-        while self.next_tick <= rec.at {
-            self.fire_tick();
-        }
-        let key = (rec.info.flow.0, rec.info.seq);
-        // An absent carrier and an empty annotation mean the same thing to
-        // the pipeline, so empty annotations are never parked: while the
-        // network is healthy (no inferences drifting) most records skip the
-        // carrier table entirely, which is what keeps ingest at wire speed.
-        let mut ann = if self.carriers.is_empty() {
-            Annotation::empty()
-        } else if rec.info.is_ingress {
-            // A fresh packet enters empty; drop any stale carrier under the
-            // same key (seq reuse across a very old flow restart).
-            self.carriers.remove(&key);
-            Annotation::empty()
-        } else {
-            match self.carriers.remove(&key) {
-                Some((ann, _)) => ann,
-                None => Annotation::empty(),
-            }
+        self.fire_due(rec.at);
+        let (flow, seq) = (rec.info.flow.0, rec.info.seq);
+        // Every mid-path record takes the header its upstream switch parked
+        // (healthy flows vote too, so there almost always is one). A fresh
+        // packet enters empty, and the take then only drops a stale carrier
+        // under the same key (seq reuse across a very old flow restart).
+        let mut ann = match self.carriers.take(flow, seq) {
+            Some((ann, _)) if !rec.info.is_ingress => ann,
+            _ => Annotation::empty(),
         };
         self.system.on_packet(rec.at, &rec.info, &mut ann);
         if rec.at > self.now {
             self.now = rec.at;
         }
+        // An absent carrier and an empty annotation mean the same thing to
+        // the pipeline, so empty annotations are never parked.
         if !rec.info.is_last_switch && !ann.is_empty() {
-            self.carriers.insert(key, (ann, rec.at));
-            self.age.push_back((rec.at, key));
+            self.carriers.put(flow, seq, (ann, rec.at));
         }
         self.system.drain_warnings()
     }
@@ -326,9 +316,7 @@ impl<C: FlowClassifier> Engine<C> {
     /// before it, and return the warnings raised (centralized DCA reports
     /// fire on ticks). Idle streams call this to keep windows closing.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Warning> {
-        while self.next_tick <= t {
-            self.fire_tick();
-        }
+        self.fire_due(t);
         if t > self.now {
             self.now = t;
         }
@@ -346,7 +334,7 @@ impl<C: FlowClassifier> Engine<C> {
         w.u64(self.next_tick.as_ns());
         w.u32(self.ticks_fired);
         w.seq(self.carriers.len());
-        for (&(flow, seq), (ann, last)) in &self.carriers {
+        for ((flow, seq), (ann, last)) in self.carriers.sorted() {
             w.u32(flow);
             w.u64(seq);
             w.u64(last.as_ns());
@@ -385,28 +373,21 @@ impl<C: FlowClassifier> Engine<C> {
         let now = SimTime::from_ns(r.u64()?);
         let next_tick = SimTime::from_ns(r.u64()?);
         let ticks_fired = r.u32()?;
-        let mut carriers = BTreeMap::new();
-        let mut by_touch: Vec<(SimTime, (u32, u64))> = Vec::new();
+        let mut carriers = CarrierTable::new();
         for _ in 0..r.seq()? {
             let flow = r.u32()?;
             let seq = r.u64()?;
             let last = SimTime::from_ns(r.u64()?);
             let n = r.seq()?;
             let bytes = r.bytes(n)?;
-            carriers.insert((flow, seq), (Annotation::from_bytes(bytes), last));
-            by_touch.push((last, (flow, seq)));
+            carriers.put(flow, seq, (Annotation::from_bytes(bytes), last));
         }
         self.system.restore_from(&mut r)?;
         r.finish()?;
-        // The original arrival order interleaving of equal touch times is
-        // lost; a stable sort by touch time preserves eviction semantics
-        // (eviction only compares against the live table's touch time).
-        by_touch.sort_by_key(|&(t, _)| t);
         self.now = now;
         self.next_tick = next_tick;
         self.ticks_fired = ticks_fired;
         self.carriers = carriers;
-        self.age = by_touch.into();
         Ok(())
     }
 }
@@ -430,7 +411,7 @@ impl<C: FlowClassifier> Observer for Engine<C> {
         if now > self.now {
             self.now = now;
         }
-        self.next_tick = now + self.interval;
+        self.next_tick = now.saturating_add(self.interval);
     }
 }
 
@@ -587,6 +568,66 @@ mod tests {
         }
     }
 
+    /// A record at `at` that parks a carrier for a hop that never comes.
+    fn orphan_record(f: &db_netsim::FlowSpec, seq: u64, at: SimTime) -> FlowRecord {
+        FlowRecord {
+            at,
+            info: HopInfo {
+                flow: f.id,
+                src: f.path.nodes[0],
+                dst: *f.path.nodes.last().unwrap(),
+                seq,
+                size: 500,
+                node: f.path.nodes[0],
+                hop_index: 0,
+                is_ingress: true,
+                is_last_switch: false,
+            },
+        }
+    }
+
+    /// Out-of-order feed: a carrier stamped *older* than one parked before
+    /// it goes at the first tick past its own horizon. (The age queue let it
+    /// hide behind the newer head until that one expired too.)
+    #[test]
+    fn late_stamped_carrier_is_evicted_at_its_own_horizon() {
+        let (topo, flows, wcfg, window, cfg) = line_setup();
+        let mut e = Engine::new(deploy(&topo, &flows, wcfg, window, cfg));
+        e.set_retention(2); // horizon 8 ms
+        let f = &flows[0];
+        e.ingest(&orphan_record(f, 1, SimTime::from_ms(9)));
+        e.ingest(&orphan_record(f, 2, SimTime::from_ms(1))); // late stamp
+        assert_eq!(e.carriers_in_flight(), 2);
+        // Tick at 12 ms: cutoff 4 ms drops the one stamped 1 ms, only.
+        e.advance_to(SimTime::from_ms(12));
+        assert_eq!(e.carriers_in_flight(), 1);
+        // Tick at 20 ms: cutoff 12 ms drops the one stamped 9 ms.
+        e.advance_to(SimTime::from_ms(19));
+        assert_eq!(e.carriers_in_flight(), 1);
+        e.advance_to(SimTime::from_ms(20));
+        assert_eq!(e.carriers_in_flight(), 0);
+    }
+
+    /// The tick clock saturates instead of wrapping: an engine whose clock
+    /// sits one interval short of `u64::MAX` closes its last window and
+    /// then has no tick left to fire, whatever it is asked to advance to.
+    #[test]
+    fn tick_clock_saturates_at_the_end_of_time() {
+        let (topo, flows, wcfg, window, cfg) = line_setup();
+        let mut e = Engine::new(deploy(&topo, &flows, wcfg, window, cfg));
+        // Snapshot layout: version u8, fingerprint u64, now u64, next tick u64.
+        let mut snap = e.snapshot();
+        let last_tick = u64::MAX - wcfg.interval.as_ns() / 2;
+        snap[9..17].copy_from_slice(&(last_tick - 1).to_be_bytes());
+        snap[17..25].copy_from_slice(&last_tick.to_be_bytes());
+        e.restore(&snap).unwrap();
+        e.advance_to(SimTime::from_ns(u64::MAX));
+        assert_eq!(e.ticks_fired(), 1);
+        assert_eq!(e.now(), SimTime::from_ns(u64::MAX));
+        e.ingest(&orphan_record(&flows[0], 1, SimTime::from_ns(u64::MAX)));
+        assert_eq!(e.ticks_fired(), 1, "a saturated tick never fires");
+    }
+
     #[test]
     fn retention_evicts_stale_carriers() {
         let (topo, flows, wcfg, window, cfg) = line_setup();
@@ -594,22 +635,7 @@ mod tests {
         e.set_retention(2);
         // A mid-path record with no prior carrier: treated as ingress-like,
         // stored for the (never-arriving) next hop.
-        let f = &flows[0];
-        let rec = FlowRecord {
-            at: SimTime::from_ms(1),
-            info: HopInfo {
-                flow: f.id,
-                src: f.path.nodes[0],
-                dst: *f.path.nodes.last().unwrap(),
-                seq: 1,
-                size: 500,
-                node: f.path.nodes[0],
-                hop_index: 0,
-                is_ingress: true,
-                is_last_switch: false,
-            },
-        };
-        e.ingest(&rec);
+        e.ingest(&orphan_record(&flows[0], 1, SimTime::from_ms(1)));
         assert_eq!(e.carriers_in_flight(), 1);
         // Two windows later the carrier is gone.
         e.advance_to(SimTime::from_ms(20));

@@ -26,6 +26,7 @@
 
 #[cfg(test)]
 mod analysis_tests;
+mod carrier;
 pub mod classifier;
 pub mod config;
 pub mod engine;

@@ -19,6 +19,7 @@
 //! 3. centralized variants periodically aggregate all locals at the DCA and
 //!    report culprits via the 007 procedure.
 
+use crate::carrier::CarrierTable;
 use crate::config::{Mechanism, SystemConfig, VariantSpec};
 use db_dtree::FlowClassifier;
 use db_flowmon::{FlowStatus, FlowmonMetrics, SwitchMonitor, WindowConfig};
@@ -33,7 +34,7 @@ use db_telemetry::flight::{FlightRecord, FlightRecorder};
 use db_telemetry::scope::{hot, HotFn, ScopeRecorder};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::{BTreeMap, BTreeSet, HashMap}; // db-lint: allow(det-hash-iter) — HashMap only for the never-iterated vtables below
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One live warning, as surfaced by the streaming engine's ingest path.
@@ -166,12 +167,10 @@ struct VariantState {
     locals_inline: Vec<InlineInference>,
     /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state.
     /// Used by the legacy (Vec-backed) path only.
-    // db-lint: allow(det-hash-iter) — keyed lookup/insert/remove only, never iterated
-    vtable: HashMap<(u32, u64), (Inference, u8)>,
+    vtable: CarrierTable<(Inference, u8)>,
     /// Exact-weight carrier for the inline path (values are `Copy`, no
-    /// per-packet allocation beyond amortized map growth).
-    // db-lint: allow(det-hash-iter) — keyed lookup/insert/remove only, never iterated
-    vtable_inline: HashMap<(u32, u64), (InlineInference, u8)>,
+    /// per-packet allocation beyond amortized table growth).
+    vtable_inline: CarrierTable<(InlineInference, u8)>,
     /// Warnings raised.
     log: WarningLog,
     /// Sampled drifted inferences (Fig. 11).
@@ -271,8 +270,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 spec,
                 locals: vec![Inference::empty(); n],
                 locals_inline: vec![InlineInference::empty(); n],
-                vtable: HashMap::new(), // db-lint: allow(det-hash-iter) — see field
-                vtable_inline: HashMap::new(), // db-lint: allow(det-hash-iter) — see field
+                vtable: CarrierTable::new(),
+                vtable_inline: CarrierTable::new(),
                 log: WarningLog::default(),
                 ratios: Vec::new(),
                 ticks_seen: 0,
@@ -533,25 +532,19 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             for inf in &v.locals_inline {
                 encode_entries(w, inf.entries());
             }
-            // The carrier tables are hash maps; sort by key so the snapshot
-            // is byte-stable across processes.
-            let mut keys: Vec<(u32, u64)> = v.vtable.keys().copied().collect();
-            keys.sort_unstable();
-            w.seq(keys.len());
-            for k in keys {
-                let (inf, hops) = &v.vtable[&k];
-                w.u32(k.0);
-                w.u64(k.1);
+            // The carrier tables are hashed; key order keeps the snapshot
+            // byte-stable across processes and fill histories.
+            w.seq(v.vtable.len());
+            for ((flow, seq), (inf, hops)) in v.vtable.sorted() {
+                w.u32(flow);
+                w.u64(seq);
                 w.u8(*hops);
                 encode_entries(w, inf.entries());
             }
-            let mut keys: Vec<(u32, u64)> = v.vtable_inline.keys().copied().collect();
-            keys.sort_unstable();
-            w.seq(keys.len());
-            for k in keys {
-                let (inf, hops) = &v.vtable_inline[&k];
-                w.u32(k.0);
-                w.u64(k.1);
+            w.seq(v.vtable_inline.len());
+            for ((flow, seq), (inf, hops)) in v.vtable_inline.sorted() {
+                w.u32(flow);
+                w.u64(seq);
                 w.u8(*hops);
                 encode_entries(w, inf.entries());
             }
@@ -630,22 +623,22 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 // exact rebuild (and the snapshot came from under-CAP state).
                 *inf = InlineInference::from_inference(&Inference::from_pairs(decode_entries(r)?));
             }
-            v.vtable.clear();
+            v.vtable = CarrierTable::new();
             for _ in 0..r.seq()? {
                 let flow = r.u32()?;
                 let seq = r.u64()?;
                 let hops = r.u8()?;
                 let inf = Inference::from_pairs(decode_entries(r)?);
-                v.vtable.insert((flow, seq), (inf, hops));
+                v.vtable.put(flow, seq, (inf, hops));
             }
-            v.vtable_inline.clear();
+            v.vtable_inline = CarrierTable::new();
             for _ in 0..r.seq()? {
                 let flow = r.u32()?;
                 let seq = r.u64()?;
                 let hops = r.u8()?;
                 let inf =
                     InlineInference::from_inference(&Inference::from_pairs(decode_entries(r)?));
-                v.vtable_inline.insert((flow, seq), (inf, hops));
+                v.vtable_inline.put(flow, seq, (inf, hops));
             }
             v.log.raises = r.u64()?;
             v.log.by_pair.clear();
@@ -715,7 +708,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         } else if wire {
             codec.decode(ann.as_slice())
         } else {
-            variant.vtable.remove(&(info.flow.0, info.seq))
+            variant.vtable.take(info.flow.0, info.seq)
         };
         // Provenance pre-pass: capture digests and the *untruncated* merge
         // (to diff truncation losses against) before `incoming` is consumed.
@@ -831,7 +824,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 m.headers_piggybacked.inc();
             }
         } else {
-            variant.vtable.insert((info.flow.0, info.seq), (agg, hops));
+            variant.vtable.put(info.flow.0, info.seq, (agg, hops));
         }
     }
 
@@ -869,7 +862,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         } else if wire {
             codec.decode_inline(ann.as_slice())
         } else {
-            variant.vtable_inline.remove(&(info.flow.0, info.seq))
+            variant.vtable_inline.take(info.flow.0, info.seq)
         };
         let local = &variant.locals_inline[node.idx()];
         // Provenance pre-pass — see `handle_distributed`; the untruncated
@@ -988,7 +981,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         } else {
             variant
                 .vtable_inline
-                .insert((info.flow.0, info.seq), (agg, hops));
+                .put(info.flow.0, info.seq, (agg, hops));
         }
     }
 

@@ -15,15 +15,19 @@ use db_core::classifier::{prepare, timeline, PrepareConfig, Prepared};
 use db_core::engine::{Engine, FlowRecord};
 use db_core::{
     run_scenario, DriftBottleSystem, ScenarioKind, ScenarioSetup, SystemConfig, VariantSpec,
+    Warning,
 };
 use db_dtree::ThresholdClassifier;
 use db_flowmon::WindowConfig;
 use db_netsim::{
-    FailureScenario, SimConfig, SimTime, Simulator, TraceRecorder, TrafficConfig, TrafficGen,
+    Annotation, FailureScenario, Observer, SimConfig, SimTime, Simulator, TraceRecorder,
+    TrafficConfig, TrafficGen,
 };
 use db_telemetry::{FlightRecorder, ScopeRecorder, TraceData};
 use db_topology::{zoo, LinkId, NodeId, RouteTable};
+use db_util::wire::ByteWriter;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// Everything needed to run the same line scenario in batch or streaming.
@@ -148,6 +152,19 @@ fn run_line_streaming(
     chunk: usize,
     split: Option<usize>,
 ) -> (Engine<ThresholdClassifier>, Vec<u8>, String, u64) {
+    run_line_streaming_bounded(case, trace, chunk, split, None)
+}
+
+/// [`run_line_streaming`] with carrier retention set to `retention`
+/// windows on every engine it builds (retention is configuration, not
+/// snapshot state, so the restored engine sets it again).
+fn run_line_streaming_bounded(
+    case: &LineCase,
+    trace: &TraceRecorder,
+    chunk: usize,
+    split: Option<usize>,
+    retention: Option<u32>,
+) -> (Engine<ThresholdClassifier>, Vec<u8>, String, u64) {
     let mut flight = Arc::new(FlightRecorder::new(1 << 16));
     let mut scope = Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY));
     let mut system = deploy_line(case);
@@ -155,6 +172,9 @@ fn run_line_streaming(
     system.set_scope(scope.clone());
     let mut engine = Engine::new(system);
     engine.set_live_warnings();
+    if let Some(windows) = retention {
+        engine.set_retention(windows);
+    }
     let mut live_raises = 0u64;
     let mut fed = 0usize;
     for batch in trace.observations.chunks(chunk.max(1)) {
@@ -175,6 +195,9 @@ fn run_line_streaming(
                 system.set_scope(scope.clone());
                 let mut restored = Engine::new(system);
                 restored.set_live_warnings();
+                if let Some(windows) = retention {
+                    restored.set_retention(windows);
+                }
                 restored.restore(&snap).expect("snapshot restores");
                 engine = restored;
             }
@@ -227,18 +250,25 @@ proptest! {
 
     /// A mid-stream snapshot/restore cycle changes nothing: the restored
     /// engine finishes with the same logs and the same final snapshot as an
-    /// uninterrupted one, at chunk sizes 1 and 8.
+    /// uninterrupted one, at chunk sizes 1 and 8 — with carriers kept until
+    /// stripped (`retention` 0) and with the per-tick sweep evicting them
+    /// after 1–3 windows, where the restored table must go on evicting
+    /// exactly what the original would have.
     #[test]
     fn snapshot_restore_cycle_is_transparent(
         seed in 1u64..500,
         split_frac in 0.1f64..0.9,
+        retention in 0u32..4,
     ) {
         let case = line_case(seed);
         let trace = record_line_trace(&case);
         let split = ((trace.observations.len() as f64 * split_frac) as usize).max(1);
-        let (uninterrupted, _, _, _) = run_line_streaming(&case, &trace, 1, None);
+        let retention = (retention > 0).then_some(retention);
+        let (uninterrupted, _, _, _) =
+            run_line_streaming_bounded(&case, &trace, 1, None, retention);
         for chunk in [1usize, 8] {
-            let (cycled, _, _, _) = run_line_streaming(&case, &trace, chunk, Some(split));
+            let (cycled, _, _, _) =
+                run_line_streaming_bounded(&case, &trace, chunk, Some(split), retention);
             assert_systems_agree(uninterrupted.system(), cycled.system());
             prop_assert_eq!(
                 cycled.snapshot(),
@@ -393,4 +423,301 @@ fn streaming_matches_run_scenario_on_trained_grid() {
         assert_eq!(ratios.to_vec(), v.ratios, "ratio samples, chunk {chunk}");
         assert!(v.reported.contains(&link), "culprit localized");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The carrier table: hashed slots + per-tick sweep ≡ ordered map + age queue
+// ---------------------------------------------------------------------------
+
+/// Bytes of a snapshot before the carrier count: version, fingerprint, now,
+/// next tick, ticks fired.
+const SNAPSHOT_CLOCK_BYTES: usize = 1 + 8 + 8 + 8 + 4;
+
+/// One encoded carrier entry and its `(flow, seq)` key.
+type CarrierEntry<'a> = ((u32, u64), &'a [u8]);
+
+/// Split snapshot bytes into the clock prefix, the carrier entries (in
+/// encoded order) and the system state.
+fn split_snapshot(snap: &[u8]) -> (&[u8], Vec<CarrierEntry<'_>>, &[u8]) {
+    let be32 = |at: usize| u32::from_be_bytes(snap[at..at + 4].try_into().expect("4 bytes"));
+    let be64 = |at: usize| u64::from_be_bytes(snap[at..at + 8].try_into().expect("8 bytes"));
+    let mut at = SNAPSHOT_CLOCK_BYTES;
+    let count = be32(at);
+    at += 4;
+    let mut carriers = Vec::new();
+    for _ in 0..count {
+        // flow u32, seq u64, last touch u64, annotation length u32 + bytes
+        let key = (be32(at), be64(at + 4));
+        let len = 4 + 8 + 8 + 4 + be32(at + 20) as usize;
+        carriers.push((key, &snap[at..at + len]));
+        at += len;
+    }
+    (&snap[..SNAPSHOT_CLOCK_BYTES], carriers, &snap[at..])
+}
+
+fn carrier_keys(snap: &[u8]) -> Vec<(u32, u64)> {
+    split_snapshot(snap).1.into_iter().map(|(k, _)| k).collect()
+}
+
+/// Test-only reference model of the carrier bookkeeping `Engine` had before
+/// the hashed table: an ordered map plus a queue of touch times in arrival
+/// order, walked from the front at every tick, re-checking the live entry
+/// before dropping it. Same system underneath, same snapshot encoding.
+struct QueueModelEngine {
+    system: DriftBottleSystem<ThresholdClassifier>,
+    interval: SimTime,
+    now: SimTime,
+    next_tick: SimTime,
+    ticks_fired: u32,
+    carriers: BTreeMap<(u32, u64), (Annotation, SimTime)>,
+    age: VecDeque<(SimTime, (u32, u64))>,
+    retention: u32,
+}
+
+impl QueueModelEngine {
+    fn new(mut system: DriftBottleSystem<ThresholdClassifier>, retention: u32) -> Self {
+        system.set_live_warnings();
+        let interval = system.window_config().interval;
+        QueueModelEngine {
+            system,
+            interval,
+            now: SimTime::ZERO,
+            next_tick: interval,
+            ticks_fired: 0,
+            carriers: BTreeMap::new(),
+            age: VecDeque::new(),
+            retention,
+        }
+    }
+
+    fn fire_tick(&mut self) {
+        let t = self.next_tick;
+        self.system.on_tick(t);
+        self.ticks_fired += 1;
+        self.now = t;
+        self.next_tick = t + self.interval;
+        let horizon = self.interval.as_ns() * u64::from(self.retention);
+        let cutoff = SimTime::from_ns(t.as_ns().saturating_sub(horizon));
+        while let Some(&(touched, key)) = self.age.front() {
+            if touched >= cutoff {
+                break;
+            }
+            self.age.pop_front();
+            if self
+                .carriers
+                .get(&key)
+                .is_some_and(|&(_, last)| last < cutoff)
+            {
+                self.carriers.remove(&key);
+            }
+        }
+    }
+
+    fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
+        while self.next_tick <= rec.at {
+            self.fire_tick();
+        }
+        let key = (rec.info.flow.0, rec.info.seq);
+        let mut ann = match self.carriers.remove(&key) {
+            Some((ann, _)) if !rec.info.is_ingress => ann,
+            _ => Annotation::empty(),
+        };
+        self.system.on_packet(rec.at, &rec.info, &mut ann);
+        self.now = self.now.max(rec.at);
+        if !rec.info.is_last_switch && !ann.is_empty() {
+            self.carriers.insert(key, (ann, rec.at));
+            self.age.push_back((rec.at, key));
+        }
+        self.system.drain_warnings()
+    }
+
+    fn advance_to(&mut self, t: SimTime) -> Vec<Warning> {
+        while self.next_tick <= t {
+            self.fire_tick();
+        }
+        self.now = self.now.max(t);
+        self.system.drain_warnings()
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(1);
+        w.u64(self.system.config_fingerprint());
+        w.u64(self.now.as_ns());
+        w.u64(self.next_tick.as_ns());
+        w.u32(self.ticks_fired);
+        w.seq(self.carriers.len());
+        for (&(flow, seq), (ann, last)) in &self.carriers {
+            w.u32(flow);
+            w.u64(seq);
+            w.u64(last.as_ns());
+            w.seq(ann.len());
+            for &b in ann.as_slice() {
+                w.u8(b);
+            }
+        }
+        self.system.snapshot_into(&mut w);
+        w.into_bytes()
+    }
+}
+
+/// Every distributed carrier kind at once: the wire header (engine table),
+/// an exact-weight side table (system table), and a centralized baseline.
+fn carrier_variants() -> Vec<VariantSpec> {
+    vec![
+        VariantSpec::drift_bottle(),
+        VariantSpec::distributed(db_inference::WeightScheme::Drifted007),
+        VariantSpec::centralized(db_inference::WeightScheme::DriftBottle, 0.4),
+    ]
+}
+
+fn deploy_line_with(
+    case: &LineCase,
+    variants: Vec<VariantSpec>,
+) -> DriftBottleSystem<ThresholdClassifier> {
+    DriftBottleSystem::deploy(
+        &case.topo,
+        &case.flows,
+        case.wcfg,
+        ThresholdClassifier::default(),
+        variants,
+        case.cfg.clone(),
+        case.window,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// On a time-ordered feed the per-tick sweep evicts exactly what the
+    /// age-queue walk evicted: same warnings per record, same carrier key
+    /// set after every tick, same final snapshot bytes — at retention 1–4
+    /// and on a lossy feed (every `lossy`-th record missing, so carriers
+    /// are orphaned mid-path and hop records arrive with theirs evicted).
+    #[test]
+    fn sweep_eviction_matches_the_age_queue_model(
+        seed in 1u64..500,
+        retention in 1u32..=4,
+        lossy in 0usize..6,
+    ) {
+        let case = line_case(seed);
+        let trace = record_line_trace(&case);
+        let mut engine = Engine::new(deploy_line_with(&case, carrier_variants()));
+        engine.set_live_warnings();
+        engine.set_retention(retention);
+        let mut model =
+            QueueModelEngine::new(deploy_line_with(&case, carrier_variants()), retention);
+        let mut evicting_ticks = 0u32;
+        for (i, o) in trace.observations.iter().enumerate() {
+            if lossy > 0 && i % (lossy + 2) == 0 {
+                continue;
+            }
+            let rec = FlowRecord::from(*o);
+            let ticks_before = engine.ticks_fired();
+            let parked_before = engine.carriers_in_flight();
+            prop_assert_eq!(engine.ingest(&rec), model.ingest(&rec), "warnings of record {}", i);
+            if engine.ticks_fired() != ticks_before {
+                let keys: Vec<(u32, u64)> = model.carriers.keys().copied().collect();
+                prop_assert_eq!(
+                    carrier_keys(&engine.snapshot()),
+                    keys,
+                    "carrier keys after tick {}",
+                    engine.ticks_fired()
+                );
+                // This record parked at most one carrier after the sweep.
+                if engine.carriers_in_flight() + 1 < parked_before {
+                    evicting_ticks += 1;
+                }
+            }
+        }
+        prop_assert_eq!(engine.advance_to(case.end), model.advance_to(case.end));
+        prop_assert_eq!(engine.snapshot(), model.snapshot());
+        prop_assert!(evicting_ticks > 0, "the failure orphans carriers, so some tick evicts");
+    }
+}
+
+const PINNED_MID_STREAM_DIGEST: u64 = 0x7178_3411_d769_625a;
+
+/// The snapshot encoding did not move with the table: `fnv1a64` of a
+/// mid-stream snapshot of the line case (three quarters in, after the
+/// failure, retention 2, all three carrier tables populated), computed on
+/// the commit before the hashed table (ordered map, SipHash side tables).
+#[test]
+fn mid_stream_snapshot_digest_is_pinned() {
+    let case = line_case(7);
+    let trace = record_line_trace(&case);
+    let mut engine = Engine::new(deploy_line_with(&case, carrier_variants()));
+    engine.set_live_warnings();
+    engine.set_retention(2);
+    let cut = trace.observations.len() * 3 / 4;
+    for o in &trace.observations[..cut] {
+        engine.ingest(&FlowRecord::from(*o));
+    }
+    let snap = engine.snapshot();
+    assert!(
+        engine.carriers_in_flight() > 8,
+        "carriers in flight at the cut"
+    );
+    assert_eq!(
+        db_util::wire::fnv1a64(&snap),
+        PINNED_MID_STREAM_DIGEST,
+        "snapshot bytes changed ({} bytes, {} carriers)",
+        snap.len(),
+        engine.carriers_in_flight()
+    );
+}
+
+/// Snapshot bytes depend on what the table holds, never on how it got
+/// there: an engine restored from a snapshot whose carriers were encoded in
+/// *reverse* key order (so its table is filled back to front, into a table
+/// sized by a different growth history) re-encodes the canonical bytes, and
+/// stays byte-equal to the original through the rest of the stream — takes,
+/// puts and sweeps included.
+#[test]
+fn equal_carrier_sets_snapshot_equal_whatever_the_insert_history() {
+    let case = line_case(11);
+    let trace = record_line_trace(&case);
+    let fresh = || {
+        let mut e = Engine::new(deploy_line_with(&case, carrier_variants()));
+        e.set_live_warnings();
+        e.set_retention(3);
+        e
+    };
+    let mut original = fresh();
+    let cut = trace.observations.len() * 2 / 3;
+    for o in &trace.observations[..cut] {
+        original.ingest(&FlowRecord::from(*o));
+    }
+    let snap = original.snapshot();
+
+    let (clock, carriers, system) = split_snapshot(&snap);
+    assert!(carriers.len() > 8, "carriers in flight at the cut");
+    assert!(
+        carriers.windows(2).all(|w| w[0].0 < w[1].0),
+        "encoded in key order"
+    );
+    let mut reversed = clock.to_vec();
+    reversed.extend_from_slice(&(carriers.len() as u32).to_be_bytes());
+    for (_, entry) in carriers.iter().rev() {
+        reversed.extend_from_slice(entry);
+    }
+    reversed.extend_from_slice(system);
+    assert_ne!(reversed, snap);
+
+    let mut refilled = fresh();
+    refilled
+        .restore(&reversed)
+        .expect("carrier order is not part of the format");
+    assert_eq!(
+        refilled.snapshot(),
+        snap,
+        "canonical bytes from a back-to-front fill"
+    );
+    for o in &trace.observations[cut..] {
+        let rec = FlowRecord::from(*o);
+        assert_eq!(original.ingest(&rec), refilled.ingest(&rec));
+    }
+    original.advance_to(case.end);
+    refilled.advance_to(case.end);
+    assert_eq!(refilled.snapshot(), original.snapshot());
 }

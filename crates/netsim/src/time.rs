@@ -59,6 +59,11 @@ impl SimTime {
         self.0 as f64 / 1_000_000_000.0
     }
 
+    /// Saturating addition: `self + other`, capped at `u64::MAX` ns.
+    pub fn saturating_add(self, other: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(other.0))
+    }
+
     /// Saturating subtraction: `self - other`, floored at zero.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
@@ -122,6 +127,9 @@ mod tests {
         assert_eq!(a + b, SimTime::from_ms(8));
         assert_eq!(a - b, SimTime::from_ms(2));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
+        assert_eq!(a.saturating_add(b), SimTime::from_ms(8));
+        let end = SimTime::from_ns(u64::MAX);
+        assert_eq!(end.saturating_add(a), end);
         assert_eq!(a.checked_sub(b), Some(SimTime::from_ms(2)));
         assert_eq!(b.checked_sub(a), None);
         let mut c = a;

@@ -14,7 +14,8 @@
 //! `--smoke` (or `DB_SMOKE=1`) replays a small record budget and asserts
 //! the injected link is warned, printing a greppable verdict line.
 //! `--shutdown` sends `Shutdown` at the end (always sent when the daemon
-//! was spawned in-process).
+//! was spawned in-process) — after checking, on a connection of its own,
+//! that `AdvanceTo { u64::MAX }` is refused and the daemon still answers.
 
 use db_core::classifier::timeline;
 use db_flowmon::WindowConfig;
@@ -241,15 +242,24 @@ struct PulseStats {
     monotone: bool,
 }
 
-/// Attach a `PulseSub` connection to the daemon and drain `Pulse` frames
-/// until the socket is shut down (via the returned handle). The collected
-/// stats double as a protocol check: `next_window` cursors must never move
-/// backwards and no window index may repeat within a series.
-fn spawn_pulse_sub(addr: &str) -> (std::thread::JoinHandle<PulseStats>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("pulse connect");
+/// One greeted connection to the daemon: the raw socket (for `shutdown`),
+/// its buffered halves, and what the `HelloAck` said of the engine.
+struct Session {
+    sock: TcpStream,
+    input: BufReader<TcpStream>,
+    out: BufWriter<TcpStream>,
+    interval_ns: u64,
+    nodes: u32,
+    links: u32,
+}
+
+/// Connect and attach to the bench engine (`Hello` → `HelloAck`; the first
+/// one trains it).
+fn open_session(addr: &str) -> Session {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).ok();
-    let sock = stream.try_clone().expect("clone pulse stream");
-    let mut out = BufWriter::new(stream.try_clone().expect("clone pulse stream"));
+    let sock = stream.try_clone().expect("clone stream");
+    let mut out = BufWriter::new(stream.try_clone().expect("clone stream"));
     let mut input = BufReader::new(stream);
     write_frame(
         &mut out,
@@ -261,12 +271,73 @@ fn spawn_pulse_sub(addr: &str) -> (std::thread::JoinHandle<PulseStats>, TcpStrea
             window_cap: 8,
         },
     )
-    .expect("send pulse hello");
-    out.flush().expect("flush pulse hello");
-    match read_frame(&mut input).expect("read pulse hello ack") {
-        Some(Frame::HelloAck { .. }) => {}
-        other => panic!("pulse: expected HelloAck, got {other:?}"),
+    .expect("send hello");
+    out.flush().expect("flush hello");
+    match read_frame(&mut input).expect("read hello ack") {
+        Some(Frame::HelloAck {
+            interval_ns,
+            nodes,
+            links,
+            ..
+        }) => Session {
+            sock,
+            input,
+            out,
+            interval_ns,
+            nodes,
+            links,
+        },
+        other => panic!("expected HelloAck, got {other:?}"),
     }
+}
+
+/// The daemon must not be wedgeable by one frame: on a connection of its
+/// own, `AdvanceTo { u64::MAX }` has to come back as an `Error` (not close
+/// windows until the end of time under the engine lock), and a `StatsReq`
+/// right behind it has to be answered within a second.
+fn probe_far_future(addr: &str) {
+    let Session {
+        sock,
+        mut input,
+        mut out,
+        ..
+    } = open_session(addr);
+    write_frame(&mut out, &Frame::AdvanceTo { t_ns: u64::MAX }).expect("send far advance");
+    write_frame(&mut out, &Frame::StatsReq).expect("send stats req");
+    let t0 = Instant::now();
+    out.flush().expect("flush probe");
+    sock.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("set read timeout");
+    match read_frame(&mut input) {
+        Ok(Some(Frame::Error(_))) => {}
+        other => {
+            eprintln!("serve-smoke: FAIL AdvanceTo{{u64::MAX}} not refused ({other:?})");
+            std::process::exit(1);
+        }
+    }
+    match read_frame(&mut input) {
+        Ok(Some(Frame::Stats { .. })) => println!(
+            "serve-smoke: OK far-future AdvanceTo refused, stats answered in {} µs",
+            t0.elapsed().as_micros()
+        ),
+        other => {
+            eprintln!("serve-smoke: FAIL no stats within 1 s of the refusal ({other:?})");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Attach a `PulseSub` connection to the daemon and drain `Pulse` frames
+/// until the socket is shut down (via the returned handle). The collected
+/// stats double as a protocol check: `next_window` cursors must never move
+/// backwards and no window index may repeat within a series.
+fn spawn_pulse_sub(addr: &str) -> (std::thread::JoinHandle<PulseStats>, TcpStream) {
+    let Session {
+        sock,
+        mut input,
+        mut out,
+        ..
+    } = open_session(addr);
     write_frame(&mut out, &Frame::PulseSub { from_window: 0 }).expect("send pulse sub");
     out.flush().expect("flush pulse sub");
     let handle = std::thread::spawn(move || {
@@ -307,8 +378,9 @@ fn spawn_pulse_sub(addr: &str) -> (std::thread::JoinHandle<PulseStats>, TcpStrea
 /// Replay `target` records against the daemon at `addr` on a fresh
 /// connection, pipelined in [`BATCH`]-record frames. `pass0` continues the
 /// timestamp-rebase pass numbering across calls so engine time keeps
-/// moving forward; `shutdown` sends a final `Shutdown` frame. Returns the
-/// measurements and the next pass index.
+/// moving forward; `shutdown` checks the daemon refuses a far-future frame
+/// ([`probe_far_future`]) and then sends a final `Shutdown` frame. Returns
+/// the measurements and the next pass index.
 fn run_pass(
     addr: &str,
     records: &[Record],
@@ -318,36 +390,16 @@ fn run_pass(
     pass0: u64,
     shutdown: bool,
 ) -> (PassOut, u64) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).ok();
-    let sock = stream.try_clone().expect("clone stream");
-    let mut out = BufWriter::new(stream.try_clone().expect("clone stream"));
-    let mut input = BufReader::new(stream);
-
-    write_frame(
-        &mut out,
-        &Frame::Hello {
-            proto: PROTO_VERSION,
-            topo: TOPO.into(),
-            density: DENSITY,
-            seed: SEED,
-            window_cap: 8,
-        },
-    )
-    .expect("send hello");
-    out.flush().expect("flush hello");
-    match read_frame(&mut input).expect("read hello ack") {
-        Some(Frame::HelloAck {
-            interval_ns,
-            nodes,
-            links,
-            ..
-        }) => {
-            assert_eq!(interval_ns, interval, "server interval matches trace");
-            eprintln!("load_gen: engine ready ({nodes} switches, {links} links)");
-        }
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
+    let Session {
+        sock,
+        mut input,
+        mut out,
+        interval_ns,
+        nodes,
+        links,
+    } = open_session(addr);
+    assert_eq!(interval_ns, interval, "server interval matches trace");
+    eprintln!("load_gen: engine ready ({nodes} switches, {links} links)");
 
     // Reader thread: drains acks (driving the pipeline window), collects
     // warned links, samples latency against the sender's pending map.
@@ -466,6 +518,7 @@ fn run_pass(
     };
 
     if shutdown {
+        probe_far_future(addr);
         write_frame(&mut out, &Frame::Shutdown).expect("send shutdown");
         out.flush().expect("flush shutdown");
         match rx.recv_timeout(Duration::from_secs(30)) {

@@ -170,8 +170,21 @@ struct EngineState {
     slow_ctr: Counter,
     /// Warning frames shed because a subscriber's queue was full.
     sub_dropped_ctr: Counter,
+    /// Frames refused for reaching past [`MAX_CATCHUP_WINDOWS`].
+    catchup_refused_ctr: Counter,
     batch_hist: Histogram,
 }
+
+/// Most sampling windows one `Records` or `AdvanceTo` frame may close.
+/// Closing a window costs the engine a classifier pass over every switch,
+/// under the mutex every session on the topology shares, so one frame
+/// stamped far in the future (`AdvanceTo { t_ns: u64::MAX }`) would hold it
+/// for good. Past this many windows ahead of the engine clock the frame is
+/// refused with an `Error`; a feed that really was idle that long steps
+/// forward with several `AdvanceTo` frames, releasing the lock between them.
+/// 1024 windows are 4 s of network time at the paper's 4 ms interval and
+/// hold the lock for ≈ 0.3 s on Geant2012 (0.3 ms per idle window).
+const MAX_CATCHUP_WINDOWS: u64 = 1024;
 
 /// Ingest-batch latency bucket bounds, microseconds.
 const BATCH_LATENCY_BOUNDS_US: &[u64] = &[
@@ -196,6 +209,22 @@ impl EngineState {
         self.scope
             .flushed_watermark()
             .map_or(0, |w| w.saturating_add(1))
+    }
+
+    /// Latest timestamp a frame arriving now may carry (see
+    /// [`MAX_CATCHUP_WINDOWS`]), taken once per frame.
+    fn catchup_limit_ns(&self) -> u64 {
+        let ahead = self.interval_ns.saturating_mul(MAX_CATCHUP_WINDOWS);
+        self.engine.now().as_ns().saturating_add(ahead)
+    }
+
+    /// Count and word the refusal of a frame stamped past `limit_ns`.
+    fn refuse_catchup(&self, t_ns: u64, limit_ns: u64) -> Frame {
+        self.catchup_refused_ctr.inc();
+        Frame::Error(format!(
+            "timestamp {t_ns} ns is more than {MAX_CATCHUP_WINDOWS} windows past the engine \
+             clock (limit {limit_ns} ns): advance in smaller steps"
+        ))
     }
 
     fn stats(&self) -> Frame {
@@ -355,6 +384,8 @@ struct Shared {
     /// One engine per topology spec, created on first `Hello`.
     engines: Mutex<HashMap<String, Arc<Mutex<EngineState>>>>,
     snapshot: Option<PathBuf>,
+    /// Held across one snapshot file write (see [`Shared::persist`]).
+    persist_lock: Mutex<()>,
     default_window_cap: u32,
     stopping: AtomicBool,
     /// Daemon-wide metrics, served by the Prometheus endpoint.
@@ -366,6 +397,7 @@ impl Shared {
         Shared {
             engines: Mutex::new(HashMap::new()),
             snapshot: opts.snapshot.clone(),
+            persist_lock: Mutex::new(()),
             default_window_cap: opts.window_cap,
             stopping: AtomicBool::new(false),
             reg: Arc::new(MetricsRegistry::new()),
@@ -507,6 +539,7 @@ impl Shared {
             warned_ctr: self.reg.counter("serve.warnings"),
             slow_ctr: self.reg.counter("serve.slow_ticks"),
             sub_dropped_ctr: self.reg.counter("serve.sub_dropped"),
+            catchup_refused_ctr: self.reg.counter("serve.catchup_refused"),
             batch_hist: self
                 .reg
                 .histogram("serve.ingest_batch_us", BATCH_LATENCY_BOUNDS_US),
@@ -516,11 +549,29 @@ impl Shared {
     /// Persist already-extracted snapshot bytes to the configured path.
     /// Takes bytes, not the engine state, so callers snapshot under the
     /// engine lock and write to disk after dropping it.
+    ///
+    /// The bytes go to `<path>.tmp`, are synced, and only then renamed over
+    /// `path`: a crash or a failed write at any point leaves the previous
+    /// snapshot readable.
+    // Two sessions may persist at once and share the temp name; the mutex
+    // exists to keep their writes apart, and its only waiters are other
+    // persist() calls — no engine guard is ever held here.
+    // db-lint: allow(conc-guard-io) — serializing the temp file is the mutex's purpose
     fn persist(&self, bytes: &[u8]) -> io::Result<()> {
-        if let Some(path) = &self.snapshot {
-            std::fs::write(path, bytes)?;
-        }
-        Ok(())
+        let Some(path) = &self.snapshot else {
+            return Ok(());
+        };
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let _writer = lock_recover(&self.persist_lock);
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable once the directory entry is synced too.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(".".as_ref()))?.sync_all()
     }
 }
 
@@ -611,12 +662,17 @@ fn session<R: Read, W: Write>(
                 reply
             }
             Frame::AdvanceTo { t_ns } => {
-                let t0 = Instant::now();
-                let raised = state.engine.advance_to(SimTime::from_ns(t_ns));
-                let warnings = state.publish(&raised);
-                state.observe_batch(t0.elapsed());
-                state.pulse_publish();
-                Frame::IngestAck { count: 0, warnings }
+                let limit_ns = state.catchup_limit_ns();
+                if t_ns > limit_ns {
+                    state.refuse_catchup(t_ns, limit_ns)
+                } else {
+                    let t0 = Instant::now();
+                    let raised = state.engine.advance_to(SimTime::from_ns(t_ns));
+                    let warnings = state.publish(&raised);
+                    state.observe_batch(t0.elapsed());
+                    state.pulse_publish();
+                    Frame::IngestAck { count: 0, warnings }
+                }
             }
             Frame::FlowDef {
                 id,
@@ -668,13 +724,18 @@ fn session<R: Read, W: Write>(
 }
 
 /// Ingest a record batch: bounds-check switch ids (a bad id would index
-/// outside the monitor table), feed the engine, publish warnings.
+/// outside the monitor table) and timestamps (a far-future one would close
+/// windows without end), feed the engine, publish warnings.
 fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
     let nodes = state.nodes;
+    let limit_ns = state.catchup_limit_ns();
     let mut raised = Vec::new();
     for (i, r) in records.iter().enumerate() {
         if u32::from(r.node) >= nodes || u32::from(r.src) >= nodes || u32::from(r.dst) >= nodes {
             return Frame::Error(format!("record {i}: switch id out of range"));
+        }
+        if r.at_ns > limit_ns {
+            return state.refuse_catchup(r.at_ns, limit_ns);
         }
         raised.extend(state.engine.ingest(&flow_record(r)));
         state.ingested += 1;
@@ -1332,5 +1393,126 @@ mod tests {
             }
         }
         assert_eq!(errors, 2, "stats-before-hello and out-of-range switch");
+    }
+
+    /// A frame stamped past the catch-up bound is refused, counted, and
+    /// leaves the engine where it was; the same distance covered in steps
+    /// within the bound is served.
+    #[test]
+    fn far_future_frames_are_refused_and_the_engine_stays_responsive() {
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let opts = ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot: None,
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let shared = Shared::new(&opts);
+        let far_record = Record {
+            at_ns: u64::MAX - 1,
+            flow: 0,
+            src: 0,
+            dst: 2,
+            seq: 0,
+            size: 100,
+            node: 0,
+            hop_index: 0,
+            is_ingress: true,
+            is_last_switch: false,
+        };
+        let hello = Frame::Hello {
+            proto: PROTO_VERSION,
+            topo: "line:3".into(),
+            density: 1.0,
+            seed: 1,
+            window_cap: 0,
+        };
+        let mut request = Vec::new();
+        write_frame(&mut request, &hello).unwrap();
+        write_frame(&mut request, &Frame::AdvanceTo { t_ns: u64::MAX }).unwrap();
+        write_frame(&mut request, &Frame::Records(vec![far_record])).unwrap();
+        write_frame(&mut request, &Frame::StatsReq).unwrap();
+        let mut input = io::Cursor::new(request);
+        let mut out = Vec::new();
+        session(&mut input, &mut out, &shared, None).unwrap();
+
+        let mut cur = io::Cursor::new(out);
+        let mut interval_ns = 0;
+        let mut refused = 0;
+        let mut stats = None;
+        while let Some(f) = read_frame(&mut cur).unwrap() {
+            match f {
+                Frame::HelloAck { interval_ns: i, .. } => interval_ns = i,
+                Frame::Error(msg) => {
+                    assert!(msg.contains("windows past the engine clock"), "{msg}");
+                    refused += 1;
+                }
+                Frame::Stats {
+                    now_ns,
+                    ticks,
+                    ingested,
+                    ..
+                } => stats = Some((now_ns, ticks, ingested)),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(refused, 2, "the AdvanceTo and the Records frame");
+        assert_eq!(stats, Some((0, 0, 0)), "a refused frame moves nothing");
+        assert_eq!(shared.reg.counter("serve.catchup_refused").get(), 2);
+
+        // Twice the bound: refused in one step, served in two.
+        let step = MAX_CATCHUP_WINDOWS * interval_ns;
+        let mut request = Vec::new();
+        write_frame(&mut request, &hello).unwrap();
+        write_frame(&mut request, &Frame::AdvanceTo { t_ns: 2 * step }).unwrap();
+        write_frame(&mut request, &Frame::AdvanceTo { t_ns: step }).unwrap();
+        write_frame(&mut request, &Frame::AdvanceTo { t_ns: 2 * step }).unwrap();
+        write_frame(&mut request, &Frame::StatsReq).unwrap();
+        let mut out = Vec::new();
+        session(&mut io::Cursor::new(request), &mut out, &shared, None).unwrap();
+        let mut cur = io::Cursor::new(out);
+        let mut replies = Vec::new();
+        while let Some(f) = read_frame(&mut cur).unwrap() {
+            match f {
+                Frame::HelloAck { .. } => {}
+                Frame::Error(_) => replies.push("refused"),
+                Frame::IngestAck { .. } => replies.push("served"),
+                Frame::Stats { ticks, .. } => assert_eq!(ticks, 2 * MAX_CATCHUP_WINDOWS),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(replies, ["refused", "served", "served"]);
+    }
+
+    /// `persist` replaces the snapshot only by renaming a complete, synced
+    /// temp file over it: when the temp file cannot be written the previous
+    /// snapshot stays byte-identical, and a good write leaves no temp file.
+    #[test]
+    fn failed_persist_leaves_the_previous_snapshot_intact() {
+        let dir = std::env::temp_dir().join(format!("db-serve-persist-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("engine.snap");
+        let tmp = dir.join("engine.snap.tmp");
+        let shared = Shared::new(&ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot: Some(path.clone()),
+            window_cap: 0,
+            prom_addr: None,
+        });
+
+        shared.persist(b"first snapshot").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first snapshot");
+        assert!(!tmp.exists(), "temp file renamed away");
+
+        // A directory squatting on the temp name fails the write for any
+        // user, root included (permission bits would not stop root).
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(shared.persist(b"second snapshot, never lands").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"first snapshot");
+
+        std::fs::remove_dir(&tmp).unwrap();
+        shared.persist(b"third").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"third");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,6 +8,9 @@
 //!   depending on a crate whose stream may change between versions.
 //! * [`dist`] — inverse-CDF samplers for the distributions the paper's traffic
 //!   model needs (exponential, Pareto, log-normal, …).
+//! * [`hash`] — a deterministic multiply-mix hasher for the per-packet
+//!   `(flow, seq)` carrier tables of `db-core` (no per-process seed, no
+//!   SipHash).
 //! * [`stats`] — descriptive statistics (mean, variance, skewness, percentiles)
 //!   used both by the topology statistics of Table 3 and by the evaluation
 //!   harness.
@@ -19,6 +22,7 @@
 //!   concurrency-tier crates lock through (DESIGN.md §17).
 
 pub mod dist;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod sync;

@@ -3,7 +3,7 @@
 //! Two questions, answered on the same machine in one run:
 //!
 //! 1. **What does the hot-path tap cost?** [`hot`] is the probe db-scope
-//!    leaves in the eleven db-lint-registered hot functions. Disabled it is
+//!    leaves in the ten db-lint-registered hot functions. Disabled it is
 //!    one relaxed atomic load; enabled it is a relaxed `fetch_add`. Both
 //!    are measured per call.
 //! 2. **What does `--trace` cost end to end?** The same flagship scenario

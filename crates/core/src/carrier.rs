@@ -1,10 +1,10 @@
 //! The one per-packet side table of the crate: in-flight state keyed by
 //! `(flow, seq)`.
 //!
-//! Three users, one structure: the engine's inference-header carriers
+//! Two users, one structure: the engine's inference-header carriers
 //! (what the packet would carry between switches, see [`crate::engine`])
-//! and the two exact-weight carriers of the `DistributedVirtual` variants
-//! in [`crate::system`]. All three do the same thing once or twice per
+//! and the exact-weight carrier of each `DistributedVirtual` variant in
+//! [`crate::system`]. Both do the same thing once or twice per
 //! record — take the upstream switch's entry, put this switch's — so the
 //! lookup has to cost a constant: a flat hash table under
 //! [`db_util::hash::MixHasher`], not an ordered tree and not SipHash.

@@ -39,6 +39,7 @@
 use crate::carrier::CarrierTable;
 use crate::system::{DriftBottleSystem, Warning};
 use db_dtree::FlowClassifier;
+use db_netsim::packet::MAX_ANNOTATION_BYTES;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observation, Observer, SimTime};
 use db_telemetry::flight::FlightRecorder;
 use db_telemetry::scope::ScopeRecorder;
@@ -349,11 +350,10 @@ impl<C: FlowClassifier> Engine<C> {
     }
 
     /// Restore state from [`Self::snapshot`] bytes, onto an identically
-    /// deployed engine. The configuration fingerprint is checked first;
-    /// on any error the engine is left untouched only up to the point of
-    /// failure — callers should discard an engine whose restore failed
-    /// mid-way (the daemon restores before serving, so a failure there
-    /// just falls back to a fresh engine).
+    /// deployed engine. The configuration fingerprint is checked first,
+    /// everything is decoded before anything is committed, and no input
+    /// panics: on `Err` the engine is exactly as it was (the daemon then
+    /// serves it as the fresh engine it still is).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u8()?;
@@ -378,12 +378,19 @@ impl<C: FlowClassifier> Engine<C> {
             let flow = r.u32()?;
             let seq = r.u64()?;
             let last = SimTime::from_ns(r.u64()?);
+            let at = r.offset();
             let n = r.seq()?;
-            let bytes = r.bytes(n)?;
-            carriers.put(flow, seq, (Annotation::from_bytes(bytes), last));
+            if n > MAX_ANNOTATION_BYTES {
+                return Err(RestoreError::Wire(WireError::Overflow {
+                    at,
+                    value: n as u64,
+                }));
+            }
+            carriers.put(flow, seq, (Annotation::from_bytes(r.bytes(n)?), last));
         }
-        self.system.restore_from(&mut r)?;
-        r.finish()?;
+        // The system state is the tail of the snapshot: this consumes the
+        // reader and commits only if the input ends cleanly.
+        self.system.restore_from(r)?;
         self.now = now;
         self.next_tick = next_tick;
         self.ticks_fired = ticks_fired;

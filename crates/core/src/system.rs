@@ -24,10 +24,9 @@ use crate::config::{Mechanism, SystemConfig, VariantSpec};
 use db_dtree::FlowClassifier;
 use db_flowmon::{FlowStatus, FlowmonMetrics, SwitchMonitor, WindowConfig};
 use db_inference::{
-    aggregate_step_inline_metered, aggregate_step_metered, centralized_report, check_warning,
-    check_warning_inline, inference_digest, local_inference_scratched,
-    provenance::NO_INFERENCE_DIGEST, HeaderCodec, Inference, InferenceMetrics, InlineInference,
-    VoteScratch, INLINE_CAP, MAX_HEADER_BYTES,
+    aggregate_step_inline_metered, centralized_report, check_warning_inline, inference_digest,
+    local_inference_scratched, provenance::NO_INFERENCE_DIGEST, HeaderCodec, Inference,
+    InferenceMetrics, InlineInference, VoteScratch, INLINE_CAP, MAX_HEADER_BYTES, MAX_K,
 };
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
 use db_telemetry::flight::{FlightRecord, FlightRecorder};
@@ -161,16 +160,14 @@ struct VariantState {
     locals: Vec<Inference>,
     /// Inline mirror of `locals` for the allocation-free per-packet path.
     /// Kept in sync at tick boundaries (and on absorbing updates) for
-    /// distributed variants when the inline path is enabled; centralized
-    /// variants keep untruncated locals that may exceed [`INLINE_CAP`] and
-    /// never touch the per-packet path, so their mirror stays empty.
+    /// distributed variants; centralized variants keep untruncated locals
+    /// that may exceed [`INLINE_CAP`] and never touch the per-packet path,
+    /// so their mirror stays empty.
     locals_inline: Vec<InlineInference>,
-    /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state.
-    /// Used by the legacy (Vec-backed) path only.
-    vtable: CarrierTable<(Inference, u8)>,
-    /// Exact-weight carrier for the inline path (values are `Copy`, no
-    /// per-packet allocation beyond amortized table growth).
-    vtable_inline: CarrierTable<(InlineInference, u8)>,
+    /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state
+    /// (values are `Copy`, no per-packet allocation beyond amortized table
+    /// growth).
+    vtable: CarrierTable<(InlineInference, u8)>,
     /// Warnings raised.
     log: WarningLog,
     /// Sampled drifted inferences (Fig. 11).
@@ -194,10 +191,6 @@ pub struct DriftBottleSystem<C: FlowClassifier> {
     live: Option<Vec<Warning>>,
     /// Warning collection window `(from, to]`.
     window: (SimTime, SimTime),
-    /// Whether the per-packet path runs on the inline representation. True
-    /// whenever a ⊕ of two k-truncated inferences fits [`INLINE_CAP`]; the
-    /// Vec-backed path is kept as a fallback for oversized k (ablations).
-    inline_ok: bool,
     agg_counter: u64,
     /// Telemetry handles; `None` (the default) keeps the hot path untouched.
     metrics: Option<InferenceMetrics>,
@@ -224,7 +217,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     ///
     /// `window` is the warning-collection interval `(from, to]` used for the
     /// §6.2 evaluation protocol. At most one variant may use
-    /// [`Mechanism::DistributedWire`].
+    /// [`Mechanism::DistributedWire`], and `cfg.k` may not exceed [`MAX_K`].
     pub fn deploy(
         topo: &Topology,
         flows: &[FlowSpec],
@@ -261,6 +254,12 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             wire_count <= 1,
             "packets carry one header: at most one DistributedWire variant"
         );
+        assert!(
+            cfg.k <= MAX_K,
+            "inference length k = {} exceeds MAX_K = {MAX_K}: the per-hop merge holds \
+             {INLINE_CAP} entries and the header buffer {MAX_HEADER_BYTES} bytes",
+            cfg.k
+        );
         let monitors: Vec<SwitchMonitor> =
             topo.nodes().map(|n| SwitchMonitor::new(n, wcfg)).collect();
         let n = topo.node_count();
@@ -271,14 +270,12 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 locals: vec![Inference::empty(); n],
                 locals_inline: vec![InlineInference::empty(); n],
                 vtable: CarrierTable::new(),
-                vtable_inline: CarrierTable::new(),
                 log: WarningLog::default(),
                 ratios: Vec::new(),
                 ticks_seen: 0,
             })
             .collect();
         let codec = HeaderCodec::for_network(cfg.k, topo.link_count());
-        let inline_ok = cfg.k * 2 <= INLINE_CAP;
         DriftBottleSystem {
             monitors,
             classifier,
@@ -288,7 +285,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             variants,
             live: None,
             window,
-            inline_ok,
             agg_counter: 0,
             metrics: None,
             fm_metrics: None,
@@ -442,15 +438,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             .map(|v| (&v.spec, &v.log, v.ratios.as_slice()))
     }
 
-    /// The current local inference of `switch` for variant `name`
-    /// (inspection/testing).
-    pub fn local_of(&self, name: &str, switch: NodeId) -> Option<&Inference> {
-        self.variants
-            .iter()
-            .find(|v| v.spec.name == name)
-            .map(|v| &v.locals[switch.idx()])
-    }
-
     /// The wire codec in use.
     pub fn codec(&self) -> HeaderCodec {
         self.codec
@@ -509,7 +496,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// Serialize the complete mutable state of the deployment: the
     /// aggregation counter, every switch monitor (mid-window registers and
     /// per-flow history), and every variant's locals, in-flight carrier
-    /// tables, warning log, ratio samples and tick counter. A system
+    /// table, warning log, ratio samples and tick counter. A system
     /// restored from this continues **bit-identically** — the streaming
     /// equivalence proptest pins that across a mid-stream cycle.
     ///
@@ -532,17 +519,13 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             for inf in &v.locals_inline {
                 encode_entries(w, inf.entries());
             }
-            // The carrier tables are hashed; key order keeps the snapshot
+            // Retired slot of the v1 layout: the heap-form carrier table,
+            // empty on every configuration that could ever be deployed.
+            w.seq(0);
+            // The carrier table is hashed; key order keeps the snapshot
             // byte-stable across processes and fill histories.
             w.seq(v.vtable.len());
             for ((flow, seq), (inf, hops)) in v.vtable.sorted() {
-                w.u32(flow);
-                w.u64(seq);
-                w.u8(*hops);
-                encode_entries(w, inf.entries());
-            }
-            w.seq(v.vtable_inline.len());
-            for ((flow, seq), (inf, hops)) in v.vtable_inline.sorted() {
                 w.u32(flow);
                 w.u64(seq);
                 w.u8(*hops);
@@ -577,78 +560,51 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     }
 
     /// Inverse of [`Self::snapshot_into`], applied onto an identically
-    /// deployed system. Structural mismatches (monitor/variant counts) are
-    /// reported as [`WireError::Overflow`] at the offending offset — callers
+    /// deployed system. The system state is the tail of a snapshot, so this
+    /// consumes the reader: everything is decoded into locals and committed
+    /// only once the input has ended cleanly — on `Err` the system is
+    /// untouched. Structural mismatches (monitor/variant counts, an inline
+    /// inference past [`INLINE_CAP`], a non-empty retired slot) are reported
+    /// as [`WireError::Overflow`] at the offending offset — callers
     /// fingerprint configuration before getting here, so a mismatch means
     /// corrupt input.
-    pub fn restore_from(&mut self, r: &mut ByteReader) -> Result<(), WireError> {
-        self.agg_counter = r.u64()?;
-        let n_mon = r.seq()?;
-        if n_mon != self.monitors.len() {
-            return Err(WireError::Overflow {
-                at: r.offset(),
-                value: n_mon as u64,
-            });
-        }
-        for m in self.monitors.iter_mut() {
-            *m = SwitchMonitor::restore_from(r, self.wcfg)?;
-        }
-        let n_var = r.seq()?;
-        if n_var != self.variants.len() {
-            return Err(WireError::Overflow {
-                at: r.offset(),
-                value: n_var as u64,
-            });
-        }
-        for v in self.variants.iter_mut() {
-            let n = r.seq()?;
-            if n != v.locals.len() {
-                return Err(WireError::Overflow {
-                    at: r.offset(),
-                    value: n as u64,
-                });
-            }
-            for inf in v.locals.iter_mut() {
-                *inf = Inference::from_pairs(decode_entries(r)?);
-            }
-            let n = r.seq()?;
-            if n != v.locals_inline.len() {
-                return Err(WireError::Overflow {
-                    at: r.offset(),
-                    value: n as u64,
-                });
-            }
-            for inf in v.locals_inline.iter_mut() {
-                // Entries round-trip canonically, so `from_inference` is an
-                // exact rebuild (and the snapshot came from under-CAP state).
-                *inf = InlineInference::from_inference(&Inference::from_pairs(decode_entries(r)?));
-            }
-            v.vtable = CarrierTable::new();
+    pub fn restore_from(&mut self, mut reader: ByteReader) -> Result<(), WireError> {
+        let r = &mut reader;
+        let agg_counter = r.u64()?;
+        expect_count(r, self.monitors.len())?;
+        let monitors = (0..self.monitors.len())
+            .map(|_| SwitchMonitor::restore_from(r, self.wcfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        expect_count(r, self.variants.len())?;
+        let mut variants = Vec::with_capacity(self.variants.len());
+        for v in &self.variants {
+            expect_count(r, v.locals.len())?;
+            let locals = (0..v.locals.len())
+                .map(|_| decode_entries(r).map(Inference::from_pairs))
+                .collect::<Result<Vec<_>, _>>()?;
+            expect_count(r, v.locals_inline.len())?;
+            let locals_inline = (0..v.locals_inline.len())
+                .map(|_| decode_entries_inline(r))
+                .collect::<Result<Vec<_>, _>>()?;
+            expect_count(r, 0)?; // the retired heap-form carrier table
+            let mut vtable = CarrierTable::new();
             for _ in 0..r.seq()? {
                 let flow = r.u32()?;
                 let seq = r.u64()?;
                 let hops = r.u8()?;
-                let inf = Inference::from_pairs(decode_entries(r)?);
-                v.vtable.put(flow, seq, (inf, hops));
+                vtable.put(flow, seq, (decode_entries_inline(r)?, hops));
             }
-            v.vtable_inline = CarrierTable::new();
-            for _ in 0..r.seq()? {
-                let flow = r.u32()?;
-                let seq = r.u64()?;
-                let hops = r.u8()?;
-                let inf =
-                    InlineInference::from_inference(&Inference::from_pairs(decode_entries(r)?));
-                v.vtable_inline.put(flow, seq, (inf, hops));
-            }
-            v.log.raises = r.u64()?;
-            v.log.by_pair.clear();
+            let mut log = WarningLog {
+                raises: r.u64()?,
+                ..Default::default()
+            };
             for _ in 0..r.seq()? {
                 let switch = NodeId(r.u16w()?);
                 let link = LinkId(r.u16w()?);
                 let count = r.u64()?;
                 let first_at = SimTime::from_ns(r.u64()?);
                 let last_at = SimTime::from_ns(r.u64()?);
-                v.log.by_pair.insert(
+                log.by_pair.insert(
                     (switch, link),
                     PairStats {
                         count,
@@ -657,32 +613,49 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                     },
                 );
             }
-            v.log.reported_links.clear();
             for _ in 0..r.seq()? {
-                v.log.reported_links.insert(LinkId(r.u16w()?));
+                log.reported_links.insert(LinkId(r.u16w()?));
             }
-            v.log.reported_pairs.clear();
             for _ in 0..r.seq()? {
                 let n = NodeId(r.u16w()?);
                 let l = LinkId(r.u16w()?);
-                v.log.reported_pairs.insert((n, l));
+                log.reported_pairs.insert((n, l));
             }
-            v.ratios.clear();
+            let mut ratios = Vec::new();
             for _ in 0..r.seq()? {
                 let at = SimTime::from_ns(r.u64()?);
                 let hop_now = r.u8()?;
                 let entries = decode_entries(r)?;
-                v.ratios.push(RatioSample {
+                ratios.push(RatioSample {
                     entries,
                     hop_now,
                     at,
                 });
             }
-            v.ticks_seen = r.u32()?;
+            variants.push(VariantState {
+                spec: v.spec.clone(),
+                locals,
+                locals_inline,
+                vtable,
+                log,
+                ratios,
+                ticks_seen: r.u32()?,
+            });
         }
+        reader.finish()?;
+        self.agg_counter = agg_counter;
+        self.monitors = monitors;
+        self.variants = variants;
         Ok(())
     }
 
+    /// The Inference Aggregation module for one distributed variant — the
+    /// allocation-free per-packet hot path: decode → ⊕ → truncate → warn →
+    /// encode entirely on stack-resident fixed-capacity state
+    /// ([`InlineInference`]; [`Self::deploy_empty`] bounds k so a merge
+    /// always fits). Results are bit-for-bit those of the control-plane
+    /// form (`aggregate_step`, `check_warning`, `HeaderCodec::encode`) —
+    /// see the equivalence proptests in db-inference.
     #[allow(clippy::too_many_arguments)] // internal hot path; a params struct would just rename the problem
                                          // db-lint: allow(hot-index, hot-alloc) — per-node vectors are sized by node count at setup; the allocating branches are recorder- or sampling-window-gated, off the steady-state path
     fn handle_distributed(
@@ -701,173 +674,20 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     ) {
         hot(HotFn::HandleDistributed);
         let node = info.node;
-        let local = &variant.locals[node.idx()];
-        let wire = variant.spec.mechanism == Mechanism::DistributedWire;
-        let incoming: Option<(Inference, u8)> = if info.is_ingress {
-            None
-        } else if wire {
-            codec.decode(ann.as_slice())
-        } else {
-            variant.vtable.take(info.flow.0, info.seq)
-        };
-        // Provenance pre-pass: capture digests and the *untruncated* merge
-        // (to diff truncation losses against) before `incoming` is consumed.
-        // Runs only with a recorder attached; the result path below is
-        // untouched either way.
-        let fl_pre = flight.map(|_| {
-            let in_digest = incoming
-                .as_ref()
-                .map_or(NO_INFERENCE_DIGEST, |(d, _)| inference_digest(d.entries()));
-            let full = match &incoming {
-                None => local.clone(),
-                Some((d, _)) => d.aggregate(local),
-            };
-            (in_digest, inference_digest(local.entries()), full)
-        });
-        let (agg, hops) = match incoming {
-            None => (local.top_k(cfg.k), 1u8),
-            Some((drifted, h)) => aggregate_step_metered(local, &drifted, h, cfg.k, metrics),
-        };
-        if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
-            // The forbidden feedback loop (§4.3): the local inference is
-            // replaced by the aggregate, biasing later packets.
-            variant.locals[node.idx()] = agg.top_k(cfg.k);
-        }
-        if let (Some(f), Some((in_digest, local_digest, full))) = (flight, fl_pre) {
-            let dropped_links: Vec<u16> = full
-                .entries()
-                .iter()
-                .filter(|(l, _)| agg.weight_of(*l) == 0.0)
-                .map(|(l, _)| l.0)
-                .collect();
-            f.rec.record(FlightRecord::DriftMerged {
-                at_ns: now.as_ns(),
-                switch: node.0,
-                flow: info.flow.0,
-                pkt_seq: info.seq,
-                hop_now: hops,
-                in_digest,
-                local_digest,
-                out_digest: inference_digest(agg.entries()),
-                w0: agg.w0(),
-                w1: agg.w1(),
-                top_link: agg.top_link().map(|l| l.0),
-                dropped_links,
-            });
-        }
-        if let Some(sc) = scope {
-            sc.rec
-                .merge(now.as_ns(), node.0, agg.w0(), agg.top_link().map(|l| l.0));
-        }
-        if let Some(link) = check_warning(&agg, hops as u32, &cfg.warning) {
-            variant.log.record(now, node, link, window);
-            if let Some((vi, buf)) = live {
-                let mut header = [0u8; MAX_HEADER_BYTES];
-                let n = {
-                    let bytes = codec.encode(&agg, hops);
-                    header[..bytes.len()].copy_from_slice(&bytes);
-                    bytes.len()
-                };
-                buf.push(Warning {
-                    at: now,
-                    switch: node,
-                    link,
-                    variant: vi,
-                    hop_now: hops,
-                    w0: agg.w0(),
-                    w1: agg.w1(),
-                    header,
-                    header_len: n as u8, // db-lint: allow(wire-cast) — header fits MAX_HEADER_BYTES < 256 by construction
-                });
-            }
-            if let Some(sc) = scope {
-                sc.rec.warning(now.as_ns(), link.0);
-            }
-            if let Some(f) = flight {
-                f.rec.record(FlightRecord::WarningRaised {
-                    at_ns: now.as_ns(),
-                    switch: node.0,
-                    link: link.0,
-                    hop_now: hops,
-                    w0: agg.w0(),
-                    w1: agg.w1(),
-                    alpha_lhs: cfg.warning.alpha * hops as f64,
-                    beta_lhs: cfg.warning.beta * agg.w1().max(0.0),
-                    ground_truth_hit: f.truth.get(link.idx()).copied().unwrap_or(false),
-                });
-            }
-            if let Some(m) = metrics {
-                m.warning_raised(node.0, link, hops as u32, agg.w0(), agg.w1());
-            }
-        }
-        if cfg.ratio_sampling > 0
-            && hops as u32 >= cfg.warning.hop_min
-            && agg_counter.is_multiple_of(cfg.ratio_sampling as u64)
-            && now > window.0
-            && now <= window.1
-        {
-            variant.ratios.push(RatioSample {
-                entries: agg.entries().to_vec(),
-                hop_now: hops,
-                at: now,
-            });
-        }
-        if info.is_last_switch {
-            if wire {
-                // §4.3: the last switch deletes the inference header before
-                // delivering to the host.
-                ann.clear();
-            }
-        } else if wire {
-            ann.set(&codec.encode(&agg, hops));
-            if let Some(m) = metrics {
-                m.headers_piggybacked.inc();
-            }
-        } else {
-            variant.vtable.put(info.flow.0, info.seq, (agg, hops));
-        }
-    }
-
-    /// [`Self::handle_distributed`] on the inline representation — the
-    /// allocation-free per-packet hot path: decode → ⊕ → truncate → warn →
-    /// encode entirely on stack-resident fixed-capacity state. Every branch
-    /// mirrors the Vec-backed path bit-for-bit (see `crates/core/tests/
-    /// golden.rs` and the equivalence proptests in db-inference).
-    ///
-    /// Deliberately private: representation choice is an internal concern
-    /// of this hot path. Anything outside `db-core` wanting the sealed
-    /// behaviour should use `db_inference::InferenceState`, which picks
-    /// inline vs. heap itself.
-    #[allow(clippy::too_many_arguments)] // same internal hot path as handle_distributed
-                                         // db-lint: allow(hot-index, hot-alloc) — per-node vectors are sized by node count at setup; the allocating branches are recorder- or sampling-window-gated, off the steady-state path
-    fn handle_distributed_inline(
-        variant: &mut VariantState,
-        now: SimTime,
-        info: &HopInfo,
-        ann: &mut Annotation,
-        codec: HeaderCodec,
-        cfg: &SystemConfig,
-        window: (SimTime, SimTime),
-        agg_counter: u64,
-        metrics: Option<&InferenceMetrics>,
-        flight: Option<&FlightScope>,
-        scope: Option<&ScopeHook>,
-        live: Option<(u8, &mut Vec<Warning>)>,
-    ) {
-        hot(HotFn::HandleDistributedInline);
-        let node = info.node;
         let wire = variant.spec.mechanism == Mechanism::DistributedWire;
         let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
             None
         } else if wire {
             codec.decode_inline(ann.as_slice())
         } else {
-            variant.vtable_inline.take(info.flow.0, info.seq)
+            variant.vtable.take(info.flow.0, info.seq)
         };
         let local = &variant.locals_inline[node.idx()];
-        // Provenance pre-pass — see `handle_distributed`; the untruncated
-        // merge goes through the heap form, off the hot path by definition
-        // (only runs with a recorder attached).
+        // Provenance pre-pass: capture digests and the *untruncated* merge
+        // (to diff truncation losses against) before `incoming` is consumed.
+        // Runs only with a recorder attached, so the untruncated merge goes
+        // through the heap form; the result path below is untouched either
+        // way.
         let fl_pre = flight.map(|_| {
             let in_digest = incoming
                 .as_ref()
@@ -883,8 +703,10 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             Some((drifted, h)) => aggregate_step_inline_metered(local, &drifted, h, cfg.k, metrics),
         };
         if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
-            // The forbidden feedback loop (§4.3) — keep both local forms in
-            // sync (this ablation path tolerates the conversion cost).
+            // The forbidden feedback loop (§4.3): the local inference is
+            // replaced by the aggregate, biasing later packets. Both local
+            // forms stay in sync (this ablation path tolerates the
+            // conversion cost).
             variant.locals[node.idx()] = agg.to_inference().top_k(cfg.k);
             variant.locals_inline[node.idx()] = agg.top_k(cfg.k);
         }
@@ -895,8 +717,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 .filter(|(l, _)| agg.weight_of(*l) == 0.0)
                 .map(|(l, _)| l.0)
                 .collect();
-            // Canonical-order digests, identical to what the Vec path
-            // records for the same multiset.
             let out = agg.to_inference();
             f.rec.record(FlightRecord::DriftMerged {
                 at_ns: now.as_ns(),
@@ -961,7 +781,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             && now <= window.1
         {
             variant.ratios.push(RatioSample {
-                // Canonical order, exactly what the Vec path records.
                 entries: agg.to_inference().entries().to_vec(),
                 hop_now: hops,
                 at: now,
@@ -969,6 +788,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         }
         if info.is_last_switch {
             if wire {
+                // §4.3: the last switch deletes the inference header before
+                // delivering to the host.
                 ann.clear();
             }
         } else if wire {
@@ -979,9 +800,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 m.headers_piggybacked.inc();
             }
         } else {
-            variant
-                .vtable_inline
-                .put(info.flow.0, info.seq, (agg, hops));
+            variant.vtable.put(info.flow.0, info.seq, (agg, hops));
         }
     }
 
@@ -990,7 +809,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         node: NodeId,
         statuses: &[(FlowStatus, &[LinkId])],
         k: usize,
-        inline_ok: bool,
         scratch: &mut VoteScratch,
     ) {
         let keep = match variant.spec.mechanism {
@@ -1003,7 +821,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             keep,
             scratch,
         );
-        if inline_ok && keep != usize::MAX {
+        if keep != usize::MAX {
             variant.locals_inline[node.idx()] =
                 InlineInference::from_inference(&variant.locals[node.idx()]);
         }
@@ -1018,6 +836,36 @@ fn encode_entries(w: &mut ByteWriter, entries: &[(LinkId, f64)]) {
         w.u16w(l.0);
         w.f64(weight);
     }
+}
+
+/// Read a sequence length that the deployment fixes, refusing any other.
+fn expect_count(r: &mut ByteReader, want: usize) -> Result<(), WireError> {
+    let at = r.offset();
+    match r.seq()? {
+        n if n == want => Ok(()),
+        n => Err(WireError::Overflow {
+            at,
+            value: n as u64,
+        }),
+    }
+}
+
+/// [`decode_entries`] into the inline form, refusing a list the fixed
+/// array cannot hold (`InlineInference::from_inference` would panic).
+fn decode_entries_inline(r: &mut ByteReader) -> Result<InlineInference, WireError> {
+    let at = r.offset();
+    let entries = decode_entries(r)?;
+    if entries.len() > INLINE_CAP {
+        return Err(WireError::Overflow {
+            at,
+            value: entries.len() as u64,
+        });
+    }
+    // Entries round-trip canonically, so `from_inference` is an exact
+    // rebuild.
+    Ok(InlineInference::from_inference(&Inference::from_pairs(
+        entries,
+    )))
 }
 
 /// Inverse of [`encode_entries`].
@@ -1052,20 +900,6 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
             let live = live.as_deref_mut().map(|buf| (vi as u8, buf)); // db-lint: allow(wire-cast) — variant count is tiny
             match variant.spec.mechanism {
                 Mechanism::Centralized { .. } => {}
-                _ if self.inline_ok => Self::handle_distributed_inline(
-                    variant,
-                    now,
-                    info,
-                    ann,
-                    self.codec,
-                    &self.cfg,
-                    self.window,
-                    self.agg_counter,
-                    self.metrics.as_ref(),
-                    flight,
-                    scope,
-                    live,
-                ),
                 _ => Self::handle_distributed(
                     variant,
                     now,
@@ -1216,7 +1050,7 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
                 }
             }
             for v in &mut self.variants {
-                Self::tick_variant(v, node, &statuses, self.cfg.k, self.inline_ok, &mut scratch);
+                Self::tick_variant(v, node, &statuses, self.cfg.k, &mut scratch);
             }
             if let Some(m) = &self.metrics {
                 m.locals_generated.add(self.variants.len() as u64);
@@ -1282,6 +1116,15 @@ mod tests {
         variants: Vec<VariantSpec>,
         seed: u64,
     ) -> (DriftBottleSystem<ThresholdClassifier>, Vec<LinkId>) {
+        run_line_k(variants, seed, db_inference::DEFAULT_K)
+    }
+
+    /// [`run_line`] at inference length `k`.
+    fn run_line_k(
+        variants: Vec<VariantSpec>,
+        seed: u64,
+        k: usize,
+    ) -> (DriftBottleSystem<ThresholdClassifier>, Vec<LinkId>) {
         // 3 ms links so flow RTTs span several sampling intervals, as in the
         // evaluation topologies.
         let topo = zoo::line_with_latency(5, 3.0);
@@ -1296,6 +1139,7 @@ mod tests {
         // neighbor links nearly indistinguishable), so the dominance
         // threshold β is relaxed below the mesh default here.
         let cfg = SystemConfig {
+            k,
             ratio_sampling: 8,
             warning: WarningConfig {
                 hop_min: 2,
@@ -1350,6 +1194,41 @@ mod tests {
                 log.reported_links
             );
         }
+    }
+
+    /// Every k the Fig.-13 ablation sweeps goes through the one hop pipeline
+    /// — wire header and exact-weight side table alike — and localizes;
+    /// k = 8 is [`MAX_K`], the last k whose 2k-entry merge fits.
+    #[test]
+    fn every_fig13_k_localizes_the_line_failure() {
+        for k in [2, 3, 4, 6, 8] {
+            let (system, failed) = run_line_k(
+                vec![
+                    VariantSpec::drift_bottle(),
+                    VariantSpec {
+                        name: "DB-Virtual".into(),
+                        scheme: db_inference::WeightScheme::DriftBottle,
+                        mechanism: Mechanism::DistributedVirtual,
+                    },
+                ],
+                1,
+                k,
+            );
+            for (spec, log, _) in system.results() {
+                assert!(
+                    log.reported_links.contains(&failed[0]),
+                    "{} at k = {k} must report the failed link; reported = {:?}",
+                    spec.name,
+                    log.reported_links
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_K")]
+    fn k_past_the_inline_merge_is_rejected_at_deploy() {
+        run_line_k(vec![VariantSpec::drift_bottle()], 1, MAX_K + 1);
     }
 
     #[test]

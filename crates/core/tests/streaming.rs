@@ -18,14 +18,14 @@ use db_core::{
     Warning,
 };
 use db_dtree::ThresholdClassifier;
-use db_flowmon::WindowConfig;
+use db_flowmon::{SwitchMonitor, WindowConfig};
 use db_netsim::{
     Annotation, FailureScenario, Observer, SimConfig, SimTime, Simulator, TraceRecorder,
     TrafficConfig, TrafficGen,
 };
 use db_telemetry::{FlightRecorder, ScopeRecorder, TraceData};
 use db_topology::{zoo, LinkId, NodeId, RouteTable};
-use db_util::wire::ByteWriter;
+use db_util::wire::{ByteReader, ByteWriter};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -638,21 +638,33 @@ proptest! {
 
 const PINNED_MID_STREAM_DIGEST: u64 = 0x7178_3411_d769_625a;
 
+/// The line case under every carrier kind, retention 2, fed the first
+/// `num / den` of its trace.
+fn line_engine_fed(
+    case: &LineCase,
+    trace: &TraceRecorder,
+    num: usize,
+    den: usize,
+) -> Engine<ThresholdClassifier> {
+    let mut engine = Engine::new(deploy_line_with(case, carrier_variants()));
+    engine.set_live_warnings();
+    engine.set_retention(2);
+    let cut = trace.observations.len() * num / den;
+    for o in &trace.observations[..cut] {
+        engine.ingest(&FlowRecord::from(*o));
+    }
+    engine
+}
+
 /// The snapshot encoding did not move with the table: `fnv1a64` of a
 /// mid-stream snapshot of the line case (three quarters in, after the
-/// failure, retention 2, all three carrier tables populated), computed on
+/// failure, retention 2, both carrier tables populated), computed on
 /// the commit before the hashed table (ordered map, SipHash side tables).
 #[test]
 fn mid_stream_snapshot_digest_is_pinned() {
     let case = line_case(7);
     let trace = record_line_trace(&case);
-    let mut engine = Engine::new(deploy_line_with(&case, carrier_variants()));
-    engine.set_live_warnings();
-    engine.set_retention(2);
-    let cut = trace.observations.len() * 3 / 4;
-    for o in &trace.observations[..cut] {
-        engine.ingest(&FlowRecord::from(*o));
-    }
+    let engine = line_engine_fed(&case, &trace, 3, 4);
     let snap = engine.snapshot();
     assert!(
         engine.carriers_in_flight() > 8,
@@ -720,4 +732,85 @@ fn equal_carrier_sets_snapshot_equal_whatever_the_insert_history() {
     original.advance_to(case.end);
     refilled.advance_to(case.end);
     assert_eq!(refilled.snapshot(), original.snapshot());
+}
+
+/// Skip one encoded inference entry list: a count, then `(link, weight)`
+/// pairs of a 4-byte id slot and an 8-byte weight.
+fn skip_entries(r: &mut ByteReader) {
+    let n = r.seq().expect("entry count");
+    r.bytes(n * 12).expect("entries");
+}
+
+/// Offsets in `snap` of the first variant's first inline local and of its
+/// retired heap-form carrier count (the slot right after its inline locals).
+fn inline_local_and_retired_slot(snap: &[u8], case: &LineCase) -> (usize, usize) {
+    let system = split_snapshot(snap).2;
+    let base = snap.len() - system.len();
+    let mut r = ByteReader::new(system);
+    r.u64().expect("aggregation counter");
+    for _ in 0..r.seq().expect("monitor count") {
+        SwitchMonitor::restore_from(&mut r, case.wcfg).expect("monitor");
+    }
+    r.seq().expect("variant count");
+    for _ in 0..r.seq().expect("local count") {
+        skip_entries(&mut r);
+    }
+    let inline_locals = r.seq().expect("inline local count");
+    let first_inline = base + r.offset();
+    for _ in 0..inline_locals {
+        skip_entries(&mut r);
+    }
+    (first_inline, base + r.offset())
+}
+
+/// A failed `restore` is a no-op: every truncation of a valid mid-stream
+/// snapshot, and three corruptions that once hit an assert or a
+/// half-written system (a 33-byte carrier, a 17-entry inline local, a
+/// non-empty retired `vtable` slot), return `Err` without panicking and
+/// leave the target engine's own snapshot byte-identical.
+#[test]
+fn failed_restore_leaves_the_engine_untouched() {
+    let case = line_case(7);
+    let trace = record_line_trace(&case);
+    let snap = line_engine_fed(&case, &trace, 3, 4).snapshot();
+    // The target has state of its own, so "untouched" is observable.
+    let mut target = line_engine_fed(&case, &trace, 1, 4);
+    let before = target.snapshot();
+    assert_ne!(before, snap);
+
+    let mut attempts: Vec<(String, Vec<u8>)> = (0..snap.len())
+        .step_by((snap.len() / 200) | 1) // odd stride: cuts land on every field alignment
+        .map(|len| (format!("truncated to {len} bytes"), snap[..len].to_vec()))
+        .collect();
+
+    let mut long_carrier = snap.clone();
+    let len_at = SNAPSHOT_CLOCK_BYTES + 4 + 20;
+    long_carrier[len_at..len_at + 4].copy_from_slice(&33u32.to_be_bytes());
+    attempts.push(("33-byte carrier".into(), long_carrier));
+
+    let (inline_at, retired_at) = inline_local_and_retired_slot(&snap, &case);
+    let mut r = ByteReader::new(&snap[inline_at..]);
+    skip_entries(&mut r);
+    let mut w = ByteWriter::new();
+    w.seq(17);
+    for link in 0..17u16 {
+        w.u16w(link);
+        w.f64(f64::from(link) + 1.0);
+    }
+    let mut wide_local = snap[..inline_at].to_vec();
+    wide_local.extend_from_slice(&w.into_bytes());
+    wide_local.extend_from_slice(&snap[inline_at + r.offset()..]);
+    attempts.push(("17-entry inline local".into(), wide_local));
+
+    assert_eq!(snap[retired_at..retired_at + 4], [0; 4], "retired slot");
+    let mut revived = snap.clone();
+    revived[retired_at + 3] = 1;
+    attempts.push(("non-empty retired vtable slot".into(), revived));
+
+    for (what, bytes) in &attempts {
+        assert!(target.restore(bytes).is_err(), "{what}: restore succeeded");
+        assert!(target.snapshot() == before, "{what}: engine changed");
+    }
+    target.restore(&snap).expect("the intact snapshot restores");
+    assert!(target.snapshot() == snap, "restored state re-encodes");
 }

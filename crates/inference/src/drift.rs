@@ -24,26 +24,7 @@ pub fn aggregate_step(
     hop_now: u8,
     k: usize,
 ) -> (Inference, u8) {
-    aggregate_step_metered(local, drifted, hop_now, k, None)
-}
-
-/// [`aggregate_step`] with optional telemetry: counts the ⊕ and whether the
-/// result overflowed the k header slots (a top-k truncation that lost
-/// entries). Exact — the truncation check sees the pre-truncation length.
-pub fn aggregate_step_metered(
-    local: &Inference,
-    drifted: &Inference,
-    hop_now: u8,
-    k: usize,
-    metrics: Option<&InferenceMetrics>,
-) -> (Inference, u8) {
     let mut agg = drifted.aggregate(local);
-    if let Some(m) = metrics {
-        m.aggregations.inc();
-        if agg.len() > k {
-            m.topk_truncations.inc();
-        }
-    }
     agg.truncate_top_k(k);
     (agg, hop_now.saturating_add(1))
 }
@@ -51,12 +32,6 @@ pub fn aggregate_step_metered(
 /// Allocation-free [`aggregate_step`]: same ⊕-then-truncate on the inline
 /// representation. Bit-for-bit equivalent — the merge sums `drifted + local`
 /// per link in that operand order, exactly like `drifted.aggregate(local)`.
-///
-/// **Deprecated for external use.** This entry point (like the inline
-/// `handle_distributed_inline` path inside `db-core`) exists for the
-/// per-packet hot path and the equivalence proptests only; code outside
-/// `db-core` should go through [`crate::InferenceState`], which selects the
-/// representation itself and never diverges from the heap semantics.
 pub fn aggregate_step_inline(
     local: &InlineInference,
     drifted: &InlineInference,
@@ -66,9 +41,9 @@ pub fn aggregate_step_inline(
     aggregate_step_inline_metered(local, drifted, hop_now, k, None)
 }
 
-/// [`aggregate_step_inline`] with the same telemetry contract as
-/// [`aggregate_step_metered`]: one `aggregations` tick per ⊕, one
-/// `topk_truncations` tick when the pre-truncation length exceeds k.
+/// [`aggregate_step_inline`] with optional telemetry: one `aggregations`
+/// tick per ⊕, one `topk_truncations` tick when the result overflowed the k
+/// header slots. Exact — the check sees the pre-truncation length.
 pub fn aggregate_step_inline_metered(
     local: &InlineInference,
     drifted: &InlineInference,
@@ -123,36 +98,36 @@ mod tests {
 
     #[test]
     fn inline_step_matches_vec_step_and_counters() {
-        // The inline hot path must feed InferenceMetrics exactly as the
-        // Vec-backed metered step does: one `aggregations` tick per ⊕, one
-        // `topk_truncations` tick iff the pre-truncation result overflowed k.
+        // The inline hot path feeds InferenceMetrics one `aggregations` tick
+        // per ⊕ and one `topk_truncations` tick iff the pre-truncation
+        // result overflowed k; its result is the reference `aggregate_step`'s.
         let cases = [
             // Overflows k = 2 (3 distinct links survive the sum).
-            (vec![(1, 2.0), (2, -1.0)], vec![(1, 3.0), (3, 1.0)], 2),
+            (vec![(1, 2.0), (2, -1.0)], vec![(1, 3.0), (3, 1.0)], 2, 1),
             // Fits exactly.
-            (vec![(1, 2.0)], vec![(3, 1.0)], 2),
+            (vec![(1, 2.0)], vec![(3, 1.0)], 2, 0),
             // Cancellation shrinks the result below k.
-            (vec![(1, 2.0), (2, -1.0)], vec![(2, 1.0)], 2),
+            (vec![(1, 2.0), (2, -1.0)], vec![(2, 1.0)], 2, 0),
         ];
-        for (a, b, k) in cases {
+        for (a, b, k, truncations) in cases {
             let local = Inference::from_pairs(a.iter().map(|&(l, w)| (LinkId(l), w)));
             let drifted = Inference::from_pairs(b.iter().map(|&(l, w)| (LinkId(l), w)));
-            let reg_v = db_telemetry::MetricsRegistry::new();
-            let m_v = InferenceMetrics::register(&reg_v);
-            let (agg_v, h_v) = aggregate_step_metered(&local, &drifted, 3, k, Some(&m_v));
+            let (agg_v, h_v) = aggregate_step(&local, &drifted, 3, k);
 
             let il = InlineInference::from_inference(&local);
             let id = InlineInference::from_inference(&drifted);
-            let reg_i = db_telemetry::MetricsRegistry::new();
-            let m_i = InferenceMetrics::register(&reg_i);
-            let (agg_i, h_i) = aggregate_step_inline_metered(&il, &id, 3, k, Some(&m_i));
+            let reg = db_telemetry::MetricsRegistry::new();
+            let m = InferenceMetrics::register(&reg);
+            let (agg_i, h_i) = aggregate_step_inline_metered(&il, &id, 3, k, Some(&m));
 
             assert_eq!(agg_i.to_inference(), agg_v);
             assert_eq!(h_i, h_v);
-            let (sv, si) = (reg_v.snapshot(), reg_i.snapshot());
-            for name in ["inference.aggregations", "inference.topk_truncations"] {
-                assert_eq!(sv.counter(name), si.counter(name), "{name}");
-            }
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter("inference.aggregations"), Some(1));
+            assert_eq!(
+                snap.counter("inference.topk_truncations"),
+                Some(truncations)
+            );
 
             // Metered and unmetered inline steps agree on the result.
             let (agg_un, h_un) = aggregate_step_inline(&il, &id, 3, k);

@@ -22,9 +22,10 @@ use crate::inference::Inference;
 use crate::inline::{InlineInference, INLINE_CAP};
 use db_topology::LinkId;
 
-/// Upper bound on any codec's [`byte_len`](HeaderCodec::byte_len), sized for
-/// the largest k the inline hot path supports (`INLINE_CAP / 2`) in the wide
-/// (3 bytes/slot) variant. Lets the per-hop path encode into a stack buffer.
+/// Upper bound on any deployed codec's [`byte_len`](HeaderCodec::byte_len):
+/// the largest supported k ([`crate::MAX_K`], `INLINE_CAP / 2`) in the wide
+/// (3 bytes/slot) variant. Lets the per-hop path encode into a stack
+/// buffer. (The expression text is pinned by the wire-schema ratchet.)
 pub const MAX_HEADER_BYTES: usize = 1 + (INLINE_CAP / 2) * 3;
 
 /// Minimum encodable weight.

@@ -22,9 +22,12 @@ use db_topology::LinkId;
 /// carries at most k entries and a (distributed) local at most k, so a merge
 /// needs 2k slots: 16 covers every k ≤ 8 the ablations sweep (fig13 stops at
 /// k = 8). Deliberately tight — the struct is copied by value on every hop,
-/// so each extra slot costs 16 bytes of memcpy per copy; oversized k falls
-/// back to the Vec-backed path instead.
+/// so each extra slot costs 16 bytes of memcpy per copy.
 pub const INLINE_CAP: usize = 16;
+
+/// Largest inference length k a deployment accepts: a ⊕ of two k-truncated
+/// inferences must fit [`INLINE_CAP`].
+pub const MAX_K: usize = INLINE_CAP / 2;
 
 /// An inference set in a fixed-capacity array, canonically ordered
 /// (descending weight, ties by ascending link id) exactly like

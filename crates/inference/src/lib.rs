@@ -15,10 +15,6 @@
 //! * [`inline`] — [`InlineInference`], the fixed-capacity representation the
 //!   per-packet hot path uses: same algebra, zero heap traffic, bit-for-bit
 //!   identical results (see the equivalence proptests).
-//! * [`state`] — [`InferenceState`], the unified entry point over both
-//!   representations: callers no longer pick `Inference` vs.
-//!   `InlineInference` by hand; small sets stay inline, large sets spill
-//!   to the heap, results are identical either way.
 //! * [`warning`] — the threshold-based warning mechanism of equation (1).
 //! * [`drift`] — the per-switch aggregation step (aggregate, re-truncate,
 //!   keep the local inference unchanged to avoid over-aggregation).
@@ -38,21 +34,17 @@ pub mod inline;
 pub mod metrics;
 pub mod provenance;
 pub mod scheme;
-pub mod state;
 pub mod warning;
 
 pub use centralized::centralized_report;
-pub use drift::{
-    aggregate_step, aggregate_step_inline, aggregate_step_inline_metered, aggregate_step_metered,
-};
+pub use drift::{aggregate_step, aggregate_step_inline, aggregate_step_inline_metered};
 pub use header::{HeaderCodec, MAX_HEADER_BYTES};
 pub use inference::{Inference, DEFAULT_K};
-pub use inline::{InlineInference, INLINE_CAP};
+pub use inline::{InlineInference, INLINE_CAP, MAX_K};
 pub use metrics::InferenceMetrics;
 pub use provenance::{
     explain_link, explain_switch, inference_digest, quality_report, LinkExplanation, QualityReport,
     RunInfo, SwitchExplanation,
 };
 pub use scheme::{local_inference, local_inference_scratched, VoteScratch, WeightScheme};
-pub use state::InferenceState;
 pub use warning::{check_warning, check_warning_inline, WarningConfig};

@@ -1020,24 +1020,12 @@ mod tests {
         write_frame(&mut request, &Frame::PulseReq { from_window: 0 }).unwrap();
         write_frame(&mut request, &Frame::SnapshotReq).unwrap();
 
-        let opts = ServeOptions {
-            addr: DEFAULT_ADDR.into(),
-            snapshot: None,
-            window_cap: 0,
-            prom_addr: None,
-        };
-        let shared = Shared::new(&opts);
-        let mut input = io::Cursor::new(request);
-        let mut out = Vec::new();
-        session(&mut input, &mut out, &shared, None).unwrap();
-
-        let mut cur = io::Cursor::new(out);
         let mut warned = Vec::new();
         let mut stats = None;
         let mut pulse = None;
         let mut snapshot_len = 0;
         let mut acks = 0u32;
-        while let Some(f) = read_frame(&mut cur).unwrap() {
+        for f in stdio_frames(None, request) {
             match f {
                 Frame::HelloAck { proto, nodes, .. } => {
                     assert_eq!(proto, PROTO_VERSION);
@@ -1079,6 +1067,79 @@ mod tests {
                 .any(|p| p.kind == link_warn && p.id == link.0 && p.value > 0.0),
             "pulse carries the injected link's warning series"
         );
+    }
+
+    /// Run one in-memory session against a daemon configured with the
+    /// snapshot file `snapshot`, and return every frame it answered.
+    fn stdio_frames(snapshot: Option<PathBuf>, request: Vec<u8>) -> Vec<Frame> {
+        let opts = ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot,
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let shared = Shared::new(&opts);
+        let mut out = Vec::new();
+        session(&mut io::Cursor::new(request), &mut out, &shared, None).unwrap();
+        let mut cur = io::Cursor::new(out);
+        let mut frames = Vec::new();
+        while let Some(f) = read_frame(&mut cur).unwrap() {
+            frames.push(f);
+        }
+        frames
+    }
+
+    /// A daemon whose `--snapshot` file is a truncated copy of a valid
+    /// snapshot reports "unreadable … starting fresh" and then *is* fresh:
+    /// fed the grid trace, it answers frame for frame what a daemon started
+    /// with no snapshot answers (a failed restore leaves no residue).
+    #[test]
+    fn truncated_snapshot_file_starts_the_daemon_fresh() {
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let (records, end_ns, link) = record_grid_trace();
+        let mut request = Vec::new();
+        write_frame(&mut request, &grid_hello()).unwrap();
+        for chunk in records[..records.len() / 2].chunks(512) {
+            write_frame(&mut request, &Frame::Records(chunk.to_vec())).unwrap();
+        }
+        write_frame(&mut request, &Frame::SnapshotReq).unwrap();
+        let snap = match stdio_frames(None, request).pop() {
+            Some(Frame::Snapshot(bytes)) => bytes,
+            other => panic!("expected a snapshot, got {other:?}"),
+        };
+        let path =
+            std::env::temp_dir().join(format!("db-serve-truncated-{}.snap", std::process::id()));
+        std::fs::write(&path, &snap[..snap.len() * 2 / 3]).unwrap();
+
+        let mut request = Vec::new();
+        write_frame(&mut request, &grid_hello()).unwrap();
+        for chunk in records.chunks(512) {
+            write_frame(&mut request, &Frame::Records(chunk.to_vec())).unwrap();
+        }
+        write_frame(&mut request, &Frame::AdvanceTo { t_ns: end_ns }).unwrap();
+        let fresh = stdio_frames(None, request.clone());
+        let after_failed_restore = stdio_frames(Some(path.clone()), request);
+        let _ = std::fs::remove_file(&path);
+
+        assert!(
+            matches!(
+                fresh[0],
+                Frame::HelloAck {
+                    restored: false,
+                    ..
+                }
+            ),
+            "{:?}",
+            fresh[0]
+        );
+        assert!(
+            fresh
+                .iter()
+                .any(|f| matches!(f, Frame::IngestAck { warnings, .. }
+                if warnings.iter().any(|w| w.link == link.0))),
+            "the fresh daemon warns about the injected link"
+        );
+        assert_eq!(after_failed_restore, fresh);
     }
 
     /// Connect over TCP, hello, subscribe to pulses from window `from`; a

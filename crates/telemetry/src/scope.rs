@@ -15,7 +15,7 @@
 //! * **Span tracer** — hierarchical wall-clock spans (sweep unit → scenario
 //!   → sim phase → window → inference phase) with parent IDs, exported as
 //!   Chrome `trace_event` JSON loadable in `chrome://tracing` / Perfetto.
-//! * **Profiler** — process-global op counters on the eleven db-lint
+//! * **Profiler** — process-global op counters on the ten db-lint
 //!   registered hot-path functions. One relaxed atomic load when off (the
 //!   deterministic default), one relaxed `fetch_add` when sampling.
 //!
@@ -38,9 +38,9 @@ use std::time::Instant;
 
 /// Number of db-lint registered hot-path functions (lint.toml `[hotpath]`,
 /// core + netsim tier).
-pub const HOT_FN_COUNT: usize = 11;
+pub const HOT_FN_COUNT: usize = 10;
 
-/// The eleven hot-path functions the sampling profiler counts, exactly the
+/// The ten hot-path functions the sampling profiler counts, exactly the
 /// core/netsim entries of lint.toml's `[hotpath]` registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
@@ -49,24 +49,22 @@ pub enum HotFn {
     OnPacket = 0,
     /// `core::system::handle_distributed`
     HandleDistributed = 1,
-    /// `core::system::handle_distributed_inline`
-    HandleDistributedInline = 2,
     /// `netsim::engine::host_send`
-    HostSend = 3,
+    HostSend = 2,
     /// `netsim::engine::arrive`
-    Arrive = 4,
+    Arrive = 3,
     /// `netsim::engine::deliver`
-    Deliver = 5,
+    Deliver = 4,
     /// `netsim::engine::ack_arrive`
-    AckArrive = 6,
+    AckArrive = 5,
     /// `netsim::engine::dispatch`
-    Dispatch = 7,
+    Dispatch = 6,
     /// `netsim::engine::push`
-    Push = 8,
+    Push = 7,
     /// `netsim::engine::push_raw`
-    PushRaw = 9,
+    PushRaw = 8,
     /// `netsim::engine::record_drop`
-    RecordDrop = 10,
+    RecordDrop = 9,
 }
 
 impl HotFn {
@@ -74,7 +72,6 @@ impl HotFn {
     pub const ALL: [HotFn; HOT_FN_COUNT] = [
         HotFn::OnPacket,
         HotFn::HandleDistributed,
-        HotFn::HandleDistributedInline,
         HotFn::HostSend,
         HotFn::Arrive,
         HotFn::Deliver,
@@ -90,7 +87,6 @@ impl HotFn {
         match self {
             HotFn::OnPacket => "on_packet",
             HotFn::HandleDistributed => "handle_distributed",
-            HotFn::HandleDistributedInline => "handle_distributed_inline",
             HotFn::HostSend => "host_send",
             HotFn::Arrive => "arrive",
             HotFn::Deliver => "deliver",
@@ -105,7 +101,6 @@ impl HotFn {
 
 static PROF_ENABLED: AtomicBool = AtomicBool::new(false);
 static PROF_COUNTS: [AtomicU64; HOT_FN_COUNT] = [
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),

@@ -74,7 +74,7 @@ pub mod prelude {
         prepare, run_scenario, LocalizationMetrics, Mechanism, PrepareConfig, Prepared,
         ScenarioKind, ScenarioOutcome, ScenarioSetup, SystemConfig, VariantSpec,
     };
-    pub use db_inference::{Inference, InferenceState, WarningConfig, WeightScheme};
+    pub use db_inference::{Inference, WarningConfig, WeightScheme};
     pub use db_netsim::{
         FailureScenario, SimConfig, SimTime, Simulator, TrafficConfig, TrafficGen,
     };

@@ -12,9 +12,10 @@ use db_netsim::{
     FailureScenario, HopInfo, NullObserver, Observer, SimConfig, SimTime, Simulator, TrafficConfig,
     TrafficGen,
 };
-use db_topology::{zoo, NodeId, RouteTable};
+use db_topology::{zoo, CsrTopology, NodeId, OnDemandRoutes};
 use db_util::table::{pct, TextTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Observer feeding one switch's packets into both stores.
 struct DualStore {
@@ -55,7 +56,7 @@ impl Observer for DualStore {
 
 fn main() {
     let topo = zoo::chinanet();
-    let routes = RouteTable::build(&topo);
+    let routes = OnDemandRoutes::new(Arc::new(CsrTopology::from_topology(&topo)));
     let flows = TrafficGen::generate(&topo, &routes, &TrafficConfig::default(), 0xAB2);
     // The busiest switch: a national hub.
     let hub = topo

@@ -17,7 +17,6 @@ use db_runner::SweepBuilder;
 use db_util::table::{f3, pct, TextTable};
 
 fn main() {
-    db_telemetry::enable();
     let n_links = scale(8, usize::MAX);
     // Fig. 8 is the headline figure: all four topologies even in quick mode.
     let names = db_bench::TOPOLOGIES.to_vec();
@@ -68,21 +67,6 @@ fn main() {
         println!("[{name} done]");
     }
     emit("fig8_single_failure", &t);
-    db_bench::write_bench_snapshot(
-        "fig8_single_failure",
-        &[
-            ("topologies", names.join(",")),
-            (
-                "links_per_topology",
-                if n_links == usize::MAX {
-                    "all".to_string()
-                } else {
-                    n_links.to_string()
-                },
-            ),
-            ("density", "1.0".to_string()),
-        ],
-    );
     println!(
         "Paper Fig. 8 shape: Drift-Bottle > centralized variants > 007-Drifted on all\n\
          topologies; best on Chinanet/AS1221, hardest on Tinet; §6.5 headline:\n\

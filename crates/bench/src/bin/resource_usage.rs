@@ -5,17 +5,21 @@
 //! at 100 Gbps. We cannot measure Tofino, so this binary reports the
 //! software analogues: exact header overhead per k, the data-plane model's
 //! per-packet processing cost (measured inline), and the match-action table
-//! footprint of the trained classifiers. `cargo bench` (criterion) gives
-//! the statistically rigorous versions of the timing numbers.
+//! footprint of the trained classifiers. The per-packet figure is one
+//! sample of one loop; `inference.hop_inline_ns` in `benchmark/` is the
+//! same pipeline measured with a spread.
 
 use db_bench::{emit, prepared};
-use db_inference::{aggregate_step, HeaderCodec, Inference};
+use db_inference::{
+    aggregate_step_inline, check_warning_inline, HeaderCodec, Inference, InlineInference,
+    MAX_HEADER_BYTES,
+};
 use db_topology::LinkId;
 use db_util::table::TextTable;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
-    db_telemetry::enable();
     // Header overhead table.
     let mut t = TextTable::new(
         "§6.10 Bandwidth: inference header overhead",
@@ -35,34 +39,39 @@ fn main() {
     emit("resource_header_overhead", &t);
     println!("Paper §6.10: 9 B at k = 4 — 'a negligible transmission amount of under 1%'.\n");
 
-    // Per-packet processing cost of the aggregation path (decode ⊕ encode
-    // + warning check), the work a switch does per forwarded packet.
+    // Per-packet processing cost of the hop pipeline in the form the data
+    // plane runs it: fixed-capacity inferences, header bytes rewritten in
+    // place, no allocation.
     let codec = HeaderCodec::paper();
-    let local = Inference::from_pairs([
+    let local = InlineInference::from_inference(&Inference::from_pairs([
         (LinkId(3), 5.0),
         (LinkId(9), 2.0),
         (LinkId(17), -3.0),
         (LinkId(40), 1.0),
-    ]);
-    let drifted = Inference::from_pairs([
+    ]));
+    let drifted = InlineInference::from_inference(&Inference::from_pairs([
         (LinkId(3), 7.0),
         (LinkId(22), 2.0),
         (LinkId(9), 1.0),
         (LinkId(51), -1.0),
-    ]);
+    ]));
     let warn = db_inference::WarningConfig::default();
-    let bytes = codec.encode(&drifted, 3);
+    let mut buf = [0u8; MAX_HEADER_BYTES];
+    let len = codec.encode_into(&drifted, 3, &mut buf);
+    let mut out = [0u8; MAX_HEADER_BYTES];
     let iters = 2_000_000u64;
     let start = Instant::now();
     let mut guard = 0u64;
     for _ in 0..iters {
-        let (inf, hops) = codec.decode(&bytes).expect("valid header");
-        let (agg, hops) = aggregate_step(&local, &inf, hops, 4);
-        if db_inference::check_warning(&agg, hops as u32, &warn).is_some() {
+        let (inf, hops) = codec
+            .decode_inline(black_box(&buf[..len]))
+            .expect("valid header");
+        let (agg, hops) = aggregate_step_inline(&local, &inf, hops, 4);
+        if check_warning_inline(&agg, u32::from(hops), &warn).is_some() {
             guard += 1;
         }
-        let out = codec.encode(&agg, hops);
-        guard += out[0] as u64;
+        codec.encode_into(&agg, hops, &mut out);
+        guard += u64::from(out[0]);
     }
     let ns = start.elapsed().as_nanos() as f64 / iters as f64;
     let mut t2 = TextTable::new(
@@ -70,7 +79,7 @@ fn main() {
         &["operation", "cost"],
     );
     t2.row(&[
-        "decode + aggregate(⊕, top-k) + warn-check + encode".to_string(),
+        "decode + aggregate(⊕, top-k) + warn-check + encode, inline form".to_string(),
         format!("{ns:.0} ns/packet (guard {guard})"),
     ]);
     t2.row(&[
@@ -109,14 +118,6 @@ fn main() {
         ]);
     }
     emit("resource_classifier_tables", &t3);
-    db_bench::write_bench_snapshot(
-        "resource_usage",
-        &[
-            ("aggregation_iters", iters.to_string()),
-            ("ns_per_packet", format!("{ns:.1}")),
-            ("topologies", "Geant2012,Chinanet".to_string()),
-        ],
-    );
     println!(
         "Paper §6.10 (Tofino): 11 stages, 6.88% SRAM, 1.74% TCAM, 14.58% meter ALUs,\n\
          13.54% logical tables — not measurable in software; the table above gives\n\

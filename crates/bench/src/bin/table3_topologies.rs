@@ -8,8 +8,9 @@
 
 use db_bench::emit;
 use db_topology::stats::PathStats;
-use db_topology::{zoo, RouteTable, TopologyStats};
+use db_topology::{ordered_pairs, zoo, CsrTopology, OnDemandRoutes, Routes, TopologyStats};
 use db_util::table::TextTable;
+use std::sync::Arc;
 
 fn main() {
     let mut t = TextTable::new(
@@ -28,10 +29,10 @@ fn main() {
     );
     for topo in zoo::evaluation_suite() {
         let ts = TopologyStats::compute(&topo);
-        let rt = RouteTable::build(&topo);
+        let rt = OnDemandRoutes::new(Arc::new(CsrTopology::from_topology(&topo)));
         let ps = PathStats::compute(&rt);
         let mut used = vec![false; topo.link_count()];
-        for (s, d) in rt.pairs() {
+        for (s, d) in ordered_pairs(topo.node_count()) {
             for &l in &rt.path(s, d).links {
                 used[l.idx()] = true;
             }

@@ -69,43 +69,6 @@ pub fn emit(name: &str, table: &TextTable) {
     }
 }
 
-/// Write `results/BENCH_<name>.json`: the run configuration plus the full
-/// telemetry snapshot (counters, histograms, phase timings) of the global
-/// registry. Call after the run, with telemetry enabled via
-/// [`db_telemetry::enable`] at binary start; with telemetry disabled the
-/// snapshot sections are simply empty.
-pub fn write_bench_snapshot(name: &str, config: &[(&str, String)]) {
-    let mut cfg = String::from("{");
-    for (i, (k, v)) in config.iter().enumerate() {
-        if i > 0 {
-            cfg.push(',');
-        }
-        cfg.push_str(&format!(
-            "\"{}\":\"{}\"",
-            db_telemetry::json_escape(k),
-            db_telemetry::json_escape(v)
-        ));
-    }
-    cfg.push('}');
-    let snap = db_telemetry::global().snapshot();
-    let doc = format!(
-        "{{\"bench\":\"{}\",\"config\":{},\"metrics\":{}}}\n",
-        db_telemetry::json_escape(name),
-        cfg,
-        db_telemetry::to_json(&snap)
-    );
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("[bench snapshot written to {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
 /// Where CSVs land: `<workspace>/results`.
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.

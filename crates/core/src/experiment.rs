@@ -271,27 +271,6 @@ impl<'a> ScenarioSetup<'a> {
             .build()
             .expect("flagship defaults are valid for any positive density")
     }
-
-    /// Legacy all-fields constructor, kept for the transition to the
-    /// builder. Panics on the combinations [`Self::builder`] rejects.
-    #[deprecated(note = "use ScenarioSetup::builder() — it validates instead of panicking")]
-    pub fn from_parts(
-        prep: &'a Prepared,
-        density: f64,
-        seed: u64,
-        sys: SystemConfig,
-        variants: Vec<VariantSpec>,
-        background_loss: f64,
-    ) -> Self {
-        let mut b = Self::builder(prep)
-            .density(density)
-            .seed(seed)
-            .sys(sys)
-            .background_loss(background_loss);
-        b.variants = variants;
-        b.build()
-            .expect("legacy constructor forwards invalid setups")
-    }
 }
 
 /// Per-variant outcome of one scenario.

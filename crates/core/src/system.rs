@@ -197,8 +197,7 @@ pub struct DriftBottleSystem<C: FlowClassifier> {
     /// Flow-monitoring telemetry for the embedded per-switch monitors.
     fm_metrics: Option<FlowmonMetrics>,
     /// Classifier telemetry: (`dtree.classifications`, `dtree.class_normal`,
-    /// `dtree.class_abnormal`) — same names [`db_dtree::InstrumentedClassifier`]
-    /// uses, so either wiring style lands in the same counters.
+    /// `dtree.class_abnormal`).
     dt_metrics: Option<(
         db_telemetry::Counter,
         db_telemetry::Counter,
@@ -938,9 +937,8 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
         // internal staging buffer and the later phases borrow them in place
         // (`staged_rows`), instead of collecting an owned Vec per switch per
         // tick — same rows, same order, no per-tick feature-vector copies.
-        let mut sink = db_flowmon::DiscardSink;
         for m in &mut self.monitors {
-            m.close_window(now, &mut sink);
+            m.close_window(now);
         }
         if let Some(fm) = &self.fm_metrics {
             for m in &self.monitors {

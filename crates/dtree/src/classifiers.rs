@@ -69,55 +69,6 @@ impl FlowClassifier for ThresholdClassifier {
     }
 }
 
-/// A classifier wrapper that counts classifications and per-class outcomes
-/// into `dtree.*` telemetry counters. Wraps any [`FlowClassifier`] without
-/// changing its decisions; counters are atomic, so `classify(&self)` stays
-/// `&self`.
-#[derive(Debug, Clone)]
-pub struct InstrumentedClassifier<C> {
-    inner: C,
-    /// `dtree.classifications` — total classify calls.
-    classifications: db_telemetry::Counter,
-    /// `dtree.class_normal` — windows judged normal.
-    normal: db_telemetry::Counter,
-    /// `dtree.class_abnormal` — windows judged abnormal.
-    abnormal: db_telemetry::Counter,
-}
-
-impl<C: FlowClassifier> InstrumentedClassifier<C> {
-    /// Wrap `inner`, registering the `dtree.*` counters in `reg`.
-    pub fn new(inner: C, reg: &db_telemetry::MetricsRegistry) -> Self {
-        InstrumentedClassifier {
-            inner,
-            classifications: reg.counter("dtree.classifications"),
-            normal: reg.counter("dtree.class_normal"),
-            abnormal: reg.counter("dtree.class_abnormal"),
-        }
-    }
-
-    /// The wrapped classifier.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwrap, dropping the counters.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: FlowClassifier> FlowClassifier for InstrumentedClassifier<C> {
-    fn classify(&self, x: &FeatureVector) -> FlowStatus {
-        let status = self.inner.classify(x);
-        self.classifications.inc();
-        match status {
-            FlowStatus::Normal => self.normal.inc(),
-            FlowStatus::Abnormal => self.abnormal.inc(),
-        }
-        status
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,21 +102,5 @@ mod tests {
     fn boxed_classifier_dispatches() {
         let c: Box<dyn FlowClassifier> = Box::new(ThresholdClassifier::default());
         assert_eq!(c.classify(&x(5.0, 0.0)), FlowStatus::Abnormal);
-    }
-
-    #[test]
-    fn instrumented_classifier_counts_without_changing_decisions() {
-        let reg = db_telemetry::MetricsRegistry::new();
-        let plain = ThresholdClassifier::default();
-        let inst = InstrumentedClassifier::new(plain, &reg);
-        let inputs = [x(5.0, 0.0), x(5.0, 2.0), x(0.2, 0.0)];
-        for v in &inputs {
-            assert_eq!(inst.classify(v), plain.classify(v));
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("dtree.classifications"), Some(3));
-        assert_eq!(snap.counter("dtree.class_abnormal"), Some(1));
-        assert_eq!(snap.counter("dtree.class_normal"), Some(2));
-        assert_eq!(inst.inner(), &plain);
     }
 }

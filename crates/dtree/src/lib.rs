@@ -23,7 +23,7 @@ pub mod metrics;
 pub mod quant;
 pub mod tree;
 
-pub use classifiers::{FlowClassifier, InstrumentedClassifier, ThresholdClassifier};
+pub use classifiers::{FlowClassifier, ThresholdClassifier};
 pub use mat::{Rule, TableClassifier};
 pub use metrics::ConfusionMatrix;
 pub use quant::Quantizer;

@@ -28,7 +28,7 @@ pub mod window;
 pub use dataset::{Dataset, FlowStatus, Sample};
 pub use measures::{IntervalMeasures, SUB_INTERVALS};
 pub use metrics::FlowmonMetrics;
-pub use monitor::{DiscardSink, NetworkMonitor, SwitchMonitor, WindowSink};
+pub use monitor::{NetworkMonitor, SwitchMonitor};
 pub use window::{
     feature_digest, FeatureVector, FlowMeta, WindowConfig, FEATURE_NAMES, NUM_FEATURES,
 };

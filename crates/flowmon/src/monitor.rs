@@ -13,37 +13,6 @@ use db_netsim::{Annotation, FlowId, FlowSpec, HopInfo, Observer, SimTime};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
 
-/// Receiver of one switch's assembled feature rows at a window close.
-///
-/// [`SwitchMonitor::close_window`] is the primitive: the monitor drains its
-/// registers, extends every flow's history, and hands the resulting
-/// `(flow, features)` rows to the sink — instead of returning a freshly
-/// allocated `Vec` per window, which is what the batch pipeline historically
-/// did and what a long-lived streaming engine cannot afford. Batch callers
-/// ([`SwitchMonitor::end_interval`], [`NetworkMonitor::end_interval`]) are
-/// thin collecting sinks over it, so both paths see bit-identical rows.
-pub trait WindowSink {
-    /// Called exactly once per closed window per switch, with the rows in
-    /// ascending flow-id order (possibly empty).
-    fn on_window_close(&mut self, now: SimTime, switch: NodeId, rows: &[(FlowId, FeatureVector)]);
-}
-
-/// A [`WindowSink`] that keeps nothing — for callers that read the rows back
-/// in place through [`SwitchMonitor::staged_rows`] instead of taking a copy
-/// (the zero-copy form the streaming tick pipeline uses).
-#[derive(Debug, Default)]
-pub struct DiscardSink;
-
-impl WindowSink for DiscardSink {
-    fn on_window_close(
-        &mut self,
-        _now: SimTime,
-        _switch: NodeId,
-        _rows: &[(FlowId, FeatureVector)],
-    ) {
-    }
-}
-
 /// Per-flow monitoring state: static metadata plus the interval history.
 #[derive(Debug)]
 struct FlowSlot {
@@ -69,8 +38,8 @@ pub struct SwitchMonitor<S: MeasureStore = ExactStore> {
     registered: Vec<FlowId>,
     interval_start: SimTime,
     /// Reusable window-close staging buffer: rows are assembled here and
-    /// handed to the [`WindowSink`] by reference, so a long-lived monitor
-    /// stops allocating once the buffer has grown to its working size.
+    /// borrowed out by [`Self::close_window`], so a long-lived monitor stops
+    /// allocating once the buffer has grown to its working size.
     row_buf: Vec<(FlowId, FeatureVector)>,
 }
 
@@ -174,27 +143,14 @@ impl<S: MeasureStore> SwitchMonitor<S> {
     /// forever, drowning both training and inference in uninformative and
     /// mutually contradictory samples.
     pub fn end_interval(&mut self, now: SimTime) -> Vec<(FlowId, FeatureVector)> {
-        struct Collect(Vec<(FlowId, FeatureVector)>);
-        impl WindowSink for Collect {
-            fn on_window_close(
-                &mut self,
-                _now: SimTime,
-                _switch: NodeId,
-                rows: &[(FlowId, FeatureVector)],
-            ) {
-                self.0.extend_from_slice(rows);
-            }
-        }
-        let mut sink = Collect(Vec::new());
-        self.close_window(now, &mut sink);
-        sink.0
+        self.close_window(now).to_vec()
     }
 
-    /// Close the current sampling interval at `now`, delivering the rows to
-    /// `sink` by reference — the streaming-friendly form of
-    /// [`Self::end_interval`] (same semantics, no per-window allocation once
-    /// the internal staging buffer has warmed up).
-    pub fn close_window(&mut self, now: SimTime, sink: &mut dyn WindowSink) {
+    /// [`Self::end_interval`] without the copy: the rows, in ascending
+    /// flow-id order (possibly empty), are borrowed from the monitor's
+    /// staging buffer and stay readable through [`Self::staged_rows`] until
+    /// the next close.
+    pub fn close_window(&mut self, now: SimTime) -> &[(FlowId, FeatureVector)] {
         // `drain` yields ascending flow ids and `registered` is kept sorted,
         // so a two-pointer sweep aligns measures with flows directly — no
         // intermediate map, no re-sort.
@@ -232,12 +188,11 @@ impl<S: MeasureStore> SwitchMonitor<S> {
             }
         }
         self.interval_start = now;
-        sink.on_window_close(now, self.node, &self.row_buf);
+        &self.row_buf
     }
 
     /// The rows assembled by the most recent [`Self::close_window`] /
-    /// [`Self::end_interval`], valid until the next close. Lets a caller
-    /// close with a [`DiscardSink`] and borrow the rows in place.
+    /// [`Self::end_interval`], valid until the next close.
     pub fn staged_rows(&self) -> &[(FlowId, FeatureVector)] {
         &self.row_buf
     }
@@ -446,7 +401,7 @@ impl NetworkMonitor {
         let mut emitted = 0u64;
         for m in &mut self.monitors {
             let node = m.node();
-            for (flow, features) in m.end_interval(now) {
+            for &(flow, features) in m.close_window(now) {
                 self.rows.push(MonitorRow {
                     switch: node,
                     flow,

@@ -7,9 +7,10 @@
 //!   [`db_core::Engine`] per topology behind TCP (thread per connection)
 //!   or stdin/stdout, with snapshot persistence across restarts.
 //!
-//! The `load_gen` binary in this crate replays a recorded failure trace
-//! against a daemon at wire speed and reports sustained ingest throughput
-//! and p99 latency (`results/BENCH_serve.json`).
+//! The `load_gen` binary in this crate is a client and CI probe: it
+//! replays a recorded failure trace against a running daemon and checks
+//! the injected link is warned. Throughput and latency of the daemon are
+//! measured by `benchmark/` (`serve-failure-closed`, `serve-failure-paced`).
 
 pub mod frame;
 pub mod server;

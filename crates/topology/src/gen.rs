@@ -100,7 +100,7 @@ pub fn as_graph(n: usize, seed: u64) -> Topology {
 }
 
 /// AS graph built straight into CSR form, bypassing the `u16` id space —
-/// the 10⁵-node path for the `topo_scale` bench and landmark estimation.
+/// the 10⁵-node path, for landmark estimation.
 pub fn as_csr(n: usize, m: usize, seed: u64) -> CsrTopology {
     let edges = as_edges(n, m, 0, seed);
     CsrTopology::from_edges(format!("as{n}m{m}"), n, &edges)

@@ -143,10 +143,14 @@ proptest! {
 
     /// The on-demand engine returns byte-identical `Path`s (nodes, links,
     /// tie-break order) and bit-identical latencies/RTTs to the legacy
-    /// all-pairs `RouteTable`, on random graphs — including with a tiny
-    /// cache that forces evictions and recomputation mid-pass.
+    /// all-pairs `RouteTable`, on random graphs — including with a bounded
+    /// cache (2, 16 or 128 trees) on a graph with more sources than it
+    /// holds, which forces evictions and recomputation mid-pass and must
+    /// never hold more trees than its capacity.
     #[test]
-    fn ondemand_matches_route_table(n in 3usize..22, seed in 0u64..200) {
+    fn ondemand_matches_route_table(n in 3usize..22, seed in 0u64..200, cap in 0usize..3) {
+        let capacity = [2, 16, 128][cap];
+        let n = n + capacity - 2;
         let topo = if seed % 2 == 0 {
             gen::waxman(n, 0.5, 0.4, seed)
         } else {
@@ -155,9 +159,11 @@ proptest! {
         let table = RouteTable::build(&topo);
         let csr = Arc::new(CsrTopology::from_topology(&topo));
         let full = OnDemandRoutes::new(Arc::clone(&csr));
-        let tiny = OnDemandRoutes::with_capacity(csr, 2); // evicts constantly
+        let tiny = OnDemandRoutes::with_capacity(csr, capacity);
         for engine in [&full, &tiny] {
-            for (s, d) in ordered_pairs(n) {
+            // Every pair on the small graphs; a stride that still visits
+            // every source on the larger ones.
+            for (s, d) in ordered_pairs(n).step_by(capacity / 2) {
                 let expect = table.path(s, d);
                 let got = engine.path(s, d);
                 prop_assert_eq!(&got.nodes, &expect.nodes, "{}->{} nodes", s, d);
@@ -179,7 +185,8 @@ proptest! {
             }
         }
         let stats = tiny.cache_stats();
-        prop_assert!(stats.resident <= 2 && stats.peak_resident <= 2);
+        prop_assert!(stats.resident <= capacity && stats.peak_resident <= capacity);
+        prop_assert!(stats.evictions > 0, "{} sources never overflowed {} slots", n, capacity);
     }
 
     /// Lazy trees on tied latencies: a random interleaving of the three

@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use db_runner::{SeedMode, SweepBuilder, SweepReport};
     pub use db_topology::{
-        zoo, CsrTopology, LinkId, NodeId, OnDemandRoutes, RouteTable, Routes, Topology,
-        TopologyBuilder, SCALE_NODE_THRESHOLD,
+        zoo, CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology, TopologyBuilder,
+        SCALE_NODE_THRESHOLD,
     };
 }

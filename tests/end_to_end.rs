@@ -7,6 +7,7 @@
 
 use drift_bottle::core::experiment::sample_covered_links;
 use drift_bottle::prelude::*;
+use drift_bottle::topology::RouteTable;
 use std::sync::OnceLock;
 
 /// A shared prepared 3x3 grid: training once keeps the suite fast.

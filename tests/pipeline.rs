@@ -8,6 +8,7 @@ use drift_bottle::flowmon::{Dataset, NetworkMonitor, WindowConfig};
 use drift_bottle::netsim::trace::replay;
 use drift_bottle::netsim::TraceRecorder;
 use drift_bottle::prelude::*;
+use drift_bottle::topology::RouteTable;
 
 fn small_world() -> (
     Topology,

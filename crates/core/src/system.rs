@@ -296,7 +296,9 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// Register one flow at every switch on its path, with the upstream-link
     /// metadata each monitor needs — exactly what [`Self::deploy`] does per
     /// workload flow. Idempotent per (flow, switch): re-registration
-    /// replaces metadata and keeps accumulated history.
+    /// replaces metadata and keeps accumulated history. Panics on an id at
+    /// or past [`db_flowmon::MAX_FLOWS`]; a caller taking ids from outside
+    /// the program checks first, as the daemon does for `FlowDef`.
     pub fn register_flow(&mut self, f: &FlowSpec) {
         for (pos, &node) in f.path.nodes.iter().enumerate() {
             let upstream: Vec<LinkId> = f.path.links[..pos].to_vec();
@@ -949,9 +951,9 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
         if let Some(sc) = &self.scope {
             // Register occupancy at window close: what each switch is still
             // holding live history for, after this interval's aging pass.
+            let mut feed = sc.rec.feeder();
             for (idx, mon) in self.monitors.iter().enumerate() {
-                sc.rec
-                    .active_flows(now.as_ns(), idx as u16, mon.active_flows());
+                feed.active_flows(now.as_ns(), idx as u16, mon.active_flows());
             }
         }
         self.scope_end(span);
@@ -994,11 +996,12 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
                 continue;
             }
             let monitor = &self.monitors[idx];
-            let mut statuses: Vec<(FlowStatus, &[LinkId])> = Vec::with_capacity(judged.len());
-            for ((flow, _), status) in rows.iter().zip(judged.iter()) {
-                let meta = monitor.flow_meta(*flow).expect("row from registered flow");
-                statuses.push((*status, meta.upstream.as_slice()));
-            }
+            // Positional with `rows`: each flow's verdict and upstream links.
+            let statuses: Vec<(FlowStatus, &[LinkId])> = judged
+                .iter()
+                .copied()
+                .zip(monitor.staged_upstream())
+                .collect();
             let node = monitor.node();
             // Provenance: one FlowClassified per judged flow, plus the ±1
             // LocalVote fan-out Algorithm 1 derives from it (for the traced
@@ -1006,19 +1009,18 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
             // the ring orders cause before effect.
             if let Some(f) = self.flight.as_ref() {
                 let scheme = self.variants[f.variant].spec.scheme;
-                for ((flow, features), status) in rows.iter().zip(judged.iter()) {
+                for ((flow, features), &(status, upstream)) in rows.iter().zip(&statuses) {
                     f.rec.record(FlightRecord::FlowClassified {
                         at_ns: now.as_ns(),
                         switch: node.0,
                         window: f.window_seq,
                         flow: flow.0,
-                        abnormal: *status == FlowStatus::Abnormal,
+                        abnormal: status == FlowStatus::Abnormal,
                         feature_digest: db_flowmon::feature_digest(features),
                     });
-                    let meta = monitor.flow_meta(*flow).expect("row from registered flow");
-                    let delta = scheme.contribution(*status, meta.upstream.len());
+                    let delta = scheme.contribution(status, upstream.len());
                     if delta != 0.0 {
-                        for link in &meta.upstream {
+                        for link in upstream {
                             f.rec.record(FlightRecord::LocalVote {
                                 at_ns: now.as_ns(),
                                 switch: node.0,
@@ -1035,14 +1037,13 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
             // per-window series for the traced variant's scheme.
             if let Some(sc) = self.scope.as_ref() {
                 let scheme = self.variants[sc.variant].spec.scheme;
-                for ((flow, _), status) in rows.iter().zip(judged.iter()) {
-                    sc.rec
-                        .classified(now.as_ns(), node.0, *status == FlowStatus::Abnormal);
-                    let meta = monitor.flow_meta(*flow).expect("row from registered flow");
-                    let delta = scheme.contribution(*status, meta.upstream.len());
+                let mut feed = sc.rec.feeder();
+                for &(status, upstream) in &statuses {
+                    feed.classified(now.as_ns(), node.0, status == FlowStatus::Abnormal);
+                    let delta = scheme.contribution(status, upstream.len());
                     if delta != 0.0 {
-                        for link in &meta.upstream {
-                            sc.rec.vote(now.as_ns(), link.0, delta);
+                        for link in upstream {
+                            feed.vote(now.as_ns(), link.0, delta);
                         }
                     }
                 }

@@ -814,3 +814,143 @@ fn failed_restore_leaves_the_engine_untouched() {
     target.restore(&snap).expect("the intact snapshot restores");
     assert!(target.snapshot() == snap, "restored state re-encodes");
 }
+
+/// Byte offsets (in the whole snapshot) of the fields of one encoded
+/// `SwitchMonitor` that size or index something on restore.
+struct MonitorFields {
+    /// Flow id of each registered flow.
+    flow_ids: Vec<usize>,
+    /// `n_interval`, upstream count and history count of the first flow,
+    /// and where its history ends.
+    n_interval: usize,
+    n_upstream: usize,
+    n_hist: usize,
+    hist_end: usize,
+    /// The touched-row count, and each row's flow id (its measures follow).
+    n_touched: usize,
+    touched_ids: Vec<usize>,
+}
+
+/// The first monitor in `snap` with at least two flows and a register row
+/// touched mid-interval.
+fn busy_monitor_fields(snap: &[u8]) -> MonitorFields {
+    const MEASURES: usize = 4 + 8 + 4 * 4;
+    let system = split_snapshot(snap).2;
+    let base = snap.len() - system.len();
+    let mut r = ByteReader::new(system);
+    r.u64().expect("aggregation counter");
+    for _ in 0..r.seq().expect("monitor count") {
+        r.u16w().expect("node");
+        r.u64().expect("interval start");
+        let mut f = MonitorFields {
+            flow_ids: Vec::new(),
+            n_interval: 0,
+            n_upstream: 0,
+            n_hist: 0,
+            hist_end: 0,
+            n_touched: 0,
+            touched_ids: Vec::new(),
+        };
+        for i in 0..r.seq().expect("flow count") {
+            f.flow_ids.push(base + r.offset());
+            r.u32().expect("flow id");
+            r.f64().expect("rtt");
+            r.usize().expect("path length");
+            let n_interval = base + r.offset();
+            r.usize().expect("n_interval");
+            let n_upstream = base + r.offset();
+            let up = r.seq().expect("upstream count");
+            r.bytes(4 * up).expect("upstream");
+            r.u64().expect("total packets");
+            let n_hist = base + r.offset();
+            let hist = r.seq().expect("history count");
+            r.bytes(MEASURES * hist).expect("history");
+            if i == 0 {
+                (f.n_interval, f.n_upstream, f.n_hist) = (n_interval, n_upstream, n_hist);
+                f.hist_end = base + r.offset();
+            }
+        }
+        f.n_touched = base + r.offset();
+        for _ in 0..r.seq().expect("touched count") {
+            f.touched_ids.push(base + r.offset());
+            r.bytes(4 + MEASURES).expect("touched row");
+        }
+        if f.flow_ids.len() >= 2 && !f.touched_ids.is_empty() {
+            return f;
+        }
+    }
+    panic!("no monitor with two flows and a touched row at the cut");
+}
+
+/// A snapshot is a file: one flipped field in a monitor's section must come
+/// back as `Err` — not as an allocation sized by the field (a flow id or a
+/// count of `u32::MAX` once asked for hundreds of GB and aborted the
+/// process), and not as a monitor holding a history longer than its window,
+/// a register row with no flow, or two slots for one flow. The target
+/// engine is byte-identical afterwards.
+#[test]
+fn corrupt_monitor_fields_are_refused_and_size_no_allocation() {
+    let case = line_case(7);
+    let trace = record_line_trace(&case);
+    let snap = line_engine_fed(&case, &trace, 3, 4).snapshot();
+    let mut target = line_engine_fed(&case, &trace, 1, 4);
+    let before = target.snapshot();
+    let f = busy_monitor_fields(&snap);
+    let window = case.wcfg.window_intervals as u64;
+
+    let patched = |at: usize, bytes: &[u8]| {
+        let mut s = snap.clone();
+        s[at..at + bytes.len()].copy_from_slice(bytes);
+        s
+    };
+    let be32 = |v: u32| v.to_be_bytes();
+    let first_flow: [u8; 4] = snap[f.flow_ids[0]..][..4].try_into().unwrap();
+    let mut attempts = vec![
+        ("flow id u32::MAX", patched(f.flow_ids[0], &be32(u32::MAX))),
+        (
+            "flow id MAX_FLOWS",
+            patched(f.flow_ids[0], &be32(db_flowmon::MAX_FLOWS as u32)),
+        ),
+        ("one flow twice", patched(f.flow_ids[1], &first_flow)),
+        ("n_interval 0", patched(f.n_interval, &0u64.to_be_bytes())),
+        (
+            "n_interval past the window",
+            patched(f.n_interval, &(window + 1).to_be_bytes()),
+        ),
+        (
+            "upstream count u32::MAX",
+            patched(f.n_upstream, &be32(u32::MAX)),
+        ),
+        ("history count u32::MAX", patched(f.n_hist, &be32(u32::MAX))),
+        (
+            "touched count u32::MAX",
+            patched(f.n_touched, &be32(u32::MAX)),
+        ),
+        (
+            "register row of flow u32::MAX",
+            patched(f.touched_ids[0], &be32(u32::MAX)),
+        ),
+        (
+            "register row of an unregistered flow",
+            patched(f.touched_ids[0], &be32(db_flowmon::MAX_FLOWS as u32 - 1)),
+        ),
+        // n_packet is the row's first field: zero marks it untouched.
+        (
+            "empty register row",
+            patched(f.touched_ids[0] + 4, &be32(0)),
+        ),
+    ];
+    // A history one interval longer than the window, bytes and all.
+    let mut long_hist = snap[..f.n_hist].to_vec();
+    long_hist.extend_from_slice(&be32(window as u32 + 1));
+    long_hist.extend(std::iter::repeat_n(0u8, 28 * (window as usize + 1)));
+    long_hist.extend_from_slice(&snap[f.hist_end..]);
+    attempts.push(("history past the window", long_hist));
+
+    for (what, bytes) in &attempts {
+        assert!(target.restore(bytes).is_err(), "{what}: restore succeeded");
+        assert!(target.snapshot() == before, "{what}: engine changed");
+    }
+    target.restore(&snap).expect("the intact snapshot restores");
+    assert!(target.snapshot() == snap, "restored state re-encodes");
+}

@@ -8,7 +8,10 @@
 //! interval constraints over the features, with the leaf's label as the
 //! action. The rules of one tree are mutually exclusive and exhaustive, so a
 //! rule table classifies *identically* to its source tree — a property the
-//! test suite checks exhaustively on random inputs.
+//! test suite checks exhaustively on random inputs. The rules are what a
+//! switch would be loaded with; software classification walks the same tree
+//! flattened into one array, because a TCAM matches all entries at once and
+//! a rule scan does not.
 
 use crate::tree::{DecisionTree, Node};
 use db_flowmon::{FeatureVector, FlowStatus, NUM_FEATURES};
@@ -35,12 +38,13 @@ impl Rule {
         }
     }
 
-    /// Whether `x` satisfies every range constraint.
+    /// Whether `x` satisfies every range constraint. `lo = -inf` is "no
+    /// lower bound", so `-inf` itself passes it; NaN passes nothing.
     pub fn matches(&self, x: &FeatureVector) -> bool {
         self.ranges
             .iter()
             .zip(x.iter())
-            .all(|((lo, hi), v)| *lo < *v && *v <= *hi)
+            .all(|((lo, hi), v)| (*lo < *v || *lo == f64::NEG_INFINITY) && *v <= *hi)
     }
 
     /// Number of constrained features (ternary-match width proxy).
@@ -52,6 +56,18 @@ impl Rule {
     }
 }
 
+/// One node of the flattened tree, in preorder: a split's left child is the
+/// next node, its right child sits at `right`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FlatNode {
+    Leaf(FlowStatus),
+    Split {
+        feature: usize,
+        threshold: f64,
+        right: usize,
+    },
+}
+
 /// A match-action rule table compiled from a tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableClassifier {
@@ -59,14 +75,11 @@ pub struct TableClassifier {
     /// Fallback when no rule matches (cannot happen for tables compiled from
     /// a tree, but the hardware table needs a default action).
     default_label: FlowStatus,
-    /// The classify-time form of `rules`: only the *constrained* ranges of
-    /// rule `i` (at most tree-depth many of the `NUM_FEATURES` slots), flat
-    /// in `checks[spans[i].0 .. spans[i].1]` with the rule's label alongside.
-    /// Rule order — and therefore first-match semantics — is unchanged; the
-    /// TCAM analogue is don't-care bits not occupying match stages. Derived
-    /// in [`Self::compile`], never serialized.
-    spans: Vec<(u32, u32, FlowStatus)>,
-    checks: Vec<(u32, f64, f64)>,
+    /// The classify-time form: the source tree in one contiguous array, so a
+    /// lookup is at most tree-depth compares — the software stand-in for the
+    /// TCAM's single match, where the cost does not grow with the number of
+    /// entries. Derived in [`Self::compile`], never serialized.
+    nodes: Vec<FlatNode>,
 }
 
 impl TableClassifier {
@@ -75,26 +88,12 @@ impl TableClassifier {
         let mut rules = Vec::new();
         let mut ranges = [(f64::NEG_INFINITY, f64::INFINITY); NUM_FEATURES];
         walk(tree.root(), &mut ranges, &mut rules);
-        let mut spans = Vec::with_capacity(rules.len());
-        let mut checks = Vec::new();
-        for rule in &rules {
-            let start = checks.len();
-            for (f, &(lo, hi)) in rule.ranges.iter().enumerate() {
-                if lo.is_finite() || hi.is_finite() {
-                    checks.push((f as u32, lo, hi)); // db-lint: allow(wire-cast) — f < NUM_FEATURES
-                }
-            }
-            spans.push((
-                u32::try_from(start).expect("rule table fits u32"),
-                u32::try_from(checks.len()).expect("rule table fits u32"),
-                rule.label,
-            ));
-        }
+        let mut nodes = Vec::with_capacity(2 * rules.len());
+        flatten(tree.root(), &mut nodes);
         TableClassifier {
             rules,
             default_label: FlowStatus::Normal,
-            spans,
-            checks,
+            nodes,
         }
     }
 
@@ -113,24 +112,59 @@ impl TableClassifier {
         self.rules.is_empty()
     }
 
-    /// Classify by first matching rule.
+    /// Classify by the rule `x` matches.
     ///
-    /// Runs on the constrained-only `spans`/`checks` form; an unconstrained
-    /// feature always passes its `(-inf, +inf]` range on finite input, so
-    /// skipping it cannot change which rule matches first — [`Rule::matches`]
-    /// over the full ranges stays the reference semantics (tests compare the
-    /// two exhaustively).
+    /// Walks the flattened tree instead of scanning the rules: the rules
+    /// partition the feature space, so the leaf the walk ends in *is* the
+    /// first (and only) rule [`Rule::matches`] accepts — that scan stays the
+    /// reference semantics and the tests compare the two, including on
+    /// exact thresholds and ±∞. A NaN feature fails every `<=`, so it goes
+    /// right at each split on it, as [`DecisionTree::predict`] does, while
+    /// no rule matches it; features are finite by construction (integer
+    /// counters and a finite RTT), so the table never sees one.
+    // db-lint: allow(hot-index) — feature < NUM_FEATURES: flatten copies it from a trained split
     pub fn classify(&self, x: &FeatureVector) -> FlowStatus {
-        for &(start, end, label) in &self.spans {
-            let span = &self.checks[start as usize..end as usize]; // db-lint: allow(wire-cast) — offsets built from usize lengths
-            if span.iter().all(|&(f, lo, hi)| {
-                let v = x[f as usize]; // db-lint: allow(wire-cast) — f < NUM_FEATURES by construction
-                lo < v && v <= hi
-            }) {
-                return label;
+        let mut at = 0;
+        loop {
+            match self.nodes.get(at) {
+                Some(&FlatNode::Split {
+                    feature,
+                    threshold,
+                    right,
+                }) => {
+                    at = if x[feature] <= threshold {
+                        at + 1
+                    } else {
+                        right
+                    }
+                }
+                Some(&FlatNode::Leaf(label)) => return label,
+                None => return self.default_label,
             }
         }
-        self.default_label
+    }
+}
+
+/// Append `node`'s subtree to `out` in preorder.
+fn flatten(node: &Node, out: &mut Vec<FlatNode>) {
+    match node {
+        Node::Leaf { label, .. } => out.push(FlatNode::Leaf(*label)),
+        Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } => {
+            let at = out.len();
+            out.push(FlatNode::Leaf(FlowStatus::Normal)); // patched below
+            flatten(left, out);
+            out[at] = FlatNode::Split {
+                feature: *feature,
+                threshold: *threshold,
+                right: out.len(),
+            };
+            flatten(right, out);
+        }
     }
 }
 
@@ -227,27 +261,80 @@ mod tests {
         }
     }
 
+    /// The label of the first rule whose ranges accept `x` — the reference
+    /// semantics `classify` must reproduce.
+    fn first_match(table: &TableClassifier, x: &FeatureVector) -> Option<FlowStatus> {
+        table.rules().iter().find(|r| r.matches(x)).map(|r| r.label)
+    }
+
+    /// Every split threshold of `node`'s subtree, with its feature.
+    fn thresholds(node: &Node, out: &mut Vec<(usize, f64)>) {
+        if let Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } = node
+        {
+            out.push((*feature, *threshold));
+            thresholds(left, out);
+            thresholds(right, out);
+        }
+    }
+
     #[test]
-    fn compact_scan_equals_full_rule_scan() {
-        // `classify` runs on the constrained-only spans/checks form; the
-        // full 15-range `Rule::matches` scan is the reference semantics.
+    fn tree_walk_equals_rule_scan_equals_tree() {
+        for seed in [11, 12, 13] {
+            let data = random_dataset(2_000, seed);
+            let tree = DecisionTree::train(&data, &TrainConfig::default());
+            let table = TableClassifier::compile(&tree);
+            let mut splits = Vec::new();
+            thresholds(tree.root(), &mut splits);
+            assert!(!splits.is_empty());
+            let mut rng = Pcg64::new(seed + 100);
+            for round in 0..5_000 {
+                let mut x = [0.0; NUM_FEATURES];
+                for v in &mut x {
+                    *v = rng.range_f64(-5.0, 15.0);
+                }
+                // Every third vector sits exactly on some split thresholds
+                // (the `<=` side of each), every third carries infinities.
+                match round % 3 {
+                    1 => {
+                        for _ in 0..4 {
+                            let (f, t) = splits[rng.index(splits.len())];
+                            x[f] = t;
+                        }
+                    }
+                    2 => {
+                        for _ in 0..3 {
+                            let f = rng.index(NUM_FEATURES);
+                            x[f] = if rng.below(2) == 0 {
+                                f64::INFINITY
+                            } else {
+                                f64::NEG_INFINITY
+                            };
+                        }
+                    }
+                    _ => {}
+                }
+                let got = table.classify(&x);
+                assert_eq!(Some(got), first_match(&table, &x), "rule scan at {x:?}");
+                assert_eq!(got, tree.predict(&x), "tree at {x:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_goes_right_like_the_tree_and_matches_no_rule() {
         let data = random_dataset(2_000, 11);
         let tree = DecisionTree::train(&data, &TrainConfig::default());
         let table = TableClassifier::compile(&tree);
-        let mut rng = Pcg64::new(13);
-        for _ in 0..5_000 {
-            let mut x = [0.0; NUM_FEATURES];
-            for v in &mut x {
-                *v = rng.range_f64(-5.0, 15.0);
-            }
-            let reference = table
-                .rules()
-                .iter()
-                .find(|r| r.matches(&x))
-                .map(|r| r.label)
-                .unwrap_or(FlowStatus::Normal);
-            assert_eq!(table.classify(&x), reference);
-        }
+        let x = [f64::NAN; NUM_FEATURES];
+        assert_eq!(first_match(&table, &x), None);
+        assert_eq!(table.classify(&x), tree.predict(&x));
+        // All-NaN takes the right branch everywhere: the last leaf.
+        assert_eq!(table.classify(&x), table.rules().last().unwrap().label);
     }
 
     #[test]

@@ -5,15 +5,18 @@
 //! * [`measures`] — the six per-sampling-interval measures of Table 1
 //!   (`n_packet`, `len_all`, `len_max`, `len_last`, `n_burst`, `pos_burst`),
 //!   with bursts counted over numbered sub-intervals.
-//! * [`registers`] — the data-plane register bank. Two implementations: an
-//!   exact map (what the paper's Python replay simulator effectively uses)
-//!   and a hash-indexed fixed-slot bank that models the P4 implementation of
-//!   §5 (`flow_id · W + i` indexing) including silent hash collisions.
-//! * [`window`] — sliding-window feature assembly (Table 2): the 15-feature
-//!   vector `(f_flow, f_avg, f_last)` recomputed at every sampling-interval
-//!   tick; the window length is the 90th percentile of network RTTs.
-//! * [`monitor`] — a per-switch monitor combining store + history + flow
-//!   metadata, and a network-wide set of monitors.
+//! * [`monitor`] — the per-switch flow table, stored by column: a register
+//!   row per monitored flow that packets update, a ring of each flow's last
+//!   closed intervals, and running window sums, so closing an interval is
+//!   one sequential sweep; plus the network-wide set of monitors.
+//! * [`window`] — the sliding-window configuration and Table-2 feature
+//!   assembly: the 15-feature vector `(f_flow, f_avg, f_last)` produced at
+//!   every sampling-interval tick; the window length is the 90th percentile
+//!   of network RTTs.
+//! * [`registers`] — stand-alone register-bank models for the resource
+//!   ablation: an exact bank and a hash-indexed fixed-slot one that models
+//!   the P4 implementation of §5 (`flow_id · W + i` indexing) including
+//!   silent hash collisions.
 //! * [`dataset`] — ground-truth labeling ("abnormal iff the packets of the
 //!   flow cannot reach the monitor at the time due to failures") and
 //!   train/test dataset assembly at the paper's 3:1 split.
@@ -28,7 +31,7 @@ pub mod window;
 pub use dataset::{Dataset, FlowStatus, Sample};
 pub use measures::{IntervalMeasures, SUB_INTERVALS};
 pub use metrics::FlowmonMetrics;
-pub use monitor::{NetworkMonitor, SwitchMonitor};
+pub use monitor::{NetworkMonitor, SwitchMonitor, MAX_FLOWS};
 pub use window::{
     feature_digest, FeatureVector, FlowMeta, WindowConfig, FEATURE_NAMES, NUM_FEATURES,
 };

@@ -50,6 +50,19 @@ impl IntervalMeasures {
     pub fn is_empty(&self) -> bool {
         self.n_packet == 0
     }
+
+    /// The six measures widened to `u64`, in Table-1 order — the form the
+    /// monitor's running window sums are kept in.
+    pub fn widened(&self) -> [u64; 6] {
+        [
+            u64::from(self.n_packet),
+            self.len_all,
+            u64::from(self.len_max),
+            u64::from(self.len_last),
+            u64::from(self.n_burst),
+            u64::from(self.pos_burst),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -1,66 +1,99 @@
 //! Per-switch and network-wide monitors.
 //!
-//! A [`SwitchMonitor`] owns the data-plane measure store for one switch plus
-//! the per-flow interval history and static metadata; at every sampling tick
-//! it produces one Table-2 feature vector per monitored-and-active flow. A
-//! [`NetworkMonitor`] is the full deployment: one monitor per switch, with
-//! every flow registered at every switch on its path.
+//! A [`SwitchMonitor`] is one switch's flow table, stored by column: a
+//! `FlowId → slot` index, and per slot (slots in ascending flow-id order)
+//! the flow's static metadata, its current-interval register row, a ring of
+//! its last `window_intervals` closed intervals, and running sums over the
+//! last RTT of them. A packet touches one register row; closing a sampling
+//! interval is one sequential sweep that produces a Table-2 feature vector
+//! per monitored-and-active flow. A [`NetworkMonitor`] is the full
+//! deployment: one monitor per switch, with every flow registered at every
+//! switch on its path.
 
 use crate::measures::IntervalMeasures;
-use crate::registers::{ExactStore, MeasureStore};
-use crate::window::{FeatureVector, FlowHistory, FlowMeta, WindowConfig};
+use crate::window::{self, FeatureVector, FlowMeta, WindowConfig};
 use db_netsim::{Annotation, FlowId, FlowSpec, HopInfo, Observer, SimTime};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
 
-/// Per-flow monitoring state: static metadata plus the interval history.
-#[derive(Debug)]
-struct FlowSlot {
-    meta: FlowMeta,
-    history: FlowHistory,
-}
+/// Flow ids a monitor accepts are `0..MAX_FLOWS`. The `FlowId → slot` index
+/// is an array over the id space, so the bound caps it at 4 MiB per switch;
+/// it admits every workload the traffic generator can produce (ids are
+/// handed out sequentially and a full mesh on `SCALE_NODE_THRESHOLD` = 1024
+/// nodes has 1024 · 1023 flows). Ids arriving from outside — a `FlowDef`
+/// frame, a snapshot file — are checked against it where they enter.
+pub const MAX_FLOWS: usize = 1 << 20;
+
+/// Index entry of an unmonitored flow id.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Monitoring state of one switch.
 ///
-/// Flow ids are dense small integers (the traffic generator hands them out
-/// sequentially), so per-flow state lives in a `Vec` indexed by `FlowId` —
-/// the per-packet membership check and register update are two array loads,
-/// no hashing. `registered` keeps the monitored ids sorted for the
-/// deterministic interval-end sweep.
+/// **Running sums.** `sums[slot]` holds, per Table-1 measure, the sum over
+/// the flow's last `min(n_interval, buffered)` closed intervals, maintained
+/// by add-new / subtract-expired at each close. All six measures are
+/// integers, so the sums are exact; the feature `avg = sum as f64 · (1/n)`
+/// is bit-identical to accumulating the same ≤ 32 intervals in `f64`, which
+/// is exact as well while the sum stays below 2^53 (a flow would have to
+/// deliver 2^48 bytes in one 4 ms interval to get there).
+///
+/// **Ring.** `ring[slot · W + p]` with `W = window_intervals`; all flows
+/// share one write position `head`, so a flow's interval closed `b` closes
+/// ago sits at `p = (head − b) mod W` whenever `b ≤ buffered[slot]`.
 #[derive(Debug)]
-pub struct SwitchMonitor<S: MeasureStore = ExactStore> {
+pub struct SwitchMonitor {
     node: NodeId,
     cfg: WindowConfig,
-    store: S,
-    /// Indexed by `FlowId.0`; `None` for unmonitored ids.
-    slots: Vec<Option<FlowSlot>>,
-    /// Monitored flow ids, ascending.
-    registered: Vec<FlowId>,
     interval_start: SimTime,
-    /// Reusable window-close staging buffer: rows are assembled here and
+    /// `FlowId.0 → slot`, [`NO_SLOT`] for unmonitored ids.
+    index: Vec<u32>,
+    /// Monitored flow ids, ascending; every column below is parallel to it.
+    flows: Vec<FlowId>,
+    meta: Vec<FlowMeta>,
+    /// Packets recorded since the flow was last reclaimed (0 = never seen).
+    total_packets: Vec<u64>,
+    /// Closed intervals held in the ring, at most `window_intervals`.
+    buffered: Vec<usize>,
+    /// The data-plane registers: measures of the interval in progress.
+    current: Vec<IntervalMeasures>,
+    sums: Vec<[u64; 6]>,
+    ring: Vec<IntervalMeasures>,
+    head: usize,
+    /// Flows with a non-empty `current` row, in arrival order — the order
+    /// is part of the snapshot bytes, nothing else depends on it.
+    touched: Vec<FlowId>,
+    /// Reusable window-close staging buffers: rows are assembled here and
     /// borrowed out by [`Self::close_window`], so a long-lived monitor stops
-    /// allocating once the buffer has grown to its working size.
+    /// allocating once they have grown to their working size.
     row_buf: Vec<(FlowId, FeatureVector)>,
+    row_slots: Vec<usize>,
 }
 
-impl SwitchMonitor<ExactStore> {
-    /// Create a monitor with the default (collision-free) store.
-    pub fn new(node: NodeId, cfg: WindowConfig) -> Self {
-        Self::with_store(node, cfg, ExactStore::new())
+fn add(sums: &mut [u64; 6], m: &IntervalMeasures) {
+    for (s, v) in sums.iter_mut().zip(m.widened()) {
+        *s += v;
     }
 }
 
-impl<S: MeasureStore> SwitchMonitor<S> {
-    /// Create a monitor around an explicit store implementation.
-    pub fn with_store(node: NodeId, cfg: WindowConfig, store: S) -> Self {
+impl SwitchMonitor {
+    /// Create a monitor with no flows registered.
+    pub fn new(node: NodeId, cfg: WindowConfig) -> Self {
         SwitchMonitor {
             node,
             cfg,
-            store,
-            slots: Vec::new(),
-            registered: Vec::new(),
             interval_start: SimTime::ZERO,
+            index: Vec::new(),
+            flows: Vec::new(),
+            meta: Vec::new(),
+            total_packets: Vec::new(),
+            buffered: Vec::new(),
+            current: Vec::new(),
+            sums: Vec::new(),
+            ring: Vec::new(),
+            head: 0,
+            touched: Vec::new(),
             row_buf: Vec::new(),
+            row_slots: Vec::new(),
         }
     }
 
@@ -69,29 +102,62 @@ impl<S: MeasureStore> SwitchMonitor<S> {
         self.node
     }
 
+    fn slot_of(&self, flow: FlowId) -> Option<usize> {
+        let slot = *self.index.get(flow.0 as usize)?;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// The interval `slot` closed `back` closes ago (1 = the newest).
+    fn closed(&self, slot: usize, back: usize) -> &IntervalMeasures {
+        let w = self.cfg.window_intervals;
+        &self.ring[slot * w + (self.head + w - back) % w]
+    }
+
+    /// Rebuild `sums[slot]` from the ring.
+    fn resum(&mut self, slot: usize) {
+        let mut sums = [0; 6];
+        for back in 1..=self.meta[slot].n_interval.min(self.buffered[slot]) {
+            add(&mut sums, self.closed(slot, back));
+        }
+        self.sums[slot] = sums;
+    }
+
     /// Register a flow passing through this switch. Re-registering replaces
-    /// the metadata but keeps any accumulated history.
+    /// the metadata but keeps any accumulated history. Panics on an id at or
+    /// past [`MAX_FLOWS`] or an `n_interval` outside `1..=window_intervals`
+    /// ([`FlowMeta::new`] clamps into it).
     pub fn register_flow(&mut self, flow: FlowId, meta: FlowMeta) {
-        let idx = flow.0 as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
+        let (id, w) = (flow.0 as usize, self.cfg.window_intervals);
+        assert!(id < MAX_FLOWS, "flow id {id} is past MAX_FLOWS");
+        assert!((1..=w).contains(&meta.n_interval), "n_interval off-window");
+        if let Some(slot) = self.slot_of(flow) {
+            self.meta[slot] = meta;
+            self.resum(slot);
+            return;
         }
-        match &mut self.slots[idx] {
-            Some(slot) => slot.meta = meta,
-            empty @ None => {
-                *empty = Some(FlowSlot {
-                    meta,
-                    history: FlowHistory::default(),
-                });
-                let at = self.registered.partition_point(|&f| f < flow);
-                self.registered.insert(at, flow);
-            }
+        // Ascending registration (every batch deployment) appends; a late
+        // low id shifts the slots above it.
+        let slot = self.flows.partition_point(|&f| f < flow);
+        if id >= self.index.len() {
+            self.index.resize(id + 1, NO_SLOT);
         }
+        for later in &self.flows[slot..] {
+            self.index[later.0 as usize] += 1;
+        }
+        self.index[id] = slot as u32;
+        self.flows.insert(slot, flow);
+        self.meta.insert(slot, meta);
+        self.total_packets.insert(slot, 0);
+        self.buffered.insert(slot, 0);
+        self.current.insert(slot, IntervalMeasures::default());
+        self.sums.insert(slot, [0; 6]);
+        let fresh = std::iter::repeat_n(IntervalMeasures::default(), w);
+        self.ring.splice(slot * w..slot * w, fresh);
     }
 
     /// Number of flows registered.
     pub fn monitored_flows(&self) -> usize {
-        self.registered.len()
+        self.flows.len()
     }
 
     /// Number of flows currently occupying live register history: registered
@@ -100,34 +166,30 @@ impl<S: MeasureStore> SwitchMonitor<S> {
     /// operator's intent, `active_flows()` counts what the switch is actually
     /// holding state for.
     pub fn active_flows(&self) -> usize {
-        self.registered
-            .iter()
-            .filter(|f| {
-                self.slots[f.0 as usize]
-                    .as_ref()
-                    .is_some_and(|s| s.history.total_packets > 0)
-            })
-            .count()
+        self.total_packets.iter().filter(|&&p| p > 0).count()
     }
 
     /// Static metadata of a monitored flow.
     pub fn flow_meta(&self, flow: FlowId) -> Option<&FlowMeta> {
-        self.slots
-            .get(flow.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| &s.meta)
+        self.slot_of(flow).map(|slot| &self.meta[slot])
     }
 
     /// Record a packet of a monitored flow; unmonitored flows are ignored
     /// (transit traffic the operator chose not to track). Returns whether
     /// the packet hit a register (used for telemetry accounting).
     pub fn on_packet(&mut self, now: SimTime, flow: FlowId, size: u32) -> bool {
-        match self.slots.get(flow.0 as usize) {
-            Some(Some(_)) => {}
-            _ => return false,
+        // `NO_SLOT` is past any column, so both misses fall out of `get`.
+        let slot = self.index.get(flow.0 as usize).copied();
+        let Some(row) = slot.and_then(|s| self.current.get_mut(s as usize)) else {
+            return false;
+        };
+        // `record` always bumps n_packet, so an empty row ⇔ untouched this
+        // interval — exactly when the flow must join the touched list.
+        if row.is_empty() {
+            self.touched.push(flow);
         }
         let offset = now.saturating_sub(self.interval_start);
-        self.store.record(flow, offset, self.cfg.interval, size);
+        row.record(offset, self.cfg.interval, size);
         true
     }
 
@@ -150,43 +212,43 @@ impl<S: MeasureStore> SwitchMonitor<S> {
     /// flow-id order (possibly empty), are borrowed from the monitor's
     /// staging buffer and stay readable through [`Self::staged_rows`] until
     /// the next close.
+    // db-lint: allow(hot-index) — register_flow keeps one entry per slot in every column and window_intervals per slot in the ring; n_interval ≤ window_intervals is asserted there
     pub fn close_window(&mut self, now: SimTime) -> &[(FlowId, FeatureVector)] {
-        // `drain` yields ascending flow ids and `registered` is kept sorted,
-        // so a two-pointer sweep aligns measures with flows directly — no
-        // intermediate map, no re-sort.
-        let drained = self.store.drain();
-        let cap = self.cfg.window_intervals;
+        let w = self.cfg.window_intervals;
+        let head = self.head;
         self.row_buf.clear();
-        let mut di = 0;
-        for &flow in &self.registered {
-            while di < drained.len() && drained[di].0 < flow {
-                di += 1; // measures of a since-deregistered flow: impossible
-                         // today (registration is permanent), skipped if ever
+        self.row_slots.clear();
+        for (slot, ring) in self.ring.chunks_exact_mut(w).enumerate() {
+            let m = std::mem::take(&mut self.current[slot]);
+            let (meta, sums) = (&self.meta[slot], &mut self.sums[slot]);
+            let n = meta.n_interval;
+            if self.buffered[slot] >= n {
+                // The interval leaving the RTT window; at n = W it is the
+                // ring entry `m` is about to replace.
+                for (s, v) in sums.iter_mut().zip(ring[(head + w - n) % w].widened()) {
+                    *s -= v;
+                }
             }
-            let m = if di < drained.len() && drained[di].0 == flow {
-                let m = drained[di].1;
-                di += 1;
-                m
-            } else {
-                Default::default()
-            };
-            let slot = self.slots[flow.0 as usize]
-                .as_mut()
-                .expect("registered flow has a slot");
-            let hist = &mut slot.history;
-            hist.push(m, cap);
-            if hist.total_packets == 0 {
-                continue; // never seen here — nothing to judge
+            add(sums, &m);
+            ring[head] = m;
+            self.buffered[slot] = (self.buffered[slot] + 1).min(w);
+            self.total_packets[slot] += u64::from(m.n_packet);
+            if self.total_packets[slot] == 0 || self.buffered[slot] < n {
+                continue; // never seen here, or less than one RTT of history
             }
-            let meta = &slot.meta;
-            if hist.len() >= meta.n_interval && hist.recent_all_empty(meta.n_interval) {
-                hist.reset();
+            if sums[0] == 0 {
+                // No packet in the last n intervals: reclaim the registers.
+                self.buffered[slot] = 0;
+                self.total_packets[slot] = 0;
+                *sums = [0; 6];
                 continue;
             }
-            if let Some(f) = hist.features(meta) {
-                self.row_buf.push((flow, f));
-            }
+            self.row_buf
+                .push((self.flows[slot], window::assemble(meta, sums, &m)));
+            self.row_slots.push(slot);
         }
+        self.head = (head + 1) % w;
+        self.touched.clear();
         self.interval_start = now;
         &self.row_buf
     }
@@ -196,9 +258,14 @@ impl<S: MeasureStore> SwitchMonitor<S> {
     pub fn staged_rows(&self) -> &[(FlowId, FeatureVector)] {
         &self.row_buf
     }
-}
 
-impl SwitchMonitor<ExactStore> {
+    /// The upstream links of each staged row's flow, positional with
+    /// [`Self::staged_rows`] (valid until the next close or registration).
+    pub fn staged_upstream(&self) -> impl ExactSizeIterator<Item = &[LinkId]> {
+        let upstream = |&slot: &usize| self.meta[slot].upstream.as_slice();
+        self.row_slots.iter().map(upstream)
+    }
+
     /// Serialize the complete monitoring state — registrations, metadata,
     /// interval histories, and the **mid-interval** register contents — so a
     /// streaming engine can checkpoint between any two packets. Field order
@@ -208,58 +275,68 @@ impl SwitchMonitor<ExactStore> {
     pub fn snapshot_into(&self, w: &mut ByteWriter) {
         w.u16w(self.node.0);
         w.u64(self.interval_start.as_ns());
-        w.seq(self.registered.len());
-        for &flow in &self.registered {
-            let slot = self.slots[flow.0 as usize]
-                .as_ref()
-                .expect("registered flow has a slot");
+        w.seq(self.flows.len());
+        for (slot, (flow, meta)) in self.flows.iter().zip(&self.meta).enumerate() {
             w.u32(flow.0);
-            w.f64(slot.meta.rtt_ms);
-            w.usize(slot.meta.path_len);
-            w.usize(slot.meta.n_interval);
-            w.seq(slot.meta.upstream.len());
-            for l in &slot.meta.upstream {
+            w.f64(meta.rtt_ms);
+            w.usize(meta.path_len);
+            w.usize(meta.n_interval);
+            w.seq(meta.upstream.len());
+            for l in &meta.upstream {
                 w.u16w(l.0);
             }
-            w.u64(slot.history.total_packets);
-            w.seq(slot.history.len());
-            for m in slot.history.buffered() {
-                encode_measures(w, m);
+            w.u64(self.total_packets[slot]);
+            w.seq(self.buffered[slot]);
+            for back in (1..=self.buffered[slot]).rev() {
+                encode_measures(w, self.closed(slot, back)); // oldest first
             }
         }
-        let (rows, touched) = self.store.parts();
         // Register rows are encoded sparsely: only the touched ones are
-        // non-empty mid-interval, in arrival order (drain sorts at close).
-        w.seq(touched.len());
-        for &flow in touched {
+        // non-empty mid-interval.
+        w.seq(self.touched.len());
+        for &flow in &self.touched {
             w.u32(flow.0);
-            encode_measures(w, &rows[flow.0 as usize]);
+            let slot = self.slot_of(flow).expect("touched flows are registered");
+            encode_measures(w, &self.current[slot]);
         }
     }
 
     /// Inverse of [`Self::snapshot_into`]. `cfg` is the network-wide window
     /// configuration the snapshot was taken under (it is part of the
     /// engine-level config fingerprint, not repeated per switch).
+    ///
+    /// The bytes come from a file: anything [`Self::snapshot_into`] cannot
+    /// have written — flow ids not strictly ascending or past
+    /// [`MAX_FLOWS`], an `n_interval` or a history longer than the window, a
+    /// register row of an unregistered flow, an empty or repeated one — is
+    /// [`WireError::Overflow`] at its offset, and no length field sizes an
+    /// allocation before the bytes it counts were read.
     pub fn restore_from(r: &mut ByteReader, cfg: WindowConfig) -> Result<Self, WireError> {
+        let refuse = |at: usize, value: usize| WireError::Overflow {
+            at,
+            value: value as u64,
+        };
         let node = NodeId(r.u16w()?);
         let mut mon = SwitchMonitor::new(node, cfg);
         mon.interval_start = SimTime::from_ns(r.u64()?);
-        let n_flows = r.seq()?;
-        for _ in 0..n_flows {
+        let w = cfg.window_intervals;
+        for slot in 0..r.seq()? {
+            let at = r.offset();
             let flow = FlowId(r.u32()?);
+            let ascending = mon.flows.last().is_none_or(|&last| last < flow);
+            if !ascending || flow.0 as usize >= MAX_FLOWS {
+                return Err(refuse(at, flow.0 as usize));
+            }
             let rtt_ms = r.f64()?;
             let path_len = r.usize()?;
+            let at = r.offset();
             let n_interval = r.usize()?;
-            let n_up = r.seq()?;
-            let mut upstream = Vec::with_capacity(n_up);
-            for _ in 0..n_up {
-                upstream.push(LinkId(r.u16w()?));
+            if !(1..=w).contains(&n_interval) {
+                return Err(refuse(at, n_interval));
             }
-            let total_packets = r.u64()?;
-            let n_hist = r.seq()?;
-            let mut intervals = Vec::with_capacity(n_hist);
-            for _ in 0..n_hist {
-                intervals.push(decode_measures(r)?);
+            let mut upstream = Vec::new();
+            for _ in 0..r.seq()? {
+                upstream.push(LinkId(r.u16w()?));
             }
             let meta = FlowMeta {
                 rtt_ms,
@@ -267,26 +344,30 @@ impl SwitchMonitor<ExactStore> {
                 n_interval,
                 upstream,
             };
-            mon.register_flow(flow, meta);
-            let slot = mon.slots[flow.0 as usize]
-                .as_mut()
-                .expect("just registered");
-            slot.history = FlowHistory::from_parts(intervals, total_packets);
+            mon.register_flow(flow, meta); // ascending: appends slot `slot`
+            mon.total_packets[slot] = r.u64()?;
+            let at = r.offset();
+            let n_hist = r.seq()?;
+            if n_hist > w {
+                return Err(refuse(at, n_hist));
+            }
+            mon.buffered[slot] = n_hist;
+            // `head` is 0, so the newest interval belongs at ring offset W − 1.
+            for m in &mut mon.ring[(slot + 1) * w - n_hist..] {
+                *m = decode_measures(r)?;
+            }
+            mon.resum(slot);
         }
-        let n_touched = r.seq()?;
-        let mut rows: Vec<IntervalMeasures> = Vec::new();
-        let mut touched = Vec::with_capacity(n_touched);
-        for _ in 0..n_touched {
+        for _ in 0..r.seq()? {
+            let at = r.offset();
             let flow = FlowId(r.u32()?);
             let m = decode_measures(r)?;
-            let idx = flow.0 as usize;
-            if idx >= rows.len() {
-                rows.resize_with(idx + 1, Default::default);
+            match mon.slot_of(flow).map(|slot| &mut mon.current[slot]) {
+                Some(row) if row.is_empty() && !m.is_empty() => *row = m,
+                _ => return Err(refuse(at, flow.0 as usize)),
             }
-            rows[idx] = m;
-            touched.push(flow);
+            mon.touched.push(flow);
         }
-        mon.store = ExactStore::from_parts(rows, touched);
         Ok(mon)
     }
 }
@@ -632,5 +713,277 @@ mod tests {
         // Multiple switches report.
         let switches: std::collections::HashSet<_> = nm.rows.iter().map(|r| r.switch).collect();
         assert!(switches.len() >= 2);
+    }
+
+    #[test]
+    fn avg_covers_only_the_last_rtt_of_intervals() {
+        let cfg = WindowConfig::explicit(SimTime::from_ms(4), 10);
+        let mut m = SwitchMonitor::new(NodeId(0), cfg);
+        m.register_flow(FlowId(1), FlowMeta::new(8.0, 2, vec![], &cfg)); // n_interval 2
+        let mut rows = Vec::new();
+        for (i, packets) in [100u64, 4, 6].into_iter().enumerate() {
+            let start = 4 * i as u64;
+            for _ in 0..packets {
+                m.on_packet(SimTime::from_ms(start + 1), FlowId(1), 100);
+            }
+            rows = m.end_interval(SimTime::from_ms(start + 4));
+        }
+        assert_eq!(rows[0].1[3], 5.0, "(4 + 6) / 2: the 100 is outside the RTT");
+        assert_eq!(rows[0].1[9], 6.0);
+    }
+
+    #[test]
+    fn history_is_bounded_by_the_window() {
+        let mut m = SwitchMonitor::new(NodeId(0), cfg4());
+        m.register_flow(FlowId(1), FlowMeta::new(4.0, 2, vec![], &cfg4()));
+        for i in 1..=20u64 {
+            m.on_packet(SimTime::from_ms(4 * i - 1), FlowId(1), 100);
+            let _ = m.end_interval(SimTime::from_ms(4 * i));
+        }
+        assert_eq!(m.buffered, [4]);
+        assert_eq!(m.ring.len(), 4);
+        assert_eq!(m.total_packets, [20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_FLOWS")]
+    fn oversize_flow_id_is_refused_before_any_allocation() {
+        let mut m = SwitchMonitor::new(NodeId(0), cfg4());
+        m.register_flow(FlowId(u32::MAX), FlowMeta::new(4.0, 2, vec![], &cfg4()));
+    }
+
+    /// The monitor as it was before the columnar layout, kept as the oracle:
+    /// a register row per touched flow, a `VecDeque` of closed intervals per
+    /// flow, and features re-summed from it in `f64` at every close.
+    mod reference {
+        use super::*;
+        use std::collections::{BTreeMap, VecDeque};
+
+        #[derive(Default)]
+        struct FlowHistory {
+            intervals: VecDeque<IntervalMeasures>,
+            total_packets: u64,
+        }
+
+        impl FlowHistory {
+            fn push(&mut self, m: IntervalMeasures, cap: usize) {
+                self.total_packets += m.n_packet as u64;
+                self.intervals.push_back(m);
+                while self.intervals.len() > cap {
+                    self.intervals.pop_front();
+                }
+            }
+
+            fn recent_all_empty(&self, n: usize) -> bool {
+                self.intervals.len() >= n
+                    && self.intervals.iter().rev().take(n).all(|m| m.is_empty())
+            }
+
+            fn features(&self, meta: &FlowMeta) -> Option<FeatureVector> {
+                if self.intervals.len() < meta.n_interval {
+                    return None;
+                }
+                let last = *self.intervals.back().expect("non-empty history");
+                let n = meta.n_interval;
+                let mut sums = [0.0f64; 6];
+                for m in self.intervals.iter().rev().take(n) {
+                    sums[0] += m.n_packet as f64;
+                    sums[1] += m.len_all as f64;
+                    sums[2] += m.len_max as f64;
+                    sums[3] += m.len_last as f64;
+                    sums[4] += m.n_burst as f64;
+                    sums[5] += m.pos_burst as f64;
+                }
+                let inv = 1.0 / n as f64;
+                Some([
+                    meta.rtt_ms,
+                    meta.path_len as f64,
+                    meta.n_interval as f64,
+                    sums[0] * inv,
+                    sums[1] * inv,
+                    sums[2] * inv,
+                    sums[3] * inv,
+                    sums[4] * inv,
+                    sums[5] * inv,
+                    last.n_packet as f64,
+                    last.len_all as f64,
+                    last.len_max as f64,
+                    last.len_last as f64,
+                    last.n_burst as f64,
+                    last.pos_burst as f64,
+                ])
+            }
+        }
+
+        pub struct RefMonitor {
+            node: NodeId,
+            cfg: WindowConfig,
+            interval_start: SimTime,
+            slots: BTreeMap<FlowId, (FlowMeta, FlowHistory)>,
+            rows: BTreeMap<FlowId, IntervalMeasures>,
+            touched: Vec<FlowId>,
+        }
+
+        impl RefMonitor {
+            pub fn new(node: NodeId, cfg: WindowConfig) -> Self {
+                RefMonitor {
+                    node,
+                    cfg,
+                    interval_start: SimTime::ZERO,
+                    slots: BTreeMap::new(),
+                    rows: BTreeMap::new(),
+                    touched: Vec::new(),
+                }
+            }
+
+            pub fn register_flow(&mut self, flow: FlowId, meta: FlowMeta) {
+                match self.slots.get_mut(&flow) {
+                    Some(slot) => slot.0 = meta,
+                    None => {
+                        self.slots.insert(flow, (meta, FlowHistory::default()));
+                    }
+                }
+            }
+
+            pub fn active_flows(&self) -> usize {
+                let seen = |(_, h): &&(FlowMeta, FlowHistory)| h.total_packets > 0;
+                self.slots.values().filter(seen).count()
+            }
+
+            pub fn on_packet(&mut self, now: SimTime, flow: FlowId, size: u32) -> bool {
+                if !self.slots.contains_key(&flow) {
+                    return false;
+                }
+                let row = self.rows.entry(flow).or_default();
+                if row.is_empty() {
+                    self.touched.push(flow);
+                }
+                let offset = now.saturating_sub(self.interval_start);
+                row.record(offset, self.cfg.interval, size);
+                true
+            }
+
+            pub fn end_interval(&mut self, now: SimTime) -> Vec<(FlowId, FeatureVector)> {
+                let mut drained = std::mem::take(&mut self.rows);
+                self.touched.clear();
+                let mut out = Vec::new();
+                for (&flow, (meta, hist)) in &mut self.slots {
+                    hist.push(
+                        drained.remove(&flow).unwrap_or_default(),
+                        self.cfg.window_intervals,
+                    );
+                    if hist.total_packets == 0 {
+                        continue;
+                    }
+                    if hist.recent_all_empty(meta.n_interval) {
+                        *hist = FlowHistory::default();
+                        continue;
+                    }
+                    if let Some(f) = hist.features(meta) {
+                        out.push((flow, f));
+                    }
+                }
+                self.interval_start = now;
+                out
+            }
+
+            /// The snapshot layout, written from the reference's own state.
+            pub fn snapshot_into(&self, w: &mut ByteWriter) {
+                w.u16w(self.node.0);
+                w.u64(self.interval_start.as_ns());
+                w.seq(self.slots.len());
+                for (flow, (meta, hist)) in &self.slots {
+                    w.u32(flow.0);
+                    w.f64(meta.rtt_ms);
+                    w.usize(meta.path_len);
+                    w.usize(meta.n_interval);
+                    w.seq(meta.upstream.len());
+                    for l in &meta.upstream {
+                        w.u16w(l.0);
+                    }
+                    w.u64(hist.total_packets);
+                    w.seq(hist.intervals.len());
+                    for m in &hist.intervals {
+                        encode_measures(w, m);
+                    }
+                }
+                w.seq(self.touched.len());
+                for flow in &self.touched {
+                    w.u32(flow.0);
+                    encode_measures(w, &self.rows[flow]);
+                }
+            }
+        }
+    }
+
+    fn bits(rows: &[(FlowId, FeatureVector)]) -> Vec<(FlowId, [u64; 15])> {
+        rows.iter()
+            .map(|(f, x)| (*f, x.map(f64::to_bits)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// The columnar monitor against the reference over random
+        /// interleavings of packets, closes, registrations in any id order
+        /// (also after traffic started, also of a registered id with another
+        /// RTT), silences long enough to age flows out, revivals, and a
+        /// snapshot → restore hop: rows bit-equal, occupancy equal, snapshot
+        /// bytes equal.
+        #[test]
+        fn columnar_monitor_matches_the_history_model(seed in 0u64..1 << 32) {
+            use proptest::prop_assert_eq;
+            let mut rng = db_util::Pcg64::new(seed);
+            let window = 1 + rng.index(6);
+            let cfg = WindowConfig::explicit(SimTime::from_ms(4), window);
+            let mut new = SwitchMonitor::new(NodeId(3), cfg);
+            let mut old = reference::RefMonitor::new(NodeId(3), cfg);
+            let mut now = SimTime::ZERO;
+            let mut next_tick = SimTime::from_ms(4);
+            // Loud and quiet stretches, so flows age out and come back.
+            let mut loud = true;
+            for _ in 0..400 {
+                match rng.index(if loud { 12 } else { 4 }) {
+                    0 => {
+                        let flow = FlowId(rng.below(14) as u32);
+                        let upstream = (0..rng.index(4)).map(|l| LinkId(l as u16)).collect();
+                        let meta = FlowMeta::new(rng.range_f64(0.5, 30.0), 1 + rng.index(5), upstream, &cfg);
+                        new.register_flow(flow, meta.clone());
+                        old.register_flow(flow, meta);
+                    }
+                    1 | 2 => {
+                        now = next_tick;
+                        next_tick = now + SimTime::from_ms(4);
+                        let rows = new.close_window(now).to_vec();
+                        prop_assert_eq!(bits(&rows), bits(&old.end_interval(now)));
+                        prop_assert_eq!(new.active_flows(), old.active_flows());
+                        let upstream: Vec<_> = new.staged_upstream().collect();
+                        for ((flow, _), up) in rows.iter().zip(upstream) {
+                            prop_assert_eq!(up, new.flow_meta(*flow).unwrap().upstream.as_slice());
+                        }
+                        if rng.index(8) == 0 {
+                            loud = !loud;
+                        }
+                    }
+                    3 => {
+                        let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
+                        new.snapshot_into(&mut a);
+                        old.snapshot_into(&mut b);
+                        let bytes = a.into_bytes();
+                        prop_assert_eq!(&bytes, &b.into_bytes());
+                        let mut r = ByteReader::new(&bytes);
+                        new = SwitchMonitor::restore_from(&mut r, cfg).expect("own snapshot");
+                        prop_assert_eq!(r.remaining(), 0);
+                    }
+                    _ => {
+                        let room = next_tick.saturating_sub(now).as_ns();
+                        now += SimTime::from_ns(rng.below(room));
+                        let (flow, size) = (FlowId(rng.below(16) as u32), 40 + rng.below(1460) as u32);
+                        prop_assert_eq!(new.on_packet(now, flow, size), old.on_packet(now, flow, size));
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,17 +1,18 @@
-//! Data-plane measure stores.
+//! Stand-alone register-bank models for the resource ablation.
 //!
 //! The paper's P4 implementation (§5) keeps only the current sampling
 //! interval's measures on the data plane, in register arrays indexed by
-//! `hash(5-tuple) · W + i`. Two models of that store:
+//! `hash(5-tuple) · W + i`. The deployed [`crate::SwitchMonitor`] keeps its
+//! own collision-free register column; the two models here exist so
+//! `ablation_registers` can price a limited SRAM budget against it:
 //!
-//! * [`ExactStore`] — a map keyed by flow id; no collisions. This is what the
-//!   paper's own Python replay simulator effectively evaluates with, so it is
-//!   the default everywhere.
+//! * [`ExactStore`] — one register row per flow id; no collisions. This is
+//!   what the paper's own Python replay simulator effectively evaluates
+//!   with, and what the monitor's column is equivalent to.
 //! * [`HashedStore`] — a fixed number of slots addressed by a hash of the
 //!   flow id, with silent collisions: two flows hashing to the same slot mix
 //!   their measures and the slot is attributed to whichever flow touched it
-//!   first in the interval. Used by the resource-ablation experiments to
-//!   quantify what limited switch SRAM costs.
+//!   first in the interval.
 
 use crate::measures::IntervalMeasures;
 use db_netsim::{FlowId, SimTime};
@@ -23,8 +24,7 @@ pub trait MeasureStore {
     fn record(&mut self, flow: FlowId, offset: SimTime, interval: SimTime, size: u32);
     /// Take all non-empty measures accumulated this interval, attributed to
     /// flows, clearing the store for the next interval. Sorted by ascending
-    /// flow id (callers two-pointer the result against their own sorted flow
-    /// lists).
+    /// flow id.
     fn drain(&mut self) -> Vec<(FlowId, IntervalMeasures)>;
     /// Number of distinct slots currently in use.
     fn occupancy(&self) -> usize;
@@ -45,20 +45,6 @@ impl ExactStore {
     /// Fresh, empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The raw register rows and the touched list in arrival order — the
-    /// mid-interval state a streaming snapshot must carry.
-    pub fn parts(&self) -> (&[IntervalMeasures], &[FlowId]) {
-        (&self.rows, &self.touched)
-    }
-
-    /// Rebuild a store from its serialized parts. `touched` must list
-    /// exactly the flows whose `rows` entry is non-empty, in the original
-    /// arrival order (drain sorts, so order only affects nothing observable,
-    /// but a bit-exact restore preserves it anyway).
-    pub fn from_parts(rows: Vec<IntervalMeasures>, touched: Vec<FlowId>) -> Self {
-        ExactStore { rows, touched }
     }
 }
 

@@ -12,12 +12,15 @@
 //! * `f_avg` — the six Table-1 measures averaged over the sampling intervals
 //!   of the flow's last RTT;
 //! * `f_last` — the six measures of the most recent interval.
+//!
+//! The monitor keeps each flow's `f_avg` numerators as running integer sums
+//! over its closed intervals; this module derives the window length and
+//! turns metadata, sums and the newest interval into the vector.
 
 use crate::measures::IntervalMeasures;
 use db_netsim::SimTime;
 use db_topology::{LinkId, NodeId, Routes, SCALE_NODE_THRESHOLD};
 use db_util::{stats as st, Pcg64};
-use std::collections::VecDeque;
 
 /// Number of features in a vector: 3 (`f_flow`) + 6 (`f_avg`) + 6 (`f_last`).
 pub const NUM_FEATURES: usize = 15;
@@ -172,98 +175,21 @@ impl FlowMeta {
     }
 }
 
-/// Rolling per-flow interval history, bounded by the window length.
-#[derive(Debug, Clone, Default)]
-pub struct FlowHistory {
-    intervals: VecDeque<IntervalMeasures>,
-    /// Total packets ever recorded (used to skip never-active flows).
-    pub total_packets: u64,
-}
-
-impl FlowHistory {
-    /// Push the measures of a completed interval, evicting beyond `cap`.
-    pub fn push(&mut self, m: IntervalMeasures, cap: usize) {
-        self.total_packets += m.n_packet as u64;
-        self.intervals.push_back(m);
-        while self.intervals.len() > cap {
-            self.intervals.pop_front();
-        }
+/// Assemble the Table-2 feature vector of a flow from its metadata, the
+/// per-measure sums over its last `meta.n_interval` closed intervals (one
+/// RTT of history — callers emit nothing before that much is buffered), and
+/// the newest of those intervals.
+pub(crate) fn assemble(meta: &FlowMeta, sums: &[u64; 6], last: &IntervalMeasures) -> FeatureVector {
+    let inv = 1.0 / meta.n_interval as f64;
+    let mut f = [0.0; NUM_FEATURES];
+    f[0] = meta.rtt_ms;
+    f[1] = meta.path_len as f64;
+    f[2] = meta.n_interval as f64;
+    for (i, (sum, last)) in sums.iter().zip(last.widened()).enumerate() {
+        f[3 + i] = *sum as f64 * inv;
+        f[9 + i] = last as f64;
     }
-
-    /// Number of buffered intervals.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether the most recent `n` buffered intervals are all packet-free.
-    pub fn recent_all_empty(&self, n: usize) -> bool {
-        self.intervals.len() >= n && self.intervals.iter().rev().take(n).all(|m| m.is_empty())
-    }
-
-    /// Forget everything — the monitor reclaims this flow's registers.
-    pub fn reset(&mut self) {
-        self.intervals.clear();
-        self.total_packets = 0;
-    }
-
-    /// Whether no interval has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
-    /// The buffered intervals, oldest first (snapshot serialization).
-    pub fn buffered(&self) -> impl ExactSizeIterator<Item = &IntervalMeasures> {
-        self.intervals.iter()
-    }
-
-    /// Rebuild a history from its serialized parts — `intervals` oldest
-    /// first, exactly as [`Self::buffered`] yields them.
-    pub fn from_parts(intervals: Vec<IntervalMeasures>, total_packets: u64) -> Self {
-        FlowHistory {
-            intervals: intervals.into(),
-            total_packets,
-        }
-    }
-
-    /// Assemble the Table-2 feature vector for this flow.
-    ///
-    /// Returns `None` until at least `meta.n_interval` intervals are buffered
-    /// (one full RTT of history, needed for a meaningful `f_avg`).
-    pub fn features(&self, meta: &FlowMeta) -> Option<FeatureVector> {
-        if self.intervals.len() < meta.n_interval {
-            return None;
-        }
-        let last = *self.intervals.back().expect("non-empty history");
-        let n = meta.n_interval;
-        let recent = self.intervals.iter().rev().take(n);
-        let mut sums = [0.0f64; 6];
-        for m in recent {
-            sums[0] += m.n_packet as f64;
-            sums[1] += m.len_all as f64;
-            sums[2] += m.len_max as f64;
-            sums[3] += m.len_last as f64;
-            sums[4] += m.n_burst as f64;
-            sums[5] += m.pos_burst as f64;
-        }
-        let inv = 1.0 / n as f64;
-        Some([
-            meta.rtt_ms,
-            meta.path_len as f64,
-            meta.n_interval as f64,
-            sums[0] * inv,
-            sums[1] * inv,
-            sums[2] * inv,
-            sums[3] * inv,
-            sums[4] * inv,
-            sums[5] * inv,
-            last.n_packet as f64,
-            last.len_all as f64,
-            last.len_max as f64,
-            last.len_last as f64,
-            last.n_burst as f64,
-            last.pos_burst as f64,
-        ])
-    }
+    f
 }
 
 #[cfg(test)]
@@ -321,64 +247,17 @@ mod tests {
     }
 
     #[test]
-    fn features_need_one_rtt_of_history() {
+    fn assemble_lays_out_flow_avg_last() {
         let cfg = WindowConfig::explicit(SimTime::from_ms(4), 8);
         let meta = FlowMeta::new(12.0, 4, vec![], &cfg); // n_interval = 3
-        let mut h = FlowHistory::default();
-        h.push(meas(5, 7_500), cfg.window_intervals);
-        h.push(meas(5, 7_500), cfg.window_intervals);
-        assert!(
-            h.features(&meta).is_none(),
-            "only 2 of 3 intervals buffered"
-        );
-        h.push(meas(2, 3_000), cfg.window_intervals);
-        let f = h.features(&meta).expect("enough history now");
-        assert_eq!(f[0], 12.0);
-        assert_eq!(f[1], 4.0);
-        assert_eq!(f[2], 3.0);
-        assert!((f[3] - 4.0).abs() < 1e-12, "avg n_packet = (5+5+2)/3");
-        assert_eq!(f[9], 2.0, "last n_packet");
-        assert_eq!(f[10], 3_000.0, "last len_all");
-    }
-
-    #[test]
-    fn avg_uses_only_last_rtt_of_intervals() {
-        let cfg = WindowConfig::explicit(SimTime::from_ms(4), 10);
-        let meta = FlowMeta::new(8.0, 2, vec![], &cfg); // n_interval = 2
-        let mut h = FlowHistory::default();
-        h.push(meas(100, 1), cfg.window_intervals); // old, outside last RTT
-        h.push(meas(4, 1), cfg.window_intervals);
-        h.push(meas(6, 1), cfg.window_intervals);
-        let f = h.features(&meta).unwrap();
-        assert!(
-            (f[3] - 5.0).abs() < 1e-12,
-            "avg over last two intervals only"
-        );
-    }
-
-    #[test]
-    fn history_evicts_beyond_cap() {
-        let mut h = FlowHistory::default();
-        for i in 0..20 {
-            h.push(meas(i, 0), 4);
-        }
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.total_packets, (0..20).sum::<u32>() as u64);
-        assert!(!h.is_empty());
-    }
-
-    #[test]
-    fn zero_interval_features_show_silence() {
-        // After activity, a silent interval yields last_* = 0 but avg_* > 0 —
-        // the failure signature the classifier keys on.
-        let cfg = WindowConfig::explicit(SimTime::from_ms(4), 8);
-        let meta = FlowMeta::new(8.0, 2, vec![], &cfg); // n_interval = 2
-        let mut h = FlowHistory::default();
-        h.push(meas(10, 15_000), cfg.window_intervals);
-        h.push(IntervalMeasures::default(), cfg.window_intervals);
-        let f = h.features(&meta).unwrap();
-        assert_eq!(f[9], 0.0, "last interval silent");
-        assert!(f[3] > 0.0, "average still reflects activity");
+        let last = meas(2, 3_000);
+        // Sums of three intervals: 5 + 5 + 2 packets, 7 500 + 7 500 + 3 000 B.
+        let f = assemble(&meta, &[12, 18_000, 4_500, 4_500, 6, 15], &last);
+        assert_eq!(f[..3], [12.0, 4.0, 3.0]);
+        assert_eq!(f[3], 12.0 * (1.0 / 3.0), "avg n_packet = sum · 1/n");
+        assert_eq!(f[4], 18_000.0 * (1.0 / 3.0));
+        assert_eq!(f[8], 15.0 * (1.0 / 3.0));
+        assert_eq!(f[9..], [2.0, 3_000.0, 1_500.0, 1_500.0, 2.0, 5.0]);
     }
 
     #[test]

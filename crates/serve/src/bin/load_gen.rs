@@ -12,8 +12,9 @@
 //!   (`pulse-smoke: OK …`);
 //! * `--shutdown` — after the replay, `AdvanceTo { u64::MAX }` is refused
 //!   and the daemon still answers (`serve-smoke: OK far-future AdvanceTo
-//!   refused …`), then a `Shutdown` frame stops it (`load_gen: daemon shut
-//!   down cleanly`).
+//!   refused …`), so is a `FlowDef` with `id = u32::MAX` (`serve-smoke: OK
+//!   oversize FlowDef refused`), then a `Shutdown` frame stops it
+//!   (`load_gen: daemon shut down cleanly`).
 //!
 //! It measures nothing: throughput and latency of the daemon come from
 //! `benchmark/` (`serve-failure-closed`, `serve-failure-paced`).
@@ -346,6 +347,30 @@ fn probe_far_future(addr: &str) {
     }
 }
 
+/// Nor may one frame make it allocate by a field's say-so: a `FlowDef`
+/// with `id = u32::MAX` has to come back as an `Error` (every monitor on
+/// the path indexes its flow table by id).
+fn probe_oversize_flowdef(addr: &str) {
+    let mut s = open_session(addr);
+    s.sock
+        .set_read_timeout(Some(REPLY_TIMEOUT))
+        .expect("set read timeout");
+    let flowdef = Frame::FlowDef {
+        id: u32::MAX,
+        rtt_ms: 4.0,
+        nodes: vec![0],
+        links: vec![],
+    };
+    write_frame(&mut s.out, &flowdef).expect("send flow def");
+    s.out.flush().expect("flush probe");
+    match read_frame(&mut s.input) {
+        Ok(Some(Frame::Error(_))) => println!("serve-smoke: OK oversize FlowDef refused"),
+        other => fail(format!(
+            "serve-smoke: FAIL FlowDef{{id: u32::MAX}} not refused ({other:?})"
+        )),
+    }
+}
+
 /// Stop the daemon with a `Shutdown` frame and wait for its `Bye`.
 fn shut_down(addr: &str) {
     let mut s = open_session(addr);
@@ -397,6 +422,7 @@ fn main() {
     }
     if args.shutdown {
         probe_far_future(&args.addr);
+        probe_oversize_flowdef(&args.addr);
         shut_down(&args.addr);
     }
 }

@@ -22,6 +22,7 @@ use crate::frame::{
 use db_core::{prepare, Engine, FlowRecord, PrepareConfig, SystemConfig, VariantSpec, Warning};
 use db_core::{DriftBottleSystem, RestoreError};
 use db_dtree::TableClassifier;
+use db_flowmon::MAX_FLOWS;
 use db_netsim::{FlowId, FlowSpec, HopInfo, PpbpParams, SimTime, TrafficConfig, TrafficGen};
 use db_telemetry::export::to_prometheus;
 use db_telemetry::scope::{ScopeMeta, ScopePoint, ScopeRecorder};
@@ -172,6 +173,8 @@ struct EngineState {
     sub_dropped_ctr: Counter,
     /// Frames refused for reaching past [`MAX_CATCHUP_WINDOWS`].
     catchup_refused_ctr: Counter,
+    /// `FlowDef` frames refused for an id at or past [`MAX_FLOWS`].
+    flowdef_refused_ctr: Counter,
     batch_hist: Histogram,
 }
 
@@ -540,6 +543,7 @@ impl Shared {
             slow_ctr: self.reg.counter("serve.slow_ticks"),
             sub_dropped_ctr: self.reg.counter("serve.sub_dropped"),
             catchup_refused_ctr: self.reg.counter("serve.catchup_refused"),
+            flowdef_refused_ctr: self.reg.counter("serve.flowdef_refused"),
             batch_hist: self
                 .reg
                 .histogram("serve.ingest_batch_us", BATCH_LATENCY_BOUNDS_US),
@@ -758,6 +762,15 @@ fn register_flow(
     nodes: &[u16],
     links: &[u16],
 ) -> Frame {
+    // Every monitor on the path indexes its flow table by id: an unbounded
+    // one would size that index, and `id = u32::MAX` would abort the daemon
+    // on the allocation.
+    if id as usize >= MAX_FLOWS {
+        state.flowdef_refused_ctr.inc();
+        return Frame::Error(format!(
+            "flow id {id} is past the limit of {MAX_FLOWS} flows"
+        ));
+    }
     if nodes.is_empty() || links.len() + 1 != nodes.len() {
         return Frame::Error("flow path needs n nodes and n-1 links".into());
     }
@@ -1543,6 +1556,58 @@ mod tests {
             }
         }
         assert_eq!(replies, ["refused", "served", "served"]);
+    }
+
+    /// A `FlowDef` whose id no monitor could index is refused and counted,
+    /// the frame behind it is answered, and the largest accepted id costs
+    /// what [`MAX_FLOWS`] says it may.
+    #[test]
+    fn oversize_flowdef_is_refused_and_the_session_goes_on() {
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let opts = ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot: None,
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let shared = Shared::new(&opts);
+        let flowdef = |id| Frame::FlowDef {
+            id,
+            rtt_ms: 4.0,
+            nodes: vec![0, 1, 2],
+            links: vec![0, 1],
+        };
+        let mut request = Vec::new();
+        let hello = Frame::Hello {
+            proto: PROTO_VERSION,
+            topo: "line:3".into(),
+            density: 1.0,
+            seed: 1,
+            window_cap: 0,
+        };
+        write_frame(&mut request, &hello).unwrap();
+        write_frame(&mut request, &flowdef(u32::MAX)).unwrap();
+        write_frame(&mut request, &flowdef(MAX_FLOWS as u32)).unwrap();
+        write_frame(&mut request, &flowdef(MAX_FLOWS as u32 - 1)).unwrap();
+        write_frame(&mut request, &Frame::StatsReq).unwrap();
+        let mut out = Vec::new();
+        session(&mut io::Cursor::new(request), &mut out, &shared, None).unwrap();
+        let mut cur = io::Cursor::new(out);
+        let mut replies = Vec::new();
+        while let Some(f) = read_frame(&mut cur).unwrap() {
+            match f {
+                Frame::HelloAck { .. } => {}
+                Frame::Error(msg) => {
+                    assert!(msg.contains("past the limit"), "{msg}");
+                    replies.push("refused");
+                }
+                Frame::Stats { .. } => replies.push("stats"),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        // An accepted FlowDef answers with Stats, as does the StatsReq.
+        assert_eq!(replies, ["refused", "refused", "stats", "stats"]);
+        assert_eq!(shared.reg.counter("serve.flowdef_refused").get(), 2);
     }
 
     /// `persist` replaces the snapshot only by renaming a complete, synced

@@ -409,8 +409,7 @@ impl ScopeRecorder {
     // -- series feeds --------------------------------------------------------
 
     fn feed(&self, kind: SeriesKind, id: u16, at_ns: u64, value: f64) {
-        let mut g = self.lock();
-        Self::feed_locked(&mut g, self.cap, kind, id, at_ns, value);
+        self.feeder().feed(kind, id, at_ns, value);
     }
 
     /// The feed body, for callers already holding the lock — hot feeds
@@ -485,9 +484,22 @@ impl ScopeRecorder {
         }
     }
 
+    /// Lock the recorder once for a run of window-close feeds. A window
+    /// close casts a vote per upstream link of every judged flow; through
+    /// the guard they cost one lock round-trip per switch, not one each.
+    /// Feeding through it is the same fold in the same order as the
+    /// per-call methods. Drop it before calling anything else on the
+    /// recorder — the lock is not reentrant.
+    pub fn feeder(&self) -> ScopeFeed<'_> {
+        ScopeFeed {
+            g: self.lock(),
+            cap: self.cap,
+        }
+    }
+
     /// A local vote of `delta` cast on `link` at window close.
     pub fn vote(&self, at_ns: u64, link: u16, delta: f64) {
-        self.feed(SeriesKind::LinkVotes, link, at_ns, delta);
+        self.feeder().vote(at_ns, link, delta);
     }
 
     /// An eq.(1) warning raised for `link`.
@@ -502,15 +514,13 @@ impl ScopeRecorder {
 
     /// A flow classified at `switch`; only abnormal verdicts count.
     pub fn classified(&self, at_ns: u64, switch: u16, abnormal: bool) {
-        if abnormal {
-            self.feed(SeriesKind::SwitchAbnormal, switch, at_ns, 1.0);
-        }
+        self.feeder().classified(at_ns, switch, abnormal);
     }
 
     /// Flows occupying live register history at `switch` when its sampling
     /// window closed (flowmon's register-occupancy view).
     pub fn active_flows(&self, at_ns: u64, switch: u16, count: usize) {
-        self.feed(SeriesKind::SwitchActive, switch, at_ns, count as f64);
+        self.feeder().active_flows(at_ns, switch, count);
     }
 
     /// Simulator event-queue depth sampled at a tick.
@@ -759,6 +769,36 @@ impl ScopeRecorder {
     /// Write the trace JSON to `path`.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_trace_json())
+    }
+}
+
+/// The recorder held locked for a run of window-close feeds; see
+/// [`ScopeRecorder::feeder`].
+pub struct ScopeFeed<'a> {
+    g: std::sync::MutexGuard<'a, ScopeInner>,
+    cap: usize,
+}
+
+impl ScopeFeed<'_> {
+    fn feed(&mut self, kind: SeriesKind, id: u16, at_ns: u64, value: f64) {
+        ScopeRecorder::feed_locked(&mut self.g, self.cap, kind, id, at_ns, value);
+    }
+
+    /// [`ScopeRecorder::vote`].
+    pub fn vote(&mut self, at_ns: u64, link: u16, delta: f64) {
+        self.feed(SeriesKind::LinkVotes, link, at_ns, delta);
+    }
+
+    /// [`ScopeRecorder::classified`].
+    pub fn classified(&mut self, at_ns: u64, switch: u16, abnormal: bool) {
+        if abnormal {
+            self.feed(SeriesKind::SwitchAbnormal, switch, at_ns, 1.0);
+        }
+    }
+
+    /// [`ScopeRecorder::active_flows`].
+    pub fn active_flows(&mut self, at_ns: u64, switch: u16, count: usize) {
+        self.feed(SeriesKind::SwitchActive, switch, at_ns, count as f64);
     }
 }
 

@@ -77,12 +77,13 @@ fn threshold_confusion(prep: &db_core::Prepared) -> ConfusionMatrix {
     let monitor = NetworkMonitor::deploy(&prep.topo, &flows, prep.wcfg);
     let mut sim = Simulator::new(&prep.topo, flows.clone(), cfg, &scenario, 0xF166, monitor);
     sim.run();
-    let (monitor, stats) = sim.finish();
+    let (mut monitor, stats) = sim.finish();
     let labeler = Labeler::new(&prep.topo, &scenario, &flows, &stats, prep.wcfg.interval);
-    let ds = Dataset::from_rows(&monitor.rows, &monitor, &labeler);
+    let rows = std::mem::take(&mut monitor.rows);
+    let ds = Dataset::from_rows(rows, &monitor, &labeler);
     let thr = ThresholdClassifier::default();
     let _ = LinkId(0);
-    ConfusionMatrix::evaluate(ds.samples.iter().map(|s| (&s.features, s.label)), |x| {
+    ConfusionMatrix::evaluate(ds.iter().map(|(row, label)| (&row.features, label)), |x| {
         use db_dtree::FlowClassifier;
         thr.classify(x)
     })

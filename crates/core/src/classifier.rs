@@ -126,9 +126,10 @@ fn scenario_dataset(
     }
     let mut sim = Simulator::new(topo, flows.clone(), cfg, scenario, seed, monitor);
     sim.run();
-    let (monitor, stats) = sim.finish();
+    let (mut monitor, stats) = sim.finish();
     let labeler = Labeler::new(topo, scenario, &flows, &stats, wcfg.interval);
-    Dataset::from_rows(&monitor.rows, &monitor, &labeler)
+    let rows = std::mem::take(&mut monitor.rows);
+    Dataset::from_rows(rows, &monitor, &labeler)
 }
 
 /// Run the full §6.1 training pipeline for a topology.
@@ -223,21 +224,20 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
     }
     assert!(!full.is_empty(), "training produced no samples");
 
-    // 3:1 split, balance the training side, train, compile.
+    // 3:1 split, balance the training side, train, compile. The split and
+    // the balance pick sample indices; only the picked training examples
+    // are gathered, and the test side is read in place.
     let mut split_rng = Pcg64::new_stream(cfg.seed, 0x5711);
-    let (train_raw, test) = full.split(0.75, &mut split_rng);
-    let train = train_raw.balanced(cfg.balance_ratio, &mut split_rng);
-    let examples: Vec<_> = train
-        .samples
-        .iter()
-        .map(|s| (s.features, s.label))
-        .collect();
+    let (train, test) = full.split(0.75, &mut split_rng);
+    let train = full.balanced(train, cfg.balance_ratio, &mut split_rng);
+    let sample = |i: &usize| {
+        let (row, label) = full.get(*i);
+        (&row.features, label)
+    };
+    let examples: Vec<_> = train.iter().map(sample).map(|(x, l)| (*x, l)).collect();
     let tree = DecisionTree::train(&examples, &cfg.tree);
     let table = TableClassifier::compile(&tree);
-    let confusion =
-        ConfusionMatrix::evaluate(test.samples.iter().map(|s| (&s.features, s.label)), |x| {
-            table.classify(x)
-        });
+    let confusion = ConfusionMatrix::evaluate(test.iter().map(sample), |x| table.classify(x));
     Prepared {
         topo,
         routes,

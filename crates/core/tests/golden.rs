@@ -12,9 +12,13 @@
 //! If this test fails after a perf change, the change altered simulation
 //! semantics; do not re-pin without understanding exactly why.
 
-use db_core::{prepare, run_scenario, PrepareConfig, ScenarioKind, ScenarioSetup, VariantSpec};
+use db_core::{
+    prepare, run_scenario, PrepareConfig, Prepared, ScenarioKind, ScenarioSetup, VariantSpec,
+};
+use db_flowmon::FlowStatus;
 use db_telemetry::ScopeRecorder;
 use db_topology::{zoo, NodeId};
+use db_util::wire::fnv1a64;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -22,8 +26,8 @@ fn fingerprint() -> String {
     fingerprint_with(None)
 }
 
-fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
-    let prep = prepare(
+fn grid_prepared() -> Prepared {
+    prepare(
         zoo::grid(3, 3),
         &PrepareConfig {
             n_link_scenarios: 4,
@@ -32,7 +36,11 @@ fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
             train_density: 1.0,
             ..Default::default()
         },
-    );
+    )
+}
+
+fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
+    let prep = grid_prepared();
     let mut setup = ScenarioSetup::flagship(&prep, 1.0, 42);
     setup.variants = VariantSpec::fig8_set();
     setup.sys.ratio_sampling = 8;
@@ -155,5 +163,59 @@ fn fig8_scenario_matches_golden_snapshot_while_traced() {
         got == GOLDEN,
         "tracing changed scenario output — db-scope must be observational\n\
          --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
+    );
+}
+
+/// What `prepare` itself answers: the compiled table (FNV-1a 64 over every
+/// rule's range bounds as IEEE-754 bits, label and priority, in table
+/// order), the held-out confusion matrix and the two sample counts.
+fn prepare_pin(prep: &Prepared) -> String {
+    let mut bytes = Vec::new();
+    for rule in prep.table.rules() {
+        for (lo, hi) in rule.ranges {
+            bytes.extend(lo.to_bits().to_le_bytes());
+            bytes.extend(hi.to_bits().to_le_bytes());
+        }
+        bytes.push(u8::from(rule.label == FlowStatus::Abnormal));
+        bytes.extend(rule.priority.to_le_bytes());
+    }
+    let cm = &prep.confusion;
+    format!(
+        "rules={} digest={:#018x} tp={} fp={} fn={} tn={} train={} test={}",
+        prep.table.rules().len(),
+        fnv1a64(&bytes),
+        cm.tp,
+        cm.fp,
+        cm.fn_,
+        cm.tn,
+        prep.train_samples,
+        prep.test_samples
+    )
+}
+
+/// The training pipeline is pinned directly, not only through the scenario
+/// it feeds: values recorded before `prepare` went from copying samples to
+/// selecting indices (same shuffle, same balance draws, same examples in
+/// the same order).
+#[test]
+fn prepare_on_the_grid_is_pinned() {
+    assert_eq!(
+        prepare_pin(&grid_prepared()),
+        "rules=2 digest=0xf30d50cc63191827 tp=17 fp=120 fn=0 tn=3215 train=270 test=3352"
+    );
+}
+
+/// The same pin at full size: the configuration every Geant2012 daemon,
+/// sweep and figure trains with.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a full Geant2012 training run: seconds optimized, a minute unoptimized"
+)]
+fn prepare_on_geant2012_is_pinned() {
+    let prep = prepare(zoo::geant2012(), &PrepareConfig::default());
+    assert_eq!(
+        prepare_pin(&prep),
+        "rules=33 digest=0xdc6f80527f8bfbf7 tp=6299 fp=1096 fn=0 tn=303917 train=95775 test=311312"
     );
 }

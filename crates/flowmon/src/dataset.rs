@@ -15,9 +15,8 @@
 //! set at the ratio of 3:1."
 
 use crate::monitor::{MonitorRow, NetworkMonitor};
-use crate::window::FeatureVector;
 use db_netsim::{FailureScenario, FlowId, FlowSpec, SimStats, SimTime};
-use db_topology::{NodeId, Topology};
+use db_topology::Topology;
 use db_util::Pcg64;
 
 /// Classifier target: the status of a monitored flow in a window.
@@ -27,21 +26,6 @@ pub enum FlowStatus {
     Normal,
     /// Packets of the flow fail to reach the monitor because of a failure.
     Abnormal,
-}
-
-/// One labeled sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// The monitoring switch.
-    pub switch: NodeId,
-    /// The monitored flow.
-    pub flow: FlowId,
-    /// Tick time (end of the sampled interval).
-    pub at: SimTime,
-    /// Feature vector (Table 2).
-    pub features: FeatureVector,
-    /// Ground-truth label.
-    pub label: FlowStatus,
 }
 
 /// Labels monitoring rows against a failure scenario.
@@ -150,102 +134,149 @@ impl<'a> Labeler<'a> {
     }
 }
 
-/// A labeled dataset.
+/// One scenario's monitoring rows and, in the same order, their labels.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    rows: Vec<MonitorRow>,
+    labels: Vec<FlowStatus>,
+}
+
+/// A labeled dataset: the rows each training scenario's monitor collected,
+/// kept where they are and addressed by one global index in scenario order.
+///
+/// A full-size training run holds over a million 136-byte rows and trains
+/// on a twelfth of them, and which twelfth is only known once every label
+/// is (the split shuffles all indices, the balance counts both classes). So
+/// nothing here copies a row: [`Self::extend`] moves chunks,
+/// [`Self::split`] and [`Self::balanced`] deal in index lists, and the
+/// caller gathers the few examples it trains on.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    /// All samples.
-    pub samples: Vec<Sample>,
+    chunks: Vec<Chunk>,
+    /// Global index of each chunk's first row.
+    starts: Vec<usize>,
+    len: usize,
 }
 
 impl Dataset {
-    /// Label every collected monitoring row.
-    pub fn from_rows(rows: &[MonitorRow], monitor: &NetworkMonitor, labeler: &Labeler) -> Self {
-        let samples = rows
+    /// Label the rows of a finished monitor (move them out of
+    /// `NetworkMonitor::rows`; `monitor` still resolves their upstream
+    /// paths).
+    pub fn from_rows(
+        mut rows: Vec<MonitorRow>,
+        monitor: &NetworkMonitor,
+        labeler: &Labeler,
+    ) -> Self {
+        // The monitor grew the vector by doubling; the dataset keeps it for
+        // the whole training run.
+        rows.shrink_to_fit();
+        let labels = rows
             .iter()
             .map(|r| {
                 let upstream = monitor
                     .upstream(r.switch, r.flow)
                     .expect("row produced by a registered flow");
-                Sample {
-                    switch: r.switch,
-                    flow: r.flow,
-                    at: r.at,
-                    features: r.features,
-                    label: labeler.label(r.flow, upstream, r.at),
-                }
+                labeler.label(r.flow, upstream, r.at)
             })
             .collect();
-        Dataset { samples }
+        let mut ds = Dataset::default();
+        ds.push(Chunk { rows, labels });
+        ds
+    }
+
+    fn push(&mut self, chunk: Chunk) {
+        self.starts.push(self.len);
+        self.len += chunk.rows.len();
+        self.chunks.push(chunk);
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len
     }
 
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
+    }
+
+    /// Sample `i` in scenario order: its row and ground-truth label.
+    pub fn get(&self, i: usize) -> (&MonitorRow, FlowStatus) {
+        assert!(i < self.len, "sample {i} of {}", self.len);
+        let c = self.starts.partition_point(|&s| s <= i) - 1;
+        let chunk = &self.chunks[c];
+        let at = i - self.starts[c];
+        (&chunk.rows[at], chunk.labels[at])
+    }
+
+    /// Every sample, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = (&MonitorRow, FlowStatus)> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.rows.iter().zip(c.labels.iter().copied()))
     }
 
     /// `(normal, abnormal)` counts.
     pub fn class_counts(&self) -> (usize, usize) {
         let abnormal = self
-            .samples
+            .chunks
             .iter()
-            .filter(|s| s.label == FlowStatus::Abnormal)
+            .flat_map(|c| &c.labels)
+            .filter(|l| **l == FlowStatus::Abnormal)
             .count();
-        (self.samples.len() - abnormal, abnormal)
+        (self.len - abnormal, abnormal)
     }
 
-    /// Append another dataset.
+    /// Append another dataset's scenarios after this one's.
     pub fn extend(&mut self, other: Dataset) {
-        self.samples.extend(other.samples);
+        for chunk in other.chunks {
+            self.push(chunk);
+        }
     }
 
     /// Shuffle and split train/test at `train_fraction` (the paper uses 3:1,
-    /// i.e. 0.75).
-    pub fn split(&self, train_fraction: f64, rng: &mut Pcg64) -> (Dataset, Dataset) {
+    /// i.e. 0.75): the sample indices of the two sides, in shuffled order.
+    pub fn split(&self, train_fraction: f64, rng: &mut Pcg64) -> (Vec<usize>, Vec<usize>) {
         assert!(
             (0.0..=1.0).contains(&train_fraction),
             "train fraction must be in [0,1]"
         );
-        let mut idx: Vec<usize> = (0..self.samples.len()).collect();
-        rng.shuffle(&mut idx);
-        let cut = (self.samples.len() as f64 * train_fraction).round() as usize;
-        let train = idx[..cut].iter().map(|&i| self.samples[i]).collect();
-        let test = idx[cut..].iter().map(|&i| self.samples[i]).collect();
-        (Dataset { samples: train }, Dataset { samples: test })
+        let mut train: Vec<usize> = (0..self.len).collect();
+        rng.shuffle(&mut train);
+        let cut = (self.len as f64 * train_fraction).round() as usize;
+        let test = train.split_off(cut);
+        (train, test)
     }
 
-    /// Downsample the majority class to at most `ratio` times the minority
-    /// class (class imbalance control for training).
-    pub fn balanced(&self, ratio: f64, rng: &mut Pcg64) -> Dataset {
+    /// Downsample the majority class among the samples `idx` to at most
+    /// `ratio` times the minority class (class imbalance control for
+    /// training); the survivors keep their order.
+    pub fn balanced(&self, mut idx: Vec<usize>, ratio: f64, rng: &mut Pcg64) -> Vec<usize> {
         assert!(ratio >= 1.0, "ratio must be at least 1");
-        let (normal, abnormal) = self.class_counts();
+        let labels: Vec<FlowStatus> = idx.iter().map(|&i| self.get(i).1).collect();
+        let abnormal = labels
+            .iter()
+            .filter(|l| **l == FlowStatus::Abnormal)
+            .count();
+        let normal = labels.len() - abnormal;
         let (major, minor, major_label) = if normal >= abnormal {
             (normal, abnormal, FlowStatus::Normal)
         } else {
             (abnormal, normal, FlowStatus::Abnormal)
         };
         if minor == 0 || (major as f64) <= ratio * minor as f64 {
-            return self.clone();
+            return idx;
         }
         let keep_major = (ratio * minor as f64).round() as usize;
-        let major_idx: Vec<usize> = (0..self.samples.len())
-            .filter(|&i| self.samples[i].label == major_label)
-            .collect();
-        let chosen = rng.sample_indices(major_idx.len(), keep_major);
-        let keep: std::collections::BTreeSet<usize> =
-            chosen.into_iter().map(|i| major_idx[i]).collect();
-        let samples = self
-            .samples
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.label != major_label || keep.contains(i))
-            .map(|(_, s)| *s)
-            .collect();
-        Dataset { samples }
+        // One flag per member of the majority, in `idx` order: drawn or not.
+        let mut drawn = vec![false; major];
+        for rank in rng.sample_indices(major, keep_major) {
+            drawn[rank] = true;
+        }
+        let mut labels = labels.into_iter();
+        let mut drawn = drawn.into_iter();
+        idx.retain(|_| labels.next() != Some(major_label) || drawn.next() == Some(true));
+        idx
     }
 }
 
@@ -254,7 +285,7 @@ mod tests {
     use super::*;
     use crate::window::WindowConfig;
     use db_netsim::{SimConfig, Simulator, TrafficConfig, TrafficGen};
-    use db_topology::{zoo, LinkId, RouteTable};
+    use db_topology::{zoo, LinkId, NodeId, RouteTable};
 
     /// End-to-end: simulate a failing line network, label, and check the
     /// labels match physical intuition.
@@ -271,9 +302,10 @@ mod tests {
         };
         let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, seed, nm);
         sim.run();
-        let (nm, stats) = sim.finish();
+        let (mut nm, stats) = sim.finish();
         let labeler = Labeler::new(&topo, &scenario, &flows, &stats, SimTime::from_ms(4));
-        let ds = Dataset::from_rows(&nm.rows, &nm, &labeler);
+        let rows = std::mem::take(&mut nm.rows);
+        let ds = Dataset::from_rows(rows, &nm, &labeler);
         (ds, flows)
     }
 
@@ -286,10 +318,9 @@ mod tests {
         assert!(normal > abnormal, "normal dominates (imbalance of §6.3)");
         // Abnormal rows only appear after the failure, at monitors whose
         // upstream part of the flow path contains the failed link l1.
-        for s in ds
-            .samples
+        for (s, _) in ds
             .iter()
-            .filter(|s| s.label == FlowStatus::Abnormal)
+            .filter(|(_, label)| *label == FlowStatus::Abnormal)
         {
             assert!(
                 s.at > SimTime::from_ms(100),
@@ -315,10 +346,10 @@ mod tests {
         // At a flow's ingress switch the upstream path is empty, so no
         // failure can make it abnormal (§2.2).
         let (ds, flows) = build_line_dataset(2);
-        for s in &ds.samples {
+        for (s, label) in ds.iter() {
             let flow = &flows[s.flow.idx()];
             if s.switch == flow.src {
-                assert_eq!(s.label, FlowStatus::Normal);
+                assert_eq!(label, FlowStatus::Normal);
             }
         }
     }
@@ -328,17 +359,23 @@ mod tests {
         let (ds, _) = build_line_dataset(3);
         let mut rng = Pcg64::new(7);
         let (train, test) = ds.split(0.75, &mut rng);
-        assert_eq!(train.len() + test.len(), ds.len());
         let expected = (ds.len() as f64 * 0.75).round() as usize;
         assert_eq!(train.len(), expected);
+        let mut all: Vec<usize> = train.into_iter().chain(test).collect();
+        all.sort_unstable();
+        assert!(all.into_iter().eq(0..ds.len()), "every sample on one side");
     }
 
     #[test]
     fn balanced_caps_majority() {
         let (ds, _) = build_line_dataset(4);
         let mut rng = Pcg64::new(8);
-        let bal = ds.balanced(3.0, &mut rng);
-        let (n, a) = bal.class_counts();
+        let bal = ds.balanced((0..ds.len()).collect(), 3.0, &mut rng);
+        let a = bal
+            .iter()
+            .filter(|&&i| ds.get(i).1 == FlowStatus::Abnormal)
+            .count();
+        let n = bal.len() - a;
         assert!(a > 0);
         assert!(
             n as f64 <= 3.0 * a as f64 + 1.0,
@@ -362,9 +399,10 @@ mod tests {
         };
         let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, 5, nm);
         sim.run();
-        let (nm, stats) = sim.finish();
+        let (mut nm, stats) = sim.finish();
         let labeler = Labeler::new(&topo, &scenario, &flows, &stats, SimTime::from_ms(4));
-        let ds = Dataset::from_rows(&nm.rows, &nm, &labeler);
+        let rows = std::mem::take(&mut nm.rows);
+        let ds = Dataset::from_rows(rows, &nm, &labeler);
         assert!(!ds.is_empty());
         assert_eq!(ds.class_counts().1, 0);
     }
@@ -404,5 +442,117 @@ mod tests {
             labeler.label(FlowId(0), &[], SimTime::from_ms(18)),
             FlowStatus::Normal
         );
+    }
+
+    /// A row with its label, the way the copying forms below carried them.
+    type Labeled = (MonitorRow, FlowStatus);
+
+    /// The copying split this module shipped before the index form: kept as
+    /// the oracle.
+    fn split_by_copy(
+        samples: &[Labeled],
+        train_fraction: f64,
+        rng: &mut Pcg64,
+    ) -> (Vec<Labeled>, Vec<Labeled>) {
+        let mut idx: Vec<usize> = (0..samples.len()).collect();
+        rng.shuffle(&mut idx);
+        let cut = (samples.len() as f64 * train_fraction).round() as usize;
+        let train = idx[..cut].iter().map(|&i| samples[i]).collect();
+        let test = idx[cut..].iter().map(|&i| samples[i]).collect();
+        (train, test)
+    }
+
+    /// The copying balance, likewise.
+    fn balanced_by_copy(samples: &[Labeled], ratio: f64, rng: &mut Pcg64) -> Vec<Labeled> {
+        let abnormal = samples
+            .iter()
+            .filter(|s| s.1 == FlowStatus::Abnormal)
+            .count();
+        let normal = samples.len() - abnormal;
+        let (major, minor, major_label) = if normal >= abnormal {
+            (normal, abnormal, FlowStatus::Normal)
+        } else {
+            (abnormal, normal, FlowStatus::Abnormal)
+        };
+        if minor == 0 || (major as f64) <= ratio * minor as f64 {
+            return samples.to_vec();
+        }
+        let keep_major = (ratio * minor as f64).round() as usize;
+        let major_idx: Vec<usize> = (0..samples.len())
+            .filter(|&i| samples[i].1 == major_label)
+            .collect();
+        let chosen = rng.sample_indices(major_idx.len(), keep_major);
+        let keep: std::collections::BTreeSet<usize> =
+            chosen.into_iter().map(|i| major_idx[i]).collect();
+        samples
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| s.1 != major_label || keep.contains(i))
+            .map(|(_, s)| *s)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The index forms against the copying ones over random chunkings
+        /// (1–6 chunks, some empty), label mixes (no abnormal, a minority, a
+        /// majority of abnormal — so the balance both cuts and, with
+        /// `major <= ratio * minor`, leaves alone), fractions, ratios and
+        /// seeds: the same rows in the same order on every side, and the
+        /// generator left in the same state.
+        #[test]
+        fn index_split_and_balance_match_the_copying_forms(seed in 0u64..1 << 32) {
+            use proptest::prop_assert_eq;
+            let mut gen = Pcg64::new(seed);
+            let p_abnormal = [0.0, 0.05, 0.3, 0.8][gen.index(4)];
+            let mut ds = Dataset::default();
+            let mut flat: Vec<Labeled> = Vec::new();
+            for _ in 0..1 + gen.index(6) {
+                let n = if gen.index(4) == 0 { 0 } else { gen.index(60) };
+                let mut chunk = Chunk::default();
+                for _ in 0..n {
+                    // The flow id is the global index: every row is distinct.
+                    let row = MonitorRow {
+                        switch: NodeId(gen.index(8) as u16),
+                        flow: FlowId(flat.len() as u32),
+                        at: SimTime::from_ms(gen.index(100) as u64),
+                        features: [gen.f64(); crate::window::NUM_FEATURES],
+                    };
+                    let label = if gen.chance(p_abnormal) {
+                        FlowStatus::Abnormal
+                    } else {
+                        FlowStatus::Normal
+                    };
+                    chunk.rows.push(row);
+                    chunk.labels.push(label);
+                    flat.push((row, label));
+                }
+                let mut one = Dataset::default();
+                one.push(chunk);
+                ds.extend(one);
+            }
+            prop_assert_eq!(ds.len(), flat.len());
+            let gather = |idx: &[usize]| -> Vec<Labeled> {
+                idx.iter().map(|&i| { let (r, l) = ds.get(i); (*r, l) }).collect()
+            };
+            prop_assert_eq!(gather(&(0..ds.len()).collect::<Vec<_>>()), flat.clone());
+            prop_assert_eq!(ds.iter().map(|(r, l)| (*r, l)).collect::<Vec<_>>(), flat.clone());
+
+            let fraction = [0.0, 0.5, 0.75, 1.0][gen.index(4)];
+            let ratio = [1.0, 1.5, 4.0][gen.index(3)];
+            let mut rng = Pcg64::new_stream(seed, 0x5711);
+            let mut rng_ref = rng.clone();
+            let (train, test) = ds.split(fraction, &mut rng);
+            let (train_ref, test_ref) = split_by_copy(&flat, fraction, &mut rng_ref);
+            prop_assert_eq!(gather(&train), train_ref.clone());
+            prop_assert_eq!(gather(&test), test_ref);
+            prop_assert_eq!(&rng, &rng_ref);
+
+            let kept = ds.balanced(train, ratio, &mut rng);
+            let kept_ref = balanced_by_copy(&train_ref, ratio, &mut rng_ref);
+            prop_assert_eq!(gather(&kept), kept_ref);
+            prop_assert_eq!(&rng, &rng_ref);
+        }
     }
 }

@@ -28,7 +28,7 @@ pub mod monitor;
 pub mod registers;
 pub mod window;
 
-pub use dataset::{Dataset, FlowStatus, Sample};
+pub use dataset::{Dataset, FlowStatus};
 pub use measures::{IntervalMeasures, SUB_INTERVALS};
 pub use metrics::FlowmonMetrics;
 pub use monitor::{NetworkMonitor, SwitchMonitor, MAX_FLOWS};

@@ -729,11 +729,13 @@ fn session<R: Read, W: Write>(
 
 /// Ingest a record batch: bounds-check switch ids (a bad id would index
 /// outside the monitor table) and timestamps (a far-future one would close
-/// windows without end), feed the engine, publish warnings.
+/// windows without end), feed the engine, publish warnings. The whole batch
+/// is checked before any of it is fed: a refused frame moves nothing — not
+/// the engine, not a counter, and no warning is raised only to be dropped
+/// with the refusal.
 fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
     let nodes = state.nodes;
     let limit_ns = state.catchup_limit_ns();
-    let mut raised = Vec::new();
     for (i, r) in records.iter().enumerate() {
         if u32::from(r.node) >= nodes || u32::from(r.src) >= nodes || u32::from(r.dst) >= nodes {
             return Frame::Error(format!("record {i}: switch id out of range"));
@@ -741,12 +743,14 @@ fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
         if r.at_ns > limit_ns {
             return state.refuse_catchup(r.at_ns, limit_ns);
         }
-        raised.extend(state.engine.ingest(&flow_record(r)));
-        state.ingested += 1;
     }
-    state
-        .ingested_ctr
-        .add(u64::try_from(records.len()).unwrap_or(u64::MAX));
+    let mut raised = Vec::new();
+    for r in records {
+        raised.extend(state.engine.ingest(&flow_record(r)));
+    }
+    let count = u64::try_from(records.len()).unwrap_or(u64::MAX);
+    state.ingested += count;
+    state.ingested_ctr.add(count);
     let warnings = state.publish(&raised);
     Frame::IngestAck {
         count: u32::try_from(records.len()).unwrap_or(u32::MAX),
@@ -844,6 +848,20 @@ fn prom_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Set an accepted socket up for a session and split it into its buffered
+/// halves. Replies are small writes to a peer that may be sending on a
+/// schedule: under Nagle each would sit in the socket until the peer's
+/// delayed ACK of the one before arrives, which it sends riding on its next
+/// frame — a full send interval per reply. So `TCP_NODELAY`, as every
+/// client of the daemon sets on its own end.
+fn session_io(stream: &TcpStream) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    stream.set_nodelay(true)?;
+    Ok((
+        BufReader::new(stream.try_clone()?),
+        BufWriter::new(stream.try_clone()?),
+    ))
+}
+
 /// A bound daemon, ready to accept sessions.
 pub struct Server {
     listener: TcpListener,
@@ -897,20 +915,13 @@ impl Server {
             };
             let shared = self.shared.clone();
             thread::spawn(move || {
-                let mut input = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
+                let (mut input, mut out) = match session_io(&stream) {
+                    Ok(halves) => halves,
                     Err(e) => {
-                        eprintln!("serve: clone failed: {e}");
+                        eprintln!("serve: connection set-up failed: {e}");
                         return;
                     }
-                });
-                let mut out = BufWriter::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("serve: clone failed: {e}");
-                        return;
-                    }
-                });
+                };
                 match session(&mut input, &mut out, &shared, Some(&stream)) {
                     Ok(SessionEnd::Shutdown) => {
                         // Nudge the accept loop so it observes `stopping`.
@@ -1467,6 +1478,142 @@ mod tests {
             }
         }
         assert_eq!(errors, 2, "stats-before-hello and out-of-range switch");
+    }
+
+    /// A `Records` frame is all-or-nothing: one bad record at the end
+    /// refuses the frame with the good prefix not ingested, not counted —
+    /// by `Stats` or by the registry — and the engine byte-for-byte where
+    /// it was.
+    #[test]
+    fn refused_records_frame_ingests_no_prefix() {
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let (records, _end_ns, _link) = record_grid_trace();
+        let opts = ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot: None,
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let shared = Shared::new(&opts);
+        let entry = shared.engine_for("grid:3x3", 1.0, 42, 0).unwrap();
+        let mut state = lock_recover(&entry);
+        let before = state.engine.snapshot();
+
+        let mut batch = records[..3].to_vec();
+        batch[2].node = 99;
+        let reply = ingest(&mut state, &batch);
+        assert!(matches!(reply, Frame::Error(_)), "got {reply:?}");
+        match state.stats() {
+            Frame::Stats { ingested, .. } => assert_eq!(ingested, 0),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        assert_eq!(state.reg.snapshot().counter("serve.ingested"), Some(0));
+        assert!(state.engine.snapshot() == before, "engine state moved");
+
+        // The same two good records on their own are served.
+        match ingest(&mut state, &batch[..2]) {
+            Frame::IngestAck { count, .. } => assert_eq!(count, 2),
+            other => panic!("expected IngestAck, got {other:?}"),
+        }
+        assert_eq!(state.reg.snapshot().counter("serve.ingested"), Some(2));
+    }
+
+    /// Session set-up turns Nagle off on the accepted socket (the subscriber
+    /// writer threads clone the same socket, so they inherit it).
+    #[test]
+    fn accepted_sockets_are_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(
+            !accepted.nodelay().unwrap(),
+            "the platform default is Nagle on"
+        );
+        let (_input, out) = session_io(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert!(out.get_ref().nodelay().unwrap());
+    }
+
+    /// What that buys: a reply does not wait for the sender's next frame. A
+    /// client sends `StatsReq` every 2 ms without reading while a second
+    /// thread stamps each reply. The first two frames go out back to back —
+    /// a sender one frame ahead of the daemon, as any stall leaves an
+    /// open-loop one — and from then on, under Nagle, reply N sits in the
+    /// daemon's socket until the client's TCP acknowledges reply N−1, which
+    /// it does riding on frame N+1: the median send-to-reply time is the
+    /// 2 ms gap itself. With `TCP_NODELAY` it is a loopback round trip.
+    /// Timed from the actual send, so a late sender thread costs nothing.
+    #[test]
+    fn replies_do_not_wait_for_the_senders_next_frame() {
+        const FRAMES: usize = 200;
+        const GAP: Duration = Duration::from_millis(2);
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let opts = ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            snapshot: None,
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let server = Server::bind(&opts).unwrap();
+        let addr = server.local_addr().unwrap();
+        let daemon = thread::spawn(move || server.run().unwrap());
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut out = BufWriter::new(stream.try_clone().unwrap());
+        let mut input = BufReader::new(stream);
+        let hello = Frame::Hello {
+            proto: PROTO_VERSION,
+            topo: "line:3".into(),
+            density: 1.0,
+            seed: 1,
+            window_cap: 0,
+        };
+        write_frame(&mut out, &hello).unwrap();
+        out.flush().unwrap();
+        assert!(matches!(
+            read_frame(&mut input).unwrap(),
+            Some(Frame::HelloAck { .. })
+        ));
+
+        let reader = thread::spawn(move || {
+            let stamps: Vec<Instant> = (0..FRAMES)
+                .map(|_| match read_frame(&mut input).unwrap() {
+                    Some(Frame::Stats { .. }) => Instant::now(),
+                    other => panic!("expected Stats, got {other:?}"),
+                })
+                .collect();
+            (stamps, input)
+        });
+        let start = Instant::now();
+        let sent: Vec<Instant> = (0..FRAMES as u32)
+            .map(|i| {
+                if i > 1 {
+                    thread::sleep((start + GAP * i).saturating_duration_since(Instant::now()));
+                }
+                let at = Instant::now();
+                write_frame(&mut out, &Frame::StatsReq).unwrap();
+                out.flush().unwrap();
+                at
+            })
+            .collect();
+        let (stamps, mut input) = reader.join().unwrap();
+        let mut waits: Vec<Duration> = stamps
+            .iter()
+            .zip(&sent)
+            .map(|(got, at)| got.saturating_duration_since(*at))
+            .collect();
+        waits.sort_unstable();
+        let median = waits[FRAMES / 2];
+        assert!(
+            median < GAP / 2,
+            "median send-to-reply time {median:?}: replies are paced by the sender's frames"
+        );
+
+        write_frame(&mut out, &Frame::Shutdown).unwrap();
+        out.flush().unwrap();
+        assert!(matches!(read_frame(&mut input).unwrap(), Some(Frame::Bye)));
+        daemon.join().unwrap();
     }
 
     /// A frame stamped past the catch-up bound is refused, counted, and

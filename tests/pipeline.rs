@@ -77,9 +77,9 @@ fn dataset_labels_are_stable_across_construction_paths() {
     sim.run();
     let (nm, stats) = sim.finish();
     let labeler = Labeler::new(&topo, &scenario, &flows, &stats, wcfg.interval);
-    let a = Dataset::from_rows(&nm.rows, &nm, &labeler);
-    let b = Dataset::from_rows(&nm.rows, &nm, &labeler);
-    assert_eq!(a.samples, b.samples);
+    let a = Dataset::from_rows(nm.rows.clone(), &nm, &labeler);
+    let b = Dataset::from_rows(nm.rows.clone(), &nm, &labeler);
+    assert!(a.iter().eq(b.iter()));
     let (n, ab) = a.class_counts();
     assert!(n > 0 && ab > 0, "both classes present: {n}/{ab}");
 }

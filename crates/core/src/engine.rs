@@ -128,11 +128,6 @@ pub struct Engine<C: FlowClassifier> {
     /// feeds).
     retention: Option<u32>,
     fingerprint: u64,
-    /// Provenance recorder handle, mirrored from the system so streaming
-    /// callers (the serve daemon) can export without draining the system.
-    flight: Option<Arc<FlightRecorder>>,
-    /// Per-window health series recorder, mirrored likewise.
-    scope: Option<Arc<ScopeRecorder>>,
 }
 
 impl<C: FlowClassifier> Engine<C> {
@@ -151,8 +146,6 @@ impl<C: FlowClassifier> Engine<C> {
             carriers: CarrierTable::new(),
             retention: None,
             fingerprint,
-            flight: None,
-            scope: None,
         }
     }
 
@@ -179,59 +172,36 @@ impl<C: FlowClassifier> Engine<C> {
         self.system.register_flow(f);
     }
 
-    /// Attach a provenance flight recorder (see
-    /// [`DriftBottleSystem::set_flight`]). Streaming ingest then produces
-    /// the same flight records batch replay would; outcomes are unchanged.
-    /// Returns `false` (and attaches nothing) when every variant is
-    /// centralized.
+    /// [`DriftBottleSystem::set_flight`]: streaming ingest then produces
+    /// the same flight records batch replay would.
     pub fn set_flight(
         &mut self,
         rec: Arc<FlightRecorder>,
         ground_truth: &[LinkId],
         total_links: usize,
     ) -> bool {
-        if self
-            .system
-            .set_flight(rec.clone(), ground_truth, total_links)
-        {
-            self.flight = Some(rec);
-            true
-        } else {
-            false
-        }
+        self.system.set_flight(rec, ground_truth, total_links)
     }
 
-    /// Attach a db-scope recorder (see [`DriftBottleSystem::set_scope`]).
-    /// Streaming ingest then feeds the same per-window health series batch
-    /// replay would; outcomes are unchanged. Returns `false` (and attaches
-    /// nothing) when every variant is centralized.
+    /// [`DriftBottleSystem::set_scope`]: streaming ingest then feeds the
+    /// same per-window health series batch replay would.
     pub fn set_scope(&mut self, rec: Arc<ScopeRecorder>) -> bool {
-        if self.system.set_scope(rec.clone()) {
-            self.scope = Some(rec);
-            true
-        } else {
-            false
-        }
+        self.system.set_scope(rec)
     }
 
     /// The attached flight recorder, if any.
     pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
+        self.system.tap.flight()
     }
 
     /// The attached scope recorder, if any.
     pub fn scope(&self) -> Option<&Arc<ScopeRecorder>> {
-        self.scope.as_ref()
+        self.system.tap.scope()
     }
 
     /// The wrapped system (results, logs, telemetry attachment).
     pub fn system(&self) -> &DriftBottleSystem<C> {
         &self.system
-    }
-
-    /// Mutable access to the wrapped system.
-    pub fn system_mut(&mut self) -> &mut DriftBottleSystem<C> {
-        &mut self.system
     }
 
     /// Consume the engine, yielding the system for batch result extraction.

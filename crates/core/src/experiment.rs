@@ -13,16 +13,16 @@ use crate::engine::Engine;
 use crate::eval::{LocalizationMetrics, MetricsAccum};
 use crate::par::par_map;
 use crate::system::{DriftBottleSystem, RatioSample};
+use crate::tap::PhaseSpan;
 use db_netsim::{
     FailureScenario, SimConfig, SimStats, SimTime, Simulator, TrafficConfig, TrafficGen,
 };
-use db_telemetry::flight::{FlightRecord, FlightRecorder};
-use db_telemetry::scope::{ScopeMeta, ScopeRecorder};
+use db_telemetry::flight::FlightRecord;
+use db_telemetry::scope::ScopeMeta;
 use db_telemetry::Instrumentation;
 use db_topology::{ordered_pairs, LinkId, NodeId, Topology, SCALE_NODE_THRESHOLD};
 use db_util::Pcg64;
 use std::fmt;
-use std::sync::Arc;
 
 /// What fails in a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,7 +151,6 @@ pub struct ScenarioSetupBuilder<'a> {
     sys: SystemConfig,
     variants: Vec<VariantSpec>,
     background_loss: f64,
-    instr: Instrumentation,
 }
 
 impl<'a> ScenarioSetupBuilder<'a> {
@@ -197,24 +196,6 @@ impl<'a> ScenarioSetupBuilder<'a> {
         self
     }
 
-    /// Attach a provenance flight recorder.
-    pub fn flight(mut self, rec: Arc<FlightRecorder>) -> Self {
-        self.instr.flight = Some(rec);
-        self
-    }
-
-    /// Attach a db-scope recorder.
-    pub fn scope(mut self, rec: Arc<ScopeRecorder>) -> Self {
-        self.instr.scope = Some(rec);
-        self
-    }
-
-    /// Replace the whole instrumentation bundle.
-    pub fn instrumentation(mut self, instr: Instrumentation) -> Self {
-        self.instr = instr;
-        self
-    }
-
     /// Validate and build the setup.
     pub fn build(self) -> Result<ScenarioSetup<'a>, SetupError> {
         if !(self.density.is_finite() && self.density > 0.0) {
@@ -241,7 +222,7 @@ impl<'a> ScenarioSetupBuilder<'a> {
             sys: self.sys,
             variants: self.variants,
             background_loss: self.background_loss,
-            instr: self.instr,
+            instr: Instrumentation::off(),
         })
     }
 }
@@ -259,7 +240,6 @@ impl<'a> ScenarioSetup<'a> {
             },
             variants: vec![VariantSpec::drift_bottle()],
             background_loss: 0.0,
-            instr: Instrumentation::off(),
         }
     }
 
@@ -359,7 +339,8 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
         });
         system.set_flight(rec.clone(), &ground_truth, prep.topo.link_count());
     }
-    let scenario_span = if let Some(sc) = &setup.instr.scope {
+    let scope = setup.instr.scope.as_ref();
+    if let Some(sc) = scope {
         // The meta header first: everything `timeline` needs to map
         // nanosecond feed times onto window indices and re-state the
         // equation (1) thresholds next to the series.
@@ -373,10 +354,9 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
             hop_min: setup.sys.warning.hop_min,
         });
         system.set_scope(sc.clone());
-        Some(sc.begin_span("scenario"))
-    } else {
-        None
-    };
+    }
+    // Spans close in reverse order of opening when they go out of scope.
+    let _scenario_span = PhaseSpan::begin(scope, "scenario");
     // Batch runs on the incremental engine: the engine is the observer the
     // simulator drives, so the batch and streaming paths share one pipeline
     // (the golden snapshot pins this rebase bit-identical).
@@ -388,27 +368,16 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
     if let Some(rec) = &setup.instr.flight {
         sim.set_flight(rec.clone());
     }
-    if let Some(sc) = &setup.instr.scope {
+    if let Some(sc) = scope {
         sim.set_scope(sc.clone());
     }
     {
         let _simulate = db_telemetry::span("phase.simulate");
-        let sim_span = setup
-            .instr
-            .scope
-            .as_ref()
-            .map(|sc| sc.begin_span("phase.simulate"));
+        let _simulate_span = PhaseSpan::begin(scope, "phase.simulate");
         sim.run();
-        if let (Some(sc), Some(id)) = (&setup.instr.scope, sim_span) {
-            sc.end_span(id);
-        }
     }
     let _score = db_telemetry::span("phase.score");
-    let score_span = setup
-        .instr
-        .scope
-        .as_ref()
-        .map(|sc| sc.begin_span("phase.score"));
+    let _score_span = PhaseSpan::begin(scope, "phase.score");
     let (engine, stats) = sim.finish();
     let system = engine.into_system();
     let total_links = prep.topo.link_count();
@@ -447,14 +416,6 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
             recall = v.metrics.recall,
             precision = v.metrics.precision,
         );
-    }
-    if let Some(sc) = &setup.instr.scope {
-        if let Some(id) = score_span {
-            sc.end_span(id);
-        }
-        if let Some(id) = scenario_span {
-            sc.end_span(id);
-        }
     }
     ScenarioOutcome {
         ground_truth,

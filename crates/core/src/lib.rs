@@ -34,6 +34,7 @@ pub mod eval;
 pub mod experiment;
 pub mod par;
 pub mod system;
+mod tap;
 pub mod wire;
 
 pub use classifier::{prepare, PrepareConfig, Prepared};

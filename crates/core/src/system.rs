@@ -21,20 +21,19 @@
 
 use crate::carrier::CarrierTable;
 use crate::config::{Mechanism, SystemConfig, VariantSpec};
+use crate::tap::Tap;
 use db_dtree::FlowClassifier;
-use db_flowmon::{FlowStatus, FlowmonMetrics, SwitchMonitor, WindowConfig};
+use db_flowmon::{FlowStatus, SwitchMonitor, WindowConfig};
 use db_inference::{
-    aggregate_step_inline_metered, centralized_report, check_warning_inline, inference_digest,
-    local_inference_scratched, provenance::NO_INFERENCE_DIGEST, HeaderCodec, Inference,
-    InferenceMetrics, InlineInference, VoteScratch, INLINE_CAP, MAX_HEADER_BYTES, MAX_K,
+    aggregate_step_inline_metered, centralized_report, check_warning_inline,
+    local_inference_scratched, HeaderCodec, Inference, InlineInference, VoteScratch, INLINE_CAP,
+    MAX_HEADER_BYTES, MAX_K,
 };
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
-use db_telemetry::flight::{FlightRecord, FlightRecorder};
-use db_telemetry::scope::{hot, HotFn, ScopeRecorder};
+use db_telemetry::scope::{hot, HotFn};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// One live warning, as surfaced by the streaming engine's ingest path.
 ///
@@ -98,31 +97,6 @@ pub struct WarningLog {
 /// The pseudo-switch id used for warnings raised by a centralized DCA.
 pub const DCA_NODE: NodeId = NodeId(u16::MAX);
 
-/// Flight-recorder attachment: the recorder plus the run context needed to
-/// stamp records (ground truth for `WarningRaised`, the traced variant).
-///
-/// Provenance traces **one** variant — the flagship wire variant when
-/// present, else the first non-centralized one — because records from
-/// several variants interleaved in one ring would be unattributable.
-struct FlightScope {
-    rec: Arc<FlightRecorder>,
-    /// `truth[link.idx()]` — whether the link actually failed.
-    truth: Vec<bool>,
-    /// Index into `variants` of the traced variant.
-    variant: usize,
-    /// Sampling-window counter (ticks observed so far).
-    window_seq: u32,
-}
-
-/// db-scope attachment: the recorder plus the traced variant index. Like
-/// the flight recorder, scope traces **one** variant so series from several
-/// variants never mix in one store.
-struct ScopeHook {
-    rec: Arc<ScopeRecorder>,
-    /// Index into `variants` of the traced variant.
-    variant: usize,
-}
-
 impl WarningLog {
     fn record(&mut self, now: SimTime, switch: NodeId, link: LinkId, window: (SimTime, SimTime)) {
         self.raises += 1;
@@ -185,30 +159,12 @@ pub struct DriftBottleSystem<C: FlowClassifier> {
     wcfg: WindowConfig,
     codec: HeaderCodec,
     variants: Vec<VariantState>,
-    /// Live warning buffer. `None` (the default, batch mode) records
-    /// nothing; `Some` collects every raise for [`Self::drain_warnings`] —
-    /// push-only, so enabling it never perturbs outcomes.
-    live: Option<Vec<Warning>>,
     /// Warning collection window `(from, to]`.
     window: (SimTime, SimTime),
     agg_counter: u64,
-    /// Telemetry handles; `None` (the default) keeps the hot path untouched.
-    metrics: Option<InferenceMetrics>,
-    /// Flow-monitoring telemetry for the embedded per-switch monitors.
-    fm_metrics: Option<FlowmonMetrics>,
-    /// Classifier telemetry: (`dtree.classifications`, `dtree.class_normal`,
-    /// `dtree.class_abnormal`).
-    dt_metrics: Option<(
-        db_telemetry::Counter,
-        db_telemetry::Counter,
-        db_telemetry::Counter,
-    )>,
-    /// Provenance flight recorder; `None` (the default) records nothing and
-    /// keeps results bit-for-bit identical.
-    flight: Option<FlightScope>,
-    /// db-scope recorder feeding per-window health series and pipeline
-    /// phase spans; `None` (the default) records nothing.
-    scope: Option<ScopeHook>,
+    /// Everything that only observes, attached through the `set_*` methods
+    /// in [`crate::tap`]; by default nothing is, and nothing is recorded.
+    pub(crate) tap: Tap,
 }
 
 impl<C: FlowClassifier> DriftBottleSystem<C> {
@@ -262,6 +218,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let monitors: Vec<SwitchMonitor> =
             topo.nodes().map(|n| SwitchMonitor::new(n, wcfg)).collect();
         let n = topo.node_count();
+        let codec = HeaderCodec::for_network(cfg.k, topo.link_count());
+        let tap = Tap::new(&variants, codec, cfg.warning);
         let variants = variants
             .into_iter()
             .map(|spec| VariantState {
@@ -274,7 +232,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 ticks_seen: 0,
             })
             .collect();
-        let codec = HeaderCodec::for_network(cfg.k, topo.link_count());
         DriftBottleSystem {
             monitors,
             classifier,
@@ -282,14 +239,9 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             wcfg,
             codec,
             variants,
-            live: None,
             window,
             agg_counter: 0,
-            metrics: None,
-            fm_metrics: None,
-            dt_metrics: None,
-            flight: None,
-            scope: None,
+            tap,
         }
     }
 
@@ -304,123 +256,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             let upstream: Vec<LinkId> = f.path.links[..pos].to_vec();
             let meta = db_flowmon::FlowMeta::new(f.rtt_ms, f.path.len(), upstream, &self.wcfg);
             self.monitors[node.idx()].register_flow(f.id, meta);
-        }
-    }
-
-    /// Switch the live warning buffer on: every subsequent raise (from any
-    /// variant, including centralized DCA reports) is also pushed to an
-    /// internal buffer drained by [`Self::drain_warnings`]. Observation
-    /// only — logs, ratios, and every outcome stay bit-identical.
-    pub fn set_live_warnings(&mut self) {
-        if self.live.is_none() {
-            self.live = Some(Vec::new());
-        }
-    }
-
-    /// Take all live warnings buffered since the last drain. Empty unless
-    /// [`Self::set_live_warnings`] was called.
-    pub fn drain_warnings(&mut self) -> Vec<Warning> {
-        match &mut self.live {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
-    }
-
-    /// Attach `inference.*`, `flowmon.*` and `dtree.*` telemetry counters
-    /// registered in `reg`. Counter updates are side effects only —
-    /// inference results are unchanged.
-    pub fn set_metrics(&mut self, reg: &db_telemetry::MetricsRegistry) {
-        self.metrics = Some(InferenceMetrics::register(reg));
-        self.fm_metrics = Some(FlowmonMetrics::register(reg));
-        self.dt_metrics = Some((
-            reg.counter("dtree.classifications"),
-            reg.counter("dtree.class_normal"),
-            reg.counter("dtree.class_abnormal"),
-        ));
-    }
-
-    /// Attach a provenance flight recorder. Records the causal chain —
-    /// classifications, votes, ⊕ merges with truncation losses, warnings —
-    /// of **one** variant: the wire flagship when deployed, else the first
-    /// distributed one. No-op (and returns `false`) when every variant is
-    /// centralized. `ground_truth` stamps `WarningRaised.ground_truth_hit`.
-    pub fn set_flight(
-        &mut self,
-        rec: Arc<FlightRecorder>,
-        ground_truth: &[LinkId],
-        total_links: usize,
-    ) -> bool {
-        let variant = self
-            .variants
-            .iter()
-            .position(|v| v.spec.mechanism == Mechanism::DistributedWire)
-            .or_else(|| {
-                self.variants
-                    .iter()
-                    .position(|v| !matches!(v.spec.mechanism, Mechanism::Centralized { .. }))
-            });
-        let Some(variant) = variant else {
-            return false;
-        };
-        let mut truth = vec![false; total_links];
-        for l in ground_truth {
-            if let Some(t) = truth.get_mut(l.idx()) {
-                *t = true;
-            }
-        }
-        self.flight = Some(FlightScope {
-            rec,
-            truth,
-            variant,
-            window_seq: 0,
-        });
-        true
-    }
-
-    /// The name of the variant the flight recorder traces, if attached.
-    pub fn flight_variant(&self) -> Option<&str> {
-        self.flight
-            .as_ref()
-            .map(|f| self.variants[f.variant].spec.name.as_str())
-    }
-
-    /// Attach a db-scope recorder. Feeds the per-window health series —
-    /// suspicion, votes, warnings, fan-in, abnormal classifications — and
-    /// emits one span per pipeline phase per window, for **one** variant
-    /// (chosen exactly as [`Self::set_flight`] does: the wire flagship when
-    /// deployed, else the first distributed one). No-op (and returns
-    /// `false`) when every variant is centralized. Never affects outcomes.
-    pub fn set_scope(&mut self, rec: Arc<ScopeRecorder>) -> bool {
-        let variant = self
-            .variants
-            .iter()
-            .position(|v| v.spec.mechanism == Mechanism::DistributedWire)
-            .or_else(|| {
-                self.variants
-                    .iter()
-                    .position(|v| !matches!(v.spec.mechanism, Mechanism::Centralized { .. }))
-            });
-        let Some(variant) = variant else {
-            return false;
-        };
-        self.scope = Some(ScopeHook { rec, variant });
-        true
-    }
-
-    /// The name of the variant the scope recorder traces, if attached.
-    pub fn scope_variant(&self) -> Option<&str> {
-        self.scope
-            .as_ref()
-            .map(|s| self.variants[s.variant].spec.name.as_str())
-    }
-
-    fn scope_begin(&self, name: &str) -> Option<u32> {
-        self.scope.as_ref().map(|s| s.rec.begin_span(name))
-    }
-
-    fn scope_end(&self, id: Option<u32>) {
-        if let (Some(s), Some(id)) = (self.scope.as_ref(), id) {
-            s.rec.end_span(id);
         }
     }
 
@@ -657,23 +492,17 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// always fits). Results are bit-for-bit those of the control-plane
     /// form (`aggregate_step`, `check_warning`, `HeaderCodec::encode`) —
     /// see the equivalence proptests in db-inference.
-    #[allow(clippy::too_many_arguments)] // internal hot path; a params struct would just rename the problem
-                                         // db-lint: allow(hot-index, hot-alloc) — per-node vectors are sized by node count at setup; the allocating branches are recorder- or sampling-window-gated, off the steady-state path
+    // db-lint: allow(hot-index, hot-alloc) — per-node and per-variant vectors are sized at setup; the allocating branches are sampling-window-gated or the §4.3 ablation, off the steady-state path
     fn handle_distributed(
-        variant: &mut VariantState,
+        &mut self,
+        vi: usize,
         now: SimTime,
         info: &HopInfo,
         ann: &mut Annotation,
-        codec: HeaderCodec,
-        cfg: &SystemConfig,
-        window: (SimTime, SimTime),
-        agg_counter: u64,
-        metrics: Option<&InferenceMetrics>,
-        flight: Option<&FlightScope>,
-        scope: Option<&ScopeHook>,
-        live: Option<(u8, &mut Vec<Warning>)>,
     ) {
         hot(HotFn::HandleDistributed);
+        let (codec, cfg, window, tap) = (self.codec, &self.cfg, self.window, &mut self.tap);
+        let variant = &mut self.variants[vi];
         let node = info.node;
         let wire = variant.spec.mechanism == Mechanism::DistributedWire;
         let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
@@ -684,25 +513,14 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             variant.vtable.take(info.flow.0, info.seq)
         };
         let local = &variant.locals_inline[node.idx()];
-        // Provenance pre-pass: capture digests and the *untruncated* merge
-        // (to diff truncation losses against) before `incoming` is consumed.
-        // Runs only with a recorder attached, so the untruncated merge goes
-        // through the heap form; the result path below is untouched either
-        // way.
-        let fl_pre = flight.map(|_| {
-            let in_digest = incoming
-                .as_ref()
-                .map_or(NO_INFERENCE_DIGEST, |(d, _)| inference_digest(d.entries()));
-            let full = match &incoming {
-                None => local.to_inference(),
-                Some((d, _)) => d.to_inference().aggregate(&local.to_inference()),
-            };
-            (in_digest, inference_digest(local.entries()), full)
-        });
-        let (agg, hops) = match incoming {
+        let out = match &incoming {
             None => (local.top_k(cfg.k), 1u8),
-            Some((drifted, h)) => aggregate_step_inline_metered(local, &drifted, h, cfg.k, metrics),
+            Some((drifted, h)) => {
+                aggregate_step_inline_metered(local, drifted, *h, cfg.k, tap.inference())
+            }
         };
+        tap.merged(vi, now, info, incoming.as_ref(), local, &out);
+        let (agg, hops) = (&out.0, out.1);
         if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
             // The forbidden feedback loop (§4.3): the local inference is
             // replaced by the aggregate, biasing later packets. Both local
@@ -711,73 +529,13 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             variant.locals[node.idx()] = agg.to_inference().top_k(cfg.k);
             variant.locals_inline[node.idx()] = agg.top_k(cfg.k);
         }
-        if let (Some(f), Some((in_digest, local_digest, full))) = (flight, fl_pre) {
-            let dropped_links: Vec<u16> = full
-                .entries()
-                .iter()
-                .filter(|(l, _)| agg.weight_of(*l) == 0.0)
-                .map(|(l, _)| l.0)
-                .collect();
-            let out = agg.to_inference();
-            f.rec.record(FlightRecord::DriftMerged {
-                at_ns: now.as_ns(),
-                switch: node.0,
-                flow: info.flow.0,
-                pkt_seq: info.seq,
-                hop_now: hops,
-                in_digest,
-                local_digest,
-                out_digest: inference_digest(out.entries()),
-                w0: agg.w0(),
-                w1: agg.w1(),
-                top_link: agg.top_link().map(|l| l.0),
-                dropped_links,
-            });
-        }
-        if let Some(sc) = scope {
-            sc.rec
-                .merge(now.as_ns(), node.0, agg.w0(), agg.top_link().map(|l| l.0));
-        }
-        if let Some(link) = check_warning_inline(&agg, hops as u32, &cfg.warning) {
+        if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
             variant.log.record(now, node, link, window);
-            if let Some((vi, buf)) = live {
-                let mut header = [0u8; MAX_HEADER_BYTES];
-                let n = codec.encode_into(&agg, hops, &mut header);
-                buf.push(Warning {
-                    at: now,
-                    switch: node,
-                    link,
-                    variant: vi,
-                    hop_now: hops,
-                    w0: agg.w0(),
-                    w1: agg.w1(),
-                    header,
-                    header_len: n as u8, // db-lint: allow(wire-cast) — header fits MAX_HEADER_BYTES < 256 by construction
-                });
-            }
-            if let Some(sc) = scope {
-                sc.rec.warning(now.as_ns(), link.0);
-            }
-            if let Some(f) = flight {
-                f.rec.record(FlightRecord::WarningRaised {
-                    at_ns: now.as_ns(),
-                    switch: node.0,
-                    link: link.0,
-                    hop_now: hops,
-                    w0: agg.w0(),
-                    w1: agg.w1(),
-                    alpha_lhs: cfg.warning.alpha * hops as f64,
-                    beta_lhs: cfg.warning.beta * agg.w1().max(0.0),
-                    ground_truth_hit: f.truth.get(link.idx()).copied().unwrap_or(false),
-                });
-            }
-            if let Some(m) = metrics {
-                m.warning_raised(node.0, link, hops as u32, agg.w0(), agg.w1());
-            }
+            tap.warning(vi, now, node, link, &out);
         }
         if cfg.ratio_sampling > 0
             && hops as u32 >= cfg.warning.hop_min
-            && agg_counter.is_multiple_of(cfg.ratio_sampling as u64)
+            && self.agg_counter.is_multiple_of(cfg.ratio_sampling as u64)
             && now > window.0
             && now <= window.1
         {
@@ -795,13 +553,11 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             }
         } else if wire {
             let mut buf = [0u8; MAX_HEADER_BYTES];
-            let n = codec.encode_into(&agg, hops, &mut buf);
+            let n = codec.encode_into(agg, hops, &mut buf);
             ann.set(&buf[..n]);
-            if let Some(m) = metrics {
-                m.headers_piggybacked.inc();
-            }
+            tap.header_piggybacked();
         } else {
-            variant.vtable.put(info.flow.0, info.seq, (agg, hops));
+            variant.vtable.put(info.flow.0, info.seq, out);
         }
     }
 
@@ -886,177 +642,79 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
     fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
         hot(HotFn::OnPacket);
         // Flow Monitoring module: update measure registers.
-        let recorded = self.monitors[info.node.idx()].on_packet(now, info.flow, info.size);
-        if recorded {
-            if let Some(fm) = &self.fm_metrics {
-                fm.register_updates.inc();
-            }
+        if self.monitors[info.node.idx()].on_packet(now, info.flow, info.size) {
+            self.tap.register_update();
         }
         // Inference Aggregation module, per distributed variant.
         self.agg_counter += 1;
-        let mut live = self.live.as_mut();
-        for (vi, variant) in self.variants.iter_mut().enumerate() {
-            let flight = self.flight.as_ref().filter(|f| f.variant == vi);
-            let scope = self.scope.as_ref().filter(|s| s.variant == vi);
-            let live = live.as_deref_mut().map(|buf| (vi as u8, buf)); // db-lint: allow(wire-cast) — variant count is tiny
-            match variant.spec.mechanism {
+        for vi in 0..self.variants.len() {
+            match self.variants[vi].spec.mechanism {
                 Mechanism::Centralized { .. } => {}
-                _ => Self::handle_distributed(
-                    variant,
-                    now,
-                    info,
-                    ann,
-                    self.codec,
-                    &self.cfg,
-                    self.window,
-                    self.agg_counter,
-                    self.metrics.as_ref(),
-                    flight,
-                    scope,
-                    live,
-                ),
+                _ => self.handle_distributed(vi, now, info, ann),
             }
         }
     }
 
+    /// Three explicit phases — monitor (drain every switch's registers),
+    /// classify (judge every drained row), infer (votes, local regeneration,
+    /// DCA reports) — one db-scope span each. Switches are independent in
+    /// the first two and the third keeps per-switch order, so outcomes and
+    /// flight-record order are those of a fused per-switch loop (the golden
+    /// snapshot pins this).
     fn on_tick(&mut self, now: SimTime) {
-        if let Some(f) = &mut self.flight {
-            f.window_seq += 1;
-        }
-        if let Some(sc) = &self.scope {
-            sc.rec.window_roll(now.as_ns());
-        }
-        // The tick pipeline runs as three explicit phases — monitor (drain
-        // every switch's registers), classify (judge every drained row),
-        // infer (provenance, votes, local regeneration) — so db-scope can
-        // emit one span per phase per window. Switches are independent in
-        // the first two phases and the per-switch order of the third is
-        // unchanged, so outcomes and flight-record order are identical to
-        // the fused per-switch loop this replaces (the golden snapshot
-        // pins this).
-        let span = self.scope_begin("phase.monitor");
-        // Zero-copy window close: each monitor assembles its rows into its
-        // internal staging buffer and the later phases borrow them in place
-        // (`staged_rows`), instead of collecting an owned Vec per switch per
-        // tick — same rows, same order, no per-tick feature-vector copies.
-        for m in &mut self.monitors {
-            m.close_window(now);
-        }
-        if let Some(fm) = &self.fm_metrics {
-            for m in &self.monitors {
-                fm.intervals_closed.inc();
-                fm.feature_vectors.add(m.staged_rows().len() as u64);
+        self.tap.window_open(now);
+        {
+            let _span = self.tap.phase("phase.monitor");
+            // Zero-copy window close: each monitor stages its rows in an
+            // internal buffer the later phases borrow (`staged_rows`).
+            for m in &mut self.monitors {
+                m.close_window(now);
             }
+            self.tap.monitors_closed(now, &self.monitors);
         }
-        if let Some(sc) = &self.scope {
-            // Register occupancy at window close: what each switch is still
-            // holding live history for, after this interval's aging pass.
-            let mut feed = sc.rec.feeder();
-            for (idx, mon) in self.monitors.iter().enumerate() {
-                feed.active_flows(now.as_ns(), idx as u16, mon.active_flows());
-            }
-        }
-        self.scope_end(span);
-        let span = self.scope_begin("phase.classify");
         // Statuses are positional against each monitor's staged rows (the
         // flow id lives in the row), so the judged form is a flat enum Vec.
-        let all_judged: Vec<Vec<FlowStatus>> = self
-            .monitors
-            .iter()
-            .map(|m| {
-                m.staged_rows()
-                    .iter()
-                    .map(|(_, features)| self.classifier.classify(features))
-                    .collect()
-            })
-            .collect();
-        if let Some((total, normal, abnormal)) = &self.dt_metrics {
-            for judged in &all_judged {
-                let abn = judged
-                    .iter()
-                    .filter(|s| **s == FlowStatus::Abnormal)
-                    .count() as u64;
-                total.add(judged.len() as u64);
-                abnormal.add(abn);
-                normal.add(judged.len() as u64 - abn);
-            }
-        }
-        self.scope_end(span);
-        let span = self.scope_begin("phase.infer");
+        let all_judged: Vec<Vec<FlowStatus>> = {
+            let _span = self.tap.phase("phase.classify");
+            self.monitors
+                .iter()
+                .map(|m| {
+                    m.staged_rows()
+                        .iter()
+                        .map(|(_, features)| self.classifier.classify(features))
+                        .collect()
+                })
+                .collect()
+        };
+        let _span = self.tap.phase("phase.infer");
         let mut scratch = VoteScratch::default();
-        for (idx, judged) in all_judged.iter().enumerate() {
-            let rows = self.monitors[idx].staged_rows();
-            if rows.is_empty() {
+        for (monitor, judged) in self.monitors.iter().zip(&all_judged) {
+            let node = monitor.node();
+            if judged.is_empty() {
                 // Still reset locals derived from an empty view: no flows
                 // means no evidence.
                 for v in &mut self.variants {
-                    v.locals[idx] = Inference::empty();
-                    v.locals_inline[idx] = InlineInference::empty();
+                    v.locals[node.idx()] = Inference::empty();
+                    v.locals_inline[node.idx()] = InlineInference::empty();
                 }
                 continue;
             }
-            let monitor = &self.monitors[idx];
-            // Positional with `rows`: each flow's verdict and upstream links.
+            // Positional with the staged rows: (verdict, upstream links).
             let statuses: Vec<(FlowStatus, &[LinkId])> = judged
                 .iter()
                 .copied()
                 .zip(monitor.staged_upstream())
                 .collect();
-            let node = monitor.node();
-            // Provenance: one FlowClassified per judged flow, plus the ±1
-            // LocalVote fan-out Algorithm 1 derives from it (for the traced
-            // variant's scheme). Recorded before the locals rebuild below so
-            // the ring orders cause before effect.
-            if let Some(f) = self.flight.as_ref() {
-                let scheme = self.variants[f.variant].spec.scheme;
-                for ((flow, features), &(status, upstream)) in rows.iter().zip(&statuses) {
-                    f.rec.record(FlightRecord::FlowClassified {
-                        at_ns: now.as_ns(),
-                        switch: node.0,
-                        window: f.window_seq,
-                        flow: flow.0,
-                        abnormal: status == FlowStatus::Abnormal,
-                        feature_digest: db_flowmon::feature_digest(features),
-                    });
-                    let delta = scheme.contribution(status, upstream.len());
-                    if delta != 0.0 {
-                        for link in upstream {
-                            f.rec.record(FlightRecord::LocalVote {
-                                at_ns: now.as_ns(),
-                                switch: node.0,
-                                window: f.window_seq,
-                                flow: flow.0,
-                                link: link.0,
-                                delta,
-                            });
-                        }
-                    }
-                }
-            }
-            // db-scope: the same classification/vote fan-out, folded into
-            // per-window series for the traced variant's scheme.
-            if let Some(sc) = self.scope.as_ref() {
-                let scheme = self.variants[sc.variant].spec.scheme;
-                let mut feed = sc.rec.feeder();
-                for &(status, upstream) in &statuses {
-                    feed.classified(now.as_ns(), node.0, status == FlowStatus::Abnormal);
-                    let delta = scheme.contribution(status, upstream.len());
-                    if delta != 0.0 {
-                        for link in upstream {
-                            feed.vote(now.as_ns(), link.0, delta);
-                        }
-                    }
-                }
-            }
+            // Reported before the locals rebuild below, so the flight ring
+            // orders cause before effect.
+            self.tap
+                .classified(now, node, monitor.staged_rows(), &statuses);
             for v in &mut self.variants {
                 Self::tick_variant(v, node, &statuses, self.cfg.k, &mut scratch);
             }
-            if let Some(m) = &self.metrics {
-                m.locals_generated.add(self.variants.len() as u64);
-            }
+            self.tap.locals_generated(self.variants.len());
         }
         // Centralized variants: periodic DCA reporting.
-        let mut live = self.live.as_mut();
         for (vi, v) in self.variants.iter_mut().enumerate() {
             v.ticks_seen += 1;
             if let Mechanism::Centralized {
@@ -1065,39 +723,13 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
             } = v.spec.mechanism
             {
                 if v.ticks_seen % period_ticks.max(1) == 0 {
-                    let mut live = live.as_deref_mut();
                     for link in centralized_report(&v.locals, portion) {
                         v.log.record(now, DCA_NODE, link, self.window);
-                        if let Some(buf) = live.as_deref_mut() {
-                            buf.push(Warning {
-                                at: now,
-                                switch: DCA_NODE,
-                                link,
-                                variant: vi as u8, // db-lint: allow(wire-cast) — variant count is tiny
-                                hop_now: 0,
-                                w0: 0.0,
-                                w1: 0.0,
-                                header: [0u8; MAX_HEADER_BYTES],
-                                header_len: 0,
-                            });
-                        }
-                        if let Some(m) = &self.metrics {
-                            // DCA reports carry no hop/weight context; count
-                            // the raise and log the accused link only.
-                            m.warnings.inc();
-                            db_telemetry::event!(
-                                db_telemetry::Level::Warn,
-                                "inference.warning",
-                                "dca report",
-                                switch = DCA_NODE.0,
-                                link = link.0,
-                            );
-                        }
+                        self.tap.dca_report(vi, now, link);
                     }
                 }
             }
         }
-        self.scope_end(span);
     }
 }
 

@@ -180,13 +180,6 @@ impl DecisionTree {
     }
 }
 
-fn weight_of(label: FlowStatus, w_abnormal: f64) -> f64 {
-    match label {
-        FlowStatus::Normal => 1.0,
-        FlowStatus::Abnormal => w_abnormal,
-    }
-}
-
 /// Weighted counts `(normal, abnormal)` of a sample subset.
 fn class_weights(samples: &[Example], idx: &[u32], w_abnormal: f64) -> (f64, f64) {
     let mut n = 0.0;
@@ -309,11 +302,6 @@ fn build(
         }
         _ => leaf_of(n, a),
     }
-}
-
-/// Expose the weight helper for metrics/tests.
-pub fn sample_weight(label: FlowStatus, w_abnormal: f64) -> f64 {
-    weight_of(label, w_abnormal)
 }
 
 #[cfg(test)]

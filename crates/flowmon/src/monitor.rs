@@ -454,11 +454,6 @@ impl NetworkMonitor {
         &self.monitors[node.idx()]
     }
 
-    /// Mutable access to the monitor on `node`.
-    pub fn switch_mut(&mut self, node: NodeId) -> &mut SwitchMonitor {
-        &mut self.monitors[node.idx()]
-    }
-
     /// Upstream links of `flow` w.r.t. `switch`, if monitored there.
     pub fn upstream(&self, switch: NodeId, flow: FlowId) -> Option<&[LinkId]> {
         self.monitors[switch.idx()]

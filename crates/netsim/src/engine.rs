@@ -452,19 +452,9 @@ impl<'a, O: Observer> Simulator<'a, O> {
         &self.flows
     }
 
-    /// Current state of a link.
-    pub fn link_state(&self, l: db_topology::LinkId) -> LinkState {
-        self.links[l.idx()].state
-    }
-
     /// Borrow the observer.
     pub fn observer(&self) -> &O {
         &self.observer
-    }
-
-    /// Mutably borrow the observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// Consume the simulator, returning the observer and the run statistics.

@@ -81,13 +81,6 @@ pub struct FlowSpec {
     pub rtt_ms: f64,
 }
 
-impl FlowSpec {
-    /// Number of inter-switch links the flow traverses.
-    pub fn hop_count(&self) -> usize {
-        self.path.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,11 +89,6 @@ impl Instrumentation {
     pub fn off() -> Self {
         Self::default()
     }
-
-    /// Whether any recorder is attached.
-    pub fn is_on(&self) -> bool {
-        self.flight.is_some() || self.scope.is_some()
-    }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -341,10 +341,9 @@ struct ScopeInner {
     window_span: Option<(u64, u32)>,
 }
 
-/// The db-scope recorder. Shared as `Arc<ScopeRecorder>` and attached via
-/// the same off-by-default `Option` handle pattern as the flight recorder:
-/// when no handle is attached, none of this code runs and outcomes are
-/// bit-identical.
+/// The db-scope recorder. Shared as `Arc<ScopeRecorder>` and off by
+/// default: when no handle is attached, none of this code runs and outcomes
+/// are bit-identical.
 #[derive(Debug)]
 pub struct ScopeRecorder {
     inner: Mutex<ScopeInner>,
@@ -487,19 +486,13 @@ impl ScopeRecorder {
     /// Lock the recorder once for a run of window-close feeds. A window
     /// close casts a vote per upstream link of every judged flow; through
     /// the guard they cost one lock round-trip per switch, not one each.
-    /// Feeding through it is the same fold in the same order as the
-    /// per-call methods. Drop it before calling anything else on the
-    /// recorder — the lock is not reentrant.
+    /// Drop it before calling anything else on the recorder — the lock is
+    /// not reentrant.
     pub fn feeder(&self) -> ScopeFeed<'_> {
         ScopeFeed {
             g: self.lock(),
             cap: self.cap,
         }
-    }
-
-    /// A local vote of `delta` cast on `link` at window close.
-    pub fn vote(&self, at_ns: u64, link: u16, delta: f64) {
-        self.feeder().vote(at_ns, link, delta);
     }
 
     /// An eq.(1) warning raised for `link`.
@@ -510,17 +503,6 @@ impl ScopeRecorder {
     /// A packet dropped on `link`.
     pub fn drop_event(&self, at_ns: u64, link: u16) {
         self.feed(SeriesKind::LinkDrops, link, at_ns, 1.0);
-    }
-
-    /// A flow classified at `switch`; only abnormal verdicts count.
-    pub fn classified(&self, at_ns: u64, switch: u16, abnormal: bool) {
-        self.feeder().classified(at_ns, switch, abnormal);
-    }
-
-    /// Flows occupying live register history at `switch` when its sampling
-    /// window closed (flowmon's register-occupancy view).
-    pub fn active_flows(&self, at_ns: u64, switch: u16, count: usize) {
-        self.feeder().active_flows(at_ns, switch, count);
     }
 
     /// Simulator event-queue depth sampled at a tick.
@@ -784,19 +766,20 @@ impl ScopeFeed<'_> {
         ScopeRecorder::feed_locked(&mut self.g, self.cap, kind, id, at_ns, value);
     }
 
-    /// [`ScopeRecorder::vote`].
+    /// A local vote of `delta` cast on `link` at window close.
     pub fn vote(&mut self, at_ns: u64, link: u16, delta: f64) {
         self.feed(SeriesKind::LinkVotes, link, at_ns, delta);
     }
 
-    /// [`ScopeRecorder::classified`].
+    /// A flow classified at `switch`; only abnormal verdicts count.
     pub fn classified(&mut self, at_ns: u64, switch: u16, abnormal: bool) {
         if abnormal {
             self.feed(SeriesKind::SwitchAbnormal, switch, at_ns, 1.0);
         }
     }
 
-    /// [`ScopeRecorder::active_flows`].
+    /// Flows occupying live register history at `switch` when its sampling
+    /// window closed (flowmon's register-occupancy view).
     pub fn active_flows(&mut self, at_ns: u64, switch: u16, count: usize) {
         self.feed(SeriesKind::SwitchActive, switch, at_ns, count as f64);
     }
@@ -872,11 +855,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] descends into. The parser
+/// recurses once per level, so input must not choose the stack depth;
+/// traces nest 4 deep.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Parse a JSON document. Errors carry a byte offset and a short reason.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -890,6 +879,8 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -915,8 +906,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -1290,13 +1295,13 @@ mod tests {
         let rec = ScopeRecorder::default();
         rec.set_meta(meta(100));
         // Window 0: two votes on link 3 sum; two merges on switch 1 count.
-        rec.vote(10, 3, 1.0);
-        rec.vote(20, 3, -1.0);
+        rec.feeder().vote(10, 3, 1.0);
+        rec.feeder().vote(20, 3, -1.0);
         rec.merge(30, 1, 2.5, Some(3));
         rec.merge(40, 1, 4.0, Some(3)); // max folds suspicion
 
         // Window 2: another vote (window 1 stays empty — no point emitted).
-        rec.vote(250, 3, 1.0);
+        rec.feeder().vote(250, 3, 1.0);
         let t = TraceData::from_json_str(&rec.to_trace_json()).unwrap();
         let votes = t.series_for(SeriesKind::LinkVotes, 3).unwrap();
         assert_eq!(votes.points, vec![(0, 0.0), (2, 1.0)]);
@@ -1326,13 +1331,13 @@ mod tests {
     fn points_from_reports_only_flushed_windows_once() {
         let rec = ScopeRecorder::default();
         rec.set_meta(meta(100));
-        rec.vote(10, 3, 1.0); // window 0, still accumulating
+        rec.feeder().vote(10, 3, 1.0); // window 0, still accumulating
         let mut out = Vec::new();
         assert_eq!(rec.points_from(0, &mut out), 0);
         assert!(out.is_empty(), "unflushed window must not leak");
         assert_eq!(rec.flushed_watermark(), None);
 
-        rec.vote(110, 3, 2.0); // window 1 opens; window 0 flushes
+        rec.feeder().vote(110, 3, 2.0); // window 1 opens; window 0 flushes
         let cursor = rec.points_from(0, &mut out);
         assert_eq!(cursor, 1, "cursor is one past the delivered window");
         assert_eq!(
@@ -1345,7 +1350,7 @@ mod tests {
             }]
         );
 
-        rec.vote(250, 3, 4.0); // window 2 opens; window 1 flushes
+        rec.feeder().vote(250, 3, 4.0); // window 2 opens; window 1 flushes
         out.clear();
         let cursor = rec.points_from(cursor, &mut out);
         assert_eq!(cursor, 2);
@@ -1376,9 +1381,9 @@ mod tests {
     #[test]
     fn feeds_without_meta_are_dropped_and_out_of_range_ids_ignored() {
         let rec = ScopeRecorder::default();
-        rec.vote(10, 3, 1.0); // before set_meta
+        rec.feeder().vote(10, 3, 1.0); // before set_meta
         rec.set_meta(meta(100));
-        rec.vote(10, 999, 1.0); // id ≥ total_links
+        rec.feeder().vote(10, 999, 1.0); // id ≥ total_links
         let t = TraceData::from_json_str(&rec.to_trace_json()).unwrap();
         assert!(t.series.is_empty());
     }
@@ -1525,6 +1530,19 @@ mod tests {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("true false").is_err());
+    }
+
+    /// Nesting is input-controlled and the parser recurses per level: past
+    /// the cap it is an error naming the byte, never a stack overflow.
+    #[test]
+    fn parser_refuses_nesting_past_the_cap() {
+        for unit in ["[", r#"{"a":"#] {
+            let err = parse_json(&unit.repeat(200_000)).unwrap_err();
+            let at = unit.len() * MAX_JSON_DEPTH;
+            assert_eq!(err, format!("nesting deeper than 128 at byte {at}"));
+        }
+        let ok = format!("{}1{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse_json(&ok).is_ok(), "the cap itself still parses");
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Path {
         self.position_of(monitor).map(|pos| &self.links[pos..])
     }
 
-    /// Whether the path traverses link `l`.
-    pub fn contains_link(&self, l: LinkId) -> bool {
-        self.links.contains(&l)
-    }
-
     /// The next hop after `monitor` on this path, if any.
     pub fn next_hop(&self, monitor: NodeId) -> Option<NodeId> {
         let pos = self.position_of(monitor)?;

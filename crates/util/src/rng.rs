@@ -71,12 +71,6 @@ impl Pcg64 {
         xored.rotate_right(rot)
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {

@@ -7,20 +7,75 @@
 //! collision-free reference.
 
 use db_bench::emit;
-use db_flowmon::registers::{ExactStore, HashedStore, MeasureStore};
+use db_flowmon::IntervalMeasures;
 use db_netsim::{
-    FailureScenario, HopInfo, NullObserver, Observer, SimConfig, SimTime, Simulator, TrafficConfig,
+    FailureScenario, FlowId, HopInfo, Observer, SimConfig, SimTime, Simulator, TrafficConfig,
     TrafficGen,
 };
 use db_topology::{zoo, CsrTopology, NodeId, OnDemandRoutes};
 use db_util::table::{pct, TextTable};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Observer feeding one switch's packets into both stores.
+/// Fixed-slot register bank with hash indexing and silent collisions — the
+/// hardware model of §5 (`hash(5-tuple) · W + i`). Slot count is the SRAM
+/// budget. Two flows hashing to the same slot mix their measures, and the
+/// slot is attributed to whichever flow touched it first in the interval.
+struct HashedStore {
+    slots: Vec<Slot>,
+    /// Flows whose updates landed in a slot owned by another flow.
+    collisions: u64,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    owner: Option<FlowId>,
+    measures: IntervalMeasures,
+}
+
+impl HashedStore {
+    /// Create a store with `slots` register slots. Panics if zero.
+    fn new(slots: usize) -> Self {
+        assert!(slots > 0, "HashedStore needs at least one slot");
+        HashedStore {
+            slots: vec![Slot::default(); slots],
+            collisions: 0,
+        }
+    }
+
+    /// Record a packet of `size` bytes for `flow` at `offset` into the
+    /// current interval of length `interval`.
+    fn record(&mut self, flow: FlowId, offset: SimTime, interval: SimTime, size: u32) {
+        // The hash the P4 program would compute from the 5-tuple; here a
+        // Fibonacci mix of the flow id.
+        let h = (flow.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let idx = (h >> 32) as usize % self.slots.len();
+        let slot = &mut self.slots[idx];
+        match slot.owner {
+            None => slot.owner = Some(flow),
+            Some(owner) if owner != flow => self.collisions += 1,
+            Some(_) => {}
+        }
+        // Colliding flows mix into the same registers — the hardware cannot
+        // tell them apart.
+        slot.measures.record(offset, interval, size);
+    }
+
+    /// Take the interval's measures by owning flow, clearing every slot.
+    fn drain(&mut self) -> BTreeMap<FlowId, IntervalMeasures> {
+        self.slots
+            .iter_mut()
+            .filter_map(|slot| Some((slot.owner.take()?, std::mem::take(&mut slot.measures))))
+            .collect()
+    }
+}
+
+/// Observer feeding one switch's packets into the hashed store and into a
+/// collision-free reference: one measure row per flow id, which is what the
+/// deployed `SwitchMonitor` column amounts to.
 struct DualStore {
     node: NodeId,
-    exact: ExactStore,
+    exact: BTreeMap<FlowId, IntervalMeasures>,
     hashed: HashedStore,
     interval: SimTime,
     interval_start: SimTime,
@@ -34,13 +89,16 @@ impl Observer for DualStore {
             return;
         }
         let off = now.saturating_sub(self.interval_start);
-        self.exact.record(info.flow, off, self.interval, info.size);
+        self.exact
+            .entry(info.flow)
+            .or_default()
+            .record(off, self.interval, info.size);
         self.hashed.record(info.flow, off, self.interval, info.size);
     }
 
     fn on_tick(&mut self, now: SimTime) {
-        let e: HashMap<_, _> = self.exact.drain().into_iter().collect();
-        let h: HashMap<_, _> = self.hashed.drain().into_iter().collect();
+        let e = std::mem::take(&mut self.exact);
+        let h = self.hashed.drain();
         for (flow, m) in &e {
             self.total_intervals += 1;
             if h.get(flow) != Some(m) {
@@ -76,7 +134,7 @@ fn main() {
     for slots in [256usize, 512, 1024, 2048, 4096, 8192] {
         let observer = DualStore {
             node: hub,
-            exact: ExactStore::new(),
+            exact: BTreeMap::new(),
             hashed: HashedStore::new(slots),
             interval: SimTime::from_ms(4),
             interval_start: SimTime::ZERO,
@@ -110,7 +168,50 @@ fn main() {
          registers faithful to the ideal store; §6.10's 6.88% SRAM figure buys\n\
          exactly this headroom."
     );
-    // Silence the unused-import lint for NullObserver (kept for symmetry in
-    // examples that copy this file).
-    let _ = NullObserver;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const IV: SimTime = SimTime::from_ms(4);
+
+    #[test]
+    fn without_collisions_the_hashed_store_matches_the_reference() {
+        let mut hashed = HashedStore::new(4096);
+        let mut exact: BTreeMap<FlowId, IntervalMeasures> = BTreeMap::new();
+        for id in 0..50u32 {
+            for k in 0..3 {
+                let off = SimTime::from_us(500 * k);
+                hashed.record(FlowId(id), off, IV, 100 + id);
+                exact
+                    .entry(FlowId(id))
+                    .or_default()
+                    .record(off, IV, 100 + id);
+            }
+        }
+        assert_eq!(hashed.collisions, 0);
+        assert_eq!(hashed.drain(), exact);
+        assert!(hashed.drain().is_empty(), "drained slots are free again");
+    }
+
+    #[test]
+    fn collisions_mix_measures_under_the_first_toucher() {
+        // One slot: everything collides into it.
+        let mut s = HashedStore::new(1);
+        s.record(FlowId(1), SimTime::ZERO, IV, 100);
+        s.record(FlowId(2), SimTime::ZERO, IV, 200);
+        assert_eq!(s.collisions, 1);
+        let drained = s.drain();
+        assert_eq!(drained.len(), 1);
+        let mixed = drained[&FlowId(1)];
+        assert_eq!(mixed.n_packet, 2, "colliding flows mix");
+        assert_eq!(mixed.len_all, 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one slot")]
+    fn zero_slots_are_rejected() {
+        HashedStore::new(0);
+    }
 }

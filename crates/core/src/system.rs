@@ -125,23 +125,30 @@ pub struct RatioSample {
     pub at: SimTime,
 }
 
+/// Who reads a variant's per-switch local inferences, and so which form
+/// they are kept in — fixed by the variant's mechanism in `deploy_empty`.
+#[derive(Debug)]
+enum Locals {
+    /// Distributed variants: the packet path reads the k-truncated local on
+    /// every hop, so it is stored in the allocation-free form.
+    Distributed {
+        locals: Vec<InlineInference>,
+        /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state
+        /// (values are `Copy`, no per-packet allocation beyond amortized
+        /// table growth). Stays empty under `DistributedWire`, whose state
+        /// rides in the packet header.
+        carriers: CarrierTable<(InlineInference, u8)>,
+    },
+    /// Centralized variants: only the DCA reads, once per period, and 007
+    /// aggregates untruncated votes — which may exceed [`INLINE_CAP`].
+    Centralized(Vec<Inference>),
+}
+
 /// Per-variant mutable state.
 #[derive(Debug)]
 struct VariantState {
     spec: VariantSpec,
-    /// Local inference per switch (truncated to k for distributed variants,
-    /// untruncated for centralized ones).
-    locals: Vec<Inference>,
-    /// Inline mirror of `locals` for the allocation-free per-packet path.
-    /// Kept in sync at tick boundaries (and on absorbing updates) for
-    /// distributed variants; centralized variants keep untruncated locals
-    /// that may exceed [`INLINE_CAP`] and never touch the per-packet path,
-    /// so their mirror stays empty.
-    locals_inline: Vec<InlineInference>,
-    /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state
-    /// (values are `Copy`, no per-packet allocation beyond amortized table
-    /// growth).
-    vtable: CarrierTable<(InlineInference, u8)>,
+    locals: Locals,
     /// Warnings raised.
     log: WarningLog,
     /// Sampled drifted inferences (Fig. 11).
@@ -223,10 +230,16 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let variants = variants
             .into_iter()
             .map(|spec| VariantState {
+                locals: match spec.mechanism {
+                    Mechanism::Centralized { .. } => {
+                        Locals::Centralized(vec![Inference::empty(); n])
+                    }
+                    _ => Locals::Distributed {
+                        locals: vec![InlineInference::empty(); n],
+                        carriers: CarrierTable::new(),
+                    },
+                },
                 spec,
-                locals: vec![Inference::empty(); n],
-                locals_inline: vec![InlineInference::empty(); n],
-                vtable: CarrierTable::new(),
                 log: WarningLog::default(),
                 ratios: Vec::new(),
                 ticks_seen: 0,
@@ -347,25 +360,43 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         }
         w.seq(self.variants.len());
         for v in &self.variants {
-            w.seq(v.locals.len());
-            for inf in &v.locals {
-                encode_entries(w, inf.entries());
-            }
-            w.seq(v.locals_inline.len());
-            for inf in &v.locals_inline {
-                encode_entries(w, inf.entries());
-            }
-            // Retired slot of the v1 layout: the heap-form carrier table,
-            // empty on every configuration that could ever be deployed.
-            w.seq(0);
-            // The carrier table is hashed; key order keeps the snapshot
-            // byte-stable across processes and fill histories.
-            w.seq(v.vtable.len());
-            for ((flow, seq), (inf, hops)) in v.vtable.sorted() {
-                w.u32(flow);
-                w.u64(seq);
-                w.u8(*hops);
-                encode_entries(w, inf.entries());
+            // The v1 layout has two locals slots and two carrier slots per
+            // variant, from when every variant held both forms. Slot 2
+            // repeats a distributed variant's locals and is `n` empty lists
+            // for a centralized one; the first carrier slot is retired and
+            // always empty. `restore_from` checks all of that.
+            match &v.locals {
+                Locals::Distributed { locals, carriers } => {
+                    for _slot in 0..2 {
+                        w.seq(locals.len());
+                        for inf in locals {
+                            encode_entries(w, inf.entries());
+                        }
+                    }
+                    w.seq(0);
+                    // The carrier table is hashed; key order keeps the
+                    // snapshot byte-stable across processes and fill
+                    // histories.
+                    w.seq(carriers.len());
+                    for ((flow, seq), (inf, hops)) in carriers.sorted() {
+                        w.u32(flow);
+                        w.u64(seq);
+                        w.u8(*hops);
+                        encode_entries(w, inf.entries());
+                    }
+                }
+                Locals::Centralized(locals) => {
+                    w.seq(locals.len());
+                    for inf in locals {
+                        encode_entries(w, inf.entries());
+                    }
+                    w.seq(locals.len());
+                    for _ in locals {
+                        encode_entries(w, &[]);
+                    }
+                    w.seq(0);
+                    w.seq(0);
+                }
             }
             w.u64(v.log.raises);
             w.seq(v.log.by_pair.len());
@@ -399,11 +430,12 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// deployed system. The system state is the tail of a snapshot, so this
     /// consumes the reader: everything is decoded into locals and committed
     /// only once the input has ended cleanly — on `Err` the system is
-    /// untouched. Structural mismatches (monitor/variant counts, an inline
-    /// inference past [`INLINE_CAP`], a non-empty retired slot) are reported
-    /// as [`WireError::Overflow`] at the offending offset — callers
-    /// fingerprint configuration before getting here, so a mismatch means
-    /// corrupt input.
+    /// untouched. Structural mismatches (monitor/variant counts, a
+    /// distributed local past [`INLINE_CAP`], a second locals slot that is
+    /// not what [`Self::snapshot_into`] writes beside the first, carriers
+    /// on a centralized variant, a non-empty retired slot) are reported as
+    /// [`WireError::Overflow`] at the offending offset — callers fingerprint
+    /// configuration before getting here, so a mismatch means corrupt input.
     pub fn restore_from(&mut self, mut reader: ByteReader) -> Result<(), WireError> {
         let r = &mut reader;
         let agg_counter = r.u64()?;
@@ -414,22 +446,37 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         expect_count(r, self.variants.len())?;
         let mut variants = Vec::with_capacity(self.variants.len());
         for v in &self.variants {
-            expect_count(r, v.locals.len())?;
-            let locals = (0..v.locals.len())
-                .map(|_| decode_entries(r).map(Inference::from_pairs))
-                .collect::<Result<Vec<_>, _>>()?;
-            expect_count(r, v.locals_inline.len())?;
-            let locals_inline = (0..v.locals_inline.len())
-                .map(|_| decode_entries_inline(r))
-                .collect::<Result<Vec<_>, _>>()?;
+            let n = self.monitors.len();
+            let at = r.offset();
+            let slot = |r: &mut ByteReader| -> Result<Vec<Vec<(LinkId, f64)>>, WireError> {
+                expect_count(r, n)?;
+                (0..n).map(|_| decode_entries(r)).collect()
+            };
+            let (slot1, slot2) = (slot(r)?, slot(r)?);
             expect_count(r, 0)?; // the retired heap-form carrier table
-            let mut vtable = CarrierTable::new();
-            for _ in 0..r.seq()? {
-                let flow = r.u32()?;
-                let seq = r.u64()?;
-                let hops = r.u8()?;
-                vtable.put(flow, seq, (decode_entries_inline(r)?, hops));
-            }
+            let locals = match &v.locals {
+                Locals::Distributed { .. } if slot2 == slot1 => {
+                    let mut carriers = CarrierTable::new();
+                    for _ in 0..r.seq()? {
+                        let flow = r.u32()?;
+                        let seq = r.u64()?;
+                        let hops = r.u8()?;
+                        let inf = inline_entries(r.offset(), decode_entries(r)?)?;
+                        carriers.put(flow, seq, (inf, hops));
+                    }
+                    let locals = slot1.into_iter().map(|e| inline_entries(at, e));
+                    Locals::Distributed {
+                        locals: locals.collect::<Result<_, _>>()?,
+                        carriers,
+                    }
+                }
+                Locals::Centralized(_) if slot2.iter().all(Vec::is_empty) => {
+                    expect_count(r, 0)?; // no packet path, no carriers
+                    Locals::Centralized(slot1.into_iter().map(Inference::from_pairs).collect())
+                }
+                // Slot 2 is not what `snapshot_into` writes beside slot 1.
+                _ => return Err(WireError::Overflow { at, value: 2 }),
+            };
             let mut log = WarningLog {
                 raises: r.u64()?,
                 ..Default::default()
@@ -471,8 +518,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             variants.push(VariantState {
                 spec: v.spec.clone(),
                 locals,
-                locals_inline,
-                vtable,
                 log,
                 ratios,
                 ticks_seen: r.u32()?,
@@ -500,9 +545,13 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         info: &HopInfo,
         ann: &mut Annotation,
     ) {
+        let variant = &mut self.variants[vi];
+        let Locals::Distributed { locals, carriers } = &mut variant.locals else {
+            // Centralized variants have no packet path.
+            return;
+        };
         hot(HotFn::HandleDistributed);
         let (codec, cfg, window, tap) = (self.codec, &self.cfg, self.window, &mut self.tap);
-        let variant = &mut self.variants[vi];
         let node = info.node;
         let wire = variant.spec.mechanism == Mechanism::DistributedWire;
         let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
@@ -510,9 +559,9 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         } else if wire {
             codec.decode_inline(ann.as_slice())
         } else {
-            variant.vtable.take(info.flow.0, info.seq)
+            carriers.take(info.flow.0, info.seq)
         };
-        let local = &variant.locals_inline[node.idx()];
+        let local = &locals[node.idx()];
         let out = match &incoming {
             None => (local.top_k(cfg.k), 1u8),
             Some((drifted, h)) => {
@@ -523,11 +572,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let (agg, hops) = (&out.0, out.1);
         if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
             // The forbidden feedback loop (§4.3): the local inference is
-            // replaced by the aggregate, biasing later packets. Both local
-            // forms stay in sync (this ablation path tolerates the
-            // conversion cost).
-            variant.locals[node.idx()] = agg.to_inference().top_k(cfg.k);
-            variant.locals_inline[node.idx()] = agg.top_k(cfg.k);
+            // replaced by the aggregate, biasing later packets.
+            locals[node.idx()] = agg.top_k(cfg.k);
         }
         if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
             variant.log.record(now, node, link, window);
@@ -557,7 +603,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             ann.set(&buf[..n]);
             tap.header_piggybacked();
         } else {
-            variant.vtable.put(info.flow.0, info.seq, out);
+            carriers.put(info.flow.0, info.seq, out);
         }
     }
 
@@ -568,19 +614,16 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         k: usize,
         scratch: &mut VoteScratch,
     ) {
-        let keep = match variant.spec.mechanism {
-            Mechanism::Centralized { .. } => usize::MAX,
-            _ => k,
-        };
-        variant.locals[node.idx()] = local_inference_scratched(
-            statuses.iter().map(|(s, u)| (*s, *u)),
-            variant.spec.scheme,
-            keep,
-            scratch,
-        );
-        if keep != usize::MAX {
-            variant.locals_inline[node.idx()] =
-                InlineInference::from_inference(&variant.locals[node.idx()]);
+        let votes = statuses.iter().map(|(s, u)| (*s, *u));
+        let scheme = variant.spec.scheme;
+        match &mut variant.locals {
+            Locals::Distributed { locals, .. } => {
+                let inf = local_inference_scratched(votes, scheme, k, scratch);
+                locals[node.idx()] = InlineInference::from_inference(&inf);
+            }
+            Locals::Centralized(locals) => {
+                locals[node.idx()] = local_inference_scratched(votes, scheme, usize::MAX, scratch);
+            }
         }
     }
 }
@@ -607,11 +650,9 @@ fn expect_count(r: &mut ByteReader, want: usize) -> Result<(), WireError> {
     }
 }
 
-/// [`decode_entries`] into the inline form, refusing a list the fixed
-/// array cannot hold (`InlineInference::from_inference` would panic).
-fn decode_entries_inline(r: &mut ByteReader) -> Result<InlineInference, WireError> {
-    let at = r.offset();
-    let entries = decode_entries(r)?;
+/// Decoded entries as an inline inference, refusing a list the fixed array
+/// cannot hold (`InlineInference::from_inference` would panic).
+fn inline_entries(at: usize, entries: Vec<(LinkId, f64)>) -> Result<InlineInference, WireError> {
     if entries.len() > INLINE_CAP {
         return Err(WireError::Overflow {
             at,
@@ -648,10 +689,7 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
         // Inference Aggregation module, per distributed variant.
         self.agg_counter += 1;
         for vi in 0..self.variants.len() {
-            match self.variants[vi].spec.mechanism {
-                Mechanism::Centralized { .. } => {}
-                _ => self.handle_distributed(vi, now, info, ann),
-            }
+            self.handle_distributed(vi, now, info, ann);
         }
     }
 
@@ -694,8 +732,7 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
                 // Still reset locals derived from an empty view: no flows
                 // means no evidence.
                 for v in &mut self.variants {
-                    v.locals[node.idx()] = Inference::empty();
-                    v.locals_inline[node.idx()] = InlineInference::empty();
+                    Self::tick_variant(v, node, &[], self.cfg.k, &mut scratch);
                 }
                 continue;
             }
@@ -717,13 +754,16 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
         // Centralized variants: periodic DCA reporting.
         for (vi, v) in self.variants.iter_mut().enumerate() {
             v.ticks_seen += 1;
-            if let Mechanism::Centralized {
-                portion,
-                period_ticks,
-            } = v.spec.mechanism
+            if let (
+                Mechanism::Centralized {
+                    portion,
+                    period_ticks,
+                },
+                Locals::Centralized(locals),
+            ) = (v.spec.mechanism, &v.locals)
             {
                 if v.ticks_seen % period_ticks.max(1) == 0 {
-                    for link in centralized_report(&v.locals, portion) {
+                    for link in centralized_report(locals, portion) {
                         v.log.record(now, DCA_NODE, link, self.window);
                         self.tap.dca_report(vi, now, link);
                     }
@@ -1012,5 +1052,95 @@ mod tests {
             SystemConfig::default(),
             (SimTime::ZERO, SimTime::from_ms(100)),
         );
+    }
+
+    fn centralized() -> VariantSpec {
+        VariantSpec::centralized(db_inference::WeightScheme::DriftBottle, 0.4)
+    }
+
+    fn snapshot_of(system: &DriftBottleSystem<ThresholdClassifier>) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        system.snapshot_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Run the line failure under `variants`, hand the snapshot and the
+    /// offsets of the first variant's two locals slots to `corrupt`, and
+    /// require that the bytes it returns are refused with the system left
+    /// as it was — while the intact snapshot restores and re-encodes.
+    fn assert_restore_refuses(
+        variants: Vec<VariantSpec>,
+        corrupt: impl Fn(&[u8], usize, usize) -> Vec<u8>,
+    ) {
+        let (mut system, _) = run_line(variants, 7);
+        let snap = snapshot_of(&system);
+        let mut r = ByteReader::new(&snap);
+        r.u64().expect("aggregation counter");
+        for _ in 0..r.seq().expect("monitor count") {
+            SwitchMonitor::restore_from(&mut r, system.wcfg).expect("monitor");
+        }
+        r.seq().expect("variant count");
+        let slot1 = r.offset();
+        for _ in 0..r.seq().expect("switch count") {
+            decode_entries(&mut r).expect("local");
+        }
+        let bad = corrupt(&snap, slot1, r.offset());
+        assert!(system.restore_from(ByteReader::new(&bad)).is_err());
+        assert!(snapshot_of(&system) == snap, "a refused restore wrote");
+        system
+            .restore_from(ByteReader::new(&snap))
+            .expect("the intact snapshot restores");
+        assert!(snapshot_of(&system) == snap);
+    }
+
+    /// `snap` with the first switch's entry list of the locals slot at
+    /// `slot` rewritten by `edit`.
+    fn edit_first_list(
+        snap: &[u8],
+        slot: usize,
+        edit: impl Fn(&mut Vec<(LinkId, f64)>),
+    ) -> Vec<u8> {
+        let list = slot + 4; // past the slot's switch count
+        let mut r = ByteReader::new(&snap[list..]);
+        let mut entries = decode_entries(&mut r).expect("first list");
+        edit(&mut entries);
+        let mut w = ByteWriter::new();
+        encode_entries(&mut w, &entries);
+        [&snap[..list], &w.into_bytes(), &snap[list + r.offset()..]].concat()
+    }
+
+    #[test]
+    fn restore_refuses_a_distributed_variant_whose_slots_disagree() {
+        assert_restore_refuses(
+            vec![VariantSpec::drift_bottle(), centralized()],
+            |snap, _, slot2| edit_first_list(snap, slot2, |e| e[0].1 += 1.0),
+        );
+    }
+
+    #[test]
+    fn restore_refuses_inline_locals_on_a_centralized_variant() {
+        assert_restore_refuses(
+            vec![centralized(), VariantSpec::drift_bottle()],
+            |snap, _, slot2| edit_first_list(snap, slot2, |e| e.push((LinkId(0), 1.0))),
+        );
+    }
+
+    /// Past [`INLINE_CAP`] in slot 1 alone, and in both slots — where only
+    /// the capacity check can refuse.
+    #[test]
+    fn restore_refuses_a_distributed_local_past_the_inline_capacity() {
+        let wide = |e: &mut Vec<(LinkId, f64)>| {
+            *e = (0..=INLINE_CAP as u16)
+                .map(|l| (LinkId(l), 40.0 - f64::from(l)))
+                .collect();
+        };
+        let variants = || vec![VariantSpec::drift_bottle(), centralized()];
+        assert_restore_refuses(variants(), |snap, slot1, _| {
+            edit_first_list(snap, slot1, wide)
+        });
+        assert_restore_refuses(variants(), |snap, slot1, slot2| {
+            // Slot 2 first: it sits after slot 1, so its offset survives.
+            edit_first_list(&edit_first_list(snap, slot2, wide), slot1, wide)
+        });
     }
 }

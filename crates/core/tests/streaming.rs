@@ -14,8 +14,8 @@
 use db_core::classifier::{prepare, timeline, PrepareConfig, Prepared};
 use db_core::engine::{Engine, FlowRecord};
 use db_core::{
-    run_scenario, DriftBottleSystem, ScenarioKind, ScenarioSetup, SystemConfig, VariantSpec,
-    Warning,
+    run_scenario, DriftBottleSystem, Mechanism, ScenarioKind, ScenarioSetup, SystemConfig,
+    VariantSpec, Warning,
 };
 use db_dtree::ThresholdClassifier;
 use db_flowmon::{SwitchMonitor, WindowConfig};
@@ -734,6 +734,60 @@ fn equal_carrier_sets_snapshot_equal_whatever_the_insert_history() {
     assert_eq!(refilled.snapshot(), original.snapshot());
 }
 
+/// The §4.3 ablation rewrites a switch's local inference on every hop, not
+/// only at window close, so a mid-window snapshot holds locals no tick
+/// produced: it restores onto a fresh engine, re-encodes byte-equal, and
+/// both engines answer the rest of the stream identically.
+#[test]
+fn absorbing_variant_round_trips_mid_run() {
+    let case = line_case(7);
+    let trace = record_line_trace(&case);
+    let fresh = |absorbing: bool| {
+        let mechanism = if absorbing {
+            Mechanism::DistributedAbsorbing
+        } else {
+            Mechanism::DistributedVirtual
+        };
+        let variant = VariantSpec {
+            name: "DB-Absorbing".into(),
+            scheme: db_inference::WeightScheme::DriftBottle,
+            mechanism,
+        };
+        let mut e = Engine::new(deploy_line_with(&case, vec![variant]));
+        e.set_live_warnings();
+        e
+    };
+    let cut = trace.observations.len() * 3 / 4;
+    let feed = |e: &mut Engine<ThresholdClassifier>| {
+        for o in &trace.observations[..cut] {
+            e.ingest(&FlowRecord::from(*o));
+        }
+    };
+    let mut original = fresh(true);
+    feed(&mut original);
+    let snap = original.snapshot();
+    // The absorbing branch ran: the same records without it leave other
+    // locals behind (the mechanism itself is configuration, not state).
+    let mut plain = fresh(false);
+    feed(&mut plain);
+    let locals = |snap: &[u8]| {
+        let (from, to) = inline_local_and_retired_slot(snap, &case);
+        snap[from..to].to_vec()
+    };
+    assert_ne!(locals(&snap), locals(&plain.snapshot()), "absorbed locals");
+
+    let mut restored = fresh(true);
+    restored.restore(&snap).expect("snapshot restores");
+    assert!(restored.snapshot() == snap, "restored state re-encodes");
+    for o in &trace.observations[cut..] {
+        let rec = FlowRecord::from(*o);
+        assert_eq!(original.ingest(&rec), restored.ingest(&rec));
+    }
+    original.advance_to(case.end);
+    restored.advance_to(case.end);
+    assert!(restored.snapshot() == original.snapshot());
+}
+
 /// Skip one encoded inference entry list: a count, then `(link, weight)`
 /// pairs of a 4-byte id slot and an 8-byte weight.
 fn skip_entries(r: &mut ByteReader) {
@@ -741,8 +795,9 @@ fn skip_entries(r: &mut ByteReader) {
     r.bytes(n * 12).expect("entries");
 }
 
-/// Offsets in `snap` of the first variant's first inline local and of its
-/// retired heap-form carrier count (the slot right after its inline locals).
+/// Offsets in `snap` of the first list in the first variant's second locals
+/// slot (a distributed variant's locals, repeated) and of its retired
+/// heap-form carrier count (right after that slot).
 fn inline_local_and_retired_slot(snap: &[u8], case: &LineCase) -> (usize, usize) {
     let system = split_snapshot(snap).2;
     let base = snap.len() - system.len();

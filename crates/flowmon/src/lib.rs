@@ -13,10 +13,6 @@
 //!   assembly: the 15-feature vector `(f_flow, f_avg, f_last)` produced at
 //!   every sampling-interval tick; the window length is the 90th percentile
 //!   of network RTTs.
-//! * [`registers`] — stand-alone register-bank models for the resource
-//!   ablation: an exact bank and a hash-indexed fixed-slot one that models
-//!   the P4 implementation of §5 (`flow_id · W + i` indexing) including
-//!   silent hash collisions.
 //! * [`dataset`] — ground-truth labeling ("abnormal iff the packets of the
 //!   flow cannot reach the monitor at the time due to failures") and
 //!   train/test dataset assembly at the paper's 3:1 split.
@@ -25,7 +21,6 @@ pub mod dataset;
 pub mod measures;
 pub mod metrics;
 pub mod monitor;
-pub mod registers;
 pub mod window;
 
 pub use dataset::{Dataset, FlowStatus};

@@ -17,15 +17,6 @@ pub struct Finding {
     pub hint: &'static str,
 }
 
-impl Finding {
-    /// Baseline key: findings are grandfathered per (file, rule), not per
-    /// line, so unrelated edits that shift line numbers don't churn the
-    /// baseline.
-    pub fn key(&self) -> (String, String) {
-        (self.file.clone(), self.rule.to_string())
-    }
-}
-
 /// Render findings as an aligned human-readable table.
 pub fn render_table(findings: &[Finding]) -> String {
     let mut out = String::new();

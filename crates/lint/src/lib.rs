@@ -4,10 +4,9 @@
 //! cannot see (DESIGN.md §12): deterministic-tier crates stay free of
 //! iteration-order and wall-clock nondeterminism, per-packet hot paths stay
 //! panic- and allocation-free, and wire modules keep big-endian discipline
-//! with encode/decode symmetry. Violations are grandfathered through a
-//! committed `lint.baseline.json` that only ratchets downward.
+//! with encode/decode symmetry. Nothing is grandfathered: a finding is fixed
+//! or carries an allow annotation that states its reason.
 
-pub mod baseline;
 pub mod conc;
 pub mod config;
 pub mod docsync;
@@ -16,7 +15,6 @@ pub mod rules;
 pub mod schema;
 pub mod source;
 
-use baseline::{Baseline, Ratchet};
 use config::LintConfig;
 use findings::Finding;
 use source::ScannedFile;
@@ -27,17 +25,13 @@ use std::path::{Path, PathBuf};
 pub struct Report {
     /// Every finding in the workspace, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Comparison against the baseline that was in force.
-    pub ratchet: Ratchet,
-    /// Total grandfathered count in that baseline.
-    pub baseline_total: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 /// Scan every tracked `.rs` file under `root` and run the tier rules,
 /// then the cross-file knob/doc sync pass.
-pub fn run_check(root: &Path, cfg: &LintConfig) -> Result<Vec<Finding>, String> {
+pub fn run_check(root: &Path, cfg: &LintConfig) -> Result<Report, String> {
     let mut files = Vec::new();
     collect_rs(root, root, &mut files)?;
     files.sort();
@@ -53,25 +47,9 @@ pub fn run_check(root: &Path, cfg: &LintConfig) -> Result<Vec<Finding>, String> 
     }
     findings.extend(docsync::check(root, cfg, &scanned)?);
     findings.sort();
-    Ok(findings)
-}
-
-/// `run_check` plus the baseline comparison.
-pub fn run_with_baseline(
-    root: &Path,
-    cfg: &LintConfig,
-    baseline: &Baseline,
-) -> Result<Report, String> {
-    let mut files = Vec::new();
-    collect_rs(root, root, &mut files)?;
-    let files_scanned = files.len();
-    let findings = run_check(root, cfg)?;
-    let ratchet = baseline.ratchet(&findings);
     Ok(Report {
-        ratchet,
-        baseline_total: baseline.total(),
-        files_scanned,
         findings,
+        files_scanned: files.len(),
     })
 }
 
@@ -239,32 +217,6 @@ mod tests {
         assert_eq!(ids.iter().filter(|r| **r == "wire-symmetry").count(), 2);
         let paired = "pub fn encode_thing() { }\npub fn decode_thing() { }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn round_trip() { }\n}\n";
         assert!(rule_ids(paired, &cfg).is_empty());
-    }
-
-    #[test]
-    fn baseline_ratchet_forgives_exactly_the_grandfathered_count() {
-        let f = |line| Finding {
-            file: "a.rs".into(),
-            line,
-            rule: "det-hash-iter",
-            what: "HashMap".into(),
-            hint: "",
-        };
-        let base = Baseline::from_findings(&[f(1), f(2)]);
-        assert_eq!(base.total(), 2);
-        // Same count: clean. One more: exactly one regression, pointing at
-        // the later line.
-        assert!(base.ratchet(&[f(1), f(2)]).regressions.is_empty());
-        let r = base.ratchet(&[f(1), f(2), f(9)]);
-        assert_eq!(r.regressions.len(), 1);
-        assert_eq!(r.regressions[0].line, 9);
-        // One fewer: slack, no regression.
-        let r = base.ratchet(&[f(1)]);
-        assert!(r.regressions.is_empty());
-        assert_eq!(r.slack.len(), 1);
-        // Baseline round-trips through its JSON rendering.
-        let reparsed = Baseline::parse(&base.render()).unwrap();
-        assert_eq!(reparsed, base);
     }
 
     #[test]

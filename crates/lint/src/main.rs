@@ -1,8 +1,7 @@
 //! `db-lint` CLI: `cargo run -p db-lint -- check [flags]`.
 
-use db_lint::baseline::Baseline;
 use db_lint::config::LintConfig;
-use db_lint::findings::{escape, render_json, render_table};
+use db_lint::findings::{render_json, render_table};
 use db_lint::schema::Schema;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -11,18 +10,15 @@ const USAGE: &str = "\
 db-lint — Drift-Bottle workspace invariant checker
 
 USAGE:
-  db-lint check [--deny] [--format=table|json] [--baseline=PATH]
-                [--config=PATH] [--root=PATH] [--write-baseline]
+  db-lint check [--deny] [--format=table|json] [--config=PATH] [--root=PATH]
                 [--schema] [--write-schema] [--schema-path=PATH]
   db-lint rules
 
 FLAGS:
-  --deny             exit non-zero when findings regress past the baseline
+  --deny             exit non-zero on any finding
   --format=FMT       report format: table (default) or json
-  --baseline=PATH    baseline file (default: <root>/lint.baseline.json)
   --config=PATH      tier config (default: <root>/lint.toml)
   --root=PATH        workspace root (default: nearest dir with lint.toml)
-  --write-baseline   regenerate the baseline from the current findings
   --schema           diff the extracted wire schema against the committed
                      one; any incompatible layout change exits non-zero
   --write-schema     regenerate the committed wire schema from the code
@@ -63,27 +59,21 @@ fn run() -> Result<ExitCode, String> {
 
 fn check(args: &[String]) -> Result<ExitCode, String> {
     let mut deny = false;
-    let mut write_baseline = false;
     let mut schema_check = false;
     let mut write_schema = false;
     let mut format = "table".to_string();
-    let mut baseline_path: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut schema_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     for a in args {
         if a == "--deny" {
             deny = true;
-        } else if a == "--write-baseline" {
-            write_baseline = true;
         } else if a == "--schema" {
             schema_check = true;
         } else if a == "--write-schema" {
             write_schema = true;
         } else if let Some(v) = a.strip_prefix("--format=") {
             format = v.to_string();
-        } else if let Some(v) = a.strip_prefix("--baseline=") {
-            baseline_path = Some(PathBuf::from(v));
         } else if let Some(v) = a.strip_prefix("--config=") {
             config_path = Some(PathBuf::from(v));
         } else if let Some(v) = a.strip_prefix("--schema-path=") {
@@ -103,7 +93,6 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         None => find_root()?,
     };
     let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint.baseline.json"));
     let schema_path = schema_path.unwrap_or_else(|| root.join("wire.schema.json"));
 
     let cfg = LintConfig::load(&config_path)?;
@@ -143,53 +132,24 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    let baseline = if baseline_path.exists() {
-        Baseline::load(&baseline_path)?
-    } else {
-        Baseline::default()
-    };
-
-    let report = db_lint::run_with_baseline(&root, &cfg, &baseline)?;
-
-    if write_baseline {
-        let new = Baseline::from_findings(&report.findings);
-        std::fs::write(&baseline_path, new.render())
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "db-lint: wrote {} ({} grandfathered findings)",
-            baseline_path.display(),
-            new.total()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let regressed = !report.ratchet.regressions.is_empty();
+    let report = db_lint::run_check(&root, &cfg)?;
     match format.as_str() {
-        "json" => print!("{}", json_report(&report)),
+        "json" => print!(
+            "{{\n\"files_scanned\": {},\n\"findings_total\": {},\n\"findings\": {}}}\n",
+            report.files_scanned,
+            report.findings.len(),
+            render_json(&report.findings)
+        ),
         _ => {
-            if regressed {
-                print!("{}", render_table(&report.ratchet.regressions));
-            }
-            for (key, base, actual) in &report.ratchet.slack {
-                eprintln!(
-                    "db-lint: note: `{key}` is below baseline ({actual} < {base}) — ratchet down with --write-baseline"
-                );
-            }
-            for key in &report.ratchet.stale {
-                eprintln!(
-                    "db-lint: note: baseline entry `{key}` has no findings — ratchet down with --write-baseline"
-                );
-            }
+            print!("{}", render_table(&report.findings));
             eprintln!(
-                "db-lint: {} files, {} findings ({} grandfathered), {} regression(s)",
+                "db-lint: {} files, {} findings",
                 report.files_scanned,
-                report.findings.len(),
-                report.baseline_total,
-                report.ratchet.regressions.len()
+                report.findings.len()
             );
         }
     }
-    if (regressed && deny) || !schema_violations.is_empty() {
+    if (deny && !report.findings.is_empty()) || !schema_violations.is_empty() {
         Ok(ExitCode::FAILURE)
     } else {
         Ok(ExitCode::SUCCESS)
@@ -207,33 +167,4 @@ fn find_root() -> Result<PathBuf, String> {
             return Err("no lint.toml found here or in any parent directory".into());
         }
     }
-}
-
-fn json_report(report: &db_lint::Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("\"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!("\"baseline_total\": {},\n", report.baseline_total));
-    out.push_str(&format!("\"findings_total\": {},\n", report.findings.len()));
-    out.push_str("\"regressions\": ");
-    out.push_str(&render_json(&report.ratchet.regressions));
-    out.push_str(",\n\"slack\": [");
-    for (i, (key, base, actual)) in report.ratchet.slack.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"key\": \"{}\", \"baseline\": {base}, \"actual\": {actual}}}",
-            escape(key)
-        ));
-    }
-    out.push_str("],\n\"stale\": [");
-    for (i, key) in report.ratchet.stale.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(key)));
-    }
-    out.push_str("]\n}\n");
-    out
 }

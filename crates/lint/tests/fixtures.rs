@@ -140,7 +140,7 @@ fn stage(rule: &str, fixture: &str) -> PathBuf {
 
 fn check(root: &Path) -> Vec<db_lint::findings::Finding> {
     let cfg = LintConfig::load(&root.join("lint.toml")).expect("fixture config parses");
-    run_check(root, &cfg).expect("scan succeeds")
+    run_check(root, &cfg).expect("scan succeeds").findings
 }
 
 /// Every rule id with its fixture pair.

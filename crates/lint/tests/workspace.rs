@@ -1,9 +1,7 @@
 //! The self-hosting test: the workspace this linter ships in must satisfy
-//! its own invariants, modulo the committed baseline. A new violation in
-//! any tiered crate fails this test before CI's `lint-invariants` job ever
-//! runs.
+//! its own invariants. A new violation in any tiered crate fails this test
+//! before CI's `lint-invariants` job ever runs.
 
-use db_lint::baseline::Baseline;
 use db_lint::config::LintConfig;
 use std::path::{Path, PathBuf};
 
@@ -17,25 +15,15 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_modulo_the_committed_baseline() {
+fn workspace_has_no_findings() {
     let root = workspace_root();
     let cfg = LintConfig::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let baseline =
-        Baseline::load(&root.join("lint.baseline.json")).expect("lint.baseline.json parses");
-    let report = db_lint::run_with_baseline(&root, &cfg, &baseline).expect("scan succeeds");
-
+    let report = db_lint::run_check(&root, &cfg).expect("scan succeeds");
     assert!(
-        report.ratchet.regressions.is_empty(),
-        "new lint violations (fix them or annotate with a reasoned \
+        report.findings.is_empty(),
+        "lint violations (fix them or annotate with a reasoned \
          `// db-lint: allow(...)`):\n{}",
-        db_lint::findings::render_table(&report.ratchet.regressions)
-    );
-    // The ratchet only goes down: the grandfathered debt must stay within
-    // the ≤10 budget the baseline was committed under.
-    assert!(
-        report.baseline_total <= 10,
-        "baseline grew to {} grandfathered findings; fix debt instead of re-baselining upward",
-        report.baseline_total
+        db_lint::findings::render_table(&report.findings)
     );
 }
 

@@ -69,13 +69,10 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The flight recorder (provenance cause chains, `drift-bottle explain`) and
 /// the scope recorder (per-window health series + span tracing,
-/// `drift-bottle timeline`) used to be threaded as two separate
-/// `Option<Arc<_>>` parameters through every setup struct and call site;
-/// anything new wanting "all observability" had to grow two more fields.
-/// `Instrumentation` folds them into a single off-by-default struct: the
-/// default instance records nothing and is pinned bit-identical to running
-/// without instrumentation at all (see `crates/core/tests/{flight,scope}.rs`
-/// and the golden snapshot).
+/// `drift-bottle timeline`) in a single off-by-default struct: the default
+/// instance records nothing and is pinned bit-identical to running without
+/// instrumentation at all (see `crates/core/tests/{flight,scope}.rs` and
+/// the golden snapshot).
 #[derive(Debug, Clone, Default)]
 pub struct Instrumentation {
     /// Provenance flight recorder; `None` records nothing.

@@ -2090,3 +2090,101 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, CliError> {
+        let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Cli::parse(&argv)
+    }
+
+    /// The one-line error `args` is refused with.
+    fn refusal(args: &[&str]) -> String {
+        match parse(args) {
+            Err(CliError::Msg(m)) => m,
+            Err(CliError::Usage) => panic!("{args:?}: got the usage page, not an error line"),
+            Ok(cli) => panic!("{args:?}: parsed as {cli:?}"),
+        }
+    }
+
+    /// Every row of [`COMMANDS`]: the shortest and the longest positional
+    /// form its usage string promises parse, one positional fewer or more
+    /// gets the row's usage line, and a flag outside the row's list is
+    /// refused with that list.
+    #[test]
+    fn every_command_row_is_the_grammar() {
+        for &(name, pos_usage, allowed) in COMMANDS {
+            // `<x>` is required, `[x]` optional; `1` is a valid spec, id,
+            // count, density, address and target alike (nothing is opened
+            // at parse time).
+            let required = pos_usage.split_whitespace().filter(|t| t.starts_with('<'));
+            let (min, max) = (required.count(), pos_usage.split_whitespace().count());
+            let form = |n: usize| [vec![name], vec!["1"; n]].concat();
+            let usage_line = format!("usage: drift-bottle {name} {pos_usage}");
+            for n in [min, max] {
+                let cli = parse(&form(n)).unwrap_or_else(|_| panic!("`{name}` with {n} args"));
+                assert!(cli.metrics.is_none());
+                let parsed = format!("{:?}", cli.cmd).to_lowercase();
+                assert!(parsed.starts_with(name), "`{name}` parsed as {parsed}");
+            }
+            assert_eq!(refusal(&form(max + 1)), usage_line.trim_end());
+            if min > 0 {
+                assert_eq!(refusal(&form(min - 1)), usage_line.trim_end());
+            }
+
+            let mut stray = form(min);
+            stray.push("--no-such-flag=1");
+            assert_eq!(
+                refusal(&stray),
+                format!(
+                    "unknown flag '--no-such-flag' for `{name}` (valid: {})",
+                    allowed.join(", ")
+                )
+            );
+            // A flag of another row is as foreign as a typo.
+            if !allowed.contains(&"--once") {
+                stray[min + 1] = "--once";
+                assert!(refusal(&stray).starts_with("unknown flag '--once' for"));
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_flag_values_are_refused_with_the_documented_messages() {
+        assert_eq!(
+            refusal(&["sweep", "geant2012", "--resume=yes"]),
+            "flag --resume takes no value (got 'yes')"
+        );
+        assert_eq!(
+            refusal(&["fail", "geant2012", "3", "--flight="]),
+            "flag --flight= has an empty path (use --flight or --flight=path)"
+        );
+        for empty in ["--interval=", "--interval"] {
+            assert_eq!(
+                refusal(&["top", "127.0.0.1:7117", empty]),
+                "flag --interval needs a value (use --interval=SECS)"
+            );
+        }
+        // The same flags, well-formed, wherever they stand on the line.
+        match parse(&["--resume", "sweep", "--flight", "geant2012"]).map(|cli| cli.cmd) {
+            Ok(Command::Sweep { flags, opts, .. }) => {
+                assert!(flags.resume);
+                assert_eq!(opts.flight, Some(None));
+            }
+            _ => panic!("flags before the command did not parse as a sweep"),
+        }
+    }
+
+    #[test]
+    fn an_unknown_command_lists_the_valid_ones() {
+        let names: Vec<&str> = COMMANDS.iter().map(|&(n, _, _)| n).collect();
+        assert_eq!(
+            refusal(&["frobnicate", "geant2012"]),
+            format!("unknown command 'frobnicate' (valid: {})", names.join(", "))
+        );
+        // No command at all is the one case that earns the usage page.
+        assert!(matches!(parse(&["--metrics"]), Err(CliError::Usage)));
+    }
+}

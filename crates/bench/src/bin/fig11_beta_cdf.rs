@@ -6,18 +6,17 @@
 //! first innocent link to be beyond β." The figure overlays the two CDFs;
 //! a β in the gap separates them, and the same β works across topologies.
 
-use db_bench::{active_topologies, emit, prepared, scale};
+use db_bench::{active_topologies, emit, prepared_all, scale};
 use db_core::experiment::{
     beta_ratio_groups, sample_covered_links, sweep, ScenarioKind, ScenarioSetup, RATIO_CAP,
 };
-use db_core::par::par_map;
 use db_util::stats::{ecdf, ecdf_at};
 use db_util::table::TextTable;
 
 fn main() {
     let n_links = scale(6, 24);
     let names = active_topologies();
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 11: CDFs of w0/w1 ratios of drifted inferences (single link failures)",
         &["Topology", "ratio", "CDF clean", "CDF with-failed"],

@@ -4,18 +4,17 @@
 //! failure unit, which verifies our motivation in 4.3" — and more nodes
 //! raise warnings in the star-like Chinanet than in Geant2012.
 
-use db_bench::{emit, prepared, scale};
+use db_bench::{emit, prepared_all, scale};
 use db_core::experiment::{
     locality_histogram, sample_covered_links, sweep, ScenarioKind, ScenarioSetup,
 };
-use db_core::par::par_map;
 use db_util::table::TextTable;
 
 fn main() {
     let n_links = scale(8, 24);
     // The paper's locality figure uses Geant2012 and Chinanet.
     let names = vec!["Geant2012", "Chinanet"];
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 12: Warning locality — distance (hops) from raising switch to the failed link",
         &[

@@ -8,14 +8,13 @@
 //! This binary also reports the naive threshold baseline of §2.2 as an
 //! ablation, and the tree→match-action-table compilation size.
 
-use db_bench::{emit, prepared};
-use db_core::par::par_map;
+use db_bench::{emit, prepared_all};
 use db_dtree::{ConfusionMatrix, TableClassifier, ThresholdClassifier};
 use db_util::table::{pct, TextTable};
 
 fn main() {
     let names = db_bench::TOPOLOGIES.to_vec(); // classifier table is cheap: always all four
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 6: Flow status classifiers (per-class recall on held-out test split)",
         &[

@@ -11,9 +11,8 @@
 //! parallel variants inside one simulation), so differences are purely due
 //! to the weight assignment.
 
-use db_bench::{active_topologies, emit, prepared, scale};
+use db_bench::{active_topologies, emit, prepared_all, scale};
 use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
-use db_core::par::par_map;
 use db_core::VariantSpec;
 use db_runner::SweepBuilder;
 use db_util::table::{f3, TextTable};
@@ -26,7 +25,7 @@ fn main() {
     };
     let n_links = scale(6, usize::MAX);
     let names = active_topologies();
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 7: F1 of weight assignment schemes vs flow density (single link failures)",
         &[

@@ -9,9 +9,8 @@
 //! carry most inter-subnet flows); distributed Drift-Bottle beats its
 //! centralized version at high density.
 
-use db_bench::{emit, prepared, scale};
+use db_bench::{emit, prepared_all, scale};
 use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
-use db_core::par::par_map;
 use db_core::VariantSpec;
 use db_runner::SweepBuilder;
 use db_util::table::{f3, pct, TextTable};
@@ -20,7 +19,7 @@ fn main() {
     let n_links = scale(8, usize::MAX);
     // Fig. 8 is the headline figure: all four topologies even in quick mode.
     let names = db_bench::TOPOLOGIES.to_vec();
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 8: Single link failure scenarios",
         &[

@@ -5,16 +5,15 @@
 //! single-link case (more failed links to find, and a dead node silences
 //! the monitors' best vantage point); Drift-Bottle still leads.
 
-use db_bench::{emit, prepared, scale};
+use db_bench::{emit, prepared_all, scale};
 use db_core::experiment::{average_by_variant, sample_nodes, sweep, ScenarioKind, ScenarioSetup};
-use db_core::par::par_map;
 use db_core::VariantSpec;
 use db_util::table::{f3, pct, TextTable};
 
 fn main() {
     let n_nodes = scale(6, usize::MAX);
     let names = db_bench::active_topologies();
-    let preps = par_map(names.clone(), |name| prepared(name));
+    let preps = prepared_all(&names);
     let mut t = TextTable::new(
         "Figure 9: Multiple link failures caused by single node failures",
         &[

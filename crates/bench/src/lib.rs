@@ -44,6 +44,13 @@ pub fn prepared(name: &str) -> Prepared {
     try_prepared(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// [`prepared`] for each name in turn. Sequential on purpose: `prepare`
+/// already fans its training scenarios out over every worker, and one
+/// topology's training set at a time is the memory footprint.
+pub fn prepared_all(names: &[&str]) -> Vec<Prepared> {
+    names.iter().map(|name| prepared(name)).collect()
+}
+
 /// Topologies for quick runs (the two the paper's locality figure uses) or
 /// all four under `DB_FULL=1`.
 pub fn active_topologies() -> Vec<&'static str> {

@@ -429,18 +429,11 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
 /// Run many scenarios of one setup in parallel.
 ///
 /// **Ordering contract:** `outcomes[i]` is the outcome of `kinds[i]`, for
-/// every worker count. This was previously an implicit property of
-/// `par_map` (workers write into per-index slots); it is now explicit —
-/// each unit is tagged with its index before the parallel map and the
-/// outcomes are sorted by that index afterwards — because the checkpoint
-/// replay of `db-runner` and a fresh run must agree byte-for-byte, and an
-/// ordering that silently depended on the scheduler would break that.
+/// every worker count — [`par_map`] fills one slot per index — because the
+/// checkpoint replay of `db-runner` and a fresh run must agree
+/// byte-for-byte.
 pub fn sweep(setup: &ScenarioSetup, kinds: Vec<ScenarioKind>) -> Vec<ScenarioOutcome> {
-    let indexed: Vec<(usize, ScenarioKind)> = kinds.into_iter().enumerate().collect();
-    let mut outcomes: Vec<(usize, ScenarioOutcome)> =
-        par_map(indexed, |(i, kind)| (*i, run_scenario(setup, kind)));
-    outcomes.sort_by_key(|&(i, _)| i);
-    outcomes.into_iter().map(|(_, o)| o).collect()
+    par_map(kinds, |kind| run_scenario(setup, kind))
 }
 
 /// Deterministically sample `n` distinct links of a topology (sub-sampling

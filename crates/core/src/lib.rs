@@ -20,7 +20,8 @@
 //!   tree, compile it to a match-action table (Fig. 6).
 //! * [`experiment`] — scenario runners and sweeps for every evaluation
 //!   experiment (Figs. 7–13).
-//! * [`par`] — a small deterministic-order parallel map for sweeps.
+//! * [`par`] — the one worker pool for independent simulation units, and
+//!   the input-ordered parallel map on top of it.
 //! * [`wire`] — bit-exact checkpoint serialization of scenario outcomes
 //!   for the `db-runner` sweep orchestrator.
 

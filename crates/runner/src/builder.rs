@@ -10,7 +10,7 @@
 //! uninterrupted run at any worker count.
 
 use crate::checkpoint::{parse, CheckpointError, CheckpointFile, CheckpointHeader};
-use crate::executor::{execute, ExecConfig};
+use crate::executor::execute;
 use crate::job::{derive_seed, SeedMode, SweepJob, UnitOutcome, UnitStatus};
 use crate::metrics::RunnerMetrics;
 use db_core::classifier::Prepared;
@@ -256,8 +256,8 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Worker thread count; `0` (the default) means
-    /// `available_parallelism`.
+    /// Worker thread count; `0` (the default) means `DB_THREADS` if set,
+    /// else every core (the one rule: [`db_core::par::worker_count`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -569,11 +569,14 @@ impl<'a> SweepBuilder<'a> {
                 }
             }
         };
-        let exec = ExecConfig {
-            workers: self.workers,
-            stop_after: self.stop_after,
-        };
-        let executed = execute(&pending, &exec, metrics.as_ref(), runner, &mut on_unit);
+        let executed = execute(
+            &pending,
+            self.workers,
+            self.stop_after,
+            metrics.as_ref(),
+            runner,
+            &mut on_unit,
+        );
         if let Some(source) = sink_error {
             return Err(SweepError::Io {
                 path: self.checkpoint.clone().expect("sink error implies path"),

@@ -1,50 +1,27 @@
-//! The sweep worker pool: shard-isolated execution of [`SweepJob`]s.
+//! Shard-isolated execution of [`SweepJob`]s on the workspace's one worker
+//! pool ([`db_core::par::run_units`]).
 //!
-//! Workers self-schedule off an atomic cursor (one unit per claim — units
-//! are whole simulations, coarse enough that cursor contention is noise).
-//! Each unit runs under `catch_unwind`: a panicking unit is recorded as
-//! [`UnitStatus::Failed`] with its panic message and the pool moves on,
-//! instead of one poisoned scenario aborting an hours-long `DB_FULL=1`
-//! sweep. Completed units are handed to an `on_unit` sink (checkpoint
-//! append + progress) under a mutex, in completion order.
+//! The pool owns the threading: one unit per claim, worker count from
+//! `--workers` / [`SweepBuilder::workers`], else `DB_THREADS`, else every
+//! core, each unit under `catch_unwind`. This module is the sink: a
+//! panicking unit is recorded as [`UnitStatus::Failed`] with its panic
+//! message and the sweep moves on, instead of one poisoned scenario
+//! aborting an hours-long `DB_FULL=1` sweep. Completed units update the
+//! `runner.*` metrics and go to the `on_unit` callback (checkpoint append +
+//! progress), serialized by the pool, in completion order.
 //!
 //! Determinism note: because every unit's result is a pure function of its
 //! [`SweepJob`] (see [`crate::job::derive_seed`]), the worker count and
 //! claim interleaving affect only *when* a unit runs, never what it
 //! produces. The builder re-sorts by unit index afterwards.
+//!
+//! [`SweepBuilder::workers`]: crate::SweepBuilder::workers
 
 use crate::job::{SweepJob, UnitOutcome, UnitStatus};
 use crate::metrics::RunnerMetrics;
+use db_core::par::run_units;
 use db_core::ScenarioOutcome;
-use db_util::sync::lock_recover;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Execution knobs for one pool invocation.
-#[derive(Debug, Clone, Default)]
-pub struct ExecConfig {
-    /// Worker threads; `0` means `available_parallelism` (capped by the
-    /// job count either way).
-    pub workers: usize,
-    /// Process at most this many units, then stop claiming — the
-    /// kill-after-N knob behind the resume CI smoke. Claims follow job
-    /// order, so `stop_after = Some(n)` executes exactly the first `n`
-    /// pending jobs.
-    pub stop_after: Option<usize>,
-}
-
-fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let n = if requested >= 1 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    };
-    n.min(jobs).max(1)
-}
 
 /// Render a caught panic payload as a message. Panics via `panic!("...")`
 /// carry `&str` or `String`; anything else gets a placeholder.
@@ -58,10 +35,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `jobs` on a worker pool, isolating per-unit panics, and feed each
-/// finished [`UnitOutcome`] to `on_unit` (serialized under a mutex, in
-/// completion order). Returns the outcomes in **completion order**; the
-/// caller sorts by unit index.
+/// Records a unit's wall clock when it ends, by return or by unwind.
+struct UnitTimer<'m>(Option<&'m RunnerMetrics>, Instant);
+
+impl Drop for UnitTimer<'_> {
+    fn drop(&mut self) {
+        if let Some(m) = self.0 {
+            m.unit_latency_ns.record(self.1.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
+/// Run `jobs` on the pool with `workers` threads (`0`: `DB_THREADS`, else
+/// every core), isolating per-unit panics, and feed each finished
+/// [`UnitOutcome`] to `on_unit` (serialized, in completion order). Returns
+/// the outcomes in **completion order**; the caller sorts by unit index.
+///
+/// `stop_after = Some(n)` processes only the first `n` jobs — the
+/// kill-after-N knob behind the resume CI smoke.
 ///
 /// `run` executes one job; it is the seam tests use to substitute cheap
 /// synthetic workloads (or injected panics) for full simulations.
@@ -72,7 +63,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// instrumentation entirely.
 pub fn execute<F>(
     jobs: &[SweepJob],
-    cfg: &ExecConfig,
+    workers: usize,
+    stop_after: Option<usize>,
     metrics: Option<&RunnerMetrics>,
     run: F,
     on_unit: &mut (dyn FnMut(&UnitOutcome) + Send),
@@ -80,60 +72,39 @@ pub fn execute<F>(
 where
     F: Fn(&SweepJob) -> ScenarioOutcome + Sync,
 {
-    let budget = cfg.stop_after.unwrap_or(usize::MAX).min(jobs.len());
+    let budget = stop_after.unwrap_or(usize::MAX).min(jobs.len());
     if let Some(m) = metrics {
         m.units_remaining.set(budget as f64);
     }
-    if budget == 0 {
-        return Vec::new();
-    }
-    let workers = resolve_workers(cfg.workers, budget);
-    let remaining = AtomicUsize::new(budget);
-
-    let cursor = AtomicUsize::new(0);
-    type Sink<'s> = (&'s mut (dyn FnMut(&UnitOutcome) + Send), Vec<UnitOutcome>);
-    let sink: Mutex<Sink<'_>> = Mutex::new((on_unit, Vec::with_capacity(budget)));
-    let run = &run;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Work-stealing cursor: fetch_add hands each index to
-                // exactly one worker; `jobs` itself is immutable and shared
-                // by the thread scope, not gated on this value.
-                // db-lint: allow(conc-relaxed-publish) — claim counter, not a data gate
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= budget {
-                    break;
+    let mut collected = Vec::with_capacity(budget);
+    run_units(
+        budget,
+        workers,
+        |i| {
+            let _timer = UnitTimer(metrics, Instant::now());
+            run(&jobs[i])
+        },
+        |i, result| {
+            let status = match result {
+                Ok(outcome) => UnitStatus::Done(outcome),
+                Err(payload) => UnitStatus::Failed(panic_message(payload)),
+            };
+            if let Some(m) = metrics {
+                match &status {
+                    UnitStatus::Done(_) => m.units_done.inc(),
+                    UnitStatus::Failed(_) => m.units_failed.inc(),
                 }
-                let job = &jobs[i];
-                let started = Instant::now();
-                let status = match catch_unwind(AssertUnwindSafe(|| run(job))) {
-                    Ok(outcome) => UnitStatus::Done(outcome),
-                    Err(payload) => UnitStatus::Failed(panic_message(payload)),
-                };
-                if let Some(m) = metrics {
-                    match &status {
-                        UnitStatus::Done(_) => m.units_done.inc(),
-                        UnitStatus::Failed(_) => m.units_failed.inc(),
-                    }
-                    m.units_remaining
-                        // db-lint: allow(conc-relaxed-publish) — progress gauge; nothing branches on it
-                        .set((remaining.fetch_sub(1, Ordering::Relaxed) - 1) as f64);
-                    m.unit_latency_ns
-                        .record(started.elapsed().as_nanos() as u64);
-                }
-                let outcome = UnitOutcome {
-                    unit: job.unit,
-                    status,
-                };
-                let mut guard = lock_recover(&sink);
-                let (on_unit, collected) = &mut *guard;
-                on_unit(&outcome);
-                collected.push(outcome);
-            });
-        }
-    });
-    sink.into_inner().expect("sweep sink poisoned").1
+                m.units_remaining.set((budget - collected.len() - 1) as f64);
+            }
+            let outcome = UnitOutcome {
+                unit: jobs[i].unit,
+                status,
+            };
+            on_unit(&outcome);
+            collected.push(outcome);
+        },
+    );
+    collected
 }
 
 #[cfg(test)]
@@ -171,12 +142,10 @@ mod tests {
     fn executes_every_job_once() {
         let jobs: Vec<SweepJob> = (0..17).map(job).collect();
         for workers in [1, 2, 8] {
-            let cfg = ExecConfig {
-                workers,
-                stop_after: None,
-            };
             let mut seen = Vec::new();
-            let out = execute(&jobs, &cfg, None, synthetic, &mut |u| seen.push(u.unit));
+            let out = execute(&jobs, workers, None, None, synthetic, &mut |u| {
+                seen.push(u.unit)
+            });
             assert_eq!(
                 units_of(&out),
                 (0..17).collect::<Vec<_>>(),
@@ -192,11 +161,7 @@ mod tests {
     #[test]
     fn stop_after_takes_exactly_the_first_n_jobs() {
         let jobs: Vec<SweepJob> = (0..10).map(job).collect();
-        let cfg = ExecConfig {
-            workers: 4,
-            stop_after: Some(3),
-        };
-        let out = execute(&jobs, &cfg, None, synthetic, &mut |_| {});
+        let out = execute(&jobs, 4, Some(3), None, synthetic, &mut |_| {});
         assert_eq!(units_of(&out), vec![0, 1, 2]);
     }
 
@@ -207,10 +172,8 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let out = execute(
             &jobs,
-            &ExecConfig {
-                workers: 3,
-                stop_after: None,
-            },
+            3,
+            None,
             None,
             |j| {
                 if j.unit == 5 {
@@ -237,10 +200,8 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         execute(
             &jobs,
-            &ExecConfig {
-                workers: 2,
-                stop_after: None,
-            },
+            2,
+            None,
             Some(&m),
             |j| {
                 if j.unit % 3 == 0 {
@@ -260,23 +221,15 @@ mod tests {
         // instead of returning before instrumentation.
         let m2 = RunnerMetrics::register(&reg);
         m2.units_remaining.set(99.0);
-        let cfg = ExecConfig {
-            workers: 2,
-            stop_after: Some(0),
-        };
-        assert!(execute(&jobs, &cfg, Some(&m2), synthetic, &mut |_| {}).is_empty());
+        assert!(execute(&jobs, 2, Some(0), Some(&m2), synthetic, &mut |_| {}).is_empty());
         assert_eq!(m2.units_remaining.get(), 0.0);
     }
 
     #[test]
     fn empty_jobs_and_zero_budget_are_fine() {
         let none: Vec<SweepJob> = Vec::new();
-        assert!(execute(&none, &ExecConfig::default(), None, synthetic, &mut |_| {}).is_empty());
+        assert!(execute(&none, 0, None, None, synthetic, &mut |_| {}).is_empty());
         let jobs: Vec<SweepJob> = (0..4).map(job).collect();
-        let cfg = ExecConfig {
-            workers: 2,
-            stop_after: Some(0),
-        };
-        assert!(execute(&jobs, &cfg, None, synthetic, &mut |_| {}).is_empty());
+        assert!(execute(&jobs, 2, Some(0), None, synthetic, &mut |_| {}).is_empty());
     }
 }

@@ -9,10 +9,12 @@
 //!    [`ScenarioKind`], and a workload seed that is a pure function of
 //!    `(base seed, unit index, seed mode)` — never of worker count or
 //!    scheduling (see [`job::derive_seed`]).
-//! 2. **Execute** — a `std::thread::scope` worker pool runs units under
-//!    per-unit `catch_unwind`: a poisoned scenario becomes a
-//!    [`UnitStatus::Failed`] record with its panic message, not an aborted
-//!    sweep. Progress flows through the `db-telemetry` registry
+//! 2. **Execute** — the workspace's one worker pool
+//!    ([`db_core::par::run_units`]: one unit per claim, `workers` else
+//!    `DB_THREADS` else every core) runs units under per-unit
+//!    `catch_unwind`, and [`executor`] is its sink: a poisoned scenario
+//!    becomes a [`UnitStatus::Failed`] record with its panic message, not
+//!    an aborted sweep. Progress flows through the `db-telemetry` registry
 //!    (`runner.units_done` / `runner.units_failed` /
 //!    `runner.units_remaining`, plus a unit-latency histogram) when
 //!    collection is enabled.
@@ -53,6 +55,5 @@ pub mod metrics;
 
 pub use builder::{SweepBuilder, SweepError, SweepReport};
 pub use checkpoint::{CheckpointError, CheckpointHeader};
-pub use executor::ExecConfig;
 pub use job::{derive_seed, SeedMode, SweepJob, UnitOutcome, UnitStatus};
 pub use metrics::RunnerMetrics;

@@ -455,16 +455,19 @@ impl Shared {
         // A daemon has no failure-injection timeline: the collection window
         // is wide open so `reported_links` accumulates for the whole run.
         let window = (SimTime::ZERO, SimTime::from_ns(u64::MAX));
+        let sys_cfg = SystemConfig {
+            interval: prep.wcfg.interval,
+            ..Default::default()
+        };
+        // The thresholds `timeline` / `top` print are the ones deployed.
+        let warning = sys_cfg.warning;
         let system = DriftBottleSystem::deploy(
             &prep.topo,
             &flows,
             prep.wcfg,
             prep.table.clone(),
             vec![VariantSpec::drift_bottle()],
-            SystemConfig {
-                interval: prep.wcfg.interval,
-                ..Default::default()
-            },
+            sys_cfg,
             window,
         );
         let mut engine = Engine::new(system);
@@ -478,16 +481,15 @@ impl Shared {
         // post-mortem `explain` is worth the ingest cost.
         let nodes = u32::try_from(prep.topo.node_count()).unwrap_or(u32::MAX);
         let links = u32::try_from(prep.topo.link_count()).unwrap_or(u32::MAX);
-        let sys_cfg = SystemConfig::default();
         let scope = Arc::new(ScopeRecorder::default());
         scope.set_meta(ScopeMeta {
             interval_ns: prep.wcfg.interval.as_ns(),
             t_fail_ns: 0,
             total_links: links,
             total_switches: nodes,
-            alpha: sys_cfg.warning.alpha,
-            beta: sys_cfg.warning.beta,
-            hop_min: sys_cfg.warning.hop_min,
+            alpha: warning.alpha,
+            beta: warning.beta,
+            hop_min: warning.hop_min,
         });
         engine.set_scope(scope.clone());
         if std::env::var("DB_SERVE_FLIGHT").is_ok_and(|v| v == "1") {

@@ -57,7 +57,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drift-bottle topo    <name|file>\n  drift-bottle fail    <name|file> <link-id> [density]\n  drift-bottle node    <name|file> <node-id> [density]\n  drift-bottle sweep   <name|file> [links] [density]\n  drift-bottle health  <name|file> [density]\n  drift-bottle report  <name|file> [density]\n  drift-bottle explain <file.flight> [l<ID>|s<ID>]\n  drift-bottle timeline <file.trace.json> [l<ID>|s<ID>]\n  drift-bottle serve\n  drift-bottle top     <addr> [topo]\n\noptions (every command):\n  --metrics[=table|json|prom]  collect telemetry and print a metrics report\n\nscenario options (fail/node/sweep/health/report):\n  --scheme=NAME        weight scheme to run (default Drift-Bottle; see below)\n  --flight[=path]      record provenance for `explain` (default results/<cmd>-<topo>.flight)\n  --trace[=path]       record a db-scope trace for `timeline` / Perfetto\n                       (default results/<cmd>-<topo>.trace.json)\n\nsweep options:\n  --workers=N          worker threads (default: all cores)\n  --checkpoint[=path]  checkpoint units to path (default results/sweep-<topo>.ckpt.jsonl)\n  --resume             resume from the checkpoint if it exists (implies --checkpoint)\n  (--flight / --trace write one recording per unit next to the checkpoint)\n\nexplain options:\n  --window=N           restrict votes/warnings to sampling window N\n  --format=table|json  output format (default table)\n\ntimeline options:\n  --format=table|json|sparkline  output format (default table)\n\nserve options:\n  --addr=HOST:PORT     listen address (default DB_SERVE_ADDR, else 127.0.0.1:7117)\n  --stdin              serve one session over stdin/stdout instead of TCP\n  --snapshot=PATH      restore engine state at startup, persist it on\n                       SnapshotReq and Shutdown frames\n  --prom-addr=HOST:PORT  also serve a Prometheus text scrape endpoint\n                       (default DB_SERVE_PROM_ADDR, else off)\n\ntop options (live health view of a running daemon):\n  --once               render one frame and exit (for scripts / CI)\n  --interval=SECS      refresh interval (default 1.0)\n  --lines=N            suspicion rows to show (default 8)\n\nenvironment:\n  DB_FLIGHT_CAPACITY=N   --flight ring capacity in records (default 65536)\n  DB_THREADS=N           cap library parallelism; 1 forces sequential execution\n  DB_SWEEP_STOP_AFTER=N  stop a sweep after N units (leaves a resumable checkpoint)\n  DB_SMOKE=1             shrink classifier training for fast smoke runs\n  DB_FULL=1              run bench binaries at full sweep scale, not the quick budget\n  DB_TRACE=1             sweep-driven binaries emit per-unit db-scope traces\n  DB_SERVE_ADDR=H:P      default listen address for `serve`\n  DB_SERVE_WINDOW_CAP=N  default carrier-retention bound for `serve` engines\n  DB_SERVE_PROM_ADDR=H:P default Prometheus scrape address for `serve`\n  DB_SERVE_FLIGHT=1      `serve` engines also record a provenance flight ring\n\nweight schemes: Drift-Bottle, Non-Negative, 007-Drifted, 007-Modified\nbuilt-in topologies: geant2012, chinanet, tinet, as1221\ntopology specs:\n  <name>               a built-in evaluation topology (above)\n  as:<n>[:<seed>]      generated AS-graph-style topology, 4..=50000 nodes\n  path:<file>          plain-text edge list: 'nodes <N>' header, then\n                       '<a> <b> <latency_ms> [bandwidth_mbps]' per line\n  <file>               a file in the interchange format (topology/node/link)"
+        "usage:\n  drift-bottle topo    <name|file>\n  drift-bottle fail    <name|file> <link-id> [density]\n  drift-bottle node    <name|file> <node-id> [density]\n  drift-bottle sweep   <name|file> [links] [density]\n  drift-bottle health  <name|file> [density]\n  drift-bottle report  <name|file> [density]\n  drift-bottle explain <file.flight> [l<ID>|s<ID>]\n  drift-bottle timeline <file.trace.json> [l<ID>|s<ID>]\n  drift-bottle serve\n  drift-bottle top     <addr> [topo]\n\noptions (every command):\n  --metrics[=table|json|prom]  collect telemetry and print a metrics report\n\nscenario options (fail/node/sweep/health/report):\n  --scheme=NAME        weight scheme to run (default Drift-Bottle; see below)\n  --flight[=path]      record provenance for `explain` (default results/<cmd>-<topo>.flight)\n  --trace[=path]       record a db-scope trace for `timeline` / Perfetto\n                       (default results/<cmd>-<topo>.trace.json)\n\nsweep options:\n  --workers=N          worker threads (default: DB_THREADS, else all cores)\n  --checkpoint[=path]  checkpoint units to path (default results/sweep-<topo>.ckpt.jsonl)\n  --resume             resume from the checkpoint if it exists (implies --checkpoint)\n  (--flight / --trace write one recording per unit next to the checkpoint)\n\nexplain options:\n  --window=N           restrict votes/warnings to sampling window N\n  --format=table|json  output format (default table)\n\ntimeline options:\n  --format=table|json|sparkline  output format (default table)\n\nserve options:\n  --addr=HOST:PORT     listen address (default DB_SERVE_ADDR, else 127.0.0.1:7117)\n  --stdin              serve one session over stdin/stdout instead of TCP\n  --snapshot=PATH      restore engine state at startup, persist it on\n                       SnapshotReq and Shutdown frames\n  --prom-addr=HOST:PORT  also serve a Prometheus text scrape endpoint\n                       (default DB_SERVE_PROM_ADDR, else off)\n\ntop options (live health view of a running daemon):\n  --once               render one frame and exit (for scripts / CI)\n  --interval=SECS      refresh interval (default 1.0)\n  --lines=N            suspicion rows to show (default 8)\n\nenvironment:\n  DB_FLIGHT_CAPACITY=N   --flight ring capacity in records (default 65536)\n  DB_THREADS=N           worker threads for sweeps and training unless --workers is\n                         given (default all cores); 1 forces sequential execution\n  DB_SWEEP_STOP_AFTER=N  stop a sweep after N units (leaves a resumable checkpoint)\n  DB_SMOKE=1             shrink classifier training for fast smoke runs\n  DB_FULL=1              run bench binaries at full sweep scale, not the quick budget\n  DB_TRACE=1             sweep-driven binaries emit per-unit db-scope traces\n  DB_SERVE_ADDR=H:P      default listen address for `serve`\n  DB_SERVE_WINDOW_CAP=N  default carrier-retention bound for `serve` engines\n  DB_SERVE_PROM_ADDR=H:P default Prometheus scrape address for `serve`\n  DB_SERVE_FLIGHT=1      `serve` engines also record a provenance flight ring\n\nweight schemes: Drift-Bottle, Non-Negative, 007-Drifted, 007-Modified\nbuilt-in topologies: geant2012, chinanet, tinet, as1221\ntopology specs:\n  <name>               a built-in evaluation topology (above)\n  as:<n>[:<seed>]      generated AS-graph-style topology, 4..=50000 nodes\n  path:<file>          plain-text edge list: 'nodes <N>' header, then\n                       '<a> <b> <latency_ms> [bandwidth_mbps]' per line\n  <file>               a file in the interchange format (topology/node/link)"
     );
     ExitCode::FAILURE
 }
@@ -555,18 +555,6 @@ fn flight_capacity() -> Result<usize, String> {
     }
 }
 
-/// Write a finished recording and tell the operator where it went.
-fn save_flight(rec: &FlightRecorder, path: &str) -> Result<(), String> {
-    rec.save(path)
-        .map_err(|e| format!("writing flight recording {path}: {e}"))?;
-    eprintln!(
-        "[flight recording: {path} ({} records, {} evicted); inspect with: drift-bottle explain {path}]",
-        rec.len(),
-        rec.dropped()
-    );
-    Ok(())
-}
-
 /// Look up a variant in an outcome, or explain which variants the run
 /// actually produced — the contextual replacement for the old
 /// `.expect(\"flagship variant\")` panics.
@@ -583,11 +571,18 @@ fn variant_or_err<'o>(
     })
 }
 
-/// Build the single-scenario setup for `opts`: the chosen weight scheme
-/// (Drift-Bottle rides the real wire header; the others need the exact
-/// side-table carrier) plus the flight and scope recorders when requested.
-/// Returns the setup, the variant name to report on, and the recorders for
-/// saving.
+/// The variant `--scheme` selects: Drift-Bottle rides the real wire header;
+/// the others need the exact side-table carrier.
+fn variant_for(opts: &RunOpts) -> VariantSpec {
+    match opts.scheme {
+        None | Some(WeightScheme::DriftBottle) => VariantSpec::drift_bottle(),
+        Some(s) => VariantSpec::distributed(s),
+    }
+}
+
+/// Build the single-scenario setup for `opts`: the chosen variant plus the
+/// flight and scope recorders when requested. Returns the setup, the
+/// variant name to report on, and the recorders for [`save_recordings`].
 #[allow(clippy::type_complexity)]
 fn single_setup<'a>(
     prep: &'a Prepared,
@@ -602,10 +597,7 @@ fn single_setup<'a>(
     ),
     String,
 > {
-    let spec = match opts.scheme {
-        None | Some(WeightScheme::DriftBottle) => VariantSpec::drift_bottle(),
-        Some(s) => VariantSpec::distributed(s),
-    };
+    let spec = variant_for(opts);
     let vname = spec.name.clone();
     let mut setup = ScenarioSetup::flagship(prep, density, 1);
     setup.variants = vec![spec];
@@ -622,30 +614,41 @@ fn single_setup<'a>(
     Ok((setup, vname, rec, scope))
 }
 
-/// Default or explicit `--flight` output path for a single-run command.
-fn flight_path_for(opts: &RunOpts, cmd: &str, topo: &str) -> String {
-    match &opts.flight {
-        Some(Some(p)) => p.clone(),
-        _ => format!("results/{cmd}-{topo}.flight"),
+/// The tail of every single-run command: write the flight recording and the
+/// db-scope trace it collected (`None` when not requested) to the explicit
+/// path or `results/<cmd>-<topo>.*`, and tell the operator where they went.
+fn save_recordings(
+    opts: &RunOpts,
+    cmd: &str,
+    topo: &str,
+    rec: Option<Arc<FlightRecorder>>,
+    scope: Option<Arc<ScopeRecorder>>,
+) -> Result<(), String> {
+    if let Some(rec) = rec {
+        let path = match &opts.flight {
+            Some(Some(p)) => p.clone(),
+            _ => format!("results/{cmd}-{topo}.flight"),
+        };
+        rec.save(&path)
+            .map_err(|e| format!("writing flight recording {path}: {e}"))?;
+        eprintln!(
+            "[flight recording: {path} ({} records, {} evicted); inspect with: drift-bottle explain {path}]",
+            rec.len(),
+            rec.dropped()
+        );
     }
-}
-
-/// Default or explicit `--trace` output path for a single-run command.
-fn trace_path_for(opts: &RunOpts, cmd: &str, topo: &str) -> String {
-    match &opts.trace {
-        Some(Some(p)) => p.clone(),
-        _ => format!("results/{cmd}-{topo}.trace.json"),
+    if let Some(sc) = scope {
+        let path = match &opts.trace {
+            Some(Some(p)) => p.clone(),
+            _ => format!("results/{cmd}-{topo}.trace.json"),
+        };
+        sc.save(Path::new(&path))
+            .map_err(|e| format!("writing trace {path}: {e}"))?;
+        eprintln!(
+            "[trace: {path} ({} spans); inspect with: drift-bottle timeline {path}, or open in Perfetto]",
+            sc.span_count()
+        );
     }
-}
-
-/// Write a finished db-scope trace and tell the operator where it went.
-fn save_trace(sc: &ScopeRecorder, path: &str) -> Result<(), String> {
-    sc.save(Path::new(path))
-        .map_err(|e| format!("writing trace {path}: {e}"))?;
-    eprintln!(
-        "[trace: {path} ({} spans); inspect with: drift-bottle timeline {path}, or open in Perfetto]",
-        sc.span_count()
-    );
     Ok(())
 }
 
@@ -806,13 +809,7 @@ fn cmd_fail(spec: &str, link: &str, density: f64, opts: &RunOpts) -> Result<(), 
     let (setup, vname, rec, scope) = single_setup(&prep, density, opts)?;
     let outcome = run_scenario(&setup, &ScenarioKind::SingleLink(LinkId(id)));
     print_outcome(&prep, &outcome, &vname)?;
-    if let Some(rec) = rec {
-        save_flight(&rec, &flight_path_for(opts, "fail", prep.topo.name()))?;
-    }
-    if let Some(sc) = scope {
-        save_trace(&sc, &trace_path_for(opts, "fail", prep.topo.name()))?;
-    }
-    Ok(())
+    save_recordings(opts, "fail", prep.topo.name(), rec, scope)
 }
 
 fn cmd_node(spec: &str, node: &str, density: f64, opts: &RunOpts) -> Result<(), String> {
@@ -832,13 +829,7 @@ fn cmd_node(spec: &str, node: &str, density: f64, opts: &RunOpts) -> Result<(), 
     let (setup, vname, rec, scope) = single_setup(&prep, density, opts)?;
     let outcome = run_scenario(&setup, &ScenarioKind::Node(NodeId(id)));
     print_outcome(&prep, &outcome, &vname)?;
-    if let Some(rec) = rec {
-        save_flight(&rec, &flight_path_for(opts, "node", prep.topo.name()))?;
-    }
-    if let Some(sc) = scope {
-        save_trace(&sc, &trace_path_for(opts, "node", prep.topo.name()))?;
-    }
-    Ok(())
+    save_recordings(opts, "node", prep.topo.name(), rec, scope)
 }
 
 /// Parsed `sweep` subcommand flags.
@@ -886,10 +877,7 @@ fn cmd_sweep(
 ) -> Result<(), String> {
     let topo = load_topology(spec)?;
     let prep = train(topo);
-    let variant = match opts.scheme {
-        None | Some(WeightScheme::DriftBottle) => VariantSpec::drift_bottle(),
-        Some(s) => VariantSpec::distributed(s),
-    };
+    let variant = variant_for(opts);
     let vname = variant.name.clone();
     if let Some(Some(p)) = &opts.flight {
         return Err(format!(
@@ -1017,13 +1005,7 @@ fn cmd_health(spec: &str, density: f64, opts: &RunOpts) -> Result<(), String> {
     if !v.reported.is_empty() {
         println!("accused: {:?}", v.reported);
     }
-    if let Some(rec) = rec {
-        save_flight(&rec, &flight_path_for(opts, "health", prep.topo.name()))?;
-    }
-    if let Some(sc) = scope {
-        save_trace(&sc, &trace_path_for(opts, "health", prep.topo.name()))?;
-    }
-    Ok(())
+    save_recordings(opts, "health", prep.topo.name(), rec, scope)
 }
 
 fn cmd_report(spec: &str, density: f64, opts: &RunOpts) -> Result<(), String> {
@@ -1049,13 +1031,7 @@ fn cmd_report(spec: &str, density: f64, opts: &RunOpts) -> Result<(), String> {
     let (setup, vname, rec, scope) = single_setup(&prep, density, opts)?;
     let outcome = run_scenario(&setup, &ScenarioKind::SingleLink(link));
     print_outcome(&prep, &outcome, &vname)?;
-    if let Some(rec) = rec {
-        save_flight(&rec, &flight_path_for(opts, "report", prep.topo.name()))?;
-    }
-    if let Some(sc) = scope {
-        save_trace(&sc, &trace_path_for(opts, "report", prep.topo.name()))?;
-    }
-    Ok(())
+    save_recordings(opts, "report", prep.topo.name(), rec, scope)
 }
 
 /// Run the streaming daemon (DESIGN.md §15): one incremental engine per

@@ -20,7 +20,7 @@ use std::collections::HashMap; // db-lint: allow(det-hash-iter) — iterated onl
 pub(crate) type CarrierKey = (u32, u64);
 
 /// Flat `(flow, seq)` → `V` table (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CarrierTable<V> {
     // db-lint: allow(det-hash-iter) — keyed take/put, an order-blind sweep, and `sorted`
     slots: HashMap<CarrierKey, V, MixBuild>,

@@ -149,6 +149,24 @@ impl<C: FlowClassifier> Engine<C> {
         }
     }
 
+    /// A second engine in exactly this one's state, over a
+    /// [`DriftBottleSystem::fork`] of its system.
+    pub fn fork(&self) -> Self
+    where
+        C: Clone,
+    {
+        Engine {
+            system: self.system.fork(),
+            interval: self.interval,
+            now: self.now,
+            next_tick: self.next_tick,
+            ticks_fired: self.ticks_fired,
+            carriers: self.carriers.clone(),
+            retention: self.retention,
+            fingerprint: self.fingerprint,
+        }
+    }
+
     /// Bound carrier memory: a carrier untouched for `windows` sampling
     /// intervals is dropped at the next tick. Records whose carrier was
     /// evicted are treated as ingress (empty incoming header) — monitoring

@@ -5,15 +5,19 @@
 //! [`run_scenario`] simulates it once (all variants observe identical
 //! traffic) and scores every variant against the ground truth per the §6.2
 //! protocol: links reported within one sliding window after failure
-//! injection.
+//! injection. Scenarios of one setup differ only from `t_fail` on, and
+//! repeated runs share the healthy simulation up to there (see
+//! the crate-private `prefix` module).
 
 use crate::classifier::{timeline, Prepared};
 use crate::config::{Mechanism, SystemConfig, VariantSpec};
 use crate::engine::Engine;
 use crate::eval::{LocalizationMetrics, MetricsAccum};
 use crate::par::par_map;
+use crate::prefix::{BatchSim, PrefixKey, SharedPrefix};
 use crate::system::{DriftBottleSystem, RatioSample};
 use crate::tap::PhaseSpan;
+use db_dtree::TableClassifier;
 use db_netsim::{
     FailureScenario, SimConfig, SimStats, SimTime, Simulator, TrafficConfig, TrafficGen,
 };
@@ -105,6 +109,8 @@ pub struct ScenarioSetup<'a> {
     /// bit-for-bit identical; see [`DriftBottleSystem::set_flight`] and
     /// [`DriftBottleSystem::set_scope`] for what each recorder captures.
     pub instr: Instrumentation,
+    /// The healthy prefix this setup and its clones share between runs.
+    pub(crate) prefix: SharedPrefix<'a>,
 }
 
 /// Why [`ScenarioSetupBuilder::build`] rejected a configuration.
@@ -223,6 +229,7 @@ impl<'a> ScenarioSetupBuilder<'a> {
             variants: self.variants,
             background_loss: self.background_loss,
             instr: Instrumentation::off(),
+            prefix: SharedPrefix::default(),
         })
     }
 }
@@ -295,15 +302,17 @@ impl ScenarioOutcome {
     }
 }
 
-/// Simulate one scenario and score every variant.
-pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutcome {
+/// The healthy network of `setup` at time zero: its workload generated, the
+/// system deployed on it and handed to `attach`, nothing simulated yet.
+fn healthy<'a>(
+    setup: &ScenarioSetup<'a>,
+    window: (SimTime, SimTime),
+    end: SimTime,
+    attach: impl FnOnce(&mut DriftBottleSystem<TableClassifier>),
+) -> BatchSim<'a> {
     let prep = setup.prep;
     let traffic = TrafficConfig::with_density(setup.density);
-    let start_spread = traffic.start_spread;
     let flows = TrafficGen::generate_auto(&prep.topo, prep.routes.as_ref(), &traffic, setup.seed);
-    let (t_fail, window, end) = timeline(&prep.wcfg, start_spread);
-    let scenario = kind.build(prep, t_fail);
-    let ground_truth = scenario.failed_links_at(&prep.topo, t_fail);
     let mut system = DriftBottleSystem::deploy(
         &prep.topo,
         &flows,
@@ -313,64 +322,98 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
         setup.sys.clone(),
         window,
     );
+    attach(&mut system);
     let cfg = SimConfig {
         end,
         tick_interval: prep.wcfg.interval,
         background_loss: setup.background_loss,
         ..Default::default()
     };
-    if let Some(reg) = db_telemetry::active() {
-        system.set_metrics(reg);
-    }
-    if let Some(rec) = &setup.instr.flight {
-        // The run header goes in first: everything `explain` needs to
-        // re-evaluate equation (1) and score against ground truth offline.
-        rec.record(FlightRecord::RunMeta {
-            t_fail_ns: t_fail.as_ns(),
-            window_from_ns: window.0.as_ns(),
-            window_to_ns: window.1.as_ns(),
-            interval_ns: prep.wcfg.interval.as_ns(),
-            total_links: prep.topo.link_count() as u32,
-            k: setup.sys.k as u32,
-            hop_min: setup.sys.warning.hop_min,
-            alpha: setup.sys.warning.alpha,
-            beta: setup.sys.warning.beta,
-            ground_truth: ground_truth.iter().map(|l| l.0).collect(),
-        });
-        system.set_flight(rec.clone(), &ground_truth, prep.topo.link_count());
-    }
-    let scope = setup.instr.scope.as_ref();
-    if let Some(sc) = scope {
-        // The meta header first: everything `timeline` needs to map
-        // nanosecond feed times onto window indices and re-state the
-        // equation (1) thresholds next to the series.
-        sc.set_meta(ScopeMeta {
-            interval_ns: prep.wcfg.interval.as_ns(),
-            t_fail_ns: t_fail.as_ns(),
-            total_links: prep.topo.link_count() as u32,
-            total_switches: prep.topo.node_count() as u32,
-            alpha: setup.sys.warning.alpha,
-            beta: setup.sys.warning.beta,
-            hop_min: setup.sys.warning.hop_min,
-        });
-        system.set_scope(sc.clone());
-    }
-    // Spans close in reverse order of opening when they go out of scope.
-    let _scenario_span = PhaseSpan::begin(scope, "scenario");
     // Batch runs on the incremental engine: the engine is the observer the
     // simulator drives, so the batch and streaming paths share one pipeline
     // (the golden snapshot pins this rebase bit-identical).
     let engine = Engine::new(system);
-    let mut sim = Simulator::new(&prep.topo, flows, cfg, &scenario, setup.seed, engine);
-    if let Some(reg) = db_telemetry::active() {
-        sim.set_metrics(reg);
-    }
-    if let Some(rec) = &setup.instr.flight {
-        sim.set_flight(rec.clone());
-    }
-    if let Some(sc) = scope {
-        sim.set_scope(sc.clone());
-    }
+    let none = FailureScenario::none();
+    Simulator::new(&prep.topo, flows, cfg, &none, setup.seed, engine)
+}
+
+/// Simulate one scenario and score every variant.
+///
+/// One body: take the healthy simulation, inject the failure, run to the
+/// end, score. The only branch is where the healthy simulation comes from.
+pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutcome {
+    let prep = setup.prep;
+    let start_spread = TrafficConfig::with_density(setup.density).start_spread;
+    let (t_fail, window, end) = timeline(&prep.wcfg, start_spread);
+    let scenario = kind.build(prep, t_fail);
+    let ground_truth = scenario.failed_links_at(&prep.topo, t_fail);
+    let registry = db_telemetry::active();
+    let flight = setup.instr.flight.as_ref();
+    let scope = setup.instr.scope.as_ref();
+    // Spans close in reverse order of opening when they go out of scope.
+    let _scenario_span = PhaseSpan::begin(scope, "scenario");
+    let mut sim = if registry.is_some() || flight.is_some() || scope.is_some() {
+        // A recorder must see the run from its first event, with the
+        // failure already scheduled (the queue-depth series counts it): an
+        // observed run starts at time zero, on a simulation of its own.
+        let mut sim = healthy(setup, window, end, |system| {
+            if let Some(reg) = registry {
+                system.set_metrics(reg);
+            }
+            if let Some(rec) = flight {
+                // The run header goes in first: everything `explain` needs
+                // to re-evaluate equation (1) and score against ground
+                // truth offline.
+                rec.record(FlightRecord::RunMeta {
+                    t_fail_ns: t_fail.as_ns(),
+                    window_from_ns: window.0.as_ns(),
+                    window_to_ns: window.1.as_ns(),
+                    interval_ns: prep.wcfg.interval.as_ns(),
+                    total_links: prep.topo.link_count() as u32,
+                    k: setup.sys.k as u32,
+                    hop_min: setup.sys.warning.hop_min,
+                    alpha: setup.sys.warning.alpha,
+                    beta: setup.sys.warning.beta,
+                    ground_truth: ground_truth.iter().map(|l| l.0).collect(),
+                });
+                system.set_flight(rec.clone(), &ground_truth, prep.topo.link_count());
+            }
+            if let Some(sc) = scope {
+                // The meta header first: everything `timeline` needs to map
+                // nanosecond feed times onto window indices and re-state
+                // the equation (1) thresholds next to the series.
+                sc.set_meta(ScopeMeta {
+                    interval_ns: prep.wcfg.interval.as_ns(),
+                    t_fail_ns: t_fail.as_ns(),
+                    total_links: prep.topo.link_count() as u32,
+                    total_switches: prep.topo.node_count() as u32,
+                    alpha: setup.sys.warning.alpha,
+                    beta: setup.sys.warning.beta,
+                    hop_min: setup.sys.warning.hop_min,
+                });
+                system.set_scope(sc.clone());
+            }
+        });
+        if let Some(reg) = registry {
+            sim.set_metrics(reg);
+        }
+        if let Some(rec) = flight {
+            sim.set_flight(rec.clone());
+        }
+        if let Some(sc) = scope {
+            sim.set_scope(sc.clone());
+        }
+        sim
+    } else {
+        // Nobody is watching: any copy of the healthy run up to `t_fail`
+        // will do, and the setup may hold one.
+        setup.prefix.at_failure(&PrefixKey::of(setup), || {
+            let mut sim = healthy(setup, window, end, |_| {});
+            sim.run_until(t_fail);
+            sim
+        })
+    };
+    sim.inject(&scenario);
     {
         let _simulate = db_telemetry::span("phase.simulate");
         let _simulate_span = PhaseSpan::begin(scope, "phase.simulate");
@@ -624,7 +667,7 @@ pub fn locality_histogram(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::classifier::{prepare, PrepareConfig};
     use db_topology::zoo;
@@ -632,7 +675,7 @@ mod tests {
 
     /// One shared prepared grid topology — training is the slow part of
     /// these tests, do it once.
-    fn grid_prep() -> &'static Prepared {
+    pub(crate) fn grid_prep() -> &'static Prepared {
         static PREP: OnceLock<Prepared> = OnceLock::new();
         PREP.get_or_init(|| {
             prepare(

@@ -20,6 +20,8 @@
 //!   tree, compile it to a match-action table (Fig. 6).
 //! * [`experiment`] — scenario runners and sweeps for every evaluation
 //!   experiment (Figs. 7–13).
+//! * `prefix` — the healthy run up to the failure, simulated once per
+//!   setup and forked by every later scenario of it.
 //! * [`par`] — the one worker pool for independent simulation units, and
 //!   the input-ordered parallel map on top of it.
 //! * [`wire`] — bit-exact checkpoint serialization of scenario outcomes
@@ -34,6 +36,7 @@ pub mod engine;
 pub mod eval;
 pub mod experiment;
 pub mod par;
+mod prefix;
 pub mod system;
 mod tap;
 pub mod wire;

@@ -127,7 +127,7 @@ pub struct RatioSample {
 
 /// Who reads a variant's per-switch local inferences, and so which form
 /// they are kept in — fixed by the variant's mechanism in `deploy_empty`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Locals {
     /// Distributed variants: the packet path reads the k-truncated local on
     /// every hop, so it is stored in the allocation-free form.
@@ -145,7 +145,7 @@ enum Locals {
 }
 
 /// Per-variant mutable state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct VariantState {
     spec: VariantSpec,
     locals: Locals,
@@ -255,6 +255,26 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             window,
             agg_counter: 0,
             tap,
+        }
+    }
+
+    /// A second system in exactly this one's state — monitors, locals,
+    /// in-flight carriers, warning logs, counters — with nothing attached
+    /// to observe it. The two share nothing mutable.
+    pub fn fork(&self) -> Self
+    where
+        C: Clone,
+    {
+        DriftBottleSystem {
+            monitors: self.monitors.clone(),
+            classifier: self.classifier.clone(),
+            cfg: self.cfg.clone(),
+            wcfg: self.wcfg,
+            codec: self.codec,
+            variants: self.variants.clone(),
+            window: self.window,
+            agg_counter: self.agg_counter,
+            tap: self.tap.bare(),
         }
     }
 

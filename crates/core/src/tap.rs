@@ -102,6 +102,21 @@ impl Tap {
         }
     }
 
+    /// The tap of a fork of this tap's system: the same deploy-time
+    /// constants, nothing attached. `Tap` is deliberately not `Clone` — two
+    /// systems feeding one recorder would interleave their records.
+    pub(crate) fn bare(&self) -> Tap {
+        Tap {
+            traced: self.traced,
+            codec: self.codec,
+            thresholds: self.thresholds,
+            metrics: None,
+            flight: None,
+            scope: None,
+            live: None,
+        }
+    }
+
     pub(crate) fn flight(&self) -> Option<&Arc<FlightRecorder>> {
         self.flight.as_ref().map(|f| &f.rec)
     }

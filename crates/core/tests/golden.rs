@@ -13,7 +13,8 @@
 //! semantics; do not re-pin without understanding exactly why.
 
 use db_core::{
-    prepare, run_scenario, PrepareConfig, Prepared, ScenarioKind, ScenarioSetup, VariantSpec,
+    prepare, run_scenario, PrepareConfig, Prepared, ScenarioKind, ScenarioOutcome, ScenarioSetup,
+    VariantSpec,
 };
 use db_flowmon::FlowStatus;
 use db_telemetry::ScopeRecorder;
@@ -39,17 +40,27 @@ fn grid_prepared() -> Prepared {
     )
 }
 
-fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
-    let prep = grid_prepared();
-    let mut setup = ScenarioSetup::flagship(&prep, 1.0, 42);
+/// The pinned scenario: the four fig-8 variants, ratio sampling on, the
+/// grid's center link failing.
+fn golden_scenario(prep: &Prepared) -> (ScenarioSetup<'_>, ScenarioKind) {
+    let mut setup = ScenarioSetup::flagship(prep, 1.0, 42);
     setup.variants = VariantSpec::fig8_set();
     setup.sys.ratio_sampling = 8;
-    setup.instr.scope = scope;
     let link = prep
         .topo
         .link_between(NodeId(4), NodeId(5))
         .expect("grid center link");
-    let outcome = run_scenario(&setup, &ScenarioKind::SingleLink(link));
+    (setup, ScenarioKind::SingleLink(link))
+}
+
+fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
+    let prep = grid_prepared();
+    let (mut setup, kind) = golden_scenario(&prep);
+    setup.instr.scope = scope;
+    render(&run_scenario(&setup, &kind))
+}
+
+fn render(outcome: &ScenarioOutcome) -> String {
     let mut s = String::new();
     writeln!(s, "ground_truth={:?}", outcome.ground_truth).unwrap();
     writeln!(
@@ -145,6 +156,23 @@ fn fig8_scenario_matches_golden_snapshot() {
         "scenario output diverged from the pinned pre-optimization snapshot\n\
          --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
     );
+}
+
+/// One setup run three times: the first run simulates from time zero, the
+/// second leaves its healthy prefix behind, the third starts from a fork of
+/// it. Where a run starts must not show.
+#[test]
+fn fig8_scenario_matches_golden_snapshot_from_a_forked_prefix() {
+    let prep = grid_prepared();
+    let (setup, kind) = golden_scenario(&prep);
+    for run in 1..=3 {
+        let got = render(&run_scenario(&setup, &kind));
+        assert!(
+            got == GOLDEN,
+            "run {run} on one setup diverged from the pinned snapshot\n\
+             --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
+        );
+    }
 }
 
 /// db-scope is observational: the same scenario traced (series + spans

@@ -40,7 +40,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// **Ring.** `ring[slot · W + p]` with `W = window_intervals`; all flows
 /// share one write position `head`, so a flow's interval closed `b` closes
 /// ago sits at `p = (head − b) mod W` whenever `b ≤ buffered[slot]`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SwitchMonitor {
     node: NodeId,
     cfg: WindowConfig,

@@ -24,6 +24,7 @@ use db_topology::{LinkId, NodeId, Topology};
 use db_util::Pcg64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,11 +242,18 @@ enum Ev {
     SetNode { node: u16, up: bool },
 }
 
+#[derive(Clone)]
 struct Scheduled {
     at: SimTime,
     seq: u64,
     ev: Ev,
 }
+
+/// First seq of the events a run schedules for itself. Everything
+/// scheduled from outside — flow starts, ticks, injected failures — counts
+/// up from zero on its own counter, so at equal times a failure sorts after
+/// the tick and before any packet event whenever it was injected.
+const RUN_SEQ_BASE: u64 = 1 << 63;
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
@@ -269,14 +277,19 @@ impl Ord for Scheduled {
 pub struct Simulator<'a, O: Observer> {
     topo: &'a Topology,
     cfg: SimConfig,
-    flows: Vec<FlowSpec>,
+    /// Fixed at construction, so forks share it — the caller's vector as it
+    /// came, not a copy.
+    flows: Arc<Vec<FlowSpec>>,
     senders: Vec<Sender>,
     links: Vec<LinkRuntime>,
     nodes_up: Vec<bool>,
     /// Cached reverse-path propagation per flow (for ACK latency).
-    reverse_prop: Vec<SimTime>,
+    reverse_prop: Arc<[SimTime]>,
     heap: BinaryHeap<Reverse<Scheduled>>,
+    /// Last seq given to an event the run scheduled (see [`RUN_SEQ_BASE`]).
     seq: u64,
+    /// Last seq given to an event scheduled from outside the run.
+    control_seq: u64,
     /// Lazy observer ticks: instead of materializing every tick event up
     /// front (tens of thousands of heap entries before the first packet
     /// moves), exactly one tick is armed at a time and re-armed when it
@@ -304,8 +317,9 @@ impl<'a, O: Observer> Simulator<'a, O> {
     /// Build a simulator.
     ///
     /// `flows` usually comes from [`crate::traffic::TrafficGen::generate`];
-    /// `scenario` failures are scheduled before the run starts; `seed` drives
-    /// all stochastic choices (senders, corruption coins, background loss).
+    /// `scenario` failures are scheduled before the run starts (this is
+    /// [`Self::inject`] at time zero); `seed` drives all stochastic choices
+    /// (senders, corruption coins, background loss).
     pub fn new(
         topo: &'a Topology,
         flows: Vec<FlowSpec>,
@@ -320,7 +334,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
             .map(|l| LinkRuntime::new(l.latency_ms, l.bandwidth_mbps, cfg.max_queue_ms))
             .collect();
         let senders: Vec<Sender> = flows.iter().map(|f| Sender::new(f, 0.10, seed)).collect();
-        let reverse_prop: Vec<SimTime> = flows
+        let reverse_prop: Arc<[SimTime]> = flows
             .iter()
             .map(|f| {
                 let prop: u64 = f
@@ -336,7 +350,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
         let mut sim = Simulator {
             topo,
             cfg,
-            flows,
+            flows: Arc::new(flows),
             senders,
             links,
             nodes_up: vec![true; topo.node_count()],
@@ -345,7 +359,8 @@ impl<'a, O: Observer> Simulator<'a, O> {
             // pending send per flow; pre-size for that (plus slack for ACKs
             // and control events) so the hot loop never reallocates.
             heap: BinaryHeap::with_capacity(4 * n_flows + 64),
-            seq: 0,
+            seq: RUN_SEQ_BASE,
+            control_seq: 0,
             tick_seq_base: 0,
             ticks_armed: 0,
             n_ticks: 0,
@@ -365,75 +380,116 @@ impl<'a, O: Observer> Simulator<'a, O> {
         // Schedule flow starts.
         for i in 0..sim.flows.len() {
             let at = sim.flows[i].start;
-            sim.push(at, Ev::HostSend { flow: i as u32 });
+            sim.push_control(at, Ev::HostSend { flow: i as u32 });
         }
         // Schedule observer ticks lazily: reserve the seq range the eager
         // schedule would have used (one seq per tick, in tick order), then
         // arm only the first tick; each firing re-arms the next with its
         // reserved seq, so the event order is identical to pushing them all.
-        sim.tick_seq_base = sim.seq;
+        sim.tick_seq_base = sim.control_seq;
         sim.n_ticks = if sim.cfg.tick_interval > SimTime::ZERO {
             sim.cfg.end.as_ns() / sim.cfg.tick_interval.as_ns()
         } else {
             0
         };
-        sim.seq += sim.n_ticks;
+        sim.control_seq += sim.n_ticks;
         if sim.n_ticks > 0 {
             sim.ticks_armed = 1;
             sim.push_raw(sim.cfg.tick_interval, sim.tick_seq_base + 1, Ev::Tick);
         }
-        // Schedule failures and repairs.
-        for e in &scenario.events {
-            match e.kind {
-                FailureKind::LinkDown(l) | FailureKind::LinkCorrupt(l, _) => {
-                    sim.push(
-                        e.at,
-                        Ev::SetLink {
-                            link: l.0,
-                            state: FailureScenario::state_of(e.kind),
-                        },
-                    );
-                    if let Some(r) = e.repair_at {
-                        sim.push(
-                            r,
-                            Ev::SetLink {
-                                link: l.0,
-                                state: LinkState::Up,
-                            },
-                        );
-                    }
-                }
-                FailureKind::NodeDown(n) => {
-                    sim.push(
-                        e.at,
-                        Ev::SetNode {
-                            node: n.0,
-                            up: false,
-                        },
-                    );
-                    if let Some(r) = e.repair_at {
-                        sim.push(
-                            r,
-                            Ev::SetNode {
-                                node: n.0,
-                                up: true,
-                            },
-                        );
-                    }
-                }
-            }
-        }
+        sim.inject(scenario);
         sim
     }
 
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        hot(HotFn::Push);
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            at,
+    /// Schedule the failures and repairs of `scenario`. An injected event
+    /// sorts where [`Self::new`] would have put it — after the tick of its
+    /// instant, before every packet event of that instant — so injecting at
+    /// construction and injecting into a run stopped by
+    /// [`Self::run_until`] at or before the first failure are the same
+    /// simulation. Panics on an event earlier than [`Self::now`]: the past
+    /// has been simulated without it.
+    pub fn inject(&mut self, scenario: &FailureScenario) {
+        for e in &scenario.events {
+            for at in std::iter::once(e.at).chain(e.repair_at) {
+                assert!(
+                    at >= self.now,
+                    "cannot inject a failure event at {at}: the simulation is already at {}",
+                    self.now
+                );
+            }
+            let (fail, repair) = match e.kind {
+                FailureKind::LinkDown(l) | FailureKind::LinkCorrupt(l, _) => (
+                    Ev::SetLink {
+                        link: l.0,
+                        state: FailureScenario::state_of(e.kind),
+                    },
+                    Ev::SetLink {
+                        link: l.0,
+                        state: LinkState::Up,
+                    },
+                ),
+                FailureKind::NodeDown(n) => (
+                    Ev::SetNode {
+                        node: n.0,
+                        up: false,
+                    },
+                    Ev::SetNode {
+                        node: n.0,
+                        up: true,
+                    },
+                ),
+            };
+            self.push_control(e.at, fail);
+            if let Some(r) = e.repair_at {
+                self.push_control(r, repair);
+            }
+        }
+    }
+
+    /// A second simulator in exactly this one's state — clock, event queue,
+    /// senders, links, RNG, counters — driving `observer`, which the caller
+    /// forks from [`Self::observer`]. The two share nothing mutable, and the
+    /// fork starts with no telemetry attached.
+    pub fn fork<P: Observer>(&self, observer: P) -> Simulator<'a, P> {
+        Simulator {
+            topo: self.topo,
+            cfg: self.cfg.clone(),
+            flows: self.flows.clone(),
+            senders: self.senders.clone(),
+            links: self.links.clone(),
+            nodes_up: self.nodes_up.clone(),
+            reverse_prop: self.reverse_prop.clone(),
+            heap: self.heap.clone(),
             seq: self.seq,
-            ev,
-        }));
+            control_seq: self.control_seq,
+            tick_seq_base: self.tick_seq_base,
+            ticks_armed: self.ticks_armed,
+            n_ticks: self.n_ticks,
+            now: self.now,
+            rng: self.rng.clone(),
+            stats: self.stats.clone(),
+            observer,
+            metrics: None,
+            flight: None,
+            scope: None,
+        }
+    }
+
+    /// Schedule an event of the run's own (see [`RUN_SEQ_BASE`]).
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.seq += 1;
+        self.push_seq(at, self.seq, ev);
+    }
+
+    /// Schedule an event from outside the run (see [`RUN_SEQ_BASE`]).
+    fn push_control(&mut self, at: SimTime, ev: Ev) {
+        self.control_seq += 1;
+        self.push_seq(at, self.control_seq, ev);
+    }
+
+    fn push_seq(&mut self, at: SimTime, seq: u64, ev: Ev) {
+        hot(HotFn::Push);
+        self.heap.push(Reverse(Scheduled { at, seq, ev }));
     }
 
     /// Push with an explicit (already-reserved) seq — lazy ticks only.
@@ -485,8 +541,27 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     /// Run to the configured horizon.
     pub fn run(&mut self) {
+        let end = self.cfg.end;
+        self.dispatch_while(|at| at <= end);
+        self.now = end;
+        if let Some(m) = &self.metrics {
+            m.publish(&self.stats);
+        }
+    }
+
+    /// Process every event earlier than `t` and stop there: an event *at*
+    /// `t` is still pending, so a failure [`Self::inject`]ed at `t` takes
+    /// effect exactly where a scheduled one would. `t` past the horizon
+    /// stops at the horizon.
+    pub fn run_until(&mut self, t: SimTime) {
+        let t = t.min(self.cfg.end);
+        self.dispatch_while(|at| at < t);
+        self.now = self.now.max(t);
+    }
+
+    fn dispatch_while(&mut self, due: impl Fn(SimTime) -> bool) {
         while let Some(Reverse(head)) = self.heap.peek() {
-            if head.at > self.cfg.end {
+            if !due(head.at) {
                 break;
             }
             let Reverse(s) = self.heap.pop().expect("peeked entry exists");
@@ -494,10 +569,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
             self.now = s.at;
             self.stats.events_processed += 1;
             self.dispatch(s.ev);
-        }
-        self.now = self.cfg.end;
-        if let Some(m) = &self.metrics {
-            m.publish(&self.stats);
         }
     }
 
@@ -530,13 +601,16 @@ impl<'a, O: Observer> Simulator<'a, O> {
                 self.observer.on_tick(now);
             }
             Ev::SetLink { link, state } => {
-                self.links[link as usize].state = state;
+                self.links[link as usize].set_state(state);
             }
             Ev::SetNode { node, up } => {
                 self.nodes_up[node as usize] = up;
-                let state = if up { LinkState::Up } else { LinkState::Down };
+                // A node takes its links down with it and gives them back
+                // only as far as their own state and other endpoint allow.
                 for l in self.topo.incident_links(NodeId(node)) {
-                    self.links[l.idx()].state = state;
+                    let link = self.topo.link(l);
+                    let ends_up = self.nodes_up[link.a.idx()] && self.nodes_up[link.b.idx()];
+                    self.links[l.idx()].set_ends_up(ends_up);
                 }
             }
         }
@@ -687,7 +761,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
         // lost if any reverse-path element would drop it).
         let mut lost = false;
         for &l in self.flows[f].path.links.iter().rev() {
-            match self.links[l.idx()].state {
+            match self.links[l.idx()].state() {
                 LinkState::Down => {
                     lost = true;
                     break;
@@ -1022,6 +1096,95 @@ mod tests {
             "deliveries must resume after repair, last at {}",
             last.0
         );
+    }
+
+    /// Counts the packets `pick` selects.
+    struct Count<F: Fn(SimTime, &HopInfo) -> bool>(F, u64);
+
+    impl<F: Fn(SimTime, &HopInfo) -> bool> Observer for Count<F> {
+        fn on_packet(&mut self, now: SimTime, info: &HopInfo, _ann: &mut Annotation) {
+            if (self.0)(now, info) {
+                self.1 += 1;
+            }
+        }
+    }
+
+    fn line_sim<O: Observer>(
+        scenario: &FailureScenario,
+        seed: u64,
+        observer: O,
+    ) -> Simulator<'static, O> {
+        static LINE: std::sync::OnceLock<Topology> = std::sync::OnceLock::new();
+        let topo = LINE.get_or_init(|| zoo::line(4));
+        let routes = RouteTable::build(topo);
+        let flows = TrafficGen::generate(topo, &routes, &TrafficConfig::default(), seed);
+        Simulator::new(topo, flows, SimConfig::default(), scenario, seed, observer)
+    }
+
+    #[test]
+    fn node_repair_leaves_a_link_that_failed_on_its_own_down() {
+        // s1 and its link to s2 fail together; only the node is repaired.
+        let at = SimTime::from_ms(40);
+        let mut scenario = FailureScenario::node(NodeId(1), at)
+            .merged(FailureScenario::single_link(LinkId(1), at));
+        scenario.events[0].repair_at = Some(SimTime::from_ms(80));
+        let after = |now: SimTime| now > SimTime::from_ms(85);
+        let mut sim = line_sim(
+            &scenario,
+            12,
+            Count(
+                |now, info: &HopInfo| after(now) && info.node == NodeId(2) && info.src.0 < 2,
+                0,
+            ),
+        );
+        sim.run();
+        let (crossed, _) = sim.finish();
+        assert_eq!(crossed.1, 0, "the node's repair revived the failed link");
+        assert_eq!(
+            scenario.failed_links_at(&zoo::line(4), SimTime::from_ms(100)),
+            vec![LinkId(1)],
+            "the ground truth still lists it"
+        );
+        let mut sim = line_sim(
+            &scenario,
+            12,
+            Count(
+                |now, info: &HopInfo| after(now) && info.node == NodeId(1) && info.src == NodeId(0),
+                0,
+            ),
+        );
+        sim.run();
+        assert!(sim.finish().0 .1 > 0, "the repaired node forwards again");
+    }
+
+    #[test]
+    fn a_link_stays_down_until_both_of_its_nodes_are_back() {
+        // s1 and s2 fail together; s1 comes back at 80 ms, s2 at 120 ms.
+        let mut scenario = FailureScenario::node(NodeId(1), SimTime::from_ms(40))
+            .merged(FailureScenario::node(NodeId(2), SimTime::from_ms(40)));
+        scenario.events[0].repair_at = Some(SimTime::from_ms(80));
+        scenario.events[1].repair_at = Some(SimTime::from_ms(120));
+        let resumed = |now: SimTime, info: &HopInfo| {
+            now > SimTime::from_ms(120) && info.node == NodeId(2) && info.src.0 < 2
+        };
+        let mut sim = line_sim(&scenario, 13, Count(resumed, 0));
+        let flight = std::sync::Arc::new(FlightRecorder::new(1 << 16));
+        sim.set_flight(flight.clone());
+        sim.run();
+        // Between the repairs s1 forwards again, and what it sends towards
+        // the dead s2 must die on the link between them.
+        let between = |at_ns: u64| {
+            at_ns > SimTime::from_ms(85).as_ns() && at_ns <= SimTime::from_ms(120).as_ns()
+        };
+        let died_on_the_link = flight.snapshot().records.iter().any(|r| {
+            matches!(r, FlightRecord::PacketDropped { at_ns, link: 1, kind: DropKind::Down, .. }
+                if between(*at_ns))
+        });
+        assert!(
+            died_on_the_link,
+            "s1's repair revived the link to the dead s2"
+        );
+        assert!(sim.finish().0 .1 > 0, "traffic crosses once both are back");
     }
 
     #[test]

@@ -56,9 +56,14 @@ pub enum TxOutcome {
 /// Mutable per-link runtime state (both directions).
 #[derive(Debug, Clone)]
 pub struct LinkRuntime {
-    /// Current failure state (shared by both directions, as in the paper:
-    /// a failed link drops packets of both unidirectional flows, Fig. 2).
-    pub state: LinkState,
+    /// The link's own failure state (shared by both directions, as in the
+    /// paper: a failed link drops packets of both unidirectional flows,
+    /// Fig. 2) — what its own failure and repair events set.
+    own: LinkState,
+    /// Whether both endpoint nodes are up. Kept apart from `own` so that a
+    /// node coming back neither repairs a link that failed on its own nor
+    /// revives one whose other end is still down.
+    ends_up: bool,
     /// Propagation delay.
     prop: SimTime,
     /// Serialization time per byte, in nanoseconds (ns/B), as f64 for precision.
@@ -77,12 +82,33 @@ impl LinkRuntime {
     pub fn new(latency_ms: f64, bandwidth_mbps: f64, max_queue_ms: f64) -> Self {
         assert!(bandwidth_mbps > 0.0, "bandwidth must be positive");
         LinkRuntime {
-            state: LinkState::Up,
+            own: LinkState::Up,
+            ends_up: true,
             prop: SimTime::from_ms_f64(latency_ms),
             ns_per_byte: 8_000.0 / bandwidth_mbps,
             busy_until: [SimTime::ZERO; 2],
             max_wait: SimTime::from_ms_f64(max_queue_ms),
         }
+    }
+
+    /// The state packets meet: `Down` while either endpoint is down, else
+    /// the link's own.
+    pub fn state(&self) -> LinkState {
+        if self.ends_up {
+            self.own
+        } else {
+            LinkState::Down
+        }
+    }
+
+    /// Set the link's own state (its failure, corruption or repair).
+    pub fn set_state(&mut self, own: LinkState) {
+        self.own = own;
+    }
+
+    /// Record whether both endpoint nodes are up.
+    pub fn set_ends_up(&mut self, ends_up: bool) {
+        self.ends_up = ends_up;
     }
 
     /// Offer a packet of `size` bytes to direction `dir` (0 = a→b, 1 = b→a)
@@ -95,7 +121,7 @@ impl LinkRuntime {
         size: u32,
         corrupt_coin: f64,
     ) -> TxOutcome {
-        match self.state {
+        match self.state() {
             LinkState::Down => return TxOutcome::DropDown,
             LinkState::Corrupted(p) => {
                 if corrupt_coin < p {
@@ -202,15 +228,26 @@ mod tests {
     #[test]
     fn down_drops_everything() {
         let mut l = link();
-        l.state = LinkState::Down;
+        l.set_state(LinkState::Down);
         assert_eq!(l.transmit(0, SimTime::ZERO, 100, 0.99), TxOutcome::DropDown);
         assert_eq!(l.transmit(1, SimTime::ZERO, 100, 0.0), TxOutcome::DropDown);
     }
 
     #[test]
+    fn a_down_endpoint_masks_the_links_own_state_and_gives_it_back() {
+        let mut l = link();
+        l.set_state(LinkState::Corrupted(0.3));
+        l.set_ends_up(false);
+        assert_eq!(l.state(), LinkState::Down);
+        assert_eq!(l.transmit(0, SimTime::ZERO, 100, 0.99), TxOutcome::DropDown);
+        l.set_ends_up(true);
+        assert_eq!(l.state(), LinkState::Corrupted(0.3));
+    }
+
+    #[test]
     fn corruption_drops_by_coin() {
         let mut l = link();
-        l.state = LinkState::Corrupted(0.3);
+        l.set_state(LinkState::Corrupted(0.3));
         assert_eq!(
             l.transmit(0, SimTime::ZERO, 100, 0.29),
             TxOutcome::DropCorrupt
@@ -224,7 +261,7 @@ mod tests {
     #[test]
     fn corrupted_link_still_queues_survivors() {
         let mut l = link();
-        l.state = LinkState::Corrupted(0.5);
+        l.set_state(LinkState::Corrupted(0.5));
         let t1 = match l.transmit(0, SimTime::ZERO, 1500, 0.9) {
             TxOutcome::Arrive(t) => t,
             o => panic!("{o:?}"),

@@ -24,8 +24,10 @@ fn main() {
         "{:<12} {:>10} {:>10} {:>12} {:>12}",
         "loss rate", "dropped", "reported", "hit?", "raises"
     );
+    // One setup for all six rates: the runs differ only from the failure
+    // on, and a setup shares the healthy simulation before it between them.
+    let setup = ScenarioSetup::flagship(&prep, 1.0, 99);
     for rate in [0.05, 0.1, 0.25, 0.5, 0.75, 1.0] {
-        let setup = ScenarioSetup::flagship(&prep, 1.0, 99);
         let kind = if rate >= 1.0 {
             ScenarioKind::SingleLink(link)
         } else {

@@ -24,8 +24,9 @@ use db_netsim::{
 use db_telemetry::flight::FlightRecord;
 use db_telemetry::scope::ScopeMeta;
 use db_telemetry::Instrumentation;
-use db_topology::{ordered_pairs, LinkId, NodeId, Topology, SCALE_NODE_THRESHOLD};
+use db_topology::{ordered_pairs, LinkId, NodeId, Path, Topology, SCALE_NODE_THRESHOLD};
 use db_util::Pcg64;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// What fails in a scenario.
@@ -495,54 +496,65 @@ pub fn sample_links(topo: &Topology, n: usize, seed: u64) -> Vec<LinkId> {
 /// no passive monitoring system can localize a failure there, so sweeps
 /// report them separately.
 pub fn covered_links(prep: &Prepared) -> Vec<LinkId> {
-    let mut used = vec![false; prep.topo.link_count()];
     let n = prep.topo.node_count();
-    if n <= SCALE_NODE_THRESHOLD {
+    let load = if n <= SCALE_NODE_THRESHOLD {
         // Exact all-pairs pass, identical to the historical RouteTable scan.
-        for (s, d) in ordered_pairs(n) {
-            for &l in &prep.routes.path(s, d).links {
-                used[l.idx()] = true;
-            }
-        }
+        link_load(prep, ordered_pairs(n).map(|(s, d)| prep.routes.path(s, d)))
     } else {
         // Scale regime: "covered" means carried by the canonical sampled
-        // workload (full density, seed 1 — the scenario commands' default),
-        // so failing a covered link is guaranteed observable from traffic.
-        let traffic = TrafficConfig::with_density(1.0);
-        let flows = TrafficGen::generate_sampled(&prep.topo, prep.routes.as_ref(), &traffic, 1);
-        for f in &flows {
-            for &l in &f.path.links {
-                used[l.idx()] = true;
-            }
+        // workload, so failing a covered link is guaranteed observable
+        // from traffic.
+        sampled_link_load(prep)
+    };
+    let links = (0..prep.topo.link_count() as u16).map(LinkId);
+    links.filter(|l| load[l.idx()] > 0).collect()
+}
+
+/// How many of `paths` cross each link.
+fn link_load(prep: &Prepared, paths: impl Iterator<Item = impl Borrow<Path>>) -> Vec<u32> {
+    let mut load = vec![0u32; prep.topo.link_count()];
+    for path in paths {
+        for &l in &path.borrow().links {
+            load[l.idx()] += 1;
         }
     }
-    (0..prep.topo.link_count() as u16)
-        .map(LinkId)
-        .filter(|l| used[l.idx()])
-        .collect()
+    load
+}
+
+/// Flows of the canonical sampled workload (full density, seed 1 — the
+/// scenario commands' default) crossing each link.
+fn sampled_link_load(prep: &Prepared) -> Vec<u32> {
+    let traffic = TrafficConfig::with_density(1.0);
+    let flows = TrafficGen::generate_sampled(&prep.topo, prep.routes.as_ref(), &traffic, 1);
+    link_load(prep, flows.iter().map(|f| &f.path))
 }
 
 /// The covered link crossed by the most flows of the canonical sampled
-/// workload (full density, seed 1), ties to the smaller id — the scale
-/// regime's best-observed failure candidate. On a sparse sampled workload
-/// an arbitrary covered link may carry a single flow, too weak a signal
-/// for the equation-(1) thresholds; the busiest link is where a failure
-/// is most observable.
+/// workload, ties to the smaller id — the scale regime's best-observed
+/// failure candidate. On a sparse sampled workload an arbitrary covered
+/// link may carry a single flow, too weak a signal for the equation-(1)
+/// thresholds; the busiest link is where a failure is most observable.
 pub fn busiest_sampled_link(prep: &Prepared) -> Option<LinkId> {
-    let traffic = TrafficConfig::with_density(1.0);
-    let flows = TrafficGen::generate_sampled(&prep.topo, prep.routes.as_ref(), &traffic, 1);
-    let mut count = vec![0u32; prep.topo.link_count()];
-    for f in &flows {
-        for &l in &f.path.links {
-            count[l.idx()] += 1;
-        }
+    let load = sampled_link_load(prep);
+    let busiest = (0..load.len()).max_by_key(|&i| (load[i], std::cmp::Reverse(i)));
+    busiest.filter(|&i| load[i] > 0).map(|i| LinkId(i as u16))
+}
+
+/// The link whose failure one scenario shows best: the first covered link
+/// at or below [`SCALE_NODE_THRESHOLD`] nodes, the
+/// [`busiest_sampled_link`] above it, where the sampled workload is sparse
+/// and an arbitrary covered link may carry a single flow. The error says
+/// which of the two came up empty.
+pub fn most_observable_link(prep: &Prepared) -> Result<LinkId, &'static str> {
+    if prep.topo.node_count() <= SCALE_NODE_THRESHOLD {
+        let covered = covered_links(prep);
+        covered
+            .first()
+            .copied()
+            .ok_or("topology has no covered links to fail")
+    } else {
+        busiest_sampled_link(prep).ok_or("sampled workload crosses no links")
     }
-    count
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| LinkId(i as u16))
 }
 
 /// Sample `n` covered links, deterministically.

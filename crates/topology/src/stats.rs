@@ -7,7 +7,7 @@
 //! sliding-window length from the 90th percentile of path RTTs.
 
 use crate::graph::{NodeId, Topology};
-use crate::routing::{ordered_pairs, Routes};
+use crate::routing::{ordered_pairs, Routes, SCALE_NODE_THRESHOLD};
 use db_util::{stats as st, Pcg64};
 
 /// Summary statistics of a topology, in the units the paper uses.
@@ -102,6 +102,21 @@ impl PathStats {
             }
         }
         Self::from_samples(&rtts, &lens)
+    }
+
+    /// [`PathStats::compute`] at or below [`SCALE_NODE_THRESHOLD`] nodes,
+    /// [`PathStats::compute_sampled`] above — and then the figures are the
+    /// sampled estimate, which the second value says by naming the
+    /// threshold the graph is above (`None` = exact). Inlined: a dispatch,
+    /// compiled where it is called (the routing hot path's crate emits
+    /// nothing new).
+    #[inline]
+    pub fn compute_auto(routes: &dyn Routes) -> (Self, Option<usize>) {
+        if routes.node_count() <= SCALE_NODE_THRESHOLD {
+            (Self::compute(routes), None)
+        } else {
+            (Self::compute_sampled(routes), Some(SCALE_NODE_THRESHOLD))
+        }
     }
 
     fn from_samples(rtts: &[f64], lens: &[f64]) -> Self {

@@ -21,8 +21,9 @@
 //!   (`CarrierTable`) — the streaming analogue of the wire annotation, with
 //!   the same ingress-empty / last-switch-strip life cycle. Healthy flows
 //!   vote too (−1 on every link of a normal path), so nearly every record
-//!   takes one carrier and puts one: the table is on the per-record path
-//!   in both phases of a trace, not only after a failure.
+//!   reads one carrier and writes the next into the same slot, found by
+//!   one probe: the table is on the per-record path in both phases of a
+//!   trace, not only after a failure.
 //!   [`Engine::set_retention`] bounds its memory for lossy feeds by one
 //!   sweep per tick (a record whose carrier was evicted degrades to an
 //!   ingress-like empty header, never an error).
@@ -280,13 +281,14 @@ impl<C: FlowClassifier> Engine<C> {
     /// late packet would in a real switch).
     pub fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
         self.fire_due(rec.at);
-        let (flow, seq) = (rec.info.flow.0, rec.info.seq);
-        // Every mid-path record takes the header its upstream switch parked
+        // Every mid-path record reads the header its upstream switch parked
         // (healthy flows vote too, so there almost always is one). A fresh
-        // packet enters empty, and the take then only drops a stale carrier
-        // under the same key (seq reuse across a very old flow restart).
-        let mut ann = match self.carriers.take(flow, seq) {
-            Some((ann, _)) if !rec.info.is_ingress => ann,
+        // packet enters empty, and its write then only replaces a stale
+        // carrier under the same key (seq reuse across a very old flow
+        // restart).
+        let slot = self.carriers.slot(rec.info.flow.0, rec.info.seq);
+        let mut ann = match slot.get() {
+            Some(&(ann, _)) if !rec.info.is_ingress => ann,
             _ => Annotation::empty(),
         };
         self.system.on_packet(rec.at, &rec.info, &mut ann);
@@ -294,10 +296,10 @@ impl<C: FlowClassifier> Engine<C> {
             self.now = rec.at;
         }
         // An absent carrier and an empty annotation mean the same thing to
-        // the pipeline, so empty annotations are never parked.
-        if !rec.info.is_last_switch && !ann.is_empty() {
-            self.carriers.put(flow, seq, (ann, rec.at));
-        }
+        // the pipeline, so empty annotations are never parked; the last
+        // switch frees the slot.
+        let park = !rec.info.is_last_switch && !ann.is_empty();
+        slot.set(park.then_some((ann, rec.at)));
         self.system.drain_warnings()
     }
 
@@ -374,7 +376,8 @@ impl<C: FlowClassifier> Engine<C> {
                     value: n as u64,
                 }));
             }
-            carriers.put(flow, seq, (Annotation::from_bytes(r.bytes(n)?), last));
+            let ann = Annotation::from_bytes(r.bytes(n)?);
+            carriers.slot(flow, seq).set(Some((ann, last)));
         }
         // The system state is the tail of the snapshot: this consumes the
         // reader and commits only if the input ends cleanly.

@@ -125,6 +125,51 @@ pub struct RatioSample {
     pub at: SimTime,
 }
 
+/// The drifted inference a side-table variant parks between two hops of a
+/// packet, with its aggregation count: what the wire header would carry,
+/// at exact `f64` weights. A hop's result is truncated to k ≤ [`MAX_K`],
+/// so this holds k entries, not the 2k a merge needs — 88 bytes where the
+/// [`InlineInference`] it is rebuilt into for the merge takes 264.
+#[derive(Debug, Clone, Copy)]
+struct Drifted {
+    links: [LinkId; MAX_K],
+    weights: [f64; MAX_K],
+    len: u8,
+    hops: u8,
+}
+
+impl Drifted {
+    /// Panics past [`MAX_K`] entries; `deploy_empty` bounds k by it.
+    // db-lint: allow(hot-panic) — a hop's result is truncated to k ≤ MAX_K, which `deploy_empty` asserts; the assert pins that here
+    fn new(inf: &InlineInference, hops: u8) -> Self {
+        let entries = inf.entries();
+        assert!(
+            entries.len() <= MAX_K,
+            "a carried inference holds at most MAX_K = {MAX_K} entries, not {}",
+            entries.len()
+        );
+        let mut d = Drifted {
+            links: [LinkId(0); MAX_K],
+            weights: [0.0; MAX_K],
+            len: entries.len() as u8,
+            hops,
+        };
+        let slots = d.links.iter_mut().zip(d.weights.iter_mut());
+        for ((l, w), &(link, weight)) in slots.zip(entries) {
+            (*l, *w) = (link, weight);
+        }
+        d
+    }
+
+    /// The merge input: the inference and its aggregation count.
+    // db-lint: allow(hot-index) — `new` keeps len ≤ MAX_K, the arrays' length
+    fn inline(&self) -> (InlineInference, u8) {
+        let n = usize::from(self.len);
+        let inf = InlineInference::from_canonical(&self.links[..n], &self.weights[..n]);
+        (inf, self.hops)
+    }
+}
+
 /// Who reads a variant's per-switch local inferences, and so which form
 /// they are kept in — fixed by the variant's mechanism in `deploy_empty`.
 #[derive(Debug, Clone)]
@@ -137,7 +182,7 @@ enum Locals {
         /// (values are `Copy`, no per-packet allocation beyond amortized
         /// table growth). Stays empty under `DistributedWire`, whose state
         /// rides in the packet header.
-        carriers: CarrierTable<(InlineInference, u8)>,
+        carriers: CarrierTable<Drifted>,
     },
     /// Centralized variants: only the DCA reads, once per period, and 007
     /// aggregates untruncated votes — which may exceed [`INLINE_CAP`].
@@ -398,10 +443,11 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                     // snapshot byte-stable across processes and fill
                     // histories.
                     w.seq(carriers.len());
-                    for ((flow, seq), (inf, hops)) in carriers.sorted() {
+                    for ((flow, seq), drifted) in carriers.sorted() {
+                        let (inf, hops) = drifted.inline();
                         w.u32(flow);
                         w.u64(seq);
-                        w.u8(*hops);
+                        w.u8(hops);
                         encode_entries(w, inf.entries());
                     }
                 }
@@ -451,8 +497,9 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// consumes the reader: everything is decoded into locals and committed
     /// only once the input has ended cleanly — on `Err` the system is
     /// untouched. Structural mismatches (monitor/variant counts, a
-    /// distributed local past [`INLINE_CAP`], a second locals slot that is
-    /// not what [`Self::snapshot_into`] writes beside the first, carriers
+    /// distributed local past [`INLINE_CAP`], a carrier past [`MAX_K`]
+    /// entries where the writer emits at most k, a second locals slot that
+    /// is not what [`Self::snapshot_into`] writes beside the first, carriers
     /// on a centralized variant, a non-empty retired slot) are reported as
     /// [`WireError::Overflow`] at the offending offset — callers fingerprint
     /// configuration before getting here, so a mismatch means corrupt input.
@@ -481,10 +528,10 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                         let flow = r.u32()?;
                         let seq = r.u64()?;
                         let hops = r.u8()?;
-                        let inf = inline_entries(r.offset(), decode_entries(r)?)?;
-                        carriers.put(flow, seq, (inf, hops));
+                        let inf = inline_entries(r.offset(), decode_entries(r)?, MAX_K)?;
+                        carriers.slot(flow, seq).set(Some(Drifted::new(&inf, hops)));
                     }
-                    let locals = slot1.into_iter().map(|e| inline_entries(at, e));
+                    let locals = slot1.into_iter().map(|e| inline_entries(at, e, INLINE_CAP));
                     Locals::Distributed {
                         locals: locals.collect::<Result<_, _>>()?,
                         carriers,
@@ -574,12 +621,15 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let (codec, cfg, window, tap) = (self.codec, &self.cfg, self.window, &mut self.tap);
         let node = info.node;
         let wire = variant.spec.mechanism == Mechanism::DistributedWire;
+        // The side table's one probe: the slot this hop reads from is the
+        // slot it writes to.
+        let slot = (!wire).then(|| carriers.slot(info.flow.0, info.seq));
         let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
             None
-        } else if wire {
-            codec.decode_inline(ann.as_slice())
+        } else if let Some(slot) = &slot {
+            slot.get().map(Drifted::inline)
         } else {
-            carriers.take(info.flow.0, info.seq)
+            codec.decode_inline(ann.as_slice())
         };
         let local = &locals[node.idx()];
         let out = match &incoming {
@@ -611,19 +661,19 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                 at: now,
             });
         }
-        if info.is_last_switch {
-            if wire {
-                // §4.3: the last switch deletes the inference header before
-                // delivering to the host.
-                ann.clear();
-            }
-        } else if wire {
+        if let Some(slot) = slot {
+            // The last switch frees the slot; any other leaves its result
+            // there, over a stale entry at ingress.
+            slot.set((!info.is_last_switch).then(|| Drifted::new(agg, hops)));
+        } else if info.is_last_switch {
+            // §4.3: the last switch deletes the inference header before
+            // delivering to the host.
+            ann.clear();
+        } else {
             let mut buf = [0u8; MAX_HEADER_BYTES];
             let n = codec.encode_into(agg, hops, &mut buf);
             ann.set(&buf[..n]);
             tap.header_piggybacked();
-        } else {
-            carriers.put(info.flow.0, info.seq, out);
         }
     }
 
@@ -670,10 +720,15 @@ fn expect_count(r: &mut ByteReader, want: usize) -> Result<(), WireError> {
     }
 }
 
-/// Decoded entries as an inline inference, refusing a list the fixed array
-/// cannot hold (`InlineInference::from_inference` would panic).
-fn inline_entries(at: usize, entries: Vec<(LinkId, f64)>) -> Result<InlineInference, WireError> {
-    if entries.len() > INLINE_CAP {
+/// Decoded entries as an inline inference, refusing a list longer than
+/// `cap`: [`INLINE_CAP`] for a local (`InlineInference::from_inference`
+/// would panic past it), [`MAX_K`] for a carrier (`Drifted::new` would).
+fn inline_entries(
+    at: usize,
+    entries: Vec<(LinkId, f64)>,
+    cap: usize,
+) -> Result<InlineInference, WireError> {
+    if entries.len() > cap {
         return Err(WireError::Overflow {
             at,
             value: entries.len() as u64,
@@ -1120,7 +1175,11 @@ mod tests {
         slot: usize,
         edit: impl Fn(&mut Vec<(LinkId, f64)>),
     ) -> Vec<u8> {
-        let list = slot + 4; // past the slot's switch count
+        edit_list(snap, slot + 4, edit) // past the slot's switch count
+    }
+
+    /// `snap` with the entry list at offset `list` rewritten by `edit`.
+    fn edit_list(snap: &[u8], list: usize, edit: impl Fn(&mut Vec<(LinkId, f64)>)) -> Vec<u8> {
         let mut r = ByteReader::new(&snap[list..]);
         let mut entries = decode_entries(&mut r).expect("first list");
         edit(&mut entries);
@@ -1162,5 +1221,56 @@ mod tests {
             // Slot 2 first: it sits after slot 1, so its offset survives.
             edit_first_list(&edit_first_list(snap, slot2, wide), slot1, wide)
         });
+    }
+
+    /// A carrier holds what a hop writes, at most [`MAX_K`] entries: a
+    /// k = `MAX_K` deployment's carrier of exactly k restores and
+    /// re-encodes as it came, and one entry more is an overflow at the
+    /// list, with the system left as it was.
+    #[test]
+    fn restore_takes_a_carrier_of_k_entries_and_refuses_one_past_max_k() {
+        let virt = VariantSpec {
+            name: "DB-Virtual".into(),
+            scheme: db_inference::WeightScheme::DriftBottle,
+            mechanism: Mechanism::DistributedVirtual,
+        };
+        let (mut system, _) = run_line_k(vec![virt], 7, MAX_K);
+        let snap = snapshot_of(&system);
+        let mut r = ByteReader::new(&snap);
+        r.u64().expect("aggregation counter");
+        for _ in 0..r.seq().expect("monitor count") {
+            SwitchMonitor::restore_from(&mut r, system.wcfg).expect("monitor");
+        }
+        r.seq().expect("variant count");
+        for _slot in 0..2 {
+            for _ in 0..r.seq().expect("switch count") {
+                decode_entries(&mut r).expect("local");
+            }
+        }
+        expect_count(&mut r, 0).expect("the retired slot");
+        assert!(r.seq().expect("carrier count") > 0, "no carrier in flight");
+        r.u32().expect("flow");
+        r.u64().expect("seq");
+        r.u8().expect("hops");
+        let list = r.offset();
+        let with = |n: usize| {
+            edit_list(&snap, list, |e| {
+                *e = (0..n as u16)
+                    .map(|l| (LinkId(l), 40.0 - f64::from(l)))
+                    .collect();
+            })
+        };
+        let exact = with(MAX_K);
+        system
+            .restore_from(ByteReader::new(&exact))
+            .expect("a carrier of k entries restores");
+        assert!(snapshot_of(&system) == exact, "and re-encodes as it came");
+        match system.restore_from(ByteReader::new(&with(MAX_K + 1))) {
+            Err(WireError::Overflow { at, value }) => {
+                assert_eq!((at, value), (list, MAX_K as u64 + 1));
+            }
+            other => panic!("expected an overflow at {list}, got {other:?}"),
+        }
+        assert!(snapshot_of(&system) == exact, "a refused restore wrote");
     }
 }

@@ -76,6 +76,32 @@ impl InlineInference {
         out
     }
 
+    /// The inference whose entries are `links[i]` with `weights[i]`, for
+    /// parts already in canonical order (a stored copy of some
+    /// [`Self::entries`]) — a copy, no re-sort and no allocation. Panics on
+    /// slices of different lengths or past [`INLINE_CAP`].
+    // db-lint: allow(hot-panic, hot-index) — mismatched parts are a caller bug (a carrier stores equal-length arrays of at most MAX_K); `windows(2)` yields pairs
+    pub fn from_canonical(links: &[LinkId], weights: &[f64]) -> Self {
+        assert!(
+            links.len() == weights.len() && links.len() <= INLINE_CAP,
+            "{} links and {} weights do not make an inline inference",
+            links.len(),
+            weights.len()
+        );
+        let mut out = Self::empty();
+        for (e, (&l, &w)) in out.entries.iter_mut().zip(links.iter().zip(weights)) {
+            *e = (l, w);
+        }
+        out.len = links.len();
+        debug_assert!(
+            out.entries()
+                .windows(2)
+                .all(|p| p[0].1 > p[1].1 || (p[0].1 == p[1].1 && p[0].0 < p[1].0)),
+            "entries out of canonical order"
+        );
+        out
+    }
+
     /// Exact conversion to the `Vec`-backed canonical form.
     pub fn to_inference(&self) -> Inference {
         // Entries are unique, non-zero and already canonical, so
@@ -247,6 +273,20 @@ mod tests {
         assert_eq!(inl.len(), 3);
         assert_eq!(inl.entries(), inf.entries(), "same canonical order");
         assert_eq!(inl.to_inference(), inf);
+    }
+
+    #[test]
+    fn from_canonical_rebuilds_the_entries_it_was_given() {
+        let a = inline(&[(7, 2.0), (2, 2.0), (5, 9.0), (1, -3.0)]);
+        let (links, weights): (Vec<LinkId>, Vec<f64>) = a.entries().iter().copied().unzip();
+        assert_eq!(InlineInference::from_canonical(&links, &weights), a);
+        assert!(InlineInference::from_canonical(&[], &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not make an inline inference")]
+    fn from_canonical_refuses_parts_of_different_lengths() {
+        InlineInference::from_canonical(&[l(1), l(2)], &[1.0]);
     }
 
     #[test]

@@ -107,12 +107,33 @@ fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
+/// A staged fixture root, removed once its test is done with it.
+struct Staged(PathBuf);
+
+impl std::ops::Deref for Staged {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Stage `fixture` into a fresh root laid out for its rule and return the
-/// root. Roots are per-test-case so parallel tests never collide.
-fn stage(rule: &str, fixture: &str) -> PathBuf {
-    let root = std::env::temp_dir()
-        .join("db-lint-fixtures")
-        .join(fixture.trim_end_matches(".rs"));
+/// root. Roots are per process, test and fixture: two tests stage the same
+/// fixtures in parallel, and two test runs may share the temp directory,
+/// so a root keyed by less is one another test clears while this one
+/// lints it.
+fn stage(test: &str, rule: &str, fixture: &str) -> Staged {
+    let root = std::env::temp_dir().join("db-lint-fixtures").join(format!(
+        "{}-{test}-{}",
+        std::process::id(),
+        fixture.trim_end_matches(".rs")
+    ));
     if root.exists() {
         fs::remove_dir_all(&root).expect("clear stale fixture root");
     }
@@ -135,7 +156,7 @@ fn stage(rule: &str, fixture: &str) -> PathBuf {
     } else {
         fs::write(root.join("lint.toml"), FIXTURE_LINT_TOML).expect("write lint.toml");
     }
-    root
+    Staged(root)
 }
 
 fn check(root: &Path) -> Vec<db_lint::findings::Finding> {
@@ -186,7 +207,11 @@ fn fixture_name(rule: &str, suffix: &str) -> String {
 #[test]
 fn every_positive_fixture_trips_exactly_its_rule() {
     for rule in CASES {
-        let root = stage(rule, &fixture_name(rule, "pos"));
+        let root = stage(
+            "every_positive_fixture_trips_exactly_its_rule",
+            rule,
+            &fixture_name(rule, "pos"),
+        );
         let findings = check(&root);
         assert!(
             !findings.is_empty(),
@@ -205,7 +230,11 @@ fn every_positive_fixture_trips_exactly_its_rule() {
 #[test]
 fn every_negative_fixture_scans_clean() {
     for rule in CASES {
-        let root = stage(rule, &fixture_name(rule, "neg"));
+        let root = stage(
+            "every_negative_fixture_scans_clean",
+            rule,
+            &fixture_name(rule, "neg"),
+        );
         let findings = check(&root);
         assert!(
             findings.is_empty(),
@@ -221,7 +250,11 @@ fn every_negative_fixture_scans_clean() {
 #[test]
 fn every_allow_fixture_scans_clean() {
     for rule in ALLOW_CASES {
-        let root = stage(rule, &fixture_name(rule, "allow"));
+        let root = stage(
+            "every_allow_fixture_scans_clean",
+            rule,
+            &fixture_name(rule, "allow"),
+        );
         let findings = check(&root);
         assert!(
             findings.is_empty(),
@@ -237,7 +270,11 @@ fn every_allow_fixture_scans_clean() {
 #[test]
 fn deny_exits_nonzero_on_each_violation_fixture() {
     for rule in CASES {
-        let root = stage(rule, &fixture_name(rule, "pos"));
+        let root = stage(
+            "deny_exits_nonzero_on_each_violation_fixture",
+            rule,
+            &fixture_name(rule, "pos"),
+        );
         let out = Command::new(env!("CARGO_BIN_EXE_db-lint"))
             .arg("check")
             .arg("--deny")
@@ -255,7 +292,11 @@ fn deny_exits_nonzero_on_each_violation_fixture() {
 #[test]
 fn deny_exits_zero_on_clean_fixture_roots() {
     for rule in CASES {
-        let root = stage(rule, &fixture_name(rule, "neg"));
+        let root = stage(
+            "deny_exits_zero_on_clean_fixture_roots",
+            rule,
+            &fixture_name(rule, "neg"),
+        );
         let out = Command::new(env!("CARGO_BIN_EXE_db-lint"))
             .arg("check")
             .arg("--deny")

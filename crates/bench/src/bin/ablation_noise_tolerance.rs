@@ -7,9 +7,9 @@
 //! ambient per-hop loss against two threshold settings and measures both
 //! sides of the trade.
 
-use db_bench::{emit, prepared, scale};
-use db_core::eval::MetricsAccum;
-use db_core::experiment::{sample_covered_links, sweep, ScenarioKind, ScenarioSetup};
+use db_bench::{emit, prepared, run_sweep, scale};
+use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
+use db_core::SystemConfig;
 use db_inference::WarningConfig;
 use db_util::table::{f3, pct, TextTable};
 
@@ -58,20 +58,22 @@ fn main() {
     );
     for (name, warning) in settings {
         for loss in [0.0, 1e-3, 5e-3] {
-            let mut setup = ScenarioSetup::flagship(&prep, 1.0, 0xAB3E);
-            setup.sys.warning = warning;
-            setup.background_loss = loss;
-            let outcomes = sweep(&setup, kinds.clone());
-            let mut acc = MetricsAccum::new();
-            let mut healthy_fp = 0usize;
-            for o in &outcomes {
-                if o.ground_truth.is_empty() {
-                    healthy_fp = o.variants[0].reported.len();
-                } else {
-                    acc.add(&o.variants[0].metrics);
-                }
-            }
-            let m = acc.mean();
+            let sweep_name = format!("ablation_noise-h{}-l{loss}", warning.hop_min);
+            let outcomes = run_sweep(&sweep_name, &prep, |s| {
+                s.seed(0xAB3E)
+                    .sys(SystemConfig {
+                        warning,
+                        interval: prep.interval,
+                        ..Default::default()
+                    })
+                    .background_loss(loss)
+                    .scenarios(kinds.iter().cloned())
+            });
+            let (healthy, failures): (Vec<_>, Vec<_>) = outcomes
+                .into_iter()
+                .partition(|o| o.ground_truth.is_empty());
+            let (_, m) = average_by_variant(&failures).remove(0);
+            let healthy_fp = healthy.first().map_or(0, |o| o.variants[0].reported.len());
             t.row(&[
                 name.to_string(),
                 pct(loss),

@@ -9,10 +9,8 @@
 //! This binary runs the correct protocol and the forbidden absorbing variant
 //! side by side on identical traffic and quantifies the damage.
 
-use db_bench::{emit, prepared, scale};
-use db_core::experiment::{
-    average_by_variant, sample_covered_links, sweep, ScenarioKind, ScenarioSetup,
-};
+use db_bench::{emit, prepared, run_sweep, scale};
+use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
 use db_core::{Mechanism, VariantSpec};
 use db_inference::WeightScheme;
 use db_util::table::{f3, pct, TextTable};
@@ -25,16 +23,18 @@ fn main() {
     // Also a healthy scenario: over-aggregation hurts most when there is
     // nothing to find.
     kinds.push(ScenarioKind::None);
-    let mut setup = ScenarioSetup::flagship(&prep, 1.0, 0xAB1E);
-    setup.variants = vec![
-        VariantSpec::drift_bottle(),
-        VariantSpec {
-            name: "DB-Absorbing".into(),
-            scheme: WeightScheme::DriftBottle,
-            mechanism: Mechanism::DistributedAbsorbing,
-        },
-    ];
-    let outcomes = sweep(&setup, kinds);
+    let outcomes = run_sweep("ablation_over_aggregation", &prep, |s| {
+        s.seed(0xAB1E)
+            .variants(vec![
+                VariantSpec::drift_bottle(),
+                VariantSpec {
+                    name: "DB-Absorbing".into(),
+                    scheme: WeightScheme::DriftBottle,
+                    mechanism: Mechanism::DistributedAbsorbing,
+                },
+            ])
+            .scenarios(kinds)
+    });
     let failures: Vec<_> = outcomes
         .iter()
         .filter(|o| !o.ground_truth.is_empty())

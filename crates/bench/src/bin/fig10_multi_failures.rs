@@ -5,9 +5,8 @@
 //! level while accuracy, recall and F1 decline as the number of concurrent
 //! failures grows.
 
-use db_bench::{emit, prepared, scale};
-use db_core::eval::MetricsAccum;
-use db_core::experiment::{sweep, ScenarioKind, ScenarioSetup};
+use db_bench::{emit, prepared, run_sweep, scale};
+use db_core::experiment::{average_by_variant, ScenarioKind};
 use db_util::table::{f3, pct, TextTable};
 
 fn main() {
@@ -18,20 +17,21 @@ fn main() {
         "Figure 10: Random multiple failures (Chinanet, density 1.0)",
         &["failures", "precision", "recall", "F1", "accuracy", "FPR"],
     );
-    for count in 1..=max_failures {
-        let setup = ScenarioSetup::flagship(&prep, 1.0, 0xA10);
-        let kinds: Vec<ScenarioKind> = (0..epochs)
-            .map(|e| ScenarioKind::RandomLinks {
-                count,
-                seed: 0xE90C_u64 + e * 131 + count as u64,
-            })
-            .collect();
-        let outcomes = sweep(&setup, kinds);
-        let mut acc = MetricsAccum::new();
-        for o in &outcomes {
-            acc.add(&o.variants[0].metrics);
-        }
-        let m = acc.mean();
+    // Every failure count in one sweep: one workload, one healthy prefix.
+    let outcomes = run_sweep("fig10-Chinanet", &prep, |s| {
+        s.seed(0xA10)
+            .scenarios((1..=max_failures).flat_map(|count| {
+                (0..epochs).map(move |e| ScenarioKind::RandomLinks {
+                    count,
+                    seed: 0xE90C_u64 + e * 131 + count as u64,
+                })
+            }))
+    });
+    // Units are count-major, and a unit of `count` random failures fails
+    // exactly `count` links: each count is one run of equal ground truths.
+    for group in outcomes.chunk_by(|a, b| a.ground_truth.len() == b.ground_truth.len()) {
+        let count = group[0].ground_truth.len();
+        let (_, m) = average_by_variant(group).remove(0);
         t.row(&[
             count.to_string(),
             f3(m.precision),
@@ -40,7 +40,10 @@ fn main() {
             pct(m.accuracy),
             pct(m.fpr),
         ]);
-        println!("[{count} concurrent failures done ({epochs} epochs)]");
+        println!(
+            "[{count} concurrent failures done ({} epochs)]",
+            group.len()
+        );
     }
     emit("fig10_multi_failures", &t);
     println!(

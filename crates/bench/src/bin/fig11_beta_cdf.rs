@@ -6,10 +6,9 @@
 //! first innocent link to be beyond β." The figure overlays the two CDFs;
 //! a β in the gap separates them, and the same β works across topologies.
 
-use db_bench::{active_topologies, emit, prepared_all, scale};
-use db_core::experiment::{
-    beta_ratio_groups, sample_covered_links, sweep, ScenarioKind, ScenarioSetup, RATIO_CAP,
-};
+use db_bench::{active_topologies, emit, prepared_all, run_sweep, scale};
+use db_core::experiment::{beta_ratio_groups, sample_covered_links, ScenarioKind, RATIO_CAP};
+use db_core::SystemConfig;
 use db_util::stats::{ecdf, ecdf_at};
 use db_util::table::TextTable;
 
@@ -25,10 +24,15 @@ fn main() {
     let mut gap_summary = Vec::new();
     for (name, prep) in names.iter().zip(&preps) {
         let links = sample_covered_links(prep, n_links, 0xF11B);
-        let kinds: Vec<ScenarioKind> = links.iter().map(|&l| ScenarioKind::SingleLink(l)).collect();
-        let mut setup = ScenarioSetup::flagship(prep, 1.0, 0xB11);
-        setup.sys.ratio_sampling = 4;
-        let outcomes = sweep(&setup, kinds);
+        let outcomes = run_sweep(&format!("fig11-{name}"), prep, |s| {
+            s.seed(0xB11)
+                .sys(SystemConfig {
+                    interval: prep.interval,
+                    ratio_sampling: 4,
+                    ..Default::default()
+                })
+                .scenarios(links.into_iter().map(ScenarioKind::SingleLink))
+        });
         let (with_failed, clean) = beta_ratio_groups(&outcomes, "Drift-Bottle");
         if with_failed.is_empty() || clean.is_empty() {
             println!(

@@ -4,10 +4,8 @@
 //! failure unit, which verifies our motivation in 4.3" — and more nodes
 //! raise warnings in the star-like Chinanet than in Geant2012.
 
-use db_bench::{emit, prepared_all, scale};
-use db_core::experiment::{
-    locality_histogram, sample_covered_links, sweep, ScenarioKind, ScenarioSetup,
-};
+use db_bench::{emit, prepared_all, run_sweep, scale};
+use db_core::experiment::{locality_histogram, sample_covered_links, ScenarioKind};
 use db_util::table::TextTable;
 
 fn main() {
@@ -27,9 +25,10 @@ fn main() {
     );
     for (name, prep) in names.iter().zip(&preps) {
         let links = sample_covered_links(prep, n_links, 0xF12C);
-        let kinds: Vec<ScenarioKind> = links.iter().map(|&l| ScenarioKind::SingleLink(l)).collect();
-        let setup = ScenarioSetup::flagship(prep, 1.0, 0xC12);
-        let outcomes = sweep(&setup, kinds);
+        let outcomes = run_sweep(&format!("fig12-{name}"), prep, |s| {
+            s.seed(0xC12)
+                .scenarios(links.into_iter().map(ScenarioKind::SingleLink))
+        });
         let hist = locality_histogram(&outcomes, &prep.topo, "Drift-Bottle");
         let total: u64 = hist.iter().sum();
         // Count distinct raising switches per scenario, averaged.

@@ -10,9 +10,9 @@
 //! concurrent failures, whose culprits and their shadowed neighbors must
 //! all fit into the k header slots.
 
-use db_bench::{emit, prepared, scale};
-use db_core::eval::MetricsAccum;
-use db_core::experiment::{sample_covered_links, sweep, ScenarioKind, ScenarioSetup};
+use db_bench::{emit, prepared, run_sweep, scale};
+use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
+use db_core::SystemConfig;
 use db_inference::HeaderCodec;
 use db_util::table::{f3, pct, TextTable};
 
@@ -41,18 +41,20 @@ fn main() {
         &["k", "header bytes", "precision", "recall", "F1", "FPR"],
     );
     for &k in &ks {
-        let mut setup = ScenarioSetup::flagship(&prep, 1.0, 0xD13);
-        setup.sys.k = k;
-        // Ambient jitter loss: with pristine traffic every k saturates; the
-        // paper's Mininet traces carry natural noise that makes short
-        // inferences lossy.
-        setup.background_loss = 2e-3;
-        let outcomes = sweep(&setup, kinds.clone());
-        let mut acc = MetricsAccum::new();
-        for o in &outcomes {
-            acc.add(&o.variants[0].metrics);
-        }
-        let m = acc.mean();
+        let outcomes = run_sweep(&format!("fig13-k{k}"), &prep, |s| {
+            s.seed(0xD13)
+                .sys(SystemConfig {
+                    k,
+                    interval: prep.interval,
+                    ..Default::default()
+                })
+                // Ambient jitter loss: with pristine traffic every k
+                // saturates; the paper's Mininet traces carry natural noise
+                // that makes short inferences lossy.
+                .background_loss(2e-3)
+                .scenarios(kinds.iter().cloned())
+        });
+        let (_, m) = average_by_variant(&outcomes).remove(0);
         let codec = HeaderCodec::for_network(k, prep.topo.link_count());
         t.row(&[
             k.to_string(),

@@ -11,10 +11,9 @@
 //! parallel variants inside one simulation), so differences are purely due
 //! to the weight assignment.
 
-use db_bench::{active_topologies, emit, prepared_all, scale};
+use db_bench::{active_topologies, emit, prepared_all, run_sweep, scale};
 use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
 use db_core::VariantSpec;
-use db_runner::SweepBuilder;
 use db_util::table::{f3, TextTable};
 
 fn main() {
@@ -40,29 +39,12 @@ fn main() {
     for (name, prep) in names.iter().zip(&preps) {
         let links = sample_covered_links(prep, n_links, 0x7167);
         for &density in &densities {
-            let sweep_name = format!("fig7-{name}-d{density:.1}");
-            let mut sweep = SweepBuilder::new(&sweep_name, prep)
-                .density(density)
-                .seed(0x9_E0 + (density * 100.0) as u64)
-                .variants(VariantSpec::fig7_set())
-                .scenarios(links.iter().map(|&l| ScenarioKind::SingleLink(l)))
-                .trace_from_env();
-            if db_bench::full_scale() {
-                // Checkpoint the hours-long full sweeps so a killed run
-                // resumes instead of restarting.
-                sweep = sweep
-                    .checkpoint(db_bench::results_dir().join(format!("{sweep_name}.ckpt.jsonl")))
-                    .resume(true)
-                    .progress(true);
-            }
-            let report = sweep.run().unwrap_or_else(|e| panic!("{sweep_name}: {e}"));
-            for (unit, err) in report.failed() {
-                eprintln!(
-                    "[{sweep_name} scenario {unit} ({}) failed: {err}]",
-                    links[unit]
-                );
-            }
-            let outcomes = report.cloned_outcomes();
+            let outcomes = run_sweep(&format!("fig7-{name}-d{density:.1}"), prep, |s| {
+                s.density(density)
+                    .seed(0x9_E0 + (density * 100.0) as u64)
+                    .variants(VariantSpec::fig7_set())
+                    .scenarios(links.iter().map(|&l| ScenarioKind::SingleLink(l)))
+            });
             let avg = average_by_variant(&outcomes);
             let f1_of = |n: &str| {
                 avg.iter()

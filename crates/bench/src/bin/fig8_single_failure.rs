@@ -9,10 +9,9 @@
 //! carry most inter-subnet flows); distributed Drift-Bottle beats its
 //! centralized version at high density.
 
-use db_bench::{emit, prepared_all, scale};
+use db_bench::{emit, prepared_all, run_sweep, scale};
 use db_core::experiment::{average_by_variant, sample_covered_links, ScenarioKind};
 use db_core::VariantSpec;
-use db_runner::SweepBuilder;
 use db_util::table::{f3, pct, TextTable};
 
 fn main() {
@@ -34,24 +33,11 @@ fn main() {
     );
     for (name, prep) in names.iter().zip(&preps) {
         let links = sample_covered_links(prep, n_links, 0xF188);
-        // Full-scale sweeps are hours long: checkpoint them so a killed run
-        // resumes instead of restarting (quick runs skip the file churn).
-        let mut sweep = SweepBuilder::new(format!("fig8-{name}"), prep)
-            .seed(0x818)
-            .variants(VariantSpec::fig8_set())
-            .scenarios(links.iter().map(|&l| ScenarioKind::SingleLink(l)))
-            .trace_from_env();
-        if db_bench::full_scale() {
-            sweep = sweep
-                .checkpoint(db_bench::results_dir().join(format!("fig8-{name}.ckpt.jsonl")))
-                .resume(true)
-                .progress(true);
-        }
-        let report = sweep.run().unwrap_or_else(|e| panic!("fig8 {name}: {e}"));
-        for (unit, err) in report.failed() {
-            eprintln!("[{name} scenario {} ({}) failed: {err}]", unit, links[unit]);
-        }
-        let outcomes = report.cloned_outcomes();
+        let outcomes = run_sweep(&format!("fig8-{name}"), prep, |s| {
+            s.seed(0x818)
+                .variants(VariantSpec::fig8_set())
+                .scenarios(links.iter().map(|&l| ScenarioKind::SingleLink(l)))
+        });
         for (variant, m) in average_by_variant(&outcomes) {
             t.row(&[
                 name.to_string(),

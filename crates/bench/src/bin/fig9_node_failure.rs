@@ -5,8 +5,8 @@
 //! single-link case (more failed links to find, and a dead node silences
 //! the monitors' best vantage point); Drift-Bottle still leads.
 
-use db_bench::{emit, prepared_all, scale};
-use db_core::experiment::{average_by_variant, sample_nodes, sweep, ScenarioKind, ScenarioSetup};
+use db_bench::{emit, prepared_all, run_sweep, scale};
+use db_core::experiment::{average_by_variant, sample_nodes, ScenarioKind};
 use db_core::VariantSpec;
 use db_util::table::{f3, pct, TextTable};
 
@@ -28,10 +28,11 @@ fn main() {
     );
     for (name, prep) in names.iter().zip(&preps) {
         let nodes = sample_nodes(&prep.topo, n_nodes, 0xF199);
-        let kinds: Vec<ScenarioKind> = nodes.into_iter().map(ScenarioKind::Node).collect();
-        let mut setup = ScenarioSetup::flagship(prep, 1.0, 0x919);
-        setup.variants = VariantSpec::fig8_set();
-        let outcomes = sweep(&setup, kinds);
+        let outcomes = run_sweep(&format!("fig9-{name}"), prep, |s| {
+            s.seed(0x919)
+                .variants(VariantSpec::fig8_set())
+                .scenarios(nodes.into_iter().map(ScenarioKind::Node))
+        });
         for (variant, m) in average_by_variant(&outcomes) {
             t.row(&[
                 name.to_string(),

@@ -2,7 +2,7 @@
 //!
 //! Replaces the ad-hoc `ScenarioSetup` + free-function combinations the
 //! figure binaries used to hand-roll: one builder fixes the prepared
-//! topology, workload density, seeds, variants, and scenario list, then
+//! topology, workload density, seed, variants, and scenario list, then
 //! [`SweepBuilder::run`] decomposes the sweep into deterministic
 //! [`SweepJob`]s, executes them on the panic-isolated worker pool, and
 //! (optionally) checkpoints every completed unit so an interrupted run
@@ -11,7 +11,7 @@
 
 use crate::checkpoint::{parse, CheckpointError, CheckpointFile, CheckpointHeader};
 use crate::executor::execute;
-use crate::job::{derive_seed, SeedMode, SweepJob, UnitOutcome, UnitStatus};
+use crate::job::{SweepJob, UnitOutcome, UnitStatus};
 use crate::metrics::RunnerMetrics;
 use db_core::classifier::Prepared;
 use db_core::config::{SystemConfig, VariantSpec};
@@ -159,7 +159,6 @@ pub struct SweepBuilder<'a> {
     prep: &'a Prepared,
     density: f64,
     seed: u64,
-    seed_mode: SeedMode,
     sys: SystemConfig,
     variants: Vec<VariantSpec>,
     kinds: Vec<ScenarioKind>,
@@ -176,10 +175,9 @@ pub struct SweepBuilder<'a> {
 
 impl<'a> SweepBuilder<'a> {
     /// A sweep over `prep` with the defaults of the §6 protocol: density
-    /// 1.0, seed 42, [`SeedMode::Fixed`], the default [`SystemConfig`] at
-    /// the prepared sampling interval, and the flagship Drift-Bottle
-    /// variant. No scenarios yet — add them with [`scenario`] /
-    /// [`scenarios`].
+    /// 1.0, seed 42, the default [`SystemConfig`] at the prepared sampling
+    /// interval, and the flagship Drift-Bottle variant. No scenarios yet —
+    /// add them with [`scenario`] / [`scenarios`].
     ///
     /// [`scenario`]: SweepBuilder::scenario
     /// [`scenarios`]: SweepBuilder::scenarios
@@ -189,7 +187,6 @@ impl<'a> SweepBuilder<'a> {
             prep,
             density: 1.0,
             seed: 42,
-            seed_mode: SeedMode::Fixed,
             sys: SystemConfig {
                 interval: prep.interval,
                 ..Default::default()
@@ -214,15 +211,10 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Base workload seed (see [`SeedMode`] for how units derive theirs).
+    /// Workload seed, the same for every unit: all scenarios observe one
+    /// workload and differ only in what fails.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// How per-unit seeds derive from the base seed.
-    pub fn seed_mode(mut self, mode: SeedMode) -> Self {
-        self.seed_mode = mode;
         self
     }
 
@@ -335,18 +327,6 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Enable tracing when `DB_TRACE=1` is set in the environment. Lets any
-    /// sweep-driven binary (the figure benches in particular) emit per-unit
-    /// traces without its own plumbing — and doubles as the knob for
-    /// demonstrating that traced and untraced runs produce byte-identical
-    /// CSVs.
-    pub fn trace_from_env(mut self) -> Self {
-        if std::env::var("DB_TRACE").is_ok_and(|v| v == "1") {
-            self.trace = true;
-        }
-        self
-    }
-
     /// Where unit `unit`'s db-scope trace goes: next to the checkpoint —
     /// `<base>.unit<N>.trace.json` — or `results/<name>.unit<N>.trace.json`
     /// when no checkpoint is configured (same base rule as
@@ -373,8 +353,8 @@ impl<'a> SweepBuilder<'a> {
         }
     }
 
-    /// The sweep's deterministic job list: unit `i` is `kinds[i]` with its
-    /// derived seed.
+    /// The sweep's deterministic job list: unit `i` is `kinds[i]` on the
+    /// sweep's seed.
     pub fn jobs(&self) -> Vec<SweepJob> {
         self.kinds
             .iter()
@@ -382,7 +362,7 @@ impl<'a> SweepBuilder<'a> {
             .map(|(unit, kind)| SweepJob {
                 unit,
                 kind: kind.clone(),
-                seed: derive_seed(self.seed, unit, self.seed_mode),
+                seed: self.seed,
             })
             .collect()
     }
@@ -401,7 +381,7 @@ impl<'a> SweepBuilder<'a> {
         let mut s = String::new();
         let _ = write!(
             s,
-            "topo={}/{}n/{}l;win={:?};train={}/{};density={:016x};seed={};mode={:?};bg={:016x};sys={:?};variants={:?};kinds={:?}",
+            "topo={}/{}n/{}l;win={:?};train={}/{};density={:016x};seed={};bg={:016x};sys={:?};variants={:?};kinds={:?}",
             t.name(),
             t.node_count(),
             t.link_count(),
@@ -410,7 +390,6 @@ impl<'a> SweepBuilder<'a> {
             self.prep.test_samples,
             self.density.to_bits(),
             self.seed,
-            self.seed_mode,
             self.background_loss.to_bits(),
             self.sys,
             self.variants,
@@ -424,7 +403,7 @@ impl<'a> SweepBuilder<'a> {
     pub fn run(&self) -> Result<SweepReport, SweepError> {
         let setup = ScenarioSetup::builder(self.prep)
             .density(self.density)
-            .seed(self.seed) // overridden per job below
+            .seed(self.seed)
             .sys(self.sys.clone())
             .variants(self.variants.clone())
             .background_loss(self.background_loss)
@@ -442,7 +421,6 @@ impl<'a> SweepBuilder<'a> {
                 .as_ref()
                 .map(|sc| sc.begin_span(&format!("unit {}", job.unit)));
             let mut setup = setup.clone();
-            setup.seed = job.seed;
             setup.instr = Instrumentation {
                 flight: rec.clone(),
                 scope: scope.clone(),

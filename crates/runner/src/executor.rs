@@ -6,14 +6,14 @@
 //! core, each unit under `catch_unwind`. This module is the sink: a
 //! panicking unit is recorded as [`UnitStatus::Failed`] with its panic
 //! message and the sweep moves on, instead of one poisoned scenario
-//! aborting an hours-long `DB_FULL=1` sweep. Completed units update the
+//! aborting an hours-long full-scale sweep. Completed units update the
 //! `runner.*` metrics and go to the `on_unit` callback (checkpoint append +
 //! progress), serialized by the pool, in completion order.
 //!
 //! Determinism note: because every unit's result is a pure function of its
-//! [`SweepJob`] (see [`crate::job::derive_seed`]), the worker count and
-//! claim interleaving affect only *when* a unit runs, never what it
-//! produces. The builder re-sorts by unit index afterwards.
+//! [`SweepJob`], the worker count and claim interleaving affect only
+//! *when* a unit runs, never what it produces. The builder re-sorts by
+//! unit index afterwards.
 //!
 //! [`SweepBuilder::workers`]: crate::SweepBuilder::workers
 

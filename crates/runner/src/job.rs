@@ -1,43 +1,11 @@
-//! Sweep work units and deterministic seed derivation.
+//! Sweep work units and their terminal states.
 
 use db_core::experiment::ScenarioKind;
 use db_core::ScenarioOutcome;
-use db_util::Pcg64;
 
-/// How per-unit workload seeds derive from the sweep's base seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedMode {
-    /// Every unit uses the base seed unchanged — all scenarios observe the
-    /// same generated workload, differing only in what fails. This is the
-    /// §6 evaluation protocol (and what the legacy `ScenarioSetup` did),
-    /// so scheme comparisons isolate the failure variable.
-    Fixed,
-    /// Each unit gets an independent seed derived from
-    /// `(base seed, unit index)` — epoch-style sweeps where workload
-    /// variation is part of what is being averaged over.
-    PerUnit,
-}
-
-/// Derive the workload seed of unit `unit` from the sweep's `base` seed.
-///
-/// A pure function of `(base, unit, mode)` — never of worker count,
-/// scheduling order, or which units already ran. This is the property the
-/// whole checkpoint/resume design rests on: a unit's result is fully
-/// determined by its job description, so re-deriving the job list and
-/// skipping completed units cannot change any outcome.
-pub fn derive_seed(base: u64, unit: usize, mode: SeedMode) -> u64 {
-    match mode {
-        SeedMode::Fixed => base,
-        // A dedicated PCG stream per unit: avoids the correlated-seed
-        // pitfalls of `base + unit` (overlapping state-space neighborhoods)
-        // the same way the scenario RNGs in db-core use tagged streams.
-        SeedMode::PerUnit => Pcg64::new_stream(base, 0x5EED_u64 << 32 | unit as u64).next_u64(),
-    }
-}
-
-/// One deterministic work unit of a sweep: a scenario to simulate plus the
-/// derived workload seed. The prepared topology and the variant list live
-/// on the sweep, shared by every unit.
+/// One deterministic work unit of a sweep: a scenario to simulate plus its
+/// workload seed. The prepared topology and the variant list live on the
+/// sweep, shared by every unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepJob {
     /// Position in the sweep's scenario list — the unit's identity in the
@@ -45,7 +13,8 @@ pub struct SweepJob {
     pub unit: usize,
     /// What fails in this unit.
     pub kind: ScenarioKind,
-    /// Derived workload seed (see [`derive_seed`]).
+    /// Workload seed: the sweep's, the same for every unit (§6 protocol:
+    /// all scenarios observe one workload and differ only in what fails).
     pub seed: u64,
 }
 
@@ -87,35 +56,5 @@ impl UnitOutcome {
             UnitStatus::Done(_) => None,
             UnitStatus::Failed(e) => Some(e),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixed_mode_is_the_identity() {
-        for unit in [0usize, 1, 7, 1000] {
-            assert_eq!(derive_seed(42, unit, SeedMode::Fixed), 42);
-        }
-    }
-
-    #[test]
-    fn per_unit_seeds_are_distinct_and_reproducible() {
-        let seeds: Vec<u64> = (0..64)
-            .map(|u| derive_seed(42, u, SeedMode::PerUnit))
-            .collect();
-        let again: Vec<u64> = (0..64)
-            .map(|u| derive_seed(42, u, SeedMode::PerUnit))
-            .collect();
-        assert_eq!(seeds, again, "pure function of (base, unit)");
-        let distinct: std::collections::HashSet<u64> = seeds.iter().copied().collect();
-        assert_eq!(distinct.len(), seeds.len(), "no seed collisions");
-        // Different base seeds give different streams.
-        assert_ne!(
-            derive_seed(42, 3, SeedMode::PerUnit),
-            derive_seed(43, 3, SeedMode::PerUnit)
-        );
     }
 }

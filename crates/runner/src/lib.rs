@@ -6,9 +6,10 @@
 //! 1. **Decompose** — [`SweepBuilder`] fixes everything shared (prepared
 //!    topology, density, variants, system config) and derives one
 //!    deterministic [`SweepJob`] per scenario: its unit index, its
-//!    [`ScenarioKind`], and a workload seed that is a pure function of
-//!    `(base seed, unit index, seed mode)` — never of worker count or
-//!    scheduling (see [`job::derive_seed`]).
+//!    [`ScenarioKind`], and the sweep's workload seed. Nothing in a job
+//!    depends on worker count or scheduling, and every unit observes the
+//!    same workload, so the units fork one shared healthy prefix
+//!    (`db_core::experiment::run_scenario`).
 //! 2. **Execute** — the workspace's one worker pool
 //!    ([`db_core::par::run_units`]: one unit per claim, `workers` else
 //!    `DB_THREADS` else every core) runs units under per-unit
@@ -20,10 +21,15 @@
 //!    collection is enabled.
 //! 3. **Checkpoint** — completed units append to a
 //!    `results/<sweep>.ckpt.jsonl` file ([`checkpoint`]), outcomes encoded
-//!    with the bit-exact [`db_core::wire`] codec. A killed `DB_FULL=1` run
-//!    resumes with `.resume(true)`: finished units replay from disk,
-//!    pending units execute, and the merged result is **bit-identical** to
-//!    an uninterrupted run — the property the resume tests pin.
+//!    with the bit-exact [`db_core::wire`] codec. A killed run resumes
+//!    with `.resume(true)`: finished units replay from disk, pending units
+//!    execute, and the merged result is **bit-identical** to an
+//!    uninterrupted run — the property the resume tests pin.
+//!
+//! The crate reads no environment (the pool's `DB_THREADS` rule lives in
+//! `db_core::par`). Its callers choose what to turn on: the CLI's `sweep`
+//! from flags, the figure binaries through `db_bench::run_sweep`
+//! (checkpoint under `DB_FULL=1`, traces under `DB_TRACE=1`).
 //!
 //! ```no_run
 //! use db_core::classifier::{prepare, PrepareConfig};
@@ -55,5 +61,5 @@ pub mod metrics;
 
 pub use builder::{SweepBuilder, SweepError, SweepReport};
 pub use checkpoint::{CheckpointError, CheckpointHeader};
-pub use job::{derive_seed, SeedMode, SweepJob, UnitOutcome, UnitStatus};
+pub use job::{SweepJob, UnitOutcome, UnitStatus};
 pub use metrics::RunnerMetrics;

@@ -1,19 +1,19 @@
-//! The db-runner contract tests: resume is bit-identical, seeds are
+//! The db-runner contract tests: resume is bit-identical, outcomes are
 //! worker-count-independent, and a poisoned unit cannot abort a sweep.
 
 use db_core::classifier::{prepare, PrepareConfig, Prepared};
-use db_core::experiment::ScenarioKind;
-use db_core::ScenarioOutcome;
+use db_core::experiment::{sweep, ScenarioKind, ScenarioSetup};
+use db_core::{ScenarioOutcome, SystemConfig, VariantSpec};
 use db_netsim::{SimStats, SimTime};
-use db_runner::{SeedMode, SweepBuilder, SweepError, SweepJob};
-use db_topology::{zoo, LinkId};
+use db_runner::{SweepBuilder, SweepError, SweepJob};
+use db_topology::{zoo, LinkId, NodeId};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// A tiny prepared grid shared by the synthetic-runner tests (training is
-/// the slow part; the synthetic tests never simulate on it).
+/// A tiny prepared grid shared by the tests (training is the slow part;
+/// the synthetic tests never simulate on it).
 fn grid_prep() -> &'static Prepared {
     static PREP: OnceLock<Prepared> = OnceLock::new();
     PREP.get_or_init(|| {
@@ -59,33 +59,30 @@ fn synthetic(job: &SweepJob) -> ScenarioOutcome {
     }
 }
 
-fn synthetic_sweep(units: usize, base_seed: u64, mode: SeedMode) -> SweepBuilder<'static> {
+fn synthetic_sweep(units: usize, seed: u64) -> SweepBuilder<'static> {
     SweepBuilder::new("synthetic", grid_prep())
-        .seed(base_seed)
-        .seed_mode(mode)
+        .seed(seed)
         .scenarios((0..units as u16).map(|i| ScenarioKind::SingleLink(LinkId(i))))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Per-unit seeds — and therefore outcomes — are a pure function of
-    /// the sweep configuration: 1, 2, and 8 workers produce identical
-    /// outcome sets in identical unit order.
+    /// Jobs — and therefore outcomes — are a pure function of the sweep
+    /// configuration: 1, 2, and 8 workers produce identical outcome sets
+    /// in identical unit order.
     #[test]
     fn worker_count_never_changes_outcomes(
         base in 0u64..1_000_000,
         units in 1usize..24,
-        per_unit in 0u32..2,
     ) {
-        let mode = if per_unit == 1 { SeedMode::PerUnit } else { SeedMode::Fixed };
-        let baseline = synthetic_sweep(units, base, mode)
+        let baseline = synthetic_sweep(units, base)
             .workers(1)
             .run_with(synthetic)
             .expect("sweep");
         prop_assert!(baseline.is_complete());
         for workers in [2usize, 8] {
-            let report = synthetic_sweep(units, base, mode)
+            let report = synthetic_sweep(units, base)
                 .workers(workers)
                 .run_with(synthetic)
                 .expect("sweep");
@@ -98,7 +95,7 @@ proptest! {
 fn killed_synthetic_sweep_resumes_bit_identically() {
     // Uninterrupted golden run.
     let golden_path = scratch("golden");
-    let golden = synthetic_sweep(9, 7, SeedMode::PerUnit)
+    let golden = synthetic_sweep(9, 7)
         .checkpoint(&golden_path)
         .workers(2)
         .run_with(synthetic)
@@ -108,7 +105,7 @@ fn killed_synthetic_sweep_resumes_bit_identically() {
     // Same sweep, killed after 3 units, resumed twice (second resume hits
     // the already-complete path), at a different worker count.
     let path = scratch("resumed");
-    let partial = synthetic_sweep(9, 7, SeedMode::PerUnit)
+    let partial = synthetic_sweep(9, 7)
         .checkpoint(&path)
         .workers(3)
         .stop_after(Some(3))
@@ -117,7 +114,7 @@ fn killed_synthetic_sweep_resumes_bit_identically() {
     assert!(!partial.is_complete());
     assert_eq!(partial.executed, 3);
 
-    let resumed = synthetic_sweep(9, 7, SeedMode::PerUnit)
+    let resumed = synthetic_sweep(9, 7)
         .checkpoint(&path)
         .workers(8)
         .resume(true)
@@ -138,7 +135,7 @@ fn killed_synthetic_sweep_resumes_bit_identically() {
     assert_eq!(golden_bytes, resumed_bytes, "checkpoint files must match");
 
     // Resuming a complete checkpoint replays everything and runs nothing.
-    let replay = synthetic_sweep(9, 7, SeedMode::PerUnit)
+    let replay = synthetic_sweep(9, 7)
         .checkpoint(&path)
         .resume(true)
         .run_with(|_| panic!("nothing should execute"))
@@ -156,7 +153,7 @@ fn a_panicking_unit_is_recorded_not_fatal() {
     let path = scratch("panic");
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let report = synthetic_sweep(6, 3, SeedMode::PerUnit)
+    let report = synthetic_sweep(6, 3)
         .checkpoint(&path)
         .workers(2)
         .run_with(|j| {
@@ -175,7 +172,7 @@ fn a_panicking_unit_is_recorded_not_fatal() {
     );
 
     // Default resume keeps the failure record; retry_failed re-runs it.
-    let kept = synthetic_sweep(6, 3, SeedMode::PerUnit)
+    let kept = synthetic_sweep(6, 3)
         .checkpoint(&path)
         .resume(true)
         .run_with(|_| panic!("nothing should execute"))
@@ -183,7 +180,7 @@ fn a_panicking_unit_is_recorded_not_fatal() {
     assert_eq!(kept.resumed, 6);
     assert_eq!(kept.failed().len(), 1);
 
-    let retried = synthetic_sweep(6, 3, SeedMode::PerUnit)
+    let retried = synthetic_sweep(6, 3)
         .checkpoint(&path)
         .resume(true)
         .retry_failed(true)
@@ -198,12 +195,12 @@ fn a_panicking_unit_is_recorded_not_fatal() {
 #[test]
 fn resuming_under_a_different_config_is_refused() {
     let path = scratch("mismatch");
-    synthetic_sweep(4, 1, SeedMode::PerUnit)
+    synthetic_sweep(4, 1)
         .checkpoint(&path)
         .stop_after(Some(2))
         .run_with(synthetic)
         .expect("partial sweep");
-    let err = synthetic_sweep(4, 2, SeedMode::PerUnit) // different base seed
+    let err = synthetic_sweep(4, 2) // different seed
         .checkpoint(&path)
         .resume(true)
         .run_with(synthetic)
@@ -260,6 +257,79 @@ fn killed_geant2012_sweep_resumes_bit_identically() {
         std::fs::read(&golden_path).expect("golden checkpoint"),
         std::fs::read(&path).expect("resumed checkpoint"),
         "compacted checkpoints must be byte-identical"
+    );
+    let _ = std::fs::remove_file(golden_path);
+    let _ = std::fs::remove_file(path);
+}
+
+/// Every failure shape the figure binaries sweep, with what Figs. 11 and
+/// 13 and the ablations switch on: ratio sampling and a background loss.
+/// Killed after one unit and resumed, the real runner must reproduce an
+/// uninterrupted run — outcomes and compacted checkpoint — and agree with
+/// `experiment::sweep` on the same setup.
+#[test]
+fn figure_kinds_resume_and_match_the_core_sweep() {
+    let prep = grid_prep();
+    let sys = SystemConfig {
+        interval: prep.interval,
+        ratio_sampling: 4,
+        ..Default::default()
+    };
+    let kinds = vec![
+        ScenarioKind::SingleLink(LinkId(3)),
+        ScenarioKind::Node(NodeId(4)),
+        ScenarioKind::RandomLinks { count: 2, seed: 5 },
+        ScenarioKind::None,
+    ];
+    let build = |path: &PathBuf| {
+        SweepBuilder::new("grid-figure-kinds", prep)
+            .seed(9)
+            .sys(sys.clone())
+            .variants(VariantSpec::fig8_set())
+            .background_loss(2e-3)
+            .scenarios(kinds.iter().cloned())
+            .checkpoint(path)
+    };
+
+    let golden_path = scratch("kinds-golden");
+    let golden = build(&golden_path).workers(2).run().expect("golden sweep");
+    assert!(golden.is_complete());
+    assert!(golden.failed().is_empty());
+
+    let path = scratch("kinds-resumed");
+    let partial = build(&path)
+        .workers(1)
+        .stop_after(Some(1))
+        .run()
+        .expect("partial sweep");
+    assert_eq!(partial.executed, 1);
+    let resumed = build(&path).workers(2).resume(true).run().expect("resume");
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.resumed, 1);
+    assert_eq!(
+        golden.units, resumed.units,
+        "outcomes must be bit-identical"
+    );
+    assert_eq!(
+        std::fs::read(&golden_path).expect("golden checkpoint"),
+        std::fs::read(&path).expect("resumed checkpoint"),
+        "compacted checkpoints must be byte-identical"
+    );
+
+    let setup = ScenarioSetup::builder(prep)
+        .seed(9)
+        .sys(sys)
+        .variants(VariantSpec::fig8_set())
+        .background_loss(2e-3)
+        .build()
+        .expect("valid setup");
+    let core = sweep(&setup, kinds);
+    assert_eq!(resumed.cloned_outcomes(), core);
+    assert!(
+        core.iter()
+            .flat_map(|o| &o.variants)
+            .any(|v| !v.ratios.is_empty()),
+        "ratio sampling must show in the outcomes"
     );
     let _ = std::fs::remove_file(golden_path);
     let _ = std::fs::remove_file(path);

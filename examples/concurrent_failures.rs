@@ -8,8 +8,7 @@
 //! cargo run --release --example concurrent_failures
 //! ```
 
-use drift_bottle::core::eval::MetricsAccum;
-use drift_bottle::core::experiment::sweep;
+use drift_bottle::core::experiment::{average_by_variant, sweep};
 use drift_bottle::prelude::*;
 
 fn main() {
@@ -33,12 +32,7 @@ fn main() {
                 seed: 0xC0C0 + e * 7 + count as u64,
             })
             .collect();
-        let outcomes = sweep(&setup, kinds);
-        let mut acc = MetricsAccum::new();
-        for o in &outcomes {
-            acc.add(&o.variants[0].metrics);
-        }
-        let m = acc.mean();
+        let (_, m) = average_by_variant(&sweep(&setup, kinds)).remove(0);
         println!(
             "{:<10} {:>10.2} {:>8.2} {:>8.2} {:>7.2}% {:>10}",
             count,

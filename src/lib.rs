@@ -78,7 +78,7 @@ pub mod prelude {
     pub use db_netsim::{
         FailureScenario, SimConfig, SimTime, Simulator, TrafficConfig, TrafficGen,
     };
-    pub use db_runner::{SeedMode, SweepBuilder, SweepReport};
+    pub use db_runner::{SweepBuilder, SweepReport};
     pub use db_topology::{
         zoo, CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology, TopologyBuilder,
         SCALE_NODE_THRESHOLD,

@@ -2,14 +2,16 @@
 //!
 //! A single-threaded, deterministic event loop. Events are ordered by
 //! `(time, insertion sequence)` so simultaneous events process in a stable
-//! order. Per event the engine does one push and one pop on a 4-ary heap
-//! of 24-byte keys (`EventQueue`: ≈ log₄ n levels of at most four
-//! compares) plus O(1) model work. On a Geant2012 run n reaches ≈ 37 600 and
-//! the queue is most of the loop's time, so what it moves per level is
-//! kept small: sends and ACKs ride in the key, packet arrivals (with their
-//! annotation) wait in a slab whose slots are reused. Packets are value
-//! types, so the hot path allocates only when the queue outgrows its
-//! pre-sized capacity.
+//! order. Most events never enter a heap: a packet arrival over one link
+//! direction, an ingress arrival and an ACK over one reverse-path delay
+//! are scheduled in time order, so each such stream is a FIFO *lane*
+//! (`EventQueue`) and a push onto a non-empty lane is an append. A 4-ary
+//! heap of 24-byte keys merges the lanes by their heads with the sends,
+//! ticks and injected failures: on a Geant2012 run ≈ 2 500 keys stand for
+//! ≈ 37 600 pending events. Per event the engine does one append or heap
+//! push, one pop (≈ log₄ of the key count levels of at most four
+//! compares) and O(1) model work. Packets are value types, so the hot path
+//! allocates only when a lane outgrows its capacity.
 //!
 //! Packet life cycle: `HostSend` at the source host → `Arrive` at the source
 //! switch (ingress) → per-hop `Arrive`s (each invoking the observer and then
@@ -28,6 +30,7 @@ use db_telemetry::flight::{DropKind, FlightRecord, FlightRecorder};
 use db_telemetry::scope::{hot, HotFn, ScopeRecorder};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::Pcg64;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -223,19 +226,23 @@ impl SimStats {
     }
 }
 
+/// A data packet on its way to `path.nodes[hop]` of its flow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Packet {
+    flow: u32,
+    seq: u64,
+    size: u32,
+    hop: u16,
+    ann: Annotation,
+}
+
 /// Internal event kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// The host of `flow` emits its next packet.
     HostSend { flow: u32 },
-    /// A data packet arrives at `path.nodes[hop]`.
-    Arrive {
-        flow: u32,
-        seq: u64,
-        size: u32,
-        hop: u16,
-        ann: Annotation,
-    },
+    /// A data packet arrives at a switch.
+    Arrive(Packet),
     /// An acknowledgement reaches the sender of `flow`.
     AckArrive { flow: u32 },
     /// Observer sampling-interval tick.
@@ -252,103 +259,181 @@ enum Ev {
 /// the tick and before any packet event whenever it was injected.
 const RUN_SEQ_BASE: u64 = 1 << 63;
 
-/// One pending event as the queue orders it. The two commonest kinds, a
-/// host's next send and an ACK, are a flow id and ride in `payload`
-/// itself; a tick needs nothing; a packet arrival (which carries its
-/// annotation) and a control event are a slab index there. The low two
-/// bits of `payload` say which.
+/// The arrival lane of packets entering the network; link `l`'s direction
+/// `d` is lane `1 + 2l + d`.
+const INGRESS: u32 = 0;
+
+/// What a heap key stands for: a send or a tick itself, an event in
+/// [`EventQueue::control`] by index, or the head of a lane.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    HostSend(u32),
+    Tick,
+    Control(u32),
+    Arrivals(u32),
+    Acks(u32),
+}
+
+/// One heap key: the `(at, seq)` of the event it stands for.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     at: SimTime,
     seq: u64,
-    payload: u64,
+    entry: Entry,
 }
-
-const HOST_SEND: u64 = 0;
-const ACK_ARRIVE: u64 = 1;
-const TICK: u64 = 2;
-const SLAB: u64 = 3;
 
 impl Key {
     /// Pop order: time, then seq. Seqs are unique, so this is total and
-    /// any correct heap pops the same sequence.
+    /// any correct heap pops the same sequence. Compared as one 128-bit
+    /// number: a null-observer Geant2012 run is ≈ 7 % faster than with the
+    /// pair compared field by field.
     fn before(&self, other: &Key) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
+        self.rank() < other.rank()
+    }
+
+    fn rank(&self) -> u128 {
+        u128::from(self.at.as_ns()) << 64 | u128::from(self.seq)
     }
 }
 
-/// The pending events: a 4-ary min-heap of 24-byte [`Key`]s over a slab
-/// of the events too large to ride in a key. A Geant2012 run holds ≈ 24
-/// events per flow at once, so the heap is what a pop walks through; at
-/// 24 bytes a sibling group is 96 bytes and the tree is half as deep as a
-/// binary one, where a key carrying the whole event would be 72 bytes.
-/// Freed slab slots are reused last-in first-out, so the slab stays as
-/// large as the most arrivals ever pending at once.
+/// One event waiting in a lane.
+#[derive(Debug, Clone, Copy)]
+struct Queued<T> {
+    at: SimTime,
+    seq: u64,
+    item: T,
+}
+
+// At 24 bytes four sibling keys share 96 bytes, and an ACK waits in as
+// little as its `(at, seq, flow)` needs.
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+const _: () = assert!(std::mem::size_of::<Queued<u32>>() == 24);
+
+/// The pending events. A run schedules three kinds of event at times that
+/// never go backwards in push order: a packet arrival over one link
+/// direction (the transmitter is FIFO, so departures never decrease), an
+/// ingress arrival (`now` plus a constant) and an ACK (`now` plus its
+/// flow's constant reverse-path delay). Each such stream is a FIFO lane —
+/// one per link direction, one for ingress, one per distinct ACK delay —
+/// holding its events inline, and its seqs rise with its times. The 4-ary
+/// min-heap holds one key per non-empty lane, its head's, beside the
+/// sends, ticks and control events, whose times are free: merging sorted
+/// lanes by `(at, seq)` pops exactly the order one heap of every event
+/// would.
 #[derive(Debug, Clone, Default)]
 struct EventQueue {
     heap: Vec<Key>,
-    slab: Vec<Ev>,
-    free: Vec<u32>,
+    /// Packet arrivals: lane 0 is ingress, the rest link directions.
+    arrivals: Vec<VecDeque<Queued<Packet>>>,
+    /// ACKs, one lane per distinct reverse-path delay.
+    acks: Vec<VecDeque<Queued<u32>>>,
+    /// Every heap event too large for a key, kept for good: in a run only
+    /// the injected failures and repairs, a handful per scenario.
+    control: Vec<Ev>,
+    /// Pending events, of every kind.
+    len: usize,
 }
 
 impl EventQueue {
-    fn with_capacity(n: usize) -> Self {
+    fn new(arrival_lanes: usize, ack_lanes: usize, heap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(n),
+            heap: Vec::with_capacity(heap),
+            arrivals: vec![VecDeque::new(); arrival_lanes],
+            acks: vec![VecDeque::new(); ack_lanes],
             ..Default::default()
         }
     }
 
     /// Pending events, of every kind.
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
-    // db-lint: allow(hot-index, hot-panic) — slab indices come from the free list or the slab's own length, which 2^32 56-byte events would put past 200 GB
+    /// Schedule `ev` on the heap, at any time: a send or a tick rides in
+    /// its key, anything else waits in `control`.
+    // db-lint: allow(hot-panic) — `control` holds a scenario's failures and repairs; 2^32 of them would not fit in memory
     fn push(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        let payload = match ev {
-            Ev::HostSend { flow } => u64::from(flow) << 2 | HOST_SEND,
-            Ev::AckArrive { flow } => u64::from(flow) << 2 | ACK_ARRIVE,
-            Ev::Tick => TICK,
-            Ev::Arrive { .. } | Ev::SetLink { .. } | Ev::SetNode { .. } => {
-                let i = match self.free.pop() {
-                    Some(i) => {
-                        self.slab[i as usize] = ev;
-                        i
-                    }
-                    None => {
-                        self.slab.push(ev);
-                        u32::try_from(self.slab.len() - 1)
-                            .expect("fewer than 2^32 slab events pending")
-                    }
-                };
-                u64::from(i) << 2 | SLAB
+        let entry = match ev {
+            Ev::HostSend { flow } => Entry::HostSend(flow),
+            Ev::Tick => Entry::Tick,
+            _ => {
+                self.control.push(ev);
+                Entry::Control(
+                    u32::try_from(self.control.len() - 1).expect("fewer than 2^32 control events"),
+                )
             }
         };
-        self.sift_up(Key { at, seq, payload });
+        self.len += 1;
+        self.sift_up(Key { at, seq, entry });
+    }
+
+    /// Schedule a packet arrival at the tail of arrival lane `lane`.
+    // db-lint: allow(hot-index) — lane ids are below the lane counts the simulator sized the queue with
+    fn push_arrival(&mut self, lane: u32, at: SimTime, seq: u64, pkt: Packet) {
+        let q = Queued { at, seq, item: pkt };
+        if lane_push(&mut self.arrivals[lane as usize], q) {
+            self.sift_up(Key {
+                at,
+                seq,
+                entry: Entry::Arrivals(lane),
+            });
+        }
+        self.len += 1;
+    }
+
+    /// Schedule an ACK to `flow`'s sender at the tail of ACK lane `lane`.
+    // db-lint: allow(hot-index) — lane ids are below the lane counts the simulator sized the queue with
+    fn push_ack(&mut self, lane: u32, at: SimTime, seq: u64, flow: u32) {
+        let q = Queued {
+            at,
+            seq,
+            item: flow,
+        };
+        if lane_push(&mut self.acks[lane as usize], q) {
+            self.sift_up(Key {
+                at,
+                seq,
+                entry: Entry::Acks(lane),
+            });
+        }
+        self.len += 1;
     }
 
     /// Remove and return the earliest event if `due` accepts its time.
-    // db-lint: allow(hot-index) — slab indices in keys point at live slots
+    // db-lint: allow(hot-index) — a key names a live control slot or a non-empty lane
     fn pop_if(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, Ev)> {
         let head = *self.heap.first()?;
         if !due(head.at) {
             return None;
         }
-        let last = self.heap.pop()?;
-        if !self.heap.is_empty() {
-            self.sift_down(last);
-        }
-        let value = (head.payload >> 2) as u32;
-        let ev = match head.payload & 3 {
-            HOST_SEND => Ev::HostSend { flow: value },
-            ACK_ARRIVE => Ev::AckArrive { flow: value },
-            TICK => Ev::Tick,
-            _ => {
-                self.free.push(value);
-                self.slab[value as usize]
+        let (ev, next) = match head.entry {
+            Entry::HostSend(flow) => (Ev::HostSend { flow }, None),
+            Entry::Tick => (Ev::Tick, None),
+            Entry::Control(i) => (self.control[i as usize], None),
+            Entry::Arrivals(lane) => {
+                let (pkt, next) = lane_pop(&mut self.arrivals[lane as usize])?;
+                (Ev::Arrive(pkt), next)
+            }
+            Entry::Acks(lane) => {
+                let (flow, next) = lane_pop(&mut self.acks[lane as usize])?;
+                (Ev::AckArrive { flow }, next)
             }
         };
+        match next {
+            // The lane's next event takes its head's place.
+            Some((at, seq)) => self.sift_down(Key {
+                at,
+                seq,
+                entry: head.entry,
+            }),
+            None => {
+                let last = self.heap.pop()?;
+                if !self.heap.is_empty() {
+                    self.sift_down(last);
+                }
+            }
+        }
+        self.len -= 1;
         Some((head.at, ev))
     }
 
@@ -394,6 +479,25 @@ impl EventQueue {
     }
 }
 
+/// Append `q` to `lane`; true if the lane was empty, so that `q` is its
+/// head and needs a heap key. A lane's `(at, seq)` only rise.
+fn lane_push<T>(lane: &mut VecDeque<Queued<T>>, q: Queued<T>) -> bool {
+    debug_assert!(
+        lane.back().is_none_or(|b| (b.at, b.seq) < (q.at, q.seq)),
+        "lane push out of order: ({}, {}) after the tail",
+        q.at,
+        q.seq
+    );
+    lane.push_back(q);
+    lane.len() == 1
+}
+
+/// Take `lane`'s head, with the `(at, seq)` of the head after it.
+fn lane_pop<T>(lane: &mut VecDeque<Queued<T>>) -> Option<(T, Option<(SimTime, u64)>)> {
+    let q = lane.pop_front()?;
+    Some((q.item, lane.front().map(|n| (n.at, n.seq))))
+}
+
 /// The simulator. Generic over the observer so the Drift-Bottle pipeline
 /// compiles monomorphized into the event loop.
 pub struct Simulator<'a, O: Observer> {
@@ -407,6 +511,8 @@ pub struct Simulator<'a, O: Observer> {
     nodes_up: Vec<bool>,
     /// Cached reverse-path propagation per flow (for ACK latency).
     reverse_prop: Arc<[SimTime]>,
+    /// Per flow, the ACK lane of its `reverse_prop`.
+    ack_lane: Arc<[u32]>,
     queue: EventQueue,
     /// Last seq given to an event the run scheduled (see [`RUN_SEQ_BASE`]).
     seq: u64,
@@ -468,7 +574,16 @@ impl<'a, O: Observer> Simulator<'a, O> {
                 SimTime::from_ns(prop) + cfg.host_link_delay + cfg.host_link_delay
             })
             .collect();
+        let mut delays = reverse_prop.to_vec();
+        delays.sort_unstable();
+        delays.dedup();
+        let ack_lane: Arc<[u32]> = reverse_prop
+            .iter()
+            .map(|d| delays.partition_point(|x| x < d) as u32)
+            .collect();
         let n_flows = flows.len();
+        let arrival_lanes = 1 + 2 * links.len();
+        let lanes = arrival_lanes + delays.len();
         let mut sim = Simulator {
             topo,
             cfg,
@@ -477,14 +592,13 @@ impl<'a, O: Observer> Simulator<'a, O> {
             links,
             nodes_up: vec![true; topo.node_count()],
             reverse_prop,
-            // A flow keeps a window of packets and their ACKs in flight:
-            // Geant2012 at `t_fail` holds ≈ 24 events per flow (37 601 for
-            // 1 560 flows, half arrivals, half ACKs). The keys are pre-sized
-            // for the flow starts and a few events each, and double to the
-            // working size during the warm-up, a handful of times per run;
-            // pre-sizing for all 24 raised `sweep-geant`'s peak RSS by
-            // ≈ 6 MiB and bought no speed. The slab grows on its own.
-            queue: EventQueue::with_capacity(4 * n_flows + 64),
+            ack_lane,
+            // The heap holds at most one send per flow and one key per
+            // lane, beside the tick and the injected failures, so it is
+            // sized once. The lanes hold what a flow keeps in flight —
+            // Geant2012 at `t_fail` has 18 026 arrivals and 18 014 ACKs
+            // pending for 1 560 flows — and grow on their own.
+            queue: EventQueue::new(arrival_lanes, delays.len(), n_flows + lanes + 64),
             seq: RUN_SEQ_BASE,
             control_seq: 0,
             tick_seq_base: 0,
@@ -585,6 +699,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
             links: self.links.clone(),
             nodes_up: self.nodes_up.clone(),
             reverse_prop: self.reverse_prop.clone(),
+            ack_lane: self.ack_lane.clone(),
             queue: self.queue.clone(),
             seq: self.seq,
             control_seq: self.control_seq,
@@ -601,21 +716,25 @@ impl<'a, O: Observer> Simulator<'a, O> {
         }
     }
 
-    /// Schedule an event of the run's own (see [`RUN_SEQ_BASE`]).
-    fn push(&mut self, at: SimTime, ev: Ev) {
+    /// The seq of the next event the run schedules for itself (see
+    /// [`RUN_SEQ_BASE`]).
+    fn next_seq(&mut self) -> u64 {
+        hot(HotFn::Push);
         self.seq += 1;
-        self.push_seq(at, self.seq, ev);
+        self.seq
+    }
+
+    /// Schedule a host's next send.
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        let seq = self.next_seq();
+        self.queue.push(at, seq, ev);
     }
 
     /// Schedule an event from outside the run (see [`RUN_SEQ_BASE`]).
     fn push_control(&mut self, at: SimTime, ev: Ev) {
-        self.control_seq += 1;
-        self.push_seq(at, self.control_seq, ev);
-    }
-
-    fn push_seq(&mut self, at: SimTime, seq: u64, ev: Ev) {
         hot(HotFn::Push);
-        self.queue.push(at, seq, ev);
+        self.control_seq += 1;
+        self.queue.push(at, self.control_seq, ev);
     }
 
     /// Push with an explicit (already-reserved) seq — lazy ticks only.
@@ -699,13 +818,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
         hot(HotFn::Dispatch);
         match ev {
             Ev::HostSend { flow } => self.host_send(flow),
-            Ev::Arrive {
-                flow,
-                seq,
-                size,
-                hop,
-                ann,
-            } => self.arrive(flow, seq, size, hop, ann),
+            Ev::Arrive(pkt) => self.arrive(pkt),
             Ev::AckArrive { flow } => self.ack_arrive(flow),
             Ev::Tick => {
                 if let Some(sc) = &self.scope {
@@ -766,9 +879,12 @@ impl<'a, O: Observer> Simulator<'a, O> {
         }
         // Packet reaches the ingress switch after the host access delay.
         let at = self.now + self.cfg.host_link_delay;
-        self.push(
+        let event_seq = self.next_seq();
+        self.queue.push_arrival(
+            INGRESS,
             at,
-            Ev::Arrive {
+            event_seq,
+            Packet {
                 flow,
                 seq,
                 size,
@@ -785,8 +901,15 @@ impl<'a, O: Observer> Simulator<'a, O> {
     }
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
-    fn arrive(&mut self, flow: u32, seq: u64, size: u32, hop: u16, mut ann: Annotation) {
+    fn arrive(&mut self, pkt: Packet) {
         hot(HotFn::Arrive);
+        let Packet {
+            flow,
+            seq,
+            size,
+            hop,
+            mut ann,
+        } = pkt;
         let f = flow as usize;
         let spec = &self.flows[f];
         let node = spec.path.nodes[hop as usize];
@@ -828,14 +951,16 @@ impl<'a, O: Observer> Simulator<'a, O> {
         }
         match self.links[link_id.idx()].transmit(dir, self.now, size, coin) {
             TxOutcome::Arrive(at) => {
-                self.push(
+                let lane = (1 + 2 * link_id.idx() + dir) as u32;
+                let event_seq = self.next_seq();
+                self.queue.push_arrival(
+                    lane,
                     at,
-                    Ev::Arrive {
-                        flow,
-                        seq,
-                        size,
+                    event_seq,
+                    Packet {
                         hop: hop + 1,
                         ann,
+                        ..pkt
                     },
                 );
             }
@@ -913,7 +1038,8 @@ impl<'a, O: Observer> Simulator<'a, O> {
             self.stats.acks_lost += 1;
         } else {
             let at = self.now + self.reverse_prop[f];
-            self.push(at, Ev::AckArrive { flow });
+            let event_seq = self.next_seq();
+            self.queue.push_ack(self.ack_lane[f], at, event_seq, flow);
         }
     }
 
@@ -1335,19 +1461,23 @@ mod tests {
         assert_eq!(back, stats);
     }
 
-    /// An event of every kind from one draw: inline, slab and control.
+    fn packet(v: u32) -> Packet {
+        Packet {
+            flow: v,
+            seq: u64::from(v) * 7,
+            size: v % 1500,
+            hop: v as u16,
+            ann: Annotation::from_bytes(&v.to_be_bytes()),
+        }
+    }
+
+    /// An event of every kind from one draw.
     fn event(kind: u8, v: u32) -> Ev {
         match kind {
             0 => Ev::HostSend { flow: v },
             1 => Ev::AckArrive { flow: v },
             2 => Ev::Tick,
-            3 => Ev::Arrive {
-                flow: v,
-                seq: u64::from(v) * 7,
-                size: v % 1500,
-                hop: v as u16,
-                ann: Annotation::from_bytes(&v.to_be_bytes()),
-            },
+            3 => Ev::Arrive(packet(v)),
             4 => Ev::SetLink {
                 link: v as u16,
                 state: LinkState::Corrupted(f64::from(v % 100) / 100.0),
@@ -1367,24 +1497,59 @@ mod tests {
         oracle: BinaryHeap<Reverse<(SimTime, u64)>>,
         events: BTreeMap<u64, Ev>,
         now: SimTime,
+        /// Latest time pushed to arrival lanes 0 and 1 and ACK lane 0.
+        tails: [SimTime; 3],
     }
 
     impl Pair {
-        /// Apply one drawn op: kinds 0–5 push at `now + dt`, 6–7 pop what
-        /// is due by `now + dt`. Seqs come from `seqs`, the control counter
-        /// or the run's, so both seq classes meet at equal times.
+        fn new() -> Self {
+            Pair {
+                queue: EventQueue::new(2, 1, 4),
+                oracle: Default::default(),
+                events: Default::default(),
+                now: SimTime::ZERO,
+                tails: [SimTime::ZERO; 3],
+            }
+        }
+
+        /// Apply one drawn op: kinds 0–5 push to the heap at `now + dt`;
+        /// 6–8 push to arrival lane 0 or 1 or ACK lane 0 at `now + dt` or,
+        /// if later, the lane's tail; 9–10 pop what is due by `now + dt`.
+        /// Heap pushes take seqs from `seqs`, the control counter or the
+        /// run's, so both seq classes meet at equal times; lane pushes are
+        /// the run's own.
         fn apply(
             &mut self,
             (op, dt, v, run): (u8, u64, u32, u8),
             seqs: &mut [u64; 2],
         ) -> TestCaseResult {
             let limit = self.now + SimTime::from_ns(dt);
-            if op < 6 {
-                let seq = &mut seqs[usize::from(run)];
+            if op < 9 {
+                let (at, seq) = if op < 6 {
+                    (limit, &mut seqs[usize::from(run)])
+                } else {
+                    let tail = &mut self.tails[usize::from(op - 6)];
+                    *tail = limit.max(*tail);
+                    (*tail, &mut seqs[1])
+                };
                 *seq += 1;
-                let ev = event(op, v);
-                self.queue.push(limit, *seq, ev);
-                self.oracle.push(Reverse((limit, *seq)));
+                let ev = match op {
+                    0..=5 => {
+                        let ev = event(op, v);
+                        self.queue.push(at, *seq, ev);
+                        ev
+                    }
+                    6 | 7 => {
+                        self.queue
+                            .push_arrival(u32::from(op - 6), at, *seq, packet(v));
+                        Ev::Arrive(packet(v))
+                    }
+                    _ => {
+                        self.queue.push_ack(0, at, *seq, v);
+                        Ev::AckArrive { flow: v }
+                    }
+                };
+                self.oracle.push(Reverse((at, *seq)));
                 self.events.insert(*seq, ev);
             } else {
                 let want = match self.oracle.peek() {
@@ -1408,22 +1573,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random push/pop interleavings over a handful of distinct times
-        /// pop exactly as the `BinaryHeap` oracle does, and a fork taken
-        /// mid-stream pops what its original pops from there on, each
-        /// unaffected by the other.
+        /// Random heap and lane push/pop interleavings over a handful of
+        /// distinct times pop exactly as the `BinaryHeap` oracle does, and
+        /// a fork taken mid-stream pops what its original pops from there
+        /// on, each unaffected by the other.
         #[test]
         fn the_queue_pops_in_oracle_order_across_a_fork(
-            ops in proptest::collection::vec((0u8..8, 0u64..3, 0u32..=u32::MAX, 0u8..2), 0..600),
+            ops in proptest::collection::vec((0u8..11, 0u64..3, 0u32..=u32::MAX, 0u8..2), 0..600),
             cut in 0usize..600,
         ) {
             let mut seqs = [0, RUN_SEQ_BASE];
-            let mut a = Pair {
-                queue: EventQueue::with_capacity(4),
-                oracle: Default::default(),
-                events: Default::default(),
-                now: SimTime::ZERO,
-            };
+            let mut a = Pair::new();
             let cut = cut.min(ops.len());
             for &op in &ops[..cut] {
                 a.apply(op, &mut seqs)?;
@@ -1440,10 +1600,19 @@ mod tests {
             }
             for pair in [&mut a, &mut b] {
                 while !pair.oracle.is_empty() {
-                    pair.apply((6, u64::MAX / 2, 0, 0), &mut [0, 0])?;
+                    pair.apply((9, u64::MAX / 2, 0, 0), &mut [0, 0])?;
                 }
                 prop_assert_eq!(pair.queue.pop_if(|_| true), None);
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lane push out of order")]
+    fn a_lane_push_before_its_tail_is_refused() {
+        let mut queue = EventQueue::new(1, 1, 4);
+        queue.push_ack(0, SimTime::from_us(2), RUN_SEQ_BASE + 1, 7);
+        queue.push_ack(0, SimTime::from_us(1), RUN_SEQ_BASE + 2, 8);
     }
 }

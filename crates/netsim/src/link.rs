@@ -113,7 +113,9 @@ impl LinkRuntime {
 
     /// Offer a packet of `size` bytes to direction `dir` (0 = a→b, 1 = b→a)
     /// at time `now`. `corrupt_coin` must be a fresh uniform draw in `[0,1)`
-    /// (passed in so the engine controls RNG streams).
+    /// (passed in so the engine controls RNG streams). The transmitter is
+    /// FIFO: for a non-decreasing `now`, a direction's arrival times never
+    /// decrease, which the engine's per-direction event lanes rely on.
     pub fn transmit(
         &mut self,
         dir: usize,
@@ -152,11 +154,6 @@ impl LinkRuntime {
     /// the engine's queue-wait histogram.
     pub fn queue_wait(&self, dir: usize, now: SimTime) -> SimTime {
         self.busy_until[dir].saturating_sub(now)
-    }
-
-    /// Reset the transmitter-busy horizons (used between simulation phases).
-    pub fn reset_queues(&mut self) {
-        self.busy_until = [SimTime::ZERO; 2];
     }
 }
 
@@ -284,16 +281,5 @@ mod tests {
         assert!(LinkState::Down.is_failure(0.05));
         assert!(LinkState::Corrupted(0.10).is_failure(0.05));
         assert!(!LinkState::Corrupted(0.01).is_failure(0.05));
-    }
-
-    #[test]
-    fn reset_queues_clears_busy() {
-        let mut l = link();
-        l.transmit(0, SimTime::ZERO, 1500, 0.9);
-        l.reset_queues();
-        match l.transmit(0, SimTime::ZERO, 1500, 0.9) {
-            TxOutcome::Arrive(t) => assert_eq!(t.as_ns(), 12_000 + 1_000_000),
-            o => panic!("{o:?}"),
-        }
     }
 }

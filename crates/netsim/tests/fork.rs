@@ -1,11 +1,15 @@
 //! A run stopped before the failure, forked, and given the failure then is
-//! the run that was given the failure at construction.
+//! the run that was given the failure at construction — and the order the
+//! engine dispatches a run's events in is pinned by digest.
 
 use db_netsim::{
-    FailureScenario, FlowSpec, SimConfig, SimStats, SimTime, Simulator, TraceRecorder,
-    TrafficConfig, TrafficGen,
+    Annotation, FailureScenario, FlowSpec, HopInfo, Observer, SimConfig, SimStats, SimTime,
+    Simulator, TraceRecorder, TrafficConfig, TrafficGen,
 };
 use db_topology::{zoo, LinkId, NodeId, RouteTable, Topology};
+use db_util::hash::MixHasher;
+use db_util::wire::ByteWriter;
+use std::hash::Hasher;
 
 const SEED: u64 = 5;
 /// Every scenario below fails at this instant.
@@ -124,6 +128,88 @@ fn forks_of_one_prefix_do_not_see_each_other() {
         &forked(&prefix, &FailureScenario::none()),
         &straight(&FailureScenario::none()),
     );
+}
+
+/// Every `on_packet` (time, flow, seq, node, hop, annotation bytes) and
+/// every `on_tick`, in the order the engine dispatched them, folded into
+/// one running hash. Each hop also writes a byte of its own into the
+/// annotation, so what a packet carries depends on every hop before it.
+#[derive(Clone, Default)]
+struct OrderDigest(MixHasher);
+
+impl Observer for OrderDigest {
+    fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
+        let h = &mut self.0;
+        h.write_u64(now.as_ns());
+        h.write_u32(info.flow.0);
+        h.write_u64(info.seq);
+        h.write_u32(info.node.0.into());
+        h.write_u64(info.hop_index as u64);
+        h.write_u64(ann.len() as u64);
+        h.write(ann.as_slice());
+        if !info.is_last_switch {
+            let mut bytes = ann.as_slice().to_vec();
+            bytes.push(info.node.0 as u8 ^ info.seq as u8);
+            ann.set(&bytes);
+        }
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        self.0.write_u64(u64::MAX);
+        self.0.write_u64(now.as_ns());
+    }
+}
+
+fn order_digest((observer, stats): (OrderDigest, SimStats)) -> u64 {
+    let mut w = ByteWriter::new();
+    stats.encode_into(&mut w);
+    let mut h = observer.0;
+    h.write(&w.into_bytes());
+    h.finish()
+}
+
+/// [`order_digest`] of [`dispatch_order_is_pinned`]'s run.
+const PINNED_DISPATCH_DIGEST: u64 = 0x8458_3872_a3a9_cca2;
+
+/// Outcome pins (golden, CSVs) hold only what a run adds up to; this holds
+/// the order its events were dispatched in: a link failure with repair, a
+/// corruption and a node failure with repair, under background loss.
+#[test]
+fn dispatch_order_is_pinned() {
+    let mut link = FailureScenario::single_link(LinkId(6), T_FAIL);
+    link.events[0].repair_at = Some(SimTime::from_ms(70));
+    let mut node = FailureScenario::node(NodeId(8), SimTime::from_ms(50));
+    node.events[0].repair_at = Some(SimTime::from_ms(80));
+    let scenario = link
+        .merged(FailureScenario::corruption(LinkId(1), 0.3, T_FAIL))
+        .merged(node);
+    let (topo, flows, cfg) = world();
+    let mut sim = Simulator::new(
+        &topo,
+        flows.clone(),
+        cfg.clone(),
+        &scenario,
+        SEED,
+        OrderDigest::default(),
+    );
+    sim.run();
+    let (observer, stats) = sim.finish();
+    assert!(
+        stats.dropped_down > 0 && stats.dropped_corrupt > 0 && stats.dropped_node > 0,
+        "every failure must bite: {stats:?}"
+    );
+    let straight = order_digest((observer, stats));
+    assert_eq!(
+        straight, PINNED_DISPATCH_DIGEST,
+        "dispatch order moved: {straight:#018x}"
+    );
+    let none = FailureScenario::none();
+    let mut prefix = Simulator::new(&topo, flows, cfg, &none, SEED, OrderDigest::default());
+    prefix.run_until(T_FAIL);
+    let mut sim = prefix.fork(prefix.observer().clone());
+    sim.inject(&scenario);
+    sim.run();
+    assert_eq!(order_digest(sim.finish()), straight, "forked run");
 }
 
 #[test]

@@ -480,16 +480,6 @@ pub fn sweep(setup: &ScenarioSetup, kinds: Vec<ScenarioKind>) -> Vec<ScenarioOut
     par_map(kinds, |kind| run_scenario(setup, kind))
 }
 
-/// Deterministically sample `n` distinct links of a topology (sub-sampling
-/// knob for the figure binaries; the full sweeps traverse every link).
-pub fn sample_links(topo: &Topology, n: usize, seed: u64) -> Vec<LinkId> {
-    let n = n.min(topo.link_count());
-    let mut rng = Pcg64::new_stream(seed, 0x5A11);
-    let mut picks = rng.sample_indices(topo.link_count(), n);
-    picks.sort_unstable();
-    picks.into_iter().map(|i| LinkId(i as u16)).collect()
-}
-
 /// Links traversed by at least one routed path — the links whose failure is
 /// observable from traffic at all. Shortest-path routing on the synthetic
 /// stand-in topologies leaves a few links dark (no flow ever crosses them);
@@ -770,7 +760,7 @@ pub(crate) mod tests {
     fn sweep_runs_in_parallel_and_averages() {
         let prep = grid_prep();
         let setup = ScenarioSetup::flagship(prep, 1.0, 11);
-        let links = sample_links(&prep.topo, 3, 1);
+        let links = sample_covered_links(prep, 3, 1);
         let kinds: Vec<ScenarioKind> = links.into_iter().map(ScenarioKind::SingleLink).collect();
         let outcomes = sweep(&setup, kinds);
         assert_eq!(outcomes.len(), 3);
@@ -786,7 +776,7 @@ pub(crate) mod tests {
         // as a sequential loop would produce them.
         let prep = grid_prep();
         let setup = ScenarioSetup::flagship(prep, 1.0, 11);
-        let links = sample_links(&prep.topo, 3, 1);
+        let links = sample_covered_links(prep, 3, 1);
         let kinds: Vec<ScenarioKind> = links.into_iter().map(ScenarioKind::SingleLink).collect();
         let parallel = sweep(&setup, kinds.clone());
         let sequential: Vec<ScenarioOutcome> =
@@ -819,8 +809,8 @@ pub(crate) mod tests {
     #[test]
     fn sampling_helpers_are_deterministic_and_sorted() {
         let prep = grid_prep();
-        let a = sample_links(&prep.topo, 5, 3);
-        let b = sample_links(&prep.topo, 5, 3);
+        let a = sample_covered_links(prep, 5, 3);
+        let b = sample_covered_links(prep, 5, 3);
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] < w[1]));
         let n = sample_nodes(&prep.topo, 4, 3);

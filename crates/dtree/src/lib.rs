@@ -10,8 +10,6 @@
 //! * [`mat`] — compilation of a trained tree into prioritized match-action
 //!   range rules and the rule-table classifier that evaluates like the data
 //!   plane would. Tree and table are *provably* equivalent (property-tested).
-//! * [`quant`] — feature quantization to integer bins, modeling the fixed-
-//!   width register/TCAM representation of §5.
 //! * [`metrics`] — confusion matrix, per-class recall (the Fig. 6 metric),
 //!   accuracy.
 //! * [`classifiers`] — the common [`classifiers::FlowClassifier`] trait plus
@@ -20,11 +18,9 @@
 pub mod classifiers;
 pub mod mat;
 pub mod metrics;
-pub mod quant;
 pub mod tree;
 
 pub use classifiers::{FlowClassifier, ThresholdClassifier};
 pub use mat::{Rule, TableClassifier};
 pub use metrics::ConfusionMatrix;
-pub use quant::Quantizer;
 pub use tree::{DecisionTree, TrainConfig};

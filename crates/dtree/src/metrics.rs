@@ -65,26 +65,9 @@ impl ConfusionMatrix {
         ratio(self.tn, self.tn + self.fp)
     }
 
-    /// Precision of the abnormal class; 1.0 when nothing was predicted
-    /// abnormal.
-    pub fn precision_abnormal(&self) -> f64 {
-        ratio(self.tp, self.tp + self.fp)
-    }
-
     /// Overall accuracy; 1.0 on an empty matrix.
     pub fn accuracy(&self) -> f64 {
         ratio(self.tp + self.tn, self.total())
-    }
-
-    /// F1 of the abnormal class.
-    pub fn f1_abnormal(&self) -> f64 {
-        let p = self.precision_abnormal();
-        let r = self.recall_abnormal();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
     }
 
     /// Merge another matrix into this one.
@@ -123,9 +106,7 @@ mod tests {
         assert_eq!(cm.total(), 10);
         assert!((cm.recall_abnormal() - 0.75).abs() < 1e-12);
         assert!((cm.recall_normal() - 5.0 / 6.0).abs() < 1e-12);
-        assert!((cm.precision_abnormal() - 0.75).abs() < 1e-12);
         assert!((cm.accuracy() - 0.8).abs() < 1e-12);
-        assert!((cm.f1_abnormal() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -134,7 +115,6 @@ mod tests {
         assert_eq!(cm.recall_abnormal(), 1.0);
         assert_eq!(cm.recall_normal(), 1.0);
         assert_eq!(cm.accuracy(), 1.0);
-        assert_eq!(cm.f1_abnormal(), 1.0);
     }
 
     #[test]

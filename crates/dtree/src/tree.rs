@@ -130,17 +130,6 @@ impl DecisionTree {
         d(&self.root)
     }
 
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        fn c(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => c(left) + c(right),
-            }
-        }
-        c(&self.root)
-    }
-
     /// Total node count.
     pub fn node_count(&self) -> usize {
         fn c(n: &Node) -> usize {
@@ -372,7 +361,6 @@ mod tests {
             .map(|i| (vecf(i as f64, 1.0), FlowStatus::Normal))
             .collect();
         let tree = DecisionTree::train(&data, &TrainConfig::default());
-        assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.predict(&vecf(3.0, 1.0)), FlowStatus::Normal);
@@ -449,6 +437,6 @@ mod tests {
             ..Default::default()
         };
         let tree = DecisionTree::train(&data, &cfg);
-        assert_eq!(tree.leaf_count(), 1, "too few samples to split");
+        assert_eq!(tree.node_count(), 1, "too few samples to split");
     }
 }

@@ -65,16 +65,6 @@ impl Inference {
         });
     }
 
-    /// Add `delta` to the weight of `link` (creating the entry if needed),
-    /// re-normalizing.
-    pub fn add_weight(&mut self, link: LinkId, delta: f64) {
-        match self.entries.iter_mut().find(|(l, _)| *l == link) {
-            Some((_, w)) => *w += delta,
-            None => self.entries.push((link, delta)),
-        }
-        self.normalize();
-    }
-
     /// The aggregation operator ⊕: per-link weight sum.
     ///
     /// Implemented as a sorted two-pointer merge over link ids. Shared links
@@ -253,17 +243,6 @@ mod tests {
         let mut inf = Inference::from_pairs([(l(1), 1.0)]);
         inf.truncate_top_k(10);
         assert_eq!(inf.len(), 1);
-    }
-
-    #[test]
-    fn add_weight_keeps_invariants() {
-        let mut inf = Inference::empty();
-        inf.add_weight(l(2), 1.0);
-        inf.add_weight(l(1), 3.0);
-        assert_eq!(inf.top_link(), Some(l(1)));
-        inf.add_weight(l(1), -3.0);
-        assert_eq!(inf.len(), 1, "zeroed entry must disappear");
-        assert_eq!(inf.top_link(), Some(l(2)));
     }
 
     #[test]

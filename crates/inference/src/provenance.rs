@@ -19,7 +19,7 @@
 //! it cannot call them); an integration test in `db-core` pins the two
 //! implementations against each other.
 
-use crate::warning::WarningConfig;
+use crate::warning::{eq1, Eq1Outcome, WarningConfig};
 use db_telemetry::flight::{FlightRecord, Recording};
 use db_topology::LinkId;
 use std::collections::BTreeSet;
@@ -42,54 +42,6 @@ pub fn inference_digest(entries: &[(LinkId, f64)]) -> u64 {
 
 /// Digest sentinel for "no drifted inference arrived" (ingress hop).
 pub const NO_INFERENCE_DIGEST: u64 = 0;
-
-/// Which clause of equation (1) decided a warning check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eq1Outcome {
-    /// `w0 ≤ 0` — the inference accuses nothing (or only exonerates).
-    NonPositiveW0,
-    /// `hop_now < hop_min` — not enough switches aggregated yet.
-    HopMin,
-    /// `w0 < α·hop_now` — accusation too weak for the hop count.
-    Alpha,
-    /// `w1 > 0 ∧ w0 < β·w1` — the runner-up is too close.
-    Beta,
-    /// All three clauses held: the warning fires.
-    Fires,
-}
-
-impl Eq1Outcome {
-    /// Short label for reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Eq1Outcome::NonPositiveW0 => "w0<=0",
-            Eq1Outcome::HopMin => "hop_min",
-            Eq1Outcome::Alpha => "alpha",
-            Eq1Outcome::Beta => "beta",
-            Eq1Outcome::Fires => "fires",
-        }
-    }
-}
-
-/// Evaluate equation (1) the way `check_warning` does — same clause order,
-/// same comparisons — but report *which* clause decided, instead of just
-/// whether a link comes out. Keep this in lockstep with
-/// [`crate::warning::check_warning`]; a unit test pins the equivalence.
-pub fn eq1_outcome(w0: f64, w1: f64, hop_now: u32, cfg: &WarningConfig) -> Eq1Outcome {
-    if w0 <= 0.0 {
-        return Eq1Outcome::NonPositiveW0;
-    }
-    if hop_now < cfg.hop_min {
-        return Eq1Outcome::HopMin;
-    }
-    if w0 < cfg.alpha * hop_now as f64 {
-        return Eq1Outcome::Alpha;
-    }
-    if w1 > 0.0 && w0 < cfg.beta * w1 {
-        return Eq1Outcome::Beta;
-    }
-    Eq1Outcome::Fires
-}
 
 /// The run header of a recording, decoded into plain fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,21 +194,6 @@ impl BlockedTally {
             Eq1Outcome::Fires => self.fires += 1,
         }
     }
-
-    /// The clause that blocked most often, if anything was blocked.
-    pub fn dominant_blocker(&self) -> Option<Eq1Outcome> {
-        let ranked = [
-            (self.non_positive_w0, Eq1Outcome::NonPositiveW0),
-            (self.hop_min, Eq1Outcome::HopMin),
-            (self.alpha, Eq1Outcome::Alpha),
-            (self.beta, Eq1Outcome::Beta),
-        ];
-        ranked
-            .iter()
-            .filter(|(n, _)| *n > 0)
-            .max_by_key(|(n, _)| *n)
-            .map(|(_, o)| *o)
-    }
 }
 
 /// Everything the recording says about one link — the core of
@@ -380,7 +317,7 @@ pub fn explain_link(rec: &Recording, link: u16) -> LinkExplanation {
                 if *top_link == Some(link) {
                     out.merges_as_top += 1;
                     if let (Some(tally), Some(i)) = (out.blocked.as_mut(), info.as_ref()) {
-                        tally.add(eq1_outcome(*w0, *w1, *hop_now as u32, &i.warning));
+                        tally.add(eq1(*w0, *w1, *hop_now as u32, &i.warning));
                     }
                 }
             }
@@ -682,7 +619,6 @@ pub fn quality_report(rec: &Recording) -> Option<QualityReport> {
 mod tests {
     use super::*;
     use crate::inference::Inference;
-    use crate::warning::check_warning;
     use db_telemetry::flight::DropKind;
 
     fn meta(ground_truth: Vec<u16>) -> FlightRecord {
@@ -725,45 +661,6 @@ mod tests {
         // The empty digest is the FNV basis — never the ingress sentinel.
         assert_eq!(inference_digest(&[]), 0xcbf29ce484222325);
         assert_ne!(inference_digest(&[]), NO_INFERENCE_DIGEST);
-    }
-
-    #[test]
-    fn eq1_outcome_matches_check_warning_clause_for_clause() {
-        let cfg = WarningConfig {
-            hop_min: 3,
-            alpha: 1.0,
-            beta: 2.0,
-        };
-        let cases: &[(f64, f64, u32)] = &[
-            (-1.0, -2.0, 10), // non-positive w0
-            (10.0, 0.0, 2),   // hop_min
-            (2.0, 0.0, 4),    // alpha: 2 < 1.0*4
-            (10.0, 6.0, 4),   // beta: 10 < 2*6
-            (10.0, 3.0, 4),   // fires
-            (4.0, -8.0, 4),   // negative runner-up never blocks
-            (0.0, 0.0, 10),   // empty inference
-        ];
-        for &(w0, w1, hop) in cases {
-            let mut pairs = vec![];
-            if w0 != 0.0 {
-                pairs.push((LinkId(7), w0));
-            }
-            if w1 != 0.0 {
-                pairs.push((LinkId(1), w1));
-            }
-            let inf = Inference::from_pairs(pairs);
-            // Only drive the comparison when the synthetic inference
-            // reproduces the intended (w0, w1) pair.
-            assert_eq!(inf.w0(), w0, "case ({w0},{w1},{hop})");
-            assert_eq!(inf.w1(), if inf.len() > 1 { w1 } else { 0.0 });
-            let fired = check_warning(&inf, hop, &cfg).is_some();
-            let outcome = eq1_outcome(inf.w0(), inf.w1(), hop, &cfg);
-            assert_eq!(
-                fired,
-                outcome == Eq1Outcome::Fires,
-                "case ({w0},{w1},{hop}) → {outcome:?}"
-            );
-        }
     }
 
     #[test]
@@ -968,15 +865,5 @@ mod tests {
             records: vec![warning(150, 3, 8.0, 1.0)],
         };
         assert!(quality_report(&rec).is_none());
-    }
-
-    #[test]
-    fn dominant_blocker_ranks_clauses() {
-        let mut t = BlockedTally::default();
-        assert_eq!(t.dominant_blocker(), None);
-        t.alpha = 3;
-        t.hop_min = 1;
-        t.fires = 10; // fires never counts as a blocker
-        assert_eq!(t.dominant_blocker(), Some(Eq1Outcome::Alpha));
     }
 }

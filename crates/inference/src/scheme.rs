@@ -50,12 +50,6 @@ impl WeightScheme {
         }
     }
 
-    /// Whether the scheme needs only integer weights (deployable on the
-    /// programmable data plane, §6.4).
-    pub fn integer_weights(&self) -> bool {
-        matches!(self, WeightScheme::DriftBottle | WeightScheme::NonNegative)
-    }
-
     /// Per-link weight contribution of one flow with the given status whose
     /// upstream path has `upstream_len` links. Zero-length upstream paths
     /// contribute nothing.
@@ -243,12 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn names_and_integerness() {
+    fn names_and_count() {
         assert_eq!(WeightScheme::DriftBottle.name(), "Drift-Bottle");
-        assert!(WeightScheme::DriftBottle.integer_weights());
-        assert!(WeightScheme::NonNegative.integer_weights());
-        assert!(!WeightScheme::Drifted007.integer_weights());
-        assert!(!WeightScheme::Modified007.integer_weights());
         assert_eq!(WeightScheme::ALL.len(), 4);
     }
 

@@ -44,52 +44,60 @@ impl Default for WarningConfig {
     }
 }
 
-/// Evaluate equation (1); returns the accused link when all three conditions
-/// hold. An inference whose top weight is not positive never warns.
-pub fn check_warning(inf: &Inference, hop_now: u32, cfg: &WarningConfig) -> Option<LinkId> {
-    let w0 = inf.w0();
-    if w0 <= 0.0 {
-        return None;
-    }
-    if hop_now < cfg.hop_min {
-        return None;
-    }
-    if w0 < cfg.alpha * hop_now as f64 {
-        return None;
-    }
-    // w1 may be negative or absent (treated as 0); dominance over a
-    // non-positive runner-up is automatic for positive w0.
-    let w1 = inf.w1();
-    if w1 > 0.0 && w0 < cfg.beta * w1 {
-        return None;
-    }
-    Some(inf.top_link().expect("positive w0 implies an entry"))
+/// Which clause of equation (1) decided a warning check, in the order the
+/// clauses are tried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Eq1Outcome {
+    /// `w0 ≤ 0` — the inference accuses nothing (or only exonerates).
+    NonPositiveW0,
+    /// `hop_now < hop_min` — not enough switches aggregated yet.
+    HopMin,
+    /// `w0 < α·hop_now` — accusation too weak for the hop count.
+    Alpha,
+    /// `w1 > 0 ∧ w0 < β·w1` — the runner-up is too close.
+    Beta,
+    /// All three clauses held: the warning fires.
+    Fires,
 }
 
-/// [`check_warning`] on the inline representation. The entries are already
-/// canonically ordered, so `w0`/`w1`/`top_link` are direct array reads; the
-/// threshold logic is identical to the `Vec`-backed path on the same
-/// multiset.
+/// Equation (1) on an inference's two highest weights: the first clause
+/// that fails, or [`Eq1Outcome::Fires`]. An inference whose top weight is
+/// not positive never warns; `w1` may be negative or absent (0), and
+/// dominance over a non-positive runner-up is automatic for positive `w0`.
+pub fn eq1(w0: f64, w1: f64, hop_now: u32, cfg: &WarningConfig) -> Eq1Outcome {
+    if w0 <= 0.0 {
+        Eq1Outcome::NonPositiveW0
+    } else if hop_now < cfg.hop_min {
+        Eq1Outcome::HopMin
+    } else if w0 < cfg.alpha * hop_now as f64 {
+        Eq1Outcome::Alpha
+    } else if w1 > 0.0 && w0 < cfg.beta * w1 {
+        Eq1Outcome::Beta
+    } else {
+        Eq1Outcome::Fires
+    }
+}
+
+/// Evaluate equation (1); returns the accused link when all three conditions
+/// hold.
+pub fn check_warning(inf: &Inference, hop_now: u32, cfg: &WarningConfig) -> Option<LinkId> {
+    match eq1(inf.w0(), inf.w1(), hop_now, cfg) {
+        Eq1Outcome::Fires => inf.top_link(),
+        _ => None,
+    }
+}
+
+/// [`check_warning`] on the inline representation, whose entries are
+/// already canonically ordered: `w0`/`w1`/`top_link` are direct array reads.
 pub fn check_warning_inline(
     inf: &InlineInference,
     hop_now: u32,
     cfg: &WarningConfig,
 ) -> Option<LinkId> {
-    let w0 = inf.w0();
-    if w0 <= 0.0 {
-        return None;
+    match eq1(inf.w0(), inf.w1(), hop_now, cfg) {
+        Eq1Outcome::Fires => inf.top_link(),
+        _ => None,
     }
-    if hop_now < cfg.hop_min {
-        return None;
-    }
-    if w0 < cfg.alpha * hop_now as f64 {
-        return None;
-    }
-    let w1 = inf.w1();
-    if w1 > 0.0 && w0 < cfg.beta * w1 {
-        return None;
-    }
-    Some(inf.top_link().expect("positive w0 implies an entry"))
 }
 
 #[cfg(test)]
@@ -105,6 +113,33 @@ mod tests {
             hop_min: 3,
             alpha: 1.0,
             beta: 2.0,
+        }
+    }
+
+    /// Each clause of eq. (1) exactly at its boundary and just past it,
+    /// under `hop_min` 3, α 1, β 2.
+    #[test]
+    fn each_clause_decides_at_its_boundary() {
+        use Eq1Outcome::*;
+        let below = |x: f64| x.next_down();
+        let cases = [
+            // w0 ≤ 0 blocks at 0; the least positive w0 passes to α.
+            (0.0, 0.0, 10, NonPositiveW0),
+            (f64::MIN_POSITIVE, 0.0, 10, Alpha),
+            // hop_min − 1 blocks; hop_min passes.
+            (10.0, 0.0, 2, HopMin),
+            (10.0, 0.0, 3, Fires),
+            // w0 = α·hop passes; just below it blocks.
+            (4.0, 0.0, 4, Fires),
+            (below(4.0), 0.0, 4, Alpha),
+            // w0 = β·w1 with w1 > 0 passes; just below it blocks.
+            (12.0, 6.0, 4, Fires),
+            (below(12.0), 6.0, 4, Beta),
+            // A runner-up that is not positive never blocks.
+            (4.0, -8.0, 4, Fires),
+        ];
+        for (w0, w1, hop, want) in cases {
+            assert_eq!(eq1(w0, w1, hop, &cfg()), want, "({w0}, {w1}, {hop})");
         }
     }
 

@@ -45,12 +45,58 @@ pub fn run_check(root: &Path, cfg: &LintConfig) -> Result<Report, String> {
         findings.extend(rules::check_file(&sf, cfg));
         scanned.push((sf, content));
     }
+    check_tiers(root, cfg, &scanned)?;
     findings.extend(docsync::check(root, cfg, &scanned)?);
     findings.sort();
     Ok(Report {
         findings,
         files_scanned: files.len(),
     })
+}
+
+/// Every tier entry must name something that exists: a `[hotpath]` file and
+/// each of its functions, a `[wire]` file, a `[deterministic]` or
+/// `[concurrency]` crate. A stale entry would switch its rules off without
+/// a word, so it is an error, like a missing `[docsync]` path.
+fn check_tiers(
+    root: &Path,
+    cfg: &LintConfig,
+    scanned: &[(ScannedFile, String)],
+) -> Result<(), String> {
+    let file = |tier: &str, path: &str| {
+        scanned
+            .iter()
+            .map(|(sf, _)| sf)
+            .find(|sf| sf.rel_path == path)
+            .ok_or_else(|| format!("[{tier}] names {path}, which is not a scanned file"))
+    };
+    for (path, fns) in &cfg.hotpath {
+        let sf = file("hotpath", path)?;
+        if let Some(name) = fns.iter().find(|n| !sf.fns.iter().any(|f| &f.name == *n)) {
+            return Err(format!(
+                "[hotpath] names fn `{name}`, which {path} does not have"
+            ));
+        }
+    }
+    for path in &cfg.wire_files {
+        file("wire", path)?;
+    }
+    for (tier, crates) in [
+        ("deterministic", &cfg.deterministic_crates),
+        ("concurrency", &cfg.concurrency_crates),
+    ] {
+        for c in crates {
+            let dir = if c == "." {
+                root.to_path_buf()
+            } else {
+                root.join("crates").join(c)
+            };
+            if !dir.is_dir() {
+                return Err(format!("[{tier}] names crate `{c}`, which does not exist"));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Directories never scanned: build output, VCS, and the linter's own

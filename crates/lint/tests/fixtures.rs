@@ -31,6 +31,15 @@ crates = ["conc"]
 counter_methods = ["add"]
 "#;
 
+/// A clean member for each entry of [`FIXTURE_LINT_TOML`], staged where the
+/// fixture under test does not already stand.
+const TIER_STUBS: &[(&str, &str)] = &[
+    ("crates/util/src/lib.rs", ""),
+    ("crates/core/src/hot.rs", "fn hot_fn() {}\n"),
+    ("crates/core/src/wire.rs", ""),
+    ("crates/conc/src/lib.rs", ""),
+];
+
 /// Appended to the staged `lint.toml` for doc-* fixtures, whose roots
 /// also carry a README and a CLI source (see `doc_companions`).
 const DOCSYNC_TOML: &str = r#"
@@ -140,6 +149,15 @@ fn stage(test: &str, rule: &str, fixture: &str) -> Staged {
     let dest = root.join(placement(rule));
     fs::create_dir_all(dest.parent().expect("placement has a parent")).expect("mkdir");
     fs::copy(fixtures_dir().join(fixture), &dest).expect("copy fixture");
+    // Every tier entry of the staged config must name something that
+    // exists; the fixture stands in for one, clean stubs for the rest.
+    for (path, stub) in TIER_STUBS {
+        let path = root.join(path);
+        if !path.exists() {
+            fs::create_dir_all(path.parent().expect("stub has a parent")).expect("mkdir");
+            fs::write(path, stub).expect("write stub");
+        }
+    }
     if rule.starts_with("doc-") {
         let suffix = fixture
             .trim_end_matches(".rs")
@@ -308,5 +326,53 @@ fn deny_exits_zero_on_clean_fixture_roots() {
             "{rule}: `check --deny` failed on the clean fixture\nstderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+}
+
+/// A tier entry that names nothing is refused, by the library and by the
+/// binary, instead of switching its rules off; the staged config with every
+/// entry present passes. (`workspace.rs` runs the committed `lint.toml`.)
+#[test]
+fn a_stale_tier_entry_is_refused() {
+    let root = stage(
+        "a_stale_tier_entry_is_refused",
+        "det-hash-iter",
+        &fixture_name("det-hash-iter", "neg"),
+    );
+    assert!(check(&root).is_empty());
+    for (stale, names) in [
+        (
+            FIXTURE_LINT_TOML.replace("hot.rs\" = [\"hot_fn\"]", "gone.rs\" = [\"hot_fn\"]"),
+            "crates/core/src/gone.rs",
+        ),
+        (
+            FIXTURE_LINT_TOML.replace("[\"hot_fn\"]", "[\"hot_fn\", \"gone_fn\"]"),
+            "gone_fn",
+        ),
+        (
+            FIXTURE_LINT_TOML.replace("src/wire.rs", "src/gone.rs"),
+            "crates/core/src/gone.rs",
+        ),
+        (
+            FIXTURE_LINT_TOML.replace("[\"util\", \"core\"]", "[\"util\", \"gone\"]"),
+            "`gone`",
+        ),
+        (
+            FIXTURE_LINT_TOML.replace("[\"conc\"]", "[\"gone\"]"),
+            "`gone`",
+        ),
+    ] {
+        assert_ne!(stale, FIXTURE_LINT_TOML, "the stale edit applies");
+        fs::write(root.join("lint.toml"), &stale).expect("write lint.toml");
+        let cfg = LintConfig::load(&root.join("lint.toml")).expect("stale config parses");
+        let err = run_check(&root, &cfg).expect_err("a stale entry is refused");
+        assert!(err.contains(names), "{names}: {err}");
+        let out = Command::new(env!("CARGO_BIN_EXE_db-lint"))
+            .arg("check")
+            .arg("--deny")
+            .arg(format!("--root={}", root.display()))
+            .output()
+            .expect("run db-lint");
+        assert_eq!(out.status.code(), Some(2), "{names}: `check --deny` exit");
     }
 }

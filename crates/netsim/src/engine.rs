@@ -5,13 +5,13 @@
 //! order. Most events never enter a heap: a packet arrival over one link
 //! direction, an ingress arrival and an ACK over one reverse-path delay
 //! are scheduled in time order, so each such stream is a FIFO *lane*
-//! (`EventQueue`) and a push onto a non-empty lane is an append. A 4-ary
-//! heap of 24-byte keys merges the lanes by their heads with the sends,
-//! ticks and injected failures: on a Geant2012 run ≈ 2 500 keys stand for
-//! ≈ 37 600 pending events. Per event the engine does one append or heap
-//! push, one pop (≈ log₄ of the key count levels of at most four
-//! compares) and O(1) model work. Packets are value types, so the hot path
-//! allocates only when a lane outgrows its capacity.
+//! (`EventQueue`) and a push onto a non-empty lane is an append. A
+//! `BinaryHeap` of 24-byte keys merges the lanes by their heads with the
+//! sends, ticks and injected failures: on a Geant2012 run ≈ 2 500 keys
+//! stand for ≈ 37 600 pending events. Per event the engine does one append
+//! or heap push, one pop (≈ log₂ of the key count levels) and O(1) model
+//! work. Packets are value types, so the hot path allocates only when a
+//! lane outgrows its capacity.
 //!
 //! Packet life cycle: `HostSend` at the source host → `Arrive` at the source
 //! switch (ingress) → per-hop `Arrive`s (each invoking the observer and then
@@ -30,7 +30,9 @@ use db_telemetry::flight::{DropKind, FlightRecord, FlightRecorder};
 use db_telemetry::scope::{hot, HotFn, ScopeRecorder};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::Pcg64;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -287,14 +289,31 @@ impl Key {
     /// any correct heap pops the same sequence. Compared as one 128-bit
     /// number: a null-observer Geant2012 run is ≈ 7 % faster than with the
     /// pair compared field by field.
-    fn before(&self, other: &Key) -> bool {
-        self.rank() < other.rank()
-    }
-
     fn rank(&self) -> u128 {
         u128::from(self.at.as_ns()) << 64 | u128::from(self.seq)
     }
 }
+
+/// Reversed, so that `BinaryHeap`, a max-heap, has the earliest key on top.
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        other.rank().cmp(&self.rank())
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl Eq for Key {}
 
 /// One event waiting in a lane.
 #[derive(Debug, Clone, Copy)]
@@ -304,8 +323,8 @@ struct Queued<T> {
     item: T,
 }
 
-// At 24 bytes four sibling keys share 96 bytes, and an ACK waits in as
-// little as its `(at, seq, flow)` needs.
+// A heap key and a waiting ACK are no more than their `(at, seq)` and a
+// 4-byte payload.
 const _: () = assert!(std::mem::size_of::<Key>() == 24);
 const _: () = assert!(std::mem::size_of::<Queued<u32>>() == 24);
 
@@ -315,14 +334,13 @@ const _: () = assert!(std::mem::size_of::<Queued<u32>>() == 24);
 /// ingress arrival (`now` plus a constant) and an ACK (`now` plus its
 /// flow's constant reverse-path delay). Each such stream is a FIFO lane —
 /// one per link direction, one for ingress, one per distinct ACK delay —
-/// holding its events inline, and its seqs rise with its times. The 4-ary
-/// min-heap holds one key per non-empty lane, its head's, beside the
-/// sends, ticks and control events, whose times are free: merging sorted
-/// lanes by `(at, seq)` pops exactly the order one heap of every event
-/// would.
+/// holding its events inline, and its seqs rise with its times. The heap
+/// holds one key per non-empty lane, its head's, beside the sends, ticks
+/// and control events, whose times are free: merging sorted lanes by
+/// `(at, seq)` pops exactly the order one heap of every event would.
 #[derive(Debug, Clone, Default)]
 struct EventQueue {
-    heap: Vec<Key>,
+    heap: BinaryHeap<Key>,
     /// Packet arrivals: lane 0 is ingress, the rest link directions.
     arrivals: Vec<VecDeque<Queued<Packet>>>,
     /// ACKs, one lane per distinct reverse-path delay.
@@ -337,7 +355,7 @@ struct EventQueue {
 impl EventQueue {
     fn new(arrival_lanes: usize, ack_lanes: usize, heap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(heap),
+            heap: BinaryHeap::with_capacity(heap),
             arrivals: vec![VecDeque::new(); arrival_lanes],
             acks: vec![VecDeque::new(); ack_lanes],
             ..Default::default()
@@ -364,7 +382,7 @@ impl EventQueue {
             }
         };
         self.len += 1;
-        self.sift_up(Key { at, seq, entry });
+        self.heap.push(Key { at, seq, entry });
     }
 
     /// Schedule a packet arrival at the tail of arrival lane `lane`.
@@ -372,7 +390,7 @@ impl EventQueue {
     fn push_arrival(&mut self, lane: u32, at: SimTime, seq: u64, pkt: Packet) {
         let q = Queued { at, seq, item: pkt };
         if lane_push(&mut self.arrivals[lane as usize], q) {
-            self.sift_up(Key {
+            self.heap.push(Key {
                 at,
                 seq,
                 entry: Entry::Arrivals(lane),
@@ -390,7 +408,7 @@ impl EventQueue {
             item: flow,
         };
         if lane_push(&mut self.acks[lane as usize], q) {
-            self.sift_up(Key {
+            self.heap.push(Key {
                 at,
                 seq,
                 entry: Entry::Acks(lane),
@@ -402,11 +420,12 @@ impl EventQueue {
     /// Remove and return the earliest event if `due` accepts its time.
     // db-lint: allow(hot-index) — a key names a live control slot or a non-empty lane
     fn pop_if(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, Ev)> {
-        let head = *self.heap.first()?;
-        if !due(head.at) {
+        let mut head = self.heap.peek_mut()?;
+        let key = *head;
+        if !due(key.at) {
             return None;
         }
-        let (ev, next) = match head.entry {
+        let (ev, next) = match key.entry {
             Entry::HostSend(flow) => (Ev::HostSend { flow }, None),
             Entry::Tick => (Ev::Tick, None),
             Entry::Control(i) => (self.control[i as usize], None),
@@ -421,61 +440,13 @@ impl EventQueue {
         };
         match next {
             // The lane's next event takes its head's place.
-            Some((at, seq)) => self.sift_down(Key {
-                at,
-                seq,
-                entry: head.entry,
-            }),
+            Some((at, seq)) => *head = Key { at, seq, ..key },
             None => {
-                let last = self.heap.pop()?;
-                if !self.heap.is_empty() {
-                    self.sift_down(last);
-                }
+                PeekMut::pop(head);
             }
         }
         self.len -= 1;
-        Some((head.at, ev))
-    }
-
-    /// Append `key` and move it up to its place.
-    // db-lint: allow(hot-index) — parent indices stay below the heap length
-    fn sift_up(&mut self, key: Key) {
-        let mut i = self.heap.len();
-        self.heap.push(key);
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if !key.before(&self.heap[parent]) {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = key;
-    }
-
-    /// Put `key` in the root's place and move it down to its place.
-    // db-lint: allow(hot-index) — child indices are checked against the heap length
-    fn sift_down(&mut self, key: Key) {
-        let n = self.heap.len();
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            for c in first + 1..(first + 4).min(n) {
-                if self.heap[c].before(&self.heap[min]) {
-                    min = c;
-                }
-            }
-            if !self.heap[min].before(&key) {
-                break;
-            }
-            self.heap[i] = self.heap[min];
-            i = min;
-        }
-        self.heap[i] = key;
+        Some((key.at, ev))
     }
 }
 

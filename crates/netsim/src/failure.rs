@@ -113,11 +113,6 @@ impl FailureScenario {
         self
     }
 
-    /// The earliest failure injection time, if any.
-    pub fn first_failure_at(&self) -> Option<SimTime> {
-        self.events.iter().map(|e| e.at).min()
-    }
-
     /// Ground truth: the set of links that are failure units at time `t`,
     /// expanded over node failures, sorted and deduplicated.
     pub fn failed_links_at(&self, topo: &Topology, t: SimTime) -> Vec<LinkId> {
@@ -166,7 +161,6 @@ mod tests {
             s.failed_links_at(&topo, SimTime::from_ms(50)),
             vec![LinkId(1)]
         );
-        assert_eq!(s.first_failure_at(), Some(SimTime::from_ms(50)));
     }
 
     #[test]

@@ -166,7 +166,6 @@ pub struct SweepBuilder<'a> {
     workers: usize,
     checkpoint: Option<PathBuf>,
     resume: bool,
-    retry_failed: bool,
     stop_after: Option<usize>,
     progress: bool,
     flight: Option<usize>,
@@ -197,7 +196,6 @@ impl<'a> SweepBuilder<'a> {
             workers: 0,
             checkpoint: None,
             resume: false,
-            retry_failed: false,
             stop_after: None,
             progress: false,
             flight: None,
@@ -267,14 +265,6 @@ impl<'a> SweepBuilder<'a> {
     /// [`SweepError::ConfigMismatch`].
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// On resume, re-run units the checkpoint recorded as failed (the
-    /// default keeps their failure records — a deterministic panic would
-    /// just fail again).
-    pub fn retry_failed(mut self, retry: bool) -> Self {
-        self.retry_failed = retry;
         self
     }
 
@@ -482,12 +472,7 @@ impl<'a> SweepBuilder<'a> {
         if self.resume {
             if let Some(path) = &self.checkpoint {
                 if path.exists() {
-                    let (found, units) = self.load_checkpoint(path, &header)?;
-                    let _ = found;
-                    for u in units {
-                        if self.retry_failed && u.error().is_some() {
-                            continue;
-                        }
+                    for u in self.load_checkpoint(path, &header)? {
                         known.insert(u.unit, u);
                     }
                     resuming_file = true;
@@ -594,7 +579,7 @@ impl<'a> SweepBuilder<'a> {
         &self,
         path: &Path,
         header: &CheckpointHeader,
-    ) -> Result<(CheckpointHeader, Vec<UnitOutcome>), SweepError> {
+    ) -> Result<Vec<UnitOutcome>, SweepError> {
         let contents = std::fs::read_to_string(path).map_err(|source| SweepError::Io {
             path: path.to_path_buf(),
             source,
@@ -610,6 +595,6 @@ impl<'a> SweepBuilder<'a> {
                 found: found.fingerprint,
             });
         }
-        Ok((found, units))
+        Ok(units)
     }
 }

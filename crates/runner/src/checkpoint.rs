@@ -26,6 +26,7 @@
 
 use crate::job::{UnitOutcome, UnitStatus};
 use db_telemetry::json_escape;
+use db_telemetry::scope::{parse_json, Json};
 use db_util::sync::lock_recover;
 use db_util::wire::{from_hex, to_hex};
 use std::fs::{File, OpenOptions};
@@ -100,78 +101,39 @@ fn unit_line(u: &UnitOutcome) -> String {
 }
 
 // ---- line parsing ---------------------------------------------------------
-//
-// The loader only ever reads files this module wrote, so it parses the
-// known shapes rather than carrying a general JSON parser: locate a key,
-// then read either a bare token or an escaped string.
 
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // String value: scan to the first unescaped quote.
-        let bytes = stripped.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(&stripped[..i]),
-                _ => i += 1,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(&rest[..end])
-    }
+/// Field `key` of a parsed line.
+fn field<'a>(line: &'a Json, key: &str) -> Result<&'a Json, String> {
+    line.get(key)
+        .ok_or_else(|| format!("missing \"{key}\" field"))
 }
 
-fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = (&mut chars).take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
+/// String field `key` of a parsed line.
+fn str_field<'a>(line: &'a Json, key: &str) -> Result<&'a str, String> {
+    field(line, key)?
+        .as_str()
+        .ok_or_else(|| format!("non-string \"{key}\" field"))
 }
 
-fn parse_header(line: &str) -> Result<CheckpointHeader, CheckpointError> {
-    let v: u64 = raw_field(line, "v")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| err(1, "missing version field"))?;
+/// Unsigned integer field `key` of a parsed line.
+fn u64_field(line: &Json, key: &str) -> Result<u64, String> {
+    field(line, key)?
+        .as_u64()
+        .ok_or_else(|| format!("non-numeric \"{key}\" field"))
+}
+
+fn parse_header(line: &str) -> Result<CheckpointHeader, String> {
+    let j = parse_json(line)?;
+    let v = u64_field(&j, "v")?;
     if v != VERSION {
-        return Err(err(1, format!("unsupported checkpoint version {v}")));
+        return Err(format!("unsupported checkpoint version {v}"));
     }
-    let sweep = raw_field(line, "sweep")
-        .and_then(json_unescape)
-        .ok_or_else(|| err(1, "missing sweep name"))?;
-    let fingerprint = raw_field(line, "fingerprint")
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| err(1, "missing or malformed fingerprint"))?;
-    let units = raw_field(line, "units")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| err(1, "missing unit count"))?;
+    let fingerprint = str_field(&j, "fingerprint")?;
     Ok(CheckpointHeader {
-        sweep,
-        fingerprint,
-        units,
+        sweep: str_field(&j, "sweep")?.to_string(),
+        fingerprint: u64::from_str_radix(fingerprint, 16)
+            .map_err(|_| format!("malformed fingerprint {fingerprint:?}"))?,
+        units: u64_field(&j, "units")? as usize,
     })
 }
 
@@ -180,24 +142,18 @@ fn parse_header(line: &str) -> Result<CheckpointHeader, CheckpointError> {
 /// carried by [`db_util::wire::WireError`]. The caller attaches the line
 /// number.
 fn parse_unit(line: &str) -> Result<UnitOutcome, String> {
-    let unit: usize = raw_field(line, "unit")
-        .ok_or("missing \"unit\" field")?
-        .parse()
-        .map_err(|_| "non-numeric \"unit\" field")?;
-    let status = raw_field(line, "status").ok_or("missing \"status\" field")?;
-    let status = match status {
+    let j = parse_json(line)?;
+    let unit = u64_field(&j, "unit")? as usize;
+    let status = match str_field(&j, "status")? {
         "done" => {
-            let hex = raw_field(line, "outcome").ok_or("missing \"outcome\" field")?;
+            let hex = str_field(&j, "outcome")?;
             let bytes =
                 from_hex(hex).ok_or_else(|| format!("malformed outcome hex ({hex:.16}…)"))?;
             let outcome = db_core::wire::decode_outcome(&bytes)
                 .map_err(|e| format!("outcome does not decode: {e}"))?;
             UnitStatus::Done(outcome)
         }
-        "failed" => UnitStatus::Failed(
-            json_unescape(raw_field(line, "error").ok_or("missing \"error\" field")?)
-                .ok_or("bad escape in \"error\" field")?,
-        ),
+        "failed" => UnitStatus::Failed(str_field(&j, "error")?.to_string()),
         other => return Err(format!("unknown status {other:?}")),
     };
     Ok(UnitOutcome { unit, status })
@@ -210,7 +166,7 @@ fn parse_unit(line: &str) -> Result<UnitOutcome, String> {
 pub fn parse(contents: &str) -> Result<(CheckpointHeader, Vec<UnitOutcome>), CheckpointError> {
     let mut lines = contents.lines().enumerate();
     let (_, first) = lines.next().ok_or_else(|| err(0, "checkpoint is empty"))?;
-    let header = parse_header(first)?;
+    let header = parse_header(first).map_err(|why| err(1, format!("bad header: {why}")))?;
     let mut by_unit: std::collections::BTreeMap<usize, UnitOutcome> = Default::default();
     let mut pending: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
     let last = pending.pop();
@@ -438,8 +394,20 @@ mod tests {
 
     #[test]
     fn unescape_handles_unicode_escapes() {
-        assert_eq!(json_unescape("a\\u0007b").unwrap(), "a\u{7}b");
-        assert_eq!(json_unescape("\\\"\\\\\\n").unwrap(), "\"\\\n");
-        assert!(json_unescape("\\q").is_none());
+        let h = header();
+        let failed = UnitOutcome {
+            unit: 1,
+            status: UnitStatus::Failed("é \"quoted\"\nnext line".into()),
+        };
+        // Written by this module, and as another writer may escape it.
+        let escaped = "{\"unit\":2,\"status\":\"failed\",\"error\":\"\\u00e9\\u0007\"}";
+        let text = format!("{}\n{}\n{escaped}\n", header_line(&h), unit_line(&failed));
+        let (_, units) = parse(&text).unwrap();
+        assert_eq!(units[0], failed);
+        assert_eq!(units[1].error(), Some("é\u{7}"));
+        // An unknown escape mid-file is corruption.
+        let bad = "{\"unit\":2,\"status\":\"failed\",\"error\":\"\\q\"}";
+        let text = format!("{}\n{bad}\n{}\n", header_line(&h), unit_line(&failed));
+        assert_eq!(parse(&text).unwrap_err().line, 2);
     }
 }

@@ -42,9 +42,9 @@ impl Client {
 
     /// Attach to the daemon's engine for `topo` (the first `Hello` for a
     /// topology trains it, so this can take a while). `density` and `seed`
-    /// matter only to the `Hello` that builds the engine; `window_cap` 0
-    /// takes the daemon's default. A refusal is an error carrying the
-    /// daemon's text.
+    /// matter only to the `Hello` that builds the engine, as does
+    /// `window_cap` (0 = unbounded retention). A refusal is an error
+    /// carrying the daemon's text.
     pub fn hello(
         &mut self,
         topo: &str,

@@ -137,7 +137,7 @@ pub enum Frame {
     /// the monitored traffic matrix from `density`/`seed` exactly as the
     /// batch runner does, so a recorded trace with the same parameters
     /// replays cleanly. `window_cap` > 0 bounds carrier retention to that
-    /// many monitoring windows (0 = server default).
+    /// many monitoring windows (0 = unbounded).
     Hello {
         /// Must equal [`PROTO_VERSION`].
         proto: u8,
@@ -147,7 +147,7 @@ pub enum Frame {
         density: f64,
         /// Traffic generation seed.
         seed: u64,
-        /// Carrier retention bound in windows (0 = server default).
+        /// Carrier retention bound in windows (0 = unbounded).
         window_cap: u32,
     },
     /// Register one extra flow (id, RTT, and its routed path) with every

@@ -330,7 +330,6 @@ pub(crate) struct Shared {
     pub(crate) snapshot: Option<PathBuf>,
     /// Held across one snapshot file write (see [`Shared::persist`]).
     persist_lock: Mutex<()>,
-    default_window_cap: u32,
     pub(crate) stopping: AtomicBool,
     /// Daemon-wide metrics, served by the Prometheus endpoint.
     pub(crate) reg: Arc<MetricsRegistry>,
@@ -342,7 +341,6 @@ impl Shared {
             engines: Mutex::new(HashMap::new()),
             snapshot: opts.snapshot.clone(),
             persist_lock: Mutex::new(()),
-            default_window_cap: opts.window_cap,
             stopping: AtomicBool::new(false),
             reg: Arc::new(MetricsRegistry::new()),
         }
@@ -440,13 +438,8 @@ impl Shared {
                 prep.topo.link_count(),
             );
         }
-        let cap = if window_cap > 0 {
-            window_cap
-        } else {
-            self.default_window_cap
-        };
-        if cap > 0 {
-            engine.set_retention(cap);
+        if window_cap > 0 {
+            engine.set_retention(window_cap);
         }
         let mut restored = false;
         if let Some(path) = &self.snapshot {

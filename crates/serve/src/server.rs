@@ -32,46 +32,20 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-/// Default listen address when neither `--addr` nor `DB_SERVE_ADDR` is set.
+/// Listen address when `--addr` is not given.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7117";
 
-/// Daemon configuration, resolved from CLI flags and environment.
+/// Daemon configuration, resolved from CLI flags.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Listen address (`DB_SERVE_ADDR` overrides the default).
+    /// Listen address.
     pub addr: String,
     /// Snapshot file: restored at engine build, written on
     /// `SnapshotReq`/`Shutdown`.
     pub snapshot: Option<PathBuf>,
-    /// Default carrier-retention bound in monitoring windows for engines
-    /// whose `Hello` leaves `window_cap` at 0 (`DB_SERVE_WINDOW_CAP`;
-    /// 0 = unbounded).
-    pub window_cap: u32,
     /// Bind a std-only HTTP scrape endpoint serving the daemon's metrics
-    /// in Prometheus text format (`DB_SERVE_PROM_ADDR` / `--prom-addr`;
-    /// `None` = no endpoint).
+    /// in Prometheus text format (`None` = no endpoint).
     pub prom_addr: Option<String>,
-}
-
-impl ServeOptions {
-    /// Defaults with `DB_SERVE_ADDR` / `DB_SERVE_WINDOW_CAP` /
-    /// `DB_SERVE_PROM_ADDR` applied.
-    pub fn from_env() -> Self {
-        let addr = std::env::var("DB_SERVE_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.to_string());
-        let window_cap = std::env::var("DB_SERVE_WINDOW_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let prom_addr = std::env::var("DB_SERVE_PROM_ADDR")
-            .ok()
-            .filter(|v| !v.is_empty());
-        ServeOptions {
-            addr,
-            snapshot: None,
-            window_cap,
-            prom_addr,
-        }
-    }
 }
 
 /// The wire form of a recorded [`Observation`]; [`flow_record`] inverts it.
@@ -457,7 +431,6 @@ pub(crate) mod tests {
         ServeOptions {
             addr: "127.0.0.1:0".into(),
             snapshot: None,
-            window_cap: 0,
             prom_addr: None,
         }
     }

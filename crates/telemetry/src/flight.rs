@@ -732,14 +732,6 @@ impl Recording {
         let bytes = std::fs::read(path)?;
         Recording::from_bytes(&bytes)
     }
-
-    /// The run header, if the recording still holds it. A ring that wrapped
-    /// far enough can evict it; callers must handle `None`.
-    pub fn run_meta(&self) -> Option<&FlightRecord> {
-        self.records
-            .iter()
-            .find(|r| matches!(r, FlightRecord::RunMeta { .. }))
-    }
 }
 
 #[cfg(test)]
@@ -822,7 +814,6 @@ mod tests {
         let back = Recording::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.records, sample_records());
-        assert!(back.run_meta().is_some());
     }
 
     #[test]
@@ -871,7 +862,6 @@ mod tests {
         assert_eq!(rec.dropped(), 96);
         let snap = rec.snapshot();
         assert!(matches!(snap.records[0], FlightRecord::RunMeta { .. }));
-        assert!(snap.run_meta().is_some());
         // A second RunMeta is not pinned (first wins) and rides the ring.
         rec.record(records[0].clone());
         let snap2 = rec.snapshot();

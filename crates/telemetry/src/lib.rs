@@ -56,8 +56,7 @@ pub use export::{
 };
 pub use flight::{DropKind, FlightError, FlightRecord, FlightRecorder, Recording};
 pub use registry::{
-    BoundsMismatch, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot,
-    Timing, TimingSnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot, Timing, TimingSnapshot,
 };
 pub use scope::{hot, HotFn, ScopeMeta, ScopePoint, ScopeRecorder, SeriesKind, TraceData};
 pub use span::Span;

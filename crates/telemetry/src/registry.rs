@@ -196,11 +196,8 @@ impl MetricsRegistry {
     /// bucket bounds (an overflow bucket is added automatically). Bounds are
     /// frozen by the **first** registration; later calls return the same
     /// histogram and their `bounds` argument is ignored — so two call sites
-    /// registering the same name with different bucket layouts silently
-    /// share the first layout. Use [`try_histogram`] when that situation
-    /// should be an error instead of a silent merge.
-    ///
-    /// [`try_histogram`]: MetricsRegistry::try_histogram
+    /// registering the same name with different bucket layouts share the
+    /// first layout.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         let mut inner = lock_recover(&self.inner);
         inner
@@ -208,33 +205,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))
             .clone()
-    }
-
-    /// Like [`histogram`], but refuses to hand out a histogram whose frozen
-    /// bucket layout differs from `bounds`. Bounds are compared in
-    /// normalized form (sorted, deduplicated) — the same normalization
-    /// registration applies — so argument order and duplicates don't cause
-    /// spurious mismatches.
-    ///
-    /// [`histogram`]: MetricsRegistry::histogram
-    pub fn try_histogram(&self, name: &str, bounds: &[u64]) -> Result<Histogram, BoundsMismatch> {
-        let mut normalized = bounds.to_vec();
-        normalized.sort_unstable();
-        normalized.dedup();
-        let mut inner = lock_recover(&self.inner);
-        if let Some(existing) = inner.histograms.get(name) {
-            if existing.0.bounds != normalized {
-                return Err(BoundsMismatch {
-                    name: name.to_string(),
-                    existing: existing.0.bounds.clone(),
-                    requested: normalized,
-                });
-            }
-            return Ok(existing.clone());
-        }
-        let h = Histogram::new(&normalized);
-        inner.histograms.insert(name.to_string(), h.clone());
-        Ok(h)
     }
 
     /// Get or create the phase-timing accumulator `name`.
@@ -296,31 +266,6 @@ impl std::fmt::Debug for MetricsRegistry {
             .finish()
     }
 }
-
-/// A histogram name was re-registered with a different bucket layout
-/// (see [`MetricsRegistry::try_histogram`]). Both bound lists are in
-/// normalized (sorted, deduplicated) form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundsMismatch {
-    /// The contested histogram name.
-    pub name: String,
-    /// Bounds frozen by the first registration.
-    pub existing: Vec<u64>,
-    /// Bounds the rejected call asked for.
-    pub requested: Vec<u64>,
-}
-
-impl std::fmt::Display for BoundsMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "histogram {:?} is already registered with bounds {:?}; refusing conflicting bounds {:?}",
-            self.name, self.existing, self.requested
-        )
-    }
-}
-
-impl std::error::Error for BoundsMismatch {}
 
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -529,31 +474,6 @@ mod tests {
         let snap = &reg.snapshot().histograms[0].1;
         assert_eq!(snap.bounds, vec![10, 100]);
         assert_eq!(snap.count, 2);
-    }
-
-    #[test]
-    fn try_histogram_rejects_conflicting_bounds() {
-        let reg = MetricsRegistry::new();
-        let a = reg.try_histogram("x.h", &[10, 100]).expect("first");
-        // Same bounds modulo normalization: fine, same cell.
-        let b = reg
-            .try_histogram("x.h", &[100, 10, 10])
-            .expect("same normalized bounds");
-        a.record(1);
-        b.record(2);
-        assert_eq!(a.count(), 2);
-        // Different bounds: a structured error naming both layouts.
-        let err = reg.try_histogram("x.h", &[7]).unwrap_err();
-        assert_eq!(err.name, "x.h");
-        assert_eq!(err.existing, vec![10, 100]);
-        assert_eq!(err.requested, vec![7]);
-        assert!(err.to_string().contains("x.h"));
-        // The failed call registered nothing and mutated nothing.
-        assert_eq!(reg.snapshot().histograms.len(), 1);
-        // try_histogram also sees (and agrees with) plain histogram().
-        let c = reg.histogram("x.h", &[999]);
-        c.record(3);
-        assert_eq!(a.count(), 3);
     }
 
     #[test]

@@ -208,13 +208,6 @@ impl SeriesKind {
         }
     }
 
-    /// Inverse of [`SeriesKind::as_str`]. Not the `FromStr` trait: lookup of
-    /// a known name returns `Option`, there is no error payload to carry.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<SeriesKind> {
-        SeriesKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-
     /// Series keyed by link ID (vs switch ID or the global queue).
     pub fn is_link(self) -> bool {
         matches!(
@@ -863,6 +856,7 @@ const MAX_JSON_DEPTH: usize = 128;
 /// Parse a JSON document. Errors carry a byte offset and a short reason.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -877,6 +871,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -1029,13 +1024,12 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf8".to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }

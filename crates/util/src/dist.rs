@@ -6,8 +6,8 @@
 //!   the PPBP model \[32\].
 //! * **Pareto** burst durations — the heavy tail that makes aggregate PPBP
 //!   traffic self-similar.
-//! * **Log-normal / bounded Pareto** flow volumes — "the total bytes
-//!   transmitted by the generated flows obey long-tailed distribution".
+//! * **Bounded Pareto** flow volumes — "the total bytes transmitted by the
+//!   generated flows obey long-tailed distribution".
 //!
 //! All samplers draw from a [`Pcg64`] so the whole workload is reproducible.
 
@@ -113,57 +113,6 @@ impl BoundedPareto {
     }
 }
 
-/// Log-normal distribution parameterized by the mean `mu` and standard
-/// deviation `sigma` of the underlying normal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Create a log-normal distribution. Panics unless `sigma >= 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            sigma >= 0.0 && sigma.is_finite(),
-            "LogNormal: sigma must be non-negative"
-        );
-        LogNormal { mu, sigma }
-    }
-
-    /// Sample via Box-Muller on the underlying normal.
-    pub fn sample(&self, rng: &mut Pcg64) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-}
-
-/// One draw from the standard normal distribution (Box-Muller transform).
-pub fn standard_normal(rng: &mut Pcg64) -> f64 {
-    let u1 = rng.f64_open();
-    let u2 = rng.f64();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// One draw from Poisson(`lambda`) by exponential-gap counting (suitable for
-/// the small rates used per sampling interval).
-pub fn poisson(rng: &mut Pcg64, lambda: f64) -> u64 {
-    assert!(
-        lambda >= 0.0 && lambda.is_finite(),
-        "poisson: lambda must be non-negative"
-    );
-    if lambda == 0.0 {
-        return 0;
-    }
-    let limit = (-lambda).exp();
-    let mut product = rng.f64_open();
-    let mut count = 0u64;
-    while product > limit {
-        product *= rng.f64_open();
-        count += 1;
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,47 +193,5 @@ mod tests {
         let median = xs[xs.len() / 2];
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(mean > 3.0 * median, "mean {mean} vs median {median}");
-    }
-
-    #[test]
-    fn lognormal_median_is_exp_mu() {
-        let d = LogNormal::new(2.0, 0.7);
-        let mut rng = Pcg64::new(7);
-        let mut xs: Vec<f64> = (0..200_000).map(|_| d.sample(&mut rng)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[xs.len() / 2];
-        let expect = 2.0f64.exp();
-        assert!(
-            (median - expect).abs() / expect < 0.03,
-            "median {median}, expected {expect}"
-        );
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = Pcg64::new(8);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.02, "variance was {var}");
-    }
-
-    #[test]
-    fn poisson_mean_matches() {
-        let mut rng = Pcg64::new(9);
-        let n = 100_000;
-        let total: u64 = (0..n).map(|_| poisson(&mut rng, 3.5)).sum();
-        let m = total as f64 / n as f64;
-        assert!((m - 3.5).abs() < 0.05, "mean was {m}");
-    }
-
-    #[test]
-    fn poisson_zero_rate_is_zero() {
-        let mut rng = Pcg64::new(10);
-        for _ in 0..100 {
-            assert_eq!(poisson(&mut rng, 0.0), 0);
-        }
     }
 }

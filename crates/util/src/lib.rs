@@ -7,7 +7,7 @@
 //!   `(topology, seed, config)`, so we carry our own generator instead of
 //!   depending on a crate whose stream may change between versions.
 //! * [`dist`] — inverse-CDF samplers for the distributions the paper's traffic
-//!   model needs (exponential, Pareto, log-normal, …).
+//!   model needs (exponential, Pareto, bounded Pareto).
 //! * [`hash`] — a deterministic multiply-mix hasher for the per-packet
 //!   `(flow, seq)` carrier tables of `db-core` (no per-process seed, no
 //!   SipHash).

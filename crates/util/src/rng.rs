@@ -101,15 +101,6 @@ impl Pcg64 {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`. Panics if `lo > hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "Pcg64::range_u64: lo must not exceed hi");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `usize` in `[0, bound)`.
     pub fn index(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
@@ -273,20 +264,6 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn below_rejects_zero_bound() {
         Pcg64::new(0).below(0);
-    }
-
-    #[test]
-    fn range_u64_inclusive_bounds() {
-        let mut rng = Pcg64::new(77);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..10_000 {
-            let v = rng.range_u64(3, 5);
-            assert!((3..=5).contains(&v));
-            seen_lo |= v == 3;
-            seen_hi |= v == 5;
-        }
-        assert!(seen_lo && seen_hi);
     }
 
     #[test]

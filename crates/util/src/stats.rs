@@ -21,11 +21,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Population skewness (Fisher-Pearson, `m3 / m2^(3/2)`); 0.0 when undefined.
 pub fn skewness(xs: &[f64]) -> f64 {
     if xs.len() < 3 {
@@ -194,7 +189,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
         assert_eq!(variance(&xs), 4.0);
-        assert_eq!(std_dev(&xs), 2.0);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl TextTable {
         self
     }
 
-    /// Append a row of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows so far.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -154,14 +148,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = TextTable::new("", &["a", "b"]);
-        t.row_display(&[1.5, 2.0]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

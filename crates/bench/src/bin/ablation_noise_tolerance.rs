@@ -63,7 +63,7 @@ fn main() {
                 s.seed(0xAB3E)
                     .sys(SystemConfig {
                         warning,
-                        interval: prep.interval,
+                        interval: prep.wcfg.interval,
                         ..Default::default()
                     })
                     .background_loss(loss)

@@ -27,7 +27,7 @@ fn main() {
         let outcomes = run_sweep(&format!("fig11-{name}"), prep, |s| {
             s.seed(0xB11)
                 .sys(SystemConfig {
-                    interval: prep.interval,
+                    interval: prep.wcfg.interval,
                     ratio_sampling: 4,
                     ..Default::default()
                 })

@@ -45,7 +45,7 @@ fn main() {
             s.seed(0xD13)
                 .sys(SystemConfig {
                     k,
-                    interval: prep.interval,
+                    interval: prep.wcfg.interval,
                     ..Default::default()
                 })
                 // Ambient jitter loss: with pristine traffic every k

@@ -187,12 +187,14 @@ mod tests {
             },
         );
         let outcomes = run_sweep("bench-failed-unit", &prep, |s| {
-            s.scenario(ScenarioKind::None)
+            s.scenarios([
+                ScenarioKind::None,
                 // More failed links than the grid has: `build` panics.
-                .scenario(ScenarioKind::RandomLinks {
+                ScenarioKind::RandomLinks {
                     count: usize::MAX,
                     seed: 0,
-                })
+                },
+            ])
         });
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].ground_truth.is_empty());

@@ -15,11 +15,28 @@ use db_topology::{CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology}
 use db_util::Pcg64;
 use std::sync::Arc;
 
-/// Training pipeline configuration.
+/// Sampling interval (§6.3: 4 ms).
+const INTERVAL: SimTime = SimTime::from_ms(4);
+
+/// Master seed of the training scenarios, the split and the balance.
+const SEED: u64 = 0xD81F7;
+
+/// CART hyperparameters. The training split is already rebalanced to 4:1;
+/// letting the tree auto-weight on top of that would double-count the
+/// imbalance correction and crush normal recall.
+const TREE: TrainConfig = TrainConfig {
+    abnormal_weight: Some(2.0),
+    max_depth: 10,
+    min_samples_leaf: 60,
+    min_gain: 1e-5,
+};
+
+/// Majority-class cap for the training split (normal ≤ ratio × abnormal).
+const BALANCE_RATIO: f64 = 4.0;
+
+/// Training pipeline configuration: how much is simulated to train on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrepareConfig {
-    /// Sampling interval (§6.3: 4 ms).
-    pub interval: SimTime,
     /// Flow density of the training workloads.
     pub train_density: f64,
     /// Number of single-link-failure training scenarios (sampled links).
@@ -28,34 +45,15 @@ pub struct PrepareConfig {
     pub n_node_scenarios: usize,
     /// Number of failure-free training scenarios.
     pub n_healthy: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// CART hyperparameters.
-    pub tree: TrainConfig,
-    /// Majority-class cap for the training split (normal ≤ ratio × abnormal).
-    pub balance_ratio: f64,
 }
 
 impl Default for PrepareConfig {
     fn default() -> Self {
         PrepareConfig {
-            interval: SimTime::from_ms(4),
             train_density: 0.5,
             n_link_scenarios: 8,
             n_node_scenarios: 2,
             n_healthy: 2,
-            seed: 0xD81F7,
-            // The training split is already rebalanced to 4:1; letting the
-            // tree auto-weight on top of that would double-count the
-            // imbalance correction and crush normal recall.
-            tree: TrainConfig {
-                abnormal_weight: Some(2.0),
-                max_depth: 10,
-                min_samples_leaf: 60,
-                min_gain: 1e-5,
-                ..TrainConfig::default()
-            },
-            balance_ratio: 4.0,
         }
     }
 }
@@ -81,8 +79,6 @@ pub struct Prepared {
     pub train_samples: usize,
     /// Held-out sample count.
     pub test_samples: usize,
-    /// Sampling interval in use.
-    pub interval: SimTime,
 }
 
 /// Experiment timeline derived from the monitoring window: failure injection
@@ -140,8 +136,8 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         ondemand.set_metrics(reg);
     }
     let routes: Arc<dyn Routes> = Arc::new(ondemand);
-    let wcfg = WindowConfig::for_network_auto(routes.as_ref(), cfg.interval);
-    let mut rng = Pcg64::new_stream(cfg.seed, 0x7EA1);
+    let wcfg = WindowConfig::for_network_auto(routes.as_ref(), INTERVAL);
+    let mut rng = Pcg64::new_stream(SEED, 0x7EA1);
     let start_spread = TrafficConfig::default().start_spread;
     let (t_fail, _, _) = timeline(&wcfg, start_spread);
 
@@ -170,13 +166,13 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
             Some((l, n))
         };
         for i in 0..cfg.n_link_scenarios {
-            let seed = cfg.seed ^ (i as u64 + 1);
+            let seed = SEED ^ (i as u64 + 1);
             if let Some((l, _)) = scale_pick(&mut rng, seed) {
                 scenarios.push((FailureScenario::single_link(l, t_fail), seed));
             }
         }
         for i in 0..cfg.n_node_scenarios {
-            let seed = cfg.seed ^ (0x100 + i as u64);
+            let seed = SEED ^ (0x100 + i as u64);
             if let Some((_, n)) = scale_pick(&mut rng, seed) {
                 scenarios.push((FailureScenario::node(n, t_fail), seed));
             }
@@ -189,7 +185,7 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         for (i, l) in link_picks.into_iter().enumerate() {
             scenarios.push((
                 FailureScenario::single_link(LinkId(l as u16), t_fail),
-                cfg.seed ^ (i as u64 + 1),
+                SEED ^ (i as u64 + 1),
             ));
         }
         let node_picks = rng.sample_indices(
@@ -199,12 +195,12 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         for (i, n) in node_picks.into_iter().enumerate() {
             scenarios.push((
                 FailureScenario::node(NodeId(n as u16), t_fail),
-                cfg.seed ^ (0x100 + i as u64),
+                SEED ^ (0x100 + i as u64),
             ));
         }
     }
     for i in 0..cfg.n_healthy {
-        scenarios.push((FailureScenario::none(), cfg.seed ^ (0x200 + i as u64)));
+        scenarios.push((FailureScenario::none(), SEED ^ (0x200 + i as u64)));
     }
 
     // Simulate in parallel; merge datasets.
@@ -227,15 +223,15 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
     // 3:1 split, balance the training side, train, compile. The split and
     // the balance pick sample indices; only the picked training examples
     // are gathered, and the test side is read in place.
-    let mut split_rng = Pcg64::new_stream(cfg.seed, 0x5711);
+    let mut split_rng = Pcg64::new_stream(SEED, 0x5711);
     let (train, test) = full.split(0.75, &mut split_rng);
-    let train = full.balanced(train, cfg.balance_ratio, &mut split_rng);
+    let train = full.balanced(train, BALANCE_RATIO, &mut split_rng);
     let sample = |i: &usize| {
         let (row, label) = full.get(*i);
         (&row.features, label)
     };
     let examples: Vec<_> = train.iter().map(sample).map(|(x, l)| (*x, l)).collect();
-    let tree = DecisionTree::train(&examples, &cfg.tree);
+    let tree = DecisionTree::train(&examples, &TREE);
     let table = TableClassifier::compile(&tree);
     let confusion = ConfusionMatrix::evaluate(test.iter().map(sample), |x| table.classify(x));
     Prepared {
@@ -247,7 +243,6 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         confusion,
         train_samples: train.len(),
         test_samples: test.len(),
-        interval: cfg.interval,
     }
 }
 
@@ -262,7 +257,6 @@ mod tests {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         }
     }
 

@@ -1,5 +1,5 @@
 //! The incremental Drift-Bottle engine — the streaming face of
-//! [`DriftBottleSystem`](crate::system::DriftBottleSystem).
+//! [`DriftBottleSystem`].
 //!
 //! The batch pipeline ([`crate::experiment::run_scenario`]) owns the whole
 //! simulate → monitor → classify → infer loop: the simulator drives the

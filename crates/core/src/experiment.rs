@@ -179,18 +179,6 @@ impl<'a> ScenarioSetupBuilder<'a> {
         self
     }
 
-    /// Warning thresholds (equation (1)).
-    pub fn warning(mut self, warning: db_inference::WarningConfig) -> Self {
-        self.sys.warning = warning;
-        self
-    }
-
-    /// Sample one in `n` aggregations for the Fig.-11 CDFs (0 disables).
-    pub fn ratio_sampling(mut self, n: u32) -> Self {
-        self.sys.ratio_sampling = n;
-        self
-    }
-
     /// The variants to compare (replaces the default flagship-only list).
     pub fn variants(mut self, variants: Vec<VariantSpec>) -> Self {
         self.variants = variants;
@@ -243,7 +231,7 @@ impl<'a> ScenarioSetup<'a> {
             density: 1.0,
             seed: 0,
             sys: SystemConfig {
-                interval: prep.interval,
+                interval: prep.wcfg.interval,
                 ..Default::default()
             },
             variants: vec![VariantSpec::drift_bottle()],
@@ -328,7 +316,6 @@ fn healthy<'a>(
         end,
         tick_interval: prep.wcfg.interval,
         background_loss: setup.background_loss,
-        ..Default::default()
     };
     // Batch runs on the incremental engine: the engine is the observer the
     // simulator drives, so the batch and streaming paths share one pipeline
@@ -448,19 +435,6 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
             }
         })
         .collect::<Vec<VariantResult>>();
-    for v in &variants {
-        db_telemetry::event!(
-            db_telemetry::Level::Info,
-            "experiment.scenario",
-            "variant scored",
-            variant = v.name,
-            failed = ground_truth.len(),
-            reported = v.reported.len(),
-            raises = v.raises,
-            recall = v.metrics.recall,
-            precision = v.metrics.precision,
-        );
-    }
     ScenarioOutcome {
         ground_truth,
         t_fail,
@@ -687,7 +661,6 @@ pub(crate) mod tests {
                     n_node_scenarios: 1,
                     n_healthy: 1,
                     train_density: 1.0,
-                    ..Default::default()
                 },
             )
         })

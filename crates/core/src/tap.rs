@@ -357,7 +357,7 @@ impl Tap {
     }
 
     /// Centralized variant `vi`'s DCA accused `link`. DCA reports carry no
-    /// hop/weight context: count the raise and log the accused link only.
+    /// hop/weight context: buffer and count the raise only.
     pub(crate) fn dca_report(&mut self, vi: usize, now: SimTime, link: LinkId) {
         if let Some(buf) = &mut self.live {
             buf.push(Warning {
@@ -374,13 +374,6 @@ impl Tap {
         }
         if let Some(m) = &self.metrics {
             m.inference.warnings.inc();
-            db_telemetry::event!(
-                db_telemetry::Level::Warn,
-                "inference.warning",
-                "dca report",
-                switch = DCA_NODE.0,
-                link = link.0,
-            );
         }
     }
 }

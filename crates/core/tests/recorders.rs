@@ -84,7 +84,6 @@ fn every_recorder_combination_records_what_it_records_alone() {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     let bare = run(&prep, false, false, false);

@@ -30,7 +30,6 @@ fn grid_prep() -> Prepared {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     )
 }

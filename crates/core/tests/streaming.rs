@@ -331,7 +331,6 @@ fn grid_prep() -> &'static Prepared {
                 n_node_scenarios: 1,
                 n_healthy: 1,
                 train_density: 1.0,
-                ..Default::default()
             },
         )
     })
@@ -360,7 +359,6 @@ fn streaming_matches_run_scenario_on_trained_grid() {
         end,
         tick_interval: prep.wcfg.interval,
         background_loss: setup.background_loss,
-        ..Default::default()
     };
     let mut sim = Simulator::new(
         &prep.topo,

@@ -21,10 +21,11 @@ pub struct TrainConfig {
     /// Weight of abnormal samples relative to normal ones; `None` balances
     /// classes automatically from the training set.
     pub abnormal_weight: Option<f64>,
-    /// Maximum number of candidate thresholds evaluated per feature
-    /// (quantile-spaced); bounds training time on large datasets.
-    pub max_candidates: usize,
 }
+
+/// Maximum number of candidate thresholds evaluated per feature
+/// (quantile-spaced); bounds training time on large datasets.
+const MAX_CANDIDATES: usize = 48;
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -33,7 +34,6 @@ impl Default for TrainConfig {
             min_samples_leaf: 8,
             min_gain: 1e-7,
             abnormal_weight: None,
-            max_candidates: 48,
         }
     }
 }
@@ -237,7 +237,7 @@ fn build(
         }
         // Candidate thresholds: walk the sorted values, evaluating at value
         // changes; subsample positions when there are too many.
-        let stride = (idx.len() / cfg.max_candidates).max(1);
+        let stride = (idx.len() / MAX_CANDIDATES).max(1);
         let mut ln = 0.0;
         let mut la = 0.0;
         let mut k = 0usize;

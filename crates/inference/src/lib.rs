@@ -20,8 +20,8 @@
 //!   keep the local inference unchanged to avoid over-aggregation).
 //! * [`centralized`] — the DCA baselines (DB-Centralized, 007-Centralized)
 //!   using the iterative top-portion reporting procedure of \[2\].
-//! * [`metrics`] — `inference.*` telemetry counters and the structured
-//!   warning event (hop / w0 / w1 context).
+//! * [`metrics`] — `inference.*` telemetry counters and the opt-in stderr
+//!   line per raised warning (hop / w0 / w1 context).
 //! * [`provenance`] — offline analysis of flight recordings: reconstruct
 //!   which flows voted on a link, where truncation lost its weight, which
 //!   equation-(1) clause blocked a warning, and how the run scored.

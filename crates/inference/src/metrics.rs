@@ -1,12 +1,23 @@
 //! Inference-pipeline metrics: handles into a
-//! [`db_telemetry::MetricsRegistry`], plus the structured warning event.
+//! [`db_telemetry::MetricsRegistry`], plus the warning line on stderr.
 //!
 //! Owned by whoever drives the pipeline (the deployed system observer, a
 //! bench binary); every hot-path site takes `Option<&InferenceMetrics>` so
 //! the disabled path costs one branch.
 
-use db_telemetry::{event, Counter, Level, MetricsRegistry};
+use db_telemetry::{Counter, MetricsRegistry};
 use db_topology::LinkId;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Whether [`InferenceMetrics::warning_raised`] prints its line; off until
+/// [`log_warnings`] turns it on.
+static LOG_WARNINGS: AtomicBool = AtomicBool::new(false);
+
+/// Print every raised warning to stderr with its equation-(1) context, in
+/// this process, from now on (`drift-bottle report` turns this on).
+pub fn log_warnings() {
+    LOG_WARNINGS.store(true, Ordering::Relaxed);
+}
 
 /// Handle set for the `inference.*` metrics.
 #[derive(Debug, Clone)]
@@ -38,59 +49,30 @@ impl InferenceMetrics {
         }
     }
 
-    /// Count one raised warning and emit the structured `Warn` event with
-    /// its full equation-(1) context.
+    /// Count one raised warning and, once [`log_warnings`] is on, print it
+    /// to stderr with its full equation-(1) context.
     pub fn warning_raised(&self, switch: u16, link: LinkId, hops: u32, w0: f64, w1: f64) {
         self.warnings.inc();
-        event!(
-            Level::Warn,
-            "inference.warning",
-            "warning raised",
-            switch = switch,
-            link = link.0,
-            hop = hops,
-            w0 = w0,
-            w1 = w1,
-        );
+        if LOG_WARNINGS.load(Ordering::Relaxed) {
+            eprintln!(
+                "[WARN  inference.warning] warning raised switch={switch} link={} hop={hops} w0={w0} w1={w1}",
+                link.0
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use db_telemetry::{BufferRecorder, Recorder};
-    use std::sync::Arc;
 
+    /// The stderr line itself is pinned through the binary, in
+    /// `tests/cli_views.rs`.
     #[test]
-    fn warning_raised_counts_and_logs() {
+    fn warning_raised_counts() {
         let reg = MetricsRegistry::new();
         let m = InferenceMetrics::register(&reg);
-        let buf = BufferRecorder::new();
-        db_telemetry::set_recorder(Arc::new(buf.clone()));
-        db_telemetry::set_max_level(Some(Level::Warn));
         m.warning_raised(3, LinkId(7), 5, 12.0, 4.5);
-        db_telemetry::clear_recorder();
-
         assert_eq!(reg.snapshot().counter("inference.warnings"), Some(1));
-        let events = buf.take();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].target, "inference.warning");
-        let fields: std::collections::BTreeMap<_, _> = events[0]
-            .fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        assert_eq!(fields["switch"], "3");
-        assert_eq!(fields["link"], "7");
-        assert_eq!(fields["hop"], "5");
-        assert_eq!(fields["w0"], "12");
-        assert_eq!(fields["w1"], "4.5");
-    }
-
-    // Silence the unused-trait-import lint some toolchains emit for
-    // Recorder; the trait is needed for Arc<dyn Recorder> coercion above.
-    #[allow(dead_code)]
-    fn _assert_recorder_impl(r: &BufferRecorder) -> &dyn Recorder {
-        r
     }
 }

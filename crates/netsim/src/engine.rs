@@ -35,6 +35,21 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
+/// One-way host-to-switch delay (access links are not failure units).
+const HOST_LINK_DELAY: SimTime = SimTime::from_us(50);
+
+/// Retransmission timeout: a sender with no feedback for this long stalls.
+const RTO: SimTime = SimTime::from_ms(200);
+
+/// Drop-tail bound expressed as maximum queue wait, milliseconds.
+const MAX_QUEUE_MS: f64 = 5.0;
+
+/// Maximum transmission unit in bytes.
+const MTU: u32 = 1500;
+
+/// Probability that a data packet is a small (sub-MTU) application push.
+const SMALL_PKT_PROB: f64 = 0.10;
+
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -42,15 +57,6 @@ pub struct SimConfig {
     pub end: SimTime,
     /// Observer tick period — the paper's sampling interval (4 ms in §6.3).
     pub tick_interval: SimTime,
-    /// One-way host-to-switch delay (access links are not failure units).
-    pub host_link_delay: SimTime,
-    /// Size of acknowledgement packets in bytes.
-    pub ack_size: u32,
-    /// Retransmission timeout: a sender with no feedback for this long
-    /// stalls. Zero disables stalling.
-    pub rto: SimTime,
-    /// Drop-tail bound expressed as maximum queue wait, milliseconds.
-    pub max_queue_ms: f64,
     /// Background i.i.d. loss applied at every hop (ambient noise; keeps
     /// classifiers honest). Usually 0 or ~1e-4.
     pub background_loss: f64,
@@ -61,10 +67,6 @@ impl Default for SimConfig {
         SimConfig {
             end: SimTime::from_ms(200),
             tick_interval: SimTime::from_ms(4),
-            host_link_delay: SimTime::from_us(50),
-            ack_size: 40,
-            rto: SimTime::from_ms(200),
-            max_queue_ms: 5.0,
             background_loss: 0.0,
         }
     }
@@ -530,9 +532,12 @@ impl<'a, O: Observer> Simulator<'a, O> {
         let links: Vec<LinkRuntime> = topo
             .links()
             .iter()
-            .map(|l| LinkRuntime::new(l.latency_ms, l.bandwidth_mbps, cfg.max_queue_ms))
+            .map(|l| LinkRuntime::new(l.latency_ms, l.bandwidth_mbps, MAX_QUEUE_MS))
             .collect();
-        let senders: Vec<Sender> = flows.iter().map(|f| Sender::new(f, 0.10, seed)).collect();
+        let senders: Vec<Sender> = flows
+            .iter()
+            .map(|f| Sender::new(f, SMALL_PKT_PROB, seed))
+            .collect();
         let reverse_prop: Arc<[SimTime]> = flows
             .iter()
             .map(|f| {
@@ -542,7 +547,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
                     .iter()
                     .map(|&l| links[l.idx()].propagation().as_ns())
                     .sum();
-                SimTime::from_ns(prop) + cfg.host_link_delay + cfg.host_link_delay
+                SimTime::from_ns(prop) + HOST_LINK_DELAY + HOST_LINK_DELAY
             })
             .collect();
         let mut delays = reverse_prop.to_vec();
@@ -830,17 +835,14 @@ impl<'a, O: Observer> Simulator<'a, O> {
             return;
         }
         // RTO stall: no transport feedback for too long.
-        if self.cfg.rto > SimTime::ZERO {
-            let deadline = self.senders[f].last_feedback + self.cfg.rto;
-            if self.now > deadline {
-                if !self.senders[f].stalled {
-                    self.senders[f].stalled = true;
-                    self.stats.flows_stalled += 1;
-                }
-                return;
+        if self.now > self.senders[f].last_feedback + RTO {
+            if !self.senders[f].stalled {
+                self.senders[f].stalled = true;
+                self.stats.flows_stalled += 1;
             }
+            return;
         }
-        let size = self.senders[f].next_packet_size(1500);
+        let size = self.senders[f].next_packet_size(MTU);
         let seq = self.senders[f].next_seq - 1;
         self.stats.packets_sent += 1;
         self.stats.sent_per_flow[f] += 1;
@@ -849,7 +851,7 @@ impl<'a, O: Observer> Simulator<'a, O> {
             self.stats.finished_at[f] = Some(self.now);
         }
         // Packet reaches the ingress switch after the host access delay.
-        let at = self.now + self.cfg.host_link_delay;
+        let at = self.now + HOST_LINK_DELAY;
         let event_seq = self.next_seq();
         self.queue.push_arrival(
             INGRESS,
@@ -1155,10 +1157,10 @@ mod tests {
 
     #[test]
     fn rto_stalls_senders_eventually() {
-        // With a short RTO, senders whose path broke must stall.
+        // Senders whose path broke must stall once the 200 ms RTO passes
+        // without feedback, well before the horizon.
         let cfg = SimConfig {
-            end: SimTime::from_ms(300),
-            rto: SimTime::from_ms(40),
+            end: SimTime::from_ms(500),
             ..Default::default()
         };
         let scenario = FailureScenario::single_link(LinkId(1), SimTime::from_ms(100));

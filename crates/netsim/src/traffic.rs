@@ -17,42 +17,35 @@ use db_topology::{ordered_pairs, NodeId, Routes, Topology, SCALE_NODE_THRESHOLD}
 use db_util::dist::{BoundedPareto, Exp, Pareto};
 use db_util::Pcg64;
 
+/// Bounded-Pareto flow volume: minimum bytes. The floor keeps flows alive
+/// well past a ~300 ms experiment horizon, matching §6.1 where simulations
+/// span about one maximum RTT and monitored flows are in steady state
+/// throughout. (Flow endings — the §2.2 confuser — are exercised by the
+/// `Sender` unit tests' own small `FlowSpec`s.)
+const FLOW_BYTES_MIN: f64 = 1e6;
+
+/// Bounded-Pareto flow volume: maximum bytes.
+const FLOW_BYTES_MAX: f64 = 100e6;
+
+/// Bounded-Pareto flow volume: shape.
+const FLOW_BYTES_ALPHA: f64 = 1.15;
+
 /// Parameters of the workload generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// Probability that an ordered host pair carries a flow (§6.1 flow
     /// density, swept 0.1–1.0 in Fig. 7).
     pub density: f64,
-    /// Maximum transmission unit in bytes.
-    pub mtu: u32,
-    /// Bounded-Pareto flow volume: minimum bytes.
-    pub flow_bytes_min: f64,
-    /// Bounded-Pareto flow volume: maximum bytes.
-    pub flow_bytes_max: f64,
-    /// Bounded-Pareto flow volume: shape.
-    pub flow_bytes_alpha: f64,
     /// Flow start times are spread uniformly over `[0, start_spread)` so the
     /// network is in steady state before failures are injected.
     pub start_spread: SimTime,
-    /// Probability that a data packet is a small (sub-MTU) application push.
-    pub small_pkt_prob: f64,
 }
 
 impl Default for TrafficConfig {
     fn default() -> Self {
-        // The volume floor keeps flows alive well past a ~300 ms experiment
-        // horizon, matching §6.1 where simulations span about one maximum
-        // RTT and monitored flows are in steady state throughout. (Flow
-        // endings — the §2.2 confuser — are exercised explicitly by tests
-        // and the corruption example with smaller floors.)
         TrafficConfig {
             density: 1.0,
-            mtu: 1500,
-            flow_bytes_min: 1e6,
-            flow_bytes_max: 100e6,
-            flow_bytes_alpha: 1.15,
             start_spread: SimTime::from_ms(20),
-            small_pkt_prob: 0.10,
         }
     }
 }
@@ -85,8 +78,7 @@ impl TrafficGen {
         seed: u64,
     ) -> Vec<FlowSpec> {
         let mut rng = Pcg64::new_stream(seed, 0x7AFF1C);
-        let volume =
-            BoundedPareto::new(cfg.flow_bytes_min, cfg.flow_bytes_max, cfg.flow_bytes_alpha);
+        let volume = BoundedPareto::new(FLOW_BYTES_MIN, FLOW_BYTES_MAX, FLOW_BYTES_ALPHA);
         let mut flows = Vec::new();
         for (src, dst) in ordered_pairs(routes.node_count()) {
             if !rng.chance(cfg.density) {
@@ -113,8 +105,7 @@ impl TrafficGen {
     ) -> Vec<FlowSpec> {
         let n = routes.node_count();
         let mut rng = Pcg64::new_stream(seed, 0x7AFF1C);
-        let volume =
-            BoundedPareto::new(cfg.flow_bytes_min, cfg.flow_bytes_max, cfg.flow_bytes_alpha);
+        let volume = BoundedPareto::new(FLOW_BYTES_MIN, FLOW_BYTES_MAX, FLOW_BYTES_ALPHA);
         let target = (2048.0 * cfg.density).round() as usize;
         let mut flows = Vec::new();
         if target == 0 {

@@ -236,7 +236,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy type of [`vec`].
+    /// Strategy type of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -176,9 +176,8 @@ impl<'a> SweepBuilder<'a> {
     /// A sweep over `prep` with the defaults of the §6 protocol: density
     /// 1.0, seed 42, the default [`SystemConfig`] at the prepared sampling
     /// interval, and the flagship Drift-Bottle variant. No scenarios yet —
-    /// add them with [`scenario`] / [`scenarios`].
+    /// add them with [`scenarios`].
     ///
-    /// [`scenario`]: SweepBuilder::scenario
     /// [`scenarios`]: SweepBuilder::scenarios
     pub fn new(name: impl Into<String>, prep: &'a Prepared) -> Self {
         SweepBuilder {
@@ -187,7 +186,7 @@ impl<'a> SweepBuilder<'a> {
             density: 1.0,
             seed: 42,
             sys: SystemConfig {
-                interval: prep.interval,
+                interval: prep.wcfg.interval,
                 ..Default::default()
             },
             variants: vec![VariantSpec::drift_bottle()],
@@ -231,12 +230,6 @@ impl<'a> SweepBuilder<'a> {
     /// Ambient i.i.d. per-hop packet loss (§4.3 noise tolerance).
     pub fn background_loss(mut self, loss: f64) -> Self {
         self.background_loss = loss;
-        self
-    }
-
-    /// Append one scenario.
-    pub fn scenario(mut self, kind: ScenarioKind) -> Self {
-        self.kinds.push(kind);
         self
     }
 

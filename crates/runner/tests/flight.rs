@@ -25,7 +25,6 @@ fn sweep_writes_one_scoreable_flight_file_per_unit() {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     let scenarios = [

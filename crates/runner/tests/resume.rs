@@ -24,7 +24,6 @@ fn grid_prep() -> &'static Prepared {
                 n_node_scenarios: 1,
                 n_healthy: 1,
                 train_density: 1.0,
-                ..Default::default()
             },
         )
     })
@@ -213,7 +212,6 @@ fn killed_geant2012_sweep_resumes_bit_identically() {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 0.2,
-            ..Default::default()
         },
     );
     let links = db_core::experiment::sample_covered_links(&prep, 3, 5);
@@ -263,7 +261,7 @@ fn killed_geant2012_sweep_resumes_bit_identically() {
 fn figure_kinds_resume_and_match_the_core_sweep() {
     let prep = grid_prep();
     let sys = SystemConfig {
-        interval: prep.interval,
+        interval: prep.wcfg.interval,
         ratio_sampling: 4,
         ..Default::default()
     };

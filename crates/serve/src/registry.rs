@@ -383,7 +383,6 @@ impl Shared {
                 n_node_scenarios: 1,
                 n_healthy: 1,
                 train_density: 1.0,
-                ..Default::default()
             }
         } else {
             PrepareConfig::default()

@@ -1,6 +1,6 @@
 //! `db-telemetry`: the observability layer of the Drift-Bottle reproduction.
 //!
-//! Three pieces, all std-only (no external dependencies, per the workspace
+//! Five pieces, all std-only (no external dependencies, per the workspace
 //! policy):
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, fixed-bucket histograms,
@@ -9,8 +9,6 @@
 //!   for the packet hot path.
 //! * [`Span`] — RAII wall-clock timers for phase accounting
 //!   (train / simulate / monitor / infer / aggregate).
-//! * [`event!`] — a leveled, structured event log behind a [`Recorder`]
-//!   trait, off by default (one relaxed load per call site when disabled).
 //! * [`export`] — renderers from a registry [`Snapshot`] to human text
 //!   tables, JSON, and the Prometheus text format.
 //! * [`flight`] — the provenance flight recorder: a bounded ring of
@@ -39,17 +37,12 @@
 //! # db_telemetry::disable();
 //! ```
 
-mod event;
 pub mod export;
 pub mod flight;
 mod registry;
 pub mod scope;
 mod span;
 
-pub use event::{
-    clear_recorder, emit, level_enabled, set_max_level, set_recorder, BufferRecorder, Event, Level,
-    Recorder, StderrRecorder,
-};
 pub use export::{
     json_escape, prometheus_f64, prometheus_label_value, prometheus_name, to_json, to_prometheus,
     to_table,

@@ -286,7 +286,7 @@ impl Series {
 }
 
 /// One flushed `(kind, id, window, value)` sample, the unit streamed to
-/// Pulse subscribers by [`ScopeRecorder::points_since`].
+/// Pulse subscribers by [`ScopeRecorder::points_from`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScopePoint {
     pub kind: SeriesKind,

@@ -1,7 +1,7 @@
 //! On-demand routing over a [`CsrTopology`]: lazy per-source shortest-path
 //! trees in a bounded, deterministic LRU cache.
 //!
-//! [`RouteTable::build`] materializes all `n²` paths up front — `O(n²)`
+//! [`RouteTable::build`](crate::RouteTable::build) materializes all `n²` paths up front — `O(n²)`
 //! memory that walls off every graph past a few thousand nodes. The
 //! [`OnDemandRoutes`] engine instead keeps one resumable Dijkstra `Search`
 //! per requested source, caches at most `capacity` of them, and
@@ -347,8 +347,8 @@ struct CacheTelemetry {
 }
 
 /// The on-demand routing engine: a [`CsrTopology`] plus a bounded tree
-/// cache, implementing [`Routes`] bit-identically to [`RouteTable`]
-/// (`crate::routing::RouteTable`) on the same graph.
+/// cache, implementing [`Routes`] bit-identically to
+/// [`RouteTable`](crate::RouteTable) on the same graph.
 ///
 /// Path-producing methods use `u16` [`NodeId`]/[`LinkId`], so construction
 /// requires the graph to fit the `u16` id space; larger graphs use

@@ -18,7 +18,6 @@ fn main() {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     println!(

@@ -210,7 +210,6 @@ fn train(topo: Topology) -> Prepared {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 0.2,
-            ..Default::default()
         }
     } else {
         PrepareConfig::default()
@@ -340,12 +339,9 @@ fn parse_id(what: &str, arg: &str, digits: &str, count: usize) -> Result<u16, St
 /// injected and in the printer.
 pub fn cmd_single(a: &Single) -> Result<(), String> {
     if a.cmd == "report" {
-        // Mirror warning events to stderr so the operator sees the raises with
+        // Print warnings to stderr so the operator sees the raises with
         // their hop/w0/w1 context as they happen.
-        drift_bottle::telemetry::set_recorder(std::sync::Arc::new(
-            drift_bottle::telemetry::StderrRecorder,
-        ));
-        drift_bottle::telemetry::set_max_level(Some(drift_bottle::telemetry::Level::Warn));
+        drift_bottle::inference::metrics::log_warnings();
     }
     let topo = load_topology(&a.spec)?;
     // `fail` and `node` name their victim, checked against the topology

@@ -27,7 +27,7 @@
 //! | [`core`] | `db-core` | the assembled system, training pipeline, experiment runners |
 //! | [`runner`] | `db-runner` | checkpointed, panic-isolated sweep orchestration ([`SweepBuilder`](runner::SweepBuilder)) |
 //! | [`util`] | `db-util` | deterministic RNG, distributions, statistics, tables |
-//! | [`telemetry`] | `db-telemetry` | metrics registry, phase spans, event log, exporters |
+//! | [`telemetry`] | `db-telemetry` | metrics registry, phase spans, exporters, flight recorder, db-scope |
 //!
 //! ## Quickstart
 //!

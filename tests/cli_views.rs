@@ -3,6 +3,7 @@
 //! and a db-scope trace attached, and every view of the two files must exit
 //! 0, parse with its documented keys (JSON) or carry its section labels
 //! (tables), and refuse a bad target with the documented one-line error.
+//! Also `report`'s stderr: one line per raised warning, and only there.
 
 use drift_bottle::prelude::*;
 use drift_bottle::telemetry::scope::{parse_json, Json};
@@ -18,7 +19,6 @@ fn record(dir: &std::path::Path) -> (String, String, u16) {
         n_node_scenarios: 1,
         n_healthy: 1,
         train_density: 1.0,
-        ..Default::default()
     };
     let prep = prepare(zoo::grid(3, 3), &cfg);
     let link = prep.topo.link_between(NodeId(4), NodeId(5)).unwrap();
@@ -170,4 +170,57 @@ fn every_explain_and_timeline_view_renders() {
         "{missing}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `[WARN` lines of a smoke-trained Geant2012 run of `args`, and the
+/// rest of its stderr.
+fn warn_lines(args: &[&str]) -> (Vec<String>, String) {
+    let bin = env!("CARGO_BIN_EXE_drift-bottle");
+    let out = Command::new(bin)
+        .args(args)
+        .env("DB_SMOKE", "1")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{args:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let (warns, rest): (Vec<&str>, Vec<&str>) =
+        stderr.lines().partition(|line| line.starts_with("[WARN"));
+    (
+        warns.into_iter().map(String::from).collect(),
+        rest.join("\n"),
+    )
+}
+
+#[test]
+fn report_prints_each_warning_to_stderr_and_fail_does_not() {
+    let (warns, rest) = warn_lines(&["report", "geant2012"]);
+    let failing = rest
+        .split("[failing l")
+        .nth(1)
+        .and_then(|tail| tail.split(' ').next())
+        .unwrap_or_else(|| panic!("no 'failing l<N>' line: {rest}"));
+    assert!(!warns.is_empty(), "report raised no warning");
+    let mut names_failed = false;
+    for line in &warns {
+        let fields = line
+            .strip_prefix("[WARN  inference.warning] warning raised ")
+            .unwrap_or_else(|| panic!("{line}"));
+        let fields: Vec<(&str, &str)> = fields
+            .split(' ')
+            .map(|f| f.split_once('=').unwrap_or_else(|| panic!("{line}")))
+            .collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["switch", "link", "hop", "w0", "w1"], "{line}");
+        for (k, v) in &fields[..3] {
+            assert!(v.parse::<u64>().is_ok(), "{k}: {line}");
+        }
+        for (k, v) in &fields[3..] {
+            assert!(v.parse::<f64>().is_ok(), "{k}: {line}");
+        }
+        names_failed |= fields[1].1 == failing;
+    }
+    assert!(names_failed, "no warning names the failed link l{failing}");
+
+    let (warns, _) = warn_lines(&["fail", "geant2012", "l3", "--metrics"]);
+    assert!(warns.is_empty(), "{warns:?}");
 }

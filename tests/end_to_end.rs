@@ -21,7 +21,6 @@ fn grid_prep() -> &'static Prepared {
                 n_node_scenarios: 1,
                 n_healthy: 1,
                 train_density: 1.0,
-                ..Default::default()
             },
         )
     })
@@ -72,7 +71,6 @@ fn figure5_example_through_the_live_system() {
             n_node_scenarios: 0,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     let l2 = prep
@@ -219,7 +217,6 @@ fn figure1_identifiability_contrast() {
             n_node_scenarios: 0,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     let mut setup = ScenarioSetup::flagship(&prep, 1.0, 3);

@@ -33,7 +33,6 @@ fn traces_are_identical_across_worker_counts() {
             n_node_scenarios: 1,
             n_healthy: 1,
             train_density: 1.0,
-            ..Default::default()
         },
     );
     let scenarios = [

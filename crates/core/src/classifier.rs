@@ -11,6 +11,7 @@ use db_dtree::{ConfusionMatrix, DecisionTree, TableClassifier, TrainConfig};
 use db_flowmon::dataset::Labeler;
 use db_flowmon::{Dataset, NetworkMonitor, WindowConfig};
 use db_netsim::{FailureScenario, SimConfig, SimTime, Simulator, TrafficConfig, TrafficGen};
+use db_telemetry::Span;
 use db_topology::{CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology};
 use db_util::Pcg64;
 use std::sync::Arc;
@@ -103,7 +104,7 @@ fn scenario_dataset(
     density: f64,
     seed: u64,
 ) -> Dataset {
-    let _monitor = db_telemetry::span("phase.monitor");
+    let _monitor = Span::begin("phase.monitor", db_telemetry::active(), None);
     let traffic = TrafficConfig::with_density(density);
     let start_spread = traffic.start_spread;
     let flows = TrafficGen::generate_auto(topo, routes, &traffic, seed);
@@ -130,7 +131,7 @@ fn scenario_dataset(
 
 /// Run the full §6.1 training pipeline for a topology.
 pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
-    let _train = db_telemetry::span("phase.train");
+    let _train = Span::begin("phase.train", db_telemetry::active(), None);
     let ondemand = OnDemandRoutes::new(Arc::new(CsrTopology::from_topology(&topo)));
     if let Some(reg) = db_telemetry::active() {
         ondemand.set_metrics(reg);

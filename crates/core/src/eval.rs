@@ -1,91 +1,8 @@
-//! Localization metrics (§6.2).
-//!
-//! "Drift-Bottle regards a link as the basic failure unit. Thus, we
-//! calculate precision as the ratio of correctly reported links among the
-//! warnings, and recall as the ratio of correctly reported links among
-//! actually failed links. F1 is the harmonic average ... accuracy as the
-//! ratio of correctly classified links among all links, and FPR as the
-//! ratio of incorrectly accused links among innocent links."
+//! Scoring a sweep: the §6.2 metrics of one scenario come from
+//! [`db_inference::eval`]; [`MetricsAccum`] macro-averages them over
+//! scenarios.
 
-use db_topology::LinkId;
-use std::collections::BTreeSet;
-
-/// Link-level localization quality of one scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalizationMetrics {
-    /// Correct reports / all reports (1.0 when nothing reported).
-    pub precision: f64,
-    /// Correct reports / actual failures (1.0 when nothing failed).
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-    /// Correctly classified links / all links.
-    pub accuracy: f64,
-    /// Incorrectly accused links / innocent links.
-    pub fpr: f64,
-    /// Number of reported links.
-    pub reported: usize,
-    /// Number of actually failed links.
-    pub actual: usize,
-    /// Number of correctly reported links.
-    pub correct: usize,
-}
-
-impl LocalizationMetrics {
-    /// Compare a reported link set against the ground truth over a network
-    /// of `total_links` links.
-    pub fn compute(
-        reported: impl IntoIterator<Item = LinkId>,
-        actual: impl IntoIterator<Item = LinkId>,
-        total_links: usize,
-    ) -> Self {
-        let reported: BTreeSet<LinkId> = reported.into_iter().collect();
-        let actual: BTreeSet<LinkId> = actual.into_iter().collect();
-        assert!(
-            total_links >= actual.len() && total_links >= reported.len(),
-            "total link count too small for the given sets"
-        );
-        let correct = reported.intersection(&actual).count();
-        let fp = reported.len() - correct;
-        let innocent = total_links - actual.len();
-        let tn = innocent - fp;
-        let precision = if reported.is_empty() {
-            1.0
-        } else {
-            correct as f64 / reported.len() as f64
-        };
-        let recall = if actual.is_empty() {
-            1.0
-        } else {
-            correct as f64 / actual.len() as f64
-        };
-        let f1 = if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
-        };
-        let accuracy = if total_links == 0 {
-            1.0
-        } else {
-            (correct + tn) as f64 / total_links as f64
-        };
-        let fpr = if innocent == 0 {
-            0.0
-        } else {
-            fp as f64 / innocent as f64
-        };
-        LocalizationMetrics {
-            precision,
-            recall,
-            f1,
-            accuracy,
-            fpr,
-            reported: reported.len(),
-            actual: actual.len(),
-            correct,
-        }
-    }
-}
+pub use db_inference::eval::LocalizationMetrics;
 
 /// Macro-averaging accumulator over scenarios.
 #[derive(Debug, Clone, Default)]
@@ -149,61 +66,10 @@ impl MetricsAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use db_topology::LinkId;
 
     fn l(i: u16) -> LinkId {
         LinkId(i)
-    }
-
-    #[test]
-    fn paper_worked_example() {
-        // §6.2: "in a scenario with 4 failures among 10 links, if a system
-        // reports 5 accused links and 3 of them are correct, its precision,
-        // recall, accuracy and FPR would be 60%, 75%, 70% and 33.3%".
-        let reported = [l(0), l(1), l(2), l(8), l(9)];
-        let actual = [l(0), l(1), l(2), l(3)];
-        let m = LocalizationMetrics::compute(reported, actual, 10);
-        assert!((m.precision - 0.60).abs() < 1e-12);
-        assert!((m.recall - 0.75).abs() < 1e-12);
-        assert!((m.accuracy - 0.70).abs() < 1e-12);
-        assert!((m.fpr - 2.0 / 6.0).abs() < 1e-12);
-        let f1 = 2.0 * 0.6 * 0.75 / 1.35;
-        assert!((m.f1 - f1).abs() < 1e-12);
-        assert_eq!((m.reported, m.actual, m.correct), (5, 4, 3));
-    }
-
-    #[test]
-    fn perfect_localization() {
-        let m = LocalizationMetrics::compute([l(3)], [l(3)], 61);
-        assert_eq!(m.precision, 1.0);
-        assert_eq!(m.recall, 1.0);
-        assert_eq!(m.f1, 1.0);
-        assert_eq!(m.accuracy, 1.0);
-        assert_eq!(m.fpr, 0.0);
-    }
-
-    #[test]
-    fn silence_on_failure_is_zero_recall() {
-        let m = LocalizationMetrics::compute([], [l(3)], 61);
-        assert_eq!(m.precision, 1.0, "vacuous precision");
-        assert_eq!(m.recall, 0.0);
-        assert_eq!(m.f1, 0.0);
-        assert!((m.accuracy - 60.0 / 61.0).abs() < 1e-12);
-        assert_eq!(m.fpr, 0.0);
-    }
-
-    #[test]
-    fn false_alarm_on_healthy_network() {
-        let m = LocalizationMetrics::compute([l(5)], [], 61);
-        assert_eq!(m.precision, 0.0);
-        assert_eq!(m.recall, 1.0, "vacuous recall");
-        assert!((m.fpr - 1.0 / 61.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duplicate_reports_count_once() {
-        let m = LocalizationMetrics::compute([l(1), l(1), l(1)], [l(1)], 10);
-        assert_eq!(m.reported, 1);
-        assert_eq!(m.precision, 1.0);
     }
 
     #[test]
@@ -227,11 +93,5 @@ mod tests {
     #[should_panic(expected = "no scenarios")]
     fn empty_mean_panics() {
         MetricsAccum::new().mean();
-    }
-
-    #[test]
-    #[should_panic(expected = "total link count too small")]
-    fn inconsistent_totals_rejected() {
-        LocalizationMetrics::compute([l(1), l(2)], [], 1);
     }
 }

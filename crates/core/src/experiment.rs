@@ -16,14 +16,13 @@ use crate::eval::{LocalizationMetrics, MetricsAccum};
 use crate::par::par_map;
 use crate::prefix::{BatchSim, PrefixKey, SharedPrefix};
 use crate::system::{DriftBottleSystem, RatioSample};
-use crate::tap::PhaseSpan;
 use db_dtree::TableClassifier;
 use db_netsim::{
     FailureScenario, SimConfig, SimStats, SimTime, Simulator, TrafficConfig, TrafficGen,
 };
 use db_telemetry::flight::FlightRecord;
 use db_telemetry::scope::ScopeMeta;
-use db_telemetry::Instrumentation;
+use db_telemetry::{Instrumentation, Span};
 use db_topology::{ordered_pairs, LinkId, NodeId, Path, Topology, SCALE_NODE_THRESHOLD};
 use db_util::Pcg64;
 use std::borrow::Borrow;
@@ -339,7 +338,7 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
     let flight = setup.instr.flight.as_ref();
     let scope = setup.instr.scope.as_ref();
     // Spans close in reverse order of opening when they go out of scope.
-    let _scenario_span = PhaseSpan::begin(scope, "scenario");
+    let _scenario_span = Span::begin("scenario", None, scope);
     let mut sim = if registry.is_some() || flight.is_some() || scope.is_some() {
         // A recorder must see the run from its first event, with the
         // failure already scheduled (the queue-depth series counts it): an
@@ -403,12 +402,10 @@ pub fn run_scenario(setup: &ScenarioSetup, kind: &ScenarioKind) -> ScenarioOutco
     };
     sim.inject(&scenario);
     {
-        let _simulate = db_telemetry::span("phase.simulate");
-        let _simulate_span = PhaseSpan::begin(scope, "phase.simulate");
+        let _simulate = Span::begin("phase.simulate", registry, scope);
         sim.run();
     }
-    let _score = db_telemetry::span("phase.score");
-    let _score_span = PhaseSpan::begin(scope, "phase.score");
+    let _score = Span::begin("phase.score", registry, scope);
     let (engine, stats) = sim.finish();
     let system = engine.into_system();
     let total_links = prep.topo.link_count();

@@ -24,13 +24,13 @@ use crate::config::{Mechanism, SystemConfig, VariantSpec};
 use crate::tap::Tap;
 use db_dtree::FlowClassifier;
 use db_flowmon::{FlowStatus, SwitchMonitor, WindowConfig};
+use db_inference::eval::in_report_window;
 use db_inference::{
     aggregate_step_inline_metered, centralized_report, check_warning_inline,
     local_inference_scratched, HeaderCodec, Inference, InlineInference, VoteScratch, INLINE_CAP,
     MAX_HEADER_BYTES, MAX_K,
 };
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
-use db_telemetry::scope::{hot, HotFn};
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -107,7 +107,7 @@ impl WarningLog {
         });
         e.count += 1;
         e.last_at = now;
-        if now > window.0 && now <= window.1 {
+        if in_report_window(now, window) {
             self.reported_links.insert(link);
             self.reported_pairs.insert((switch, link));
         }
@@ -617,7 +617,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             // Centralized variants have no packet path.
             return;
         };
-        hot(HotFn::HandleDistributed);
         let (codec, cfg, window, tap) = (self.codec, &self.cfg, self.window, &mut self.tap);
         let node = info.node;
         let wire = variant.spec.mechanism == Mechanism::DistributedWire;
@@ -756,7 +755,6 @@ fn decode_entries(r: &mut ByteReader) -> Result<Vec<(LinkId, f64)>, WireError> {
 impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
     // db-lint: allow(hot-index) — monitors and per-node state are sized by node count at setup; HopInfo nodes come from the same topology
     fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
-        hot(HotFn::OnPacket);
         // Flow Monitoring module: update measure registers.
         if self.monitors[info.node.idx()].on_packet(now, info.flow, info.size) {
             self.tap.register_update();

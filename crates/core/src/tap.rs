@@ -21,7 +21,7 @@ use db_inference::{
 use db_netsim::{FlowId, HopInfo, SimTime};
 use db_telemetry::flight::{FlightRecord, FlightRecorder};
 use db_telemetry::scope::ScopeRecorder;
-use db_telemetry::{Counter, MetricsRegistry};
+use db_telemetry::{Counter, MetricsRegistry, Span};
 use db_topology::{LinkId, NodeId};
 use std::sync::Arc;
 
@@ -59,23 +59,6 @@ pub(crate) struct Tap {
     scope: Option<Arc<ScopeRecorder>>,
     /// Every raise since the last [`Self::drain_warnings`] — push-only.
     live: Option<Vec<Warning>>,
-}
-
-/// An open db-scope span, closed on drop; inert without a recorder.
-pub(crate) struct PhaseSpan(Option<(Arc<ScopeRecorder>, u32)>);
-
-impl PhaseSpan {
-    pub(crate) fn begin(scope: Option<&Arc<ScopeRecorder>>, name: &str) -> PhaseSpan {
-        PhaseSpan(scope.map(|rec| (rec.clone(), rec.begin_span(name))))
-    }
-}
-
-impl Drop for PhaseSpan {
-    fn drop(&mut self) {
-        if let Some((rec, id)) = &self.0 {
-            rec.end_span(*id);
-        }
-    }
 }
 
 impl Tap {
@@ -158,8 +141,8 @@ impl Tap {
     }
 
     /// Open the db-scope span of one tick phase.
-    pub(crate) fn phase(&self, name: &str) -> PhaseSpan {
-        PhaseSpan::begin(self.scope.as_ref(), name)
+    pub(crate) fn phase(&self, name: &str) -> Span {
+        Span::begin(name, None, self.scope.as_ref())
     }
 
     /// Every monitor closed its window and staged its rows.
@@ -324,12 +307,12 @@ impl Tap {
                 at: now,
                 switch: node,
                 link,
-                variant: vi as u8, // db-lint: allow(wire-cast) — variant count is tiny
+                variant: vi as u8,
                 hop_now: hops,
                 w0: agg.w0(),
                 w1: agg.w1(),
                 header,
-                header_len: n as u8, // db-lint: allow(wire-cast) — header fits MAX_HEADER_BYTES < 256 by construction
+                header_len: n as u8,
             });
         }
         if self.traced.is_some_and(|(t, _)| t == vi) {
@@ -364,7 +347,7 @@ impl Tap {
                 at: now,
                 switch: DCA_NODE,
                 link,
-                variant: vi as u8, // db-lint: allow(wire-cast) — variant count is tiny
+                variant: vi as u8,
                 hop_now: 0,
                 w0: 0.0,
                 w1: 0.0,

@@ -175,11 +175,9 @@ fn fig8_scenario_matches_golden_snapshot_from_a_forked_prefix() {
 }
 
 /// db-scope is observational: the same scenario traced (series + spans
-/// recorded, hot-path profiler sampling) must reproduce the snapshot
-/// byte for byte.
+/// recorded) must reproduce the snapshot byte for byte.
 #[test]
 fn fig8_scenario_matches_golden_snapshot_while_traced() {
-    db_telemetry::scope::profiler_enable();
     let scope = Arc::new(ScopeRecorder::default());
     let got = fingerprint_with(Some(scope.clone()));
     assert!(

@@ -22,12 +22,15 @@
 //!   using the iterative top-portion reporting procedure of \[2\].
 //! * [`metrics`] — `inference.*` telemetry counters and the opt-in stderr
 //!   line per raised warning (hop / w0 / w1 context).
+//! * [`eval`] — the §6.2 localization metrics and the report window, one
+//!   scorer for the live run and the offline recording.
 //! * [`provenance`] — offline analysis of flight recordings: reconstruct
 //!   which flows voted on a link, where truncation lost its weight, which
 //!   equation-(1) clause blocked a warning, and how the run scored.
 
 pub mod centralized;
 pub mod drift;
+pub mod eval;
 pub mod header;
 pub mod inference;
 pub mod inline;

@@ -14,13 +14,13 @@
 //! * how the run scored overall (precision/recall against the recorded
 //!   ground truth, time-to-first-warning, truncation-loss rate).
 //!
-//! The report's scoring deliberately re-implements the formulas of
-//! `core::eval::LocalizationMetrics` (this crate sits *below* `db-core`, so
-//! it cannot call them); an integration test in `db-core` pins the two
-//! implementations against each other.
+//! The report scores through [`crate::eval`], the same §6.2 scorer and
+//! report window the live run uses.
 
+use crate::eval::{in_report_window, LocalizationMetrics};
 use crate::warning::{eq1, Eq1Outcome, WarningConfig};
 use db_telemetry::flight::{FlightRecord, Recording};
+use db_telemetry::window_of;
 use db_topology::LinkId;
 use std::collections::BTreeSet;
 
@@ -49,7 +49,7 @@ pub struct RunInfo {
     /// Failure injection time (ns).
     pub t_fail_ns: u64,
     /// Warning collection window `(from, to]` in ns — a warning counts as a
-    /// *report* iff `from < at ≤ to`, replicating `WarningLog::record`.
+    /// *report* iff [`in_report_window`], as in the live run.
     pub window_ns: (u64, u64),
     /// Sampling interval (ns).
     pub interval_ns: u64,
@@ -99,26 +99,13 @@ impl RunInfo {
     /// Whether a warning raised at `at_ns` lands inside the collection
     /// window (the condition for it to count as a report).
     pub fn in_window(&self, at_ns: u64) -> bool {
-        at_ns > self.window_ns.0 && at_ns <= self.window_ns.1
+        in_report_window(at_ns, self.window_ns)
     }
 
     /// Sampling-window index of a timestamp (completed intervals).
     pub fn window_index(&self, at_ns: u64) -> u32 {
         window_of(at_ns, self.interval_ns) as u32
     }
-}
-
-/// Sampling-window index of a nanosecond timestamp: completed intervals,
-/// `at_ns / interval_ns` (0 for a zero interval rather than a panic).
-///
-/// This is the **shared window arithmetic** of the two observability
-/// views: `explain` places `WarningRaised` records with it (via
-/// [`RunInfo::window_index`]) and db-scope's time-series store buckets
-/// every feed with the same division — which is why `drift-bottle
-/// timeline` and `drift-bottle explain` agree on which window a warning
-/// landed in without any timestamp reconciliation.
-pub fn window_of(at_ns: u64, interval_ns: u64) -> u64 {
-    at_ns.checked_div(interval_ns).unwrap_or(0)
 }
 
 /// One recorded ±1 vote on a link.
@@ -478,28 +465,15 @@ impl TruncationStats {
 }
 
 /// The aggregate localization-quality report of one recording.
-///
-/// Scoring uses the §6.2 formulas, re-implemented from
-/// `core::eval::LocalizationMetrics` (vacuous precision/recall = 1.0, FPR
-/// over innocent links); `db-core` pins the equivalence in a test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityReport {
     /// The run header the scoring is based on.
     pub info: RunInfo,
     /// Links reported (≥ 1 in-window warning), ascending.
     pub reported_links: Vec<u16>,
-    /// Correct reports / all reports (1.0 when nothing reported).
-    pub precision: f64,
-    /// Correct reports / actual failures (1.0 when nothing failed).
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-    /// Correctly classified links / all links.
-    pub accuracy: f64,
-    /// Incorrectly accused links / innocent links.
-    pub fpr: f64,
-    /// Number of correctly reported links.
-    pub correct: usize,
+    /// The §6.2 scores of `reported_links` against the recorded ground
+    /// truth.
+    pub metrics: LocalizationMetrics,
     /// Warnings raised in total (any time).
     pub warnings_total: usize,
     /// Warnings raised inside the collection window.
@@ -555,36 +529,7 @@ pub fn quality_report(rec: &Recording) -> Option<QualityReport> {
         }
     }
     let actual: BTreeSet<u16> = info.ground_truth.iter().copied().collect();
-    let total_links = info.total_links as usize;
-    let correct = reported.intersection(&actual).count();
-    let fp = reported.len() - correct;
-    let innocent = total_links.saturating_sub(actual.len());
-    let tn = innocent.saturating_sub(fp);
-    let precision = if reported.is_empty() {
-        1.0
-    } else {
-        correct as f64 / reported.len() as f64
-    };
-    let recall = if actual.is_empty() {
-        1.0
-    } else {
-        correct as f64 / actual.len() as f64
-    };
-    let f1 = if precision + recall == 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    };
-    let accuracy = if total_links == 0 {
-        1.0
-    } else {
-        (correct + tn) as f64 / total_links as f64
-    };
-    let fpr = if innocent == 0 {
-        0.0
-    } else {
-        fp as f64 / innocent as f64
-    };
+    let metrics = LocalizationMetrics::score(&reported, &actual, info.total_links as usize);
     let time_to_first_warning_ns = info
         .ground_truth
         .iter()
@@ -600,12 +545,7 @@ pub fn quality_report(rec: &Recording) -> Option<QualityReport> {
     Some(QualityReport {
         info,
         reported_links: reported.into_iter().collect(),
-        precision,
-        recall,
-        f1,
-        accuracy,
-        fpr,
-        correct,
+        metrics,
         warnings_total,
         warnings_in_window,
         time_to_first_warning_ns,
@@ -840,11 +780,11 @@ mod tests {
         };
         let q = quality_report(&rec).unwrap();
         assert_eq!(q.reported_links, vec![0, 1, 2, 8, 9]);
-        assert!((q.precision - 0.60).abs() < 1e-12);
-        assert!((q.recall - 0.75).abs() < 1e-12);
-        assert!((q.accuracy - 0.70).abs() < 1e-12);
-        assert!((q.fpr - 2.0 / 6.0).abs() < 1e-12);
-        assert_eq!(q.correct, 3);
+        assert!((q.metrics.precision - 0.60).abs() < 1e-12);
+        assert!((q.metrics.recall - 0.75).abs() < 1e-12);
+        assert!((q.metrics.accuracy - 0.70).abs() < 1e-12);
+        assert!((q.metrics.fpr - 2.0 / 6.0).abs() < 1e-12);
+        assert_eq!(q.metrics.correct, 3);
         assert_eq!(q.warnings_total, 6);
         assert_eq!(q.warnings_in_window, 5);
         assert_eq!(q.ring_dropped, 2);

@@ -84,7 +84,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     ),
     (
         "allow-reason",
-        "db-lint allow annotation without a reason (or naming an unknown rule)",
+        "db-lint allow annotation without a reason, naming an unknown rule, or outside its rule's tier",
     ),
 ];
 
@@ -95,7 +95,7 @@ pub fn is_known_rule(id: &str) -> bool {
 /// Run every applicable tier's rules over one scanned file.
 pub fn check_file(sf: &ScannedFile, cfg: &LintConfig) -> Vec<Finding> {
     let mut out = Vec::new();
-    allow_rules(sf, &mut out);
+    allow_rules(sf, cfg, &mut out);
     if cfg.is_deterministic(&sf.rel_path) {
         det_rules(sf, &mut out);
     }
@@ -133,7 +133,20 @@ fn push(
 
 // ---- allow annotations -----------------------------------------------------
 
-fn allow_rules(sf: &ScannedFile, out: &mut Vec<Finding>) {
+/// The tier `rule` belongs to, when that tier does not cover the file at
+/// `path` (so an allow of `rule` there suppresses nothing).
+fn uncovering_tier(rule: &str, path: &str, cfg: &LintConfig) -> Option<&'static str> {
+    let (tier, covered) = match rule.split('-').next() {
+        Some("det") => ("deterministic", cfg.is_deterministic(path)),
+        Some("hot") => ("hotpath", cfg.hotpath_fns(path).is_some()),
+        Some("wire") => ("wire", cfg.is_wire(path)),
+        Some("conc") => ("concurrency", cfg.is_concurrency(path)),
+        _ => return None,
+    };
+    (!covered).then_some(tier)
+}
+
+fn allow_rules(sf: &ScannedFile, cfg: &LintConfig, out: &mut Vec<Finding>) {
     for a in &sf.allows {
         if a.reason.is_empty() {
             push(
@@ -154,6 +167,15 @@ fn allow_rules(sf: &ScannedFile, out: &mut Vec<Finding>) {
                     "allow-reason",
                     format!("allow names unknown rule `{r}`"),
                     "check the rule id against the catalog in DESIGN.md §12",
+                );
+            } else if let Some(tier) = uncovering_tier(r, &sf.rel_path, cfg) {
+                push(
+                    out,
+                    sf,
+                    a.at,
+                    "allow-reason",
+                    format!("allow({r}) in a file outside the [{tier}] tier suppresses nothing"),
+                    "delete the annotation, or add the file to the tier in lint.toml",
                 );
             }
         }

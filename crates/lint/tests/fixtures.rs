@@ -329,6 +329,31 @@ fn deny_exits_zero_on_clean_fixture_roots() {
     }
 }
 
+/// An allow naming a rule whose tier does not cover the file suppresses
+/// nothing, so it is reported; the allow of a covering tier is not.
+#[test]
+fn an_allow_outside_its_rules_tier_is_reported() {
+    let root = stage(
+        "an_allow_outside_its_rules_tier_is_reported",
+        "allow-reason",
+        "allow_reason_tier.rs",
+    );
+    let got: Vec<(usize, &str, String)> = check(&root)
+        .into_iter()
+        .map(|f| (f.line, f.rule, f.what))
+        .collect();
+    let want = [
+        (8, "hot-index", "hotpath"),
+        (10, "wire-cast", "wire"),
+        (12, "conc-lock-unwrap", "concurrency"),
+    ]
+    .map(|(line, rule, tier)| {
+        let what = format!("allow({rule}) in a file outside the [{tier}] tier suppresses nothing");
+        (line, "allow-reason", what)
+    });
+    assert_eq!(got, want);
+}
+
 /// A tier entry that names nothing is refused, by the library and by the
 /// binary, instead of switching its rules off; the staged config with every
 /// entry present passes. (`workspace.rs` runs the committed `lint.toml`.)

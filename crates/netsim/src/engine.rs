@@ -27,7 +27,7 @@ use crate::packet::Annotation;
 use crate::time::SimTime;
 use crate::traffic::Sender;
 use db_telemetry::flight::{DropKind, FlightRecord, FlightRecorder};
-use db_telemetry::scope::{hot, HotFn, ScopeRecorder};
+use db_telemetry::scope::ScopeRecorder;
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::Pcg64;
 use std::cmp::Ordering;
@@ -695,7 +695,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
     /// The seq of the next event the run schedules for itself (see
     /// [`RUN_SEQ_BASE`]).
     fn next_seq(&mut self) -> u64 {
-        hot(HotFn::Push);
         self.seq += 1;
         self.seq
     }
@@ -708,14 +707,12 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     /// Schedule an event from outside the run (see [`RUN_SEQ_BASE`]).
     fn push_control(&mut self, at: SimTime, ev: Ev) {
-        hot(HotFn::Push);
         self.control_seq += 1;
         self.queue.push(at, self.control_seq, ev);
     }
 
     /// Push with an explicit (already-reserved) seq — lazy ticks only.
     fn push_raw(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        hot(HotFn::PushRaw);
         self.queue.push(at, seq, ev);
     }
 
@@ -791,7 +788,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
     fn dispatch(&mut self, ev: Ev) {
-        hot(HotFn::Dispatch);
         match ev {
             Ev::HostSend { flow } => self.host_send(flow),
             Ev::Arrive(pkt) => self.arrive(pkt),
@@ -829,7 +825,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
     fn host_send(&mut self, flow: u32) {
-        hot(HotFn::HostSend);
         let f = flow as usize;
         if self.senders[f].done() {
             return;
@@ -875,7 +870,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
     fn arrive(&mut self, pkt: Packet) {
-        hot(HotFn::Arrive);
         let Packet {
             flow,
             seq,
@@ -955,7 +949,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
     /// Append a `PacketDropped` provenance record — the physical evidence
     /// the localization chain reacts to. No-op without a flight recorder.
     fn record_drop(&self, link: LinkId, flow: u32, seq: u64, kind: DropKind) {
-        hot(HotFn::RecordDrop);
         if let Some(rec) = &self.flight {
             rec.record(FlightRecord::PacketDropped {
                 at_ns: self.now.as_ns(),
@@ -972,7 +965,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
     fn deliver(&mut self, flow: u32, size: u32) {
-        hot(HotFn::Deliver);
         let f = flow as usize;
         self.stats.delivered += 1;
         self.stats.delivered_bytes += size as u64;
@@ -1018,7 +1010,6 @@ impl<'a, O: Observer> Simulator<'a, O> {
 
     // db-lint: allow(hot-index) — flow/link/node vectors are sized at setup; event payloads index the same tables they were built from
     fn ack_arrive(&mut self, flow: u32) {
-        hot(HotFn::AckArrive);
         let f = flow as usize;
         self.stats.acks_delivered += 1;
         self.senders[f].last_feedback = self.now;

@@ -17,7 +17,7 @@ use db_core::classifier::Prepared;
 use db_core::config::{SystemConfig, VariantSpec};
 use db_core::experiment::{run_scenario, ScenarioKind, ScenarioSetup};
 use db_core::ScenarioOutcome;
-use db_telemetry::{FlightRecorder, Instrumentation, ScopeRecorder};
+use db_telemetry::{FlightRecorder, Instrumentation, ScopeRecorder, Span};
 use db_util::wire::fnv1a64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -392,17 +392,12 @@ impl<'a> SweepBuilder<'a> {
             .background_loss(self.background_loss)
             .build()
             .map_err(|e| SweepError::Config(e.to_string()))?;
-        if self.trace {
-            db_telemetry::scope::profiler_enable();
-        }
         self.run_with(|job| {
             let rec = self.flight.map(|cap| Arc::new(FlightRecorder::new(cap)));
             let scope = self
                 .trace
                 .then(|| Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY)));
-            let unit_span = scope
-                .as_ref()
-                .map(|sc| sc.begin_span(&format!("unit {}", job.unit)));
+            let unit_span = Span::begin(&format!("unit {}", job.unit), None, scope.as_ref());
             let mut setup = setup.clone();
             setup.instr = Instrumentation {
                 flight: rec.clone(),
@@ -420,10 +415,8 @@ impl<'a> SweepBuilder<'a> {
                     );
                 }
             }
+            drop(unit_span);
             if let Some(sc) = scope {
-                if let Some(id) = unit_span {
-                    sc.end_span(id);
-                }
                 let path = self.trace_path(job.unit);
                 if let Err(e) = sc.save(&path) {
                     eprintln!(

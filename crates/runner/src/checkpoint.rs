@@ -26,7 +26,7 @@
 
 use crate::job::{UnitOutcome, UnitStatus};
 use db_telemetry::json_escape;
-use db_telemetry::scope::{parse_json, Json};
+use db_util::json::{parse_json, Json};
 use db_util::sync::lock_recover;
 use db_util::wire::{from_hex, to_hex};
 use std::fs::{File, OpenOptions};

@@ -7,16 +7,16 @@
 //!   and span timings. Registration locks and allocates once; every update
 //!   after that is a relaxed atomic on a pre-allocated cell, cheap enough
 //!   for the packet hot path.
-//! * [`Span`] — RAII wall-clock timers for phase accounting
-//!   (train / simulate / monitor / infer / aggregate).
+//! * [`Span`] — one RAII phase (train / simulate / monitor / infer /
+//!   score …), timed into a registry, traced into a scope recorder, or both.
 //! * [`export`] — renderers from a registry [`Snapshot`] to human text
 //!   tables, JSON, and the Prometheus text format.
 //! * [`flight`] — the provenance flight recorder: a bounded ring of
 //!   structured cause-chain records ([`FlightRecord`]) with a stable binary
 //!   file format, powering `drift-bottle explain`.
-//! * [`scope`] — db-scope: ring-buffered per-window time series, causal
-//!   span tracing exported as Chrome `trace_event` JSON, and a sampling
-//!   hot-path profiler, powering `drift-bottle timeline` and `--trace`.
+//! * [`scope`] — db-scope: ring-buffered per-window time series and causal
+//!   span tracing exported as Chrome `trace_event` JSON, powering
+//!   `drift-bottle timeline` and `--trace`.
 //!
 //! # The global registry
 //!
@@ -51,7 +51,7 @@ pub use flight::{DropKind, FlightError, FlightRecord, FlightRecorder, Recording}
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot, Timing, TimingSnapshot,
 };
-pub use scope::{hot, HotFn, ScopeMeta, ScopePoint, ScopeRecorder, SeriesKind, TraceData};
+pub use scope::{window_of, ScopeMeta, ScopePoint, ScopeRecorder, SeriesKind, TraceData};
 pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,16 +120,6 @@ pub fn active() -> Option<&'static MetricsRegistry> {
     }
 }
 
-/// Start a span on the global registry, or `None` when disabled. Binding
-/// the result keeps the span alive for the scope:
-///
-/// ```
-/// let _span = db_telemetry::span("phase.simulate");
-/// ```
-pub fn span(name: &str) -> Option<Span> {
-    active().map(|reg| reg.span(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +130,7 @@ mod tests {
     fn global_toggle_lifecycle() {
         assert!(!enabled(), "collection must default to off");
         assert!(active().is_none());
-        assert!(span("phase.x").is_none(), "disabled spans cost nothing");
+        drop(Span::begin("phase.x", active(), None)); // disabled: times nothing
 
         // Handles registered before enabling still land in the registry.
         let early = global().counter("lifecycle.early");
@@ -150,15 +140,13 @@ mod tests {
         let reg = active().expect("enabled");
         reg.counter("lifecycle.late").inc();
         {
-            let _s = span("phase.x");
+            let _s = Span::begin("phase.x", active(), None);
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("lifecycle.early"), Some(1));
         assert_eq!(snap.counter("lifecycle.late"), Some(1));
-        assert_eq!(
-            snap.timings.iter().filter(|(n, _)| n == "phase.x").count(),
-            1
-        );
+        let timed = snap.timings.iter().find(|(n, _)| n == "phase.x");
+        assert_eq!(timed.map(|(_, t)| t.count), Some(1));
 
         disable();
         assert!(active().is_none());

@@ -213,11 +213,6 @@ impl MetricsRegistry {
         inner.timings.entry(name.to_string()).or_default().clone()
     }
 
-    /// Start an RAII span recording into the timing `name` when dropped.
-    pub fn span(&self, name: &str) -> crate::Span {
-        crate::Span::new(self.timing(name))
-    }
-
     /// A point-in-time copy of every metric, for export.
     pub fn snapshot(&self) -> Snapshot {
         let inner = lock_recover(&self.inner);

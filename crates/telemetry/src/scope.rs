@@ -1,7 +1,7 @@
-//! `db-scope`: time-series health timelines, causal span tracing, and a
-//! sampling hot-path profiler (DESIGN.md §13).
+//! `db-scope`: time-series health timelines and causal span tracing
+//! (DESIGN.md §13).
 //!
-//! Three pieces, all hanging off one [`ScopeRecorder`] handle that follows
+//! Two pieces, both hanging off one [`ScopeRecorder`] handle that follows
 //! the flight-recorder pattern: no handle attached ⇒ no code runs ⇒ outcomes
 //! stay bit-identical.
 //!
@@ -15,9 +15,6 @@
 //! * **Span tracer** — hierarchical wall-clock spans (sweep unit → scenario
 //!   → sim phase → window → inference phase) with parent IDs, exported as
 //!   Chrome `trace_event` JSON loadable in `chrome://tracing` / Perfetto.
-//! * **Profiler** — process-global op counters on the ten db-lint
-//!   registered hot-path functions. One relaxed atomic load when off (the
-//!   deterministic default), one relaxed `fetch_add` when sampling.
 //!
 //! Wall-clock reads live here, in the telemetry crate, because the
 //! deterministic tier (db-lint `det-time`) forbids them everywhere else.
@@ -26,131 +23,13 @@
 //! can compare the latter byte-for-byte across worker counts.
 
 use crate::export::json_escape;
+use db_util::json::{parse_json, Json};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-// ---- hot-path profiler -----------------------------------------------------
-
-/// Number of db-lint registered hot-path functions (lint.toml `[hotpath]`,
-/// core + netsim tier).
-pub const HOT_FN_COUNT: usize = 10;
-
-/// The ten hot-path functions the sampling profiler counts, exactly the
-/// core/netsim entries of lint.toml's `[hotpath]` registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum HotFn {
-    /// `core::system::on_packet`
-    OnPacket = 0,
-    /// `core::system::handle_distributed`
-    HandleDistributed = 1,
-    /// `netsim::engine::host_send`
-    HostSend = 2,
-    /// `netsim::engine::arrive`
-    Arrive = 3,
-    /// `netsim::engine::deliver`
-    Deliver = 4,
-    /// `netsim::engine::ack_arrive`
-    AckArrive = 5,
-    /// `netsim::engine::dispatch`
-    Dispatch = 6,
-    /// `netsim::engine::push`
-    Push = 7,
-    /// `netsim::engine::push_raw`
-    PushRaw = 8,
-    /// `netsim::engine::record_drop`
-    RecordDrop = 9,
-}
-
-impl HotFn {
-    /// Every variant, in counter order.
-    pub const ALL: [HotFn; HOT_FN_COUNT] = [
-        HotFn::OnPacket,
-        HotFn::HandleDistributed,
-        HotFn::HostSend,
-        HotFn::Arrive,
-        HotFn::Deliver,
-        HotFn::AckArrive,
-        HotFn::Dispatch,
-        HotFn::Push,
-        HotFn::PushRaw,
-        HotFn::RecordDrop,
-    ];
-
-    /// Stable snake_case name used in trace JSON and reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HotFn::OnPacket => "on_packet",
-            HotFn::HandleDistributed => "handle_distributed",
-            HotFn::HostSend => "host_send",
-            HotFn::Arrive => "arrive",
-            HotFn::Deliver => "deliver",
-            HotFn::AckArrive => "ack_arrive",
-            HotFn::Dispatch => "dispatch",
-            HotFn::Push => "push",
-            HotFn::PushRaw => "push_raw",
-            HotFn::RecordDrop => "record_drop",
-        }
-    }
-}
-
-static PROF_ENABLED: AtomicBool = AtomicBool::new(false);
-static PROF_COUNTS: [AtomicU64; HOT_FN_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Sample one hot-path call. When the profiler is off (the default) this is
-/// a single relaxed load — deterministic and free of side effects, so the
-/// deterministic tier stays bit-identical. When on, one relaxed `fetch_add`.
-#[inline(always)]
-pub fn hot(f: HotFn) {
-    if PROF_ENABLED.load(Ordering::Relaxed) {
-        PROF_COUNTS[f as usize].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Turn hot-path sampling on (process-wide).
-pub fn profiler_enable() {
-    PROF_ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turn hot-path sampling off. Counter values are kept.
-pub fn profiler_disable() {
-    PROF_ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether hot-path sampling is currently on.
-pub fn profiler_enabled() -> bool {
-    // The flag gates whether tallies are *sampled*, never which memory is
-    // read; a stale read loses or adds a few counts around enable/disable.
-    // db-lint: allow(conc-relaxed-publish) — sampling gate, not a data gate
-    PROF_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Current counter values, in [`HotFn::ALL`] order. Counters are
-/// process-global and monotonic; subtract a baseline for per-run deltas
-/// (a [`ScopeRecorder`] does this automatically).
-pub fn profiler_counts() -> [u64; HOT_FN_COUNT] {
-    let mut out = [0u64; HOT_FN_COUNT];
-    for (slot, c) in out.iter_mut().zip(PROF_COUNTS.iter()) {
-        *slot = c.load(Ordering::Relaxed);
-    }
-    out
-}
 
 // ---- series store ----------------------------------------------------------
 
@@ -297,10 +176,20 @@ pub struct ScopePoint {
 
 // ---- recorder --------------------------------------------------------------
 
+/// Sampling-window index of a nanosecond timestamp: completed intervals,
+/// `at_ns / interval_ns` (0 for a zero interval rather than a panic).
+///
+/// The one window rule of every observability view: db-scope buckets each
+/// feed and rolls each `window N` span with it, `explain` places flight
+/// records with it, and `drift-bottle top` labels the live window with it,
+/// so `timeline` and `explain` agree on which window a warning landed in.
+pub fn window_of(at_ns: u64, interval_ns: u64) -> u64 {
+    at_ns.checked_div(interval_ns).unwrap_or(0)
+}
+
 /// Static run parameters, pinned once per scenario (like the flight
-/// recorder's `RunMeta`). `interval_ns` drives window derivation:
-/// `window = at_ns / interval_ns`, the same convention `explain` uses to
-/// place flight records.
+/// recorder's `RunMeta`). `interval_ns` drives window derivation through
+/// [`window_of`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScopeMeta {
     pub interval_ns: u64,
@@ -341,7 +230,6 @@ struct ScopeInner {
 pub struct ScopeRecorder {
     inner: Mutex<ScopeInner>,
     epoch: Instant,
-    prof_base: [u64; HOT_FN_COUNT],
     cap: usize,
 }
 
@@ -360,7 +248,6 @@ impl ScopeRecorder {
         ScopeRecorder {
             inner: Mutex::new(ScopeInner::default()),
             epoch: Instant::now(),
-            prof_base: profiler_counts(),
             cap: series_capacity.max(1),
         }
     }
@@ -416,7 +303,7 @@ impl ScopeRecorder {
         value: f64,
     ) {
         let Some(meta) = g.meta else { return };
-        let w = at_ns / meta.interval_ns.max(1);
+        let w = window_of(at_ns, meta.interval_ns);
         if w > g.cur_window {
             Self::flush_acc(g, cap);
             g.cur_window = w;
@@ -548,7 +435,7 @@ impl ScopeRecorder {
         let open = {
             let g = self.lock();
             let Some(meta) = g.meta else { return };
-            let w = at_ns / meta.interval_ns.max(1);
+            let w = window_of(at_ns, meta.interval_ns);
             match g.window_span {
                 Some((cur, _)) if cur == w => return,
                 other => (w, other),
@@ -616,11 +503,10 @@ impl ScopeRecorder {
     /// The document is an object-form trace: `traceEvents` carries the
     /// wall-clock spans (`ph:"X"` complete events, µs timestamps) and the
     /// custom `dbScope` key carries the deterministic surface — meta,
-    /// series, span structure (names and parent links, no durations), and
-    /// profiler counts. Viewers ignore unknown top-level keys.
+    /// series, and span structure (names and parent links, no durations).
+    /// Viewers ignore unknown top-level keys.
     pub fn to_trace_json(&self) -> String {
         let end_us = self.now_us();
-        let prof = profiler_counts();
         let mut g = self.lock();
         // Close stragglers (the export boundary is the outermost end).
         while let Some(top) = g.stack.pop() {
@@ -708,36 +594,7 @@ impl ScopeRecorder {
                 rec.dur_us.unwrap_or(0),
             );
         }
-        out.push_str("],");
-
-        let _ = write!(
-            out,
-            "\"profiler\":{{\"enabled\":{},\"counts\":[",
-            profiler_enabled()
-        );
-        let total: u64 = HotFn::ALL
-            .iter()
-            .map(|f| prof[*f as usize].saturating_sub(self.prof_base[*f as usize]))
-            .sum();
-        for (i, f) in HotFn::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let calls = prof[*f as usize].saturating_sub(self.prof_base[*f as usize]);
-            let share = if total > 0 {
-                calls as f64 / total as f64
-            } else {
-                0.0
-            };
-            let _ = write!(
-                out,
-                "{{\"fn\":\"{}\",\"calls\":{},\"share\":{}}}",
-                f.as_str(),
-                calls,
-                fmt_f64(share)
-            );
-        }
-        out.push_str("]}}}");
+        out.push_str("]}}");
         out
     }
 
@@ -788,282 +645,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-// ---- minimal JSON reader ---------------------------------------------------
-
-/// A parsed JSON value. The workspace is std-only, so `timeline` and the
-/// determinism tests read traces back through this minimal recursive-descent
-/// parser instead of a serde dependency.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] descends into. The parser
-/// recurses once per level, so input must not choose the stack depth;
-/// traces nest 4 deep.
-const MAX_JSON_DEPTH: usize = 128;
-
-/// Parse a JSON document. Errors carry a byte offset and a short reason.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open around `pos`.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_JSON_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let v = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or escape. Both are
-                    // ASCII, so the run ends on a char boundary.
-                    let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
-                    out.push_str(&rest[..run]);
-                    self.pos += run;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-}
-
 // ---- trace read-back -------------------------------------------------------
 
 /// One series read back from a trace file.
@@ -1091,13 +672,12 @@ pub struct TraceData {
     pub meta: Option<ScopeMeta>,
     pub series: Vec<TraceSeries>,
     pub spans: Vec<TraceSpan>,
-    /// `(function name, calls)` profiler deltas, in [`HotFn::ALL`] order.
-    pub profiler: Vec<(String, u64)>,
-    pub profiler_enabled: bool,
 }
 
 impl TraceData {
     /// Parse a trace document produced by [`ScopeRecorder::to_trace_json`].
+    /// Keys it does not read are ignored, so a trace that still carries the
+    /// retired `profiler` block loads too.
     pub fn from_json_str(text: &str) -> Result<TraceData, String> {
         let doc = parse_json(text)?;
         let scope = doc.get("dbScope").ok_or("missing dbScope object")?;
@@ -1151,19 +731,10 @@ impl TraceData {
             });
         }
 
-        let prof = scope.get("profiler").ok_or("missing profiler")?;
-        let profiler_enabled = prof.get("enabled").and_then(Json::as_bool).unwrap_or(false);
-        let mut profiler = Vec::new();
-        for c in arr_of(prof, "counts")? {
-            profiler.push((field_str(c, "fn")?, field_u64(c, "calls")?));
-        }
-
         Ok(TraceData {
             meta,
             series,
             spans,
-            profiler,
-            profiler_enabled,
         })
     }
 
@@ -1181,8 +752,8 @@ impl TraceData {
 
     /// Canonical text of the deterministic surface: meta, series content,
     /// and span structure (names and parent links). Wall-clock durations
-    /// and process-global profiler counts are excluded, so two traces of
-    /// the same unit — at any worker count — digest identically.
+    /// are excluded, so two traces of the same unit — at any worker count —
+    /// digest identically.
     pub fn deterministic_digest(&self) -> String {
         let mut out = String::new();
         match &self.meta {
@@ -1461,6 +1032,13 @@ mod tests {
         let t2 = TraceData::from_json_str(&text).unwrap();
         assert_eq!(t.deterministic_digest(), t2.deterministic_digest());
         assert!(t.deterministic_digest().contains("series link.suspicion 7"));
+        // A trace that still carries the retired profiler block loads alike.
+        let old = text.replace(
+            "\"spans\":[",
+            "\"profiler\":{\"enabled\":true,\"counts\":[{\"fn\":\"arrive\",\"calls\":3,\"share\":1}]},\"spans\":[",
+        );
+        assert_ne!(old, text);
+        assert_eq!(TraceData::from_json_str(&old).unwrap(), t);
     }
 
     #[test]
@@ -1474,69 +1052,10 @@ mod tests {
                 name: "x".into(),
                 dur_us: 10,
             }],
-            profiler: vec![],
-            profiler_enabled: false,
         };
         let mut b = a.clone();
         b.spans[0].dur_us = 99_999;
-        b.profiler = vec![("on_packet".into(), 123)];
         assert_eq!(a.deterministic_digest(), b.deterministic_digest());
-    }
-
-    // The profiler toggle is process-global, so its whole lifecycle lives
-    // in one #[test] (same pattern as the telemetry enable/disable test).
-    #[test]
-    fn profiler_lifecycle_counts_only_when_enabled() {
-        let before = profiler_counts();
-        hot(HotFn::Arrive); // off: must not count
-        assert_eq!(
-            profiler_counts()[HotFn::Arrive as usize],
-            before[HotFn::Arrive as usize]
-        );
-
-        let rec = ScopeRecorder::default(); // baseline snapshot
-        profiler_enable();
-        assert!(profiler_enabled());
-        hot(HotFn::Arrive);
-        hot(HotFn::Arrive);
-        hot(HotFn::Push);
-        profiler_disable();
-        hot(HotFn::Arrive); // off again: not counted
-
-        let t = TraceData::from_json_str(&rec.to_trace_json()).unwrap();
-        let calls: std::collections::BTreeMap<&str, u64> =
-            t.profiler.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-        assert_eq!(calls["arrive"], 2);
-        assert_eq!(calls["push"], 1);
-        assert_eq!(calls["on_packet"], 0);
-        assert_eq!(t.profiler.len(), HOT_FN_COUNT);
-    }
-
-    #[test]
-    fn parser_handles_escapes_nesting_and_rejects_garbage() {
-        let v = parse_json(r#"{"a":[1,-2.5,1e3],"b":"x\n\"A😀","c":null}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(1000.0)
-        );
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"A😀"));
-        assert_eq!(v.get("c"), Some(&Json::Null));
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("true false").is_err());
-    }
-
-    /// Nesting is input-controlled and the parser recurses per level: past
-    /// the cap it is an error naming the byte, never a stack overflow.
-    #[test]
-    fn parser_refuses_nesting_past_the_cap() {
-        for unit in ["[", r#"{"a":"#] {
-            let err = parse_json(&unit.repeat(200_000)).unwrap_err();
-            let at = unit.len() * MAX_JSON_DEPTH;
-            assert_eq!(err, format!("nesting deeper than 128 at byte {at}"));
-        }
-        let ok = format!("{}1{}", "[".repeat(128), "]".repeat(128));
-        assert!(parse_json(&ok).is_ok(), "the cap itself still parses");
     }
 
     #[test]

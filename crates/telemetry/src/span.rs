@@ -1,59 +1,64 @@
 //! RAII wall-clock spans for phase-level accounting.
 
 use crate::registry::Timing;
+use crate::scope::ScopeRecorder;
+use crate::MetricsRegistry;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Times the region from construction to drop and records it into a
-/// [`Timing`]. Obtained from [`crate::MetricsRegistry::span`] or
-/// [`crate::span`] (the global-registry helper, which returns `None` when
-/// telemetry is disabled so the hot path pays one atomic load).
+/// One phase, from [`Span::begin`] to drop: timed into the registry it was
+/// given, traced as a span of the scope recorder it was given, or both.
+/// Given neither, it records nothing.
 ///
 /// ```
 /// let reg = db_telemetry::MetricsRegistry::new();
 /// {
-///     let _span = reg.span("phase.simulate");
+///     let _span = db_telemetry::Span::begin("phase.simulate", Some(&reg), None);
 ///     // ... work ...
 /// }
 /// assert_eq!(reg.snapshot().timings[0].1.count, 1);
 /// ```
 #[derive(Debug)]
 pub struct Span {
-    timing: Timing,
-    start: Instant,
+    timing: Option<(Timing, Instant)>,
+    scope: Option<(Arc<ScopeRecorder>, u32)>,
 }
 
 impl Span {
-    pub(crate) fn new(timing: Timing) -> Self {
+    /// Open the phase `name` in each sink given.
+    pub fn begin(
+        name: &str,
+        reg: Option<&MetricsRegistry>,
+        scope: Option<&Arc<ScopeRecorder>>,
+    ) -> Span {
         Span {
-            timing,
-            start: Instant::now(),
+            scope: scope.map(|sc| (sc.clone(), sc.begin_span(name))),
+            timing: reg.map(|r| (r.timing(name), Instant::now())),
         }
     }
-
-    /// Elapsed time so far, in nanoseconds.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// End the span early (identical to dropping it).
-    pub fn finish(self) {}
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.timing.record_ns(self.elapsed_ns());
+        if let Some((timing, start)) = &self.timing {
+            timing.record_ns(start.elapsed().as_nanos() as u64);
+        }
+        if let Some((sc, id)) = &self.scope {
+            sc.end_span(*id);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::MetricsRegistry;
+    use super::*;
+    use crate::TraceData;
 
     #[test]
     fn span_records_on_drop() {
         let reg = MetricsRegistry::new();
         {
-            let _s = reg.span("phase.t");
+            let _s = Span::begin("phase.t", Some(&reg), None);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let t = reg.timing("phase.t");
@@ -66,18 +71,33 @@ mod tests {
     fn nested_and_repeated_spans_accumulate() {
         let reg = MetricsRegistry::new();
         for _ in 0..3 {
-            let _outer = reg.span("phase.outer");
-            let _inner = reg.span("phase.inner");
+            let _outer = Span::begin("phase.outer", Some(&reg), None);
+            let _inner = Span::begin("phase.inner", Some(&reg), None);
         }
         assert_eq!(reg.timing("phase.outer").count(), 3);
         assert_eq!(reg.timing("phase.inner").count(), 3);
     }
 
+    /// Each sink sees exactly the spans it was given: the registry times
+    /// only the registry spans, the trace holds only the scope spans.
     #[test]
-    fn finish_ends_early() {
+    fn each_span_feeds_exactly_the_sinks_it_was_given() {
         let reg = MetricsRegistry::new();
-        let s = reg.span("phase.f");
-        s.finish();
-        assert_eq!(reg.timing("phase.f").count(), 1);
+        let sc = Arc::new(ScopeRecorder::default());
+        {
+            let _both = Span::begin("phase.both", Some(&reg), Some(&sc));
+            let _reg = Span::begin("phase.reg", Some(&reg), None);
+            let _scope = Span::begin("phase.scope", None, Some(&sc));
+            let _none = Span::begin("phase.none", None, None);
+        }
+        let timed: Vec<String> = reg.snapshot().timings.into_iter().map(|t| t.0).collect();
+        assert_eq!(timed, ["phase.both", "phase.reg"]);
+        let t = TraceData::from_json_str(&sc.to_trace_json()).unwrap();
+        let traced: Vec<(&str, Option<u32>)> = t
+            .spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.parent))
+            .collect();
+        assert_eq!(traced, [("phase.both", None), ("phase.scope", Some(0))]);
     }
 }

@@ -18,11 +18,14 @@
 //!   binaries in `db-bench`.
 //! * [`wire`] — a big-endian byte codec with bit-exact `f64` round trips,
 //!   used by the sweep checkpoint format of `db-runner`.
+//! * [`json`] — a minimal JSON reader for db-scope traces and the sweep
+//!   checkpoint.
 //! * [`sync`] — the shared poison-recovering mutex helper the
 //!   concurrency-tier crates lock through (DESIGN.md §17).
 
 pub mod dist;
 pub mod hash;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod sync;

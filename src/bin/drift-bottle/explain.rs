@@ -90,11 +90,11 @@ fn explain_aggregate(rec: &Recording, path: &str, fmt: ExplainFormat) -> Result<
             q.ring_dropped,
             q.info.ground_truth,
             q.reported_links,
-            q.precision,
-            q.recall,
-            q.f1,
-            q.accuracy,
-            q.fpr,
+            q.metrics.precision,
+            q.metrics.recall,
+            q.metrics.f1,
+            q.metrics.accuracy,
+            q.metrics.fpr,
             q.warnings_total,
             q.warnings_in_window,
             q.classified.0,
@@ -128,11 +128,11 @@ fn explain_aggregate(rec: &Recording, path: &str, fmt: ExplainFormat) -> Result<
     println!("reported     : {}", fmt_links(&q.reported_links));
     println!(
         "quality      : precision {:.2}  recall {:.2}  F1 {:.2}  accuracy {:.2}%  FPR {:.2}%",
-        q.precision,
-        q.recall,
-        q.f1,
-        100.0 * q.accuracy,
-        100.0 * q.fpr
+        q.metrics.precision,
+        q.metrics.recall,
+        q.metrics.f1,
+        100.0 * q.metrics.accuracy,
+        100.0 * q.metrics.fpr
     );
     println!(
         "warnings     : {} raised, {} inside the collection window",

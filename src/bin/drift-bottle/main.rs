@@ -32,9 +32,9 @@
 //! Scenario commands additionally accept `--scheme=NAME` (compare a §6.4
 //! weight scheme instead of the flagship), `--flight[=path]` (capture a
 //! provenance flight recording for `explain` to consume later), and
-//! `--trace[=path]` (capture a db-scope trace — per-window health series,
-//! the scenario→phase→window span tree as Chrome `trace_event` JSON, and
-//! hot-path profiler shares — for `timeline` or Perfetto).
+//! `--trace[=path]` (capture a db-scope trace — per-window health series
+//! and the scenario→phase→window span tree as Chrome `trace_event` JSON —
+//! for `timeline` or Perfetto).
 //!
 //! Argument parsing is deliberately bare std — the library has no CLI
 //! dependencies. One [`Cli`] parser owns the whole grammar: every

@@ -131,10 +131,10 @@ fn single_setup<'a>(
         Some(_) => Some(Arc::new(FlightRecorder::new(flight_capacity()?))),
         None => None,
     };
-    setup.instr.scope = opts.trace.as_ref().map(|_| {
-        drift_bottle::telemetry::scope::profiler_enable();
-        Arc::new(ScopeRecorder::default())
-    });
+    setup.instr.scope = opts
+        .trace
+        .as_ref()
+        .map(|_| Arc::new(ScopeRecorder::default()));
     Ok(setup)
 }
 

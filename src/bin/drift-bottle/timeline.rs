@@ -127,7 +127,7 @@ fn timeline_target(
     }
     // The warning cross-reference: the first window whose warning count is
     // non-zero is the sampling window in which `explain`'s WarningRaised
-    // record for this link lands (both derive the index as at_ns/interval).
+    // record for this link lands (both derive the index with `window_of`).
     if kinds.contains(&SeriesKind::LinkWarnings) {
         if let Some(ws) = data.series_for(SeriesKind::LinkWarnings, id) {
             if let Some(&(w, _)) = ws.points.iter().find(|&&(_, v)| v > 0.0) {
@@ -182,7 +182,6 @@ fn timeline_summary(data: &TraceData, path: &str, fmt: TimelineFormat) -> Result
         .iter()
         .flat_map(|s| s.points.iter().map(|&(w, _)| w))
         .fold((u64::MAX, 0u64), |(lo, hi), w| (lo.min(w), hi.max(w)));
-    let total_calls: u64 = data.profiler.iter().map(|&(_, n)| n).sum();
     if fmt == TimelineFormat::Json {
         let meta = data
             .meta
@@ -199,13 +198,8 @@ fn timeline_summary(data: &TraceData, path: &str, fmt: TimelineFormat) -> Result
             .take(5)
             .map(|(l, p)| format!("{{\"link\":{l},\"peak\":{p}}}"))
             .collect();
-        let prof: Vec<String> = data
-            .profiler
-            .iter()
-            .map(|(f, n)| format!("{{\"fn\":\"{f}\",\"calls\":{n}}}"))
-            .collect();
         println!(
-            "{{\"file\":\"{}\",\"meta\":{meta},\"series\":{},\"spans\":{},\"windows\":{},\"links_with_warnings\":{:?},\"top_suspicion\":[{}],\"profiler_enabled\":{},\"profiler\":[{}]}}",
+            "{{\"file\":\"{}\",\"meta\":{meta},\"series\":{},\"spans\":{},\"windows\":{},\"links_with_warnings\":{:?},\"top_suspicion\":[{}]}}",
             drift_bottle::telemetry::json_escape(path),
             data.series.len(),
             data.spans.len(),
@@ -216,8 +210,6 @@ fn timeline_summary(data: &TraceData, path: &str, fmt: TimelineFormat) -> Result
             },
             warned,
             top.join(","),
-            data.profiler_enabled,
-            prof.join(",")
         );
         return Ok(());
     }
@@ -287,17 +279,6 @@ fn timeline_summary(data: &TraceData, path: &str, fmt: TimelineFormat) -> Result
     }
     if suspects.is_empty() {
         println!("  (no merges reached any switch)");
-    }
-    if data.profiler_enabled && total_calls > 0 {
-        println!("hot path     : {total_calls} calls");
-        let mut prof = data.profiler.clone();
-        prof.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (f, n) in prof.iter().filter(|&&(_, n)| n > 0) {
-            println!(
-                "  {f:<26} {n:>12}  {:.1}%",
-                100.0 * *n as f64 / total_calls as f64
-            );
-        }
     }
     println!("inspect a link with: drift-bottle timeline {path} l<ID> (or s<ID> for a switch)");
     Ok(())

@@ -2,7 +2,7 @@
 
 use crate::{flag, switch, Flag};
 use drift_bottle::serve::{Client, Frame};
-use drift_bottle::telemetry::scope::{sparkline, SeriesKind};
+use drift_bottle::telemetry::scope::{sparkline, window_of, SeriesKind};
 use std::collections::HashMap;
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -97,7 +97,7 @@ pub fn cmd_top(addr: &str, topo: &str, args: &TopArgs) -> Result<(), String> {
         if !args.once {
             s.push_str("\x1b[2J\x1b[H");
         }
-        let window = pulse.now_ns / interval_ns.max(1);
+        let window = window_of(pulse.now_ns, interval_ns);
         s.push_str(&format!(
             "drift-bottle top — {addr} · {topo} ({nodes} switches, {links} links) · \
              t={:.3}s · window {window}\n",

@@ -5,9 +5,10 @@
 //! (tables), and refuse a bad target with the documented one-line error.
 //! Also `report`'s stderr: one line per raised warning, and only there.
 
+use drift_bottle::inference::quality_report;
 use drift_bottle::prelude::*;
-use drift_bottle::telemetry::scope::{parse_json, Json};
-use drift_bottle::telemetry::{FlightRecorder, ScopeRecorder};
+use drift_bottle::telemetry::{FlightRecord, FlightRecorder, ScopeRecorder};
+use drift_bottle::util::json::{parse_json, Json};
 use std::process::Command;
 use std::sync::Arc;
 
@@ -52,6 +53,9 @@ fn cli(args: &[&str]) -> Result<String, String> {
     }
 }
 
+/// The keys of `explain <file> --format=json`, in order.
+const EXPLAIN_KEYS: &str = "file records evicted ground_truth reported precision recall f1 accuracy fpr warnings_total warnings_in_window classified_abnormal classified_normal merges merges_with_drops dropped_entries truncation_loss_rate time_to_first_warning";
+
 /// The view's one JSON object, its keys exactly `keys` (space-separated).
 fn json_view(args: &[&str], keys: &str) -> Json {
     let out = cli(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
@@ -88,7 +92,7 @@ fn every_explain_and_timeline_view_renders() {
     // explain: the whole run, one link, one switch.
     let agg = table_view(&["explain", f], "=== flight recording: |records      : |run          : |ground truth : |reported     : |quality      : |warnings     : |classified   : |truncation   : |time to first in-window warning:");
     assert!(agg.contains(&format!("ground truth : {l}\n")), "{agg}");
-    let doc = json_view(&["explain", f, "--format=json"], "file records evicted ground_truth reported precision recall f1 accuracy fpr warnings_total warnings_in_window classified_abnormal classified_normal merges merges_with_drops dropped_entries truncation_loss_rate time_to_first_warning");
+    let doc = json_view(&["explain", f, "--format=json"], EXPLAIN_KEYS);
     assert_eq!(doc.get("file").and_then(Json::as_str), Some(f));
     assert_eq!(array(&doc, "ground_truth")[0].as_u64(), Some(link.into()));
 
@@ -134,7 +138,10 @@ fn every_explain_and_timeline_view_renders() {
         table_view(&["timeline", t, "--format=sparkline"], &summary),
         table
     );
-    let doc = json_view(&["timeline", t, "--format=json"], "file meta series spans windows links_with_warnings top_suspicion profiler_enabled profiler");
+    let doc = json_view(
+        &["timeline", t, "--format=json"],
+        "file meta series spans windows links_with_warnings top_suspicion",
+    );
     assert_eq!(doc.get("file").and_then(Json::as_str), Some(t));
     let switches = doc.get("meta").and_then(|m| m.get("total_switches"));
     assert_eq!(switches.and_then(Json::as_u64), Some(9));
@@ -170,6 +177,58 @@ fn every_explain_and_timeline_view_renders() {
         "{missing}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A recording may claim anything: this one's run header says two links,
+/// yet names l5 failed and holds in-window warnings on l7 and l9. Scoring
+/// it saturates instead of panicking, in the library and through `explain`.
+#[test]
+fn a_recording_that_understates_its_link_count_still_scores() {
+    let rec = FlightRecorder::new(64);
+    rec.record(FlightRecord::RunMeta {
+        t_fail_ns: 100,
+        window_from_ns: 100,
+        window_to_ns: 200,
+        interval_ns: 10,
+        total_links: 2,
+        k: 4,
+        hop_min: 3,
+        alpha: 1.0,
+        beta: 2.0,
+        ground_truth: vec![5],
+    });
+    for link in [7, 9] {
+        rec.record(FlightRecord::WarningRaised {
+            at_ns: 150,
+            switch: 1,
+            link,
+            hop_now: 4,
+            w0: 8.0,
+            w1: 1.0,
+            alpha_lhs: 4.0,
+            beta_lhs: 2.0,
+            ground_truth_hit: false,
+        });
+    }
+    let q = quality_report(&rec.snapshot()).expect("the run header is kept");
+    assert_eq!(q.reported_links, [7, 9]);
+    let m = q.metrics;
+    for v in [m.precision, m.recall, m.f1, m.accuracy, m.fpr] {
+        assert!(v.is_finite(), "{m:?}");
+    }
+
+    let path =
+        std::env::temp_dir().join(format!("db-cli-understated-{}.flight", std::process::id()));
+    let f = path.to_str().unwrap();
+    rec.save(f).unwrap();
+    let doc = json_view(&["explain", f, "--format=json"], EXPLAIN_KEYS);
+    assert_eq!(
+        doc.get("reported")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(2)
+    );
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The `[WARN` lines of a smoke-trained Geant2012 run of `args`, and the

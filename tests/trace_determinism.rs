@@ -1,8 +1,7 @@
 //! Trace determinism across worker counts.
 //!
 //! A sweep with `--trace` writes one Chrome-trace JSON per unit. Wall-clock
-//! span durations and profiler counts legitimately differ between runs,
-//! but everything else — the meta header, every per-window series, and the
+//! span durations legitimately differ between runs, but everything else — the meta header, every per-window series, and the
 //! span tree's names/parents — must be identical whether the sweep ran on
 //! one worker or eight. [`TraceData::deterministic_digest`] is exactly
 //! that wall-clock-free surface; this test pins its equality per unit.

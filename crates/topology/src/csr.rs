@@ -151,6 +151,15 @@ pub struct CsrTopology {
     latency_ms: Vec<f64>,
     /// Link capacity, megabits per second.
     bandwidth_mbps: Vec<f64>,
+    /// Smallest and largest `latency_ms`, taken once at construction.
+    latency_range_ms: (f64, f64),
+}
+
+/// `(min, max)` of `latencies`; `(∞, 0)` for a graph without links.
+fn range_of(latencies: &[f64]) -> (f64, f64) {
+    latencies
+        .iter()
+        .fold((f64::INFINITY, 0.0), |(lo, hi), &l| (lo.min(l), hi.max(l)))
 }
 
 impl CsrTopology {
@@ -190,6 +199,7 @@ impl CsrTopology {
             nbr_link,
             link_a,
             link_b,
+            latency_range_ms: range_of(&latency_ms),
             latency_ms,
             bandwidth_mbps,
         }
@@ -258,6 +268,7 @@ impl CsrTopology {
             nbr_link,
             link_a,
             link_b,
+            latency_range_ms: range_of(&latency_ms),
             latency_ms,
             bandwidth_mbps,
         }
@@ -406,6 +417,13 @@ impl CsrTopology {
     #[inline]
     pub fn link_latency_ms(&self, l: u32) -> f64 {
         self.latency_ms[l as usize]
+    }
+
+    /// Smallest and largest one-way link latency in milliseconds, `(∞, 0)`
+    /// for a graph without links. Every latency is positive and finite:
+    /// all three constructors reject anything else.
+    pub(crate) fn latency_range_ms(&self) -> (f64, f64) {
+        self.latency_range_ms
     }
 
     /// Bandwidth of link `l` in Mbps.

@@ -12,28 +12,30 @@
 //! destination is settled; `path`/`latency_ms`/`rtt_ms` read the answer off
 //! the partial tree. A later request beyond the settled frontier resumes
 //! the search — the first one as far as its destination, the second one to
-//! exhaustion (a resume costs an `O(n)` heap rebuild, so unbounded resumes
+//! exhaustion (a resume costs an `O(n)` queue rebuild, so unbounded resumes
 //! would be `O(n²)` per source on a graph whose ids are in distance order).
 //! An exhausted search is frozen into an immutable [`SourceTree`] that is
 //! read without the per-slot lock; [`OnDemandRoutes::tree`] and
-//! `all_rtts_ms` force exhaustion. The heap is not kept between requests:
+//! `all_rtts_ms` force exhaustion. The queue is not kept between requests:
 //! its live content is exactly the discovered, unsettled nodes at their
-//! current `(dist, hops)`, so a resume rebuilds it from the arrays into a
-//! reused buffer, and a resident partial tree costs what a whole one did.
+//! current `(dist, hops)`, so a resume rebuilds it from the arrays into
+//! reused buckets, and a resident partial tree costs what a whole one did.
 //!
 //! **Determinism argument** (DESIGN.md §14): the CSR Dijkstra mirrors the
-//! legacy one operation for operation — same heap ordering, same neighbor
-//! visit order (rows are `(node, link)`-sorted in both representations),
-//! same floating-point additions in the same order, same strict-improvement
-//! tie-break. Relaxation only ever writes unsettled nodes, so the `dist`
-//! and `parent` of a settled node — and of every ancestor, settled earlier
-//! — are final, and the pop order depends only on the total order of the
-//! keys: a partial tree answers bit-identically to a whole one. A cached
-//! tree is likewise bit-identical to a recomputed one, so cache hits,
-//! misses, and evictions cannot change any produced path or distance — the
-//! cache affects *when* and *how far* trees are computed, never *what* they
-//! contain. Eviction itself is deterministic under single-threaded use
-//! (least-recently-used by a monotonic tick), but no result depends on it.
+//! legacy one operation for operation — the same pop order (a monotone
+//! bucket queue pops its keys in exactly the order a binary heap does),
+//! same neighbor visit order (rows are `(node, link)`-sorted in both
+//! representations), same floating-point additions in the same order, same
+//! strict-improvement tie-break. Relaxation only ever writes unsettled
+//! nodes, so the `dist` and `parent` of a settled node — and of every
+//! ancestor, settled earlier — are final, and the pop order depends only on
+//! the total order of the keys: a partial tree answers bit-identically to a
+//! whole one. A cached tree is likewise bit-identical to a recomputed one,
+//! so cache hits, misses, and evictions cannot change any produced path or
+//! distance — the cache affects *when* and *how far* trees are computed,
+//! never *what* they contain. Eviction itself is deterministic under
+//! single-threaded use (least-recently-used by a monotonic tick), but no
+//! result depends on it.
 //!
 //! `rtt_ms` deliberately sums the forward and reverse tree distances
 //! (`d_src[dst] + d_dst[src]`) instead of doubling one of them: the two
@@ -48,8 +50,7 @@ use crate::routing::{Path, Routes};
 use db_telemetry::{Counter, Gauge, MetricsRegistry};
 use db_util::sync::lock_recover;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// `parent` entry of the source and of nodes not yet discovered.
@@ -117,17 +118,154 @@ const DONE: u32 = 1 << 31;
 /// Hop word of a node not yet discovered: unsettled, "infinite" hops.
 const UNSEEN: u32 = DONE - 1;
 
-/// Min-heap entry `(dist.to_bits(), hops, node)`. Latencies are finite and
-/// positive, so distances are non-negative and their IEEE bit patterns
-/// order like the values: the tuple orders exactly like the legacy
-/// `HeapEntry` in [`crate::routing`] (distance, then hop count, then node
-/// id) with integer comparisons only.
-type HeapKey = Reverse<(u64, u32, u32)>;
+/// Queue key `(dist.to_bits(), hops, node)`, packed high to low into one
+/// integer. Latencies are finite and positive, so distances are
+/// non-negative and their IEEE bit patterns order like the values: the key
+/// orders exactly like the legacy `HeapEntry` in [`crate::routing`]
+/// (distance, then hop count, then node id) with one integer comparison.
+fn key(dist: f64, hops: u32, node: u32) -> u128 {
+    u128::from(dist.to_bits()) << 64 | u128::from(hops) << 32 | u128::from(node)
+}
+
+/// A monotone bucket queue of [`key`]s: pops them in the order a binary
+/// min-heap does, duplicates included, provided no key is pushed below the
+/// last one popped.
+///
+/// A key at distance `d` goes to bucket `⌊d · (1/Δ)⌋`, with
+/// `Δ = max(min latency, max latency / 1024)` of the graph. Bucket `b`
+/// lives in ring slot `b & mask`. A Dijkstra push is at most one maximum
+/// latency past the key just popped, so every live key lies within
+/// `⌈max/Δ⌉ + 1` buckets of the current one, and the ring (`⌈max/Δ⌉ + 3`
+/// slots, rounded up to a power of two) never holds two buckets in one
+/// slot. The queue sorts a bucket once, descending, when it reaches it and
+/// pops from its end; a later push into that bucket is a sorted insert.
+/// Keys past the ring's span wait in `far` — only infinite distances, whose
+/// latency sum overflows `f64`, land there, and they order after every
+/// finite key — until the ring drains and restarts at the smallest of them.
+#[derive(Debug)]
+struct BucketQueue {
+    ring: Vec<Vec<u128>>,
+    /// `ring.len() - 1`; the ring length is a power of two.
+    mask: u64,
+    /// `1/Δ`.
+    inv: f64,
+    /// The bucket being popped; no key in the ring lies below it.
+    cur: u64,
+    /// Whether bucket `cur` is sorted yet.
+    sorted: bool,
+    /// Keys in the ring.
+    len: usize,
+    far: Vec<u128>,
+}
+
+impl BucketQueue {
+    const EMPTY: BucketQueue = BucketQueue {
+        ring: Vec::new(),
+        mask: 0,
+        inv: 0.0,
+        cur: 0,
+        sorted: false,
+        len: 0,
+        far: Vec::new(),
+    };
+
+    /// Empty the queue and size its ring for link latencies in
+    /// `(lo, hi)`, keeping the buckets' storage.
+    fn reset(&mut self, (lo, hi): (f64, f64)) {
+        // The floor keeps `1/Δ` finite when every latency is subnormal.
+        let delta = lo.max(hi / 1024.0).max(f64::MIN_POSITIVE);
+        let slots = ((hi / delta).ceil() as usize + 3).next_power_of_two();
+        self.ring.resize_with(slots, Vec::new);
+        for bucket in &mut self.ring {
+            bucket.clear();
+        }
+        self.mask = slots as u64 - 1;
+        self.inv = 1.0 / delta;
+        self.cur = 0;
+        self.sorted = false;
+        self.len = 0;
+        self.far.clear();
+    }
+
+    /// Fill an empty queue with `keys`, starting the ring at the smallest
+    /// of them. They must all lie within one ring span of it, as a
+    /// Dijkstra frontier does.
+    fn rebuild(&mut self, keys: impl Iterator<Item = u128>) {
+        self.far.extend(keys);
+        self.restart();
+    }
+
+    fn bucket(&self, key: u128) -> u64 {
+        (f64::from_bits((key >> 64) as u64) * self.inv) as u64
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.far.is_empty()
+    }
+
+    /// Queue `key`, which must not lie below the last key popped. Runs
+    /// once per relaxation; registered in the lint hot tier.
+    fn push(&mut self, key: u128) {
+        let b = self.bucket(key);
+        if b.wrapping_sub(self.cur) > self.mask {
+            self.far.push(key);
+            return;
+        }
+        let at_cur = b == self.cur && self.sorted;
+        if let Some(bucket) = self.ring.get_mut((b & self.mask) as usize) {
+            if at_cur {
+                let at = bucket.partition_point(|&k| k > key);
+                bucket.insert(at, key);
+            } else {
+                bucket.push(key);
+            }
+            self.len += 1;
+        }
+    }
+
+    /// Take the smallest key. Runs once per settle; registered in the lint
+    /// hot tier.
+    fn pop(&mut self) -> Option<u128> {
+        if self.len == 0 {
+            if self.far.is_empty() {
+                return None;
+            }
+            self.restart();
+        }
+        loop {
+            let bucket = self.ring.get_mut((self.cur & self.mask) as usize)?;
+            if !bucket.is_empty() {
+                if !self.sorted {
+                    bucket.sort_unstable_by(|a, b| b.cmp(a));
+                    self.sorted = true;
+                }
+                self.len -= 1;
+                return bucket.pop();
+            }
+            self.cur = self.cur.wrapping_add(1);
+            self.sorted = false;
+        }
+    }
+
+    /// With the ring empty, move it to the smallest key in `far` and file
+    /// every key in its span there.
+    fn restart(&mut self) {
+        let mut far = std::mem::take(&mut self.far);
+        self.cur = far.iter().map(|&k| self.bucket(k)).min().unwrap_or(0);
+        self.sorted = false;
+        for k in far.drain(..) {
+            self.push(k);
+        }
+        if self.far.is_empty() {
+            self.far = far;
+        }
+    }
+}
 
 thread_local! {
-    /// Heap storage between this thread's searches, so a cache miss does
-    /// not grow a new heap.
-    static HEAP_BUF: Cell<Vec<HeapKey>> = const { Cell::new(Vec::new()) };
+    /// Queue storage between this thread's searches, so a cache miss does
+    /// not grow new buckets.
+    static QUEUE: Cell<BucketQueue> = const { Cell::new(BucketQueue::EMPTY) };
 }
 
 /// A resumable single-source Dijkstra over CSR rows, mirroring the legacy
@@ -172,29 +310,32 @@ impl Search {
         let fresh = !self.is_settled(self.src);
         let SourceTree { dist, parent } = &mut self.tree;
         let hops = &mut self.hops;
-        // The heap's live content is the discovered, unsettled nodes at
-        // their current (dist, hops); every other entry it ever held is
+        // The queue's live content is the discovered, unsettled nodes at
+        // their current (dist, hops); every other key it ever held is
         // skipped when popped.
-        let mut buf = HEAP_BUF.take();
-        buf.clear();
+        let mut queue = QUEUE.replace(BucketQueue::EMPTY);
+        queue.reset(csr.latency_range_ms());
         if fresh {
-            buf.push(Reverse((0, 0, self.src)));
+            queue.push(key(0.0, 0, self.src));
         } else {
             #[cfg(test)]
             tests::REBUILDS.with(|c| c.set(c.get() + 1));
-            for (v, (&d, &h)) in dist.iter().zip(hops.iter()).enumerate() {
-                if h & DONE == 0 && d < f64::INFINITY {
-                    buf.push(Reverse((d.to_bits(), h, v as u32)));
-                }
-            }
+            queue.rebuild(
+                dist.iter()
+                    .zip(hops.iter())
+                    .enumerate()
+                    .filter(|&(_, (&d, &h))| h & DONE == 0 && d < f64::INFINITY)
+                    .map(|(v, (&d, &h))| key(d, h, v as u32)),
+            );
         }
-        let mut heap = BinaryHeap::from(buf);
-        while let Some(Reverse((bits, h, u))) = heap.pop() {
+        while let Some(k) = queue.pop() {
+            let u = k as u32;
             if hops[u as usize] & DONE != 0 {
                 continue;
             }
             hops[u as usize] |= DONE;
-            let d = f64::from_bits(bits);
+            let d = f64::from_bits((k >> 64) as u64);
+            let h = (k >> 32) as u32;
             let (nbrs, links) = csr.neighbors(u);
             for (&v, &l) in nbrs.iter().zip(links) {
                 let hv = hops[v as usize];
@@ -216,7 +357,7 @@ impl Search {
                     dist[v as usize] = nd;
                     hops[v as usize] = nh;
                     parent[v as usize] = (u, l);
-                    heap.push(Reverse((nd.to_bits(), nh, v)));
+                    queue.push(key(nd, nh, v));
                 }
             }
             // `u`'s row is relaxed before stopping, so the arrays alone
@@ -225,8 +366,8 @@ impl Search {
                 break;
             }
         }
-        let exhausted = heap.is_empty();
-        HEAP_BUF.set(heap.into_vec());
+        let exhausted = queue.is_empty();
+        QUEUE.set(queue);
         exhausted
     }
 }
@@ -601,10 +742,13 @@ mod tests {
     use super::*;
     use crate::graph::TopologyBuilder;
     use crate::routing::{ordered_pairs, RouteTable};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use std::sync::Barrier;
 
     thread_local! {
-        /// Heap rebuilds (resumes of a partial search) on this thread.
+        /// Queue rebuilds (resumes of a partial search) on this thread.
         pub(super) static REBUILDS: Cell<u32> = const { Cell::new(0) };
     }
 
@@ -820,6 +964,56 @@ mod tests {
             );
         }
         assert_eq!(od.cache_stats().misses, u64::from(n));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Monotone push/pop sequences, shaped like a Dijkstra's (every push
+        /// one link latency past the last key popped), pop from the bucket
+        /// queue exactly as from the `BinaryHeap` it replaced: with equal
+        /// keys, pushes into the bucket being popped, a bucket width capped
+        /// above the shortest latency (spreads 200 and 10⁵), ring indices
+        /// that wrap many times, the odd overflowed (infinite) distance, and
+        /// a restart from the pending keys at a random cut, as a resume does.
+        #[test]
+        fn the_bucket_queue_pops_in_heap_order(
+            lo in 0.001f64..2.0,
+            spread in 0usize..4,
+            ops in proptest::collection::vec((0u8..5, 0usize..40, 0u32..3, 0u32..6), 0..800),
+            cut in 0usize..800,
+        ) {
+            let hi = lo * [1.0, 3.0, 200.0, 1e5][spread];
+            let lats = [lo, hi, lo + (hi - lo) * 0.37, lo + (hi - lo) / 1024.0];
+            let mut queue = BucketQueue::EMPTY;
+            let mut heap = BinaryHeap::new();
+            queue.reset((lo, hi));
+            let mut last = 0.0;
+            for (i, &(op, lat, hops, node)) in ops.iter().enumerate() {
+                // A resume refills a reset queue and pops before it pushes.
+                if i == cut {
+                    queue.reset((lo, hi));
+                    queue.rebuild(heap.iter().map(|&Reverse(k)| k));
+                }
+                if op < 3 && i != cut {
+                    let lat = if lat == 39 { f64::INFINITY } else { lats[lat % 4] };
+                    let k = key(last + lat, hops, node);
+                    queue.push(k);
+                    heap.push(Reverse(k));
+                } else {
+                    let want = heap.pop().map(|Reverse(k)| k);
+                    prop_assert_eq!(queue.pop(), want, "pop {}", i);
+                    if let Some(k) = want {
+                        last = f64::from_bits((k >> 64) as u64);
+                    }
+                }
+            }
+            while let Some(Reverse(k)) = heap.pop() {
+                prop_assert_eq!(queue.pop(), Some(k));
+            }
+            prop_assert_eq!(queue.pop(), None);
+            prop_assert!(queue.is_empty());
+        }
     }
 
     #[test]

@@ -41,6 +41,20 @@ fn tied_grid(w: usize, h: usize, bits: u64) -> Topology {
     b.build().expect("grids and rings are valid topologies")
 }
 
+/// `topo` with link 0 at 1 000 ms and every other link at a hundredth of
+/// its latency: a max/min latency ratio far above 1 024, so the on-demand
+/// router's bucket width is capped above the shortest link and most pushes
+/// land in the bucket being popped.
+fn stretched(topo: &Topology) -> Topology {
+    let mut b = TopologyBuilder::new("stretched");
+    let nodes = b.nodes(topo.node_count(), "s");
+    for (i, l) in topo.links().iter().enumerate() {
+        let latency = if i == 0 { 1000.0 } else { l.latency_ms / 100.0 };
+        b.link(nodes[l.a.idx()], nodes[l.b.idx()], latency);
+    }
+    b.build().expect("a relabelled valid topology is valid")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -146,7 +160,8 @@ proptest! {
     /// all-pairs `RouteTable`, on random graphs — including with a bounded
     /// cache (2, 16 or 128 trees) on a graph with more sources than it
     /// holds, which forces evictions and recomputation mid-pass and must
-    /// never hold more trees than its capacity.
+    /// never hold more trees than its capacity. A third of the graphs are
+    /// [`stretched`] to a latency spread above 1 024.
     #[test]
     fn ondemand_matches_route_table(n in 3usize..22, seed in 0u64..200, cap in 0usize..3) {
         let capacity = [2, 16, 128][cap];
@@ -156,6 +171,7 @@ proptest! {
         } else {
             gen::barabasi_albert(n, 2.min(n - 1), seed)
         };
+        let topo = if seed % 3 == 0 { stretched(&topo) } else { topo };
         let table = RouteTable::build(&topo);
         let csr = Arc::new(CsrTopology::from_topology(&topo));
         let full = OnDemandRoutes::new(Arc::clone(&csr));

@@ -21,21 +21,23 @@
 //! current `(dist, hops)`, so a resume rebuilds it from the arrays into
 //! reused buckets, and a resident partial tree costs what a whole one did.
 //!
-//! **Determinism argument** (DESIGN.md §14): the CSR Dijkstra mirrors the
-//! legacy one operation for operation — the same pop order (a monotone
-//! bucket queue pops its keys in exactly the order a binary heap does),
-//! same neighbor visit order (rows are `(node, link)`-sorted in both
-//! representations), same floating-point additions in the same order, same
-//! strict-improvement tie-break. Relaxation only ever writes unsettled
-//! nodes, so the `dist` and `parent` of a settled node — and of every
-//! ancestor, settled earlier — are final, and the pop order depends only on
-//! the total order of the keys: a partial tree answers bit-identically to a
-//! whole one. A cached tree is likewise bit-identical to a recomputed one,
-//! so cache hits, misses, and evictions cannot change any produced path or
-//! distance — the cache affects *when* and *how far* trees are computed,
-//! never *what* they contain. Eviction itself is deterministic under
-//! single-threaded use (least-recently-used by a monotonic tick), but no
-//! result depends on it.
+//! **Determinism argument** (DESIGN.md §14): the CSR Dijkstra builds the
+//! legacy one's trees, though not in its pop order. Its queue pops buckets
+//! of width half the shortest link in distance order and a bucket's nodes
+//! in any order: a relaxation always lands at least one bucket past the
+//! node being settled, so each node's final `(dist, hops, parent)`, the
+//! lexicographic minimum over its candidates, comes from earlier buckets
+//! only. Each candidate is the legacy one: same neighbor visit order (rows
+//! are `(node, link)`-sorted in both representations), same floating-point
+//! addition, same strict-improvement tie-break. Relaxation only ever writes
+//! unsettled nodes, so the `dist` and `parent` of a settled node — and of
+//! every ancestor, settled earlier — are final: a partial tree answers
+//! bit-identically to a whole one. A cached tree is likewise bit-identical
+//! to a recomputed one, so cache hits, misses, and evictions cannot change
+//! any produced path or distance — the cache affects *when* and *how far*
+//! trees are computed, never *what* they contain. Eviction itself is
+//! deterministic under single-threaded use (least-recently-used by a
+//! monotonic tick), but no result depends on it.
 //!
 //! `rtt_ms` deliberately sums the forward and reverse tree distances
 //! (`d_src[dst] + d_dst[src]`) instead of doubling one of them: the two
@@ -50,7 +52,8 @@ use crate::routing::{Path, Routes};
 use db_telemetry::{Counter, Gauge, MetricsRegistry};
 use db_util::sync::lock_recover;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// `parent` entry of the source and of nodes not yet discovered.
@@ -75,7 +78,7 @@ impl SourceTree {
     /// over larger graphs serve distances only). Registered in the lint hot
     /// tier: allocation beyond `push` into the reused buffers, indexing,
     /// and panics are all banned here.
-    pub fn reconstruct_into(
+    pub(crate) fn reconstruct_into(
         &self,
         src: u32,
         dst: u32,
@@ -118,7 +121,13 @@ const DONE: u32 = 1 << 31;
 /// Hop word of a node not yet discovered: unsettled, "infinite" hops.
 const UNSEEN: u32 = DONE - 1;
 
-/// Queue key `(dist.to_bits(), hops, node)`, packed high to low into one
+/// Most ring slots a [`BucketQueue`] uses.
+const MAX_SLOTS: usize = 2048;
+/// Bucket indices from here on wait in the heap: below it, rounding cannot
+/// undo a `2Δ` link's step past its bucket (DESIGN.md §14).
+const MAX_INDEX: f64 = (1u64 << 50) as f64;
+
+/// Heap key `(dist.to_bits(), hops, node)`, packed high to low into one
 /// integer. Latencies are finite and positive, so distances are
 /// non-negative and their IEEE bit patterns order like the values: the key
 /// orders exactly like the legacy `HeapEntry` in [`crate::routing`]
@@ -127,35 +136,31 @@ fn key(dist: f64, hops: u32, node: u32) -> u128 {
     u128::from(dist.to_bits()) << 64 | u128::from(hops) << 32 | u128::from(node)
 }
 
-/// A monotone bucket queue of [`key`]s: pops them in the order a binary
-/// min-heap does, duplicates included, provided no key is pushed below the
-/// last one popped.
+/// A monotone bucket queue of node ids: buckets pop in distance order, the
+/// nodes of one bucket in any order (last in, first out).
 ///
-/// A key at distance `d` goes to bucket `⌊d · (1/Δ)⌋`, with
-/// `Δ = max(min latency, max latency / 1024)` of the graph. Bucket `b`
-/// lives in ring slot `b & mask`. A Dijkstra push is at most one maximum
-/// latency past the key just popped, so every live key lies within
-/// `⌈max/Δ⌉ + 1` buckets of the current one, and the ring (`⌈max/Δ⌉ + 3`
-/// slots, rounded up to a power of two) never holds two buckets in one
-/// slot. The queue sorts a bucket once, descending, when it reaches it and
-/// pops from its end; a later push into that bucket is a sorted insert.
-/// Keys past the ring's span wait in `far` — only infinite distances, whose
-/// latency sum overflows `f64`, land there, and they order after every
-/// finite key — until the ring drains and restarts at the smallest of them.
+/// A node at distance `d` goes to bucket `⌊d · (1/Δ)⌋`, `Δ` half the
+/// graph's shortest link, so a relaxation lands past the bucket it leaves
+/// and the order inside a bucket cannot change a tree (DESIGN.md §14).
+/// Bucket `b` lives in ring slot `b & mask`, and the ring (`⌈max/Δ⌉ + 3`
+/// slots rounded up to a power of two, at most [`MAX_SLOTS`]) never holds
+/// two buckets in one slot. Keys it cannot hold exactly — past its span, or
+/// at an index not below [`MAX_INDEX`] or not finite (+∞ distances) — wait
+/// in `far` in exact key order: a bucket takes `far`'s keys when the ring
+/// reaches it, and a drained ring restarts at `far`'s top, or pops it
+/// directly when it has no bucket.
 #[derive(Debug)]
 struct BucketQueue {
-    ring: Vec<Vec<u128>>,
+    ring: Vec<Vec<u32>>,
     /// `ring.len() - 1`; the ring length is a power of two.
     mask: u64,
     /// `1/Δ`.
     inv: f64,
-    /// The bucket being popped; no key in the ring lies below it.
+    /// The bucket being popped; no key in the queue lies below it.
     cur: u64,
-    /// Whether bucket `cur` is sorted yet.
-    sorted: bool,
-    /// Keys in the ring.
+    /// Nodes in the ring.
     len: usize,
-    far: Vec<u128>,
+    far: BinaryHeap<Reverse<u128>>,
 }
 
 impl BucketQueue {
@@ -164,100 +169,91 @@ impl BucketQueue {
         mask: 0,
         inv: 0.0,
         cur: 0,
-        sorted: false,
         len: 0,
-        far: Vec::new(),
+        far: BinaryHeap::new(),
     };
 
     /// Empty the queue and size its ring for link latencies in
     /// `(lo, hi)`, keeping the buckets' storage.
     fn reset(&mut self, (lo, hi): (f64, f64)) {
-        // The floor keeps `1/Δ` finite when every latency is subnormal.
-        let delta = lo.max(hi / 1024.0).max(f64::MIN_POSITIVE);
-        let slots = ((hi / delta).ceil() as usize + 3).next_power_of_two();
+        self.inv = 2.0 / lo;
+        let span = (hi * self.inv).ceil().min((MAX_SLOTS - 3) as f64) as usize;
+        let slots = (span + 3).next_power_of_two();
         self.ring.resize_with(slots, Vec::new);
         for bucket in &mut self.ring {
             bucket.clear();
         }
         self.mask = slots as u64 - 1;
-        self.inv = 1.0 / delta;
         self.cur = 0;
-        self.sorted = false;
         self.len = 0;
         self.far.clear();
     }
 
-    /// Fill an empty queue with `keys`, starting the ring at the smallest
-    /// of them. They must all lie within one ring span of it, as a
-    /// Dijkstra frontier does.
-    fn rebuild(&mut self, keys: impl Iterator<Item = u128>) {
-        self.far.extend(keys);
-        self.restart();
+    /// The bucket of distance `d`, if it has an exact one.
+    fn index(&self, d: f64) -> Option<u64> {
+        let x = d * self.inv;
+        (x < MAX_INDEX).then_some(x as u64)
     }
 
-    fn bucket(&self, key: u128) -> u64 {
-        (f64::from_bits((key >> 64) as u64) * self.inv) as u64
+    /// Fill an empty queue with a Dijkstra frontier `(dist, hops, node)`,
+    /// starting the ring at its smallest bucket.
+    fn rebuild(&mut self, frontier: impl Iterator<Item = (f64, u32, u32)> + Clone) {
+        let first = frontier.clone().filter_map(|(d, _, _)| self.index(d)).min();
+        self.cur = first.unwrap_or(0);
+        for (d, h, v) in frontier {
+            self.push(d, h, v);
+        }
     }
 
     fn is_empty(&self) -> bool {
         self.len == 0 && self.far.is_empty()
     }
 
-    /// Queue `key`, which must not lie below the last key popped. Runs
-    /// once per relaxation; registered in the lint hot tier.
-    fn push(&mut self, key: u128) {
-        let b = self.bucket(key);
-        if b.wrapping_sub(self.cur) > self.mask {
-            self.far.push(key);
-            return;
+    /// Queue `node` at `(dist, hops)`, which must not lie below the
+    /// bucket being popped. Runs once per relaxation; registered in the
+    /// lint hot tier.
+    fn push(&mut self, dist: f64, hops: u32, node: u32) {
+        match self.index(dist) {
+            Some(b) if b.wrapping_sub(self.cur) <= self.mask => self.file(b, node),
+            _ => self.far.push(Reverse(key(dist, hops, node))),
         }
-        let at_cur = b == self.cur && self.sorted;
+    }
+
+    /// Put `node` in the ring's bucket `b`; registered in the lint hot tier.
+    fn file(&mut self, b: u64, node: u32) {
         if let Some(bucket) = self.ring.get_mut((b & self.mask) as usize) {
-            if at_cur {
-                let at = bucket.partition_point(|&k| k > key);
-                bucket.insert(at, key);
-            } else {
-                bucket.push(key);
-            }
+            bucket.push(node);
             self.len += 1;
         }
     }
 
-    /// Take the smallest key. Runs once per settle; registered in the lint
-    /// hot tier.
-    fn pop(&mut self) -> Option<u128> {
-        if self.len == 0 {
-            if self.far.is_empty() {
-                return None;
-            }
-            self.restart();
-        }
+    /// Take a node of the lowest bucket. Runs once per settle; registered
+    /// in the lint hot tier.
+    fn pop(&mut self) -> Option<u32> {
         loop {
-            let bucket = self.ring.get_mut((self.cur & self.mask) as usize)?;
-            if !bucket.is_empty() {
-                if !self.sorted {
-                    bucket.sort_unstable_by(|a, b| b.cmp(a));
-                    self.sorted = true;
-                }
+            let slot = (self.cur & self.mask) as usize;
+            if let Some(v) = self.ring.get_mut(slot).and_then(Vec::pop) {
                 self.len -= 1;
-                return bucket.pop();
+                return Some(v);
             }
-            self.cur = self.cur.wrapping_add(1);
-            self.sorted = false;
-        }
-    }
-
-    /// With the ring empty, move it to the smallest key in `far` and file
-    /// every key in its span there.
-    fn restart(&mut self) {
-        let mut far = std::mem::take(&mut self.far);
-        self.cur = far.iter().map(|&k| self.bucket(k)).min().unwrap_or(0);
-        self.sorted = false;
-        for k in far.drain(..) {
-            self.push(k);
-        }
-        if self.far.is_empty() {
-            self.far = far;
+            if self.len > 0 {
+                self.cur = self.cur.wrapping_add(1);
+            } else {
+                let &Reverse(top) = self.far.peek()?;
+                let Some(b) = self.index(f64::from_bits((top >> 64) as u64)) else {
+                    self.far.pop();
+                    return Some(top as u32);
+                };
+                self.cur = b;
+            }
+            // The heap's keys of the bucket just reached join it.
+            while let Some(&Reverse(k)) = self.far.peek() {
+                if self.index(f64::from_bits((k >> 64) as u64)) != Some(self.cur) {
+                    break;
+                }
+                self.far.pop();
+                self.file(self.cur, k as u32);
+            }
         }
     }
 }
@@ -268,11 +264,11 @@ thread_local! {
     static QUEUE: Cell<BucketQueue> = const { Cell::new(BucketQueue::EMPTY) };
 }
 
-/// A resumable single-source Dijkstra over CSR rows, mirroring the legacy
-/// `Topology` Dijkstra operation for operation (see the module docs for why
-/// that matters). Deliberately a *separate* implementation rather than a
-/// shared generic: the equivalence proptest in `tests/` is only meaningful
-/// if the two engines cannot share a bug.
+/// A resumable single-source Dijkstra over CSR rows that builds the legacy
+/// `Topology` Dijkstra's trees (see the module docs for why they agree).
+/// Deliberately a *separate* implementation rather than a shared generic:
+/// the equivalence proptest in `tests/` is only meaningful if the two
+/// engines cannot share a bug.
 #[derive(Debug)]
 struct Search {
     src: u32,
@@ -304,38 +300,39 @@ impl Search {
         self.hops[v as usize] & DONE != 0
     }
 
-    /// Settle nodes in key order until `until` is settled (`None`: until
+    /// Settle nodes bucket by bucket until `until` is settled (`None`: until
     /// none is left). Returns whether the search is exhausted.
     fn advance(&mut self, csr: &CsrTopology, until: Option<u32>) -> bool {
         let fresh = !self.is_settled(self.src);
         let SourceTree { dist, parent } = &mut self.tree;
         let hops = &mut self.hops;
-        // The queue's live content is the discovered, unsettled nodes at
-        // their current (dist, hops); every other key it ever held is
-        // skipped when popped.
+        // The queue's live content is the discovered, unsettled nodes: a
+        // node popped unsettled reads its final (dist, hops) off the
+        // arrays, and one popped settled is a superseded entry, skipped.
         let mut queue = QUEUE.replace(BucketQueue::EMPTY);
         queue.reset(csr.latency_range_ms());
         if fresh {
-            queue.push(key(0.0, 0, self.src));
+            queue.push(0.0, 0, self.src);
         } else {
             #[cfg(test)]
             tests::REBUILDS.with(|c| c.set(c.get() + 1));
+            // Below `UNSEEN`: discovered and unsettled, at any distance —
+            // an overflowed latency sum included.
             queue.rebuild(
                 dist.iter()
                     .zip(hops.iter())
                     .enumerate()
-                    .filter(|&(_, (&d, &h))| h & DONE == 0 && d < f64::INFINITY)
-                    .map(|(v, (&d, &h))| key(d, h, v as u32)),
+                    .filter(|&(_, (_, &h))| h < UNSEEN)
+                    .map(|(v, (&d, &h))| (d, h, v as u32)),
             );
         }
-        while let Some(k) = queue.pop() {
-            let u = k as u32;
-            if hops[u as usize] & DONE != 0 {
+        while let Some(u) = queue.pop() {
+            let h = hops[u as usize];
+            if h & DONE != 0 {
                 continue;
             }
-            hops[u as usize] |= DONE;
-            let d = f64::from_bits((k >> 64) as u64);
-            let h = (k >> 32) as u32;
+            hops[u as usize] = h | DONE;
+            let d = dist[u as usize];
             let (nbrs, links) = csr.neighbors(u);
             for (&v, &l) in nbrs.iter().zip(links) {
                 let hv = hops[v as usize];
@@ -357,7 +354,7 @@ impl Search {
                     dist[v as usize] = nd;
                     hops[v as usize] = nh;
                     parent[v as usize] = (u, l);
-                    queue.push(key(nd, nh, v));
+                    queue.push(nd, nh, v);
                 }
             }
             // `u`'s row is relaxed before stopping, so the arrays alone
@@ -742,9 +739,6 @@ mod tests {
     use super::*;
     use crate::graph::TopologyBuilder;
     use crate::routing::{ordered_pairs, RouteTable};
-    use proptest::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use std::sync::Barrier;
 
     thread_local! {
@@ -964,56 +958,6 @@ mod tests {
             );
         }
         assert_eq!(od.cache_stats().misses, u64::from(n));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Monotone push/pop sequences, shaped like a Dijkstra's (every push
-        /// one link latency past the last key popped), pop from the bucket
-        /// queue exactly as from the `BinaryHeap` it replaced: with equal
-        /// keys, pushes into the bucket being popped, a bucket width capped
-        /// above the shortest latency (spreads 200 and 10⁵), ring indices
-        /// that wrap many times, the odd overflowed (infinite) distance, and
-        /// a restart from the pending keys at a random cut, as a resume does.
-        #[test]
-        fn the_bucket_queue_pops_in_heap_order(
-            lo in 0.001f64..2.0,
-            spread in 0usize..4,
-            ops in proptest::collection::vec((0u8..5, 0usize..40, 0u32..3, 0u32..6), 0..800),
-            cut in 0usize..800,
-        ) {
-            let hi = lo * [1.0, 3.0, 200.0, 1e5][spread];
-            let lats = [lo, hi, lo + (hi - lo) * 0.37, lo + (hi - lo) / 1024.0];
-            let mut queue = BucketQueue::EMPTY;
-            let mut heap = BinaryHeap::new();
-            queue.reset((lo, hi));
-            let mut last = 0.0;
-            for (i, &(op, lat, hops, node)) in ops.iter().enumerate() {
-                // A resume refills a reset queue and pops before it pushes.
-                if i == cut {
-                    queue.reset((lo, hi));
-                    queue.rebuild(heap.iter().map(|&Reverse(k)| k));
-                }
-                if op < 3 && i != cut {
-                    let lat = if lat == 39 { f64::INFINITY } else { lats[lat % 4] };
-                    let k = key(last + lat, hops, node);
-                    queue.push(k);
-                    heap.push(Reverse(k));
-                } else {
-                    let want = heap.pop().map(|Reverse(k)| k);
-                    prop_assert_eq!(queue.pop(), want, "pop {}", i);
-                    if let Some(k) = want {
-                        last = f64::from_bits((k >> 64) as u64);
-                    }
-                }
-            }
-            while let Some(Reverse(k)) = heap.pop() {
-                prop_assert_eq!(queue.pop(), Some(k));
-            }
-            prop_assert_eq!(queue.pop(), None);
-            prop_assert!(queue.is_empty());
-        }
     }
 
     #[test]

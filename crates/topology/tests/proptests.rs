@@ -41,18 +41,37 @@ fn tied_grid(w: usize, h: usize, bits: u64) -> Topology {
     b.build().expect("grids and rings are valid topologies")
 }
 
-/// `topo` with link 0 at 1 000 ms and every other link at a hundredth of
-/// its latency: a max/min latency ratio far above 1 024, so the on-demand
-/// router's bucket width is capped above the shortest link and most pushes
-/// land in the bucket being popped.
-fn stretched(topo: &Topology) -> Topology {
-    let mut b = TopologyBuilder::new("stretched");
+/// `topo` with each link's latency replaced by `latency(link index, old
+/// latency)`.
+fn with_latencies(topo: &Topology, latency: impl Fn(usize, f64) -> f64) -> Topology {
+    let mut b = TopologyBuilder::new(topo.name());
     let nodes = b.nodes(topo.node_count(), "s");
     for (i, l) in topo.links().iter().enumerate() {
-        let latency = if i == 0 { 1000.0 } else { l.latency_ms / 100.0 };
-        b.link(nodes[l.a.idx()], nodes[l.b.idx()], latency);
+        b.link(nodes[l.a.idx()], nodes[l.b.idx()], latency(i, l.latency_ms));
     }
     b.build().expect("a relabelled valid topology is valid")
+}
+
+/// `topo` with link 0 at 1 000 ms and every other link at a hundredth of
+/// its latency: a max/min latency ratio far above 1 024, so the on-demand
+/// router's ring of buckets cannot span the longest link and pushes past
+/// its span wait in the queue's heap.
+fn stretched(topo: &Topology) -> Topology {
+    with_latencies(topo, |i, l| if i == 0 { 1000.0 } else { l / 100.0 })
+}
+
+/// `topo` with link 0 at `tiny` ms and every other link near 10³⁰⁸ ms: two
+/// long links overflow a distance to +∞, and no bucket index holds a
+/// 10³⁰⁸ distance at a width of half of `tiny` — nor any distance when
+/// `tiny` is subnormal and `1/Δ` is +∞.
+fn overflowing(topo: &Topology, tiny: f64) -> Topology {
+    with_latencies(topo, |i, l| {
+        if i == 0 {
+            tiny
+        } else {
+            1e308 * (1.0 + l / 1e3)
+        }
+    })
 }
 
 proptest! {
@@ -161,7 +180,8 @@ proptest! {
     /// cache (2, 16 or 128 trees) on a graph with more sources than it
     /// holds, which forces evictions and recomputation mid-pass and must
     /// never hold more trees than its capacity. A third of the graphs are
-    /// [`stretched`] to a latency spread above 1 024.
+    /// [`stretched`] to a latency spread above 1 024, and a third are
+    /// [`overflowing`] to infinite distances.
     #[test]
     fn ondemand_matches_route_table(n in 3usize..22, seed in 0u64..200, cap in 0usize..3) {
         let capacity = [2, 16, 128][cap];
@@ -171,7 +191,11 @@ proptest! {
         } else {
             gen::barabasi_albert(n, 2.min(n - 1), seed)
         };
-        let topo = if seed % 3 == 0 { stretched(&topo) } else { topo };
+        let topo = match seed % 3 {
+            0 => stretched(&topo),
+            1 => overflowing(&topo, if seed % 4 == 1 { 5e-324 } else { 1e-300 }),
+            _ => topo,
+        };
         let table = RouteTable::build(&topo);
         let csr = Arc::new(CsrTopology::from_topology(&topo));
         let full = OnDemandRoutes::new(Arc::clone(&csr));

@@ -58,10 +58,10 @@ fn main() {
 
 /// Evaluate the §2.2 threshold baseline on a freshly generated labeled run.
 fn threshold_confusion(prep: &db_core::Prepared) -> ConfusionMatrix {
+    use db_dtree::FlowClassifier;
     use db_flowmon::dataset::Labeler;
-    use db_flowmon::{Dataset, NetworkMonitor};
+    use db_flowmon::TrainingMonitor;
     use db_netsim::{FailureScenario, SimConfig, Simulator, TrafficConfig, TrafficGen};
-    use db_topology::LinkId;
 
     let traffic = TrafficConfig::with_density(0.5);
     let flows = TrafficGen::generate(&prep.topo, prep.routes.as_ref(), &traffic, 0xF166);
@@ -73,17 +73,16 @@ fn threshold_confusion(prep: &db_core::Prepared) -> ConfusionMatrix {
         tick_interval: prep.wcfg.interval,
         ..Default::default()
     };
-    let monitor = NetworkMonitor::deploy(&prep.topo, &flows, prep.wcfg);
+    let monitor = TrainingMonitor::deploy(&prep.topo, &flows, prep.wcfg);
     let mut sim = Simulator::new(&prep.topo, flows.clone(), cfg, &scenario, 0xF166, monitor);
     sim.run();
-    let (mut monitor, stats) = sim.finish();
+    let (monitor, stats) = sim.finish();
     let labeler = Labeler::new(&prep.topo, &scenario, &flows, &stats, prep.wcfg.interval);
-    let rows = std::mem::take(&mut monitor.rows);
-    let ds = Dataset::from_rows(rows, &monitor, &labeler);
+    let ds = monitor.finish(&labeler);
     let thr = ThresholdClassifier::default();
-    let _ = LinkId(0);
-    ConfusionMatrix::evaluate(ds.iter().map(|(row, label)| (&row.features, label)), |x| {
-        use db_dtree::FlowClassifier;
-        thr.classify(x)
-    })
+    let mut cm = ConfusionMatrix::new();
+    for i in 0..ds.len() {
+        cm.record(ds.label(i), thr.classify(&ds.features(i)));
+    }
+    cm
 }

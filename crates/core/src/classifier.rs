@@ -9,7 +9,7 @@
 use crate::par::par_map;
 use db_dtree::{ConfusionMatrix, DecisionTree, TableClassifier, TrainConfig};
 use db_flowmon::dataset::Labeler;
-use db_flowmon::{Dataset, NetworkMonitor, WindowConfig};
+use db_flowmon::{Dataset, TrainingMonitor, WindowConfig};
 use db_netsim::{FailureScenario, SimConfig, SimTime, Simulator, TrafficConfig, TrafficGen};
 use db_telemetry::Span;
 use db_topology::{CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology};
@@ -117,16 +117,15 @@ fn scenario_dataset(
         tick_interval: wcfg.interval,
         ..Default::default()
     };
-    let mut monitor = NetworkMonitor::deploy(topo, &flows, wcfg);
+    let mut monitor = TrainingMonitor::deploy(topo, &flows, wcfg);
     if let Some(reg) = db_telemetry::active() {
         monitor.set_metrics(reg);
     }
     let mut sim = Simulator::new(topo, flows.clone(), cfg, scenario, seed, monitor);
     sim.run();
-    let (mut monitor, stats) = sim.finish();
+    let (monitor, stats) = sim.finish();
     let labeler = Labeler::new(topo, scenario, &flows, &stats, wcfg.interval);
-    let rows = std::mem::take(&mut monitor.rows);
-    Dataset::from_rows(rows, &monitor, &labeler)
+    monitor.finish(&labeler)
 }
 
 /// Run the full §6.1 training pipeline for a topology.
@@ -221,20 +220,27 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
     }
     assert!(!full.is_empty(), "training produced no samples");
 
+    if let Some(reg) = db_telemetry::active() {
+        reg.gauge("train.rows").set(full.len() as f64);
+        reg.gauge("train.dataset_bytes")
+            .set(full.heap_bytes() as f64);
+    }
+
     // 3:1 split, balance the training side, train, compile. The split and
     // the balance pick sample indices; only the picked training examples
-    // are gathered, and the test side is read in place.
+    // are decoded, and the test side is scored in place.
     let mut split_rng = Pcg64::new_stream(SEED, 0x5711);
-    let (train, test) = full.split(0.75, &mut split_rng);
+    let (train, mut test) = full.split(0.75, &mut split_rng);
     let train = full.balanced(train, BALANCE_RATIO, &mut split_rng);
-    let sample = |i: &usize| {
-        let (row, label) = full.get(*i);
-        (&row.features, label)
-    };
-    let examples: Vec<_> = train.iter().map(sample).map(|(x, l)| (*x, l)).collect();
+    let examples = full.examples(&train);
     let tree = DecisionTree::train(&examples, &TREE);
     let table = TableClassifier::compile(&tree);
-    let confusion = ConfusionMatrix::evaluate(test.iter().map(sample), |x| table.classify(x));
+    // The confusion counts do not depend on order: score in storage order.
+    test.sort_unstable();
+    let mut confusion = ConfusionMatrix::new();
+    for i in test.iter().map(|&i| i as usize) {
+        confusion.record(full.label(i), table.classify(&full.features(i)));
+    }
     Prepared {
         topo,
         routes,
@@ -284,6 +290,23 @@ mod tests {
             cm.recall_abnormal()
         );
         assert!(prep.tree.depth() >= 1, "tree must have learned a split");
+    }
+
+    /// The tree (FNV-1a 64 of its `Debug` form, every threshold and
+    /// confidence printed shortest-round-trip) and the held-out confusion
+    /// matrix, recorded while training rows were 136-byte feature vectors.
+    #[test]
+    fn prepare_on_the_quick_grid_is_pinned() {
+        let prep = prepare(zoo::grid(3, 3), &quick_cfg());
+        let tree = db_util::wire::fnv1a64(format!("{:?}", prep.tree).as_bytes());
+        let cm = prep.confusion;
+        assert_eq!(
+            format!(
+                "tree={tree:#018x} tp={} fp={} fn={} tn={} train={} test={}",
+                cm.tp, cm.fp, cm.fn_, cm.tn, prep.train_samples, prep.test_samples
+            ),
+            "tree=0x3a95e6ad09822168 tp=14 fp=274 fn=0 tn=2506 train=195 test=2794"
+        );
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //!
 //! §6.1: "The generated dataset is divided into a training set and a testing
 //! set at the ratio of 3:1."
+//!
+//! Training keeps every row of every scenario until all labels are known,
+//! so a row is stored as the register integers its features are made of,
+//! varint-coded by the [`TrainingMonitor`] that observes the run, and
+//! decoded into a feature vector only when it is trained on or scored.
 
-use crate::monitor::{MonitorRow, NetworkMonitor};
-use db_netsim::{FailureScenario, FlowId, FlowSpec, SimStats, SimTime};
-use db_topology::Topology;
+use crate::monitor::{Deployment, SwitchMonitor};
+use crate::window::{self, FeatureVector, FlowMeta, WindowConfig, NUM_FEATURES};
+use db_netsim::{
+    Annotation, FailureScenario, FlowId, FlowSpec, HopInfo, Observer, SimStats, SimTime,
+};
+use db_topology::{LinkId, Topology};
 use db_util::Pcg64;
 
 /// Classifier target: the status of a monitored flow in a window.
@@ -134,60 +142,225 @@ impl<'a> Labeler<'a> {
     }
 }
 
-/// One scenario's monitoring rows and, in the same order, their labels.
+/// Append `v` as an LEB128 varint: seven bits a byte, low group first, the
+/// high bit set on every byte but the last. Below 128 a value takes one
+/// byte; `u64::MAX` takes ten.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read the varint at `*at` and step past it.
+fn get_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            break;
+        }
+    }
+    v
+}
+
+/// Append one training row: its stream id, then the six running window
+/// sums and the six measures of the newest interval, every one a varint.
+fn put_row(out: &mut Vec<u8>, stream: usize, sums: &[u64; 6], last: &[u64; 6]) {
+    put_varint(out, stream as u64);
+    for &v in sums.iter().chain(last) {
+        put_varint(out, v);
+    }
+}
+
+/// Read the row at `*at` and step past it: `(stream, sums, last)`.
+fn get_row(bytes: &[u8], at: &mut usize) -> (usize, [u64; 6], [u64; 6]) {
+    let stream = get_varint(bytes, at) as usize;
+    let mut ints = [[0; 6]; 2];
+    for v in ints.as_flattened_mut() {
+        *v = get_varint(bytes, at);
+    }
+    let [sums, last] = ints;
+    (stream, sums, last)
+}
+
+/// One scenario's rows, their labels and the metadata of its streams.
+///
+/// A stream is one (switch, flow) registration: streams are numbered switch
+/// by switch in node order and, within a switch, in slot order.
 #[derive(Debug, Clone, Default)]
-struct Chunk {
-    rows: Vec<MonitorRow>,
+struct Part {
+    /// The rows, back to back, each as [`put_row`] writes it.
+    bytes: Vec<u8>,
+    /// Where each row starts in `bytes`.
+    offsets: Vec<u32>,
+    /// Each stream's metadata, indexed by stream id.
+    streams: Vec<FlowMeta>,
     labels: Vec<FlowStatus>,
+}
+
+impl Part {
+    fn features(&self, row: usize) -> FeatureVector {
+        let (stream, sums, last) = get_row(&self.bytes, &mut (self.offsets[row] as usize));
+        window::assemble(&self.streams[stream], &sums, &last)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let upstream: usize = self.streams.iter().map(|m| m.upstream.capacity()).sum();
+        self.bytes.capacity()
+            + self.offsets.capacity() * size_of::<u32>()
+            + self.streams.capacity() * size_of::<FlowMeta>()
+            + upstream * size_of::<LinkId>()
+            + self.labels.capacity() * size_of::<FlowStatus>()
+    }
+}
+
+/// The training observer: the switch monitors a [`NetworkMonitor`] deploys,
+/// keeping each row they emit as the register integers it was assembled
+/// from instead of as a feature vector.
+///
+/// Every Table-2 feature is per-stream metadata, a running window sum over
+/// `n_interval` or a measure of the newest interval, and the sums and
+/// measures are integers. So a row is its stream id and those twelve
+/// integers, varint-coded: ≈ 23 bytes on Geant2012 where a [`MonitorRow`]
+/// takes 136.
+/// [`Dataset::features`] decodes them and calls the same assembly the
+/// monitor's window close does, so the features are bit-identical to the
+/// ones a [`NetworkMonitor`] would have kept. The rows are read through
+/// `SwitchMonitor::staged_registers` after each close; the close itself
+/// does no extra work.
+///
+/// [`MonitorRow`]: crate::monitor::MonitorRow
+/// [`NetworkMonitor`]: crate::monitor::NetworkMonitor
+#[derive(Debug)]
+pub struct TrainingMonitor {
+    deployment: Deployment,
+    /// Stream id of each switch's slot 0, in node order.
+    bases: Vec<usize>,
+    /// The rows so far (`streams` and `labels` are filled by `finish`).
+    part: Part,
+    /// Each tick with the number of rows emitted up to and including it.
+    ticks: Vec<(SimTime, usize)>,
+}
+
+impl TrainingMonitor {
+    /// Deploy monitors as
+    /// [`NetworkMonitor::deploy`](crate::monitor::NetworkMonitor::deploy) does.
+    pub fn deploy(topo: &Topology, flows: &[FlowSpec], cfg: WindowConfig) -> Self {
+        let deployment = Deployment::new(topo, flows, cfg);
+        let mut next = 0;
+        let bases = deployment
+            .monitors
+            .iter()
+            .map(|m| {
+                let base = next;
+                next += m.monitored_flows();
+                base
+            })
+            .collect();
+        TrainingMonitor {
+            deployment,
+            bases,
+            part: Part::default(),
+            ticks: Vec::new(),
+        }
+    }
+
+    /// Attach telemetry handles, as
+    /// [`NetworkMonitor::set_metrics`](crate::monitor::NetworkMonitor::set_metrics)
+    /// does.
+    pub fn set_metrics(&mut self, reg: &db_telemetry::MetricsRegistry) {
+        self.deployment.set_metrics(reg);
+    }
+
+    /// Label every row (the run is over; `labeler` knows how it went) and
+    /// hand them over as a one-scenario dataset.
+    pub fn finish(self, labeler: &Labeler) -> Dataset {
+        let TrainingMonitor {
+            deployment,
+            mut part,
+            ticks,
+            ..
+        } = self;
+        let (flows, streams): (Vec<FlowId>, Vec<FlowMeta>) = deployment
+            .monitors
+            .into_iter()
+            .flat_map(SwitchMonitor::into_registrations)
+            .unzip();
+        part.labels.reserve_exact(part.offsets.len());
+        let mut from = 0;
+        for (tick, to) in ticks {
+            for &offset in &part.offsets[from..to] {
+                let stream = get_varint(&part.bytes, &mut (offset as usize)) as usize;
+                let upstream = &streams[stream].upstream;
+                part.labels
+                    .push(labeler.label(flows[stream], upstream, tick));
+            }
+            from = to;
+        }
+        // The arena grew by doubling; the dataset keeps it for the whole
+        // training run.
+        part.bytes.shrink_to_fit();
+        part.offsets.shrink_to_fit();
+        part.streams = streams;
+        let mut ds = Dataset::default();
+        ds.push(part);
+        ds
+    }
+}
+
+impl Observer for TrainingMonitor {
+    fn on_packet(&mut self, now: SimTime, info: &HopInfo, _ann: &mut Annotation) {
+        self.deployment.on_packet(now, info, info.size);
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        let TrainingMonitor {
+            deployment,
+            bases,
+            part,
+            ticks,
+        } = self;
+        deployment.close_all(now, |m| {
+            let base = bases[m.node().idx()];
+            for (slot, sums, last) in m.staged_registers() {
+                let offset = u32::try_from(part.bytes.len());
+                part.offsets
+                    .push(offset.expect("a scenario's rows fit in 4 GiB"));
+                put_row(&mut part.bytes, base + slot, sums, &last);
+            }
+        });
+        ticks.push((now, part.offsets.len()));
+    }
 }
 
 /// A labeled dataset: the rows each training scenario's monitor collected,
 /// kept where they are and addressed by one global index in scenario order.
 ///
-/// A full-size training run holds over a million 136-byte rows and trains
-/// on a twelfth of them, and which twelfth is only known once every label
-/// is (the split shuffles all indices, the balance counts both classes). So
-/// nothing here copies a row: [`Self::extend`] moves chunks,
-/// [`Self::split`] and [`Self::balanced`] deal in index lists, and the
-/// caller gathers the few examples it trains on.
+/// A full-size training run holds over a million rows and trains on a
+/// twelfth of them, and which twelfth is only known once every label is
+/// (the split shuffles all indices, the balance counts both classes). So
+/// rows stay in their compact form (see [`TrainingMonitor`]) and nothing
+/// here copies one: [`Self::extend`] moves scenarios, [`Self::split`] and
+/// [`Self::balanced`] deal in `u32` index lists and read labels only, and
+/// [`Self::examples`] decodes just the rows the caller trains on.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    chunks: Vec<Chunk>,
-    /// Global index of each chunk's first row.
+    parts: Vec<Part>,
+    /// Global index of each part's first row.
     starts: Vec<usize>,
     len: usize,
 }
 
 impl Dataset {
-    /// Label the rows of a finished monitor (move them out of
-    /// `NetworkMonitor::rows`; `monitor` still resolves their upstream
-    /// paths).
-    pub fn from_rows(
-        mut rows: Vec<MonitorRow>,
-        monitor: &NetworkMonitor,
-        labeler: &Labeler,
-    ) -> Self {
-        // The monitor grew the vector by doubling; the dataset keeps it for
-        // the whole training run.
-        rows.shrink_to_fit();
-        let labels = rows
-            .iter()
-            .map(|r| {
-                let upstream = monitor
-                    .upstream(r.switch, r.flow)
-                    .expect("row produced by a registered flow");
-                labeler.label(r.flow, upstream, r.at)
-            })
-            .collect();
-        let mut ds = Dataset::default();
-        ds.push(Chunk { rows, labels });
-        ds
-    }
-
-    fn push(&mut self, chunk: Chunk) {
+    fn push(&mut self, part: Part) {
         self.starts.push(self.len);
-        self.len += chunk.rows.len();
-        self.chunks.push(chunk);
+        self.len += part.offsets.len();
+        assert!(self.len < u32::MAX as usize, "sample indices are u32");
+        self.parts.push(part);
     }
 
     /// Number of samples.
@@ -200,48 +373,72 @@ impl Dataset {
         self.len == 0
     }
 
-    /// Sample `i` in scenario order: its row and ground-truth label.
-    pub fn get(&self, i: usize) -> (&MonitorRow, FlowStatus) {
+    /// The part holding sample `i` and the sample's row in it.
+    fn locate(&self, i: usize) -> (&Part, usize) {
         assert!(i < self.len, "sample {i} of {}", self.len);
-        let c = self.starts.partition_point(|&s| s <= i) - 1;
-        let chunk = &self.chunks[c];
-        let at = i - self.starts[c];
-        (&chunk.rows[at], chunk.labels[at])
+        let p = self.starts.partition_point(|&s| s <= i) - 1;
+        (&self.parts[p], i - self.starts[p])
     }
 
-    /// Every sample, in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (&MonitorRow, FlowStatus)> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.rows.iter().zip(c.labels.iter().copied()))
+    /// Ground-truth label of sample `i` (scenario order); decodes nothing.
+    pub fn label(&self, i: usize) -> FlowStatus {
+        let (part, row) = self.locate(i);
+        part.labels[row]
+    }
+
+    /// Feature vector of sample `i`, bit-identical to the one the monitor
+    /// assembled when it emitted the row.
+    pub fn features(&self, i: usize) -> FeatureVector {
+        let (part, row) = self.locate(i);
+        part.features(row)
+    }
+
+    /// The samples `idx` with their labels, in `idx` order. The rows are
+    /// decoded in storage order and each put back at its position.
+    pub fn examples(&self, idx: &[u32]) -> Vec<(FeatureVector, FlowStatus)> {
+        let mut order: Vec<(u32, u32)> = (0..).zip(idx).map(|(pos, &i)| (i, pos)).collect();
+        order.sort_unstable();
+        let mut out = vec![([0.0; NUM_FEATURES], FlowStatus::Normal); idx.len()];
+        for (i, pos) in order {
+            let i = i as usize;
+            out[pos as usize] = (self.features(i), self.label(i));
+        }
+        out
     }
 
     /// `(normal, abnormal)` counts.
     pub fn class_counts(&self) -> (usize, usize) {
         let abnormal = self
-            .chunks
+            .parts
             .iter()
-            .flat_map(|c| &c.labels)
+            .flat_map(|p| &p.labels)
             .filter(|l| **l == FlowStatus::Abnormal)
             .count();
         (self.len - abnormal, abnormal)
     }
 
+    /// Heap bytes the samples hold: row arenas, row offsets, labels and
+    /// stream tables.
+    pub fn heap_bytes(&self) -> usize {
+        self.parts.iter().map(Part::heap_bytes).sum()
+    }
+
     /// Append another dataset's scenarios after this one's.
     pub fn extend(&mut self, other: Dataset) {
-        for chunk in other.chunks {
-            self.push(chunk);
+        for part in other.parts {
+            self.push(part);
         }
     }
 
     /// Shuffle and split train/test at `train_fraction` (the paper uses 3:1,
     /// i.e. 0.75): the sample indices of the two sides, in shuffled order.
-    pub fn split(&self, train_fraction: f64, rng: &mut Pcg64) -> (Vec<usize>, Vec<usize>) {
+    pub fn split(&self, train_fraction: f64, rng: &mut Pcg64) -> (Vec<u32>, Vec<u32>) {
         assert!(
             (0.0..=1.0).contains(&train_fraction),
             "train fraction must be in [0,1]"
         );
-        let mut train: Vec<usize> = (0..self.len).collect();
+        // `push` keeps `len` below `u32::MAX`.
+        let mut train: Vec<u32> = (0..self.len as u32).collect();
         rng.shuffle(&mut train);
         let cut = (self.len as f64 * train_fraction).round() as usize;
         let test = train.split_off(cut);
@@ -251,14 +448,14 @@ impl Dataset {
     /// Downsample the majority class among the samples `idx` to at most
     /// `ratio` times the minority class (class imbalance control for
     /// training); the survivors keep their order.
-    pub fn balanced(&self, mut idx: Vec<usize>, ratio: f64, rng: &mut Pcg64) -> Vec<usize> {
+    pub fn balanced(&self, mut idx: Vec<u32>, ratio: f64, rng: &mut Pcg64) -> Vec<u32> {
         assert!(ratio >= 1.0, "ratio must be at least 1");
-        let labels: Vec<FlowStatus> = idx.iter().map(|&i| self.get(i).1).collect();
-        let abnormal = labels
+        let label = |i: &u32| self.label(*i as usize);
+        let abnormal = idx
             .iter()
-            .filter(|l| **l == FlowStatus::Abnormal)
+            .filter(|i| label(i) == FlowStatus::Abnormal)
             .count();
-        let normal = labels.len() - abnormal;
+        let normal = idx.len() - abnormal;
         let (major, minor, major_label) = if normal >= abnormal {
             (normal, abnormal, FlowStatus::Normal)
         } else {
@@ -273,9 +470,8 @@ impl Dataset {
         for rank in rng.sample_indices(major, keep_major) {
             drawn[rank] = true;
         }
-        let mut labels = labels.into_iter();
         let mut drawn = drawn.into_iter();
-        idx.retain(|_| labels.next() != Some(major_label) || drawn.next() == Some(true));
+        idx.retain(|i| label(i) != major_label || drawn.next() == Some(true));
         idx
     }
 }
@@ -283,45 +479,55 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowConfig;
+    use crate::monitor::{MonitorRow, NetworkMonitor};
+    use crate::window::feature_digest;
     use db_netsim::{SimConfig, Simulator, TrafficConfig, TrafficGen};
-    use db_topology::{zoo, LinkId, NodeId, RouteTable};
+    use db_topology::{zoo, LinkId, RouteTable};
 
-    /// End-to-end: simulate a failing line network, label, and check the
-    /// labels match physical intuition.
-    fn build_line_dataset(seed: u64) -> (Dataset, Vec<FlowSpec>) {
+    /// End-to-end: simulate a failing line network under both monitors;
+    /// the dataset, and the rows a [`NetworkMonitor`] kept of the same run.
+    fn build_line_dataset(seed: u64) -> (Dataset, Vec<MonitorRow>, Vec<FlowSpec>) {
         let topo = zoo::line(4);
         let routes = RouteTable::build(&topo);
         let flows = TrafficGen::generate(&topo, &routes, &TrafficConfig::default(), seed);
         let wcfg = WindowConfig::for_network(&routes, SimTime::from_ms(4));
-        let nm = NetworkMonitor::deploy(&topo, &flows, wcfg);
+        let observers = (
+            NetworkMonitor::deploy(&topo, &flows, wcfg),
+            TrainingMonitor::deploy(&topo, &flows, wcfg),
+        );
         let scenario = FailureScenario::single_link(LinkId(1), SimTime::from_ms(100));
         let cfg = SimConfig {
             end: SimTime::from_ms(200),
             ..Default::default()
         };
-        let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, seed, nm);
+        let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, seed, observers);
         sim.run();
-        let (mut nm, stats) = sim.finish();
+        let ((nm, training), stats) = sim.finish();
         let labeler = Labeler::new(&topo, &scenario, &flows, &stats, SimTime::from_ms(4));
-        let rows = std::mem::take(&mut nm.rows);
-        let ds = Dataset::from_rows(rows, &nm, &labeler);
-        (ds, flows)
+        let ds = training.finish(&labeler);
+        assert_eq!(ds.len(), nm.rows.len());
+        for (i, row) in nm.rows.iter().enumerate() {
+            assert_eq!(
+                feature_digest(&ds.features(i)),
+                feature_digest(&row.features)
+            );
+        }
+        (ds, nm.rows, flows)
     }
 
     #[test]
     fn labels_follow_failure_geometry() {
-        let (ds, flows) = build_line_dataset(1);
+        let (ds, rows, flows) = build_line_dataset(1);
         assert!(!ds.is_empty());
         let (normal, abnormal) = ds.class_counts();
         assert!(normal > 0 && abnormal > 0, "both classes must appear");
         assert!(normal > abnormal, "normal dominates (imbalance of §6.3)");
         // Abnormal rows only appear after the failure, at monitors whose
         // upstream part of the flow path contains the failed link l1.
-        for (s, _) in ds
-            .iter()
-            .filter(|(_, label)| *label == FlowStatus::Abnormal)
-        {
+        for (i, s) in rows.iter().enumerate() {
+            if ds.label(i) == FlowStatus::Normal {
+                continue;
+            }
             assert!(
                 s.at > SimTime::from_ms(100),
                 "abnormal before failure at {}",
@@ -345,35 +551,37 @@ mod tests {
     fn ingress_switch_rows_are_always_normal() {
         // At a flow's ingress switch the upstream path is empty, so no
         // failure can make it abnormal (§2.2).
-        let (ds, flows) = build_line_dataset(2);
-        for (s, label) in ds.iter() {
-            let flow = &flows[s.flow.idx()];
-            if s.switch == flow.src {
-                assert_eq!(label, FlowStatus::Normal);
+        let (ds, rows, flows) = build_line_dataset(2);
+        for (i, s) in rows.iter().enumerate() {
+            if s.switch == flows[s.flow.idx()].src {
+                assert_eq!(ds.label(i), FlowStatus::Normal);
             }
         }
     }
 
     #[test]
     fn split_preserves_size_and_disjointness() {
-        let (ds, _) = build_line_dataset(3);
+        let (ds, _, _) = build_line_dataset(3);
         let mut rng = Pcg64::new(7);
         let (train, test) = ds.split(0.75, &mut rng);
         let expected = (ds.len() as f64 * 0.75).round() as usize;
         assert_eq!(train.len(), expected);
-        let mut all: Vec<usize> = train.into_iter().chain(test).collect();
+        let mut all: Vec<u32> = train.into_iter().chain(test).collect();
         all.sort_unstable();
-        assert!(all.into_iter().eq(0..ds.len()), "every sample on one side");
+        assert!(
+            all.into_iter().eq(0..ds.len() as u32),
+            "every sample on one side"
+        );
     }
 
     #[test]
     fn balanced_caps_majority() {
-        let (ds, _) = build_line_dataset(4);
+        let (ds, _, _) = build_line_dataset(4);
         let mut rng = Pcg64::new(8);
-        let bal = ds.balanced((0..ds.len()).collect(), 3.0, &mut rng);
+        let bal = ds.balanced((0..ds.len() as u32).collect(), 3.0, &mut rng);
         let a = bal
             .iter()
-            .filter(|&&i| ds.get(i).1 == FlowStatus::Abnormal)
+            .filter(|&&i| ds.label(i as usize) == FlowStatus::Abnormal)
             .count();
         let n = bal.len() - a;
         assert!(a > 0);
@@ -391,18 +599,17 @@ mod tests {
         let routes = RouteTable::build(&topo);
         let flows = TrafficGen::generate(&topo, &routes, &TrafficConfig::default(), 5);
         let wcfg = WindowConfig::for_network(&routes, SimTime::from_ms(4));
-        let nm = NetworkMonitor::deploy(&topo, &flows, wcfg);
+        let monitor = TrainingMonitor::deploy(&topo, &flows, wcfg);
         let scenario = FailureScenario::none();
         let cfg = SimConfig {
             end: SimTime::from_ms(100),
             ..Default::default()
         };
-        let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, 5, nm);
+        let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, 5, monitor);
         sim.run();
-        let (mut nm, stats) = sim.finish();
+        let (monitor, stats) = sim.finish();
         let labeler = Labeler::new(&topo, &scenario, &flows, &stats, SimTime::from_ms(4));
-        let rows = std::mem::take(&mut nm.rows);
-        let ds = Dataset::from_rows(rows, &nm, &labeler);
+        let ds = monitor.finish(&labeler);
         assert!(!ds.is_empty());
         assert_eq!(ds.class_counts().1, 0);
     }
@@ -444,8 +651,38 @@ mod tests {
         );
     }
 
-    /// A row with its label, the way the copying forms below carried them.
-    type Labeled = (MonitorRow, FlowStatus);
+    /// Every field of a row round-trips at the varint length boundaries and
+    /// at both ends of `u32` and `u64`, whatever its neighbours hold.
+    #[test]
+    fn row_codec_round_trips_every_field_at_the_edges() {
+        const EDGES: [u64; 6] = [0, 127, 128, u32::MAX as u64, 1 << 32, u64::MAX];
+        let mut bytes = Vec::new();
+        let mut rows = Vec::new();
+        for field in 0..13 {
+            for (e, &edge) in EDGES.iter().enumerate() {
+                let mut ints: [u64; 13] = std::array::from_fn(|k| EDGES[(e + k) % EDGES.len()]);
+                ints[field] = edge;
+                let stream = usize::try_from(ints[0]).expect("64-bit usize");
+                let sums: [u64; 6] = ints[1..7].try_into().unwrap();
+                let last: [u64; 6] = ints[7..].try_into().unwrap();
+                put_row(&mut bytes, stream, &sums, &last);
+                rows.push((stream, sums, last));
+            }
+        }
+        let mut at = 0;
+        for row in rows {
+            assert_eq!(get_row(&bytes, &mut at), row);
+        }
+        assert_eq!(at, bytes.len(), "each row decodes exactly its own bytes");
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (u64::MAX, 10)] {
+            let mut one = Vec::new();
+            put_varint(&mut one, v);
+            assert_eq!(one.len(), len, "{v}");
+        }
+    }
+
+    /// A sample with its label, the way the copying forms below carry them.
+    type Labeled = (FeatureVector, FlowStatus);
 
     /// The copying split this module shipped before the index form: kept as
     /// the oracle.
@@ -495,49 +732,52 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The index forms against the copying ones over random chunkings
-        /// (1–6 chunks, some empty), label mixes (no abnormal, a minority, a
-        /// majority of abnormal — so the balance both cuts and, with
-        /// `major <= ratio * minor`, leaves alone), fractions, ratios and
-        /// seeds: the same rows in the same order on every side, and the
-        /// generator left in the same state.
+        /// The index forms against the copying ones over random partings
+        /// (1–6 scenarios, some empty), label mixes (no abnormal, a
+        /// minority, a majority of abnormal — so the balance both cuts and,
+        /// with `major <= ratio * minor`, leaves alone), fractions, ratios
+        /// and seeds: the same samples in the same order on every side, and
+        /// the generator left in the same state.
         #[test]
         fn index_split_and_balance_match_the_copying_forms(seed in 0u64..1 << 32) {
             use proptest::prop_assert_eq;
             let mut gen = Pcg64::new(seed);
             let p_abnormal = [0.0, 0.05, 0.3, 0.8][gen.index(4)];
+            let cfg = WindowConfig::explicit(SimTime::from_ms(4), 8);
             let mut ds = Dataset::default();
             let mut flat: Vec<Labeled> = Vec::new();
             for _ in 0..1 + gen.index(6) {
                 let n = if gen.index(4) == 0 { 0 } else { gen.index(60) };
-                let mut chunk = Chunk::default();
+                let mut part = Part {
+                    streams: (0..1 + gen.index(5))
+                        .map(|_| FlowMeta::new(gen.range_f64(0.5, 40.0), 1 + gen.index(6), vec![], &cfg))
+                        .collect(),
+                    ..Part::default()
+                };
                 for _ in 0..n {
-                    // The flow id is the global index: every row is distinct.
-                    let row = MonitorRow {
-                        switch: NodeId(gen.index(8) as u16),
-                        flow: FlowId(flat.len() as u32),
-                        at: SimTime::from_ms(gen.index(100) as u64),
-                        features: [gen.f64(); crate::window::NUM_FEATURES],
-                    };
+                    // The first sum is the global index: every row is distinct.
+                    let stream = gen.index(part.streams.len());
+                    let mut sums: [u64; 6] = std::array::from_fn(|_| gen.below(1 << 40));
+                    sums[0] = flat.len() as u64;
+                    let last: [u64; 6] = std::array::from_fn(|_| gen.below(1 << 20));
                     let label = if gen.chance(p_abnormal) {
                         FlowStatus::Abnormal
                     } else {
                         FlowStatus::Normal
                     };
-                    chunk.rows.push(row);
-                    chunk.labels.push(label);
-                    flat.push((row, label));
+                    part.offsets.push(part.bytes.len() as u32);
+                    put_row(&mut part.bytes, stream, &sums, &last);
+                    part.labels.push(label);
+                    let features = window::assemble(&part.streams[stream], &sums, &last);
+                    flat.push((features, label));
                 }
                 let mut one = Dataset::default();
-                one.push(chunk);
+                one.push(part);
                 ds.extend(one);
             }
             prop_assert_eq!(ds.len(), flat.len());
-            let gather = |idx: &[usize]| -> Vec<Labeled> {
-                idx.iter().map(|&i| { let (r, l) = ds.get(i); (*r, l) }).collect()
-            };
-            prop_assert_eq!(gather(&(0..ds.len()).collect::<Vec<_>>()), flat.clone());
-            prop_assert_eq!(ds.iter().map(|(r, l)| (*r, l)).collect::<Vec<_>>(), flat.clone());
+            let all: Vec<u32> = (0..ds.len() as u32).collect();
+            prop_assert_eq!(ds.examples(&all), flat.clone());
 
             let fraction = [0.0, 0.5, 0.75, 1.0][gen.index(4)];
             let ratio = [1.0, 1.5, 4.0][gen.index(3)];
@@ -545,13 +785,13 @@ mod tests {
             let mut rng_ref = rng.clone();
             let (train, test) = ds.split(fraction, &mut rng);
             let (train_ref, test_ref) = split_by_copy(&flat, fraction, &mut rng_ref);
-            prop_assert_eq!(gather(&train), train_ref.clone());
-            prop_assert_eq!(gather(&test), test_ref);
+            prop_assert_eq!(ds.examples(&train), train_ref.clone());
+            prop_assert_eq!(ds.examples(&test), test_ref);
             prop_assert_eq!(&rng, &rng_ref);
 
             let kept = ds.balanced(train, ratio, &mut rng);
             let kept_ref = balanced_by_copy(&train_ref, ratio, &mut rng_ref);
-            prop_assert_eq!(gather(&kept), kept_ref);
+            prop_assert_eq!(ds.examples(&kept), kept_ref);
             prop_assert_eq!(&rng, &rng_ref);
         }
     }

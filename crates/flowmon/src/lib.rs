@@ -14,8 +14,9 @@
 //!   every sampling-interval tick; the window length is the 90th percentile
 //!   of network RTTs.
 //! * [`dataset`] — ground-truth labeling ("abnormal iff the packets of the
-//!   flow cannot reach the monitor at the time due to failures") and
-//!   train/test dataset assembly at the paper's 3:1 split.
+//!   flow cannot reach the monitor at the time due to failures"), the
+//!   training observer that keeps each row as varint-coded register
+//!   integers, and train/test dataset assembly at the paper's 3:1 split.
 
 pub mod dataset;
 pub mod measures;
@@ -23,7 +24,7 @@ pub mod metrics;
 pub mod monitor;
 pub mod window;
 
-pub use dataset::{Dataset, FlowStatus};
+pub use dataset::{Dataset, FlowStatus, TrainingMonitor};
 pub use measures::{IntervalMeasures, SUB_INTERVALS};
 pub use metrics::FlowmonMetrics;
 pub use monitor::{NetworkMonitor, SwitchMonitor, MAX_FLOWS};

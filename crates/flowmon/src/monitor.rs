@@ -244,7 +244,7 @@ impl SwitchMonitor {
                 continue;
             }
             self.row_buf
-                .push((self.flows[slot], window::assemble(meta, sums, &m)));
+                .push((self.flows[slot], window::assemble(meta, sums, &m.widened())));
             self.row_slots.push(slot);
         }
         self.head = (head + 1) % w;
@@ -264,6 +264,23 @@ impl SwitchMonitor {
     pub fn staged_upstream(&self) -> impl ExactSizeIterator<Item = &[LinkId]> {
         let upstream = |&slot: &usize| self.meta[slot].upstream.as_slice();
         self.row_slots.iter().map(upstream)
+    }
+
+    /// The integers each staged row was assembled from, positional with
+    /// [`Self::staged_rows`]: the flow's slot (its rank among the flows
+    /// registered here), its six running window sums and the six measures
+    /// of the interval just closed (valid until the next close or
+    /// registration).
+    pub(crate) fn staged_registers(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (usize, &[u64; 6], [u64; 6])> {
+        let registers = |&slot: &usize| (slot, &self.sums[slot], self.closed(slot, 1).widened());
+        self.row_slots.iter().map(registers)
+    }
+
+    /// The registered flows and their metadata, in slot order.
+    pub(crate) fn into_registrations(self) -> impl Iterator<Item = (FlowId, FlowMeta)> {
+        self.flows.into_iter().zip(self.meta)
     }
 
     /// Serialize the complete monitoring state — registrations, metadata,
@@ -405,22 +422,22 @@ pub struct MonitorRow {
     pub features: FeatureVector,
 }
 
-/// The full network deployment: one [`SwitchMonitor`] per switch.
+/// One [`SwitchMonitor`] per switch, every flow registered at every switch
+/// of its path, and the `flowmon.*` handles: what [`NetworkMonitor`] and
+/// [`crate::dataset::TrainingMonitor`] share. They differ only in what they
+/// keep of each closed window.
 #[derive(Debug)]
-pub struct NetworkMonitor {
-    monitors: Vec<SwitchMonitor>,
-    cfg: WindowConfig,
-    /// Rows collected at every tick (drained by callers or kept for dataset
-    /// building).
-    pub rows: Vec<MonitorRow>,
+pub(crate) struct Deployment {
+    /// The monitors, in node order.
+    pub(crate) monitors: Vec<SwitchMonitor>,
     /// Telemetry handles; `None` (the default) records nothing.
     metrics: Option<crate::metrics::FlowmonMetrics>,
 }
 
-impl NetworkMonitor {
+impl Deployment {
     /// Deploy monitors on every switch, registering each flow at every
     /// switch of its path with the correct upstream-link metadata.
-    pub fn deploy(topo: &Topology, flows: &[FlowSpec], cfg: WindowConfig) -> Self {
+    pub(crate) fn new(topo: &Topology, flows: &[FlowSpec], cfg: WindowConfig) -> Self {
         let mut monitors: Vec<SwitchMonitor> =
             topo.nodes().map(|n| SwitchMonitor::new(n, cfg)).collect();
         for f in flows {
@@ -430,18 +447,68 @@ impl NetworkMonitor {
                 monitors[node.idx()].register_flow(f.id, meta);
             }
         }
-        NetworkMonitor {
+        Deployment {
             monitors,
+            metrics: None,
+        }
+    }
+
+    pub(crate) fn set_metrics(&mut self, reg: &db_telemetry::MetricsRegistry) {
+        self.metrics = Some(crate::metrics::FlowmonMetrics::register(reg));
+    }
+
+    /// Record a packet observation.
+    // db-lint: allow(hot-index) — monitors is sized by node count at setup; HopInfo nodes come from the same topology
+    pub(crate) fn on_packet(&mut self, now: SimTime, info: &HopInfo, size: u32) {
+        let recorded = self.monitors[info.node.idx()].on_packet(now, info.flow, size);
+        if recorded {
+            if let Some(m) = &self.metrics {
+                m.register_updates.inc();
+            }
+        }
+    }
+
+    /// Close the interval on every switch, in node order, handing each
+    /// monitor to `emit` while its rows are staged.
+    pub(crate) fn close_all(&mut self, now: SimTime, mut emit: impl FnMut(&SwitchMonitor)) {
+        let mut emitted = 0u64;
+        for m in &mut self.monitors {
+            emitted += m.close_window(now).len() as u64;
+            emit(m);
+        }
+        if let Some(met) = &self.metrics {
+            met.intervals_closed.add(self.monitors.len() as u64);
+            met.feature_vectors.add(emitted);
+        }
+    }
+}
+
+/// The full network deployment: one [`SwitchMonitor`] per switch, keeping
+/// every row it produces.
+#[derive(Debug)]
+pub struct NetworkMonitor {
+    deployment: Deployment,
+    cfg: WindowConfig,
+    /// Rows collected at every tick (drained by callers or kept for
+    /// inspection).
+    pub rows: Vec<MonitorRow>,
+}
+
+impl NetworkMonitor {
+    /// Deploy monitors on every switch, registering each flow at every
+    /// switch of its path with the correct upstream-link metadata.
+    pub fn deploy(topo: &Topology, flows: &[FlowSpec], cfg: WindowConfig) -> Self {
+        NetworkMonitor {
+            deployment: Deployment::new(topo, flows, cfg),
             cfg,
             rows: Vec::new(),
-            metrics: None,
         }
     }
 
     /// Attach telemetry handles (register updates, intervals, feature
     /// vectors). Never affects what the monitors compute.
     pub fn set_metrics(&mut self, reg: &db_telemetry::MetricsRegistry) {
-        self.metrics = Some(crate::metrics::FlowmonMetrics::register(reg));
+        self.deployment.set_metrics(reg);
     }
 
     /// The monitoring configuration.
@@ -451,46 +518,34 @@ impl NetworkMonitor {
 
     /// The monitor deployed on `node`.
     pub fn switch(&self, node: NodeId) -> &SwitchMonitor {
-        &self.monitors[node.idx()]
+        &self.deployment.monitors[node.idx()]
     }
 
     /// Upstream links of `flow` w.r.t. `switch`, if monitored there.
     pub fn upstream(&self, switch: NodeId, flow: FlowId) -> Option<&[LinkId]> {
-        self.monitors[switch.idx()]
+        self.switch(switch)
             .flow_meta(flow)
             .map(|m| m.upstream.as_slice())
     }
 
     /// Record a packet observation.
-    // db-lint: allow(hot-index) — monitors is sized by node count at setup; HopInfo nodes come from the same topology
     pub fn on_packet(&mut self, now: SimTime, info: &HopInfo, size: u32) {
-        let recorded = self.monitors[info.node.idx()].on_packet(now, info.flow, size);
-        if recorded {
-            if let Some(m) = &self.metrics {
-                m.register_updates.inc();
-            }
-        }
+        self.deployment.on_packet(now, info, size);
     }
 
     /// Close the interval on every switch, appending the produced rows.
     pub fn end_interval(&mut self, now: SimTime) {
-        let mut emitted = 0u64;
-        for m in &mut self.monitors {
-            let node = m.node();
-            for &(flow, features) in m.close_window(now) {
-                self.rows.push(MonitorRow {
-                    switch: node,
-                    flow,
-                    at: now,
-                    features,
-                });
-                emitted += 1;
-            }
-        }
-        if let Some(met) = &self.metrics {
-            met.intervals_closed.add(self.monitors.len() as u64);
-            met.feature_vectors.add(emitted);
-        }
+        let rows = &mut self.rows;
+        self.deployment.close_all(now, |m| {
+            let switch = m.node();
+            let row = |&(flow, features): &(FlowId, FeatureVector)| MonitorRow {
+                switch,
+                flow,
+                at: now,
+                features,
+            };
+            rows.extend(m.staged_rows().iter().map(row));
+        });
     }
 }
 
@@ -957,6 +1012,14 @@ mod tests {
                         for ((flow, _), up) in rows.iter().zip(upstream) {
                             prop_assert_eq!(up, new.flow_meta(*flow).unwrap().upstream.as_slice());
                         }
+                        // What the training rows keep reassembles each row.
+                        let reassembled: Vec<_> = new
+                            .staged_registers()
+                            .map(|(slot, sums, last)| {
+                                (new.flows[slot], window::assemble(&new.meta[slot], sums, &last))
+                            })
+                            .collect();
+                        prop_assert_eq!(bits(&reassembled), bits(&rows));
                         if rng.index(8) == 0 {
                             loud = !loud;
                         }

@@ -17,7 +17,6 @@
 //! over its closed intervals; this module derives the window length and
 //! turns metadata, sums and the newest interval into the vector.
 
-use crate::measures::IntervalMeasures;
 use db_netsim::SimTime;
 use db_topology::{LinkId, NodeId, Routes, SCALE_NODE_THRESHOLD};
 use db_util::{stats as st, Pcg64};
@@ -178,16 +177,21 @@ impl FlowMeta {
 /// Assemble the Table-2 feature vector of a flow from its metadata, the
 /// per-measure sums over its last `meta.n_interval` closed intervals (one
 /// RTT of history — callers emit nothing before that much is buffered), and
-/// the newest of those intervals.
-pub(crate) fn assemble(meta: &FlowMeta, sums: &[u64; 6], last: &IntervalMeasures) -> FeatureVector {
+/// the newest of those intervals,
+/// [`widened`](crate::measures::IntervalMeasures::widened). The one
+/// place a feature vector is made: the monitor's window close and the
+/// training dataset's row decode both call it, and the close stays free of
+/// a call per row.
+#[inline]
+pub(crate) fn assemble(meta: &FlowMeta, sums: &[u64; 6], last: &[u64; 6]) -> FeatureVector {
     let inv = 1.0 / meta.n_interval as f64;
     let mut f = [0.0; NUM_FEATURES];
     f[0] = meta.rtt_ms;
     f[1] = meta.path_len as f64;
     f[2] = meta.n_interval as f64;
-    for (i, (sum, last)) in sums.iter().zip(last.widened()).enumerate() {
+    for (i, (sum, last)) in sums.iter().zip(last).enumerate() {
         f[3 + i] = *sum as f64 * inv;
-        f[9 + i] = last as f64;
+        f[9 + i] = *last as f64;
     }
     f
 }
@@ -195,6 +199,7 @@ pub(crate) fn assemble(meta: &FlowMeta, sums: &[u64; 6], last: &IntervalMeasures
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measures::IntervalMeasures;
     use db_topology::zoo;
 
     fn meas(n_packet: u32, len_all: u64) -> IntervalMeasures {
@@ -252,7 +257,7 @@ mod tests {
         let meta = FlowMeta::new(12.0, 4, vec![], &cfg); // n_interval = 3
         let last = meas(2, 3_000);
         // Sums of three intervals: 5 + 5 + 2 packets, 7 500 + 7 500 + 3 000 B.
-        let f = assemble(&meta, &[12, 18_000, 4_500, 4_500, 6, 15], &last);
+        let f = assemble(&meta, &[12, 18_000, 4_500, 4_500, 6, 15], &last.widened());
         assert_eq!(f[..3], [12.0, 4.0, 3.0]);
         assert_eq!(f[3], 12.0 * (1.0 / 3.0), "avg n_packet = sum · 1/n");
         assert_eq!(f[4], 18_000.0 * (1.0 / 3.0));

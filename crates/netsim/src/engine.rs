@@ -113,6 +113,19 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
+/// Two observers of one run: each sees every event, `.0` first.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
+        self.0.on_packet(now, info, ann);
+        self.1.on_packet(now, info, ann);
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        self.0.on_tick(now);
+        self.1.on_tick(now);
+    }
+}
+
 /// Aggregate counters of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {

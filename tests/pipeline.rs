@@ -4,7 +4,7 @@
 use drift_bottle::core::classifier::timeline;
 use drift_bottle::core::system::DriftBottleSystem;
 use drift_bottle::flowmon::dataset::Labeler;
-use drift_bottle::flowmon::{Dataset, NetworkMonitor, WindowConfig};
+use drift_bottle::flowmon::{feature_digest, NetworkMonitor, TrainingMonitor, WindowConfig};
 use drift_bottle::netsim::trace::replay;
 use drift_bottle::netsim::TraceRecorder;
 use drift_bottle::prelude::*;
@@ -63,6 +63,9 @@ fn replayed_monitoring_equals_live_monitoring() {
     }
 }
 
+/// One run observed by both monitors: every training row decodes to the
+/// bit-exact features the `NetworkMonitor` kept for it, and carries the
+/// label the labeler gives that `MonitorRow`.
 #[test]
 fn dataset_labels_are_stable_across_construction_paths() {
     let (topo, _routes, flows, wcfg) = small_world();
@@ -72,15 +75,30 @@ fn dataset_labels_are_stable_across_construction_paths() {
         tick_interval: wcfg.interval,
         ..Default::default()
     };
-    let nm = NetworkMonitor::deploy(&topo, &flows, wcfg);
-    let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, 9, nm);
+    let observers = (
+        NetworkMonitor::deploy(&topo, &flows, wcfg),
+        TrainingMonitor::deploy(&topo, &flows, wcfg),
+    );
+    let mut sim = Simulator::new(&topo, flows.clone(), cfg, &scenario, 9, observers);
     sim.run();
-    let (nm, stats) = sim.finish();
+    let ((nm, training), stats) = sim.finish();
     let labeler = Labeler::new(&topo, &scenario, &flows, &stats, wcfg.interval);
-    let a = Dataset::from_rows(nm.rows.clone(), &nm, &labeler);
-    let b = Dataset::from_rows(nm.rows.clone(), &nm, &labeler);
-    assert!(a.iter().eq(b.iter()));
-    let (n, ab) = a.class_counts();
+    let ds = training.finish(&labeler);
+    assert_eq!(ds.len(), nm.rows.len());
+    for (i, row) in nm.rows.iter().enumerate() {
+        assert_eq!(
+            feature_digest(&ds.features(i)),
+            feature_digest(&row.features),
+            "row {i}: {row:?}"
+        );
+        let upstream = nm.upstream(row.switch, row.flow).expect("monitored flow");
+        assert_eq!(
+            ds.label(i),
+            labeler.label(row.flow, upstream, row.at),
+            "row {i}: {row:?}"
+        );
+    }
+    let (n, ab) = ds.class_counts();
     assert!(n > 0 && ab > 0, "both classes present: {n}/{ab}");
 }
 

@@ -34,8 +34,8 @@
 //!
 //! The batch path is reimplemented *on top of* this engine (the engine is
 //! the observer `run_scenario` hands to the simulator), so batch and
-//! streaming share one pipeline and the equivalence proptest in
-//! `crates/core/tests/streaming.rs` pins them bit-identical.
+//! streaming share one pipeline and the `Stream` and `RestoreAt` modes of
+//! the root `tests/modes.rs` pin them equal.
 
 use crate::carrier::CarrierTable;
 use crate::system::{DriftBottleSystem, Warning};
@@ -467,78 +467,45 @@ mod tests {
         )
     }
 
-    /// Record a trace and the batch-run system for the same seed.
-    fn trace_and_batch() -> (TraceRecorder, DriftBottleSystem<ThresholdClassifier>) {
-        let (topo, flows, wcfg, window, cfg) = line_setup();
+    /// The line case's recorded feed: link 2 fails at `window.0`.
+    fn line_trace() -> TraceRecorder {
+        let (topo, flows, wcfg, window, _) = line_setup();
         let scenario = FailureScenario::single_link(db_topology::LinkId(2), window.0);
         let sim_cfg = SimConfig {
             end: window.1 + SimTime::from_ms(8),
             tick_interval: wcfg.interval,
             ..Default::default()
         };
-        let mut sim = Simulator::new(
-            &topo,
-            flows.clone(),
-            sim_cfg.clone(),
-            &scenario,
-            7,
-            TraceRecorder::new(),
-        );
+        let mut sim = Simulator::new(&topo, flows, sim_cfg, &scenario, 7, TraceRecorder::new());
         sim.run();
-        let (trace, _) = sim.finish();
-
-        let system = deploy(&topo, &flows, wcfg, window, cfg);
-        let mut sim = Simulator::new(&topo, flows, sim_cfg, &scenario, 7, system);
-        sim.run();
-        (trace, sim.finish().0)
+        sim.finish().0
     }
 
+    /// A fork of a streaming engine is the engine: the same snapshot (tick
+    /// count and parked carriers included), then the same warnings and the
+    /// same final state for the rest of the feed.
     #[test]
-    fn streaming_ingest_matches_batch_log() {
-        let (trace, batch) = trace_and_batch();
+    fn a_fork_mid_stream_is_the_engine() {
+        let trace = line_trace();
         let (topo, flows, wcfg, window, cfg) = line_setup();
         let mut engine = Engine::new(deploy(&topo, &flows, wcfg, window, cfg));
         engine.set_live_warnings();
-        let mut live_raises = 0u64;
-        for o in &trace.observations {
-            live_raises += engine.ingest(&FlowRecord::from(*o)).len() as u64;
-        }
-        let end = window.1 + SimTime::from_ms(8);
-        live_raises += engine.advance_to(end).len() as u64;
-        let stream_log = engine.system().log("Drift-Bottle").unwrap();
-        let batch_log = batch.log("Drift-Bottle").unwrap();
-        assert_eq!(stream_log.raises, batch_log.raises);
-        assert_eq!(stream_log.by_pair, batch_log.by_pair);
-        assert_eq!(stream_log.reported_links, batch_log.reported_links);
-        assert_eq!(live_raises, stream_log.raises, "every raise surfaced live");
-        // Carriers of packets the failure dropped mid-path never meet their
-        // last switch; without retention they linger — that's what
-        // `set_retention` is for in a long-lived daemon.
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_mid_stream() {
-        let (trace, _) = trace_and_batch();
-        let (topo, flows, wcfg, window, cfg) = line_setup();
-        let mut a = Engine::new(deploy(&topo, &flows, wcfg, window, cfg.clone()));
-        a.set_live_warnings();
         let split = trace.observations.len() / 2;
         for o in &trace.observations[..split] {
-            a.ingest(&FlowRecord::from(*o));
+            engine.ingest(&FlowRecord::from(*o));
         }
-        let snap = a.snapshot();
-
-        let mut b = Engine::new(deploy(&topo, &flows, wcfg, window, cfg));
-        b.set_live_warnings();
-        b.restore(&snap).unwrap();
-        assert_eq!(b.snapshot(), snap, "restore is lossless");
-
+        assert!(engine.ticks_fired() > 0 && engine.carriers_in_flight() > 0);
+        let mut fork = engine.fork();
+        assert_eq!(fork.snapshot(), engine.snapshot());
+        // Live collection is an attachment, and a fork carries none.
+        fork.set_live_warnings();
         for o in &trace.observations[split..] {
-            let wa = a.ingest(&FlowRecord::from(*o));
-            let wb = b.ingest(&FlowRecord::from(*o));
-            assert_eq!(wa, wb);
+            let rec = FlowRecord::from(*o);
+            assert_eq!(fork.ingest(&rec), engine.ingest(&rec));
         }
-        assert_eq!(a.snapshot(), b.snapshot());
+        let end = window.1 + SimTime::from_ms(8);
+        assert_eq!(fork.advance_to(end), engine.advance_to(end));
+        assert_eq!(fork.snapshot(), engine.snapshot());
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
     use crate::experiment::{run_scenario, ScenarioKind, ScenarioOutcome, ScenarioSetup};
     use crate::VariantSpec;
     use db_telemetry::{FlightRecorder, ScopeRecorder, TraceData};
-    use db_topology::{LinkId, NodeId};
+    use db_topology::LinkId;
     use std::sync::{Arc, Barrier};
 
     /// The four fig-8 variants (wire, side-table and both centralized
@@ -172,24 +172,6 @@ mod tests {
         let setup = setup();
         run_scenario(&setup, &ScenarioKind::SingleLink(LinkId(7)));
         assert!(!setup.prefix.holds_prefix());
-    }
-
-    #[test]
-    fn every_kind_forked_equals_its_straight_run() {
-        let setup = warmed();
-        for kind in [
-            ScenarioKind::None,
-            ScenarioKind::SingleLink(LinkId(7)),
-            ScenarioKind::Corruption(LinkId(7), 0.3),
-            ScenarioKind::Node(NodeId(4)),
-            ScenarioKind::RandomLinks { count: 2, seed: 5 },
-        ] {
-            assert_eq!(
-                run_scenario(&setup, &kind),
-                fresh(|_| {}, &kind),
-                "{kind:?} from the shared prefix"
-            );
-        }
     }
 
     /// Every field that shapes the prefix is in the key: a clone of a

@@ -10,38 +10,41 @@
 //! against a snapshot taken before the hot-path rewrite.
 //!
 //! If this test fails after a perf change, the change altered simulation
-//! semantics; do not re-pin without understanding exactly why.
+//! semantics; do not re-pin without understanding exactly why. Every other
+//! way of running this scenario (forked, swept, streamed, restored,
+//! recorded) is compared against the straight run in the root
+//! `tests/modes.rs`.
 
 use db_core::{
     prepare, run_scenario, PrepareConfig, Prepared, ScenarioKind, ScenarioOutcome, ScenarioSetup,
     VariantSpec,
 };
 use db_flowmon::FlowStatus;
-use db_telemetry::ScopeRecorder;
 use db_topology::{zoo, NodeId};
 use db_util::wire::fnv1a64;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
+/// The 3×3 grid, prepared once for this binary.
+fn grid_prepared() -> &'static Prepared {
+    static PREP: OnceLock<Prepared> = OnceLock::new();
+    PREP.get_or_init(|| {
+        prepare(
+            zoo::grid(3, 3),
+            &PrepareConfig {
+                n_link_scenarios: 4,
+                n_node_scenarios: 1,
+                n_healthy: 1,
+                train_density: 1.0,
+            },
+        )
+    })
+}
+
+/// The pinned scenario's output: the four fig-8 variants, ratio sampling
+/// on, the grid's center link failing.
 fn fingerprint() -> String {
-    fingerprint_with(None)
-}
-
-fn grid_prepared() -> Prepared {
-    prepare(
-        zoo::grid(3, 3),
-        &PrepareConfig {
-            n_link_scenarios: 4,
-            n_node_scenarios: 1,
-            n_healthy: 1,
-            train_density: 1.0,
-        },
-    )
-}
-
-/// The pinned scenario: the four fig-8 variants, ratio sampling on, the
-/// grid's center link failing.
-fn golden_scenario(prep: &Prepared) -> (ScenarioSetup<'_>, ScenarioKind) {
+    let prep = grid_prepared();
     let mut setup = ScenarioSetup::flagship(prep, 1.0, 42);
     setup.variants = VariantSpec::fig8_set();
     setup.sys.ratio_sampling = 8;
@@ -49,14 +52,7 @@ fn golden_scenario(prep: &Prepared) -> (ScenarioSetup<'_>, ScenarioKind) {
         .topo
         .link_between(NodeId(4), NodeId(5))
         .expect("grid center link");
-    (setup, ScenarioKind::SingleLink(link))
-}
-
-fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
-    let prep = grid_prepared();
-    let (mut setup, kind) = golden_scenario(&prep);
-    setup.instr.scope = scope;
-    render(&run_scenario(&setup, &kind))
+    render(&run_scenario(&setup, &ScenarioKind::SingleLink(link)))
 }
 
 fn render(outcome: &ScenarioOutcome) -> String {
@@ -157,40 +153,6 @@ fn fig8_scenario_matches_golden_snapshot() {
     );
 }
 
-/// One setup run three times: the first run simulates from time zero, the
-/// second leaves its healthy prefix behind, the third starts from a fork of
-/// it. Where a run starts must not show.
-#[test]
-fn fig8_scenario_matches_golden_snapshot_from_a_forked_prefix() {
-    let prep = grid_prepared();
-    let (setup, kind) = golden_scenario(&prep);
-    for run in 1..=3 {
-        let got = render(&run_scenario(&setup, &kind));
-        assert!(
-            got == GOLDEN,
-            "run {run} on one setup diverged from the pinned snapshot\n\
-             --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
-        );
-    }
-}
-
-/// db-scope is observational: the same scenario traced (series + spans
-/// recorded) must reproduce the snapshot byte for byte.
-#[test]
-fn fig8_scenario_matches_golden_snapshot_while_traced() {
-    let scope = Arc::new(ScopeRecorder::default());
-    let got = fingerprint_with(Some(scope.clone()));
-    assert!(
-        scope.span_count() > 0,
-        "tracing was attached but recorded nothing"
-    );
-    assert!(
-        got == GOLDEN,
-        "tracing changed scenario output — db-scope must be observational\n\
-         --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
-    );
-}
-
 /// What `prepare` itself answers: the compiled table (FNV-1a 64 over every
 /// rule's range bounds as IEEE-754 bits, label and priority, in table
 /// order), the held-out confusion matrix and the two sample counts.
@@ -225,7 +187,7 @@ fn prepare_pin(prep: &Prepared) -> String {
 #[test]
 fn prepare_on_the_grid_is_pinned() {
     assert_eq!(
-        prepare_pin(&grid_prepared()),
+        prepare_pin(grid_prepared()),
         "rules=2 digest=0xf30d50cc63191827 tp=17 fp=120 fn=0 tn=3215 train=270 test=3352"
     );
 }

@@ -1,34 +1,26 @@
-//! Batch ≡ streaming equivalence: replaying a scenario's flow records
-//! one-by-one through [`Engine::ingest`] must reproduce the batch pipeline
-//! **bit-identically** — warnings, flight records, window series, ratio
-//! samples — including across a mid-stream `snapshot()`/`restore()` cycle,
-//! and independently of how records are chunked into ingest batches.
+//! The engine's carrier table and snapshot format, layer by layer.
 //!
-//! Two layers:
-//!
-//! * property tests on a line topology with the threshold classifier (no
-//!   training, fast enough to randomize seed, split point, chunking);
-//! * one integration test against the real [`run_scenario`] on a trained
-//!   grid classifier, where batch truly is the production batch path.
+//! That streaming, and streaming across a mid-stream `snapshot()` /
+//! `restore()`, reproduce the batch run is pinned with every other mode in
+//! the root `tests/modes.rs`. What stays here are the pins of one layer:
+//! the hashed carrier table against its ordered-map model, the snapshot
+//! bytes (`PINNED_MID_STREAM_DIGEST`, canonical carrier order, the §4.3
+//! ablation's locals) and `restore`'s refusal of every damaged snapshot.
+//! All of it runs on a line topology with the threshold classifier: no
+//! training, fast enough to randomize.
 
-use db_core::classifier::{prepare, timeline, PrepareConfig, Prepared};
 use db_core::engine::{Engine, FlowRecord};
-use db_core::{
-    run_scenario, DriftBottleSystem, Mechanism, ScenarioKind, ScenarioSetup, SystemConfig,
-    VariantSpec, Warning,
-};
+use db_core::{DriftBottleSystem, Mechanism, SystemConfig, VariantSpec, Warning};
 use db_dtree::ThresholdClassifier;
 use db_flowmon::{SwitchMonitor, WindowConfig};
 use db_netsim::{
     Annotation, FailureScenario, Observer, SimConfig, SimTime, Simulator, TraceRecorder,
     TrafficConfig, TrafficGen,
 };
-use db_telemetry::{FlightRecorder, ScopeRecorder, TraceData};
-use db_topology::{zoo, LinkId, NodeId, RouteTable};
+use db_topology::{zoo, LinkId, RouteTable};
 use db_util::wire::{ByteReader, ByteWriter};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, OnceLock};
 
 /// Everything needed to run the same line scenario in batch or streaming.
 struct LineCase {
@@ -80,25 +72,6 @@ fn line_case(seed: u64) -> LineCase {
     }
 }
 
-fn variants() -> Vec<VariantSpec> {
-    vec![
-        VariantSpec::drift_bottle(),
-        VariantSpec::centralized(db_inference::WeightScheme::DriftBottle, 0.4),
-    ]
-}
-
-fn deploy_line(case: &LineCase) -> DriftBottleSystem<ThresholdClassifier> {
-    DriftBottleSystem::deploy(
-        &case.topo,
-        &case.flows,
-        case.wcfg,
-        ThresholdClassifier::default(),
-        variants(),
-        case.cfg.clone(),
-        case.window,
-    )
-}
-
 fn record_line_trace(case: &LineCase) -> TraceRecorder {
     let mut sim = Simulator::new(
         &case.topo,
@@ -110,317 +83,6 @@ fn record_line_trace(case: &LineCase) -> TraceRecorder {
     );
     sim.run();
     sim.finish().0
-}
-
-/// Span `dur_us` values are wall-clock and vary run to run; the digest is
-/// the deterministic surface (meta, window series, span structure).
-fn scope_digest(scope: &ScopeRecorder) -> String {
-    TraceData::from_json_str(&scope.to_trace_json())
-        .expect("scope json parses")
-        .deterministic_digest()
-}
-
-/// Batch leg: the engine as simulator observer, with flight + scope
-/// attached to the system (the streaming side has no simulator, so only
-/// system-side records are comparable).
-fn run_line_batch(case: &LineCase) -> (Engine<ThresholdClassifier>, Vec<u8>, String) {
-    let mut system = deploy_line(case);
-    let flight = Arc::new(FlightRecorder::new(1 << 16));
-    let scope = Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY));
-    system.set_flight(flight.clone(), &[LinkId(2)], case.topo.link_count());
-    system.set_scope(scope.clone());
-    let engine = Engine::new(system);
-    let mut sim = Simulator::new(
-        &case.topo,
-        case.flows.clone(),
-        case.sim_cfg.clone(),
-        &case.scenario,
-        case.seed,
-        engine,
-    );
-    sim.run();
-    let (engine, _) = sim.finish();
-    (engine, flight.snapshot().to_bytes(), scope_digest(&scope))
-}
-
-/// Streaming leg: ingest the trace's observations in `chunk`-sized batches
-/// (ticks self-fire inside ingest), optionally snapshot/restore onto a
-/// fresh engine after `split` records.
-fn run_line_streaming(
-    case: &LineCase,
-    trace: &TraceRecorder,
-    chunk: usize,
-    split: Option<usize>,
-) -> (Engine<ThresholdClassifier>, Vec<u8>, String, u64) {
-    run_line_streaming_bounded(case, trace, chunk, split, None)
-}
-
-/// [`run_line_streaming`] with carrier retention set to `retention`
-/// windows on every engine it builds (retention is configuration, not
-/// snapshot state, so the restored engine sets it again).
-fn run_line_streaming_bounded(
-    case: &LineCase,
-    trace: &TraceRecorder,
-    chunk: usize,
-    split: Option<usize>,
-    retention: Option<u32>,
-) -> (Engine<ThresholdClassifier>, Vec<u8>, String, u64) {
-    let mut flight = Arc::new(FlightRecorder::new(1 << 16));
-    let mut scope = Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY));
-    let mut system = deploy_line(case);
-    system.set_flight(flight.clone(), &[LinkId(2)], case.topo.link_count());
-    system.set_scope(scope.clone());
-    let mut engine = Engine::new(system);
-    engine.set_live_warnings();
-    if let Some(windows) = retention {
-        engine.set_retention(windows);
-    }
-    let mut live_raises = 0u64;
-    let mut fed = 0usize;
-    for batch in trace.observations.chunks(chunk.max(1)) {
-        for o in batch {
-            live_raises += engine.ingest(&FlowRecord::from(*o)).len() as u64;
-            fed += 1;
-            if split == Some(fed) {
-                // Mid-stream restart: serialize, rebuild a fresh engine
-                // (fresh recorders too — records before the split are the
-                // snapshot writer's artifact), restore, and continue. The
-                // recorders only see post-split records, so equivalence is
-                // checked on logs and final snapshots, not on these bytes.
-                let snap = engine.snapshot();
-                flight = Arc::new(FlightRecorder::new(1 << 16));
-                scope = Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY));
-                let mut system = deploy_line(case);
-                system.set_flight(flight.clone(), &[LinkId(2)], case.topo.link_count());
-                system.set_scope(scope.clone());
-                let mut restored = Engine::new(system);
-                restored.set_live_warnings();
-                if let Some(windows) = retention {
-                    restored.set_retention(windows);
-                }
-                restored.restore(&snap).expect("snapshot restores");
-                engine = restored;
-            }
-        }
-    }
-    live_raises += engine.advance_to(case.end).len() as u64;
-    (
-        engine,
-        flight.snapshot().to_bytes(),
-        scope_digest(&scope),
-        live_raises,
-    )
-}
-
-fn assert_systems_agree(
-    a: &DriftBottleSystem<ThresholdClassifier>,
-    b: &DriftBottleSystem<ThresholdClassifier>,
-) {
-    for ((sa, la, ra), (sb, lb, rb)) in a.results().zip(b.results()) {
-        assert_eq!(sa.name, sb.name);
-        assert_eq!(la.raises, lb.raises, "raises of {}", sa.name);
-        assert_eq!(la.by_pair, lb.by_pair, "by_pair of {}", sa.name);
-        assert_eq!(la.reported_links, lb.reported_links);
-        assert_eq!(la.reported_pairs, lb.reported_pairs);
-        assert_eq!(ra, rb, "ratio samples of {}", sa.name);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Streaming ingest reproduces the batch run bit-identically — warning
-    /// logs, ratio samples, flight bytes, window-series JSON — at ingest
-    /// chunk sizes 1 and 8, with every raise also surfaced live.
-    #[test]
-    fn streaming_matches_batch(seed in 1u64..500) {
-        let case = line_case(seed);
-        let trace = record_line_trace(&case);
-        let (batch, batch_flight, batch_scope) = run_line_batch(&case);
-        for chunk in [1usize, 8] {
-            let (stream, flight, scope, live) =
-                run_line_streaming(&case, &trace, chunk, None);
-            assert_systems_agree(batch.system(), stream.system());
-            prop_assert_eq!(&flight, &batch_flight, "flight bytes, chunk {}", chunk);
-            prop_assert_eq!(&scope, &batch_scope, "window-series digest, chunk {}", chunk);
-            let raises: u64 = stream.system().results().map(|(_, l, _)| l.raises).sum();
-            prop_assert_eq!(live, raises, "live warnings cover all raises");
-        }
-    }
-
-    /// A mid-stream snapshot/restore cycle changes nothing: the restored
-    /// engine finishes with the same logs and the same final snapshot as an
-    /// uninterrupted one, at chunk sizes 1 and 8 — with carriers kept until
-    /// stripped (`retention` 0) and with the per-tick sweep evicting them
-    /// after 1–3 windows, where the restored table must go on evicting
-    /// exactly what the original would have.
-    #[test]
-    fn snapshot_restore_cycle_is_transparent(
-        seed in 1u64..500,
-        split_frac in 0.1f64..0.9,
-        retention in 0u32..4,
-    ) {
-        let case = line_case(seed);
-        let trace = record_line_trace(&case);
-        let split = ((trace.observations.len() as f64 * split_frac) as usize).max(1);
-        let retention = (retention > 0).then_some(retention);
-        let (uninterrupted, _, _, _) =
-            run_line_streaming_bounded(&case, &trace, 1, None, retention);
-        for chunk in [1usize, 8] {
-            let (cycled, _, _, _) =
-                run_line_streaming_bounded(&case, &trace, chunk, Some(split), retention);
-            assert_systems_agree(uninterrupted.system(), cycled.system());
-            prop_assert_eq!(
-                cycled.snapshot(),
-                uninterrupted.snapshot(),
-                "final snapshots diverge after a restore at record {} (chunk {})",
-                split,
-                chunk
-            );
-        }
-    }
-}
-
-/// Recorders attached through the Engine facade (`Engine::set_flight` /
-/// `Engine::set_scope`, the daemon's wiring) see exactly what recorders
-/// attached to the system before batch replay see: identical flight bytes
-/// and an identical window-series digest. This is the streaming-vs-batch
-/// observability contract (DESIGN.md §16).
-#[test]
-fn engine_attached_recorders_match_batch_digests() {
-    let case = line_case(7);
-    let trace = record_line_trace(&case);
-    let (_, batch_flight, batch_scope) = run_line_batch(&case);
-
-    let flight = Arc::new(FlightRecorder::new(1 << 16));
-    let scope = Arc::new(ScopeRecorder::new(ScopeRecorder::DEFAULT_SERIES_CAPACITY));
-    let mut engine = Engine::new(deploy_line(&case));
-    assert!(
-        engine.set_flight(flight.clone(), &[LinkId(2)], case.topo.link_count()),
-        "a non-centralized variant accepts the flight recorder"
-    );
-    assert!(engine.set_scope(scope.clone()), "scope recorder attaches");
-    assert!(engine.flight().is_some() && engine.scope().is_some());
-    engine.set_live_warnings();
-    for o in &trace.observations {
-        engine.ingest(&FlowRecord::from(*o));
-    }
-    engine.advance_to(case.end);
-
-    assert_eq!(
-        flight.snapshot().to_bytes(),
-        batch_flight,
-        "flight bytes via the Engine facade"
-    );
-    assert_eq!(
-        scope_digest(&scope),
-        batch_scope,
-        "window-series digest via the Engine facade"
-    );
-}
-
-/// One shared prepared grid topology for the run_scenario leg (training is
-/// the slow part; do it once).
-fn grid_prep() -> &'static Prepared {
-    static PREP: OnceLock<Prepared> = OnceLock::new();
-    PREP.get_or_init(|| {
-        prepare(
-            zoo::grid(3, 3),
-            &PrepareConfig {
-                n_link_scenarios: 4,
-                n_node_scenarios: 1,
-                n_healthy: 1,
-                train_density: 1.0,
-            },
-        )
-    })
-}
-
-/// The production batch path ([`run_scenario`], trained table classifier)
-/// and a streaming replay of the same scenario agree on every outcome
-/// number, at chunk sizes 1 and 8, across a mid-stream restore.
-#[test]
-fn streaming_matches_run_scenario_on_trained_grid() {
-    let prep = grid_prep();
-    let seed = 42;
-    let setup = ScenarioSetup::flagship(prep, 1.0, seed);
-    let link = prep
-        .topo
-        .link_between(NodeId(4), NodeId(5))
-        .expect("grid center link");
-    let outcome = run_scenario(&setup, &ScenarioKind::SingleLink(link));
-
-    // Reconstruct exactly what run_scenario simulated, but record a trace.
-    let traffic = TrafficConfig::with_density(setup.density);
-    let flows = TrafficGen::generate_auto(&prep.topo, prep.routes.as_ref(), &traffic, seed);
-    let (t_fail, window, end) = timeline(&prep.wcfg, traffic.start_spread);
-    let scenario = FailureScenario::single_link(link, t_fail);
-    let sim_cfg = SimConfig {
-        end,
-        tick_interval: prep.wcfg.interval,
-        background_loss: setup.background_loss,
-    };
-    let mut sim = Simulator::new(
-        &prep.topo,
-        flows.clone(),
-        sim_cfg,
-        &scenario,
-        seed,
-        TraceRecorder::new(),
-    );
-    sim.run();
-    let (trace, _) = sim.finish();
-
-    for chunk in [1usize, 8] {
-        let system = DriftBottleSystem::deploy(
-            &prep.topo,
-            &flows,
-            prep.wcfg,
-            prep.table.clone(),
-            setup.variants.clone(),
-            setup.sys.clone(),
-            window,
-        );
-        let mut engine = Engine::new(system);
-        engine.set_live_warnings();
-        let mut fed = 0usize;
-        let split = trace.observations.len() / 2;
-        for batch in trace.observations.chunks(chunk) {
-            for o in batch {
-                engine.ingest(&FlowRecord::from(*o));
-                fed += 1;
-                if fed == split {
-                    let snap = engine.snapshot();
-                    let system = DriftBottleSystem::deploy(
-                        &prep.topo,
-                        &flows,
-                        prep.wcfg,
-                        prep.table.clone(),
-                        setup.variants.clone(),
-                        setup.sys.clone(),
-                        window,
-                    );
-                    let mut restored = Engine::new(system);
-                    restored.set_live_warnings();
-                    restored.restore(&snap).expect("snapshot restores");
-                    engine = restored;
-                }
-            }
-        }
-        engine.advance_to(end);
-
-        let (_, log, ratios) = engine.system().results().next().expect("one variant");
-        let v = &outcome.variants[0];
-        let reported: Vec<LinkId> = log.reported_links.iter().copied().collect();
-        assert_eq!(reported, v.reported, "reported links, chunk {chunk}");
-        assert_eq!(log.raises, v.raises, "raises, chunk {chunk}");
-        let mut pair_counts: Vec<((NodeId, LinkId), u64)> =
-            log.by_pair.iter().map(|(k, s)| (*k, s.count)).collect();
-        pair_counts.sort_unstable_by_key(|&(k, _)| k);
-        assert_eq!(pair_counts, v.pair_counts, "pair counts, chunk {chunk}");
-        assert_eq!(ratios.to_vec(), v.ratios, "ratio samples, chunk {chunk}");
-        assert!(v.reported.contains(&link), "culprit localized");
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -118,8 +118,9 @@ impl SweepReport {
         self.units.iter().filter_map(|u| u.outcome()).collect()
     }
 
-    /// The successful outcomes in unit order, cloned — drop-in for code
-    /// that consumed the legacy `sweep()` return value.
+    /// The successful outcomes in unit order, cloned: the shape of
+    /// `db_core::experiment::sweep`, the runner's live oracle (`benchmark/`
+    /// and the root `tests/modes.rs` compare runner sweeps against it).
     pub fn cloned_outcomes(&self) -> Vec<ScenarioOutcome> {
         self.units
             .iter()

@@ -1,12 +1,14 @@
 //! The db-runner contract tests: resume is bit-identical, outcomes are
 //! worker-count-independent, and a poisoned unit cannot abort a sweep.
+//! That a resumed sweep of every figure's failure shape answers as straight
+//! runs do is pinned with every other mode in the root `tests/modes.rs`.
 
 use db_core::classifier::{prepare, PrepareConfig, Prepared};
-use db_core::experiment::{sweep, ScenarioKind, ScenarioSetup};
-use db_core::{ScenarioOutcome, SystemConfig, VariantSpec};
+use db_core::experiment::ScenarioKind;
+use db_core::ScenarioOutcome;
 use db_netsim::{SimStats, SimTime};
 use db_runner::{SweepBuilder, SweepError, SweepJob};
-use db_topology::{zoo, LinkId, NodeId};
+use db_topology::{zoo, LinkId};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -247,79 +249,6 @@ fn killed_geant2012_sweep_resumes_bit_identically() {
         std::fs::read(&golden_path).expect("golden checkpoint"),
         std::fs::read(&path).expect("resumed checkpoint"),
         "compacted checkpoints must be byte-identical"
-    );
-    let _ = std::fs::remove_file(golden_path);
-    let _ = std::fs::remove_file(path);
-}
-
-/// Every failure shape the figure binaries sweep, with what Figs. 11 and
-/// 13 and the ablations switch on: ratio sampling and a background loss.
-/// Killed after one unit and resumed, the real runner must reproduce an
-/// uninterrupted run — outcomes and compacted checkpoint — and agree with
-/// `experiment::sweep` on the same setup.
-#[test]
-fn figure_kinds_resume_and_match_the_core_sweep() {
-    let prep = grid_prep();
-    let sys = SystemConfig {
-        interval: prep.wcfg.interval,
-        ratio_sampling: 4,
-        ..Default::default()
-    };
-    let kinds = vec![
-        ScenarioKind::SingleLink(LinkId(3)),
-        ScenarioKind::Node(NodeId(4)),
-        ScenarioKind::RandomLinks { count: 2, seed: 5 },
-        ScenarioKind::None,
-    ];
-    let build = |path: &PathBuf| {
-        SweepBuilder::new("grid-figure-kinds", prep)
-            .seed(9)
-            .sys(sys.clone())
-            .variants(VariantSpec::fig8_set())
-            .background_loss(2e-3)
-            .scenarios(kinds.iter().cloned())
-            .checkpoint(path)
-    };
-
-    let golden_path = scratch("kinds-golden");
-    let golden = build(&golden_path).workers(2).run().expect("golden sweep");
-    assert!(golden.is_complete());
-    assert!(golden.failed().is_empty());
-
-    let path = scratch("kinds-resumed");
-    let partial = build(&path)
-        .workers(1)
-        .stop_after(Some(1))
-        .run()
-        .expect("partial sweep");
-    assert_eq!(partial.executed, 1);
-    let resumed = build(&path).workers(2).resume(true).run().expect("resume");
-    assert!(resumed.is_complete());
-    assert_eq!(resumed.resumed, 1);
-    assert_eq!(
-        golden.units, resumed.units,
-        "outcomes must be bit-identical"
-    );
-    assert_eq!(
-        std::fs::read(&golden_path).expect("golden checkpoint"),
-        std::fs::read(&path).expect("resumed checkpoint"),
-        "compacted checkpoints must be byte-identical"
-    );
-
-    let setup = ScenarioSetup::builder(prep)
-        .seed(9)
-        .sys(sys)
-        .variants(VariantSpec::fig8_set())
-        .background_loss(2e-3)
-        .build()
-        .expect("valid setup");
-    let core = sweep(&setup, kinds);
-    assert_eq!(resumed.cloned_outcomes(), core);
-    assert!(
-        core.iter()
-            .flat_map(|o| &o.variants)
-            .any(|v| !v.ratios.is_empty()),
-        "ratio sampling must show in the outcomes"
     );
     let _ = std::fs::remove_file(golden_path);
     let _ = std::fs::remove_file(path);

@@ -202,8 +202,11 @@ fn train(topo: Topology) -> Prepared {
         topo.node_count(),
         topo.link_count()
     );
-    // DB_SMOKE=1 (the CI smoke knob, same as the bench binaries) shrinks
-    // the training pipeline so end-to-end CLI checks finish in seconds.
+    // DB_SMOKE=1 (the CI smoke knob) shrinks the training pipeline so
+    // end-to-end CLI checks finish in seconds. The CLI reads it here (2
+    // link scenarios, 1 node, 1 healthy, density 0.2); the daemon reads it
+    // in `db_serve`'s registry with its own smaller training (4/1/1, density
+    // 1.0). No `crates/bench` binary reads it.
     let cfg = if std::env::var("DB_SMOKE").map(|v| v == "1").unwrap_or(false) {
         PrepareConfig {
             n_link_scenarios: 2,

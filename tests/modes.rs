@@ -1,0 +1,693 @@
+//! Mode equivalence: every way this repository runs a scenario gives the
+//! answer a straight run gives.
+//!
+//! The paper's claim is that per-switch, in-band localization gives the
+//! answer a whole-run analysis would. A scenario here can run in several
+//! modes, and each must agree with `Straight`:
+//!
+//! | mode | the run | yields |
+//! |---|---|---|
+//! | `Straight` | [`run_scenario`] on a fresh setup, from time zero | results, outcome |
+//! | `Fork` | the third run of one setup and on, through [`sweep`]: each forks the healthy prefix the second run kept | results, outcome |
+//! | `Sweep { workers, kill_after, recorders }` | a checkpointed [`SweepBuilder`] stopped after `kill_after` units, then resumed | results, outcome, per-unit recorder files |
+//! | `Stream` | the simulator's recorded trace fed record by record to [`Engine::ingest`] | results, final snapshot |
+//! | `RestoreAt(frac)` | `Stream`, moved onto a fresh engine through a snapshot after `frac` of the records | results, final snapshot |
+//! | `Recorders(mask)` | `Straight` with metrics, flight and scope attached as `mask` says | results, outcome, counters, flight bytes, scope digest |
+//!
+//! *Results* are what [`run_scenario`] copies out of
+//! [`DriftBottleSystem::results`] per variant (reported links and pairs,
+//! pair counts, raises, ratio samples) and its scores; every mode's must
+//! equal the straight run's. Every other output is compared against the
+//! first mode that yielded it: the outcome (value and wire bytes) against
+//! `Straight`, the snapshot against `Stream`, counters, flight bytes and
+//! the scope digest against each recorder alone. Recorder outputs are
+//! compared only between modes that feed the same recorders:
+//! [`run_scenario`] also feeds the simulator's drop records and the run
+//! headers, a stream feeds the system side only. So the grid's stream
+//! modes attach none, and the line proptest below compares a stream's
+//! recorders with a batch run that feeds the system side only.
+//!
+//! A recorder bypasses the shared prefix: an observed run simulates from
+//! time zero, so `Fork` with recorders attached is a straight run and not a
+//! mode of its own here. Once recorders clone at `t_fail` so a fork carries
+//! them, `Fork × Recorders(mask)` belongs in [`MODES`], and its bytes must
+//! equal `Recorders(mask)`'s.
+//!
+//! There is no frame-size axis. [`Engine::ingest`] takes one record, so
+//! feeding records in frames of any size makes the same calls in the same
+//! order. Frames exist only in `crates/serve`.
+//!
+//! What the modes agree *on* is pinned elsewhere: `GOLDEN` and the two
+//! `prepare` pins in `crates/core/tests/golden.rs`, and the two recorder
+//! digests below.
+
+use db_core::classifier::timeline;
+use db_core::experiment::sweep;
+use db_core::par::par_map;
+use db_core::wire::encode_outcome;
+use db_core::{
+    prepare, run_scenario, DriftBottleSystem, Engine, FlowRecord, LocalizationMetrics,
+    PrepareConfig, Prepared, ScenarioKind, ScenarioOutcome, ScenarioSetup, SystemConfig,
+    VariantResult, VariantSpec,
+};
+use db_dtree::{FlowClassifier, ThresholdClassifier};
+use db_flowmon::WindowConfig;
+use db_inference::{WarningConfig, WeightScheme};
+use db_netsim::{
+    FailureScenario, FlowSpec, Observer, SimConfig, SimTime, Simulator, TraceRecorder,
+    TrafficConfig, TrafficGen,
+};
+use db_runner::SweepBuilder;
+use db_telemetry::scope::SeriesKind;
+use db_telemetry::{FlightRecorder, Instrumentation, ScopeRecorder, TraceData};
+use db_topology::{zoo, LinkId, NodeId, RouteTable, Topology};
+use db_util::wire::fnv1a64;
+use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
+/// FNV-1a of the golden scenario's flight-alone recording. Both recorders
+/// trace the wire flagship variant only, so the other three fig-8 variants
+/// leave these as the flagship-only setup had them.
+const PINNED_FLIGHT_DIGEST: u64 = 0x4798_6758_5238_1aaf;
+/// FNV-1a of the golden scenario's scope-alone deterministic digest text.
+const PINNED_SCOPE_DIGEST: u64 = 0x4179_d04d_7306_39e7;
+
+/// `Recorders` mask bits.
+const METRICS: u8 = 1;
+const FLIGHT: u8 = 2;
+const SCOPE: u8 = 4;
+
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Straight,
+    Fork,
+    Sweep {
+        workers: usize,
+        kill_after: usize,
+        recorders: u8,
+    },
+    Stream,
+    RestoreAt(f64),
+    Recorders(u8),
+}
+
+/// Every mode but `Straight`, in comparison order. Each recorder runs alone
+/// first, so it is the reference for all three together (and for each
+/// pair, run on the golden scenario only): the tap fans one pass out to
+/// every attached sink, and a sink that records differently in company
+/// shows against its alone run.
+const MODES: [Mode; 10] = [
+    Mode::Recorders(METRICS),
+    Mode::Recorders(FLIGHT),
+    Mode::Recorders(SCOPE),
+    Mode::Recorders(METRICS | FLIGHT | SCOPE),
+    Mode::Fork,
+    Mode::Sweep {
+        workers: 1,
+        kill_after: 1,
+        recorders: 0,
+    },
+    Mode::Sweep {
+        workers: 1,
+        kill_after: 2,
+        recorders: SCOPE,
+    },
+    Mode::Sweep {
+        workers: 4,
+        kill_after: 1,
+        recorders: FLIGHT | SCOPE,
+    },
+    Mode::Stream,
+    Mode::RestoreAt(0.5),
+];
+
+/// What one mode left behind for one scenario (`None`: the mode yields no
+/// such output).
+#[derive(Default)]
+struct Observed {
+    /// What [`run_scenario`] copies out of [`DriftBottleSystem::results`]
+    /// per variant, and scores.
+    results: Vec<VariantResult>,
+    /// The outcome and its wire bytes.
+    outcome: Option<(ScenarioOutcome, Vec<u8>)>,
+    snapshot: Option<Vec<u8>>,
+    counters: Option<Vec<(String, u64)>>,
+    flight: Option<Vec<u8>>,
+    scope: Option<String>,
+}
+
+impl Observed {
+    fn of(outcome: &ScenarioOutcome) -> Observed {
+        Observed {
+            results: outcome.variants.clone(),
+            outcome: Some((outcome.clone(), encode_outcome(outcome))),
+            ..Observed::default()
+        }
+    }
+
+    /// Compare `got` with what earlier modes of the same scenario yielded:
+    /// results always, every other output against the first mode that
+    /// yielded it, which it becomes when none did.
+    fn absorb(&mut self, got: Observed, what: &str) {
+        assert!(got.results == self.results, "{what}: results differ");
+        fn field<T: PartialEq>(want: &mut Option<T>, got: Option<T>, what: &str, name: &str) {
+            match (want.as_ref(), got) {
+                (Some(w), Some(g)) => assert!(*w == g, "{what}: {name} differs"),
+                (None, got) => *want = got,
+                (Some(_), None) => {}
+            }
+        }
+        field(&mut self.outcome, got.outcome, what, "outcome");
+        field(&mut self.snapshot, got.snapshot, what, "final snapshot");
+        field(&mut self.counters, got.counters, what, "counters");
+        field(&mut self.flight, got.flight, what, "flight bytes");
+        field(&mut self.scope, got.scope, what, "scope digest");
+    }
+}
+
+/// The 3×3 grid the golden pin trains, prepared once for this binary.
+fn prep() -> &'static Prepared {
+    static PREP: OnceLock<Prepared> = OnceLock::new();
+    PREP.get_or_init(|| {
+        prepare(
+            zoo::grid(3, 3),
+            &PrepareConfig {
+                n_link_scenarios: 4,
+                n_node_scenarios: 1,
+                n_healthy: 1,
+                train_density: 1.0,
+            },
+        )
+    })
+}
+
+/// The golden scenario's setup: the four fig-8 variants, ratio sampling on,
+/// seed 42.
+fn setup(background_loss: f64) -> ScenarioSetup<'static> {
+    let mut setup = ScenarioSetup::flagship(prep(), 1.0, 42);
+    setup.variants = VariantSpec::fig8_set();
+    setup.sys.ratio_sampling = 8;
+    setup.background_loss = background_loss;
+    setup
+}
+
+/// The metrics registry is process-global, and `run_scenario`, `prepare`
+/// and a runner sweep attach it whenever it is on. So every grid mode holds
+/// this shared, and a mode that counts metrics holds it alone. The line
+/// proptest drives `Simulator` and `Engine` directly, which never read the
+/// registry, and holds nothing.
+static SIMULATING: RwLock<()> = RwLock::new(());
+
+/// The registry counters `f` added (it only grows, so a run's counters are
+/// the difference across it).
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Vec<(String, u64)>) {
+    let counters = || db_telemetry::global().snapshot().counters;
+    let before = counters();
+    db_telemetry::enable();
+    let out = f();
+    db_telemetry::disable();
+    let delta = counters()
+        .into_iter()
+        .map(|(name, v)| {
+            let was = before.iter().find(|(n, _)| *n == name).map_or(0, |b| b.1);
+            (name, v - was)
+        })
+        .collect();
+    (out, delta)
+}
+
+fn flight_bytes(rec: &FlightRecorder) -> Vec<u8> {
+    assert_eq!(rec.dropped(), 0, "ring must not wrap for a byte compare");
+    rec.snapshot().to_bytes()
+}
+
+/// Span durations are wall-clock; the digest is the deterministic rest.
+fn scope_trace(rec: &ScopeRecorder) -> TraceData {
+    TraceData::from_json_str(&rec.to_trace_json()).expect("trace parses")
+}
+
+/// A sweep unit's trace is a straight run's inside one `unit N` span: the
+/// trace with that span taken out.
+fn unwrap_unit(mut trace: TraceData, unit: usize) -> TraceData {
+    let at = trace
+        .spans
+        .iter()
+        .position(|s| s.name == format!("unit {unit}"));
+    let root = trace.spans.remove(at.expect("unit span"));
+    assert_eq!(root.parent, None, "the unit span is the root");
+    let up = |id: u32| if id > root.id { id - 1 } else { id };
+    for s in &mut trace.spans {
+        s.id = up(s.id);
+        s.parent = s.parent.filter(|&p| p != root.id).map(up);
+    }
+    trace
+}
+
+/// Run every scenario of one group in `mode`, in parallel unless the mode
+/// counts metrics.
+fn observe(mode: Mode, loss: f64, kinds: &[ScenarioKind]) -> Vec<Observed> {
+    let metrics = matches!(mode, Mode::Recorders(mask) if mask & METRICS != 0);
+    let (_shared, _alone);
+    if metrics {
+        _alone = SIMULATING.write().unwrap_or_else(PoisonError::into_inner);
+    } else {
+        _shared = SIMULATING.read().unwrap_or_else(PoisonError::into_inner);
+    }
+    let each = |one: &(dyn Fn(&ScenarioKind) -> Observed + Sync)| -> Vec<Observed> {
+        if metrics {
+            kinds.iter().map(one).collect()
+        } else {
+            par_map(kinds.to_vec(), one)
+        }
+    };
+    match mode {
+        Mode::Straight => each(&|kind| Observed::of(&run_scenario(&setup(loss), kind))),
+        Mode::Fork => {
+            let warm = setup(loss);
+            for _ in 0..2 {
+                run_scenario(&warm, &kinds[0]);
+            }
+            sweep(&warm, kinds.to_vec())
+                .iter()
+                .map(Observed::of)
+                .collect()
+        }
+        Mode::Sweep {
+            workers,
+            kill_after,
+            recorders,
+        } => swept(setup(loss), kinds, workers, kill_after, recorders),
+        Mode::Stream => each(&|kind| streamed(&setup(loss), kind, None)),
+        Mode::RestoreAt(frac) => each(&|kind| streamed(&setup(loss), kind, Some(frac))),
+        Mode::Recorders(mask) => each(&|kind| recorded(setup(loss), kind, mask)),
+    }
+}
+
+fn recorded(mut setup: ScenarioSetup, kind: &ScenarioKind, mask: u8) -> Observed {
+    setup.instr = Instrumentation {
+        flight: (mask & FLIGHT != 0).then(|| Arc::new(FlightRecorder::new(1 << 22))),
+        scope: (mask & SCOPE != 0).then(|| Arc::new(ScopeRecorder::default())),
+    };
+    let (outcome, counters) = if mask & METRICS != 0 {
+        let (outcome, counters) = counted(|| run_scenario(&setup, kind));
+        (outcome, Some(counters))
+    } else {
+        (run_scenario(&setup, kind), None)
+    };
+    let scope = setup.instr.scope.as_deref().map(scope_trace);
+    if let Some(trace) = &scope {
+        assert_trace_shape(trace, &outcome);
+    }
+    Observed {
+        counters,
+        flight: setup.instr.flight.as_deref().map(flight_bytes),
+        scope: scope.map(|t| t.deterministic_digest()),
+        ..Observed::of(&outcome)
+    }
+}
+
+fn swept(
+    setup: ScenarioSetup,
+    kinds: &[ScenarioKind],
+    workers: usize,
+    kill_after: usize,
+    recorders: u8,
+) -> Vec<Observed> {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("db-modes-{}-{n}.ckpt.jsonl", std::process::id()));
+    let mut sweep = SweepBuilder::new("modes", setup.prep)
+        .seed(setup.seed)
+        .sys(setup.sys)
+        .variants(setup.variants)
+        .background_loss(setup.background_loss)
+        .scenarios(kinds.iter().cloned())
+        .checkpoint(&path)
+        .workers(workers)
+        .trace(recorders & SCOPE != 0);
+    if recorders & FLIGHT != 0 {
+        sweep = sweep.flight(1 << 22);
+    }
+    let killed = kill_after.min(kinds.len());
+    let stopped = sweep.clone().stop_after(Some(kill_after)).run();
+    assert_eq!(stopped.expect("stopped sweep").executed, killed);
+    let report = sweep.clone().resume(true).run().expect("resumed sweep");
+    assert!(report.is_complete() && report.failed().is_empty());
+    assert_eq!(report.resumed, killed);
+    let _ = std::fs::remove_file(&path);
+    let take = |path: PathBuf| {
+        let bytes = std::fs::read(&path).expect("unit recorder file");
+        let _ = std::fs::remove_file(path);
+        bytes
+    };
+    let units = report.outcomes().into_iter().enumerate();
+    units
+        .map(|(unit, o)| Observed {
+            flight: (recorders & FLIGHT != 0).then(|| take(sweep.flight_path(unit))),
+            scope: (recorders & SCOPE != 0).then(|| {
+                let text = String::from_utf8(take(sweep.trace_path(unit))).expect("utf-8");
+                let trace = TraceData::from_json_str(&text).expect("trace parses");
+                unwrap_unit(trace, unit).deterministic_digest()
+            }),
+            ..Observed::of(o)
+        })
+        .collect()
+}
+
+fn streamed(setup: &ScenarioSetup, kind: &ScenarioKind, restore_at: Option<f64>) -> Observed {
+    let net = Net::of(setup, kind);
+    let trace = net.simulate(TraceRecorder::new());
+    let split = restore_at.map(|frac| split_at(&trace, frac));
+    let engine = net.stream(&trace, split, None, None);
+    Observed {
+        results: net.results(&engine),
+        snapshot: Some(engine.snapshot()),
+        ..Observed::default()
+    }
+}
+
+/// What the scope trace of a run must hold: the meta header, a suspicion
+/// series for a failed link, and the four phase spans.
+fn assert_trace_shape(trace: &TraceData, outcome: &ScenarioOutcome) {
+    let meta = trace.meta.as_ref().expect("meta header");
+    assert_eq!(meta.total_links as usize, prep().topo.link_count());
+    if let [failed, ..] = outcome.ground_truth[..] {
+        assert!(
+            (trace.series_for(SeriesKind::LinkSuspicion, failed.0)).is_some(),
+            "no suspicion series for the failed link"
+        );
+    }
+    for phase in ["scenario", "phase.simulate", "phase.monitor", "phase.infer"] {
+        assert!(
+            trace.spans.iter().any(|s| s.name == phase),
+            "missing span {phase}"
+        );
+    }
+}
+
+/// Every mode of one group of scenarios (one setup, so one sweep),
+/// compared; returns what each scenario yielded.
+fn agree(loss: f64, kinds: &[ScenarioKind]) -> Vec<Observed> {
+    let mut want = observe(Mode::Straight, loss, kinds);
+    for mode in MODES {
+        let got = observe(mode, loss, kinds);
+        for ((kind, want), got) in kinds.iter().zip(&mut want).zip(got) {
+            want.absorb(got, &format!("{kind:?} under {mode:?}"));
+        }
+    }
+    want
+}
+
+/// The golden scenario first, then the other failure shapes on its setup.
+#[test]
+fn every_mode_answers_as_the_straight_run() {
+    let center = prep()
+        .topo
+        .link_between(NodeId(4), NodeId(5))
+        .expect("grid center link");
+    let kinds = [
+        ScenarioKind::SingleLink(center),
+        ScenarioKind::Node(NodeId(4)),
+        ScenarioKind::Corruption(center, 0.3),
+        ScenarioKind::None,
+    ];
+    let golden = &mut agree(0.0, &kinds)[0];
+    // Every pair of recorders too, on the golden scenario only.
+    for mask in [METRICS | FLIGHT, METRICS | SCOPE, FLIGHT | SCOPE] {
+        let got = observe(Mode::Recorders(mask), 0.0, &kinds[..1]).pop();
+        golden.absorb(
+            got.expect("one scenario"),
+            &format!("golden, Recorders({mask})"),
+        );
+    }
+    // The golden scenario's recorders alone, pinned: a dropped or reordered
+    // record fails here even where every mode drops or reorders it alike.
+    let flight = golden.flight.as_deref().expect("flight recorded");
+    let scope = golden.scope.as_deref().expect("scope recorded");
+    assert_eq!(
+        (fnv1a64(flight), fnv1a64(scope.as_bytes())),
+        (PINNED_FLIGHT_DIGEST, PINNED_SCOPE_DIGEST),
+        "the flight-alone recording or the scope-alone trace changed"
+    );
+    let counters = golden.counters.as_ref().expect("metrics recorded");
+    for name in ["dtree.classifications", "inference.aggregations"] {
+        let tallied = counters.iter().find(|(n, _)| n == name).map_or(0, |c| c.1);
+        assert!(tallied > 0, "{name} never counted");
+    }
+}
+
+/// Concurrent random link failures under background loss.
+#[test]
+fn every_mode_answers_as_the_straight_run_under_background_loss() {
+    agree(2e-3, &[ScenarioKind::RandomLinks { count: 2, seed: 5 }]);
+}
+
+/// One deployment and its workload: everything a batch or streaming run of
+/// one scenario needs.
+struct Net<C> {
+    topo: Topology,
+    flows: Vec<FlowSpec>,
+    wcfg: WindowConfig,
+    classifier: C,
+    variants: Vec<VariantSpec>,
+    sys: SystemConfig,
+    window: (SimTime, SimTime),
+    sim: SimConfig,
+    scenario: FailureScenario,
+    truth: Vec<LinkId>,
+    seed: u64,
+}
+
+impl Net<db_dtree::TableClassifier> {
+    /// What [`run_scenario`] deploys and simulates for `kind`.
+    fn of(setup: &ScenarioSetup, kind: &ScenarioKind) -> Self {
+        let prep = setup.prep;
+        let traffic = TrafficConfig::with_density(setup.density);
+        let (t_fail, window, end) = timeline(&prep.wcfg, traffic.start_spread);
+        let scenario = kind.build(prep, t_fail);
+        Net {
+            topo: prep.topo.clone(),
+            flows: TrafficGen::generate_auto(
+                &prep.topo,
+                prep.routes.as_ref(),
+                &traffic,
+                setup.seed,
+            ),
+            wcfg: prep.wcfg,
+            classifier: prep.table.clone(),
+            variants: setup.variants.clone(),
+            sys: setup.sys.clone(),
+            window,
+            sim: SimConfig {
+                end,
+                tick_interval: prep.wcfg.interval,
+                background_loss: setup.background_loss,
+            },
+            truth: scenario.failed_links_at(&prep.topo, t_fail),
+            scenario,
+            seed: setup.seed,
+        }
+    }
+}
+
+impl Net<ThresholdClassifier> {
+    /// A 5-switch line with link 2 failing, the untrained threshold
+    /// classifier, and every carrier kind: the wire header, an exact-weight
+    /// side table and a centralized baseline.
+    fn line(seed: u64) -> Self {
+        let topo = zoo::line_with_latency(5, 3.0);
+        let routes = RouteTable::build(&topo);
+        let flows = TrafficGen::generate(&topo, &routes, &TrafficConfig::default(), seed);
+        let interval = SimTime::from_ms(4);
+        let wcfg = WindowConfig::for_network(&routes, interval);
+        let t_fail = SimTime::from_ms(80);
+        let window = (t_fail, t_fail + wcfg.window_len() + SimTime::from_ms(20));
+        Net {
+            topo,
+            flows,
+            wcfg,
+            classifier: ThresholdClassifier::default(),
+            variants: vec![
+                VariantSpec::drift_bottle(),
+                VariantSpec::distributed(WeightScheme::Drifted007),
+                VariantSpec::centralized(WeightScheme::DriftBottle, 0.4),
+            ],
+            sys: SystemConfig {
+                ratio_sampling: 8,
+                warning: WarningConfig {
+                    hop_min: 2,
+                    alpha: 1.0,
+                    beta: 1.6,
+                },
+                ..Default::default()
+            },
+            window,
+            sim: SimConfig {
+                end: window.1 + SimTime::from_ms(8),
+                tick_interval: interval,
+                ..Default::default()
+            },
+            scenario: FailureScenario::single_link(LinkId(2), t_fail),
+            truth: vec![LinkId(2)],
+            seed,
+        }
+    }
+}
+
+/// Flight and scope recorders on the system side of one engine.
+type Recorders = (Arc<FlightRecorder>, Arc<ScopeRecorder>);
+
+fn recorders() -> Recorders {
+    let flight = Arc::new(FlightRecorder::new(1 << 16));
+    (flight, Arc::new(ScopeRecorder::default()))
+}
+
+fn recorded_bytes((flight, scope): &Recorders) -> (Vec<u8>, String) {
+    (
+        flight_bytes(flight),
+        scope_trace(scope).deterministic_digest(),
+    )
+}
+
+impl<C: FlowClassifier + Clone> Net<C> {
+    fn system(&self) -> DriftBottleSystem<C> {
+        DriftBottleSystem::deploy(
+            &self.topo,
+            &self.flows,
+            self.wcfg,
+            self.classifier.clone(),
+            self.variants.clone(),
+            self.sys.clone(),
+            self.window,
+        )
+    }
+
+    fn engine(&self, retention: Option<u32>) -> Engine<C> {
+        let mut engine = Engine::new(self.system());
+        engine.set_live_warnings();
+        if let Some(windows) = retention {
+            engine.set_retention(windows);
+        }
+        engine
+    }
+
+    /// What [`run_scenario`] copies out of the engine's system and scores.
+    fn results(&self, engine: &Engine<C>) -> Vec<VariantResult> {
+        let results = engine.system().results().map(|(spec, log, ratios)| {
+            let reported: Vec<LinkId> = log.reported_links.iter().copied().collect();
+            let (truth, links) = (self.truth.iter().copied(), self.topo.link_count());
+            let metrics = LocalizationMetrics::compute(reported.iter().copied(), truth, links);
+            let mut pair_counts: Vec<((NodeId, LinkId), u64)> =
+                log.by_pair.iter().map(|(k, s)| (*k, s.count)).collect();
+            pair_counts.sort_unstable_by_key(|&(k, _)| k);
+            VariantResult {
+                name: spec.name.clone(),
+                metrics,
+                reported,
+                reported_pairs: log.reported_pairs.iter().copied().collect(),
+                pair_counts,
+                raises: log.raises,
+                ratios: ratios.to_vec(),
+            }
+        });
+        results.collect()
+    }
+
+    /// The simulation [`run_scenario`] runs: healthy from time zero, the
+    /// failure injected before the first event.
+    fn simulate<O: Observer>(&self, observer: O) -> O {
+        let (flows, cfg, none) = (
+            self.flows.clone(),
+            self.sim.clone(),
+            FailureScenario::none(),
+        );
+        let mut sim = Simulator::new(&self.topo, flows, cfg, &none, self.seed, observer);
+        sim.inject(&self.scenario);
+        sim.run();
+        sim.finish().0
+    }
+
+    /// `trace` fed record by record to a fresh engine with carrier
+    /// `retention`, moved onto another fresh engine through a snapshot
+    /// after `split` records, with `recorders` attached through the
+    /// engine (the daemon's wiring). Asserts every raise surfaced live.
+    fn stream(
+        &self,
+        trace: &TraceRecorder,
+        split: Option<usize>,
+        retention: Option<u32>,
+        recorders: Option<&Recorders>,
+    ) -> Engine<C> {
+        let mut engine = self.engine(retention);
+        if let Some((flight, scope)) = recorders {
+            assert!(engine.set_flight(flight.clone(), &self.truth, self.topo.link_count()));
+            assert!(engine.set_scope(scope.clone()));
+        }
+        let mut live = 0;
+        for (fed, o) in trace.observations.iter().enumerate() {
+            if split == Some(fed) {
+                let (snapshot, mut restored) = (engine.snapshot(), self.engine(retention));
+                restored.restore(&snapshot).expect("snapshot restores");
+                engine = restored;
+            }
+            live += engine.ingest(&FlowRecord::from(*o)).len() as u64;
+        }
+        live += engine.advance_to(self.sim.end).len() as u64;
+        let raises: u64 = engine.system().results().map(|(_, l, _)| l.raises).sum();
+        assert_eq!(live, raises, "every raise surfaced live");
+        engine
+    }
+}
+
+fn split_at(trace: &TraceRecorder, frac: f64) -> usize {
+    ((trace.observations.len() as f64 * frac) as usize).max(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The line case with the untrained classifier, where a case is cheap
+    /// enough to randomize: `Stream` reproduces the batch run (the engine
+    /// as the simulator's observer, recorders attached to its system) with
+    /// the same recorders attached through the engine, bytes included;
+    /// `RestoreAt` finishes with the
+    /// results and the final snapshot of an uninterrupted stream, with
+    /// carriers kept until stripped (`retention` 0) and with the per-tick
+    /// sweep evicting them after 1–3 windows.
+    #[test]
+    fn line_streams_and_restores_as_it_runs(
+        seed in 1u64..500,
+        split_frac in 0.1f64..0.9,
+        retention in 0u32..4,
+    ) {
+        let net = Net::line(seed);
+        let trace = net.simulate(TraceRecorder::new());
+        let (batch_rec, stream_rec) = (recorders(), recorders());
+        let mut system = net.system();
+        assert!(system.set_flight(batch_rec.0.clone(), &net.truth, net.topo.link_count()));
+        assert!(system.set_scope(batch_rec.1.clone()));
+        let batch = net.simulate(Engine::new(system));
+        let stream = net.stream(&trace, None, None, Some(&stream_rec));
+        prop_assert!(net.results(&stream) == net.results(&batch), "Stream results");
+        let bytes = recorded_bytes(&stream_rec) == recorded_bytes(&batch_rec);
+        prop_assert!(bytes, "Stream recorder bytes");
+
+        let retention = (retention > 0).then_some(retention);
+        let split = split_at(&trace, split_frac);
+        let uninterrupted = match retention {
+            None => stream,
+            Some(_) => net.stream(&trace, None, retention, None),
+        };
+        let restored = net.stream(&trace, Some(split), retention, None);
+        prop_assert!(
+            net.results(&restored) == net.results(&uninterrupted),
+            "RestoreAt({}) results", split
+        );
+        prop_assert!(
+            restored.snapshot() == uninterrupted.snapshot(),
+            "RestoreAt({}) final snapshot", split
+        );
+    }
+}

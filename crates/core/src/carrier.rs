@@ -16,6 +16,12 @@
 //! Bucket order depends on insert/remove history, so nothing iterates the
 //! table into output directly: [`CarrierTable::sorted`] is the only way to
 //! walk it, and it walks in key order (what snapshots encode).
+//!
+//! The streaming engine shards its carriers by flow ([`shard_of`]): shard
+//! `s` of `n` holds the flows with `flow % n == s`, so one flow's packets
+//! always find their carrier in one table. `sorted` walks a set of such
+//! tables as one, and [`CarrierTable::reshard`] deals a set out again for
+//! another shard count; neither depends on how the entries were split.
 
 use db_util::hash::MixBuild;
 use std::collections::hash_map::Entry;
@@ -24,10 +30,14 @@ use std::collections::HashMap; // db-lint: allow(det-hash-iter) — iterated onl
 /// `(flow id, packet sequence number)`.
 pub(crate) type CarrierKey = (u32, u64);
 
-/// Flat `(flow, seq)` → `V` table (see the module docs).
+/// Flat `(flow, seq)` → `V` table (see the module docs). Every hop writes
+/// its table's header (the entry count), and shards' tables sit side by
+/// side in one `Vec`, so each takes cache lines of its own: two shards
+/// writing one line would bounce it between their cores on every record.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub(crate) struct CarrierTable<V> {
-    // db-lint: allow(det-hash-iter) — keyed slots, an order-blind sweep, and `sorted`
+    // db-lint: allow(det-hash-iter) — keyed slots, an order-blind sweep and reshard, and `sorted`
     slots: HashMap<CarrierKey, V, MixBuild>,
 }
 
@@ -82,13 +92,35 @@ impl<V> CarrierTable<V> {
         self.slots.retain(|_, v| keep(v));
     }
 
-    /// Every entry in ascending key order — the snapshot encoding order,
-    /// independent of how the table was filled.
-    pub(crate) fn sorted(&self) -> Vec<(CarrierKey, &V)> {
-        let mut entries: Vec<(CarrierKey, &V)> = self.slots.iter().map(|(k, v)| (*k, v)).collect();
+    /// Every entry of `tables` in ascending key order — the snapshot
+    /// encoding order, independent of how the tables were filled and of how
+    /// the entries are split between them.
+    pub(crate) fn sorted<'a>(tables: impl IntoIterator<Item = &'a Self>) -> Vec<(CarrierKey, &'a V)>
+    where
+        V: 'a,
+    {
+        let all = tables.into_iter().flat_map(|t| t.slots.iter());
+        let mut entries: Vec<(CarrierKey, &V)> = all.map(|(k, v)| (*k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
         entries
     }
+
+    /// The entries of `tables` dealt into `shards` tables by [`shard_of`].
+    pub(crate) fn reshard(tables: impl IntoIterator<Item = Self>, shards: usize) -> Vec<Self> {
+        let mut out: Vec<Self> = (0..shards.max(1)).map(|_| Self::new()).collect();
+        for (key, v) in tables.into_iter().flat_map(|t| t.slots) {
+            if let Some(t) = out.get_mut(shard_of(key.0, shards)) {
+                t.slots.insert(key, v);
+            }
+        }
+        out
+    }
+}
+
+/// The shard that holds `flow`'s carriers among `shards`.
+#[inline]
+pub(crate) fn shard_of(flow: u32, shards: usize) -> usize {
+    flow as usize % shards.max(1)
 }
 
 #[cfg(test)]
@@ -127,7 +159,7 @@ mod tests {
             Some('x')
         });
         assert_eq!(seen, None);
-        assert_eq!(t.sorted(), [((1, 4), &'x')]);
+        assert_eq!(sorted(&t), [((1, 4), &'x')]);
         // Nothing to leave and nothing there: the table stays as it was.
         hop(&mut t, (1, 5), false, |_| None);
         assert_eq!(t.len(), 1);
@@ -142,7 +174,7 @@ mod tests {
             prev.map(|c| (c as u8 + 1) as char)
         });
         assert_eq!(seen, Some('a'));
-        assert_eq!(t.sorted(), [((2, 0), &'b'), ((2, 1), &'z')]);
+        assert_eq!(sorted(&t), [((2, 0), &'b'), ((2, 1), &'z')]);
     }
 
     #[test]
@@ -162,7 +194,7 @@ mod tests {
             t.slot(flow, seq).set(Some(seq));
         }
         t.sweep(|&v| v != 7);
-        let keys: Vec<CarrierKey> = t.sorted().into_iter().map(|(k, _)| k).collect();
+        let keys: Vec<CarrierKey> = sorted(&t).into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, [(0, 99), (1, 2), (2, 0), (2, 1)]);
     }
 
@@ -181,6 +213,37 @@ mod tests {
         for seq in 500..2_000u64 {
             b.slot(1, seq).set(None);
         }
-        assert_eq!(a.sorted(), b.sorted());
+        assert_eq!(sorted(&a), sorted(&b));
+    }
+
+    fn sorted<V>(t: &CarrierTable<V>) -> Vec<(CarrierKey, &V)> {
+        CarrierTable::sorted(std::slice::from_ref(t))
+    }
+
+    /// However the entries are split, and into however many shards they
+    /// are dealt again, the sorted walk is one walk and each entry sits in
+    /// its flow's shard.
+    #[test]
+    fn resharding_keeps_the_sorted_walk_and_routes_by_flow() {
+        let mut one = CarrierTable::new();
+        for flow in 0..40u32 {
+            one.slot(flow, u64::from(flow) * 3).set(Some(flow));
+        }
+        let want: Vec<(CarrierKey, u32)> = sorted(&one).into_iter().map(|(k, &v)| (k, v)).collect();
+        let mut tables = vec![one];
+        for shards in [2, 3, 1, 4] {
+            tables = CarrierTable::reshard(tables, shards);
+            assert_eq!(tables.len(), shards);
+            for (s, t) in tables.iter().enumerate() {
+                assert!(sorted(t)
+                    .iter()
+                    .all(|((flow, _), _)| shard_of(*flow, shards) == s));
+            }
+            let got: Vec<(CarrierKey, u32)> = CarrierTable::sorted(&tables)
+                .into_iter()
+                .map(|(k, &v)| (k, v))
+                .collect();
+            assert_eq!(got, want, "{shards} shards");
+        }
     }
 }

@@ -10,12 +10,23 @@
 //!
 //! [`Engine`] closes that gap:
 //!
-//! * [`Engine::ingest`] accepts one [`FlowRecord`] (≈ one pcap line: a
-//!   packet observed at one switch) and returns every warning it caused.
-//!   Sampling-interval ticks fire *inside* ingest, interleaved exactly as
-//!   the event loop would: a tick at time `t` runs before any record with
-//!   `at ≥ t` (the simulator reserves low sequence numbers for ticks, so at
-//!   equal timestamps the tick pops first).
+//! * [`Engine::ingest_batch`] accepts a frame of [`FlowRecord`]s (each ≈
+//!   one pcap line: a packet observed at one switch) and returns every
+//!   warning they caused, in record order; [`Engine::ingest`] is a frame
+//!   of one. Sampling-interval ticks fire *inside* ingest, interleaved
+//!   exactly as the event loop would: a tick at time `t` runs before any
+//!   record with `at ≥ t` (the simulator reserves low sequence numbers for
+//!   ticks, so at equal timestamps the tick pops first).
+//! * A frame is cut into *runs* at those ticks. Within a run the locals
+//!   are frozen, so a record's per-flow work — its carrier and the ⊕ of
+//!   every distributed variant — depends on nothing but its flow's earlier
+//!   records: the run's records are dealt to [`shards`](Engine::set_shards)
+//!   by `flow % N`, each shard owning its flows' carriers, and a long run's
+//!   shards run on separate threads (one per [`MIN_RECORDS_PER_THREAD`]
+//!   records, at most `N`). The order-sensitive half — the switch
+//!   registers, the clock, the tick — stays on the calling thread, and the
+//!   shards' raises are settled there in record order. Every `N` gives the
+//!   same warnings, results and snapshot bytes.
 //! * In-packet inference headers have no packet to ride in, so the engine
 //!   parks them between hops in a flat hashed table keyed by `(flow, seq)`
 //!   (`CarrierTable`) — the streaming analogue of the wire annotation, with
@@ -37,8 +48,9 @@
 //! streaming share one pipeline and the `Stream` and `RestoreAt` modes of
 //! the root `tests/modes.rs` pin them equal.
 
-use crate::carrier::CarrierTable;
-use crate::system::{DriftBottleSystem, Warning};
+use crate::carrier::{shard_of, CarrierTable};
+use crate::par::Helper;
+use crate::system::{DriftBottleSystem, HopView, Lane, Warning};
 use db_dtree::FlowClassifier;
 use db_netsim::packet::MAX_ANNOTATION_BYTES;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observation, Observer, SimTime};
@@ -109,6 +121,22 @@ const SNAPSHOT_VERSION: u8 = 1;
 /// Where the tick clock saturates; a tick due "then" never fires.
 const END_OF_TIME: SimTime = SimTime::from_ns(u64::MAX);
 
+/// Fewest records a run gives each thread it splits across. A run of
+/// `len` records runs on `min(N, len / 512)` threads, each walking a
+/// contiguous group of shards, so no thread is handed less work than
+/// this. Fed the Geant2012 serve trace at two shards in frames of one
+/// size, in-process: 1 024-record frames (512 a thread) ran ≈ 1.2× the
+/// one-shard rate, 512 broke even within the host's spread, 256 and 128
+/// ran at half of it. Hosts with more cores were not measured; the floor
+/// a thread holds them to is the one measured here.
+pub const MIN_RECORDS_PER_THREAD: usize = 512;
+
+/// Most shards an engine splits its flows over, whatever the worker-count
+/// rule says: a bound on the carrier tables and lanes a large `DB_THREADS`
+/// allocates. The threads a run starts are bounded by its length
+/// ([`MIN_RECORDS_PER_THREAD`]), not by this.
+pub const MAX_SHARDS: usize = 64;
+
 /// The incremental engine: a deployed system plus the clock, tick source,
 /// and header carrier table the simulator provides in batch mode.
 pub struct Engine<C: FlowClassifier> {
@@ -121,33 +149,58 @@ pub struct Engine<C: FlowClassifier> {
     next_tick: SimTime,
     /// Ticks fired so far.
     ticks_fired: u32,
-    /// In-flight inference carriers: `(flow, seq)` → (annotation, last
-    /// touch). Snapshots encode it in key order.
-    carriers: CarrierTable<(Annotation, SimTime)>,
+    /// In-flight inference carriers, one table per shard (see
+    /// [`shard_of`]): `(flow, seq)` → (annotation, last touch). Snapshots
+    /// encode their union in key order.
+    carriers: Vec<CarrierTable<(Annotation, SimTime)>>,
     /// Carrier retention in sampling windows; `None` keeps carriers until
     /// their last switch strips them (batch semantics, unbounded on lossy
     /// feeds).
     retention: Option<u32>,
     fingerprint: u64,
+    /// The threads a split run's groups of shards beyond the first run on,
+    /// started on the first such run.
+    helpers: Vec<Helper>,
 }
 
 impl<C: FlowClassifier> Engine<C> {
     /// Wrap a deployed system. The tick cadence comes from the system's
     /// window configuration; the first tick fires at one interval, exactly
-    /// as the simulator arms it.
+    /// as the simulator arms it. The engine starts on the system's shards,
+    /// one for a freshly deployed system; [`Self::set_shards`] splits it.
     pub fn new(system: DriftBottleSystem<C>) -> Self {
         let interval = system.window_config().interval;
         let fingerprint = system.config_fingerprint();
         Engine {
-            system,
             interval,
             now: SimTime::ZERO,
             next_tick: interval,
             ticks_fired: 0,
-            carriers: CarrierTable::new(),
+            carriers: (0..system.shards()).map(|_| CarrierTable::new()).collect(),
+            system,
             retention: None,
             fingerprint,
+            helpers: Vec::new(),
         }
+    }
+
+    /// Split the per-flow work over `shards` shards, redistributing every
+    /// in-flight carrier to its flow's shard. `0` means "not chosen":
+    /// `DB_THREADS`, else every core ([`crate::par::worker_count`]), at
+    /// most [`MAX_SHARDS`]. One shard starts no thread; more start helper
+    /// threads only for runs long enough ([`MIN_RECORDS_PER_THREAD`]) and
+    /// keep them. Results, warnings and
+    /// snapshots are the same at every count.
+    pub fn set_shards(&mut self, shards: usize) {
+        let n = crate::par::worker_count(
+            shards,
+            std::env::var("DB_THREADS").ok().as_deref(),
+            std::thread::available_parallelism().map_or(1, |p| p.get()),
+            MAX_SHARDS,
+        );
+        let carriers = std::mem::take(&mut self.carriers);
+        self.carriers = CarrierTable::reshard(carriers, n);
+        self.system.reshard(n);
     }
 
     /// A second engine in exactly this one's state, over a
@@ -165,6 +218,7 @@ impl<C: FlowClassifier> Engine<C> {
             carriers: self.carriers.clone(),
             retention: self.retention,
             fingerprint: self.fingerprint,
+            helpers: Vec::new(),
         }
     }
 
@@ -245,7 +299,7 @@ impl<C: FlowClassifier> Engine<C> {
 
     /// In-flight carrier count (inference headers awaiting their next hop).
     pub fn carriers_in_flight(&self) -> usize {
-        self.carriers.len()
+        self.carriers.iter().map(CarrierTable::len).sum()
     }
 
     fn fire_tick(&mut self) {
@@ -257,7 +311,9 @@ impl<C: FlowClassifier> Engine<C> {
         if let Some(windows) = self.retention {
             let horizon = self.interval.as_ns().saturating_mul(u64::from(windows));
             let cutoff = t.saturating_sub(SimTime::from_ns(horizon));
-            self.carriers.sweep(|&(_, last)| last >= cutoff);
+            for carriers in &mut self.carriers {
+                carriers.sweep(|&(_, last)| last >= cutoff);
+            }
         }
     }
 
@@ -271,36 +327,112 @@ impl<C: FlowClassifier> Engine<C> {
         }
     }
 
-    /// Ingest one flow record, firing any sampling ticks due at or before
-    /// it, and return the warnings raised (empty unless
-    /// [`Self::set_live_warnings`] is on).
+    /// Ingest one flow record: [`Self::ingest_batch`] of one, a run of one
+    /// record.
+    pub fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
+        self.fire_due(rec.at);
+        self.ingest_run(std::slice::from_ref(rec), MIN_RECORDS_PER_THREAD);
+        self.system.drain_warnings()
+    }
+
+    /// Ingest a frame of flow records in order, firing every sampling tick
+    /// due at or before each, and return the warnings raised (empty unless
+    /// [`Self::set_live_warnings`] is on), in the order record-by-record
+    /// ingest raises them.
     ///
     /// Records must arrive in non-decreasing time order per the feeding
     /// switch stream; a record older than an already-fired tick is still
     /// processed (its measures land in the current window, exactly as a
     /// late packet would in a real switch).
-    pub fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
-        self.fire_due(rec.at);
-        // Every mid-path record reads the header its upstream switch parked
-        // (healthy flows vote too, so there almost always is one). A fresh
-        // packet enters empty, and its write then only replaces a stale
-        // carrier under the same key (seq reuse across a very old flow
-        // restart).
-        let slot = self.carriers.slot(rec.info.flow.0, rec.info.seq);
-        let mut ann = match slot.get() {
-            Some(&(ann, _)) if !rec.info.is_ingress => ann,
-            _ => Annotation::empty(),
-        };
-        self.system.on_packet(rec.at, &rec.info, &mut ann);
-        if rec.at > self.now {
-            self.now = rec.at;
+    pub fn ingest_batch(&mut self, recs: &[FlowRecord]) -> Vec<Warning> {
+        self.ingest_runs(recs, MIN_RECORDS_PER_THREAD)
+    }
+
+    /// [`Self::ingest_batch`], giving each thread a run splits across at
+    /// least `per_thread` records.
+    fn ingest_runs(&mut self, recs: &[FlowRecord], per_thread: usize) -> Vec<Warning> {
+        let mut rest = recs;
+        while let Some((first, later)) = rest.split_first() {
+            self.fire_due(first.at);
+            // The run ends before the next tick, and before the end of the
+            // first record's window, so a run of late records never folds
+            // its scope feeds into a window the next record opens.
+            let i = self.interval.as_ns();
+            let window_end = match first.at.as_ns().checked_div(i) {
+                Some(w) => w.saturating_add(1).saturating_mul(i),
+                None => u64::MAX,
+            };
+            let end = self.next_tick.min(SimTime::from_ns(window_end));
+            let len = 1 + later
+                .iter()
+                .position(|r| r.at >= end)
+                .unwrap_or(later.len());
+            let (run, next) = rest.split_at(len);
+            self.ingest_run(run, per_thread);
+            rest = next;
         }
-        // An absent carrier and an empty annotation mean the same thing to
-        // the pipeline, so empty annotations are never parked; the last
-        // switch frees the slot.
-        let park = !rec.info.is_last_switch && !ann.is_empty();
-        slot.set(park.then_some((ann, rec.at)));
         self.system.drain_warnings()
+    }
+
+    /// One run: records that no tick separates. See the module docs.
+    fn ingest_run(&mut self, run: &[FlowRecord], per_thread: usize) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        if self.system.per_record() {
+            for rec in run {
+                self.clock(rec.at);
+                let shards = self.carriers.len();
+                let carriers = self.carriers.get_mut(shard_of(rec.info.flow.0, shards));
+                if let Some(carriers) = carriers {
+                    let system = &mut self.system;
+                    carry(carriers, rec, |ann| {
+                        system.on_packet(rec.at, &rec.info, ann)
+                    });
+                }
+            }
+            return;
+        }
+        if let Some(last) = run.iter().map(|r| r.at).max() {
+            self.clock(last);
+        }
+        let n = self.carriers.len();
+        let threads = threads_for(n, run.len(), per_thread);
+        while self.helpers.len() + 1 < threads {
+            let Some(helper) = Helper::spawn() else {
+                break;
+            };
+            self.helpers.push(helper);
+        }
+        // Group `k` holds shards `k·group .. (k+1)·group`; group 0 runs on
+        // the calling thread, the others on the helpers.
+        let group = n.div_ceil(threads);
+        let (view, lanes, mut registers) = self.system.hop_parts();
+        let view = &view;
+        let mut groups = (self.carriers.chunks_mut(group))
+            .zip(lanes.chunks_mut(group))
+            .enumerate();
+        let own = groups.next();
+        let others = groups.map(|(k, (carriers, lanes))| {
+            move || hop_shards(view, carriers, lanes, run, k * group, n)
+        });
+        crate::par::join(&mut self.helpers, others, || {
+            // No hop reads the registers, so their pass overlaps the
+            // helpers' hops.
+            for rec in run {
+                registers.record(rec.at, &rec.info);
+            }
+            if let Some((_, (carriers, lanes))) = own {
+                hop_shards(view, carriers, lanes, run, 0, n);
+            }
+        });
+        self.system.settle(run.len(), first.at);
+    }
+
+    fn clock(&mut self, at: SimTime) {
+        if at > self.now {
+            self.now = at;
+        }
     }
 
     /// Advance the clock to `t`, firing every sampling tick due at or
@@ -324,8 +456,9 @@ impl<C: FlowClassifier> Engine<C> {
         w.u64(self.now.as_ns());
         w.u64(self.next_tick.as_ns());
         w.u32(self.ticks_fired);
-        w.seq(self.carriers.len());
-        for ((flow, seq), (ann, last)) in self.carriers.sorted() {
+        let carriers = CarrierTable::sorted(&self.carriers);
+        w.seq(carriers.len());
+        for ((flow, seq), (ann, last)) in carriers {
             w.u32(flow);
             w.u64(seq);
             w.u64(last.as_ns());
@@ -363,7 +496,8 @@ impl<C: FlowClassifier> Engine<C> {
         let now = SimTime::from_ns(r.u64()?);
         let next_tick = SimTime::from_ns(r.u64()?);
         let ticks_fired = r.u32()?;
-        let mut carriers = CarrierTable::new();
+        let shards = self.carriers.len();
+        let mut carriers: Vec<CarrierTable<_>> = (0..shards).map(|_| CarrierTable::new()).collect();
         for _ in 0..r.seq()? {
             let flow = r.u32()?;
             let seq = r.u64()?;
@@ -377,7 +511,9 @@ impl<C: FlowClassifier> Engine<C> {
                 }));
             }
             let ann = Annotation::from_bytes(r.bytes(n)?);
-            carriers.slot(flow, seq).set(Some((ann, last)));
+            if let Some(table) = carriers.get_mut(shard_of(flow, shards)) {
+                table.slot(flow, seq).set(Some((ann, last)));
+            }
         }
         // The system state is the tail of the snapshot: this consumes the
         // reader and commits only if the input ends cleanly.
@@ -387,6 +523,59 @@ impl<C: FlowClassifier> Engine<C> {
         self.ticks_fired = ticks_fired;
         self.carriers = carriers;
         Ok(())
+    }
+}
+
+/// One record's carrier round trip: read the header its upstream switch
+/// parked (healthy flows vote too, so there almost always is one), let
+/// `hop` run the record's pipeline on it, park what it leaves. A fresh
+/// packet enters empty, and its write then only replaces a stale carrier
+/// under the same key (seq reuse across a very old flow restart).
+#[inline]
+fn carry(
+    carriers: &mut CarrierTable<(Annotation, SimTime)>,
+    rec: &FlowRecord,
+    hop: impl FnOnce(&mut Annotation),
+) {
+    let slot = carriers.slot(rec.info.flow.0, rec.info.seq);
+    let mut ann = match slot.get() {
+        Some(&(ann, _)) if !rec.info.is_ingress => ann,
+        _ => Annotation::empty(),
+    };
+    hop(&mut ann);
+    // An absent carrier and an empty annotation mean the same thing to the
+    // pipeline, so empty annotations are never parked; the last switch
+    // frees the slot.
+    let park = !rec.info.is_last_switch && !ann.is_empty();
+    slot.set(park.then_some((ann, rec.at)));
+}
+
+/// Threads a run of `len` records splits `shards` shards across: one per
+/// `per_thread` records, at most one per shard, at least one.
+fn threads_for(shards: usize, len: usize, per_thread: usize) -> usize {
+    shards.min(len / per_thread.max(1)).max(1)
+}
+
+/// Shards `base .. base + carriers.len()` of `n`'s share of a run: the
+/// per-flow half of every record of their flows, in record order, each
+/// against its shard's carriers and lane.
+fn hop_shards(
+    view: &HopView,
+    carriers: &mut [CarrierTable<(Annotation, SimTime)>],
+    lanes: &mut [Lane],
+    run: &[FlowRecord],
+    base: usize,
+    n: usize,
+) {
+    for (idx, rec) in (0u32..).zip(run) {
+        let Some(s) = shard_of(rec.info.flow.0, n).checked_sub(base) else {
+            continue;
+        };
+        if let (Some(carriers), Some(lane)) = (carriers.get_mut(s), lanes.get_mut(s)) {
+            carry(carriers, rec, |ann| {
+                lane.hop(view, idx, rec.at, &rec.info, ann)
+            });
+        }
     }
 }
 
@@ -506,6 +695,137 @@ mod tests {
         let end = window.1 + SimTime::from_ms(8);
         assert_eq!(fork.advance_to(end), engine.advance_to(end));
         assert_eq!(fork.snapshot(), engine.snapshot());
+    }
+
+    /// A snapshot taken mid-stream at two shards restores onto three, and
+    /// the stream finishes there as one shard fed record by record does:
+    /// the same live warnings in the same order, and the same final
+    /// snapshot (logs, ratio samples and both kinds of carrier included).
+    /// At two shards every run is split across threads, however short; at
+    /// three, a run takes a thread per 40 records, so runs of 80–119
+    /// records put two shards on one thread and one on another.
+    #[test]
+    fn a_stream_moves_from_two_shards_to_three_through_a_snapshot() {
+        let (topo, flows, wcfg, window, cfg) = line_setup();
+        let cfg = SystemConfig {
+            ratio_sampling: 8,
+            ..cfg
+        };
+        let virt = VariantSpec {
+            name: "DB-Virtual".into(),
+            scheme: db_inference::WeightScheme::DriftBottle,
+            mechanism: crate::config::Mechanism::DistributedVirtual,
+        };
+        let engine = |shards| {
+            let system = DriftBottleSystem::deploy(
+                &topo,
+                &flows,
+                wcfg,
+                ThresholdClassifier::default(),
+                vec![VariantSpec::drift_bottle(), virt.clone()],
+                cfg.clone(),
+                window,
+            );
+            let mut e = Engine::new(system);
+            e.set_live_warnings();
+            e.set_shards(shards);
+            e
+        };
+        let recs: Vec<FlowRecord> = line_trace()
+            .observations
+            .iter()
+            .map(|&o| o.into())
+            .collect();
+        let end = window.1 + SimTime::from_ms(8);
+        let mut one = engine(1);
+        let mut want: Vec<Warning> = recs.iter().flat_map(|r| one.ingest(r)).collect();
+        want.extend(one.advance_to(end));
+        let split = recs.len() / 2;
+        let mut two = engine(2);
+        let mut got = Vec::new();
+        for frame in recs[..split].chunks(300) {
+            got.extend(two.ingest_runs(frame, 1));
+        }
+        assert!(two.carriers_in_flight() > 0);
+        let mut three = engine(3);
+        three
+            .restore(&two.snapshot())
+            .expect("restores at another shard count");
+        for frame in recs[split..].chunks(300) {
+            got.extend(three.ingest_runs(frame, 40));
+        }
+        got.extend(three.advance_to(end));
+        assert!(!want.is_empty(), "the line failure raises warnings");
+        assert!(got == want, "live warnings differ");
+        assert!(three.snapshot() == one.snapshot(), "final snapshots differ");
+    }
+
+    /// No thread starts for fewer than [`MIN_RECORDS_PER_THREAD`] records:
+    /// a 2 048-record frame takes four threads on an eight-shard engine,
+    /// and a run too short for two stays on the calling thread.
+    #[test]
+    fn a_run_takes_a_thread_per_floor_of_records() {
+        let floor = MIN_RECORDS_PER_THREAD;
+        assert_eq!(threads_for(8, 2048, floor), 4);
+        assert_eq!(threads_for(2, 2 * floor - 1, floor), 1);
+        assert_eq!(threads_for(2, 2 * floor, floor), 2);
+        assert_eq!(threads_for(3, 100 * floor, floor), 3);
+        assert_eq!(threads_for(1, 100 * floor, floor), 1);
+        assert_eq!(threads_for(4, 0, floor), 1);
+    }
+
+    /// A run ends where its first record's window does, not only at the
+    /// next tick: after a restore onto a fresh scope recorder, a late
+    /// record and the current ones after it feed the scope series alike
+    /// one record at a time and in one frame.
+    #[test]
+    fn a_late_record_starts_a_run_of_its_own_window() {
+        let (topo, flows, wcfg, window, cfg) = line_setup();
+        let recs: Vec<FlowRecord> = line_trace()
+            .observations
+            .iter()
+            .map(|&o| o.into())
+            .collect();
+        let split = recs.len() / 2;
+        let mut first = Engine::new(deploy(&topo, &flows, wcfg, window, cfg.clone()));
+        for r in &recs[..split] {
+            first.ingest(r);
+        }
+        let snapshot = first.snapshot();
+        let two_back = recs[split].at.as_ns() - 2 * wcfg.interval.as_ns();
+        let late = FlowRecord {
+            at: SimTime::from_ns(two_back),
+            ..recs[split]
+        };
+        let feed = [&[late], &recs[split..split + 200]].concat();
+        let restored = || {
+            let mut e = Engine::new(deploy(&topo, &flows, wcfg, window, cfg.clone()));
+            let scope = Arc::new(ScopeRecorder::default());
+            scope.set_meta(db_telemetry::scope::ScopeMeta {
+                interval_ns: wcfg.interval.as_ns(),
+                t_fail_ns: window.0.as_ns(),
+                total_links: topo.link_count() as u32,
+                total_switches: topo.node_count() as u32,
+                alpha: cfg.warning.alpha,
+                beta: cfg.warning.beta,
+                hop_min: cfg.warning.hop_min,
+            });
+            assert!(e.set_scope(scope.clone()));
+            e.restore(&snapshot).expect("restores");
+            (e, scope)
+        };
+        let digest = |scope: &ScopeRecorder| {
+            let json = scope.to_trace_json();
+            let trace = db_telemetry::TraceData::from_json_str(&json).expect("parses");
+            trace.deterministic_digest()
+        };
+        let (mut one, by_record) = restored();
+        for r in &feed {
+            one.ingest(r);
+        }
+        let (mut framed, by_frame) = restored();
+        framed.ingest_batch(&feed);
+        assert_eq!(digest(&by_frame), digest(&by_record));
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! count ([`worker_count`]) and what a panic does (caught per unit, handed
 //! to the caller's sink). `std::thread::scope` is all the machinery this
 //! needs (DESIGN.md §4: no external executor; §9 "Sweep parallelism").
+//! The streaming engine's shard count (`Engine::set_shards`) follows the
+//! same worker-count rule, though its shards are not pool units: they run
+//! on the engine's persistent `Helper` threads, through `join`.
 
 use db_util::sync::lock_recover;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{channel, Receiver, RecvError, SendError, Sender, TryRecvError};
+use std::sync::{Mutex, PoisonError};
 
 /// The worker-count rule, as a pure function: an `explicit` count ≥ 1
 /// wins, else `DB_THREADS` (`env`; `0` and junk are ignored), else
@@ -114,6 +118,138 @@ where
             Err(payload) => resume_unwind(payload),
         })
         .collect()
+}
+
+/// Times a [`Helper`], and a caller waiting on one, poll their channel
+/// before blocking on it: ≈ 2 ms on the reference host (2^15 polls took
+/// 1.0–1.3 ms), longer than the engine thread's serial work between two
+/// runs, a tick's ≈ 0.6–1.3 ms included, so a helper fed run after run
+/// never sleeps.
+const SPIN: u32 = 1 << 16;
+
+/// A job with its borrows erased; see [`join`] for why that is sound.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A persistent thread that runs jobs borrowing the caller's data, one
+/// [`join`] at a time: the streaming engine's shard threads. Between jobs
+/// it polls before it sleeps. On the reference host (2 vCPUs under a
+/// contended hypervisor), a thread spawned per job, or woken from sleep,
+/// started 100–400 µs late, and a run split that way ran slower than one
+/// thread alone; a thread that has not slept starts at once.
+pub(crate) struct Helper {
+    jobs: Sender<Job>,
+    /// Behind a mutex only to make the helper `Sync` as the engine must
+    /// be; [`join`] holds the helper exclusively and never locks it.
+    done: Mutex<Receiver<std::thread::Result<()>>>,
+}
+
+impl Helper {
+    /// Start a helper; `None` if the OS refuses a thread. The thread ends
+    /// when the helper is dropped.
+    pub(crate) fn spawn() -> Option<Helper> {
+        let (jobs, inbox) = channel::<Job>();
+        let (outbox, done) = channel();
+        std::thread::Builder::new()
+            .name("db-shard".into())
+            .spawn(move || {
+                while let Ok(job) = recv_polling(&inbox) {
+                    // The job is dropped inside `catch_unwind`, before its
+                    // result is sent.
+                    if outbox.send(catch_unwind(AssertUnwindSafe(job))).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Helper {
+            jobs,
+            done: Mutex::new(done),
+        })
+    }
+}
+
+/// `rx.recv()`, after polling it [`SPIN`] times.
+fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..SPIN {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv()
+}
+
+/// Run each of `jobs` on its own helper while `here` runs on the calling
+/// thread, and return once every one of them has finished; jobs beyond
+/// the helpers run on the calling thread after `here`. A panic in any of
+/// them is re-raised here, after all have finished.
+pub(crate) fn join<'a, J>(
+    helpers: &mut [Helper],
+    jobs: impl IntoIterator<Item = J>,
+    here: impl FnOnce(),
+) where
+    J: FnOnce() + Send + 'a,
+{
+    let mut pending = Pending { helpers, sent: 0 };
+    let mut leftover = Vec::new();
+    for job in jobs {
+        let Some(helper) = pending.helpers.get(pending.sent) else {
+            leftover.push(job);
+            continue;
+        };
+        let job: Box<dyn FnOnce() + Send + 'a> = Box::new(job);
+        // SAFETY: only the lifetime changes. The job's borrows live for
+        // 'a, which outlives this call, and the job is not used after this
+        // call returns or unwinds: a helper that took it sends its result
+        // only after the job has run and been dropped, and `pending`
+        // waits for that result on every exit from this function
+        // (`Drop` on unwind). A helper whose thread is gone no longer
+        // holds the job either: a failed send hands it back.
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Job>(job) };
+        match helper.jobs.send(job) {
+            Ok(()) => pending.sent += 1,
+            Err(SendError(job)) => job(),
+        }
+    }
+    here();
+    for job in leftover {
+        job();
+    }
+    if let Some(payload) = pending.wait() {
+        resume_unwind(payload);
+    }
+}
+
+/// The helpers [`join`] handed a job, waited for on drop.
+struct Pending<'h> {
+    helpers: &'h mut [Helper],
+    sent: usize,
+}
+
+impl Pending<'_> {
+    /// Wait for every job handed out; the first panic's payload.
+    fn wait(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
+        let mut panic = None;
+        for helper in self.helpers.iter_mut().take(self.sent) {
+            let done = helper
+                .done
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            // `Err`: the thread is gone, and its job with it.
+            if let Ok(Err(payload)) = recv_polling(done) {
+                panic.get_or_insert(payload);
+            }
+        }
+        self.sent = 0;
+        panic
+    }
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        self.wait();
+    }
 }
 
 #[cfg(test)]
@@ -230,6 +366,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every job runs once, on a helper or, past the helpers, on the
+    /// caller, writing through its own `&mut` borrow.
+    #[test]
+    fn join_runs_every_borrowing_job() {
+        let mut helpers: Vec<Helper> = (0..2).filter_map(|_| Helper::spawn()).collect();
+        for round in 0..3u64 {
+            let mut cells = [0u64; 4];
+            let mut here = 0u64;
+            let jobs = cells
+                .iter_mut()
+                .zip(1..)
+                .map(|(c, i)| move || *c = i * 10 + round);
+            join(&mut helpers, jobs, || here = round + 1);
+            assert_eq!(cells, [10, 20, 30, 40].map(|v| v + round));
+            assert_eq!(here, round + 1);
+        }
+    }
+
+    /// A job's panic reaches the caller only once every job has finished,
+    /// and so does a panic on the calling thread; the helpers serve the
+    /// next join either way.
+    #[test]
+    fn join_waits_for_every_job_before_a_panic_surfaces() {
+        use std::sync::atomic::AtomicBool;
+        let mut helpers: Vec<Helper> = (0..2).filter_map(|_| Helper::spawn()).collect();
+        let finished = AtomicBool::new(false);
+        let slow = || {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            finished.store(true, Ordering::SeqCst);
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(&mut helpers, [slow], || panic!("on the calling thread"))
+        }));
+        assert!(caught.is_err());
+        assert!(finished.swap(false, Ordering::SeqCst));
+        let jobs: [Box<dyn FnOnce() + Send>; 2] = [Box::new(|| panic!("in a job")), Box::new(slow)];
+        let caught = catch_unwind(AssertUnwindSafe(|| join(&mut helpers, jobs, || {})));
+        assert!(caught.is_err());
+        assert!(finished.load(Ordering::SeqCst));
+        let mut ran = false;
+        join(&mut helpers, [|| ran = true], || {});
+        assert!(ran);
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //!    the switch's local inference, checks equation (1), and writes the
 //!    updated inference back (the last switch strips the header, §4.3).
 //!
+//! The two halves of a packet's hop differ in what they share. Monitoring
+//! writes per-switch registers whose arrival order is state; aggregation
+//! reads only the packet's carrier and the switch's local inference, which
+//! changes only at a tick. So the per-flow half runs in `Lane`s, one per
+//! shard of the flows, against a `HopView` every lane shares, and what it
+//! raises is settled on the calling thread in record order
+//! (`DriftBottleSystem::settle`). The simulator's observer path is the
+//! same code with one record per settle.
+//!
 //! Per sampling tick (the control-plane timer of §4.1):
 //!
 //! 1. each switch drains its registers, assembles Table-2 features, and runs
@@ -19,7 +28,7 @@
 //! 3. centralized variants periodically aggregate all locals at the DCA and
 //!    report culprits via the 007 procedure.
 
-use crate::carrier::CarrierTable;
+use crate::carrier::{shard_of, CarrierTable};
 use crate::config::{Mechanism, SystemConfig, VariantSpec};
 use crate::tap::Tap;
 use db_dtree::FlowClassifier;
@@ -31,6 +40,7 @@ use db_inference::{
     MAX_HEADER_BYTES, MAX_K,
 };
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
+use db_telemetry::scope::ScopeBuffer;
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -175,15 +185,10 @@ impl Drifted {
 #[derive(Debug, Clone)]
 enum Locals {
     /// Distributed variants: the packet path reads the k-truncated local on
-    /// every hop, so it is stored in the allocation-free form.
-    Distributed {
-        locals: Vec<InlineInference>,
-        /// Exact-weight carrier: per in-flight packet `(flow, seq)` → state
-        /// (values are `Copy`, no per-packet allocation beyond amortized
-        /// table growth). Stays empty under `DistributedWire`, whose state
-        /// rides in the packet header.
-        carriers: CarrierTable<Drifted>,
-    },
+    /// every hop, so it is stored in the allocation-free form. (Their
+    /// in-flight exact-weight carriers are per flow, so they live in the
+    /// [`Lane`]s.)
+    Distributed(Vec<InlineInference>),
     /// Centralized variants: only the DCA reads, once per period, and 007
     /// aggregates untruncated votes — which may exceed [`INLINE_CAP`].
     Centralized(Vec<Inference>),
@@ -201,6 +206,201 @@ struct VariantState {
     ticks_seen: u32,
 }
 
+/// One shard of the per-flow half of the hop pipeline: the exact-weight
+/// carriers of the flows it holds ([`shard_of`]), and what their hops
+/// produced since the last [`DriftBottleSystem::settle`]. Between two
+/// settles a lane is written by one thread only, and it takes cache lines
+/// of its own (see [`CarrierTable`]).
+#[derive(Debug, Clone)]
+#[repr(align(128))]
+pub(crate) struct Lane {
+    /// Per variant, in deployment order: per in-flight packet `(flow, seq)`
+    /// → the drifted inference a side-table variant parks between hops
+    /// (values are `Copy`, no per-packet allocation beyond amortized table
+    /// growth). Empty for a `DistributedWire` variant, whose state rides in
+    /// the packet header, and for centralized ones.
+    side: Vec<CarrierTable<Drifted>>,
+    out: HopOut,
+}
+
+/// What a lane's hops produced that the calling thread settles, each entry
+/// stamped with its record's index in the run.
+#[derive(Debug, Clone, Default)]
+struct HopOut {
+    /// `(record, warning)`, in record then variant order.
+    raises: Vec<(u32, Warning)>,
+    /// `(record, variant, sample)`, in the same order.
+    ratios: Vec<(u32, u8, RatioSample)>,
+    /// `(variant, switch, local)`: the §4.3 ablation's per-hop write-back.
+    absorbed: Vec<(u8, NodeId, InlineInference)>,
+    /// The traced variant's merge feeds (and, on the first lane, the
+    /// settled warnings'), held off the scope recorder's lock.
+    scope: ScopeBuffer,
+}
+
+impl Lane {
+    fn empty(variants: usize) -> Lane {
+        Lane {
+            side: (0..variants).map(|_| CarrierTable::new()).collect(),
+            out: HopOut::default(),
+        }
+    }
+
+    /// Whether nothing waits in the lane for a settle.
+    #[inline]
+    fn settled(&self) -> bool {
+        let out = &self.out;
+        out.raises.is_empty()
+            && out.ratios.is_empty()
+            && out.absorbed.is_empty()
+            && out.scope.is_empty()
+    }
+
+    /// The per-flow half of one record's hop — record `idx` of the run,
+    /// observed at `now` — for every distributed variant.
+    #[inline]
+    pub(crate) fn hop(
+        &mut self,
+        view: &HopView,
+        idx: u32,
+        now: SimTime,
+        info: &HopInfo,
+        ann: &mut Annotation,
+    ) {
+        for vi in 0..view.variants.len() {
+            self.handle_distributed(view, vi, idx, now, info, ann);
+        }
+    }
+
+    /// The Inference Aggregation module for one distributed variant — the
+    /// allocation-free per-packet hot path: decode → ⊕ → truncate → warn →
+    /// encode entirely on stack-resident fixed-capacity state
+    /// ([`InlineInference`]; [`DriftBottleSystem::deploy_empty`] bounds k
+    /// so a merge always fits). Results are bit-for-bit those of the
+    /// control-plane form (`aggregate_step`, `check_warning`,
+    /// `HeaderCodec::encode`) — see the equivalence proptests in
+    /// db-inference. What it raises waits in the lane's [`HopOut`].
+    // db-lint: allow(hot-index, hot-alloc) — per-node and per-variant vectors are sized at setup; the allocating branches are sampling-window-gated, raise-gated or the §4.3 ablation, off the steady-state path
+    fn handle_distributed(
+        &mut self,
+        view: &HopView,
+        vi: usize,
+        idx: u32,
+        now: SimTime,
+        info: &HopInfo,
+        ann: &mut Annotation,
+    ) {
+        let variant = &view.variants[vi];
+        let Locals::Distributed(locals) = &variant.locals else {
+            // Centralized variants have no packet path.
+            return;
+        };
+        let (codec, cfg, window, tap) = (view.codec, view.cfg, view.window, view.tap);
+        let node = info.node;
+        let mechanism = variant.spec.mechanism;
+        // The side table's one probe: the slot this hop reads from is the
+        // slot it writes to.
+        let side = self.side.get_mut(vi);
+        let slot = side
+            .filter(|_| mechanism != Mechanism::DistributedWire)
+            .map(|carriers| carriers.slot(info.flow.0, info.seq));
+        let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
+            None
+        } else if let Some(slot) = &slot {
+            slot.get().map(Drifted::inline)
+        } else {
+            codec.decode_inline(ann.as_slice())
+        };
+        let local = &locals[node.idx()];
+        let out = match &incoming {
+            None => (local.top_k(cfg.k), 1u8),
+            Some((drifted, h)) => {
+                aggregate_step_inline_metered(local, drifted, *h, cfg.k, tap.inference())
+            }
+        };
+        tap.merged(
+            vi,
+            now,
+            info,
+            incoming.as_ref(),
+            local,
+            &out,
+            &mut self.out.scope,
+        );
+        let (agg, hops) = (&out.0, out.1);
+        if mechanism == Mechanism::DistributedAbsorbing {
+            // The forbidden feedback loop (§4.3): the local inference is
+            // replaced by the aggregate, biasing later packets.
+            self.out.absorbed.push((vi as u8, node, agg.top_k(cfg.k)));
+        }
+        if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
+            let raised = tap.raise(vi, now, node, link, &out);
+            self.out.raises.push((idx, raised));
+        }
+        let aggregation = view.agg_base + u64::from(idx) + 1;
+        if cfg.ratio_sampling > 0
+            && hops as u32 >= cfg.warning.hop_min
+            && aggregation.is_multiple_of(cfg.ratio_sampling as u64)
+            && now > window.0
+            && now <= window.1
+        {
+            let sample = RatioSample {
+                entries: agg.to_inference().entries().to_vec(),
+                hop_now: hops,
+                at: now,
+            };
+            self.out.ratios.push((idx, vi as u8, sample));
+        }
+        if let Some(slot) = slot {
+            // The last switch frees the slot; any other leaves its result
+            // there, over a stale entry at ingress.
+            slot.set((!info.is_last_switch).then(|| Drifted::new(agg, hops)));
+        } else if info.is_last_switch {
+            // §4.3: the last switch deletes the inference header before
+            // delivering to the host.
+            ann.clear();
+        } else {
+            let mut buf = [0u8; MAX_HEADER_BYTES];
+            let n = codec.encode_into(agg, hops, &mut buf);
+            ann.set(&buf[..n]);
+            tap.header_piggybacked();
+        }
+    }
+}
+
+/// The Flow Monitoring module's half of a run: every switch's measure
+/// registers, whose arrival order is monitor state, so records reach them
+/// in record order on the calling thread.
+pub(crate) struct Registers<'a> {
+    monitors: &'a mut [SwitchMonitor],
+    tap: &'a Tap,
+}
+
+impl Registers<'_> {
+    /// One record at its switch's registers.
+    // db-lint: allow(hot-index) — monitors are sized by node count at setup; HopInfo nodes come from the same topology
+    #[inline]
+    pub(crate) fn record(&mut self, now: SimTime, info: &HopInfo) {
+        if self.monitors[info.node.idx()].on_packet(now, info.flow, info.size) {
+            self.tap.register_update();
+        }
+    }
+}
+
+/// What every hop reads and none writes: the variants' locals (rebuilt
+/// only at a tick), thresholds, codec and attachments. Lanes share one by
+/// reference.
+pub(crate) struct HopView<'a> {
+    variants: &'a [VariantState],
+    tap: &'a Tap,
+    cfg: &'a SystemConfig,
+    codec: HeaderCodec,
+    window: (SimTime, SimTime),
+    /// The aggregation counter before the run's first record: record `i`
+    /// of the run is aggregation `agg_base + i + 1`.
+    agg_base: u64,
+}
+
 /// The deployed system: implements [`Observer`] so it runs live inside the
 /// event loop. Generic over the classifier so the data-plane model (tree,
 /// rule table, or threshold baseline) is chosen at compile time.
@@ -211,6 +411,11 @@ pub struct DriftBottleSystem<C: FlowClassifier> {
     wcfg: WindowConfig,
     codec: HeaderCodec,
     variants: Vec<VariantState>,
+    /// The per-flow hop state, one lane per shard (at least one).
+    lanes: Vec<Lane>,
+    /// [`Self::settle`]'s merge of the lanes' raises; empty between calls,
+    /// kept so a settle does not allocate.
+    raised: Vec<(u32, Warning)>,
     /// Warning collection window `(from, to]`.
     window: (SimTime, SimTime),
     agg_counter: u64,
@@ -272,6 +477,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let n = topo.node_count();
         let codec = HeaderCodec::for_network(cfg.k, topo.link_count());
         let tap = Tap::new(&variants, codec, cfg.warning);
+        let lanes = vec![Lane::empty(variants.len())];
         let variants = variants
             .into_iter()
             .map(|spec| VariantState {
@@ -279,10 +485,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                     Mechanism::Centralized { .. } => {
                         Locals::Centralized(vec![Inference::empty(); n])
                     }
-                    _ => Locals::Distributed {
-                        locals: vec![InlineInference::empty(); n],
-                        carriers: CarrierTable::new(),
-                    },
+                    _ => Locals::Distributed(vec![InlineInference::empty(); n]),
                 },
                 spec,
                 log: WarningLog::default(),
@@ -297,6 +500,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             wcfg,
             codec,
             variants,
+            lanes,
+            raised: Vec::new(),
             window,
             agg_counter: 0,
             tap,
@@ -317,6 +522,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             wcfg: self.wcfg,
             codec: self.codec,
             variants: self.variants.clone(),
+            lanes: self.lanes.clone(),
+            raised: Vec::new(),
             window: self.window,
             agg_counter: self.agg_counter,
             tap: self.tap.bare(),
@@ -424,14 +631,14 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             m.snapshot_into(w);
         }
         w.seq(self.variants.len());
-        for v in &self.variants {
+        for (vi, v) in self.variants.iter().enumerate() {
             // The v1 layout has two locals slots and two carrier slots per
             // variant, from when every variant held both forms. Slot 2
             // repeats a distributed variant's locals and is `n` empty lists
             // for a centralized one; the first carrier slot is retired and
             // always empty. `restore_from` checks all of that.
             match &v.locals {
-                Locals::Distributed { locals, carriers } => {
+                Locals::Distributed(locals) => {
                     for _slot in 0..2 {
                         w.seq(locals.len());
                         for inf in locals {
@@ -439,11 +646,13 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
                         }
                     }
                     w.seq(0);
-                    // The carrier table is hashed; key order keeps the
-                    // snapshot byte-stable across processes and fill
-                    // histories.
+                    // The carrier tables are hashed and split by flow; key
+                    // order keeps the snapshot byte-stable across
+                    // processes, fill histories and shard counts.
+                    let lanes = self.lanes.iter().filter_map(|l| l.side.get(vi));
+                    let carriers = CarrierTable::sorted(lanes);
                     w.seq(carriers.len());
-                    for ((flow, seq), drifted) in carriers.sorted() {
+                    for ((flow, seq), drifted) in carriers {
                         let (inf, hops) = drifted.inline();
                         w.u32(flow);
                         w.u64(seq);
@@ -512,7 +721,11 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             .collect::<Result<Vec<_>, _>>()?;
         expect_count(r, self.variants.len())?;
         let mut variants = Vec::with_capacity(self.variants.len());
-        for v in &self.variants {
+        let shards = self.lanes.len();
+        let mut lanes: Vec<Lane> = (0..shards)
+            .map(|_| Lane::empty(self.variants.len()))
+            .collect();
+        for (vi, v) in self.variants.iter().enumerate() {
             let n = self.monitors.len();
             let at = r.offset();
             let slot = |r: &mut ByteReader| -> Result<Vec<Vec<(LinkId, f64)>>, WireError> {
@@ -522,20 +735,19 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             let (slot1, slot2) = (slot(r)?, slot(r)?);
             expect_count(r, 0)?; // the retired heap-form carrier table
             let locals = match &v.locals {
-                Locals::Distributed { .. } if slot2 == slot1 => {
-                    let mut carriers = CarrierTable::new();
+                Locals::Distributed(_) if slot2 == slot1 => {
                     for _ in 0..r.seq()? {
                         let flow = r.u32()?;
                         let seq = r.u64()?;
                         let hops = r.u8()?;
                         let inf = inline_entries(r.offset(), decode_entries(r)?, MAX_K)?;
-                        carriers.slot(flow, seq).set(Some(Drifted::new(&inf, hops)));
+                        let lane = lanes.get_mut(shard_of(flow, shards));
+                        if let Some(carriers) = lane.and_then(|l| l.side.get_mut(vi)) {
+                            carriers.slot(flow, seq).set(Some(Drifted::new(&inf, hops)));
+                        }
                     }
                     let locals = slot1.into_iter().map(|e| inline_entries(at, e, INLINE_CAP));
-                    Locals::Distributed {
-                        locals: locals.collect::<Result<_, _>>()?,
-                        carriers,
-                    }
+                    Locals::Distributed(locals.collect::<Result<_, _>>()?)
                 }
                 Locals::Centralized(_) if slot2.iter().all(Vec::is_empty) => {
                     expect_count(r, 0)?; // no packet path, no carriers
@@ -594,85 +806,139 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         self.agg_counter = agg_counter;
         self.monitors = monitors;
         self.variants = variants;
+        self.lanes = lanes;
         Ok(())
     }
 
-    /// The Inference Aggregation module for one distributed variant — the
-    /// allocation-free per-packet hot path: decode → ⊕ → truncate → warn →
-    /// encode entirely on stack-resident fixed-capacity state
-    /// ([`InlineInference`]; [`Self::deploy_empty`] bounds k so a merge
-    /// always fits). Results are bit-for-bit those of the control-plane
-    /// form (`aggregate_step`, `check_warning`, `HeaderCodec::encode`) —
-    /// see the equivalence proptests in db-inference.
-    // db-lint: allow(hot-index, hot-alloc) — per-node and per-variant vectors are sized at setup; the allocating branches are sampling-window-gated or the §4.3 ablation, off the steady-state path
-    fn handle_distributed(
-        &mut self,
-        vi: usize,
-        now: SimTime,
-        info: &HopInfo,
-        ann: &mut Annotation,
-    ) {
-        let variant = &mut self.variants[vi];
-        let Locals::Distributed { locals, carriers } = &mut variant.locals else {
-            // Centralized variants have no packet path.
-            return;
-        };
-        let (codec, cfg, window, tap) = (self.codec, &self.cfg, self.window, &mut self.tap);
-        let node = info.node;
-        let wire = variant.spec.mechanism == Mechanism::DistributedWire;
-        // The side table's one probe: the slot this hop reads from is the
-        // slot it writes to.
-        let slot = (!wire).then(|| carriers.slot(info.flow.0, info.seq));
-        let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
-            None
-        } else if let Some(slot) = &slot {
-            slot.get().map(Drifted::inline)
-        } else {
-            codec.decode_inline(ann.as_slice())
-        };
-        let local = &locals[node.idx()];
-        let out = match &incoming {
-            None => (local.top_k(cfg.k), 1u8),
-            Some((drifted, h)) => {
-                aggregate_step_inline_metered(local, drifted, *h, cfg.k, tap.inference())
+    /// Lanes the per-flow hop state is split over.
+    pub(crate) fn shards(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Split the per-flow hop state over `shards` lanes (at least one),
+    /// each carrier going to its flow's lane ([`shard_of`]). Called between
+    /// runs, when no lane holds anything unsettled.
+    pub(crate) fn reshard(&mut self, shards: usize) {
+        let shards = shards.max(1);
+        let variants = self.variants.len();
+        let mut per_variant: Vec<Vec<CarrierTable<Drifted>>> =
+            (0..variants).map(|_| Vec::new()).collect();
+        for lane in std::mem::take(&mut self.lanes) {
+            for (tables, table) in per_variant.iter_mut().zip(lane.side) {
+                tables.push(table);
             }
+        }
+        self.lanes = (0..shards).map(|_| Lane::empty(0)).collect();
+        for tables in per_variant {
+            let dealt = CarrierTable::reshard(tables, shards);
+            for (lane, table) in self.lanes.iter_mut().zip(dealt) {
+                lane.side.push(table);
+            }
+        }
+    }
+
+    /// Whether hops must run one record at a time on the calling thread:
+    /// an absorbing variant writes a local per hop, which the next record
+    /// reads, and the flight ring records a hop's merge and its warning in
+    /// record order.
+    pub(crate) fn per_record(&self) -> bool {
+        self.tap.flight().is_some()
+            || (self.variants.iter()).any(|v| v.spec.mechanism == Mechanism::DistributedAbsorbing)
+    }
+
+    /// The two halves of the next run's hops: the shared view and the
+    /// lanes the per-flow half reads and runs in, and the switch registers
+    /// the order-sensitive half writes. They are disjoint, so the two
+    /// halves of one run may proceed at once.
+    pub(crate) fn hop_parts(&mut self) -> (HopView<'_>, &mut [Lane], Registers<'_>) {
+        let view = HopView {
+            variants: &self.variants,
+            tap: &self.tap,
+            cfg: &self.cfg,
+            codec: self.codec,
+            window: self.window,
+            agg_base: self.agg_counter,
         };
-        tap.merged(vi, now, info, incoming.as_ref(), local, &out);
-        let (agg, hops) = (&out.0, out.1);
-        if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
-            // The forbidden feedback loop (§4.3): the local inference is
-            // replaced by the aggregate, biasing later packets.
-            locals[node.idx()] = agg.top_k(cfg.k);
+        let registers = Registers {
+            monitors: &mut self.monitors,
+            tap: &self.tap,
+        };
+        (view, &mut self.lanes, registers)
+    }
+
+    /// Settle a run of `records` hops: everything the lanes raised goes to
+    /// the warning logs and the tap in (record, variant) order — the order
+    /// one thread hopping the run would have raised it in — ratio samples
+    /// likewise, absorbed locals are written back, and the scope feeds fold
+    /// into the window of `at`, the run's first record. A run never
+    /// straddles a window the recorder has not reached (the engine cuts its
+    /// runs there), so the fold lands every feed where a direct feed would.
+    pub(crate) fn settle(&mut self, records: usize, at: SimTime) {
+        self.agg_counter += records as u64;
+        if self.lanes.iter().all(Lane::settled) {
+            // Most hops raise nothing, sample nothing and feed no scope.
+            return;
         }
-        if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
-            variant.log.record(now, node, link, window);
-            tap.warning(vi, now, node, link, &out);
+        let Self {
+            variants,
+            lanes,
+            tap,
+            window,
+            raised,
+            ..
+        } = self;
+        let mut settle_raise = |w: &Warning, scope: &mut ScopeBuffer| {
+            if let Some(v) = variants.get_mut(usize::from(w.variant)) {
+                v.log.record(w.at, w.switch, w.link, *window);
+            }
+            tap.warning(w, scope);
+        };
+        match lanes.iter().filter(|l| !l.out.raises.is_empty()).count() {
+            0 => {}
+            // One lane's raises are in order already: settled in place.
+            1 => {
+                for lane in lanes.iter_mut() {
+                    let HopOut { raises, scope, .. } = &mut lane.out;
+                    for (_, w) in raises.drain(..) {
+                        settle_raise(&w, scope);
+                    }
+                }
+            }
+            _ => {
+                for lane in lanes.iter_mut() {
+                    raised.append(&mut lane.out.raises);
+                }
+                raised.sort_unstable_by_key(|&(i, ref w)| (i, w.variant));
+                if let Some(first) = lanes.first_mut() {
+                    for (_, w) in raised.drain(..) {
+                        settle_raise(&w, &mut first.out.scope);
+                    }
+                }
+            }
         }
-        if cfg.ratio_sampling > 0
-            && hops as u32 >= cfg.warning.hop_min
-            && self.agg_counter.is_multiple_of(cfg.ratio_sampling as u64)
-            && now > window.0
-            && now <= window.1
-        {
-            variant.ratios.push(RatioSample {
-                entries: agg.to_inference().entries().to_vec(),
-                hop_now: hops,
-                at: now,
-            });
+        if lanes.iter().any(|l| !l.out.ratios.is_empty()) {
+            let mut ratios: Vec<(u32, u8, RatioSample)> = (lanes.iter_mut())
+                .flat_map(|l| l.out.ratios.drain(..))
+                .collect();
+            ratios.sort_unstable_by_key(|&(i, vi, _)| (i, vi));
+            for (_, vi, sample) in ratios {
+                if let Some(v) = variants.get_mut(usize::from(vi)) {
+                    v.ratios.push(sample);
+                }
+            }
         }
-        if let Some(slot) = slot {
-            // The last switch frees the slot; any other leaves its result
-            // there, over a stale entry at ingress.
-            slot.set((!info.is_last_switch).then(|| Drifted::new(agg, hops)));
-        } else if info.is_last_switch {
-            // §4.3: the last switch deletes the inference header before
-            // delivering to the host.
-            ann.clear();
-        } else {
-            let mut buf = [0u8; MAX_HEADER_BYTES];
-            let n = codec.encode_into(agg, hops, &mut buf);
-            ann.set(&buf[..n]);
-            tap.header_piggybacked();
+        for lane in lanes.iter_mut() {
+            for (vi, node, local) in lane.out.absorbed.drain(..) {
+                let v = variants.get_mut(usize::from(vi));
+                if let Some(Locals::Distributed(locals)) = v.map(|v| &mut v.locals) {
+                    if let Some(slot) = locals.get_mut(node.idx()) {
+                        *slot = local;
+                    }
+                }
+            }
+            if let Some(sc) = tap.scope() {
+                sc.fold(at.as_ns(), &mut lane.out.scope);
+            }
         }
     }
 
@@ -686,7 +952,7 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         let votes = statuses.iter().map(|(s, u)| (*s, *u));
         let scheme = variant.spec.scheme;
         match &mut variant.locals {
-            Locals::Distributed { locals, .. } => {
+            Locals::Distributed(locals) => {
                 let inf = local_inference_scratched(votes, scheme, k, scratch);
                 locals[node.idx()] = InlineInference::from_inference(&inf);
             }
@@ -753,17 +1019,18 @@ fn decode_entries(r: &mut ByteReader) -> Result<Vec<(LinkId, f64)>, WireError> {
 }
 
 impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
-    // db-lint: allow(hot-index) — monitors and per-node state are sized by node count at setup; HopInfo nodes come from the same topology
+    /// One packet, one hop: the Flow Monitoring module's registers, the
+    /// Inference Aggregation module on the flow's lane, then the settle of
+    /// that one-record run — the code a sharded run executes, one record
+    /// at a time.
     fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
-        // Flow Monitoring module: update measure registers.
-        if self.monitors[info.node.idx()].on_packet(now, info.flow, info.size) {
-            self.tap.register_update();
+        let (view, lanes, mut registers) = self.hop_parts();
+        registers.record(now, info);
+        let shards = lanes.len();
+        if let Some(lane) = lanes.get_mut(shard_of(info.flow.0, shards)) {
+            lane.hop(&view, 0, now, info, ann);
         }
-        // Inference Aggregation module, per distributed variant.
-        self.agg_counter += 1;
-        for vi in 0..self.variants.len() {
-            self.handle_distributed(vi, now, info, ann);
-        }
+        self.settle(1, now);
     }
 
     /// Three explicit phases — monitor (drain every switch's registers),

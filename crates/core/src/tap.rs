@@ -9,6 +9,11 @@
 //! attachments leaves outcomes bit-identical, and each recorder sees the
 //! same records in the same order whatever else is attached — that order is
 //! the contract `explain` and `timeline` read by.
+//!
+//! The per-hop events arrive from the lanes of a sharded run through a
+//! shared `&Tap` ([`Tap::merged`], [`Tap::raise`]); their scope feeds go to
+//! the lane's unlocked [`ScopeBuffer`], and a raise reaches the rest of the
+//! tap only when the calling thread settles it ([`Tap::warning`]).
 
 use crate::config::{Mechanism, VariantSpec};
 use crate::system::{DriftBottleSystem, Warning, DCA_NODE};
@@ -20,7 +25,7 @@ use db_inference::{
 };
 use db_netsim::{FlowId, HopInfo, SimTime};
 use db_telemetry::flight::{FlightRecord, FlightRecorder};
-use db_telemetry::scope::ScopeRecorder;
+use db_telemetry::scope::{ScopeBuffer, ScopeRecorder};
 use db_telemetry::{Counter, MetricsRegistry, Span};
 use db_topology::{LinkId, NodeId};
 use std::sync::Arc;
@@ -239,8 +244,11 @@ impl Tap {
     /// Variant `vi` merged `incoming` (`None` at ingress) with `local` into
     /// `out` at `info.node`. The flight record diffs `out` against the
     /// *untruncated* merge to name what the top-k cut dropped; that goes
-    /// through the heap form, and runs only with a recorder attached.
+    /// through the heap form, and runs only with a recorder attached. The
+    /// scope feed goes to the hop's lane buffer `scope`.
     #[inline]
+    // One hop's merge, as it happened, plus where to feed it.
+    #[allow(clippy::too_many_arguments)]
     // db-lint: allow(hot-alloc) — flight-recorder-gated; the unattached path is two `None` checks
     pub(crate) fn merged(
         &self,
@@ -250,6 +258,7 @@ impl Tap {
         incoming: Option<&(InlineInference, u8)>,
         local: &InlineInference,
         out: &(InlineInference, u8),
+        scope: &mut ScopeBuffer,
     ) {
         if self.traced.is_none_or(|(t, _)| t != vi) {
             return;
@@ -283,59 +292,75 @@ impl Tap {
                 dropped_links,
             });
         }
-        if let Some(sc) = &self.scope {
-            sc.merge(now.as_ns(), info.node.0, agg.w0(), top_link);
+        if self.scope.is_some() {
+            scope.merge(info.node.0, agg.w0(), top_link);
         }
     }
 
     /// Variant `vi`'s merge `out` at `node` satisfied equation (1) for
-    /// `link`.
+    /// `link`: the warning as the live buffer carries it (the header is
+    /// encoded only when the buffer is on). Nothing is recorded until
+    /// [`Self::warning`] settles it.
     #[inline]
-    pub(crate) fn warning(
-        &mut self,
+    pub(crate) fn raise(
+        &self,
         vi: usize,
         now: SimTime,
         node: NodeId,
         link: LinkId,
         out: &(InlineInference, u8),
-    ) {
+    ) -> Warning {
         let (agg, hops) = (&out.0, out.1);
-        if let Some(buf) = &mut self.live {
-            let mut header = [0u8; MAX_HEADER_BYTES];
-            let n = self.codec.encode_into(agg, hops, &mut header);
-            buf.push(Warning {
-                at: now,
-                switch: node,
-                link,
-                variant: vi as u8,
-                hop_now: hops,
-                w0: agg.w0(),
-                w1: agg.w1(),
-                header,
-                header_len: n as u8,
-            });
+        let mut header = [0u8; MAX_HEADER_BYTES];
+        let n = match self.live {
+            Some(_) => self.codec.encode_into(agg, hops, &mut header),
+            None => 0,
+        };
+        Warning {
+            at: now,
+            switch: node,
+            link,
+            variant: vi as u8,
+            hop_now: hops,
+            w0: agg.w0(),
+            w1: agg.w1(),
+            header,
+            header_len: n as u8,
         }
-        if self.traced.is_some_and(|(t, _)| t == vi) {
-            if let Some(sc) = &self.scope {
-                sc.warning(now.as_ns(), link.0);
+    }
+
+    /// Settle raise `w`: buffer it live, count it, record it; its scope
+    /// feed goes to `scope`, a lane buffer the caller folds.
+    #[inline]
+    pub(crate) fn warning(&mut self, w: &Warning, scope: &mut ScopeBuffer) {
+        if let Some(buf) = &mut self.live {
+            buf.push(*w);
+        }
+        let (hops, link) = (w.hop_now, w.link);
+        if self
+            .traced
+            .is_some_and(|(t, _)| t == usize::from(w.variant))
+        {
+            if self.scope.is_some() {
+                scope.warning(link.0);
             }
             if let Some(f) = &self.flight {
                 f.rec.record(FlightRecord::WarningRaised {
-                    at_ns: now.as_ns(),
-                    switch: node.0,
+                    at_ns: w.at.as_ns(),
+                    switch: w.switch.0,
                     link: link.0,
                     hop_now: hops,
-                    w0: agg.w0(),
-                    w1: agg.w1(),
+                    w0: w.w0,
+                    w1: w.w1,
                     alpha_lhs: self.thresholds.alpha * hops as f64,
-                    beta_lhs: self.thresholds.beta * agg.w1().max(0.0),
+                    beta_lhs: self.thresholds.beta * w.w1.max(0.0),
                     ground_truth_hit: f.truth.get(link.idx()).copied().unwrap_or(false),
                 });
             }
         }
         if let Some(m) = &self.metrics {
             m.inference
-                .warning_raised(node.0, link, hops as u32, agg.w0(), agg.w1());
+                .warning_raised(w.switch.0, link, hops as u32, w.w0, w.w1);
         }
     }
 

@@ -409,14 +409,20 @@ impl Shared {
             window,
         );
         let mut engine = Engine::new(system);
+        // Each `Records` frame's per-flow work is split over `DB_THREADS`
+        // shards, else one per core (DESIGN.md §15).
+        engine.set_shards(0);
         engine.set_live_warnings();
         // Always-on health plane: the same scope recorder batch replay
         // attaches (`run_scenario`), threaded through the engine so
         // streaming sessions produce identical per-window series. Its
-        // per-packet cost is one lock round-trip and two slot folds
-        // (`ScopeRecorder::merge`); the flight ring costs more — a record
-        // per merge — so it stays opt-in (`DB_SERVE_FLIGHT=1`) for when a
-        // post-mortem `explain` is worth the ingest cost.
+        // per-packet cost is two slot folds into the shard's unlocked
+        // `ScopeBuffer`; the recorder's lock is taken once per shard per
+        // run of a frame, to fold it. The flight ring costs more — a
+        // record per merge, and it keeps the engine to one shard, since
+        // its order is per record — so it stays opt-in
+        // (`DB_SERVE_FLIGHT=1`) for when a post-mortem `explain` is worth
+        // the ingest cost.
         let nodes = u32::try_from(prep.topo.node_count()).unwrap_or(u32::MAX);
         let links = u32::try_from(prep.topo.link_count()).unwrap_or(u32::MAX);
         let scope = Arc::new(ScopeRecorder::default());

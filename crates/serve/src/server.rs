@@ -249,10 +249,8 @@ fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
             return state.refuse_catchup(r.at_ns, limit_ns);
         }
     }
-    let mut raised = Vec::new();
-    for r in records {
-        raised.extend(state.engine.ingest(&flow_record(r)));
-    }
+    let frame: Vec<FlowRecord> = records.iter().map(flow_record).collect();
+    let raised = state.engine.ingest_batch(&frame);
     let count = u64::try_from(records.len()).unwrap_or(u64::MAX);
     state.ingested += count;
     state.ingested_ctr.add(count);

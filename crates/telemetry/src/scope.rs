@@ -375,6 +375,24 @@ impl ScopeRecorder {
         }
     }
 
+    /// Feed everything `buf` holds as if each feed had been made at
+    /// `at_ns`, in one lock round-trip, and empty it. The caller folds
+    /// before anything else feeds a later window: a buffer holds no times,
+    /// so every feed it holds lands in the window of `at_ns`.
+    pub fn fold(&self, at_ns: u64, buf: &mut ScopeBuffer) {
+        if buf.vals.is_empty() {
+            return;
+        }
+        let mut g = self.lock();
+        for (kind, id, value) in buf.vals.drain(..) {
+            Self::feed_locked(&mut g, self.cap, kind, id, at_ns, value);
+            let slot = buf.slot.get_mut(kind.index());
+            if let Some(s) = slot.and_then(|s| s.get_mut(usize::from(id))) {
+                *s = 0;
+            }
+        }
+    }
+
     /// An eq.(1) warning raised for `link`.
     pub fn warning(&self, at_ns: u64, link: u16) {
         self.feed(SeriesKind::LinkWarnings, link, at_ns, 1.0);
@@ -635,6 +653,63 @@ impl ScopeFeed<'_> {
     }
 }
 
+/// The per-hop feeds ([`ScopeRecorder::merge`], [`ScopeRecorder::warning`])
+/// held off the recorder's lock. A shard of the streaming engine feeds its
+/// hops here, unlocked, and the engine thread folds the buffer into the
+/// recorder with [`ScopeRecorder::fold`] once per run of records that share
+/// a window. Both buffered kinds fold by a commutative rule that is exact
+/// on their values (a sum of 1.0s, a max), so a folded buffer leaves the
+/// series as the feeds it replaced would have, in any order.
+#[derive(Debug, Clone, Default)]
+pub struct ScopeBuffer {
+    /// `slot[kind][id]`: one past the index of the pair's entry in `vals`;
+    /// 0 when the pair was not fed since the last fold.
+    slot: [Vec<u32>; SERIES_KIND_COUNT],
+    /// `(kind, id, folded value)` in first-fed order.
+    vals: Vec<(SeriesKind, u16, f64)>,
+}
+
+impl ScopeBuffer {
+    fn feed(&mut self, kind: SeriesKind, id: u16, value: f64) {
+        let Some(slots) = self.slot.get_mut(kind.index()) else {
+            return;
+        };
+        let at = usize::from(id);
+        if slots.len() <= at {
+            slots.resize(at + 1, 0);
+        }
+        let Some(slot) = slots.get_mut(at) else {
+            return;
+        };
+        match self.vals.get_mut((*slot as usize).wrapping_sub(1)) {
+            Some((_, _, prev)) if kind.folds_by_max() => *prev = prev.max(value),
+            Some((_, _, prev)) => *prev += value,
+            None => {
+                self.vals.push((kind, id, value));
+                *slot = u32::try_from(self.vals.len()).unwrap_or(u32::MAX);
+            }
+        }
+    }
+
+    /// Whether nothing was fed since the last fold.
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// [`ScopeRecorder::merge`], buffered.
+    pub fn merge(&mut self, switch: u16, w0: f64, top_link: Option<u16>) {
+        self.feed(SeriesKind::SwitchFanIn, switch, 1.0);
+        if let Some(link) = top_link {
+            self.feed(SeriesKind::LinkSuspicion, link, w0);
+        }
+    }
+
+    /// [`ScopeRecorder::warning`], buffered.
+    pub fn warning(&mut self, link: u16) {
+        self.feed(SeriesKind::LinkWarnings, link, 1.0);
+    }
+}
+
 /// Shortest round-trip decimal for a finite `f64`; non-finite renders as
 /// `null` (valid JSON; series values are never non-finite in practice).
 fn fmt_f64(v: f64) -> String {
@@ -875,6 +950,46 @@ mod tests {
         let fanin = t.series_for(SeriesKind::SwitchFanIn, 1).unwrap();
         assert_eq!(fanin.points, vec![(0, 2.0)]);
         assert!(t.series_for(SeriesKind::LinkVotes, 4).is_none());
+    }
+
+    /// Merges and warnings through a buffer folded once per window leave
+    /// the series direct feeds leave, and a folded buffer is empty again.
+    #[test]
+    fn a_buffer_folded_per_window_feeds_what_direct_feeds_do() {
+        let feeds: [(u64, u16, f64, Option<u16>); 5] = [
+            (10, 1, 2.5, Some(3)),
+            (20, 2, 4.0, Some(3)),
+            (30, 1, 1.0, None),
+            (140, 1, 0.5, Some(7)),
+            (150, 3, 6.0, Some(7)),
+        ];
+        let direct = ScopeRecorder::default();
+        direct.set_meta(meta(100));
+        for &(at, switch, w0, top) in &feeds {
+            direct.merge(at, switch, w0, top);
+            if let Some(link) = top {
+                direct.warning(at, link);
+            }
+        }
+        let folded = ScopeRecorder::default();
+        folded.set_meta(meta(100));
+        let mut buf = ScopeBuffer::default();
+        for window in feeds.chunk_by(|a, b| a.0 / 100 == b.0 / 100) {
+            for &(_, switch, w0, top) in window.iter().rev() {
+                buf.merge(switch, w0, top);
+                if let Some(link) = top {
+                    buf.warning(link);
+                }
+            }
+            folded.fold(window[0].0, &mut buf);
+            assert!(buf.vals.is_empty() && buf.slot.iter().flatten().all(|&s| s == 0));
+        }
+        let digest = |r: &ScopeRecorder| {
+            TraceData::from_json_str(&r.to_trace_json())
+                .unwrap()
+                .deterministic_digest()
+        };
+        assert_eq!(digest(&folded), digest(&direct));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! | `Straight` | [`run_scenario`] on a fresh setup, from time zero | results, outcome |
 //! | `Fork` | the third run of one setup and on, through [`sweep`]: each forks the healthy prefix the second run kept | results, outcome |
 //! | `Sweep { workers, kill_after, recorders }` | a checkpointed [`SweepBuilder`] stopped after `kill_after` units, then resumed | results, outcome, per-unit recorder files |
-//! | `Stream` | the simulator's recorded trace fed record by record to [`Engine::ingest`] | results, final snapshot |
-//! | `RestoreAt(frac)` | `Stream`, moved onto a fresh engine through a snapshot after `frac` of the records | results, final snapshot |
+//! | `Stream` | the simulator's recorded trace fed record by record to [`Engine::ingest`], a scope recorder attached through the engine | results, live warnings, final snapshot, engine scope digest |
+//! | `Shards(n)` | `Stream` on an engine of `n` shards, the trace cut into seeded frames of 1 to 4 096 records (some cut exactly at a tick) fed to [`Engine::ingest_batch`] | results, live warnings, final snapshot, engine scope digest |
+//! | `RestoreAt(frac)` | `Stream`, moved onto a fresh engine through a snapshot after `frac` of the records | results, live warnings, final snapshot |
 //! | `Recorders(mask)` | `Straight` with metrics, flight and scope attached as `mask` says | results, outcome, counters, flight bytes, scope digest |
 //!
 //! *Results* are what [`run_scenario`] copies out of
@@ -19,13 +20,15 @@
 //! pair counts, raises, ratio samples) and its scores; every mode's must
 //! equal the straight run's. Every other output is compared against the
 //! first mode that yielded it: the outcome (value and wire bytes) against
-//! `Straight`, the snapshot against `Stream`, counters, flight bytes and
-//! the scope digest against each recorder alone. Recorder outputs are
+//! `Straight`, the live warnings (in order), the snapshot and the engine
+//! scope digest against `Stream`, counters, flight bytes and the scope
+//! digest against each recorder alone. Recorder outputs are
 //! compared only between modes that feed the same recorders:
 //! [`run_scenario`] also feeds the simulator's drop records and the run
-//! headers, a stream feeds the system side only. So the grid's stream
-//! modes attach none, and the line proptest below compares a stream's
-//! recorders with a batch run that feeds the system side only.
+//! headers, a stream feeds the system side only. So a grid stream's scope
+//! recorder is compared only with other streams', and the line proptest
+//! below compares a stream's recorders with a batch run that feeds the
+//! system side only.
 //!
 //! A recorder bypasses the shared prefix: an observed run simulates from
 //! time zero, so `Fork` with recorders attached is a straight run and not a
@@ -33,9 +36,9 @@
 //! them, `Fork × Recorders(mask)` belongs in [`MODES`], and its bytes must
 //! equal `Recorders(mask)`'s.
 //!
-//! There is no frame-size axis. [`Engine::ingest`] takes one record, so
-//! feeding records in frames of any size makes the same calls in the same
-//! order. Frames exist only in `crates/serve`.
+//! Frame size is an axis: [`Engine::ingest_batch`] cuts a frame into runs
+//! at its ticks and splits each run's per-flow work over the shards, so a
+//! frame's size decides which records share a run and a thread.
 //!
 //! What the modes agree *on* is pinned elsewhere: `GOLDEN` and the two
 //! `prepare` pins in `crates/core/tests/golden.rs`, and the two recorder
@@ -48,7 +51,7 @@ use db_core::wire::encode_outcome;
 use db_core::{
     prepare, run_scenario, DriftBottleSystem, Engine, FlowRecord, LocalizationMetrics,
     PrepareConfig, Prepared, ScenarioKind, ScenarioOutcome, ScenarioSetup, SystemConfig,
-    VariantResult, VariantSpec,
+    VariantResult, VariantSpec, Warning,
 };
 use db_dtree::{FlowClassifier, ThresholdClassifier};
 use db_flowmon::WindowConfig;
@@ -58,9 +61,10 @@ use db_netsim::{
     TrafficConfig, TrafficGen,
 };
 use db_runner::SweepBuilder;
-use db_telemetry::scope::SeriesKind;
+use db_telemetry::scope::{ScopeMeta, SeriesKind};
 use db_telemetry::{FlightRecorder, Instrumentation, ScopeRecorder, TraceData};
 use db_topology::{zoo, LinkId, NodeId, RouteTable, Topology};
+use db_util::rng::Pcg64;
 use db_util::wire::fnv1a64;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -89,6 +93,7 @@ enum Mode {
         recorders: u8,
     },
     Stream,
+    Shards(usize),
     RestoreAt(f64),
     Recorders(u8),
 }
@@ -98,7 +103,7 @@ enum Mode {
 /// pair, run on the golden scenario only): the tap fans one pass out to
 /// every attached sink, and a sink that records differently in company
 /// shows against its alone run.
-const MODES: [Mode; 10] = [
+const MODES: [Mode; 13] = [
     Mode::Recorders(METRICS),
     Mode::Recorders(FLIGHT),
     Mode::Recorders(SCOPE),
@@ -120,6 +125,9 @@ const MODES: [Mode; 10] = [
         recorders: FLIGHT | SCOPE,
     },
     Mode::Stream,
+    Mode::Shards(1),
+    Mode::Shards(2),
+    Mode::Shards(3),
     Mode::RestoreAt(0.5),
 ];
 
@@ -132,7 +140,11 @@ struct Observed {
     results: Vec<VariantResult>,
     /// The outcome and its wire bytes.
     outcome: Option<(ScenarioOutcome, Vec<u8>)>,
+    /// Every live warning a stream surfaced, in order.
+    live: Option<Vec<Warning>>,
     snapshot: Option<Vec<u8>>,
+    /// The digest of a scope recorder attached through a stream's engine.
+    engine_scope: Option<String>,
     counters: Option<Vec<(String, u64)>>,
     flight: Option<Vec<u8>>,
     scope: Option<String>,
@@ -160,7 +172,14 @@ impl Observed {
             }
         }
         field(&mut self.outcome, got.outcome, what, "outcome");
+        field(&mut self.live, got.live, what, "live warning stream");
         field(&mut self.snapshot, got.snapshot, what, "final snapshot");
+        field(
+            &mut self.engine_scope,
+            got.engine_scope,
+            what,
+            "engine scope digest",
+        );
         field(&mut self.counters, got.counters, what, "counters");
         field(&mut self.flight, got.flight, what, "flight bytes");
         field(&mut self.scope, got.scope, what, "scope digest");
@@ -279,8 +298,19 @@ fn observe(mode: Mode, loss: f64, kinds: &[ScenarioKind]) -> Vec<Observed> {
             kill_after,
             recorders,
         } => swept(setup(loss), kinds, workers, kill_after, recorders),
-        Mode::Stream => each(&|kind| streamed(&setup(loss), kind, None)),
-        Mode::RestoreAt(frac) => each(&|kind| streamed(&setup(loss), kind, Some(frac))),
+        Mode::Stream => each(&|kind| streamed(&setup(loss), kind, Feed::Records, None)),
+        Mode::Shards(shards) => each(&|kind| {
+            let seed = fnv1a64(format!("{kind:?} {shards}").as_bytes());
+            let feed = Feed::Frames {
+                shards,
+                max: 4096,
+                seed,
+            };
+            streamed(&setup(loss), kind, feed, None)
+        }),
+        Mode::RestoreAt(frac) => {
+            each(&|kind| streamed(&setup(loss), kind, Feed::Records, Some(frac)))
+        }
         Mode::Recorders(mask) => each(&|kind| recorded(setup(loss), kind, mask)),
     }
 }
@@ -356,14 +386,28 @@ fn swept(
         .collect()
 }
 
-fn streamed(setup: &ScenarioSetup, kind: &ScenarioKind, restore_at: Option<f64>) -> Observed {
+fn streamed(
+    setup: &ScenarioSetup,
+    kind: &ScenarioKind,
+    feed: Feed,
+    restore_at: Option<f64>,
+) -> Observed {
     let net = Net::of(setup, kind);
     let trace = net.simulate(TraceRecorder::new());
     let split = restore_at.map(|frac| split_at(&trace, frac));
-    let engine = net.stream(&trace, split, None, None);
+    // A restore moves the stream onto a fresh engine, and its recorder
+    // with it, so only an uninterrupted stream yields a scope digest.
+    let scope = split.is_none().then(|| {
+        let scope = Arc::new(ScopeRecorder::default());
+        scope.set_meta(net.scope_meta());
+        scope
+    });
+    let (engine, live) = net.stream(&trace, split, None, (None, scope.clone()), feed);
     Observed {
         results: net.results(&engine),
+        live: Some(live),
         snapshot: Some(engine.snapshot()),
+        engine_scope: scope.map(|sc| scope_trace(&sc).deterministic_digest()),
         ..Observed::default()
     }
 }
@@ -539,6 +583,45 @@ impl Net<ThresholdClassifier> {
 /// Flight and scope recorders on the system side of one engine.
 type Recorders = (Arc<FlightRecorder>, Arc<ScopeRecorder>);
 
+/// How a stream reaches its engine.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    /// One [`Engine::ingest`] call per record, on an engine of the
+    /// default shard count.
+    Records,
+    /// [`Engine::ingest_batch`] over frames of 1 to `max` records drawn
+    /// from `seed`, on an engine of `shards` shards.
+    Frames {
+        shards: usize,
+        max: usize,
+        seed: u64,
+    },
+}
+
+/// Frame lengths cutting `trace` for [`Feed::Frames`]: each drawn from
+/// 1..=`max`, log-uniformly so short and long frames both occur, and a
+/// frame that would cross an even-numbered tick ends exactly there, so the
+/// next frame starts with the tick's first record.
+fn frames(trace: &TraceRecorder, interval: SimTime, max: usize, seed: u64) -> Vec<usize> {
+    let mut rng = Pcg64::new(seed);
+    let at = |i: usize| trace.observations[i].at.as_ns();
+    let (n, step) = (trace.observations.len(), interval.as_ns());
+    let mut lens = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let bits = rng.index(max.ilog2() as usize + 1);
+        let mut end = (start + 1 + rng.index(max.min(1 << bits))).min(n);
+        let tick = at(start) / step + 1;
+        let boundary = (tick + tick % 2) * step;
+        if let Some(cut) = (start + 1..end).find(|&i| at(i) >= boundary) {
+            end = cut;
+        }
+        lens.push(end - start);
+        start = end;
+    }
+    lens
+}
+
 fn recorders() -> Recorders {
     let flight = Arc::new(FlightRecorder::new(1 << 16));
     (flight, Arc::new(ScopeRecorder::default()))
@@ -609,35 +692,85 @@ impl<C: FlowClassifier + Clone> Net<C> {
         sim.finish().0
     }
 
-    /// `trace` fed record by record to a fresh engine with carrier
-    /// `retention`, moved onto another fresh engine through a snapshot
-    /// after `split` records, with `recorders` attached through the
-    /// engine (the daemon's wiring). Asserts every raise surfaced live.
+    /// The scope meta a stream's engine-attached recorder is given.
+    fn scope_meta(&self) -> ScopeMeta {
+        ScopeMeta {
+            interval_ns: self.wcfg.interval.as_ns(),
+            t_fail_ns: self.window.0.as_ns(),
+            total_links: self.topo.link_count() as u32,
+            total_switches: self.topo.node_count() as u32,
+            alpha: self.sys.warning.alpha,
+            beta: self.sys.warning.beta,
+            hop_min: self.sys.warning.hop_min,
+        }
+    }
+
+    /// `trace` fed as `feed` says to a fresh engine with carrier
+    /// `retention`, moved onto another fresh engine of the same shard
+    /// count through a snapshot after `split` records, with `recorders`
+    /// (flight, scope) attached through the engine (the daemon's wiring).
+    /// Returns the engine and every live warning in the order it surfaced;
+    /// asserts every raise surfaced live.
     fn stream(
         &self,
         trace: &TraceRecorder,
         split: Option<usize>,
         retention: Option<u32>,
-        recorders: Option<&Recorders>,
-    ) -> Engine<C> {
-        let mut engine = self.engine(retention);
-        if let Some((flight, scope)) = recorders {
-            assert!(engine.set_flight(flight.clone(), &self.truth, self.topo.link_count()));
-            assert!(engine.set_scope(scope.clone()));
+        recorders: (Option<Arc<FlightRecorder>>, Option<Arc<ScopeRecorder>>),
+        feed: Feed,
+    ) -> (Engine<C>, Vec<Warning>) {
+        let shards = match feed {
+            Feed::Records => None,
+            Feed::Frames { shards, .. } => Some(shards),
+        };
+        let fresh = || {
+            let mut engine = self.engine(retention);
+            if let Some(n) = shards {
+                engine.set_shards(n);
+            }
+            engine
+        };
+        let mut engine = fresh();
+        if let Some(flight) = recorders.0 {
+            assert!(engine.set_flight(flight, &self.truth, self.topo.link_count()));
         }
-        let mut live = 0;
-        for (fed, o) in trace.observations.iter().enumerate() {
+        if let Some(scope) = recorders.1 {
+            assert!(engine.set_scope(scope));
+        }
+        let records: Vec<FlowRecord> = trace.observations.iter().map(|&o| o.into()).collect();
+        let lens = match feed {
+            Feed::Records => vec![records.len()],
+            Feed::Frames { max, seed, .. } => frames(trace, self.wcfg.interval, max, seed),
+        };
+        // Frame ends, and the restore point: a frame spanning it is cut.
+        let mut ends: Vec<usize> = (lens.iter())
+            .scan(0, |fed, len| {
+                *fed += len;
+                Some(*fed)
+            })
+            .chain(split)
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        let mut live = Vec::new();
+        let mut fed = 0;
+        for end in ends {
             if split == Some(fed) {
-                let (snapshot, mut restored) = (engine.snapshot(), self.engine(retention));
+                let (snapshot, mut restored) = (engine.snapshot(), fresh());
                 restored.restore(&snapshot).expect("snapshot restores");
                 engine = restored;
             }
-            live += engine.ingest(&FlowRecord::from(*o)).len() as u64;
+            let frame = &records[fed..end];
+            match feed {
+                Feed::Records => frame.iter().for_each(|r| live.extend(engine.ingest(r))),
+                Feed::Frames { .. } => live.extend(engine.ingest_batch(frame)),
+            }
+            fed = end;
         }
-        live += engine.advance_to(self.sim.end).len() as u64;
+        live.extend(engine.advance_to(self.sim.end));
         let raises: u64 = engine.system().results().map(|(_, l, _)| l.raises).sum();
-        assert_eq!(live, raises, "every raise surfaced live");
-        engine
+        assert_eq!(live.len() as u64, raises, "every raise surfaced live");
+        (engine, live)
     }
 }
 
@@ -652,8 +785,9 @@ proptest! {
     /// enough to randomize: `Stream` reproduces the batch run (the engine
     /// as the simulator's observer, recorders attached to its system) with
     /// the same recorders attached through the engine, bytes included;
-    /// `RestoreAt` finishes with the
-    /// results and the final snapshot of an uninterrupted stream, with
+    /// `RestoreAt`, fed in frames of up to `frame` records to engines of
+    /// `shards` shards, finishes with the results, the live warnings and
+    /// the final snapshot of an uninterrupted record-by-record stream, with
     /// carriers kept until stripped (`retention` 0) and with the per-tick
     /// sweep evicting them after 1–3 windows.
     #[test]
@@ -661,6 +795,8 @@ proptest! {
         seed in 1u64..500,
         split_frac in 0.1f64..0.9,
         retention in 0u32..4,
+        frame in 1usize..4097,
+        shards in 1usize..4,
     ) {
         let net = Net::line(seed);
         let trace = net.simulate(TraceRecorder::new());
@@ -669,22 +805,23 @@ proptest! {
         assert!(system.set_flight(batch_rec.0.clone(), &net.truth, net.topo.link_count()));
         assert!(system.set_scope(batch_rec.1.clone()));
         let batch = net.simulate(Engine::new(system));
-        let stream = net.stream(&trace, None, None, Some(&stream_rec));
+        let frames = Feed::Frames { shards, max: frame, seed };
+        let attached = (Some(stream_rec.0.clone()), Some(stream_rec.1.clone()));
+        let (stream, _) = net.stream(&trace, None, None, attached, frames);
         prop_assert!(net.results(&stream) == net.results(&batch), "Stream results");
         let bytes = recorded_bytes(&stream_rec) == recorded_bytes(&batch_rec);
         prop_assert!(bytes, "Stream recorder bytes");
 
         let retention = (retention > 0).then_some(retention);
         let split = split_at(&trace, split_frac);
-        let uninterrupted = match retention {
-            None => stream,
-            Some(_) => net.stream(&trace, None, retention, None),
-        };
-        let restored = net.stream(&trace, Some(split), retention, None);
+        let (uninterrupted, want) =
+            net.stream(&trace, None, retention, (None, None), Feed::Records);
+        let (restored, got) = net.stream(&trace, Some(split), retention, (None, None), frames);
         prop_assert!(
             net.results(&restored) == net.results(&uninterrupted),
             "RestoreAt({}) results", split
         );
+        prop_assert!(got == want, "RestoreAt({}) live warnings", split);
         prop_assert!(
             restored.snapshot() == uninterrupted.snapshot(),
             "RestoreAt({}) final snapshot", split

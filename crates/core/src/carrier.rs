@@ -1,10 +1,11 @@
 //! The one per-packet side table of the crate: in-flight state keyed by
 //! `(flow, seq)`.
 //!
-//! Two users, one structure: the engine's inference-header carriers
-//! (what the packet would carry between switches, see [`crate::engine`])
-//! and the exact-weight carrier of each `DistributedVirtual` variant in
-//! [`crate::system`]. Both do the same thing once per record: find the
+//! Two users, one structure, both in a lane of [`crate::system`]: the
+//! inference-header carriers the streaming engine parks for records that
+//! have no packet (what the packet would carry between switches, see
+//! [`crate::engine`]), and the exact-weight carrier of each
+//! `DistributedVirtual` variant. Both do the same thing once per record: find the
 //! entry the upstream switch left, compute this switch's from it, and
 //! leave that in the same place for the next hop — or clear it, at the
 //! last switch. [`CarrierTable::slot`] is that one probe and
@@ -17,11 +18,11 @@
 //! table into output directly: [`CarrierTable::sorted`] is the only way to
 //! walk it, and it walks in key order (what snapshots encode).
 //!
-//! The streaming engine shards its carriers by flow ([`shard_of`]): shard
+//! The system shards its lanes by flow ([`shard_of`]): shard
 //! `s` of `n` holds the flows with `flow % n == s`, so one flow's packets
 //! always find their carrier in one table. `sorted` walks a set of such
-//! tables as one, and [`CarrierTable::reshard`] deals a set out again for
-//! another shard count; neither depends on how the entries were split.
+//! tables as one, and [`CarrierTable::deal`] deals a table's entries out
+//! to another shard count; neither depends on how the entries were split.
 
 use db_util::hash::MixBuild;
 use std::collections::hash_map::Entry;
@@ -105,15 +106,15 @@ impl<V> CarrierTable<V> {
         entries
     }
 
-    /// The entries of `tables` dealt into `shards` tables by [`shard_of`].
-    pub(crate) fn reshard(tables: impl IntoIterator<Item = Self>, shards: usize) -> Vec<Self> {
-        let mut out: Vec<Self> = (0..shards.max(1)).map(|_| Self::new()).collect();
-        for (key, v) in tables.into_iter().flat_map(|t| t.slots) {
-            if let Some(t) = out.get_mut(shard_of(key.0, shards)) {
-                t.slots.insert(key, v);
+    /// Move every entry to its flow's shard among `shards` ([`shard_of`]),
+    /// into the table `table` picks out of it.
+    pub(crate) fn deal<S>(self, shards: &mut [S], table: impl Fn(&mut S) -> &mut Self) {
+        let n = shards.len();
+        for (key, v) in self.slots {
+            if let Some(shard) = shards.get_mut(shard_of(key.0, n)) {
+                table(shard).slots.insert(key, v);
             }
         }
-        out
     }
 }
 
@@ -232,8 +233,11 @@ mod tests {
         let want: Vec<(CarrierKey, u32)> = sorted(&one).into_iter().map(|(k, &v)| (k, v)).collect();
         let mut tables = vec![one];
         for shards in [2, 3, 1, 4] {
-            tables = CarrierTable::reshard(tables, shards);
-            assert_eq!(tables.len(), shards);
+            let mut dealt: Vec<_> = (0..shards).map(|_| CarrierTable::new()).collect();
+            for table in tables {
+                table.deal(&mut dealt, |t| t);
+            }
+            tables = dealt;
             for (s, t) in tables.iter().enumerate() {
                 assert!(sorted(t)
                     .iter()

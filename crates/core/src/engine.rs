@@ -8,7 +8,7 @@
 //! receives switch-level flow records over the wire, in time order, and must
 //! produce the same warnings the batch pipeline would.
 //!
-//! [`Engine`] closes that gap:
+//! [`Engine`] closes that gap, around a system that holds every per-flow state:
 //!
 //! * [`Engine::ingest_batch`] accepts a frame of [`FlowRecord`]s (each ≈
 //!   one pcap line: a packet observed at one switch) and returns every
@@ -18,16 +18,18 @@
 //!   record with `at ≥ t` (the simulator reserves low sequence numbers for
 //!   ticks, so at equal timestamps the tick pops first).
 //! * A frame is cut into *runs* at those ticks. Within a run the locals
-//!   are frozen, so a record's per-flow work — its carrier and the ⊕ of
+//!   are frozen, so a record's per-flow work — its carriers and the ⊕ of
 //!   every distributed variant — depends on nothing but its flow's earlier
-//!   records: the run's records are dealt to [`shards`](Engine::set_shards)
-//!   by `flow % N`, each shard owning its flows' carriers, and a long run's
-//!   shards run on separate threads (one per [`MIN_RECORDS_PER_THREAD`]
-//!   records, at most `N`). The order-sensitive half — the switch
-//!   registers, the clock, the tick — stays on the calling thread, and the
-//!   shards' raises are settled there in record order. Every `N` gives the
-//!   same warnings, results and snapshot bytes.
-//! * In-packet inference headers have no packet to ride in, so the engine
+//!   records: the run's records are dealt to the system's lanes, the
+//!   [`shards`](Engine::set_shards), by `flow % N`, each lane owning its
+//!   flows' carriers, and a long run's lanes also run on the process's
+//!   helper threads (one per [`MIN_RECORDS_PER_THREAD`] records, at most
+//!   `N`). The order-sensitive half — the switch registers, the clock, the
+//!   tick — stays on the calling thread, and the lanes' raises are settled
+//!   there in record order. Every `N` gives the same warnings, results and
+//!   snapshot bytes. An absorbing variant or a flight ring makes every
+//!   record a run of its own.
+//! * In-packet inference headers have no packet to ride in, so each lane
 //!   parks them between hops in a flat hashed table keyed by `(flow, seq)`
 //!   (`CarrierTable`) — the streaming analogue of the wire annotation, with
 //!   the same ingress-empty / last-switch-strip life cycle. Healthy flows
@@ -48,11 +50,9 @@
 //! streaming share one pipeline and the `Stream` and `RestoreAt` modes of
 //! the root `tests/modes.rs` pin them equal.
 
-use crate::carrier::{shard_of, CarrierTable};
-use crate::par::Helper;
+use crate::carrier::shard_of;
 use crate::system::{DriftBottleSystem, HopView, Lane, Warning};
 use db_dtree::FlowClassifier;
-use db_netsim::packet::MAX_ANNOTATION_BYTES;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observation, Observer, SimTime};
 use db_telemetry::flight::FlightRecorder;
 use db_telemetry::scope::ScopeRecorder;
@@ -137,8 +137,9 @@ pub const MIN_RECORDS_PER_THREAD: usize = 512;
 /// ([`MIN_RECORDS_PER_THREAD`]), not by this.
 pub const MAX_SHARDS: usize = 64;
 
-/// The incremental engine: a deployed system plus the clock, tick source,
-/// and header carrier table the simulator provides in batch mode.
+/// The incremental engine: a deployed system plus the clock, tick source
+/// and carrier retention; every per-flow state, the headers a record's
+/// packet would carry included, lives in the system's lanes.
 pub struct Engine<C: FlowClassifier> {
     system: DriftBottleSystem<C>,
     /// Sampling-interval length; ticks fire at `interval, 2·interval, …`.
@@ -149,25 +150,18 @@ pub struct Engine<C: FlowClassifier> {
     next_tick: SimTime,
     /// Ticks fired so far.
     ticks_fired: u32,
-    /// In-flight inference carriers, one table per shard (see
-    /// [`shard_of`]): `(flow, seq)` → (annotation, last touch). Snapshots
-    /// encode their union in key order.
-    carriers: Vec<CarrierTable<(Annotation, SimTime)>>,
     /// Carrier retention in sampling windows; `None` keeps carriers until
     /// their last switch strips them (batch semantics, unbounded on lossy
     /// feeds).
     retention: Option<u32>,
     fingerprint: u64,
-    /// The threads a split run's groups of shards beyond the first run on,
-    /// started on the first such run.
-    helpers: Vec<Helper>,
 }
 
 impl<C: FlowClassifier> Engine<C> {
     /// Wrap a deployed system. The tick cadence comes from the system's
     /// window configuration; the first tick fires at one interval, exactly
-    /// as the simulator arms it. The engine starts on the system's shards,
-    /// one for a freshly deployed system; [`Self::set_shards`] splits it.
+    /// as the simulator arms it. The engine runs on the system's lanes, one
+    /// for a freshly deployed system; [`Self::set_shards`] splits it.
     pub fn new(system: DriftBottleSystem<C>) -> Self {
         let interval = system.window_config().interval;
         let fingerprint = system.config_fingerprint();
@@ -176,21 +170,19 @@ impl<C: FlowClassifier> Engine<C> {
             now: SimTime::ZERO,
             next_tick: interval,
             ticks_fired: 0,
-            carriers: (0..system.shards()).map(|_| CarrierTable::new()).collect(),
             system,
             retention: None,
             fingerprint,
-            helpers: Vec::new(),
         }
     }
 
-    /// Split the per-flow work over `shards` shards, redistributing every
-    /// in-flight carrier to its flow's shard. `0` means "not chosen":
-    /// `DB_THREADS`, else every core ([`crate::par::worker_count`]), at
-    /// most [`MAX_SHARDS`]. One shard starts no thread; more start helper
-    /// threads only for runs long enough ([`MIN_RECORDS_PER_THREAD`]) and
-    /// keep them. Results, warnings and
-    /// snapshots are the same at every count.
+    /// Split the per-flow work over `shards` shards, the system's lanes,
+    /// redistributing every in-flight carrier to its flow's lane. `0` means
+    /// "not chosen": `DB_THREADS`, else every core
+    /// ([`crate::par::worker_count`]), at most [`MAX_SHARDS`]. One shard
+    /// uses no thread; more borrow the process's helper threads, only for
+    /// runs long enough ([`MIN_RECORDS_PER_THREAD`]). Results, warnings
+    /// and snapshots are the same at every count.
     pub fn set_shards(&mut self, shards: usize) {
         let n = crate::par::worker_count(
             shards,
@@ -198,8 +190,6 @@ impl<C: FlowClassifier> Engine<C> {
             std::thread::available_parallelism().map_or(1, |p| p.get()),
             MAX_SHARDS,
         );
-        let carriers = std::mem::take(&mut self.carriers);
-        self.carriers = CarrierTable::reshard(carriers, n);
         self.system.reshard(n);
     }
 
@@ -215,19 +205,23 @@ impl<C: FlowClassifier> Engine<C> {
             now: self.now,
             next_tick: self.next_tick,
             ticks_fired: self.ticks_fired,
-            carriers: self.carriers.clone(),
             retention: self.retention,
             fingerprint: self.fingerprint,
-            helpers: Vec::new(),
         }
     }
 
-    /// Bound carrier memory: a carrier untouched for `windows` sampling
-    /// intervals is dropped at the next tick. Records whose carrier was
-    /// evicted are treated as ingress (empty incoming header) — monitoring
-    /// and local inference are unaffected, only drift continuity is cut.
-    /// `0` is clamped to 1 so a carrier always survives the window it was
-    /// written in.
+    /// Bound header carrier memory: a header carrier untouched for
+    /// `windows` sampling intervals is dropped at the next tick. Records
+    /// whose carrier was evicted are treated as ingress (empty incoming
+    /// header) — monitoring and local inference are unaffected, only drift
+    /// continuity is cut. `0` is clamped to 1 so a carrier always survives
+    /// the window it was written in.
+    ///
+    /// Side-table carriers (a `DistributedVirtual` or absorbing variant's
+    /// exact-weight inferences) carry no touch time: the sweep never
+    /// evicts them, so on a lossy feed they still grow without bound, and
+    /// [`Self::carriers_in_flight`] does not count them. The wire variant
+    /// alone, as the daemon deploys it, is bounded.
     pub fn set_retention(&mut self, windows: u32) {
         self.retention = Some(windows.max(1));
     }
@@ -297,9 +291,10 @@ impl<C: FlowClassifier> Engine<C> {
         self.ticks_fired
     }
 
-    /// In-flight carrier count (inference headers awaiting their next hop).
+    /// In-flight header carrier count (inference headers awaiting their
+    /// next hop).
     pub fn carriers_in_flight(&self) -> usize {
-        self.carriers.iter().map(CarrierTable::len).sum()
+        self.system.headers_in_flight()
     }
 
     fn fire_tick(&mut self) {
@@ -310,10 +305,8 @@ impl<C: FlowClassifier> Engine<C> {
         self.next_tick = t.saturating_add(self.interval);
         if let Some(windows) = self.retention {
             let horizon = self.interval.as_ns().saturating_mul(u64::from(windows));
-            let cutoff = t.saturating_sub(SimTime::from_ns(horizon));
-            for carriers in &mut self.carriers {
-                carriers.sweep(|&(_, last)| last >= cutoff);
-            }
+            self.system
+                .sweep_headers(t.saturating_sub(SimTime::from_ns(horizon)));
         }
     }
 
@@ -330,9 +323,7 @@ impl<C: FlowClassifier> Engine<C> {
     /// Ingest one flow record: [`Self::ingest_batch`] of one, a run of one
     /// record.
     pub fn ingest(&mut self, rec: &FlowRecord) -> Vec<Warning> {
-        self.fire_due(rec.at);
-        self.ingest_run(std::slice::from_ref(rec), MIN_RECORDS_PER_THREAD);
-        self.system.drain_warnings()
+        self.ingest_runs(std::slice::from_ref(rec), MIN_RECORDS_PER_THREAD)
     }
 
     /// Ingest a frame of flow records in order, firing every sampling tick
@@ -351,6 +342,8 @@ impl<C: FlowClassifier> Engine<C> {
     /// [`Self::ingest_batch`], giving each thread a run splits across at
     /// least `per_thread` records.
     fn ingest_runs(&mut self, recs: &[FlowRecord], per_thread: usize) -> Vec<Warning> {
+        // Hops that must follow record order make every record a run.
+        let per_record = self.system.per_record();
         let mut rest = recs;
         while let Some((first, later)) = rest.split_first() {
             self.fire_due(first.at);
@@ -363,76 +356,41 @@ impl<C: FlowClassifier> Engine<C> {
                 None => u64::MAX,
             };
             let end = self.next_tick.min(SimTime::from_ns(window_end));
-            let len = 1 + later
-                .iter()
-                .position(|r| r.at >= end)
-                .unwrap_or(later.len());
+            let len = 1
+                + (later.iter())
+                    .position(|r| per_record || r.at >= end)
+                    .unwrap_or(later.len());
             let (run, next) = rest.split_at(len);
-            self.ingest_run(run, per_thread);
+            self.ingest_run(first.at, run, per_thread);
             rest = next;
         }
         self.system.drain_warnings()
     }
 
-    /// One run: records that no tick separates. See the module docs.
-    fn ingest_run(&mut self, run: &[FlowRecord], per_thread: usize) {
-        let Some(first) = run.first() else {
-            return;
-        };
-        if self.system.per_record() {
-            for rec in run {
-                self.clock(rec.at);
-                let shards = self.carriers.len();
-                let carriers = self.carriers.get_mut(shard_of(rec.info.flow.0, shards));
-                if let Some(carriers) = carriers {
-                    let system = &mut self.system;
-                    carry(carriers, rec, |ann| {
-                        system.on_packet(rec.at, &rec.info, ann)
-                    });
-                }
-            }
-            return;
-        }
-        if let Some(last) = run.iter().map(|r| r.at).max() {
-            self.clock(last);
-        }
-        let n = self.carriers.len();
-        let threads = threads_for(n, run.len(), per_thread);
-        while self.helpers.len() + 1 < threads {
-            let Some(helper) = Helper::spawn() else {
-                break;
-            };
-            self.helpers.push(helper);
-        }
-        // Group `k` holds shards `k·group .. (k+1)·group`; group 0 runs on
-        // the calling thread, the others on the helpers.
-        let group = n.div_ceil(threads);
+    /// One run, from `at`: records that no tick separates. See the module
+    /// docs.
+    fn ingest_run(&mut self, at: SimTime, run: &[FlowRecord], per_thread: usize) {
+        self.now = run.iter().map(|r| r.at).fold(self.now, SimTime::max);
         let (view, lanes, mut registers) = self.system.hop_parts();
         let view = &view;
-        let mut groups = (self.carriers.chunks_mut(group))
-            .zip(lanes.chunks_mut(group))
-            .enumerate();
+        let n = lanes.len();
+        // Group `k` holds shards `k·group .. (k+1)·group`; group 0 runs on
+        // the calling thread, the others on the process's helpers.
+        let group = n.div_ceil(threads_for(n, run.len(), per_thread));
+        let mut groups = lanes.chunks_mut(group).enumerate();
         let own = groups.next();
-        let others = groups.map(|(k, (carriers, lanes))| {
-            move || hop_shards(view, carriers, lanes, run, k * group, n)
-        });
-        crate::par::join(&mut self.helpers, others, || {
+        let others = groups.map(|(k, lanes)| move || hop_shards(view, lanes, run, k * group, n));
+        crate::par::join(others, || {
             // No hop reads the registers, so their pass overlaps the
             // helpers' hops.
             for rec in run {
                 registers.record(rec.at, &rec.info);
             }
-            if let Some((_, (carriers, lanes))) = own {
-                hop_shards(view, carriers, lanes, run, 0, n);
+            if let Some((_, lanes)) = own {
+                hop_shards(view, lanes, run, 0, n);
             }
         });
-        self.system.settle(run.len(), first.at);
-    }
-
-    fn clock(&mut self, at: SimTime) {
-        if at > self.now {
-            self.now = at;
-        }
+        self.system.settle(run.len(), at);
     }
 
     /// Advance the clock to `t`, firing every sampling tick due at or
@@ -440,9 +398,7 @@ impl<C: FlowClassifier> Engine<C> {
     /// fire on ticks). Idle streams call this to keep windows closing.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Warning> {
         self.fire_due(t);
-        if t > self.now {
-            self.now = t;
-        }
+        self.now = self.now.max(t);
         self.system.drain_warnings()
     }
 
@@ -456,18 +412,7 @@ impl<C: FlowClassifier> Engine<C> {
         w.u64(self.now.as_ns());
         w.u64(self.next_tick.as_ns());
         w.u32(self.ticks_fired);
-        let carriers = CarrierTable::sorted(&self.carriers);
-        w.seq(carriers.len());
-        for ((flow, seq), (ann, last)) in carriers {
-            w.u32(flow);
-            w.u64(seq);
-            w.u64(last.as_ns());
-            let bytes = ann.as_slice();
-            w.seq(bytes.len());
-            for &b in bytes {
-                w.u8(b);
-            }
-        }
+        self.system.headers_into(&mut w);
         self.system.snapshot_into(&mut w);
         w.into_bytes()
     }
@@ -496,58 +441,15 @@ impl<C: FlowClassifier> Engine<C> {
         let now = SimTime::from_ns(r.u64()?);
         let next_tick = SimTime::from_ns(r.u64()?);
         let ticks_fired = r.u32()?;
-        let shards = self.carriers.len();
-        let mut carriers: Vec<CarrierTable<_>> = (0..shards).map(|_| CarrierTable::new()).collect();
-        for _ in 0..r.seq()? {
-            let flow = r.u32()?;
-            let seq = r.u64()?;
-            let last = SimTime::from_ns(r.u64()?);
-            let at = r.offset();
-            let n = r.seq()?;
-            if n > MAX_ANNOTATION_BYTES {
-                return Err(RestoreError::Wire(WireError::Overflow {
-                    at,
-                    value: n as u64,
-                }));
-            }
-            let ann = Annotation::from_bytes(r.bytes(n)?);
-            if let Some(table) = carriers.get_mut(shard_of(flow, shards)) {
-                table.slot(flow, seq).set(Some((ann, last)));
-            }
-        }
-        // The system state is the tail of the snapshot: this consumes the
-        // reader and commits only if the input ends cleanly.
-        self.system.restore_from(r)?;
+        // The header carriers and the system state are the tail of the
+        // snapshot: this consumes the reader and commits only if the input
+        // ends cleanly.
+        self.system.restore_with_headers(r)?;
         self.now = now;
         self.next_tick = next_tick;
         self.ticks_fired = ticks_fired;
-        self.carriers = carriers;
         Ok(())
     }
-}
-
-/// One record's carrier round trip: read the header its upstream switch
-/// parked (healthy flows vote too, so there almost always is one), let
-/// `hop` run the record's pipeline on it, park what it leaves. A fresh
-/// packet enters empty, and its write then only replaces a stale carrier
-/// under the same key (seq reuse across a very old flow restart).
-#[inline]
-fn carry(
-    carriers: &mut CarrierTable<(Annotation, SimTime)>,
-    rec: &FlowRecord,
-    hop: impl FnOnce(&mut Annotation),
-) {
-    let slot = carriers.slot(rec.info.flow.0, rec.info.seq);
-    let mut ann = match slot.get() {
-        Some(&(ann, _)) if !rec.info.is_ingress => ann,
-        _ => Annotation::empty(),
-    };
-    hop(&mut ann);
-    // An absent carrier and an empty annotation mean the same thing to the
-    // pipeline, so empty annotations are never parked; the last switch
-    // frees the slot.
-    let park = !rec.info.is_last_switch && !ann.is_empty();
-    slot.set(park.then_some((ann, rec.at)));
 }
 
 /// Threads a run of `len` records splits `shards` shards across: one per
@@ -556,48 +458,35 @@ fn threads_for(shards: usize, len: usize, per_thread: usize) -> usize {
     shards.min(len / per_thread.max(1)).max(1)
 }
 
-/// Shards `base .. base + carriers.len()` of `n`'s share of a run: the
-/// per-flow half of every record of their flows, in record order, each
-/// against its shard's carriers and lane.
-fn hop_shards(
-    view: &HopView,
-    carriers: &mut [CarrierTable<(Annotation, SimTime)>],
-    lanes: &mut [Lane],
-    run: &[FlowRecord],
-    base: usize,
-    n: usize,
-) {
+/// Shards `base .. base + lanes.len()` of `n`'s share of a run: the
+/// per-flow half of every record of their flows, in record order, each in
+/// its flow's lane.
+fn hop_shards(view: &HopView, lanes: &mut [Lane], run: &[FlowRecord], base: usize, n: usize) {
     for (idx, rec) in (0u32..).zip(run) {
         let Some(s) = shard_of(rec.info.flow.0, n).checked_sub(base) else {
             continue;
         };
-        if let (Some(carriers), Some(lane)) = (carriers.get_mut(s), lanes.get_mut(s)) {
-            carry(carriers, rec, |ann| {
-                lane.hop(view, idx, rec.at, &rec.info, ann)
-            });
+        if let Some(lane) = lanes.get_mut(s) {
+            lane.carry(view, idx, rec.at, &rec.info);
         }
     }
 }
 
 /// Batch mode: the engine is the observer `run_scenario` hands to the
-/// simulator. Packets carry their own annotations there, so the carrier
-/// table stays empty; ticks are driven by the event loop, and the engine
+/// simulator. Packets carry their own headers there, so the lanes' header
+/// carriers stay empty; ticks are driven by the event loop, and the engine
 /// only keeps its clock bookkeeping in sync so a snapshot taken after a
 /// batch run is well-formed.
 impl<C: FlowClassifier> Observer for Engine<C> {
     fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
         self.system.on_packet(now, info, ann);
-        if now > self.now {
-            self.now = now;
-        }
+        self.now = self.now.max(now);
     }
 
     fn on_tick(&mut self, now: SimTime) {
         self.system.on_tick(now);
         self.ticks_fired += 1;
-        if now > self.now {
-            self.now = now;
-        }
+        self.now = self.now.max(now);
         self.next_tick = now.saturating_add(self.interval);
     }
 }
@@ -758,6 +647,44 @@ mod tests {
         assert!(!want.is_empty(), "the line failure raises warnings");
         assert!(got == want, "live warnings differ");
         assert!(three.snapshot() == one.snapshot(), "final snapshots differ");
+    }
+
+    /// Engines share the process's helpers: two-shard engines fed on two
+    /// threads at once, and two more fed inside the jobs of a
+    /// [`crate::par::par_map`] (their joins nested in the pool's), each end
+    /// as the one-shard engine fed the same frames does, with the same live
+    /// warnings and the same snapshot. Every run of theirs asks for a
+    /// helper, and a join that finds none idle runs its group itself.
+    #[test]
+    fn engines_on_many_threads_share_the_helpers() {
+        let (topo, flows, wcfg, window, cfg) = line_setup();
+        let recs: Vec<FlowRecord> = line_trace()
+            .observations
+            .iter()
+            .map(|&o| o.into())
+            .collect();
+        let end = window.1 + SimTime::from_ms(8);
+        let run = |shards: usize| {
+            let mut e = Engine::new(deploy(&topo, &flows, wcfg, window, cfg.clone()));
+            e.set_live_warnings();
+            e.set_shards(shards);
+            let mut live: Vec<Warning> = (recs.chunks(300))
+                .flat_map(|frame| e.ingest_runs(frame, 1))
+                .collect();
+            live.extend(e.advance_to(end));
+            (live, e.snapshot())
+        };
+        let want = run(1);
+        assert!(!want.0.is_empty(), "the line failure raises warnings");
+        std::thread::scope(|scope| {
+            let threads = [scope.spawn(|| run(2)), scope.spawn(|| run(2))];
+            for t in threads {
+                assert!(t.join().expect("no engine panics") == want);
+            }
+        });
+        for got in crate::par::par_map(vec![2, 2], |&n| run(n)) {
+            assert!(got == want);
+        }
     }
 
     /// No thread starts for fewer than [`MIN_RECORDS_PER_THREAD`] records:

@@ -14,10 +14,11 @@
 //! writes per-switch registers whose arrival order is state; aggregation
 //! reads only the packet's carrier and the switch's local inference, which
 //! changes only at a tick. So the per-flow half runs in `Lane`s, one per
-//! shard of the flows, against a `HopView` every lane shares, and what it
-//! raises is settled on the calling thread in record order
-//! (`DriftBottleSystem::settle`). The simulator's observer path is the
-//! same code with one record per settle.
+//! shard of the flows, each the one owner of its flows' in-flight carriers
+//! (the streaming engine's parked headers and the side tables), against a
+//! `HopView` every lane shares, and what it raises is settled on the
+//! calling thread in record order (`DriftBottleSystem::settle`). The
+//! simulator's observer path is the same code with one record per settle.
 //!
 //! Per sampling tick (the control-plane timer of §4.1):
 //!
@@ -39,6 +40,7 @@ use db_inference::{
     local_inference_scratched, HeaderCodec, Inference, InlineInference, VoteScratch, INLINE_CAP,
     MAX_HEADER_BYTES, MAX_K,
 };
+use db_netsim::packet::MAX_ANNOTATION_BYTES;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
 use db_telemetry::scope::ScopeBuffer;
 use db_topology::{LinkId, NodeId, Topology};
@@ -206,19 +208,24 @@ struct VariantState {
     ticks_seen: u32,
 }
 
-/// One shard of the per-flow half of the hop pipeline: the exact-weight
-/// carriers of the flows it holds ([`shard_of`]), and what their hops
-/// produced since the last [`DriftBottleSystem::settle`]. Between two
-/// settles a lane is written by one thread only, and it takes cache lines
-/// of its own (see [`CarrierTable`]).
+/// One shard of the per-flow half of the hop pipeline: every in-flight
+/// carrier of the flows it holds ([`shard_of`]) — the wire header's and
+/// each side-table variant's — and what their hops produced since the last
+/// [`DriftBottleSystem::settle`]. Between two settles a lane is written by
+/// one thread only, and it takes cache lines of its own (see
+/// [`CarrierTable`]).
 #[derive(Debug, Clone)]
 #[repr(align(128))]
 pub(crate) struct Lane {
+    /// Per in-flight packet `(flow, seq)` → the wire header it carries to
+    /// its next switch and when it was written, for the streaming engine's
+    /// records; empty in batch runs, whose packets carry their own.
+    headers: CarrierTable<(Annotation, SimTime)>,
     /// Per variant, in deployment order: per in-flight packet `(flow, seq)`
     /// → the drifted inference a side-table variant parks between hops
     /// (values are `Copy`, no per-packet allocation beyond amortized table
     /// growth). Empty for a `DistributedWire` variant, whose state rides in
-    /// the packet header, and for centralized ones.
+    /// the header, and for centralized ones.
     side: Vec<CarrierTable<Drifted>>,
     out: HopOut,
 }
@@ -241,6 +248,7 @@ struct HopOut {
 impl Lane {
     fn empty(variants: usize) -> Lane {
         Lane {
+            headers: CarrierTable::new(),
             side: (0..variants).map(|_| CarrierTable::new()).collect(),
             out: HopOut::default(),
         }
@@ -256,54 +264,61 @@ impl Lane {
             && out.scope.is_empty()
     }
 
-    /// The per-flow half of one record's hop — record `idx` of the run,
-    /// observed at `now` — for every distributed variant.
+    /// The per-flow half of the hop of record `idx` of a run, observed at
+    /// `now`, for a record with no packet to carry its header: read the
+    /// header its upstream switch parked here (healthy flows vote too,
+    /// so there almost always is one), hop on it, park what the hop leaves.
+    /// A fresh packet enters empty, and its write then only replaces a
+    /// stale carrier under the same key (seq reuse across a very old flow
+    /// restart).
     #[inline]
-    pub(crate) fn hop(
-        &mut self,
-        view: &HopView,
-        idx: u32,
-        now: SimTime,
-        info: &HopInfo,
-        ann: &mut Annotation,
-    ) {
-        for vi in 0..view.variants.len() {
-            self.handle_distributed(view, vi, idx, now, info, ann);
-        }
+    pub(crate) fn carry(&mut self, view: &HopView, idx: u32, now: SimTime, info: &HopInfo) {
+        let Lane { headers, side, out } = self;
+        let slot = headers.slot(info.flow.0, info.seq);
+        let mut ann = match slot.get() {
+            Some(&(ann, _)) if !info.is_ingress => ann,
+            _ => Annotation::empty(),
+        };
+        handle_distributed(view, side, out, idx, now, info, &mut ann);
+        // An absent header and an empty one mean the same thing to the
+        // pipeline, so empty headers are never parked; the last switch
+        // frees the slot.
+        let park = !info.is_last_switch && !ann.is_empty();
+        slot.set(park.then_some((ann, now)));
     }
+}
 
-    /// The Inference Aggregation module for one distributed variant — the
-    /// allocation-free per-packet hot path: decode → ⊕ → truncate → warn →
-    /// encode entirely on stack-resident fixed-capacity state
-    /// ([`InlineInference`]; [`DriftBottleSystem::deploy_empty`] bounds k
-    /// so a merge always fits). Results are bit-for-bit those of the
-    /// control-plane form (`aggregate_step`, `check_warning`,
-    /// `HeaderCodec::encode`) — see the equivalence proptests in
-    /// db-inference. What it raises waits in the lane's [`HopOut`].
-    // db-lint: allow(hot-index, hot-alloc) — per-node and per-variant vectors are sized at setup; the allocating branches are sampling-window-gated, raise-gated or the §4.3 ablation, off the steady-state path
-    fn handle_distributed(
-        &mut self,
-        view: &HopView,
-        vi: usize,
-        idx: u32,
-        now: SimTime,
-        info: &HopInfo,
-        ann: &mut Annotation,
-    ) {
-        let variant = &view.variants[vi];
+/// The Inference Aggregation module of every distributed variant, for one
+/// hop of a lane's flow — the allocation-free per-packet hot path: decode →
+/// ⊕ → truncate → warn → encode entirely on stack-resident fixed-capacity
+/// state ([`InlineInference`]; [`DriftBottleSystem::deploy_empty`] bounds k
+/// so a merge always fits). Results are bit-for-bit those of the
+/// control-plane form (`aggregate_step`, `check_warning`,
+/// `HeaderCodec::encode`) — see the equivalence proptests in db-inference.
+/// The side-table variants use the lane's `side` tables, the wire variant
+/// `ann`; what the hop raises waits in `out`.
+// db-lint: allow(hot-index, hot-alloc) — per-node vectors are sized at setup; the allocating branches are sampling-window-gated, raise-gated or the §4.3 ablation, off the steady-state path
+fn handle_distributed(
+    view: &HopView,
+    side: &mut [CarrierTable<Drifted>],
+    out: &mut HopOut,
+    idx: u32,
+    now: SimTime,
+    info: &HopInfo,
+    ann: &mut Annotation,
+) {
+    let (codec, cfg, window, tap) = (view.codec, view.cfg, view.window, view.tap);
+    let node = info.node;
+    for ((vi, variant), side) in view.variants.iter().enumerate().zip(side) {
         let Locals::Distributed(locals) = &variant.locals else {
             // Centralized variants have no packet path.
-            return;
+            continue;
         };
-        let (codec, cfg, window, tap) = (view.codec, view.cfg, view.window, view.tap);
-        let node = info.node;
         let mechanism = variant.spec.mechanism;
         // The side table's one probe: the slot this hop reads from is the
         // slot it writes to.
-        let side = self.side.get_mut(vi);
-        let slot = side
-            .filter(|_| mechanism != Mechanism::DistributedWire)
-            .map(|carriers| carriers.slot(info.flow.0, info.seq));
+        let slot =
+            (mechanism != Mechanism::DistributedWire).then(|| side.slot(info.flow.0, info.seq));
         let incoming: Option<(InlineInference, u8)> = if info.is_ingress {
             None
         } else if let Some(slot) = &slot {
@@ -312,7 +327,7 @@ impl Lane {
             codec.decode_inline(ann.as_slice())
         };
         let local = &locals[node.idx()];
-        let out = match &incoming {
+        let merged = match &incoming {
             None => (local.top_k(cfg.k), 1u8),
             Some((drifted, h)) => {
                 aggregate_step_inline_metered(local, drifted, *h, cfg.k, tap.inference())
@@ -324,18 +339,18 @@ impl Lane {
             info,
             incoming.as_ref(),
             local,
-            &out,
-            &mut self.out.scope,
+            &merged,
+            &mut out.scope,
         );
-        let (agg, hops) = (&out.0, out.1);
+        let (agg, hops) = (&merged.0, merged.1);
         if mechanism == Mechanism::DistributedAbsorbing {
             // The forbidden feedback loop (§4.3): the local inference is
             // replaced by the aggregate, biasing later packets.
-            self.out.absorbed.push((vi as u8, node, agg.top_k(cfg.k)));
+            out.absorbed.push((vi as u8, node, agg.top_k(cfg.k)));
         }
         if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
-            let raised = tap.raise(vi, now, node, link, &out);
-            self.out.raises.push((idx, raised));
+            let raised = tap.raise(vi, now, node, link, &merged);
+            out.raises.push((idx, raised));
         }
         let aggregation = view.agg_base + u64::from(idx) + 1;
         if cfg.ratio_sampling > 0
@@ -349,7 +364,7 @@ impl Lane {
                 hop_now: hops,
                 at: now,
             };
-            self.out.ratios.push((idx, vi as u8, sample));
+            out.ratios.push((idx, vi as u8, sample));
         }
         if let Some(slot) = slot {
             // The last switch frees the slot; any other leaves its result
@@ -712,6 +727,8 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
     /// on a centralized variant, a non-empty retired slot) are reported as
     /// [`WireError::Overflow`] at the offending offset — callers fingerprint
     /// configuration before getting here, so a mismatch means corrupt input.
+    /// The lanes come back with no header carriers: an engine snapshot
+    /// holds those apart, and [`crate::Engine::restore`] restores both.
     pub fn restore_from(&mut self, mut reader: ByteReader) -> Result<(), WireError> {
         let r = &mut reader;
         let agg_counter = r.u64()?;
@@ -810,29 +827,74 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         Ok(())
     }
 
-    /// Lanes the per-flow hop state is split over.
-    pub(crate) fn shards(&self) -> usize {
-        self.lanes.len()
+    /// Write the header carriers of every lane, in key order: the section
+    /// of an engine snapshot between its clock and [`Self::snapshot_into`].
+    pub(crate) fn headers_into(&self, w: &mut ByteWriter) {
+        let headers = CarrierTable::sorted(self.lanes.iter().map(|l| &l.headers));
+        w.seq(headers.len());
+        for ((flow, seq), (ann, last)) in headers {
+            w.u32(flow);
+            w.u64(seq);
+            w.u64(last.as_ns());
+            let bytes = ann.as_slice();
+            w.seq(bytes.len());
+            for &b in bytes {
+                w.u8(b);
+            }
+        }
+    }
+
+    /// Inverse of [`Self::headers_into`] then [`Self::snapshot_into`]:
+    /// the header carriers are decoded first and dealt to their flows'
+    /// lanes once [`Self::restore_from`] has committed the rest; on `Err`
+    /// the system is untouched. A header longer than a packet's annotation
+    /// is [`WireError::Overflow`] at its length.
+    pub(crate) fn restore_with_headers(&mut self, mut reader: ByteReader) -> Result<(), WireError> {
+        let r = &mut reader;
+        let mut headers = CarrierTable::new();
+        for _ in 0..r.seq()? {
+            let flow = r.u32()?;
+            let seq = r.u64()?;
+            let last = SimTime::from_ns(r.u64()?);
+            let at = r.offset();
+            let n = r.seq()?;
+            if n > MAX_ANNOTATION_BYTES {
+                return Err(WireError::Overflow {
+                    at,
+                    value: n as u64,
+                });
+            }
+            let ann = Annotation::from_bytes(r.bytes(n)?);
+            headers.slot(flow, seq).set(Some((ann, last)));
+        }
+        self.restore_from(reader)?;
+        headers.deal(&mut self.lanes, |l| &mut l.headers);
+        Ok(())
+    }
+
+    /// Header carriers in flight: records' headers parked for their next
+    /// switch. Side-table carriers are not counted.
+    pub(crate) fn headers_in_flight(&self) -> usize {
+        self.lanes.iter().map(|l| l.headers.len()).sum()
+    }
+
+    /// Drop every header carrier last written before `cutoff`.
+    pub(crate) fn sweep_headers(&mut self, cutoff: SimTime) {
+        for lane in &mut self.lanes {
+            lane.headers.sweep(|&(_, last)| last >= cutoff);
+        }
     }
 
     /// Split the per-flow hop state over `shards` lanes (at least one),
-    /// each carrier going to its flow's lane ([`shard_of`]). Called between
-    /// runs, when no lane holds anything unsettled.
+    /// each carrier, header or side-table, going to its flow's lane
+    /// ([`shard_of`]). Called between runs, when no lane holds anything
+    /// unsettled.
     pub(crate) fn reshard(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        let variants = self.variants.len();
-        let mut per_variant: Vec<Vec<CarrierTable<Drifted>>> =
-            (0..variants).map(|_| Vec::new()).collect();
-        for lane in std::mem::take(&mut self.lanes) {
-            for (tables, table) in per_variant.iter_mut().zip(lane.side) {
-                tables.push(table);
-            }
-        }
-        self.lanes = (0..shards).map(|_| Lane::empty(0)).collect();
-        for tables in per_variant {
-            let dealt = CarrierTable::reshard(tables, shards);
-            for (lane, table) in self.lanes.iter_mut().zip(dealt) {
-                lane.side.push(table);
+        let lanes = (0..shards.max(1)).map(|_| Lane::empty(self.variants.len()));
+        for lane in std::mem::replace(&mut self.lanes, lanes.collect()) {
+            lane.headers.deal(&mut self.lanes, |l| &mut l.headers);
+            for (vi, side) in lane.side.into_iter().enumerate() {
+                side.deal(&mut self.lanes, |l| &mut l.side[vi]);
             }
         }
     }
@@ -1026,9 +1088,8 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
     fn on_packet(&mut self, now: SimTime, info: &HopInfo, ann: &mut Annotation) {
         let (view, lanes, mut registers) = self.hop_parts();
         registers.record(now, info);
-        let shards = lanes.len();
-        if let Some(lane) = lanes.get_mut(shard_of(info.flow.0, shards)) {
-            lane.hop(&view, 0, now, info, ann);
+        if let Some(lane) = lanes.get_mut(shard_of(info.flow.0, lanes.len())) {
+            handle_distributed(&view, &mut lane.side, &mut lane.out, 0, now, info, ann);
         }
         self.settle(1, now);
     }

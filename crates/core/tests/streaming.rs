@@ -221,8 +221,9 @@ impl QueueModelEngine {
     }
 }
 
-/// Every distributed carrier kind at once: the wire header (engine table),
-/// an exact-weight side table (system table), and a centralized baseline.
+/// Every distributed carrier kind at once: the wire header (parked in the
+/// lanes' header tables), an exact-weight side table (the lanes' side
+/// tables), and a centralized baseline.
 fn carrier_variants() -> Vec<VariantSpec> {
     vec![
         VariantSpec::drift_bottle(),

@@ -127,6 +127,9 @@ pub(crate) struct EngineState {
     pub(crate) reg: Arc<MetricsRegistry>,
     pub(crate) ingested_ctr: Counter,
     warned_ctr: Counter,
+    /// `serve.warned.l{link}`, by link id: registered at the link's first
+    /// warning, then counted without a registry lookup.
+    warned_links: Vec<Option<Counter>>,
     slow_ctr: Counter,
     /// Warning frames shed because a subscriber's queue was full.
     sub_dropped_ctr: Counter,
@@ -291,8 +294,14 @@ impl EngineState {
         self.warned += msgs.len() as u64;
         if !msgs.is_empty() {
             self.warned_ctr.add(msgs.len() as u64);
+            let reg = &self.reg;
+            let by_name = |link: u16| reg.counter(&format!("serve.warned.l{link}"));
             for m in &msgs {
-                self.reg.counter(&format!("serve.warned.l{}", m.link)).inc();
+                match self.warned_links.get_mut(usize::from(m.link)) {
+                    Some(ctr) => ctr.get_or_insert_with(|| by_name(m.link)).inc(),
+                    // Not a link of the topology: nothing to keep.
+                    None => by_name(m.link).inc(),
+                }
             }
             let dropped = &self.sub_dropped_ctr;
             self.subscribers.retain_mut(|sub| {
@@ -410,19 +419,20 @@ impl Shared {
         );
         let mut engine = Engine::new(system);
         // Each `Records` frame's per-flow work is split over `DB_THREADS`
-        // shards, else one per core (DESIGN.md §15).
+        // shards, else one per core, run on the helper threads every engine
+        // of the daemon shares (DESIGN.md §15).
         engine.set_shards(0);
         engine.set_live_warnings();
         // Always-on health plane: the same scope recorder batch replay
         // attaches (`run_scenario`), threaded through the engine so
         // streaming sessions produce identical per-window series. Its
-        // per-packet cost is two slot folds into the shard's unlocked
-        // `ScopeBuffer`; the recorder's lock is taken once per shard per
+        // per-packet cost is two slot folds into the lane's unlocked
+        // `ScopeBuffer`; the recorder's lock is taken once per lane per
         // run of a frame, to fold it. The flight ring costs more — a
-        // record per merge, and it keeps the engine to one shard, since
-        // its order is per record — so it stays opt-in
-        // (`DB_SERVE_FLIGHT=1`) for when a post-mortem `explain` is worth
-        // the ingest cost.
+        // record per merge, and since its order is per record, every
+        // record becomes a run of its own, which no thread split reaches —
+        // so it stays opt-in (`DB_SERVE_FLIGHT=1`) for when a post-mortem
+        // `explain` is worth the ingest cost.
         let nodes = u32::try_from(prep.topo.node_count()).unwrap_or(u32::MAX);
         let links = u32::try_from(prep.topo.link_count()).unwrap_or(u32::MAX);
         let scope = Arc::new(ScopeRecorder::default());
@@ -481,6 +491,7 @@ impl Shared {
             reg: self.reg.clone(),
             ingested_ctr: self.reg.counter("serve.ingested"),
             warned_ctr: self.reg.counter("serve.warnings"),
+            warned_links: vec![None; prep.topo.link_count()],
             slow_ctr: self.reg.counter("serve.slow_ticks"),
             sub_dropped_ctr: self.reg.counter("serve.sub_dropped"),
             catchup_refused_ctr: self.reg.counter("serve.catchup_refused"),
@@ -563,6 +574,34 @@ mod tests {
             "publisher saw Full instead of blocking"
         );
         drop(client);
+    }
+
+    /// A link's warnings count on one `serve.warned.l{link}` counter, and a
+    /// link that never warned has none.
+    #[test]
+    fn each_warned_link_counts_on_its_own_counter() {
+        std::env::set_var("DB_SMOKE", "1");
+        let shared = Shared::new(&opts());
+        let state = shared.engine_for("line:5", 1.0, 7, 0).unwrap();
+        let mut state = lock_recover(&state);
+        let warning = |link: u16| Warning {
+            at: SimTime::from_ms(1),
+            switch: db_topology::NodeId(0),
+            link: db_topology::LinkId(link),
+            variant: 0,
+            hop_now: 2,
+            w0: 1.0,
+            w1: 0.0,
+            header: Default::default(),
+            header_len: 0,
+        };
+        state.publish(&[warning(2)]);
+        state.publish(&[warning(3), warning(2)]);
+        let counters = shared.reg.snapshot();
+        assert_eq!(counters.counter("serve.warned.l2"), Some(2));
+        assert_eq!(counters.counter("serve.warned.l3"), Some(1));
+        assert_eq!(counters.counter("serve.warned.l1"), None);
+        assert_eq!(counters.counter("serve.warnings"), Some(3));
     }
 
     /// `persist` replaces the snapshot only by renaming a complete, synced

@@ -241,6 +241,31 @@ impl Tap {
         }
     }
 
+    /// Whether variant `vi`'s merges are recorded in full — the flight ring
+    /// is attached and traces it — so a hop must hand [`Self::merged`] its
+    /// inferences; otherwise [`Self::merged_scope`] takes what the scope
+    /// recorder reads.
+    #[inline]
+    pub(crate) fn records_merges(&self, vi: usize) -> bool {
+        self.flight.is_some() && self.traced.is_some_and(|(t, _)| t == vi)
+    }
+
+    /// The scope half of [`Self::merged`]: variant `vi`'s merge at `node`
+    /// left `w0` on `top_link`.
+    #[inline]
+    pub(crate) fn merged_scope(
+        &self,
+        vi: usize,
+        node: NodeId,
+        w0: f64,
+        top_link: Option<LinkId>,
+        scope: &mut ScopeBuffer,
+    ) {
+        if self.scope.is_some() && self.traced.is_some_and(|(t, _)| t == vi) {
+            scope.merge(node.0, w0, top_link.map(|l| l.0));
+        }
+    }
+
     /// Variant `vi` merged `incoming` (`None` at ingress) with `local` into
     /// `out` at `info.node`. The flight record diffs `out` against the
     /// *untruncated* merge to name what the top-k cut dropped; that goes
@@ -264,7 +289,6 @@ impl Tap {
             return;
         }
         let (agg, hops) = out;
-        let top_link = agg.top_link().map(|l| l.0);
         if let Some(f) = &self.flight {
             let full = match incoming {
                 None => local.to_inference(),
@@ -288,13 +312,11 @@ impl Tap {
                 out_digest: inference_digest(agg.to_inference().entries()),
                 w0: agg.w0(),
                 w1: agg.w1(),
-                top_link,
+                top_link: agg.top_link().map(|l| l.0),
                 dropped_links,
             });
         }
-        if self.scope.is_some() {
-            scope.merge(info.node.0, agg.w0(), top_link);
-        }
+        self.merged_scope(vi, info.node, agg.w0(), agg.top_link(), scope);
     }
 
     /// Variant `vi`'s merge `out` at `node` satisfied equation (1) for

@@ -5,7 +5,7 @@
 
 use crate::frame::{write_frame, Frame, PulseMsg, PulsePoint, WarningMsg, PROTO_VERSION};
 use crate::server::ServeOptions;
-use db_core::{prepare, Engine, PrepareConfig, SystemConfig, VariantSpec, Warning};
+use db_core::{prepare, Engine, FlowRecord, PrepareConfig, SystemConfig, VariantSpec, Warning};
 use db_core::{DriftBottleSystem, RestoreError};
 use db_dtree::TableClassifier;
 use db_netsim::{SimTime, TrafficConfig, TrafficGen};
@@ -123,6 +123,10 @@ pub(crate) struct EngineState {
     scope: Arc<ScopeRecorder>,
     /// Scratch buffer for pulse extraction, reused across batches.
     point_buf: Vec<ScopePoint>,
+    /// The engine's form of the `Records` frame being ingested, checked
+    /// and converted in one pass; reused across frames, so a frame no
+    /// larger than the largest so far allocates nothing here.
+    pub(crate) frame: Vec<FlowRecord>,
     /// Daemon metrics: registry plus pre-registered hot handles.
     pub(crate) reg: Arc<MetricsRegistry>,
     pub(crate) ingested_ctr: Counter,
@@ -488,6 +492,7 @@ impl Shared {
             pulse_subs: Vec::new(),
             scope,
             point_buf: Vec::new(),
+            frame: Vec::new(),
             reg: self.reg.clone(),
             ingested_ctr: self.reg.counter("serve.ingested"),
             warned_ctr: self.reg.counter("serve.warnings"),

@@ -234,13 +234,15 @@ fn session<R: Read, W: Write>(
 
 /// Ingest a record batch: bounds-check switch ids (a bad id would index
 /// outside the monitor table) and timestamps (a far-future one would close
-/// windows without end), feed the engine, publish warnings. The whole batch
-/// is checked before any of it is fed: a refused frame moves nothing — not
-/// the engine, not a counter, and no warning is raised only to be dropped
-/// with the refusal.
+/// windows without end), feed the engine, publish warnings. Each record is
+/// checked as it is converted into the state's reused frame buffer, and
+/// the whole batch before any of it is fed: a refused frame moves nothing —
+/// not the engine, not a counter, and no warning is raised only to be
+/// dropped with the refusal.
 fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
     let nodes = state.nodes;
     let limit_ns = state.catchup_limit_ns();
+    state.frame.clear();
     for (i, r) in records.iter().enumerate() {
         if u32::from(r.node) >= nodes || u32::from(r.src) >= nodes || u32::from(r.dst) >= nodes {
             return Frame::Error(format!("record {i}: switch id out of range"));
@@ -248,9 +250,9 @@ fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
         if r.at_ns > limit_ns {
             return state.refuse_catchup(r.at_ns, limit_ns);
         }
+        state.frame.push(flow_record(r));
     }
-    let frame: Vec<FlowRecord> = records.iter().map(flow_record).collect();
-    let raised = state.engine.ingest_batch(&frame);
+    let raised = state.engine.ingest_batch(&state.frame);
     let count = u64::try_from(records.len()).unwrap_or(u64::MAX);
     state.ingested += count;
     state.ingested_ctr.add(count);

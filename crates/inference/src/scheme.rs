@@ -50,6 +50,12 @@ impl WeightScheme {
         }
     }
 
+    /// Whether every vote is an integer, so every local inference is
+    /// integral — what the integer wire header can carry.
+    pub fn is_integral(&self) -> bool {
+        matches!(self, WeightScheme::DriftBottle | WeightScheme::NonNegative)
+    }
+
     /// Per-link weight contribution of one flow with the given status whose
     /// upstream path has `upstream_len` links. Zero-length upstream paths
     /// contribute nothing.
@@ -181,6 +187,11 @@ mod tests {
         // Ingress monitors (empty upstream) contribute nothing.
         for s in WeightScheme::ALL {
             assert_eq!(s.contribution(Abnormal, 0), 0.0);
+        }
+        // A scheme is integral exactly when its votes are, on any path.
+        for s in WeightScheme::ALL {
+            let votes = [Abnormal, Normal].map(|st| s.contribution(st, 3));
+            assert_eq!(s.is_integral(), votes.iter().all(|v| v.fract() == 0.0));
         }
     }
 

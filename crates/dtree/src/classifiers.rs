@@ -11,8 +11,10 @@ use crate::mat::TableClassifier;
 use crate::tree::DecisionTree;
 use db_flowmon::{FeatureVector, FlowStatus};
 
-/// Anything that can judge a flow's status from a feature vector.
-pub trait FlowClassifier {
+/// Anything that can judge a flow's status from a feature vector. A
+/// deployed system shares one classifier across the thread groups that
+/// close a window, so it is `Sync`.
+pub trait FlowClassifier: Sync {
     /// Classify one monitoring window of one flow.
     fn classify(&self, x: &FeatureVector) -> FlowStatus;
 }

@@ -11,7 +11,7 @@
 //! | `Fork` | the third run of one setup and on, through [`sweep`]: each forks the healthy prefix the second run kept | results, outcome |
 //! | `Sweep { workers, kill_after, recorders }` | a checkpointed [`SweepBuilder`] stopped after `kill_after` units, then resumed | results, outcome, per-unit recorder files |
 //! | `Stream` | the simulator's recorded trace fed record by record to [`Engine::ingest`], a scope recorder attached through the engine | results, live warnings, final snapshot, engine scope digest |
-//! | `Shards(n)` | `Stream` on an engine of `n` shards, resharded to `n + 1` halfway, the trace cut into seeded frames of 1 to 4 096 records (some cut exactly at a tick) fed to [`Engine::ingest_batch`] | results, live warnings, final snapshot, engine scope digest |
+//! | `Shards(n)` | `Stream` on an engine of `n` shards, resharded to `n + 1` halfway, its window closes split over them, the trace cut into seeded frames of 1 to 4 096 records (some cut exactly at a tick) fed to [`Engine::ingest_batch`] | results, live warnings, final snapshot, engine scope digest |
 //! | `RestoreAt(frac)` | `Stream`, moved onto a fresh engine through a snapshot after `frac` of the records | results, live warnings, final snapshot |
 //! | `Recorders(mask)` | `Straight` with metrics, flight and scope attached as `mask` says | results, outcome, counters, flight bytes, scope digest |
 //!
@@ -38,7 +38,10 @@
 //!
 //! Frame size is an axis: [`Engine::ingest_batch`] cuts a frame into runs
 //! at its ticks and splits each run's per-flow work over the shards, so a
-//! frame's size decides which records share a run and a thread.
+//! frame's size decides which records share a run and a thread. A tick is
+//! split by switch over the same shards, in contiguous ranges weighed by
+//! their rows, so a network whose rows sit on one switch is a case of its
+//! own.
 //!
 //! What the modes agree *on* is pinned elsewhere: `GOLDEN` and the two
 //! `prepare` pins in `crates/core/tests/golden.rs`, and the two recorder
@@ -48,6 +51,7 @@ use db_core::classifier::timeline;
 use db_core::engine::MIN_RECORDS_PER_THREAD;
 use db_core::experiment::sweep;
 use db_core::par::par_map;
+use db_core::system::MIN_ROWS_PER_GROUP;
 use db_core::wire::encode_outcome;
 use db_core::{
     prepare, run_scenario, DriftBottleSystem, Engine, FlowRecord, LocalizationMetrics,
@@ -64,7 +68,7 @@ use db_netsim::{
 use db_runner::SweepBuilder;
 use db_telemetry::scope::{ScopeMeta, SeriesKind};
 use db_telemetry::{FlightRecorder, Instrumentation, ScopeRecorder, TraceData};
-use db_topology::{zoo, LinkId, NodeId, RouteTable, Topology};
+use db_topology::{zoo, LinkId, NodeId, RouteTable, Topology, TopologyBuilder};
 use db_util::rng::Pcg64;
 use db_util::wire::fnv1a64;
 use proptest::prelude::*;
@@ -78,6 +82,12 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 const PINNED_FLIGHT_DIGEST: u64 = 0x4798_6758_5238_1aaf;
 /// FNV-1a of the golden scenario's scope-alone deterministic digest text.
 const PINNED_SCOPE_DIGEST: u64 = 0x4179_d04d_7306_39e7;
+
+/// The window-close split floor of a framed stream's engine
+/// ([`DriftBottleSystem::set_tick_floor`]): every test topology here is too
+/// small to reach [`MIN_ROWS_PER_GROUP`], and at this floor each of its
+/// ticks splits over every lane.
+const TICK_FLOOR: usize = 16;
 
 /// `Recorders` mask bits.
 const METRICS: u8 = 1;
@@ -558,6 +568,65 @@ fn split_runs_answer_as_the_straight_run() {
             "{shards} shards: the longest run holds {longest} records, too few to split"
         );
     }
+    // And every tick of theirs splits over all of the (at most four) lanes:
+    // a switch weighs at least the flows registered there.
+    let registered: usize = net.flows.iter().map(|f| f.path.nodes.len()).sum();
+    assert!(
+        (4 * TICK_FLOOR..2 * MIN_ROWS_PER_GROUP).contains(&registered),
+        "{registered} registered rows: the ticks split only at the lowered floor"
+    );
+}
+
+/// A star, where the hub holds a third of all registered rows and each leaf
+/// a small share of the rest, so the tick's weighted deal gives the hub's
+/// group fewer switches than the others: streamed in frames to two and three
+/// shards with the flight ring and the scope recorder attached, it records
+/// and ends as the batch run does, and restored mid-stream as an
+/// uninterrupted stream does.
+#[test]
+fn a_skewed_tick_answers_as_the_straight_run() {
+    let net = Net::star(8, 11);
+    let registered = |node: NodeId| {
+        let flows = net.flows.iter();
+        flows.filter(|f| f.path.nodes.contains(&node)).count()
+    };
+    let hub = registered(NodeId(0));
+    let leaf = (1..=8).map(|n| registered(NodeId(n))).max();
+    assert!(
+        leaf.is_some_and(|leaf| hub >= 4 * leaf),
+        "the hub holds {hub} flows"
+    );
+    let trace = net.simulate(TraceRecorder::new());
+    for shards in [2, 3] {
+        let (batch_rec, stream_rec) = (recorders(), recorders());
+        let mut system = net.system();
+        assert!(system.set_flight(batch_rec.0.clone(), &net.truth, net.topo.link_count()));
+        assert!(system.set_scope(batch_rec.1.clone()));
+        let batch = net.simulate(Engine::new(system));
+        let frames = Feed::Frames {
+            shards,
+            max: 512,
+            seed: shards as u64,
+        };
+        let attached = (Some(stream_rec.0.clone()), Some(stream_rec.1.clone()));
+        let (stream, _) = net.stream(&trace, None, None, attached, frames);
+        assert!(
+            net.results(&stream) == net.results(&batch),
+            "{shards} shards: results"
+        );
+        let bytes = recorded_bytes(&stream_rec) == recorded_bytes(&batch_rec);
+        assert!(bytes, "{shards} shards: recorder bytes");
+
+        let (uninterrupted, want) = net.stream(&trace, None, None, (None, None), Feed::Records);
+        let split = split_at(&trace, 0.5);
+        let (restored, got) = net.stream(&trace, Some(split), None, (None, None), frames);
+        assert!(!want.is_empty(), "the hub link's failure raises warnings");
+        assert!(got == want, "{shards} shards: live warnings");
+        assert!(
+            restored.snapshot() == uninterrupted.snapshot(),
+            "{shards} shards: final snapshot"
+        );
+    }
 }
 
 /// One deployment and its workload: everything a batch or streaming run of
@@ -609,11 +678,28 @@ impl Net<db_dtree::TableClassifier> {
 }
 
 impl Net<ThresholdClassifier> {
-    /// A 5-switch line with link 2 failing, the untrained threshold
-    /// classifier, and every carrier kind: the wire header, an exact-weight
-    /// side table and a centralized baseline.
+    /// A 5-switch line with link 2 failing: see [`Self::small`].
     fn line(seed: u64) -> Self {
-        let topo = zoo::line_with_latency(5, 3.0);
+        Self::small(zoo::line_with_latency(5, 3.0), LinkId(2), seed)
+    }
+
+    /// A star of `leaves` leaves on 3 ms links, the link to the first leaf
+    /// failing: see [`Self::small`].
+    fn star(leaves: usize, seed: u64) -> Self {
+        let mut b = TopologyBuilder::new(format!("star{leaves}"));
+        let hub = b.node("hub");
+        for i in 0..leaves {
+            let leaf = b.node(format!("leaf{i}"));
+            b.link(hub, leaf, 3.0);
+        }
+        let topo = b.build().expect("a star is valid");
+        Self::small(topo, LinkId(0), seed)
+    }
+
+    /// `topo` with `failed` failing, the untrained threshold classifier,
+    /// and every carrier kind: the wire header, an exact-weight side table
+    /// and a centralized baseline.
+    fn small(topo: Topology, failed: LinkId, seed: u64) -> Self {
         let routes = RouteTable::build(&topo);
         let flows = TrafficGen::generate(&topo, &routes, &TrafficConfig::default(), seed);
         let interval = SimTime::from_ms(4);
@@ -645,8 +731,8 @@ impl Net<ThresholdClassifier> {
                 tick_interval: interval,
                 ..Default::default()
             },
-            scenario: FailureScenario::single_link(LinkId(2), t_fail),
-            truth: vec![LinkId(2)],
+            scenario: FailureScenario::single_link(failed, t_fail),
+            truth: vec![failed],
             seed,
         }
     }
@@ -663,7 +749,8 @@ enum Feed {
     Records,
     /// [`Engine::ingest_batch`] over frames of 1 to `max` records drawn
     /// from `seed`, on an engine of `shards` shards, resharded to
-    /// `shards + 1` once half the records are in.
+    /// `shards + 1` once half the records are in, whose ticks split at
+    /// [`TICK_FLOOR`].
     Frames {
         shards: usize,
         max: usize,
@@ -748,11 +835,21 @@ impl<C: FlowClassifier + Clone> Net<C> {
         )
     }
 
-    fn engine(&self, retention: Option<u32>) -> Engine<C> {
-        let mut engine = Engine::new(self.system());
+    /// A fresh engine with live warnings on, carrier `retention`, and
+    /// `shards` shards (`None`: the default count) whose window closes
+    /// split at [`TICK_FLOOR`].
+    fn engine(&self, retention: Option<u32>, shards: Option<usize>) -> Engine<C> {
+        let mut system = self.system();
+        if shards.is_some() {
+            system.set_tick_floor(TICK_FLOOR);
+        }
+        let mut engine = Engine::new(system);
         engine.set_live_warnings();
         if let Some(windows) = retention {
             engine.set_retention(windows);
+        }
+        if let Some(n) = shards {
+            engine.set_shards(n);
         }
         engine
     }
@@ -824,13 +921,7 @@ impl<C: FlowClassifier + Clone> Net<C> {
             Feed::Records => None,
             Feed::Frames { shards, .. } => Some(shards),
         };
-        let fresh = || {
-            let mut engine = self.engine(retention);
-            if let Some(n) = shards {
-                engine.set_shards(n);
-            }
-            engine
-        };
+        let fresh = || self.engine(retention, shards);
         let mut engine = fresh();
         if let Some(flight) = recorders.0 {
             assert!(engine.set_flight(flight, &self.truth, self.topo.link_count()));

@@ -52,6 +52,9 @@ pub struct SwitchMonitor {
     meta: Vec<FlowMeta>,
     /// Packets recorded since the flow was last reclaimed (0 = never seen).
     total_packets: Vec<u64>,
+    /// Slots with `total_packets > 0`, counted where it changes: at a
+    /// close and at a restore.
+    active: usize,
     /// Closed intervals held in the ring, at most `window_intervals`.
     buffered: Vec<usize>,
     /// The data-plane registers: measures of the interval in progress.
@@ -86,6 +89,7 @@ impl SwitchMonitor {
             flows: Vec::new(),
             meta: Vec::new(),
             total_packets: Vec::new(),
+            active: 0,
             buffered: Vec::new(),
             current: Vec::new(),
             sums: Vec::new(),
@@ -166,7 +170,7 @@ impl SwitchMonitor {
     /// operator's intent, `active_flows()` counts what the switch is actually
     /// holding state for.
     pub fn active_flows(&self) -> usize {
-        self.total_packets.iter().filter(|&&p| p > 0).count()
+        self.active
     }
 
     /// Static metadata of a monitored flow.
@@ -218,6 +222,7 @@ impl SwitchMonitor {
         let head = self.head;
         self.row_buf.clear();
         self.row_slots.clear();
+        self.active = 0;
         for (slot, ring) in self.ring.chunks_exact_mut(w).enumerate() {
             let m = std::mem::take(&mut self.current[slot]);
             let (meta, sums) = (&self.meta[slot], &mut self.sums[slot]);
@@ -233,8 +238,11 @@ impl SwitchMonitor {
             ring[head] = m;
             self.buffered[slot] = (self.buffered[slot] + 1).min(w);
             self.total_packets[slot] += u64::from(m.n_packet);
-            if self.total_packets[slot] == 0 || self.buffered[slot] < n {
-                continue; // never seen here, or less than one RTT of history
+            let seen = self.total_packets[slot] > 0;
+            if !seen || self.buffered[slot] < n {
+                // Never seen here, or less than one RTT of history.
+                self.active += usize::from(seen);
+                continue;
             }
             if sums[0] == 0 {
                 // No packet in the last n intervals: reclaim the registers.
@@ -243,6 +251,7 @@ impl SwitchMonitor {
                 *sums = [0; 6];
                 continue;
             }
+            self.active += 1;
             self.row_buf
                 .push((self.flows[slot], window::assemble(meta, sums, &m.widened())));
             self.row_slots.push(slot);
@@ -363,6 +372,7 @@ impl SwitchMonitor {
             };
             mon.register_flow(flow, meta); // ascending: appends slot `slot`
             mon.total_packets[slot] = r.u64()?;
+            mon.active += usize::from(mon.total_packets[slot] > 0);
             let at = r.offset();
             let n_hist = r.seq()?;
             if n_hist > w {

@@ -6,14 +6,12 @@
 //! software analogues: exact header overhead per k, the data-plane model's
 //! per-packet processing cost (measured inline), and the match-action table
 //! footprint of the trained classifiers. The per-packet figure is one
-//! sample of one loop; `inference.hop_inline_ns` in `benchmark/` is the
-//! same pipeline measured with a spread.
+//! sample of one loop over `wire_hop`, the kernel the daemon's wire variant
+//! runs; `benchmark/` has no layer timing that kernel yet (its
+//! `inference.hop_inline_ns` times the `f64` reference chain).
 
 use db_bench::{emit, prepared};
-use db_inference::{
-    aggregate_step_inline, check_warning_inline, HeaderCodec, Inference, InlineInference,
-    MAX_HEADER_BYTES,
-};
+use db_inference::{wire_hop, HeaderCodec, Inference, KeyedInference, MAX_HEADER_BYTES};
 use db_topology::LinkId;
 use db_util::table::TextTable;
 use std::hint::black_box;
@@ -39,38 +37,29 @@ fn main() {
     emit("resource_header_overhead", &t);
     println!("Paper §6.10: 9 B at k = 4 — 'a negligible transmission amount of under 1%'.\n");
 
-    // Per-packet processing cost of the hop pipeline in the form the data
-    // plane runs it: fixed-capacity inferences, header bytes rewritten in
-    // place, no allocation.
+    // Per-packet processing cost of the hop in the form the data plane runs
+    // it: `wire_hop` on a keyed local, header bytes rewritten in place, no
+    // allocation.
     let codec = HeaderCodec::paper();
-    let local = InlineInference::from_inference(&Inference::from_pairs([
-        (LinkId(3), 5.0),
-        (LinkId(9), 2.0),
-        (LinkId(17), -3.0),
-        (LinkId(40), 1.0),
-    ]));
-    let drifted = InlineInference::from_inference(&Inference::from_pairs([
-        (LinkId(3), 7.0),
-        (LinkId(22), 2.0),
-        (LinkId(9), 1.0),
-        (LinkId(51), -1.0),
-    ]));
+    let keyed = |pairs: [(u16, f64); 4]| {
+        let inf = Inference::from_pairs(pairs.map(|(l, w)| (LinkId(l), w)));
+        KeyedInference::from_entries(inf.entries()).expect("integral weights")
+    };
+    let local = keyed([(3, 5.0), (9, 2.0), (17, -3.0), (40, 1.0)]);
+    let drifted = keyed([(3, 7.0), (22, 2.0), (9, 1.0), (51, -1.0)]);
     let warn = db_inference::WarningConfig::default();
     let mut buf = [0u8; MAX_HEADER_BYTES];
-    let len = codec.encode_into(&drifted, 3, &mut buf);
+    let len = codec.encode_keyed_into(&drifted, 3, &mut buf);
     let mut out = [0u8; MAX_HEADER_BYTES];
     let iters = 2_000_000u64;
     let start = Instant::now();
     let mut guard = 0u64;
     for _ in 0..iters {
-        let (inf, hops) = codec
-            .decode_inline(black_box(&buf[..len]))
-            .expect("valid header");
-        let (agg, hops) = aggregate_step_inline(&local, &inf, hops, 4);
-        if check_warning_inline(&agg, u32::from(hops), &warn).is_some() {
+        let header = Some(black_box(&buf[..len]));
+        let hop = wire_hop(&codec, header, &local, &warn, None, &mut out);
+        if hop.warning().is_some() {
             guard += 1;
         }
-        codec.encode_into(&agg, hops, &mut out);
         guard += u64::from(out[0]);
     }
     let ns = start.elapsed().as_nanos() as f64 / iters as f64;
@@ -79,7 +68,8 @@ fn main() {
         &["operation", "cost"],
     );
     t2.row(&[
-        "decode + aggregate(⊕, top-k) + warn-check + encode, inline form".to_string(),
+        "wire_hop: decode + aggregate(⊕, top-k) + warn-check + encode, packed integer keys"
+            .to_string(),
         format!("{ns:.0} ns/packet (guard {guard})"),
     ]);
     t2.row(&[

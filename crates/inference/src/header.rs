@@ -17,6 +17,17 @@
 //! link id `0xFF` marks an empty slot, limiting compact-variant networks to
 //! 255 links. The **wide** variant spends 2 bytes on the id (sentinel
 //! `0xFFFF`) for larger networks — 13 B at k = 4.
+//!
+//! Two forms write and read the layout. The **keyed** form
+//! ([`HeaderCodec::encode_keyed_into`] and the parse inside
+//! [`wire_hop`](crate::wire_hop)) is the data plane's: the wire hop writes
+//! every header a packet carries, and a live warning quotes those bytes.
+//! The **reference** form — [`encode`](HeaderCodec::encode),
+//! [`decode`](HeaderCodec::decode), [`encode_into`](HeaderCodec::encode_into)
+//! and [`decode_inline`](HeaderCodec::decode_inline), on `f64` weights — is
+//! the oracle `wire_hop` is proptested against and what `benchmark/`'s
+//! layer loops time; in product code only a flight-attached hop runs it,
+//! parsing the incoming header for its record with `decode_inline`.
 
 use crate::inference::Inference;
 use crate::inline::{InlineInference, INLINE_CAP};
@@ -71,9 +82,9 @@ impl HeaderCodec {
         1 + self.k * (if self.wide { 3 } else { 2 })
     }
 
-    /// Encode `(inference, hop_now)`. Entries beyond the strongest k are
-    /// dropped; weights are clamped to the encodable range — exactly the
-    /// lossy behavior of the hardware header.
+    /// Encode `(inference, hop_now)` (reference form). Entries beyond the
+    /// strongest k are dropped; weights are clamped to the encodable range —
+    /// exactly the lossy behavior of the hardware header.
     pub fn encode(&self, inf: &Inference, hop_now: u8) -> Vec<u8> {
         let mut buf = vec![0; self.byte_len()];
         let entries = inf.entries().iter().map(|&(l, w)| (l.0, weight_byte(w)));
@@ -81,7 +92,7 @@ impl HeaderCodec {
         buf
     }
 
-    /// Decode a header; `None` on wrong length.
+    /// Decode a header (reference form); `None` on wrong length.
     pub fn decode(&self, bytes: &[u8]) -> Option<(Inference, u8)> {
         if bytes.len() != self.byte_len() {
             return None;
@@ -93,9 +104,9 @@ impl HeaderCodec {
         Some((Inference::from_pairs(pairs), hop_now))
     }
 
-    /// Allocation-free [`encode`](Self::encode): write the header into a
-    /// caller-provided buffer (e.g. a `[u8; MAX_HEADER_BYTES]` on the stack)
-    /// and return the number of bytes written, always
+    /// Allocation-free [`encode`](Self::encode) (reference form): write the
+    /// header into a caller-provided buffer (e.g. a `[u8; MAX_HEADER_BYTES]`
+    /// on the stack) and return the number of bytes written, always
     /// [`byte_len`](Self::byte_len). Slot contents and order are byte-for-
     /// byte identical to `encode(&inf.to_inference(), hop_now)`: slots emit
     /// in the canonical `(weight desc, link asc)` order and zero-rounded
@@ -106,8 +117,9 @@ impl HeaderCodec {
         self.write_slots(hop_now, entries, buf)
     }
 
-    /// Allocation-free [`decode`](Self::decode): same parse, but straight
-    /// into an [`InlineInference`]. Duplicate slots (never produced by our
+    /// Allocation-free [`decode`](Self::decode) (reference form; the
+    /// flight-attached hop's parse): same parse, but straight into an
+    /// [`InlineInference`]. Duplicate slots (never produced by our
     /// encoder, but legal on the wire) sum in slot order and zero totals are
     /// swept afterwards — exactly what `Inference::from_pairs` does, so
     /// `decode_inline(b)` matches `decode(b)` entry-for-entry.

@@ -86,7 +86,8 @@ pub struct WarningMsg {
     pub w0: f64,
     /// Runner-up weight at raise time.
     pub w1: f64,
-    /// The raising drifted header, verbatim (empty for centralized).
+    /// The raising drifted header, verbatim (empty for centralized and
+    /// side-table variants).
     pub header: Vec<u8>,
 }
 

@@ -17,14 +17,15 @@ pub enum Mechanism {
     /// encoded in the integer header at all (§6.4's deployability argument),
     /// and for multi-scheme comparisons over identical traffic.
     DistributedVirtual,
-    /// A Data Collector and Analyst: every `period_ticks` sampling
-    /// intervals, aggregate all switches' (untruncated) local inferences and
-    /// report links via 007's iterative top-portion procedure (§6.2).
+    /// A Data Collector and Analyst: every sampling interval, aggregate
+    /// all switches' (untruncated) local inferences and report links via
+    /// 007's iterative top-portion procedure (§6.2). Every interval, because
+    /// the abnormal signature of a dead flow only survives about one RTT of
+    /// windows before the flow fades to "never active": a slower DCA misses
+    /// it entirely.
     Centralized {
         /// Reporting threshold as a portion of the total positive weight.
         portion: f64,
-        /// Reporting period in sampling intervals.
-        period_ticks: u32,
     },
     /// **Ablation — what §4.3 forbids**: the switch absorbs every aggregated
     /// inference into its own local inference. On a stream of n packets the
@@ -73,16 +74,10 @@ impl VariantSpec {
             WeightScheme::Drifted007 => "007-Centralized".to_string(),
             other => format!("{}-Centralized", other.name()),
         };
-        // Report every sampling interval: the abnormal signature of a dead
-        // flow only survives for about one RTT of windows before the flow
-        // fades to "never active", so a slower DCA misses it entirely.
         VariantSpec {
             name,
             scheme,
-            mechanism: Mechanism::Centralized {
-                portion,
-                period_ticks: 1,
-            },
+            mechanism: Mechanism::Centralized { portion },
         }
     }
 

@@ -25,10 +25,11 @@
 //!   flows' carriers, and a long run's lanes also run on the process's
 //!   helper threads (one per [`MIN_RECORDS_PER_THREAD`] records, at most
 //!   `N`). The order-sensitive half — the switch registers, the clock, the
-//!   tick — stays on the calling thread, and the lanes' raises are settled
-//!   there in record order. Every `N` gives the same warnings, results and
-//!   snapshot bytes. An absorbing variant or a flight ring makes every
-//!   record a run of its own.
+//!   tick — stays on the calling thread, and what the lanes' hops logged
+//!   (raises, ratio samples, flight records) is settled there in record
+//!   order. Every `N` gives the same warnings, results, snapshot bytes and
+//!   recorder bytes. An absorbing variant makes every record a run of its
+//!   own.
 //! * In-packet inference headers have no packet to ride in, so each lane
 //!   parks them between hops in a flat hashed table keyed by `(flow, seq)`
 //!   (`CarrierTable`) — the streaming analogue of the wire annotation, with
@@ -261,11 +262,6 @@ impl<C: FlowClassifier> Engine<C> {
     /// timed into `reg`.
     pub fn set_phase_timing(&mut self, reg: Arc<MetricsRegistry>) {
         self.system.set_phase_timing(reg);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.system.tap.flight()
     }
 
     /// The attached scope recorder, if any.

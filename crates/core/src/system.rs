@@ -47,6 +47,7 @@ use db_inference::{
 };
 use db_netsim::packet::MAX_ANNOTATION_BYTES;
 use db_netsim::{Annotation, FlowSpec, HopInfo, Observer, SimTime};
+use db_telemetry::flight::FlightRecord;
 use db_telemetry::scope::ScopeBuffer;
 use db_topology::{LinkId, NodeId, Topology};
 use db_util::wire::{ByteReader, ByteWriter, WireError};
@@ -149,7 +150,7 @@ pub struct RatioSample {
 /// so this holds k entries, not the 2k a merge needs — 88 bytes where the
 /// [`InlineInference`] it is rebuilt into for the merge takes 264.
 #[derive(Debug, Clone, Copy)]
-struct Drifted {
+pub(crate) struct Drifted {
     links: [LinkId; MAX_K],
     weights: [f64; MAX_K],
     len: u8,
@@ -434,6 +435,7 @@ struct VariantState {
     log: WarningLog,
     /// Sampled drifted inferences (Fig. 11).
     ratios: Vec<RatioSample>,
+    /// Ticks closed; nothing reads it but the v1 snapshot, which carries it.
     ticks_seen: u32,
 }
 
@@ -459,19 +461,35 @@ pub(crate) struct Lane {
     out: HopOut,
 }
 
-/// What a lane's hops produced that the calling thread settles, each entry
-/// stamped with its record's index in the run.
+/// What one hop hands the calling thread to settle.
+#[derive(Debug, Clone)]
+pub(crate) enum HopEvent {
+    /// The traced variant's merge, for the flight ring.
+    Merged(FlightRecord),
+    /// The §4.3 ablation's per-hop write-back: the switch's new local, in
+    /// the k-entry form a carrier takes.
+    Absorbed(NodeId, Drifted),
+    Raise(Warning),
+    Ratio(RatioSample),
+}
+
+/// What a lane's hops produced that the calling thread settles.
 #[derive(Debug, Clone, Default)]
-struct HopOut {
-    /// `(record, warning)`, in record then variant order.
-    raises: Vec<(u32, Warning)>,
-    /// `(record, variant, sample)`, in the same order.
-    ratios: Vec<(u32, u8, RatioSample)>,
-    /// `(variant, switch, local)`: the §4.3 ablation's per-hop write-back.
-    absorbed: Vec<(u8, NodeId, InlineInference)>,
-    /// The traced variant's merge feeds (and, on the first lane, the
-    /// settled warnings'), held off the scope recorder's lock.
-    scope: ScopeBuffer,
+pub(crate) struct HopOut {
+    /// `(record, variant, event)`, in the order the lane's hops produced
+    /// them: by record index in the run, then variant, then within a hop.
+    log: Vec<(u32, u8, HopEvent)>,
+    /// The traced variant's merge and warning feeds, held off the scope
+    /// recorder's lock.
+    pub(crate) scope: ScopeBuffer,
+}
+
+impl HopOut {
+    /// Log `event` of variant `vi`'s hop of record `idx`.
+    #[inline]
+    pub(crate) fn push(&mut self, idx: u32, vi: usize, event: HopEvent) {
+        self.log.push((idx, vi as u8, event));
+    }
 }
 
 impl Lane {
@@ -486,11 +504,7 @@ impl Lane {
     /// Whether nothing waits in the lane for a settle.
     #[inline]
     fn settled(&self) -> bool {
-        let out = &self.out;
-        out.raises.is_empty()
-            && out.ratios.is_empty()
-            && out.absorbed.is_empty()
-            && out.scope.is_empty()
+        self.out.log.is_empty() && self.out.scope.is_empty()
     }
 
     /// The per-flow half of the hop of record `idx` of a run, observed at
@@ -559,13 +573,14 @@ fn handle_distributed(
                     let incoming = header.and_then(|b| codec.decode_inline(b));
                     let merged = (hop.merged.to_inline(), hop.hops);
                     tap.merged(
+                        idx,
                         vi,
                         now,
                         info,
                         incoming.as_ref(),
                         &local.to_inline(),
                         &merged,
-                        &mut out.scope,
+                        out,
                     );
                 } else {
                     let (w0, top) = (hop.merged.w0(), hop.merged.top_link());
@@ -574,7 +589,7 @@ fn handle_distributed(
                 if let Some(link) = hop.warning() {
                     let merged = (hop.merged.to_inline(), hop.hops);
                     let raised = tap.raise(vi, now, node, link, &merged, &buf[..hop.len]);
-                    out.raises.push((idx, raised));
+                    out.push(idx, vi, HopEvent::Raise(raised));
                 }
                 if view.samples(idx, hop.hops, now) {
                     let sample = RatioSample {
@@ -582,7 +597,7 @@ fn handle_distributed(
                         hop_now: hop.hops,
                         at: now,
                     };
-                    out.ratios.push((idx, vi as u8, sample));
+                    out.push(idx, vi, HopEvent::Ratio(sample));
                 }
                 if info.is_last_switch {
                     // §4.3: the last switch deletes the inference header
@@ -607,25 +622,17 @@ fn handle_distributed(
                         aggregate_step_inline_metered(local, drifted, *h, cfg.k, tap.inference())
                     }
                 };
-                tap.merged(
-                    vi,
-                    now,
-                    info,
-                    incoming.as_ref(),
-                    local,
-                    &merged,
-                    &mut out.scope,
-                );
+                tap.merged(idx, vi, now, info, incoming.as_ref(), local, &merged, out);
                 let (agg, hops) = (&merged.0, merged.1);
                 if variant.spec.mechanism == Mechanism::DistributedAbsorbing {
                     // The forbidden feedback loop (§4.3): the local
                     // inference is replaced by the aggregate, biasing later
                     // packets.
-                    out.absorbed.push((vi as u8, node, agg.top_k(cfg.k)));
+                    out.push(idx, vi, HopEvent::Absorbed(node, Drifted::new(agg, hops)));
                 }
                 if let Some(link) = check_warning_inline(agg, hops as u32, &cfg.warning) {
                     let raised = tap.raise(vi, now, node, link, &merged, &[]);
-                    out.raises.push((idx, raised));
+                    out.push(idx, vi, HopEvent::Raise(raised));
                 }
                 if view.samples(idx, hops, now) {
                     let sample = RatioSample {
@@ -633,7 +640,7 @@ fn handle_distributed(
                         hop_now: hops,
                         at: now,
                     };
-                    out.ratios.push((idx, vi as u8, sample));
+                    out.push(idx, vi, HopEvent::Ratio(sample));
                 }
                 // The last switch frees the slot; any other leaves its
                 // result there, over a stale entry at ingress.
@@ -706,9 +713,6 @@ pub struct DriftBottleSystem<C: FlowClassifier> {
     variants: Vec<VariantState>,
     /// The per-flow hop state, one lane per shard (at least one).
     lanes: Vec<Lane>,
-    /// [`Self::settle`]'s merge of the lanes' raises; empty between calls,
-    /// kept so a settle does not allocate.
-    raised: Vec<(u32, Warning)>,
     /// Warning collection window `(from, to]`.
     window: (SimTime, SimTime),
     agg_counter: u64,
@@ -805,7 +809,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             codec,
             variants,
             lanes,
-            raised: Vec::new(),
             window,
             agg_counter: 0,
             tick: TickScratch::with_floor(MIN_ROWS_PER_GROUP),
@@ -828,7 +831,6 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             codec: self.codec,
             variants: self.variants.clone(),
             lanes: self.lanes.clone(),
-            raised: Vec::new(),
             window: self.window,
             agg_counter: self.agg_counter,
             tick: TickScratch::with_floor(self.tick.rows_per_group),
@@ -910,13 +912,13 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             match v.spec.mechanism {
                 Mechanism::DistributedWire => w.u8(0),
                 Mechanism::DistributedVirtual => w.u8(1),
-                Mechanism::Centralized {
-                    portion,
-                    period_ticks,
-                } => {
+                Mechanism::Centralized { portion } => {
                     w.u8(2);
                     w.f64(portion);
-                    w.u32(period_ticks);
+                    // The DCA's reporting period, one tick: hashed as the
+                    // field it was, so fingerprints and the snapshots they
+                    // guard hold.
+                    w.u32(1);
                 }
                 Mechanism::DistributedAbsorbing => w.u8(3),
             }
@@ -1215,11 +1217,9 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
 
     /// Whether hops must run one record at a time on the calling thread:
     /// an absorbing variant writes a local per hop, which the next record
-    /// reads, and the flight ring records a hop's merge and its warning in
-    /// record order.
+    /// reads.
     pub(crate) fn per_record(&self) -> bool {
-        self.tap.flight().is_some()
-            || (self.variants.iter()).any(|v| v.spec.mechanism == Mechanism::DistributedAbsorbing)
+        (self.variants.iter()).any(|v| v.spec.mechanism == Mechanism::DistributedAbsorbing)
     }
 
     /// The two halves of the next run's hops: the shared view and the
@@ -1242,13 +1242,14 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
         (view, &mut self.lanes, registers)
     }
 
-    /// Settle a run of `records` hops: everything the lanes raised goes to
-    /// the warning logs and the tap in (record, variant) order — the order
-    /// one thread hopping the run would have raised it in — ratio samples
-    /// likewise, absorbed locals are written back, and the scope feeds fold
-    /// into the window of `at`, the run's first record. A run never
-    /// straddles a window the recorder has not reached (the engine cuts its
-    /// runs there), so the fold lands every feed where a direct feed would.
+    /// Settle a run of `records` hops: the lanes' logs, merged into
+    /// (record, variant) order — the order one thread hopping the run would
+    /// have produced them in — are dispatched to the flight ring, the
+    /// warning logs, the tap, the ratio samples and the absorbing variants'
+    /// locals; then the scope feeds fold into the window of `at`, the run's
+    /// first record. A run never straddles a window the recorder has not
+    /// reached (the engine cuts its runs there), so the fold lands every
+    /// feed where a direct feed would.
     pub(crate) fn settle(&mut self, records: usize, at: SimTime) {
         self.agg_counter += records as u64;
         if self.lanes.iter().all(Lane::settled) {
@@ -1260,59 +1261,46 @@ impl<C: FlowClassifier> DriftBottleSystem<C> {
             lanes,
             tap,
             window,
-            raised,
             ..
         } = self;
-        let mut settle_raise = |w: &Warning, scope: &mut ScopeBuffer| {
-            if let Some(v) = variants.get_mut(usize::from(w.variant)) {
-                v.log.record(w.at, w.switch, w.link, *window);
-            }
-            tap.warning(w, scope);
-        };
-        match lanes.iter().filter(|l| !l.out.raises.is_empty()).count() {
-            0 => {}
-            // One lane's raises are in order already: settled in place.
-            1 => {
-                for lane in lanes.iter_mut() {
-                    let HopOut { raises, scope, .. } = &mut lane.out;
-                    for (_, w) in raises.drain(..) {
-                        settle_raise(&w, scope);
-                    }
-                }
-            }
-            _ => {
-                for lane in lanes.iter_mut() {
-                    raised.append(&mut lane.out.raises);
-                }
-                raised.sort_unstable_by_key(|&(i, ref w)| (i, w.variant));
-                if let Some(first) = lanes.first_mut() {
-                    for (_, w) in raised.drain(..) {
-                        settle_raise(&w, &mut first.out.scope);
-                    }
-                }
-            }
-        }
-        if lanes.iter().any(|l| !l.out.ratios.is_empty()) {
-            let mut ratios: Vec<(u32, u8, RatioSample)> = (lanes.iter_mut())
-                .flat_map(|l| l.out.ratios.drain(..))
-                .collect();
-            ratios.sort_unstable_by_key(|&(i, vi, _)| (i, vi));
-            for (_, vi, sample) in ratios {
-                if let Some(v) = variants.get_mut(usize::from(vi)) {
-                    v.ratios.push(sample);
-                }
-            }
-        }
+        // A record's events all sit in its flow's lane, in order, so the
+        // merge takes the lane whose next record comes first; each log is
+        // reversed to pop from its head.
         for lane in lanes.iter_mut() {
-            for (vi, node, local) in lane.out.absorbed.drain(..) {
-                let v = variants.get_mut(usize::from(vi));
-                if let Some(Locals::Distributed(locals)) = v.map(|v| &mut v.locals) {
-                    if let Some(slot) = locals.get_mut(node.idx()) {
-                        *slot = local;
+            lane.out.log.reverse();
+        }
+        while let Some(out) = (lanes.iter_mut().map(|l| &mut l.out))
+            .filter(|out| !out.log.is_empty())
+            .min_by_key(|out| out.log.last().map(|&(i, ..)| i))
+        {
+            let Some((_, vi, event)) = out.log.pop() else {
+                break;
+            };
+            let v = variants.get_mut(usize::from(vi));
+            match event {
+                HopEvent::Merged(record) => tap.record(record),
+                HopEvent::Absorbed(node, local) => {
+                    if let Some(Locals::Distributed(locals)) = v.map(|v| &mut v.locals) {
+                        if let Some(slot) = locals.get_mut(node.idx()) {
+                            *slot = local.inline().0;
+                        }
+                    }
+                }
+                HopEvent::Raise(w) => {
+                    if let Some(v) = v {
+                        v.log.record(w.at, w.switch, w.link, *window);
+                    }
+                    tap.warning(&w, &mut out.scope);
+                }
+                HopEvent::Ratio(sample) => {
+                    if let Some(v) = v {
+                        v.ratios.push(sample);
                     }
                 }
             }
-            if let Some(sc) = tap.scope() {
+        }
+        if let Some(sc) = tap.scope() {
+            for lane in lanes.iter_mut() {
                 sc.fold(at.as_ns(), &mut lane.out.scope);
             }
         }
@@ -1475,22 +1463,15 @@ impl<C: FlowClassifier> Observer for DriftBottleSystem<C> {
                 }
             }
         }
-        // Centralized variants: periodic DCA reporting.
+        // Centralized variants: the DCA reports every tick.
         for (vi, v) in variants.iter_mut().enumerate() {
             v.ticks_seen += 1;
-            if let (
-                Mechanism::Centralized {
-                    portion,
-                    period_ticks,
-                },
-                Locals::Centralized(locals),
-            ) = (v.spec.mechanism, &v.locals)
+            if let (Mechanism::Centralized { portion }, Locals::Centralized(locals)) =
+                (v.spec.mechanism, &v.locals)
             {
-                if v.ticks_seen % period_ticks.max(1) == 0 {
-                    for link in centralized_report(locals, portion) {
-                        v.log.record(now, DCA_NODE, link, *window);
-                        tap.dca_report(vi, now, link);
-                    }
+                for link in centralized_report(locals, portion) {
+                    v.log.record(now, DCA_NODE, link, *window);
+                    tap.dca_report(vi, now, link);
                 }
             }
         }

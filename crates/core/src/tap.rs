@@ -12,11 +12,12 @@
 //!
 //! The per-hop events arrive from the lanes of a sharded run through a
 //! shared `&Tap` ([`Tap::merged`], [`Tap::raise`]); their scope feeds go to
-//! the lane's unlocked [`ScopeBuffer`], and a raise reaches the rest of the
-//! tap only when the calling thread settles it ([`Tap::warning`]).
+//! the lane's unlocked [`ScopeBuffer`], and a flight record or a raise waits
+//! in the lane's log until the calling thread settles the run's logs in
+//! record order ([`Tap::record`], [`Tap::warning`]).
 
 use crate::config::{Mechanism, VariantSpec};
-use crate::system::{DriftBottleSystem, Warning, DCA_NODE};
+use crate::system::{DriftBottleSystem, HopEvent, HopOut, Warning, DCA_NODE};
 use db_dtree::FlowClassifier;
 use db_flowmon::{FeatureVector, FlowStatus, FlowmonMetrics, SwitchMonitor};
 use db_inference::{
@@ -100,10 +101,6 @@ impl Tap {
             phases: None,
             live: None,
         }
-    }
-
-    pub(crate) fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref().map(|f| &f.rec)
     }
 
     pub(crate) fn scope(&self) -> Option<&Arc<ScopeRecorder>> {
@@ -272,31 +269,33 @@ impl Tap {
         }
     }
 
-    /// Variant `vi` merged `incoming` (`None` at ingress) with `local` into
-    /// `out` at `info.node`. The flight record diffs `out` against the
-    /// *untruncated* merge to name what the top-k cut dropped, which it
-    /// builds with the side-table hop's ⊕ ([`InlineInference::merge`]),
-    /// only with a recorder attached. The scope feed goes to the hop's lane
-    /// buffer `scope`.
+    /// Variant `vi`'s hop of record `idx` merged `incoming` (`None` at
+    /// ingress) with `local` into `merged` at `info.node`. The flight
+    /// record diffs `merged` against the *untruncated* merge to name what
+    /// the top-k cut dropped, which it builds with the side-table hop's ⊕
+    /// ([`InlineInference::merge`]), only with a recorder attached; it
+    /// waits in the hop's lane log `out` for [`Self::record`], and the
+    /// scope feed in the lane's buffer.
     #[inline]
-    // One hop's merge, as it happened, plus where to feed it.
+    // One hop's merge, as it happened, plus where to log it.
     #[allow(clippy::too_many_arguments)]
     // db-lint: allow(hot-alloc) — flight-recorder-gated; the unattached path is two `None` checks
     pub(crate) fn merged(
         &self,
+        idx: u32,
         vi: usize,
         now: SimTime,
         info: &HopInfo,
         incoming: Option<&(InlineInference, u8)>,
         local: &InlineInference,
-        out: &(InlineInference, u8),
-        scope: &mut ScopeBuffer,
+        merged: &(InlineInference, u8),
+        out: &mut HopOut,
     ) {
         if self.traced.is_none_or(|(t, _)| t != vi) {
             return;
         }
-        let (agg, hops) = out;
-        if let Some(f) = &self.flight {
+        let (agg, hops) = merged;
+        if self.flight.is_some() {
             let full = match incoming {
                 None => *local,
                 Some((d, _)) => d.merge(local),
@@ -307,7 +306,7 @@ impl Tap {
                 .filter(|(l, _)| agg.weight_of(*l) == 0.0)
                 .map(|(l, _)| l.0)
                 .collect();
-            f.rec.record(FlightRecord::DriftMerged {
+            let record = FlightRecord::DriftMerged {
                 at_ns: now.as_ns(),
                 switch: info.node.0,
                 flow: info.flow.0,
@@ -321,9 +320,17 @@ impl Tap {
                 w1: agg.w1(),
                 top_link: agg.top_link().map(|l| l.0),
                 dropped_links,
-            });
+            };
+            out.push(idx, vi, HopEvent::Merged(record));
         }
-        self.merged_scope(vi, info.node, agg.w0(), agg.top_link(), scope);
+        self.merged_scope(vi, info.node, agg.w0(), agg.top_link(), &mut out.scope);
+    }
+
+    /// Settle a hop's flight record [`Self::merged`] logged.
+    pub(crate) fn record(&self, record: FlightRecord) {
+        if let Some(f) = &self.flight {
+            f.rec.record(record);
+        }
     }
 
     /// Variant `vi`'s merge `out` at `node` satisfied equation (1) for

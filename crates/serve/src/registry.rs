@@ -437,11 +437,9 @@ impl Shared {
         // streaming sessions produce identical per-window series. Its
         // per-packet cost is two slot folds into the lane's unlocked
         // `ScopeBuffer`; the recorder's lock is taken once per lane per
-        // run of a frame, to fold it. The flight ring costs more — a
-        // record per merge, and since its order is per record, every
-        // record becomes a run of its own, which no thread split reaches —
-        // so it stays opt-in (`DB_SERVE_FLIGHT=1`) for when a post-mortem
-        // `explain` is worth the ingest cost.
+        // run of a frame, to fold it. No flight ring is attached: no
+        // frame, file or scrape reads one yet, and a record per merge is
+        // ingest cost with no reader.
         let nodes = u32::try_from(prep.topo.node_count()).unwrap_or(u32::MAX);
         let links = u32::try_from(prep.topo.link_count()).unwrap_or(u32::MAX);
         let scope = Arc::new(ScopeRecorder::default());
@@ -459,13 +457,6 @@ impl Shared {
         // (`phase_monitor_ns_total`, … on the scrape); the per-hop
         // counters of `set_metrics` stay off the hot path.
         engine.set_phase_timing(self.reg.clone());
-        if std::env::var("DB_SERVE_FLIGHT").is_ok_and(|v| v == "1") {
-            engine.set_flight(
-                Arc::new(db_telemetry::flight::FlightRecorder::with_default_capacity()),
-                &[],
-                prep.topo.link_count(),
-            );
-        }
         if window_cap > 0 {
             engine.set_retention(window_cap);
         }

@@ -61,7 +61,7 @@ use top::TopArgs;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drift-bottle topo    <name|file>\n  drift-bottle fail    <name|file> <link-id> [density]\n  drift-bottle node    <name|file> <node-id> [density]\n  drift-bottle sweep   <name|file> [links] [density]\n  drift-bottle health  <name|file> [density]\n  drift-bottle report  <name|file> [density]\n  drift-bottle explain <file.flight> [l<ID>|s<ID>]\n  drift-bottle timeline <file.trace.json> [l<ID>|s<ID>]\n  drift-bottle serve\n  drift-bottle top     <addr> [topo]\n\noptions (every command):\n  --metrics[=table|json|prom]  collect telemetry and print a metrics report\n\nscenario options (fail/node/sweep/health/report):\n  --scheme=NAME        weight scheme to run (default Drift-Bottle; see below)\n  --flight[=path]      record provenance for `explain` (default results/<cmd>-<topo>.flight)\n  --trace[=path]       record a db-scope trace for `timeline` / Perfetto\n                       (default results/<cmd>-<topo>.trace.json)\n\nsweep options:\n  --workers=N          worker threads (default: DB_THREADS, else all cores)\n  --checkpoint[=path]  checkpoint units to path (default results/sweep-<topo>.ckpt.jsonl)\n  --resume             resume from the checkpoint if it exists (implies --checkpoint)\n  (--flight / --trace write one recording per unit next to the checkpoint)\n\nexplain options:\n  --window=N           restrict votes/warnings to sampling window N\n  --format=table|json  output format (default table)\n\ntimeline options:\n  --format=table|json|sparkline  output format (default table)\n\nserve options:\n  --addr=HOST:PORT     listen address (default 127.0.0.1:7117)\n  --stdin              serve one session over stdin/stdout instead of TCP\n  --snapshot=PATH      restore engine state at startup, persist it on\n                       SnapshotReq and Shutdown frames\n  --prom-addr=HOST:PORT  also serve a Prometheus text scrape endpoint\n                       (default off)\n\ntop options (live health view of a running daemon):\n  --once               render one frame and exit (for scripts / CI)\n  --interval=SECS      refresh interval (default 1.0)\n  --lines=N            suspicion rows to show (default 8)\n\nenvironment:\n  DB_FLIGHT_CAPACITY=N   --flight ring capacity in records (default 65536)\n  DB_THREADS=N           worker threads for sweeps and training unless --workers is\n                         given, and `serve` engine shards, each splitting a Records\n                         frame's per-flow work (default all cores); 1 forces\n                         sequential execution\n  DB_SWEEP_STOP_AFTER=N  stop a sweep after N units (leaves a resumable checkpoint)\n  DB_SMOKE=1             shrink classifier training for fast smoke runs\n  DB_FULL=1              run bench binaries at full sweep scale, not the quick budget\n  DB_TRACE=1             sweep-driven binaries emit per-unit db-scope traces\n  DB_SERVE_FLIGHT=1      `serve` engines also record a provenance flight ring\n\nweight schemes: Drift-Bottle, Non-Negative, 007-Drifted, 007-Modified\nbuilt-in topologies: geant2012, chinanet, tinet, as1221\ntopology specs:\n  <name>               a built-in evaluation topology (above)\n  as:<n>[:<seed>]      generated AS-graph-style topology, 4..=50000 nodes\n  path:<file>          plain-text edge list: 'nodes <N>' header, then\n                       '<a> <b> <latency_ms> [bandwidth_mbps]' per line\n  <file>               a file in the interchange format (topology/node/link)"
+        "usage:\n  drift-bottle topo    <name|file>\n  drift-bottle fail    <name|file> <link-id> [density]\n  drift-bottle node    <name|file> <node-id> [density]\n  drift-bottle sweep   <name|file> [links] [density]\n  drift-bottle health  <name|file> [density]\n  drift-bottle report  <name|file> [density]\n  drift-bottle explain <file.flight> [l<ID>|s<ID>]\n  drift-bottle timeline <file.trace.json> [l<ID>|s<ID>]\n  drift-bottle serve\n  drift-bottle top     <addr> [topo]\n\noptions (every command):\n  --metrics[=table|json|prom]  collect telemetry and print a metrics report\n\nscenario options (fail/node/sweep/health/report):\n  --scheme=NAME        weight scheme to run (default Drift-Bottle; see below)\n  --flight[=path]      record provenance for `explain` (default results/<cmd>-<topo>.flight)\n  --trace[=path]       record a db-scope trace for `timeline` / Perfetto\n                       (default results/<cmd>-<topo>.trace.json)\n\nsweep options:\n  --workers=N          worker threads (default: DB_THREADS, else all cores)\n  --checkpoint[=path]  checkpoint units to path (default results/sweep-<topo>.ckpt.jsonl)\n  --resume             resume from the checkpoint if it exists (implies --checkpoint)\n  (--flight / --trace write one recording per unit next to the checkpoint)\n\nexplain options:\n  --window=N           restrict votes/warnings to sampling window N\n  --format=table|json  output format (default table)\n\ntimeline options:\n  --format=table|json|sparkline  output format (default table)\n\nserve options:\n  --addr=HOST:PORT     listen address (default 127.0.0.1:7117)\n  --stdin              serve one session over stdin/stdout instead of TCP\n  --snapshot=PATH      restore engine state at startup, persist it on\n                       SnapshotReq and Shutdown frames\n  --prom-addr=HOST:PORT  also serve a Prometheus text scrape endpoint\n                       (default off)\n\ntop options (live health view of a running daemon):\n  --once               render one frame and exit (for scripts / CI)\n  --interval=SECS      refresh interval (default 1.0)\n  --lines=N            suspicion rows to show (default 8)\n\nenvironment:\n  DB_FLIGHT_CAPACITY=N   --flight ring capacity in records (default 65536)\n  DB_THREADS=N           worker threads for sweeps and training unless --workers is\n                         given, and `serve` engine shards, each splitting a Records\n                         frame's per-flow work (default all cores); 1 forces\n                         sequential execution\n  DB_SWEEP_STOP_AFTER=N  stop a sweep after N units (leaves a resumable checkpoint)\n  DB_SMOKE=1             shrink classifier training for fast smoke runs\n  DB_FULL=1              run bench binaries at full sweep scale, not the quick budget\n  DB_TRACE=1             sweep-driven binaries emit per-unit db-scope traces\n\nweight schemes: Drift-Bottle, Non-Negative, 007-Drifted, 007-Modified\nbuilt-in topologies: geant2012, chinanet, tinet, as1221\ntopology specs:\n  <name>               a built-in evaluation topology (above)\n  as:<n>[:<seed>]      generated AS-graph-style topology, 4..=50000 nodes\n  path:<file>          plain-text edge list: 'nodes <N>' header, then\n                       '<a> <b> <latency_ms> [bandwidth_mbps]' per line\n  <file>               a file in the interchange format (topology/node/link)"
     );
     ExitCode::FAILURE
 }
